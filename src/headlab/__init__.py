@@ -14,9 +14,9 @@ from .detector import (ConfusionReport, DesignMatrix, DetectorModel,
                        calibrate_threshold, evaluate_detector, extract_features,
                        fit_detector, train_logistic)
 from .engine import (CapturedStep, GenerationRecord, LatentState,
-                     NoiseSchedule, attention_map, ddim_step, exact_epsilon,
-                     make_schedule, predict_final_image, responsibilities,
-                     sample_with_capture, trajectory)
+                     NoiseSchedule, Posterior, attention_map, ddim_step,
+                     exact_epsilon, make_schedule, predict_final_image,
+                     responsibilities, sample_with_capture, trajectory)
 from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
                      EmptyTargets, GrammarError, HeadLabError, InvalidT,
                      MissingCapture, MissingReport, NeverAccepts,

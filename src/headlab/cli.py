@@ -34,7 +34,8 @@ from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
                      UsageError)
 from .runtime import (BASELINE, HEAD, RunPolicy, measure_campaign,
                       write_campaign_csv)
-from .scene import build_conditional_mixture, default_catalog, load_catalog
+from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
+                    load_catalog)
 from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
                         baseline_cost, expected_cost_closed_form,
                         monte_carlo_cost, relative_saving, sweep_probability,
@@ -174,10 +175,19 @@ def _override(value, fallback):
     return fallback if value is None else value
 
 
+def _object_names(count: int) -> tuple[str, ...]:
+    """Placeholder names for ``--objects``, bounded like prompt targets."""
+    if not 1 <= count <= MAX_TARGETS:
+        raise UsageError(f"--objects must be in [1, {MAX_TARGETS}], got {count}")
+    return tuple(f"object{i}" for i in range(count))
+
+
 # ---------------------------------------------------------------- dataset
 
 
 def _cmd_make_dataset(args) -> None:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_experiment_config(args.config).dataset
     updates = {}
     for flag in ("global_seed", "seeds_per_prompt", "num_steps", "faithfulness"):
@@ -275,7 +285,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    names = tuple(f"object{i}" for i in range(args.objects))
+    names = _object_names(args.objects)
     q = args.p ** (1.0 / args.objects)
     dist = AttemptDistribution.from_faithfulness(names, q)
     policy = PolicyParams.symmetric(names, args.recall, args.tn_rate, args.f)
@@ -353,7 +363,7 @@ def _cmd_sweep_p(args) -> None:
     config = load_experiment_config(args.config).simulation
     grid = (_parse_float_list(args.p_grid) if args.p_grid is not None
             else config.p_grid)
-    names = tuple(f"object{i}" for i in range(args.objects))
+    names = _object_names(args.objects)
     rows = sweep_probability(names, args.recall, args.tn_rate, args.t_last,
                              args.num_steps, grid)
     out = Path(args.out)
@@ -411,6 +421,10 @@ def _cmd_run(args) -> None:
 def _render_table(path: Path) -> str:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise UsageError(f"{path} is empty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise UsageError(f"{path} has rows of differing widths")
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for k, row in enumerate(rows):

@@ -105,10 +105,10 @@ def _head_attempt(mixture: MixtureSpec, schedule: NoiseSchedule,
     verdicts: dict[str, int] = {}
     pfi_by: dict[int, np.ndarray] = {}
     attn_by: dict[str, dict[int, np.ndarray]] = {o: {} for o in mixture.targets}
-    for t, z, eps in trajectory(mixture, schedule, seed):
+    for t, z, posterior in trajectory(mixture, schedule, seed):
         u = schedule.T - t
         if u in needed:
-            cap = capture_step(mixture, schedule, t, z, eps)
+            cap = capture_step(mixture, schedule, t, z, posterior)
             pfi_by[u] = cap.pfi
             for obj in mixture.targets:
                 attn_by[obj][u] = cap.attention[obj]
@@ -194,13 +194,15 @@ class CampaignReport:
 
 def _bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
                   seed: int) -> tuple[float, float]:
-    """Percentile CI of 1 - mean(treat)/mean(ref) over paired resamples."""
-    stream = SplitMix64(seed)
+    """Percentile CI of 1 - mean(treat)/mean(ref) over paired resamples.
+
+    The stream is counter-based, so one draw of all resamples' indices
+    equals drawing them one resample at a time.
+    """
     n = ref.size
-    stats = np.empty(_BOOTSTRAP_RESAMPLES)
-    for b in range(_BOOTSTRAP_RESAMPLES):
-        idx = stream.integers(n, n)
-        stats[b] = 1.0 - treat[idx].mean() / ref[idx].mean()
+    idx = SplitMix64(seed).integers(_BOOTSTRAP_RESAMPLES * n, n).reshape(
+        _BOOTSTRAP_RESAMPLES, n)
+    stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
     return (float(np.percentile(stats, 2.5)),
             float(np.percentile(stats, 97.5)))
 

@@ -22,6 +22,7 @@ from .errors import EmptyTargets, GrammarError, UnknownObject, UsageError
 GRID_SIZE = 16
 BLOB_SIGMAS = (1.0, 1.5, 2.0)
 COMPONENT_STD = 0.05
+MAX_TARGETS = 3  # the prompt grammar's cap on targets per prompt
 
 SUBJECT_IDS = ("cat", "dog", "fox", "owl", "frog",
                "crab", "deer", "mole", "swan", "toad")
@@ -188,8 +189,9 @@ def extract_targets(text: str, catalog: dict[str, ObjectSpec]) -> Prompt:
     if not cleaned:
         raise GrammarError("empty prompt")
     parts = cleaned.split(" and ")
-    if len(parts) > 3:
-        raise GrammarError(f"at most 3 targets supported, got {len(parts)}")
+    if len(parts) > MAX_TARGETS:
+        raise GrammarError(f"at most {MAX_TARGETS} targets supported, "
+                           f"got {len(parts)}")
     targets: list[str] = []
     for part in parts:
         m = _PART_RE.match(part)

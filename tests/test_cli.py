@@ -101,6 +101,34 @@ def test_invalid_invocations_exit_1(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.59", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "0"],
+    ["simulate", "--p", "0.59", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "4"],
+    ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
+     "--objects", "0", "--out", "unused"],
+    ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
+     "--objects", "-2", "--out", "unused"],
+    ["make-dataset", "--out", "unused", "--jobs", "0"],
+    ["make-dataset", "--out", "unused", "--jobs", "-5"],
+])
+def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "unused").exists()
+
+
+def test_simulate_accepts_the_object_bounds(capsys):
+    for objects in ("1", "3"):
+        assert main(["simulate", "--p", "0.59", "--recall", "1.0",
+                     "--tn-rate", "1.0", "--f", "0.16",
+                     "--objects", objects]) == 0
+    capsys.readouterr()
+
+
 def test_dead_detector_exits_2(capsys):
     rc = main(["simulate", "--p", "0.59", "--recall", "0.0",
                "--tn-rate", "1.0", "--f", "0.16"])
@@ -267,6 +295,18 @@ def test_report_without_artifacts_exits_1(tmp_path, capsys):
                str(tmp_path / "rep")])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", ["", "a,b\n1\n"])
+def test_report_over_a_malformed_csv_exits_1(tmp_path, capsys, content):
+    (tmp_path / "campaign.csv").write_text(content, encoding="utf-8")
+    rc = main(["report", "--dir", str(tmp_path), "--out",
+               str(tmp_path / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "campaign.csv" in err
+    assert not (tmp_path / "rep").exists()
 
 
 # ------------------------------------------------------------- config file

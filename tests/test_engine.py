@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from headlab.engine import (LatentState, NoiseSchedule, attention_map,
-                            ddim_step, exact_epsilon, make_schedule,
-                            predict_final_image, responsibilities,
-                            sample_with_capture, trajectory)
+from headlab import engine
+from headlab.engine import (LatentState, NoiseSchedule, _logsumexp,
+                            attention_map, ddim_step, exact_epsilon,
+                            make_schedule, predict_final_image,
+                            responsibilities, sample_with_capture, trajectory)
 from headlab.errors import DegenerateVariance, InvalidT
 from headlab.rng import SplitMix64
 from headlab.scene import build_conditional_mixture
@@ -129,6 +130,24 @@ def test_single_component_epsilon_closed_form(schedule):
     assert np.allclose(eps, expected, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_logsumexp_is_bit_identical_to_scipy():
+    stream = SplitMix64(2409)
+    for i in range(2000):
+        scale = (1e-3, 1.0, 30.0, 1e3)[i % 4]
+        a = stream.normals(9) * scale
+        if i % 3 == 0:  # tied maxima
+            a[stream.integers(3, 9)] = a.max()
+        if i % 5 == 0:  # many ties
+            a = np.round(a)
+        assert _logsumexp(a) == logsumexp(a)
+    for a in (np.array([0.0, -np.inf]), np.zeros(1), np.array([7.0, 7.0])):
+        assert _logsumexp(a) == logsumexp(a)
+    assert _logsumexp(np.full(9, -np.inf)) == logsumexp(np.full(9, -np.inf))
+    assert _logsumexp(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(_logsumexp(np.array([1.0, np.nan])))
+
+
 def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
@@ -229,11 +248,52 @@ def test_capture_contents(catalog, schedule):
     by_t = {c.t: c for c in record.captures}
     assert set(by_t) == {0, 30, schedule.T}
     assert np.array_equal(by_t[0].pfi, record.final_image)
-    assert by_t[0].epsilon_norm == 0.0
-    assert by_t[30].epsilon_norm > 0.0
     assert set(by_t[30].attention) == {"cat", "bench"}
     # a capture's projection should already resemble a clean image
     assert by_t[30].pfi.max() < 2.0
+
+
+def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
+    mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
+    wanted = {0, 1, 2, 8, 16, 30, schedule.T}
+    record = sample_with_capture(mix, schedule, seed=11,
+                                 critical_timesteps=wanted)
+    states = {t: LatentState(z=z, t=t)
+              for t, z, _ in trajectory(mix, schedule, seed=11) if t in wanted}
+    assert [c.t for c in record.captures] == sorted(wanted, reverse=True)
+    for cap in record.captures:
+        state = states[cap.t]
+        assert np.array_equal(cap.pfi,
+                              predict_final_image(mix, state, schedule))
+        for obj in mix.targets:
+            assert np.array_equal(cap.attention[obj],
+                                  attention_map(mix, state, obj, schedule))
+
+
+def test_trajectory_posterior_matches_public_api(catalog, schedule):
+    mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
+    for t, z, post in trajectory(mix, schedule, seed=3):
+        if t == 0:
+            assert post is None
+            continue
+        state = LatentState(z=z, t=t)
+        assert np.array_equal(post.r, responsibilities(mix, state, schedule))
+        assert np.array_equal(post.eps, exact_epsilon(mix, state, schedule))
+
+
+def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
+    mix = build_conditional_mixture(("cat", "bench", "kite"), 0.8, catalog)
+    calls = []
+    original = engine._log_responsibilities
+    monkeypatch.setattr(engine, "_log_responsibilities",
+                        lambda *args: calls.append(1) or original(*args))
+    sample_with_capture(mix, schedule, seed=5,
+                        critical_timesteps=set(range(1, schedule.T + 1)))
+    assert len(calls) == schedule.T
+    calls.clear()
+    sample_with_capture(mix, schedule, seed=5, critical_timesteps={0, 16})
+    # t = 0 takes no denoising step; its capture evaluates one posterior
+    assert len(calls) == schedule.T + 1
 
 
 def test_capture_rejects_out_of_range(catalog, schedule):

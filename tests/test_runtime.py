@@ -6,12 +6,12 @@ import pytest
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
 from headlab.errors import RestartLimitExceeded, UsageError
-from headlab.rng import mix64
+from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
-                             measure_campaign, run_until_complete,
-                             write_campaign_csv)
+                             _bootstrap_ci, measure_campaign,
+                             run_until_complete, write_campaign_csv)
 from headlab.scene import Prompt, build_conditional_mixture, prompt_text
 
 
@@ -211,6 +211,26 @@ def test_campaign_validation(catalog, schedule):
         measure_campaign(prompts, [], schedule, RunPolicy(mode=BASELINE),
                          RunPolicy(mode=BASELINE), catalog,
                          runs_per_prompt=1, root_seed=0)
+
+
+def _bootstrap_ci_loop(ref, treat, seed):
+    """Reference: one index draw per resample."""
+    stream = SplitMix64(seed)
+    stats = np.empty(200)
+    for b in range(200):
+        idx = stream.integers(ref.size, ref.size)
+        stats[b] = 1.0 - treat[idx].mean() / ref[idx].mean()
+    return (float(np.percentile(stats, 2.5)),
+            float(np.percentile(stats, 97.5)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17, 120])
+def test_bootstrap_ci_equals_per_resample_loop(n):
+    stream = SplitMix64(n)
+    ref = np.floor(50.0 + 150.0 * stream.uniforms(n))
+    treat = np.floor(16.0 + 150.0 * stream.uniforms(n))
+    for seed in (0, mix64(2024, 0xB007), mix64(7, 0xB007, 3)):
+        assert _bootstrap_ci(ref, treat, seed) == _bootstrap_ci_loop(ref, treat, seed)
 
 
 def test_pooled_saving_requires_pooled_row():
