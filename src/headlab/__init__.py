@@ -18,10 +18,10 @@ from .engine import (CapturedStep, GenerationRecord, LatentState,
                      exact_epsilon, make_schedule, predict_final_image,
                      responsibilities, sample_with_capture, trajectory)
 from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
-                     EmptyTargets, GrammarError, HeadLabError, InvalidT,
-                     MissingCapture, MissingReport, NeverAccepts,
-                     NonFiniteLoss, RestartLimitExceeded, TrialBudgetExceeded,
-                     UnknownObject, UsageError)
+                     EmptyTargets, GrammarError, HeadLabError, InvalidInput,
+                     InvalidT, MissingCapture, MissingReport, NeverAccepts,
+                     NonFiniteLoss, RestartLimitExceeded, RunFailure,
+                     TrialBudgetExceeded, UnknownObject, UsageError)
 from .rng import SplitMix64, mix64
 from .scene import (MixtureSpec, ObjectSpec, Prompt, build_conditional_mixture,
                     completeness_probability, default_catalog, dump_catalog,
@@ -35,5 +35,3 @@ from .runtime import (RunPolicy, RunTrace, measure_campaign,
                       run_until_complete)
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,20 +18,16 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
-from .dataset import (DEFAULT_CRITICAL_STEPS, DatasetConfig, build_prompt_grid,
-                      generate_dataset, load_manifest, CATALOG_NAME)
+from .dataset import (DatasetConfig, build_prompt_grid, generate_dataset,
+                      load_manifest, CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        calibrate_threshold, evaluate_detector, fit_detector,
                        merge_counts)
 from .engine import make_schedule
-from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
-                     EmptyTargets, GrammarError, InvalidT, MissingCapture,
-                     MissingReport, NeverAccepts, NonFiniteLoss,
-                     RestartLimitExceeded, TrialBudgetExceeded, UnknownObject,
-                     UsageError)
+from .errors import InvalidInput, MissingReport, RunFailure, UsageError
 from .runtime import (BASELINE, HEAD, RunPolicy, measure_campaign,
                       write_campaign_csv)
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
@@ -40,12 +36,6 @@ from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
                         baseline_cost, expected_cost_closed_form,
                         monte_carlo_cost, relative_saving, sweep_probability,
                         sweep_tlast, write_sweep_p_csv, write_sweep_tlast_csv)
-
-_VALIDATION_ERRORS = (UsageError, GrammarError, UnknownObject, EmptyTargets,
-                      InvalidT, MissingReport, DimensionMismatch)
-_RUNTIME_ERRORS = (NeverAccepts, TrialBudgetExceeded, RestartLimitExceeded,
-                   DegenerateVariance, DegenerateLabels, NonFiniteLoss,
-                   MissingCapture, OSError, ValueError)
 
 SNAPSHOT_NAME = "config_snapshot.json"
 
@@ -66,10 +56,8 @@ class DetectorSettings:
 
 @dataclass(frozen=True)
 class SimulationSettings:
-    """Monte Carlo budget and the completeness sweep grid."""
+    """The completeness sweep grid."""
 
-    mc_runs: int = 2000
-    seed: int = 0
     p_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -154,14 +142,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}") from exc
 
 
 def _load_dataset(dataset_dir):
@@ -171,8 +161,11 @@ def _load_dataset(dataset_dir):
     return root, manifest, catalog
 
 
-def _override(value, fallback):
-    return fallback if value is None else value
+def _with_flags(settings, args):
+    """Config ``settings`` with each field whose flag was given replaced."""
+    given = {f.name: getattr(args, f.name) for f in fields(settings)
+             if getattr(args, f.name, None) is not None}
+    return replace(settings, **given)
 
 
 def _object_names(count: int) -> tuple[str, ...]:
@@ -188,14 +181,7 @@ def _object_names(count: int) -> tuple[str, ...]:
 def _cmd_make_dataset(args) -> None:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    config = load_experiment_config(args.config).dataset
-    updates = {}
-    for flag in ("global_seed", "seeds_per_prompt", "num_steps", "faithfulness"):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[flag] = value
-    if updates:
-        config = DatasetConfig.from_dict({**config.to_dict(), **updates})
+    config = _with_flags(load_experiment_config(args.config).dataset, args)
     if args.catalog is not None:
         catalog = load_catalog(args.catalog)
     else:
@@ -212,24 +198,8 @@ def _cmd_make_dataset(args) -> None:
 # ---------------------------------------------------------------- detector
 
 
-def _resolved_detector_settings(args) -> DetectorSettings:
-    base = load_experiment_config(args.config).detector
-    return DetectorSettings(
-        variant=_override(args.variant, base.variant),
-        steps=(tuple(_parse_int_list(args.steps)) if args.steps is not None
-               else tuple(base.steps)),
-        lr=_override(args.lr, base.lr),
-        epochs=_override(args.epochs, base.epochs),
-        l2=_override(args.l2, base.l2),
-        threshold=_override(args.threshold, base.threshold),
-        target_recall=_override(args.target_recall, base.target_recall),
-        calibration_split=_override(args.calibration_split,
-                                    base.calibration_split),
-    )
-
-
 def _cmd_train(args) -> None:
-    settings = _resolved_detector_settings(args)
+    settings = _with_flags(load_experiment_config(args.config).detector, args)
     if settings.variant not in VARIANTS:
         raise UsageError(f"variant must be one of {VARIANTS}")
     root, manifest, catalog = _load_dataset(args.dataset)
@@ -285,6 +255,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    if args.mc_runs < 0:
+        raise UsageError(f"--mc-runs must be >= 0, got {args.mc_runs}")
     names = _object_names(args.objects)
     q = args.p ** (1.0 / args.objects)
     dist = AttemptDistribution.from_faithfulness(names, q)
@@ -360,9 +332,8 @@ def _cmd_sweep_tlast(args) -> None:
 
 
 def _cmd_sweep_p(args) -> None:
-    config = load_experiment_config(args.config).simulation
-    grid = (_parse_float_list(args.p_grid) if args.p_grid is not None
-            else config.p_grid)
+    grid = _with_flags(load_experiment_config(args.config).simulation,
+                       args).p_grid
     names = _object_names(args.objects)
     rows = sweep_probability(names, args.recall, args.tn_rate, args.t_last,
                              args.num_steps, grid)
@@ -379,12 +350,7 @@ def _cmd_sweep_p(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    base = load_experiment_config(args.config).runtime
-    settings = RuntimeSettings(
-        runs_per_prompt=_override(args.runs_per_prompt, base.runs_per_prompt),
-        root_seed=_override(args.root_seed, base.root_seed),
-        max_restarts=_override(args.max_restarts, base.max_restarts),
-    )
+    settings = _with_flags(load_experiment_config(args.config).runtime, args)
     root, manifest, catalog = _load_dataset(args.dataset)
     model = DetectorModel.load(args.model)
     config = manifest.config
@@ -400,7 +366,6 @@ def _cmd_run(args) -> None:
     schedule = make_schedule(config.num_steps)
     reference = RunPolicy(mode=BASELINE, max_restarts=settings.max_restarts)
     treatment = RunPolicy(mode=HEAD, model=model,
-                          capture_steps=config.critical_steps,
                           max_restarts=settings.max_restarts)
     report = measure_campaign(prompts, mixtures, schedule, reference,
                               treatment, catalog, settings.runs_per_prompt,
@@ -475,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--variant", default=None, choices=VARIANTS)
-    p.add_argument("--steps", default=None,
+    p.add_argument("--steps", type=_parse_int_list, default=None,
                    help="comma-separated capture labels, e.g. 8 or 4,8,16")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -523,7 +488,8 @@ def build_parser() -> _Parser:
     p.add_argument("--t-last", dest="t_last", type=int, required=True)
     p.add_argument("--num-steps", dest="num_steps", type=int, default=50)
     p.add_argument("--objects", type=int, default=2)
-    p.add_argument("--p-grid", dest="p_grid", default=None,
+    p.add_argument("--p-grid", dest="p_grid", type=_parse_float_list,
+                   default=None,
                    help="comma-separated completeness values")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
@@ -558,10 +524,10 @@ def main(argv=None) -> int:
             raise UsageError(parser.format_usage().strip())
         args.func(args)
         return 0
-    except _VALIDATION_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _RUNTIME_ERRORS as exc:
+    except (RunFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

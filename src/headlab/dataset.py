@@ -30,7 +30,7 @@ import numpy as np
 from .engine import make_schedule, sample_with_capture
 from .errors import MissingCapture, UsageError
 from .rng import SplitMix64, mix64
-from .scene import (MixtureSpec, ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
+from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
                     build_conditional_mixture, dump_catalog, prompt_text)
 from .tensorio import tensor_bytes, read_tensor
 
@@ -357,9 +357,3 @@ def load_captures(root, sample_id: str, steps, objects) -> dict[int, dict]:
 
 def load_final(root, sample_id: str) -> np.ndarray:
     return read_tensor(Path(root) / TENSOR_DIR / sample_id / "final.bin")
-
-
-def dataset_stats(manifest: DatasetManifest) -> dict:
-    """Protocol-level statistics (recomputed from the sample index)."""
-    prompts = build_prompt_grid(manifest.config.subjects, manifest.config.objects)
-    return _prompt_stats(prompts, list(manifest.samples))

@@ -253,16 +253,19 @@ class DetectorModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("format_version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version in {path}")
-        return cls(
-            variant=payload["variant"],
-            steps=tuple(int(u) for u in payload["steps"]),
-            feature_names=tuple(payload["feature_names"]),
-            mean=np.array(payload["mean"]),
-            scale=np.array(payload["scale"]),
-            weights=np.array(payload["weights"]),
-            bias=float(payload["bias"]),
-            threshold=float(payload["threshold"]),
-        )
+        try:
+            return cls(
+                variant=payload["variant"],
+                steps=tuple(int(u) for u in payload["steps"]),
+                feature_names=tuple(payload["feature_names"]),
+                mean=np.array(payload["mean"]),
+                scale=np.array(payload["scale"]),
+                weights=np.array(payload["weights"]),
+                bias=float(payload["bias"]),
+                threshold=float(payload["threshold"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: model lacks key {exc.args[0]!r}") from exc
 
 
 def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,

@@ -44,7 +44,6 @@ class RunPolicy:
 
     mode: str
     model: DetectorModel | None = None
-    capture_steps: tuple[int, ...] = ()
     max_restarts: int = 1000
 
     def validate(self, num_steps: int) -> None:
@@ -55,11 +54,6 @@ class RunPolicy:
         if self.mode == HEAD:
             if self.model is None:
                 raise UsageError("head mode requires a detector model")
-            available = set(self.capture_steps) or set(self.model.steps)
-            if not set(self.model.steps) <= available:
-                raise UsageError(
-                    f"model needs steps {sorted(self.model.steps)} but only "
-                    f"{sorted(available)} are captured")
             if max(self.model.steps) >= num_steps:
                 raise UsageError("decision step must precede the final step")
 

@@ -63,12 +63,6 @@ class ObjectSpec:
         return np.exp(-d2 / (2.0 * self.sigma**2))
 
     @cached_property
-    def template(self) -> np.ndarray:
-        """Canonical blob field, centered on the grid."""
-        mid = self.grid_size // 2
-        return self.placed_template((mid, mid))
-
-    @cached_property
     def _placed_stack(self) -> np.ndarray:
         """Placed templates for every candidate position, shape (P, H, W)."""
         return np.stack([self.placed_template(p) for p in self.candidate_positions])
@@ -88,11 +82,10 @@ class ObjectSpec:
         return overlaps / self._placed_energy
 
 
-def default_catalog(blob_sigmas: tuple[float, ...] = BLOB_SIGMAS,
-                    grid_size: int = GRID_SIZE) -> dict[str, ObjectSpec]:
+def default_catalog() -> dict[str, ObjectSpec]:
     """Built-in catalog: 10 subjects plus 6 things, two positions each.
 
-    Blob widths cycle through ``blob_sigmas`` in catalog order so adjacent
+    Blob widths cycle through ``BLOB_SIGMAS`` in catalog order so adjacent
     entries stay visually distinct.
     """
     catalog: dict[str, ObjectSpec] = {}
@@ -107,14 +100,13 @@ def default_catalog(blob_sigmas: tuple[float, ...] = BLOB_SIGMAS,
         positions = tuple((row, col) for row in pair)
         catalog[object_id] = ObjectSpec(
             object_id=object_id,
-            sigma=blob_sigmas[i % len(blob_sigmas)],
+            sigma=BLOB_SIGMAS[i % len(BLOB_SIGMAS)],
             candidate_positions=positions,
-            grid_size=grid_size,
         )
     return catalog
 
 
-def load_catalog(path: str, grid_size: int = GRID_SIZE) -> dict[str, ObjectSpec]:
+def load_catalog(path: str) -> dict[str, ObjectSpec]:
     """Read a catalog from a plain-text table.
 
     One line per object: ``id sigma r1,c1 r2,c2 ...``.  Blank lines and lines
@@ -149,7 +141,6 @@ def load_catalog(path: str, grid_size: int = GRID_SIZE) -> dict[str, ObjectSpec]
                 object_id=object_id,
                 sigma=sigma,
                 candidate_positions=tuple(positions),
-                grid_size=grid_size,
             )
     return catalog
 
@@ -220,12 +211,6 @@ class SceneComponent:
     weight: float
     mean: np.ndarray
 
-    def label(self, targets: tuple[str, ...]) -> str:
-        bits = []
-        for t, present, choice in zip(targets, self.presence, self.position_choice):
-            bits.append(f"{t}@{choice}" if present else f"{t}@-")
-        return "|".join(bits)
-
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -253,25 +238,11 @@ class MixtureSpec:
         """Component means flattened to shape ``(K, grid_size**2)``."""
         return np.stack([c.mean.ravel() for c in self.components])
 
-    @cached_property
-    def presence_matrix(self) -> np.ndarray:
-        """Boolean ``(K, n_targets)``: which targets appear in component k."""
-        return np.array([c.presence for c in self.components], dtype=bool)
-
     def object_index(self, object_id: str) -> int:
         try:
             return self.targets.index(object_id)
         except ValueError:
             raise UnknownObject(f"object {object_id!r} not among targets {self.targets}")
-
-    def placed_template(self, object_id: str, component: SceneComponent) -> np.ndarray:
-        """The object's unit-peak template as placed in one component."""
-        i = self.object_index(object_id)
-        choice = component.position_choice[i]
-        if choice is None:
-            raise UsageError(f"object {object_id!r} absent from component")
-        spec = self.objects[i]
-        return spec.placed_template(spec.candidate_positions[choice])
 
     @cached_property
     def _template_stacks(self) -> dict[str, np.ndarray]:

@@ -174,12 +174,6 @@ class SimReport:
     stderr: float
     ci_lo: float
     ci_hi: float
-    mean_attempts: float
-    abort_fraction: float
-
-    @property
-    def ci_halfwidth(self) -> float:
-        return 1.96 * self.stderr
 
 
 def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
@@ -207,8 +201,6 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
 
     stream = SplitMix64(seed)
     costs = np.zeros(n_runs)
-    attempts = np.zeros(n_runs, dtype=np.int64)
-    aborted = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
     f = policy.cost_fraction
     rounds = 0
@@ -225,8 +217,6 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
         verdicts = stream.uniforms(k * n_obj).reshape(k, n_obj) < pass_prob
         continued = verdicts.all(axis=1)
         costs[active] += np.where(continued, 1.0, f)
-        attempts[active] += 1
-        aborted[active] += (~continued).astype(np.int64)
         accepted = continued & complete_mask[pat_idx]
         active = active[~accepted]
 
@@ -234,9 +224,7 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0
     se = std / np.sqrt(n_runs)
     return SimReport(n_runs=n_runs, mean_cost=mean, stderr=se,
-                     ci_lo=mean - 1.96 * se, ci_hi=mean + 1.96 * se,
-                     mean_attempts=float(attempts.mean()),
-                     abort_fraction=float(aborted.sum() / attempts.sum()))
+                     ci_lo=mean - 1.96 * se, ci_hi=mean + 1.96 * se)
 
 
 @dataclass(frozen=True)
@@ -257,14 +245,13 @@ class SweepRow:
     recall: float
     true_negative_rate: float
     saving_closed_form: float
-    saving_monte_carlo: float | None
-    ci_lo: float | None
-    ci_hi: float | None
+    saving_monte_carlo: float
+    ci_lo: float
+    ci_hi: float
 
 
 def sweep_tlast(dist: AttemptDistribution, points, num_steps: int,
-                n_runs: int = 2000, seed: int = 0,
-                with_monte_carlo: bool = True) -> list[SweepRow]:
+                n_runs: int = 2000, seed: int = 0) -> list[SweepRow]:
     """Saving as a function of the decision step, one row per rate point."""
     points = list(points)
     if len({p.t_last for p in points}) < 2:
@@ -278,21 +265,17 @@ def sweep_tlast(dist: AttemptDistribution, points, num_steps: int,
                               true_negative_rate=point.tn_by_object,
                               cost_fraction=point.t_last / num_steps)
         saving_cf = relative_saving(dist, policy)
-        saving_mc = ci_lo = ci_hi = None
-        if with_monte_carlo:
-            base = baseline_cost(dist)
-            report = monte_carlo_cost(dist, policy, n_runs,
-                                      seed=seed + point.t_last)
-            saving_mc = 1.0 - report.mean_cost / base
-            ci_lo = 1.0 - report.ci_hi / base
-            ci_hi = 1.0 - report.ci_lo / base
+        base = baseline_cost(dist)
+        report = monte_carlo_cost(dist, policy, n_runs,
+                                  seed=seed + point.t_last)
         rows.append(SweepRow(t_last=point.t_last,
                              cost_fraction=point.t_last / num_steps,
                              recall=point.pooled_recall,
                              true_negative_rate=point.pooled_tn,
                              saving_closed_form=saving_cf,
-                             saving_monte_carlo=saving_mc,
-                             ci_lo=ci_lo, ci_hi=ci_hi))
+                             saving_monte_carlo=1.0 - report.mean_cost / base,
+                             ci_lo=1.0 - report.ci_hi / base,
+                             ci_hi=1.0 - report.ci_lo / base))
     return rows
 
 
@@ -333,8 +316,6 @@ def sweep_probability(objects, recall: float, true_negative_rate: float,
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return f"{value:.6f}"
 
 

@@ -9,7 +9,6 @@ import contextlib
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -306,8 +305,7 @@ def test_criterion_8_live_campaign_matches_closed_form(
                 for p in prompts]
     campaign = measure_campaign(
         prompts, mixtures, schedule, RunPolicy(mode=BASELINE),
-        RunPolicy(mode=HEAD, model=model,
-                  capture_steps=config.critical_steps),
+        RunPolicy(mode=HEAD, model=model),
         dataset.catalog, runs_per_prompt=17, root_seed=2024)
     measured = campaign.pooled_saving
     gap = abs(measured - predicted)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
-                         load_experiment_config, main)
+                         SimulationSettings, load_experiment_config, main)
 from headlab.detector import DetectorModel
 from headlab.errors import UsageError
 
@@ -112,6 +112,11 @@ def test_invalid_invocations_exit_1(argv, capsys):
      "--objects", "-2", "--out", "unused"],
     ["make-dataset", "--out", "unused", "--jobs", "0"],
     ["make-dataset", "--out", "unused", "--jobs", "-5"],
+    ["simulate", "--p", "0.59", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--mc-runs", "-5", "--out", "unused"],
+    ["train", "--dataset", "unused", "--out", "unused", "--steps", "x"],
+    ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
+     "--p-grid", "0.5,y", "--out", "unused"],
 ])
 def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -204,6 +209,19 @@ def test_eval_artifacts(cli_dataset, cli_models, tmp_path, capsys):
     assert report["split"] == "val"
     assert report["steps"] == [16]
     assert set(report["pooled"]) >= {"tp", "fp", "tn", "fn", "recall"}
+
+
+def test_eval_model_missing_keys_exits_2(cli_dataset, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "variant": "combined"}),
+                     encoding="utf-8")
+    rc = main(["eval", "--dataset", str(cli_dataset), "--model", str(model),
+               "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(model) in err and "'steps'" in err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_unknown_split_exits_1(cli_dataset, cli_models, tmp_path,
@@ -330,7 +348,7 @@ def test_partial_sections_fill_defaults():
     config = ExperimentConfig.from_dict({"detector": {"steps": [4, 8]}})
     assert config.detector.steps == (4, 8)
     assert config.detector.lr == DetectorSettings().lr
-    assert config.simulation.mc_runs == 2000
+    assert config.simulation == SimulationSettings()
 
 
 def test_load_experiment_config(tmp_path):
@@ -339,3 +357,66 @@ def test_load_experiment_config(tmp_path):
     bad.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(UsageError):
         load_experiment_config(bad)
+
+
+def test_config_without_a_reader_is_rejected(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"simulation": {"mc_runs": 2000}}),
+                      encoding="utf-8")
+    rc = main(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+               "--t-last", "8", "--config", str(config),
+               "--out", str(tmp_path / "sp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mc_runs" in err
+    assert not (tmp_path / "sp").exists()
+
+
+# ------------------------------------------------- flags over config sections
+
+def _snapshot_with_config(tmp_path, sections, argv) -> dict:
+    """Run ``argv`` with ``sections`` as ``--config``; return its snapshot."""
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(sections), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _quiet([*argv, "--config", str(config), "--out", str(out)]) == 0
+    return json.loads((out / SNAPSHOT_NAME).read_text("utf-8"))
+
+
+def test_make_dataset_merges_flags_over_config(tmp_path):
+    dataset = {**TINY_SECTIONS["dataset"], "global_seed": 9}
+    snapshot = _snapshot_with_config(
+        tmp_path, {"dataset": dataset},
+        ["make-dataset", "--seeds-per-prompt", "1"])
+    assert snapshot["dataset"]["global_seed"] == 9
+    assert snapshot["dataset"]["subjects"] == dataset["subjects"]
+    assert snapshot["dataset"]["seeds_per_prompt"] == 1
+
+
+def test_train_merges_flags_over_config(cli_dataset, tmp_path):
+    snapshot = _snapshot_with_config(
+        tmp_path, {"detector": {"steps": [16], "lr": 0.05, "epochs": 40}},
+        ["train", "--dataset", str(cli_dataset), "--epochs", "20"])
+    assert snapshot["detector"]["steps"] == [16]
+    assert snapshot["detector"]["lr"] == 0.05
+    assert snapshot["detector"]["epochs"] == 20
+
+
+@pytest.mark.parametrize("flags, grid", [([], [0.2, 0.4]),
+                                         (["--p-grid", "0.7"], [0.7])])
+def test_sweep_p_merges_flags_over_config(tmp_path, flags, grid):
+    snapshot = _snapshot_with_config(
+        tmp_path, {"simulation": {"p_grid": [0.2, 0.4]}},
+        ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
+         *flags])
+    assert snapshot["p_grid"] == grid
+
+
+def test_run_merges_flags_over_config(cli_dataset, cli_models, tmp_path):
+    snapshot = _snapshot_with_config(
+        tmp_path, {"runtime": {"runs_per_prompt": 3, "root_seed": 7}},
+        ["run", "--dataset", str(cli_dataset), "--model", str(cli_models[2]),
+         "--runs-per-prompt", "1", "--split", "val"])
+    assert snapshot["root_seed"] == 7
+    assert snapshot["max_restarts"] == 1000
+    assert snapshot["runs_per_prompt"] == 1

@@ -48,12 +48,8 @@ def test_policy_validation(tiny_model):
     with pytest.raises(UsageError):
         RunPolicy(mode=BASELINE, max_restarts=0).validate(50)
     with pytest.raises(UsageError):
-        RunPolicy(mode=HEAD, model=tiny_model,
-                  capture_steps=(2, 4)).validate(50)
-    with pytest.raises(UsageError):
         RunPolicy(mode=HEAD, model=tiny_model).validate(16)
     RunPolicy(mode=HEAD, model=tiny_model).validate(50)
-    RunPolicy(mode=HEAD, model=tiny_model, capture_steps=(8, 16)).validate(50)
 
 
 def test_decision_step(tiny_model):

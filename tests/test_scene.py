@@ -5,8 +5,8 @@ import pytest
 
 from headlab.errors import EmptyTargets, GrammarError, UnknownObject, UsageError
 from headlab.scene import (ObjectSpec, build_conditional_mixture,
-                           completeness_probability, default_catalog,
-                           dump_catalog, extract_targets, load_catalog,
+                           completeness_probability, dump_catalog,
+                           extract_targets, load_catalog,
                            pattern_distribution, prompt_text,
                            render_mean_image)
 

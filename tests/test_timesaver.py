@@ -204,7 +204,7 @@ def test_sweep_tlast_perfect_rows_decrease():
     q = 0.59 ** 0.5
     dist = AttemptDistribution.from_faithfulness(("a", "b"), q)
     points = [_point(t, 1.0, 1.0) for t in (5, 8, 10, 16, 18, 20, 25, 40)]
-    rows = sweep_tlast(dist, points, 50, with_monte_carlo=False)
+    rows = sweep_tlast(dist, points, 50)
     fs = [r.cost_fraction for r in rows]
     assert fs == pytest.approx([0.10, 0.16, 0.20, 0.32, 0.36, 0.40, 0.50, 0.80])
     savings = [r.saving_closed_form for r in rows]
@@ -224,8 +224,7 @@ def test_sweep_tlast_monte_carlo_agrees():
 def test_sweep_tlast_rejects_out_of_range():
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
     with pytest.raises(UsageError):
-        sweep_tlast(dist, [_point(5, 1, 1), _point(50, 1, 1)], 50,
-                    with_monte_carlo=False)
+        sweep_tlast(dist, [_point(5, 1, 1), _point(50, 1, 1)], 50)
 
 
 def test_sweep_probability_reference_point_always_present():
@@ -265,13 +264,14 @@ def test_sweep_csv_headers_and_rows(tmp_path):
                      saving_monte_carlo=0.19, ci_lo=0.18, ci_hi=0.22),
             SweepRow(t_last=40, cost_fraction=0.8, recall=1.0,
                      true_negative_rate=1.0, saving_closed_form=0.05,
-                     saving_monte_carlo=None, ci_lo=None, ci_hi=None)]
+                     saving_monte_carlo=0.04, ci_lo=0.03, ci_hi=0.06)]
     path = tmp_path / "sweep_tlast.csv"
     write_sweep_tlast_csv(rows, path)
     lines = path.read_text("utf-8").splitlines()
     assert lines[0] == "t_last,f,recall,tn_rate,saving_cf,saving_mc,ci_lo,ci_hi"
     assert lines[1].startswith("8,0.160000,")
-    assert lines[2].endswith(",,,")
+    assert lines[2] == ("40,0.800000,1.000000,1.000000,0.050000,"
+                        "0.040000,0.030000,0.060000")
 
     prows = [ProbabilityRow(completeness=0.59, t_last=8,
                             saving_closed_form=0.28)]
