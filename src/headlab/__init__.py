@@ -13,10 +13,9 @@ from .detector import (ConfusionReport, DesignMatrix, DetectorModel,
                        FEATURE_NAMES, build_design_matrix,
                        calibrate_threshold, evaluate_detector, extract_features,
                        fit_detector, train_logistic)
-from .engine import (CapturedStep, GenerationRecord, LatentState,
-                     NoiseSchedule, Posterior, attention_map, ddim_step,
-                     exact_epsilon, make_schedule, predict_final_image,
-                     responsibilities, sample_with_capture, trajectory)
+from .engine import (CapturedStep, GenerationRecord, NoiseSchedule, Posterior,
+                     capture_step, ddim_step, make_schedule, posterior,
+                     sample_with_capture, trajectory)
 from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
                      EmptyTargets, GrammarError, HeadLabError, InvalidInput,
                      InvalidT, MissingCapture, MissingReport, NeverAccepts,

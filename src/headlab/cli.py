@@ -28,8 +28,7 @@ from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        merge_counts)
 from .engine import make_schedule
 from .errors import InvalidInput, MissingReport, RunFailure, UsageError
-from .runtime import (BASELINE, HEAD, RunPolicy, measure_campaign,
-                      write_campaign_csv)
+from .runtime import RunPolicy, measure_campaign, write_campaign_csv
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
 from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
@@ -91,7 +90,10 @@ class ExperimentConfig:
         if unknown:
             raise UsageError(f"unknown config sections: {sorted(unknown)}")
 
-        def section(klass, payload):
+        def section(name, klass):
+            payload = d.get(name, {})
+            if not isinstance(payload, dict):
+                raise UsageError(f"config section {name!r} must be a JSON object")
             names = {f.name for f in fields(klass)}
             bad = set(payload) - names
             if bad:
@@ -104,16 +106,19 @@ class ExperimentConfig:
 
         return cls(
             dataset=DatasetConfig.from_dict(d.get("dataset", {})),
-            detector=section(DetectorSettings, d.get("detector", {})),
-            simulation=section(SimulationSettings, d.get("simulation", {})),
-            runtime=section(RuntimeSettings, d.get("runtime", {})),
+            detector=section("detector", DetectorSettings),
+            simulation=section("simulation", SimulationSettings),
+            runtime=section("runtime", RuntimeSettings),
         )
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return ExperimentConfig.from_dict(raw)
@@ -364,9 +369,8 @@ def _cmd_run(args) -> None:
                                           catalog, s2=config.component_std**2)
                 for p in prompts]
     schedule = make_schedule(config.num_steps)
-    reference = RunPolicy(mode=BASELINE, max_restarts=settings.max_restarts)
-    treatment = RunPolicy(mode=HEAD, model=model,
-                          max_restarts=settings.max_restarts)
+    reference = RunPolicy(max_restarts=settings.max_restarts)
+    treatment = RunPolicy(model=model, max_restarts=settings.max_restarts)
     report = measure_campaign(prompts, mixtures, schedule, reference,
                               treatment, catalog, settings.runs_per_prompt,
                               settings.root_seed,

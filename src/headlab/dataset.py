@@ -98,6 +98,8 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetConfig":
+        if not isinstance(d, dict):
+            raise UsageError("config section 'dataset' must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -196,8 +198,7 @@ def _generate_prompt(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     files: dict[str, bytes] = {}
     for seed_index in range(config.seeds_per_prompt):
         run_seed = mix64(config.global_seed, prompt_index, seed_index)
-        record = sample_with_capture(mixture, schedule, run_seed, noise_indices,
-                                     prompt_id=f"p{prompt_index:03d}")
+        record = sample_with_capture(mixture, schedule, run_seed, noise_indices)
         labels = label_image(record.final_image, prompt.targets, catalog,
                              config.label_threshold)
         sample_id = f"p{prompt_index:03d}s{seed_index:02d}"
@@ -306,9 +307,13 @@ def load_manifest(root) -> DatasetManifest:
     header = None
     samples: list[SampleRecord] = []
     stats: dict = {}
-    with open(root / MANIFEST_NAME, "r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
+    path = root / MANIFEST_NAME
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             kind = obj.pop("kind")
             if kind == "header":
                 header = obj

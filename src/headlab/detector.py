@@ -251,6 +251,8 @@ class DetectorModel:
     @classmethod
     def load(cls, path) -> "DetectorModel":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: model must be a JSON object")
         if payload.get("format_version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version in {path}")
         try:
@@ -266,6 +268,8 @@ class DetectorModel:
             )
         except KeyError as exc:
             raise ValueError(f"{path}: model lacks key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model: {exc}") from exc
 
 
 def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,

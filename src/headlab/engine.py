@@ -10,14 +10,15 @@ the time-marginal is itself a mixture
 and the noise prediction is available in closed form from the score:
 ``eps = -sigma_t * grad_z log p_t(z)``.  Generation runs the deterministic
 DDIM update from ``t = T`` (pure noise) down to ``t = 0`` (clean image); the
-timestep stored on states and captures is this noise index.
+timestep stored on captures is this noise index.
 
 Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
-attention maps.  :func:`trajectory` evaluates that :class:`Posterior` once
-per step and :func:`capture_step` reuses it, so a capture costs no extra
-posterior evaluation whatever the number of targets.  ``logsumexp`` is
+attention maps.  :func:`trajectory` evaluates it once per step with
+:func:`posterior`, and :func:`capture_step` turns that same
+:class:`Posterior` into the predicted final image and every attention map,
+so a capture costs no extra posterior evaluation.  ``logsumexp`` is
 written out by hand rather than imported from scipy: it repeats scipy's own
 formula operation for operation, so every artifact stays bit-identical, at a
 tenth of the cost of scipy's generic array-API path on a 9-vector.
@@ -79,14 +80,6 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
 
 
 @dataclass(frozen=True)
-class LatentState:
-    """A latent image ``z`` at noise index ``t`` (t = T noisiest, 0 clean)."""
-
-    z: np.ndarray
-    t: int
-
-
-@dataclass(frozen=True)
 class CapturedStep:
     """Mid-generation snapshot: projected final image plus attention maps."""
 
@@ -111,16 +104,14 @@ class Posterior:
 class GenerationRecord:
     """One full deterministic generation and everything captured along it."""
 
-    prompt_id: str
-    seed: int
     captures: tuple[CapturedStep, ...]
     final_image: np.ndarray
     nearest_component: int
 
 
-def _check_t(schedule: NoiseSchedule, t: int, lowest: int) -> None:
-    if not (lowest <= t <= schedule.T):
-        raise InvalidT(f"timestep {t} outside [{lowest}, {schedule.T}]")
+def _check_t(schedule: NoiseSchedule, t: int) -> None:
+    if not (0 <= t <= schedule.T):
+        raise InvalidT(f"timestep {t} outside [0, {schedule.T}]")
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -151,10 +142,20 @@ def _log_responsibilities(mixture: MixtureSpec, z_flat: np.ndarray,
     return logits - _logsumexp(logits)
 
 
-def _posterior(mixture: MixtureSpec, z: np.ndarray, t: int,
-               schedule: NoiseSchedule) -> Posterior:
-    """Responsibilities of ``z_t`` and, for ``t >= 1``, the exact eps
-    (see :func:`exact_epsilon`).  ``t`` is not checked."""
+def posterior(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
+              z: np.ndarray) -> Posterior:
+    """The mixture posterior of ``z_t``: responsibilities and exact eps.
+
+    The responsibilities ``r`` are the posterior component probabilities
+    under the time marginal.  For ``t >= 1`` the noise prediction
+    ``-sigma_t * grad log p_t`` is the responsibility-weighted pull towards
+    the scaled component means:
+
+        eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
+
+    with ``v_t = alphabar_t s2 + 1 - alphabar_t``.  At ``t = 0`` eps is None.
+    """
+    _check_t(schedule, t)
     v = schedule.marginal_variance(mixture.s2, t)
     if v < MIN_MARGINAL_VARIANCE:
         raise DegenerateVariance(f"marginal variance {v:.3e} at t={t} below "
@@ -170,33 +171,6 @@ def _posterior(mixture: MixtureSpec, z: np.ndarray, t: int,
     return Posterior(r=r, eps=eps.reshape(z.shape))
 
 
-def _attention(mixture: MixtureSpec, r: np.ndarray, object_id: str) -> np.ndarray:
-    stack = mixture.template_stack(object_id)  # (K, H, W), zeros where absent
-    return np.einsum("k,kij->ij", r, stack)
-
-
-def responsibilities(mixture: MixtureSpec, state: LatentState,
-                     schedule: NoiseSchedule) -> np.ndarray:
-    """Posterior component probabilities of ``z_t`` under the time marginal."""
-    _check_t(schedule, state.t, 0)
-    return _posterior(mixture, state.z, state.t, schedule).r
-
-
-def exact_epsilon(mixture: MixtureSpec, state: LatentState,
-                  schedule: NoiseSchedule) -> np.ndarray:
-    """Exact noise prediction ``-sigma_t * grad log p_t`` at the state.
-
-    For a mixture the score is the responsibility-weighted pull towards the
-    scaled component means:
-
-        eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
-
-    with ``v_t = alphabar_t s2 + 1 - alphabar_t``.
-    """
-    _check_t(schedule, state.t, 1)
-    return _posterior(mixture, state.z, state.t, schedule).eps
-
-
 def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
               schedule: NoiseSchedule) -> np.ndarray:
     """Deterministic (eta = 0) update from noise index ``t`` to ``t_next``.
@@ -204,7 +178,7 @@ def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
     Projects the clean image estimate ``x0 = (z - sigma_t eps) / alpha_t`` and
     re-noises it to the target level: ``alpha_t' x0 + sigma_t' eps``.
     """
-    _check_t(schedule, t, 0)
+    _check_t(schedule, t)
     if not (0 <= t_next <= t):
         raise InvalidT(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
     if t_next == t:
@@ -213,34 +187,6 @@ def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
     sigma_t = float(schedule.sigma[t])
     x0 = (z - sigma_t * eps) / alpha_t
     return float(schedule.alpha[t_next]) * x0 + float(schedule.sigma[t_next]) * eps
-
-
-def predict_final_image(mixture: MixtureSpec, state: LatentState,
-                        schedule: NoiseSchedule) -> np.ndarray:
-    """One-jump projection of the state onto its final image (t' = 0).
-
-    Equals the posterior mean of the clean image given ``z_t`` (Tweedie), and
-    degenerates to ``z`` itself at ``t = 0``.
-    """
-    _check_t(schedule, state.t, 0)
-    if state.t == 0:
-        return state.z.copy()
-    eps = _posterior(mixture, state.z, state.t, schedule).eps
-    return ddim_step(state.z, eps, state.t, 0, schedule)
-
-
-def attention_map(mixture: MixtureSpec, state: LatentState, object_id: str,
-                  schedule: NoiseSchedule) -> np.ndarray:
-    """Responsibility-weighted unit-peak footprint of one target object.
-
-    ``A_o = sum over components containing o of r_k * placed template of o``.
-    Values stay in [0, 1] because responsibilities sum to one and templates
-    peak at one.
-    """
-    mixture.object_index(object_id)  # raises UnknownObject for non-targets
-    _check_t(schedule, state.t, 0)
-    return _attention(mixture, _posterior(mixture, state.z, state.t, schedule).r,
-                      object_id)
 
 
 def trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -256,29 +202,37 @@ def trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
     n = mixture.grid_size
     z = stream.normals(n * n).reshape(n, n)
     for t in range(schedule.T, 0, -1):
-        posterior = _posterior(mixture, z, t, schedule)
-        yield t, z, posterior
-        z = ddim_step(z, posterior.eps, t, t - 1, schedule)
+        post = posterior(mixture, schedule, t, z)
+        yield t, z, post
+        z = ddim_step(z, post.eps, t, t - 1, schedule)
     yield 0, z, None
 
 
 def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
-                 z: np.ndarray, posterior: Posterior | None) -> CapturedStep:
+                 z: np.ndarray, post: Posterior | None) -> CapturedStep:
     """Snapshot one trajectory point: predicted final image plus attention.
 
-    ``posterior`` is the one :func:`trajectory` yielded with ``z``; when it
+    ``post`` is the posterior :func:`trajectory` yielded with ``z``; when it
     is None (as at ``t = 0``) it is evaluated here, once for all targets.
+
+    The predicted final image is the one-jump DDIM projection to ``t' = 0``,
+    which equals the posterior mean of the clean image given ``z_t``
+    (Tweedie); at ``t = 0`` it is a copy of ``z``.  The attention map of a
+    target is ``sum over components containing it of r_k * its placed
+    template``; values stay in [0, 1] because responsibilities sum to one
+    and templates peak at one.
     """
-    if posterior is None:
-        posterior = _posterior(mixture, z, t, schedule)
-    pfi = z.copy() if t == 0 else ddim_step(z, posterior.eps, t, 0, schedule)
-    attention = {o: _attention(mixture, posterior.r, o) for o in mixture.targets}
+    if post is None:
+        post = posterior(mixture, schedule, t, z)
+    pfi = z.copy() if t == 0 else ddim_step(z, post.eps, t, 0, schedule)
+    stacks = mixture.template_stacks  # per target: (K, H, W), zeros where absent
+    attention = {o: np.einsum("k,kij->ij", post.r, stacks[o])
+                 for o in mixture.targets}
     return CapturedStep(t=t, pfi=pfi, attention=attention)
 
 
 def sample_with_capture(mixture: MixtureSpec, schedule: NoiseSchedule,
-                        seed: int, critical_timesteps,
-                        prompt_id: str = "") -> GenerationRecord:
+                        seed: int, critical_timesteps) -> GenerationRecord:
     """Run one generation, recording snapshots at the requested noise indices.
 
     ``critical_timesteps`` are noise indices in [0, T]; captures come out in
@@ -287,18 +241,16 @@ def sample_with_capture(mixture: MixtureSpec, schedule: NoiseSchedule,
     """
     wanted = {int(t) for t in critical_timesteps}
     for t in wanted:
-        _check_t(schedule, t, 0)
+        _check_t(schedule, t)
     captures: list[CapturedStep] = []
     z_final = None
-    for t, z, posterior in trajectory(mixture, schedule, seed):
+    for t, z, post in trajectory(mixture, schedule, seed):
         if t in wanted:
-            captures.append(capture_step(mixture, schedule, t, z, posterior))
+            captures.append(capture_step(mixture, schedule, t, z, post))
         if t == 0:
             z_final = z
     dists = np.linalg.norm(mixture.means_matrix - z_final.ravel()[None, :], axis=1)
     return GenerationRecord(
-        prompt_id=prompt_id,
-        seed=int(seed),
         captures=tuple(captures),
         final_image=z_final,
         nearest_component=int(np.argmin(dists)),

@@ -40,28 +40,24 @@ _BOOTSTRAP_RESAMPLES = 200
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """How one arm of the experiment treats an in-flight attempt."""
+    """How one arm of the experiment treats an in-flight attempt.
 
-    mode: str
+    With a detector model the arm is the head policy; without one it is the
+    baseline, which always runs every attempt to the end.
+    """
+
     model: DetectorModel | None = None
     max_restarts: int = 1000
 
+    @property
+    def mode(self) -> str:
+        return BASELINE if self.model is None else HEAD
+
     def validate(self, num_steps: int) -> None:
-        if self.mode not in (BASELINE, HEAD):
-            raise UsageError(f"mode must be {BASELINE!r} or {HEAD!r}")
         if self.max_restarts < 1:
             raise UsageError("max_restarts must be >= 1")
-        if self.mode == HEAD:
-            if self.model is None:
-                raise UsageError("head mode requires a detector model")
-            if max(self.model.steps) >= num_steps:
-                raise UsageError("decision step must precede the final step")
-
-    @property
-    def decision_step(self) -> int:
-        if self.model is None:
-            raise UsageError("baseline policy has no decision step")
-        return max(self.model.steps)
+        if self.model is not None and max(self.model.steps) >= num_steps:
+            raise UsageError("decision step must precede the final step")
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,10 @@ def _head_attempt(mixture: MixtureSpec, schedule: NoiseSchedule,
     verdicts: dict[str, int] = {}
     pfi_by: dict[int, np.ndarray] = {}
     attn_by: dict[str, dict[int, np.ndarray]] = {o: {} for o in mixture.targets}
-    for t, z, posterior in trajectory(mixture, schedule, seed):
+    for t, z, post in trajectory(mixture, schedule, seed):
         u = schedule.T - t
         if u in needed:
-            cap = capture_step(mixture, schedule, t, z, posterior)
+            cap = capture_step(mixture, schedule, t, z, post)
             pfi_by[u] = cap.pfi
             for obj in mixture.targets:
                 attn_by[obj][u] = cap.attention[obj]

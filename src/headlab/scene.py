@@ -238,14 +238,8 @@ class MixtureSpec:
         """Component means flattened to shape ``(K, grid_size**2)``."""
         return np.stack([c.mean.ravel() for c in self.components])
 
-    def object_index(self, object_id: str) -> int:
-        try:
-            return self.targets.index(object_id)
-        except ValueError:
-            raise UnknownObject(f"object {object_id!r} not among targets {self.targets}")
-
     @cached_property
-    def _template_stacks(self) -> dict[str, np.ndarray]:
+    def template_stacks(self) -> dict[str, np.ndarray]:
         """Per object: (K, H, W) placed templates, all-zero where absent."""
         stacks: dict[str, np.ndarray] = {}
         for i, (object_id, spec) in enumerate(zip(self.targets, self.objects)):
@@ -256,10 +250,6 @@ class MixtureSpec:
                     stack[k] = spec._placed_stack[choice]
             stacks[object_id] = stack
         return stacks
-
-    def template_stack(self, object_id: str) -> np.ndarray:
-        self.object_index(object_id)  # raises UnknownObject for non-targets
-        return self._template_stacks[object_id]
 
 
 def render_mean_image(objects: tuple[ObjectSpec, ...],

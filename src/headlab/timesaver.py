@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
                      UsageError)
 from .rng import SplitMix64
-from .scene import MixtureSpec, pattern_distribution
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
 
@@ -72,13 +71,6 @@ class AttemptDistribution:
             probs.append(p)
         return cls(objects=objects, patterns=tuple(patterns),
                    probabilities=tuple(probs))
-
-    @classmethod
-    def from_mixture(cls, mixture: MixtureSpec) -> "AttemptDistribution":
-        dist = pattern_distribution(mixture)
-        patterns = tuple(sorted(dist))
-        return cls(objects=mixture.targets, patterns=patterns,
-                   probabilities=tuple(dist[p] for p in patterns))
 
     @property
     def complete_probability(self) -> float:

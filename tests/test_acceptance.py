@@ -19,10 +19,9 @@ from headlab.cli import main
 from headlab.dataset import build_prompt_grid, label_image
 from headlab.detector import (DetectorModel, build_design_matrix,
                               evaluate_detector, fit_detector, merge_counts)
-from headlab.engine import (LatentState, exact_epsilon, predict_final_image,
-                            sample_with_capture)
+from headlab.engine import capture_step, posterior, sample_with_capture
 from headlab.rng import mix64
-from headlab.runtime import BASELINE, HEAD, RunPolicy, measure_campaign
+from headlab.runtime import RunPolicy, measure_campaign
 from headlab.scene import build_conditional_mixture
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                expected_cost_closed_form, monte_carlo_cost,
@@ -127,7 +126,7 @@ def test_criterion_1_predicted_final_matches_posterior_mean(
     worst = 0.0
     for t in (1, 5, 10, 16, 25, 40, 50, 50, 30, 8):
         z = _marginal_draw(mixture, schedule, t, rng)
-        got = predict_final_image(mixture, LatentState(z=z, t=t), schedule)
+        got = capture_step(mixture, schedule, t, z, None).pfi
         want = _oracle_posterior_mean(mixture, schedule, z, t)
         worst = max(worst, float(np.abs(got - want).max()))
     _verdict(capfd, 1, worst < 1e-8,
@@ -150,7 +149,7 @@ def test_criterion_2_noise_prediction_matches_numeric_gradient(
         lp = _oracle_log_marginal(mixture, schedule, batch, t)
         score = (lp[:z_flat.size] - lp[z_flat.size:]) / (2.0 * h)
         want = -float(schedule.sigma[t]) * score.reshape(z.shape)
-        got = exact_epsilon(mixture, LatentState(z=z, t=t), schedule)
+        got = posterior(mixture, schedule, t, z).eps
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
     _verdict(capfd, 2, worst < 1e-5,
@@ -304,8 +303,7 @@ def test_criterion_8_live_campaign_matches_closed_form(
                                           s2=config.component_std ** 2)
                 for p in prompts]
     campaign = measure_campaign(
-        prompts, mixtures, schedule, RunPolicy(mode=BASELINE),
-        RunPolicy(mode=HEAD, model=model),
+        prompts, mixtures, schedule, RunPolicy(), RunPolicy(model=model),
         dataset.catalog, runs_per_prompt=17, root_seed=2024)
     measured = campaign.pooled_saving
     gap = abs(measured - predicted)

@@ -213,15 +213,32 @@ def test_eval_artifacts(cli_dataset, cli_models, tmp_path, capsys):
 
 def test_eval_model_missing_keys_exits_2(cli_dataset, tmp_path, capsys):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps({"format_version": 1, "variant": "combined"}),
-                     encoding="utf-8")
-    rc = main(["eval", "--dataset", str(cli_dataset), "--model", str(model),
-               "--out", str(tmp_path / "ev")])
+    for payload, detail in (
+            ({"format_version": 1, "variant": "combined"}, "'steps'"),
+            ([1], "JSON object"),
+            ({"format_version": 1, "variant": "combined", "steps": 5},
+             "malformed model")):
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["eval", "--dataset", str(cli_dataset), "--model", str(model),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(model) in err and detail in err
+        assert not (tmp_path / "ev").exists()
+
+
+def test_truncated_manifest_names_file_and_line(cli_dataset, tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    lines = (cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text("".join(lines[:3]) + lines[3][:20], encoding="utf-8")
+    rc = main(["train", "--dataset", str(tmp_path), "--steps", "16",
+               "--out", str(tmp_path / "m")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(model) in err and "'steps'" in err
-    assert not (tmp_path / "ev").exists()
+    assert err.startswith(f"error: {manifest}:4:") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
 
 
 def test_eval_unknown_split_exits_1(cli_dataset, cli_models, tmp_path,
@@ -357,6 +374,33 @@ def test_load_experiment_config(tmp_path):
     bad.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(UsageError):
         load_experiment_config(bad)
+
+
+def test_malformed_config_names_the_file(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text('{"dataset":\n', encoding="utf-8")
+    rc = main(["make-dataset", "--config", str(config),
+               "--out", str(tmp_path / "ds")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("sections, argv", [
+    ({"dataset": []}, ["make-dataset"]),
+    ({"simulation": [2000]}, ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+                              "--t-last", "8"]),
+])
+def test_config_section_must_be_an_object(tmp_path, capsys, sections, argv):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(sections), encoding="utf-8")
+    rc = main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(next(iter(sections))) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_without_a_reader_is_rejected(tmp_path, capsys):

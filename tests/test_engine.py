@@ -5,10 +5,9 @@ import pytest
 from scipy.special import logsumexp
 
 from headlab import engine
-from headlab.engine import (LatentState, NoiseSchedule, _logsumexp,
-                            attention_map, ddim_step, exact_epsilon,
-                            make_schedule, predict_final_image,
-                            responsibilities, sample_with_capture, trajectory)
+from headlab.engine import (NoiseSchedule, _logsumexp, capture_step,
+                            ddim_step, make_schedule, posterior,
+                            sample_with_capture, trajectory)
 from headlab.errors import DegenerateVariance, InvalidT
 from headlab.rng import SplitMix64
 from headlab.scene import build_conditional_mixture
@@ -99,7 +98,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = exact_epsilon(mix, LatentState(z=z, t=t), schedule)
+        eps = posterior(mix, schedule, t, z).eps
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -122,7 +121,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = exact_epsilon(mix1, LatentState(z=z, t=t), schedule)
+    eps = posterior(mix1, schedule, t, z).eps
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = mix1.components[0].mean.reshape(16, 16)
@@ -152,10 +151,29 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = responsibilities(mix, LatentState(z=z, t=t), schedule)
+        r = posterior(mix, schedule, t, z).r
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_posterior_rejects_out_of_range_t(catalog, schedule):
+    mix = build_conditional_mixture(("cat",), 0.8, catalog)
+    z = np.zeros((16, 16))
+    for t in (-1, schedule.T + 1):
+        with pytest.raises(InvalidT):
+            posterior(mix, schedule, t, z)
+        with pytest.raises(InvalidT):
+            capture_step(mix, schedule, t, z, None)
+
+
+def test_posterior_at_zero_has_no_eps(catalog, schedule):
+    mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
+    z = SplitMix64(9).normals(256).reshape(16, 16)
+    post = posterior(mix, schedule, 0, z)
+    assert post.eps is None
+    assert post.r.shape == (len(mix.components),)
+    assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_variance_raises(catalog):
@@ -164,7 +182,7 @@ def test_degenerate_variance_raises(catalog):
     mix = build_conditional_mixture(("cat",), 1.0, catalog, s2=1e-30)
     z = np.zeros((16, 16))
     with pytest.raises(DegenerateVariance):
-        exact_epsilon(mix, LatentState(z=z, t=1), sch)
+        posterior(mix, sch, 1, z)
 
 
 # ------------------------------------------------------------- projector
@@ -175,7 +193,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
-        pfi = predict_final_image(mix, LatentState(z=z, t=t), schedule)
+        pfi = capture_step(mix, schedule, t, z, None).pfi
         ab = schedule.alphabar[t]
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
@@ -191,7 +209,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
 def test_predict_final_image_at_zero_returns_state(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.9, catalog)
     z = SplitMix64(2).normals(256).reshape(16, 16)
-    out = predict_final_image(mix, LatentState(z=z, t=0), schedule)
+    out = capture_step(mix, schedule, 0, z, None).pfi
     assert np.array_equal(out, z)
     assert out is not z
 
@@ -203,7 +221,7 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
         for obj in ("cat", "bench"):
-            amap = attention_map(mix, LatentState(z=z, t=t), obj, schedule)
+            amap = capture_step(mix, schedule, t, z, None).attention[obj]
             assert amap.shape == (16, 16)
             assert amap.min() >= 0.0
             assert amap.max() <= 1.0 + 1e-12
@@ -214,7 +232,7 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = attention_map(mix, LatentState(z=z, t=1), "cat", schedule)
+    amap = capture_step(mix, schedule, 1, z, None).attention["cat"]
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -258,16 +276,14 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     wanted = {0, 1, 2, 8, 16, 30, schedule.T}
     record = sample_with_capture(mix, schedule, seed=11,
                                  critical_timesteps=wanted)
-    states = {t: LatentState(z=z, t=t)
-              for t, z, _ in trajectory(mix, schedule, seed=11) if t in wanted}
+    latents = {t: z for t, z, _ in trajectory(mix, schedule, seed=11)
+               if t in wanted}
     assert [c.t for c in record.captures] == sorted(wanted, reverse=True)
     for cap in record.captures:
-        state = states[cap.t]
-        assert np.array_equal(cap.pfi,
-                              predict_final_image(mix, state, schedule))
+        fresh = capture_step(mix, schedule, cap.t, latents[cap.t], None)
+        assert np.array_equal(cap.pfi, fresh.pfi)
         for obj in mix.targets:
-            assert np.array_equal(cap.attention[obj],
-                                  attention_map(mix, state, obj, schedule))
+            assert np.array_equal(cap.attention[obj], fresh.attention[obj])
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
@@ -276,9 +292,9 @@ def test_trajectory_posterior_matches_public_api(catalog, schedule):
         if t == 0:
             assert post is None
             continue
-        state = LatentState(z=z, t=t)
-        assert np.array_equal(post.r, responsibilities(mix, state, schedule))
-        assert np.array_equal(post.eps, exact_epsilon(mix, state, schedule))
+        fresh = posterior(mix, schedule, t, z)
+        assert np.array_equal(post.r, fresh.r)
+        assert np.array_equal(post.eps, fresh.eps)
 
 
 def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):

@@ -42,26 +42,21 @@ def mixture(catalog):
 
 def test_policy_validation(tiny_model):
     with pytest.raises(UsageError):
-        RunPolicy(mode="other").validate(50)
+        RunPolicy(max_restarts=0).validate(50)
     with pytest.raises(UsageError):
-        RunPolicy(mode=HEAD).validate(50)
-    with pytest.raises(UsageError):
-        RunPolicy(mode=BASELINE, max_restarts=0).validate(50)
-    with pytest.raises(UsageError):
-        RunPolicy(mode=HEAD, model=tiny_model).validate(16)
-    RunPolicy(mode=HEAD, model=tiny_model).validate(50)
+        RunPolicy(model=tiny_model).validate(16)
+    RunPolicy(model=tiny_model).validate(50)
 
 
-def test_decision_step(tiny_model):
-    assert RunPolicy(mode=HEAD, model=tiny_model).decision_step == 16
-    with pytest.raises(UsageError):
-        _ = RunPolicy(mode=BASELINE).decision_step
+def test_mode_follows_model(tiny_model):
+    assert RunPolicy().mode == BASELINE
+    assert RunPolicy(model=tiny_model).mode == HEAD
 
 
 # ------------------------------------------------------------- single runs
 
 def test_baseline_run_structure(mixture, schedule, catalog):
-    policy = RunPolicy(mode=BASELINE)
+    policy = RunPolicy()
     trace = run_until_complete(mixture, schedule, policy, catalog,
                                root_seed=11, prompt_id="demo")
     assert trace.prompt_id == "demo"
@@ -77,8 +72,8 @@ def test_baseline_run_structure(mixture, schedule, catalog):
 
 
 def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
-    policy = RunPolicy(mode=HEAD, model=tiny_model)
-    decision = policy.decision_step
+    policy = RunPolicy(model=tiny_model)
+    decision = max(tiny_model.steps)
     total_aborts = 0
     for run_index in range(12):
         trace = run_until_complete(mixture, schedule, policy, catalog,
@@ -101,8 +96,8 @@ def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
 
 def test_inert_detector_matches_baseline(mixture, schedule, catalog):
     """A detector that always says present must replay the baseline."""
-    inert = RunPolicy(mode=HEAD, model=_flat_model((16,), bias=0.0))
-    base = RunPolicy(mode=BASELINE)
+    inert = RunPolicy(model=_flat_model((16,), bias=0.0))
+    base = RunPolicy()
     for run_index in range(4):
         a = run_until_complete(mixture, schedule, inert, catalog,
                                root_seed=3, run_index=run_index)
@@ -116,14 +111,14 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
 
 def test_certain_mixture_accepts_first_attempt(catalog, schedule):
     sure = build_conditional_mixture(("cat", "bench"), 1.0, catalog)
-    trace = run_until_complete(sure, schedule, RunPolicy(mode=BASELINE),
+    trace = run_until_complete(sure, schedule, RunPolicy(),
                                catalog, root_seed=0)
     assert trace.n_attempts == 1
     assert trace.total_steps == schedule.T
 
 
 def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
-    policy = RunPolicy(mode=BASELINE)
+    policy = RunPolicy()
     n_runs = 250
     counts = [run_until_complete(mixture, schedule, policy, catalog,
                                  root_seed=21, run_index=j).n_attempts
@@ -134,7 +129,7 @@ def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
 
 
 def test_restart_limit(mixture, schedule, catalog):
-    reject_all = RunPolicy(mode=HEAD, model=_flat_model((16,), bias=-10.0),
+    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     with pytest.raises(RestartLimitExceeded):
         run_until_complete(mixture, schedule, reject_all, catalog,
@@ -153,8 +148,8 @@ def test_identical_arms_save_nothing(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")],
                               0.8)
     report = measure_campaign(prompts, mixtures, schedule,
-                              RunPolicy(mode=BASELINE),
-                              RunPolicy(mode=BASELINE), catalog,
+                              RunPolicy(),
+                              RunPolicy(), catalog,
                               runs_per_prompt=3, root_seed=9)
     for row in report.rows:
         if row.saving is not None:
@@ -167,8 +162,8 @@ def test_campaign_structure(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                               0.59 ** 0.5)
     report = measure_campaign(prompts, mixtures, schedule,
-                              RunPolicy(mode=BASELINE),
-                              RunPolicy(mode=HEAD, model=tiny_model),
+                              RunPolicy(),
+                              RunPolicy(model=tiny_model),
                               catalog, runs_per_prompt=4, root_seed=77)
     assert len(report.rows) == 6
     by_policy = {}
@@ -190,8 +185,8 @@ def test_campaign_structure(catalog, schedule, tiny_model):
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("fox", "kite")], 0.7)
-    args = (prompts, mixtures, schedule, RunPolicy(mode=BASELINE),
-            RunPolicy(mode=HEAD, model=tiny_model), catalog)
+    args = (prompts, mixtures, schedule, RunPolicy(),
+            RunPolicy(model=tiny_model), catalog)
     a = measure_campaign(*args, runs_per_prompt=3, root_seed=5)
     b = measure_campaign(*args, runs_per_prompt=3, root_seed=5)
     assert a == b
@@ -201,11 +196,11 @@ def test_campaign_validation(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     with pytest.raises(UsageError):
         measure_campaign(prompts, mixtures, schedule,
-                         RunPolicy(mode=BASELINE), RunPolicy(mode=BASELINE),
+                         RunPolicy(), RunPolicy(),
                          catalog, runs_per_prompt=0, root_seed=0)
     with pytest.raises(UsageError):
-        measure_campaign(prompts, [], schedule, RunPolicy(mode=BASELINE),
-                         RunPolicy(mode=BASELINE), catalog,
+        measure_campaign(prompts, [], schedule, RunPolicy(),
+                         RunPolicy(), catalog,
                          runs_per_prompt=1, root_seed=0)
 
 

@@ -167,16 +167,9 @@ def test_mixture_validation_errors(catalog):
 
 def test_template_stack_zeroes_absent_components(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    stack = mix.template_stack("cat")
-    i = mix.object_index("cat")
+    stack = mix.template_stacks["cat"]
     for k, comp in enumerate(mix.components):
-        if comp.presence[i]:
+        if comp.presence[0]:  # "cat" is target 0
             assert stack[k].max() == pytest.approx(1.0)
         else:
             assert np.all(stack[k] == 0.0)
-
-
-def test_object_index_unknown(catalog):
-    mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    with pytest.raises(UnknownObject):
-        mix.object_index("drum")

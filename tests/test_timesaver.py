@@ -5,7 +5,6 @@ import pytest
 
 from headlab.errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
                             UsageError)
-from headlab.scene import build_conditional_mixture
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                ProbabilityRow, RatePoint, SweepRow,
                                acceptance_probability, baseline_cost,
@@ -35,17 +34,6 @@ def test_two_object_distribution_factorizes():
     assert probs[(1, 1)] == pytest.approx(0.64)
     assert probs[(0, 0)] == pytest.approx(0.04)
     assert probs[(1, 0)] == pytest.approx(0.16)
-
-
-def test_distribution_from_mixture_matches_faithfulness(catalog):
-    mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    a = AttemptDistribution.from_mixture(mix)
-    b = AttemptDistribution.from_faithfulness(("cat", "bench"), 0.8)
-    pa = dict(zip(a.patterns, a.probabilities))
-    pb = dict(zip(b.patterns, b.probabilities))
-    assert set(pa) == set(pb)
-    for key in pa:
-        assert pa[key] == pytest.approx(pb[key], abs=1e-12)
 
 
 def test_distribution_validation():
