@@ -13,8 +13,10 @@ from .detector import (ConfusionReport, DesignMatrix, DetectorModel,
                        FEATURE_NAMES, build_design_matrix,
                        calibrate_threshold, evaluate_detector, extract_features,
                        fit_detector, train_logistic)
-from .engine import (CapturedStep, GenerationRecord, NoiseSchedule, Posterior,
-                     capture_step, ddim_step, make_schedule, posterior,
+from .engine import (CapturedStep, GenerationRecord, MixtureBank,
+                     NoiseSchedule, Posterior, batch_capture, batch_posterior,
+                     capture_step, ddim_step, denoise_step, lockstep,
+                     make_schedule, posterior, sample_batch,
                      sample_with_capture, trajectory)
 from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
                      EmptyTargets, GrammarError, HeadLabError, InvalidInput,
@@ -30,7 +32,7 @@ from .timesaver import (AttemptDistribution, PolicyParams, SimReport,
                         baseline_cost, expected_cost_closed_form,
                         monte_carlo_cost, relative_saving, sweep_probability,
                         sweep_tlast)
-from .runtime import (RunPolicy, RunTrace, measure_campaign,
+from .runtime import (RunPolicy, RunTrace, measure_campaign, run_arm,
                       run_until_complete)
 
 __version__ = "0.1.0"

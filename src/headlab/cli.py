@@ -18,11 +18,12 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
-from .dataset import (DatasetConfig, build_prompt_grid, generate_dataset,
-                      load_manifest, CATALOG_NAME)
+from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
+                      generate_dataset, load_manifest, CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        calibrate_threshold, evaluate_detector, fit_detector,
                        merge_counts)
@@ -86,30 +87,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {"dataset", "detector", "simulation", "runtime"}
+        sections = typing.get_type_hints(cls)
+        unknown = set(d) - set(sections)
         if unknown:
             raise UsageError(f"unknown config sections: {sorted(unknown)}")
-
-        def section(name, klass):
-            payload = d.get(name, {})
-            if not isinstance(payload, dict):
-                raise UsageError(f"config section {name!r} must be a JSON object")
-            names = {f.name for f in fields(klass)}
-            bad = set(payload) - names
-            if bad:
-                raise UsageError(f"unknown keys in {klass.__name__}: {sorted(bad)}")
-            kwargs = dict(payload)
-            for name in ("steps", "p_grid"):
-                if name in kwargs:
-                    kwargs[name] = tuple(kwargs[name])
-            return klass(**kwargs)
-
-        return cls(
-            dataset=DatasetConfig.from_dict(d.get("dataset", {})),
-            detector=section("detector", DetectorSettings),
-            simulation=section("simulation", SimulationSettings),
-            runtime=section("runtime", RuntimeSettings),
-        )
+        return cls(**{name: klass(**config_kwargs(klass, name, d.get(name, {})))
+                      for name, klass in sections.items()})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -121,7 +104,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    try:
+        return ExperimentConfig.from_dict(raw)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,13 +21,15 @@ On-disk layout under the dataset root:
 from __future__ import annotations
 
 import json
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .engine import make_schedule, sample_with_capture
+from .engine import make_schedule, sample_batch
 from .errors import MissingCapture, UsageError
 from .rng import SplitMix64, mix64
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
@@ -98,21 +100,58 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetConfig":
-        if not isinstance(d, dict):
-            raise UsageError("config section 'dataset' must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise UsageError(f"unknown dataset config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("subjects", "objects"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "critical_steps" in kwargs:
-            kwargs["critical_steps"] = tuple(int(u) for u in kwargs["critical_steps"])
-        if "split_fractions" in kwargs:
-            kwargs["split_fractions"] = tuple(float(x) for x in kwargs["split_fractions"])
-        return cls(**kwargs)
+        return cls(**config_kwargs(cls, "dataset", d))
+
+
+def _typed(hint, value):
+    """``value`` checked against the config field type ``hint``: int, float,
+    str, an optional value or a tuple of them.  Lists become tuples and
+    numbers for a float field become floats; raises ``TypeError``."""
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        args = typing.get_args(hint)
+        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
+        if len(kinds) != len(value):
+            raise TypeError(f"expected {len(kinds)} values, got {len(value)}")
+        return tuple(_typed(k, v) for k, v in zip(kinds, value))
+    if isinstance(hint, types.UnionType):
+        for option in typing.get_args(hint):
+            try:
+                return _typed(option, value)
+            except TypeError:
+                pass
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float and number:
+        return float(value)
+    if (hint is int and number and isinstance(value, int)
+            or hint is str and isinstance(value, str)
+            or hint is type(None) and value is None):
+        return value
+    raise TypeError(f"expected {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+def config_kwargs(cls, section: str, payload) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from the JSON
+    object of config section ``section``.
+
+    Unknown keys and values of the wrong type raise ``UsageError``; a bad
+    value is named as ``section.key``.
+    """
+    if not isinstance(payload, dict):
+        raise UsageError(f"config section {section!r} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
+    if unknown:
+        raise UsageError(f"unknown keys in config section {section!r}: "
+                         f"{sorted(unknown)}")
+    kwargs = {}
+    for key, value in payload.items():
+        try:
+            kwargs[key] = _typed(hints[key], value)
+        except TypeError as exc:
+            raise UsageError(f"{section}.{key}: {exc}") from None
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -189,16 +228,18 @@ def _jsonl(obj: dict) -> str:
 
 def _generate_prompt(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                      prompt_index: int, prompt: Prompt):
-    """All samples for one prompt: manifest dicts plus tensor file bytes."""
+    """All samples for one prompt, its seeds generated as one lockstep
+    batch: manifest dicts plus tensor file bytes."""
     schedule = make_schedule(config.num_steps)
     mixture = build_conditional_mixture(prompt.targets, config.faithfulness,
                                         catalog, s2=config.component_std**2)
     noise_indices = {config.num_steps - u for u in config.critical_steps}
+    seeds = [mix64(config.global_seed, prompt_index, seed_index)
+             for seed_index in range(config.seeds_per_prompt)]
+    generations = sample_batch(mixture, schedule, seeds, noise_indices)
     records = []
     files: dict[str, bytes] = {}
-    for seed_index in range(config.seeds_per_prompt):
-        run_seed = mix64(config.global_seed, prompt_index, seed_index)
-        record = sample_with_capture(mixture, schedule, run_seed, noise_indices)
+    for seed_index, (run_seed, record) in enumerate(zip(seeds, generations)):
         labels = label_image(record.final_image, prompt.targets, catalog,
                              config.label_threshold)
         sample_id = f"p{prompt_index:03d}s{seed_index:02d}"
@@ -302,48 +343,63 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                            splits=splits, samples=tuple(samples), stats=stats)
 
 
+_LINE_KEYS = {
+    "header": ("format_version", "config", "splits"),
+    "sample": ("sample_id", "prompt_index", "prompt", "targets", "seed_index",
+               "run_seed", "labels", "complete", "nearest_component"),
+    "stats": (),
+}
+
+
 def load_manifest(root) -> DatasetManifest:
-    root = Path(root)
+    """Parse ``manifest.jsonl``; a malformed line raises ``ValueError``
+    naming ``path:line``."""
+    path = Path(root) / MANIFEST_NAME
     header = None
     samples: list[SampleRecord] = []
     stats: dict = {}
-    path = root / MANIFEST_NAME
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            kind = obj.pop("kind")
-            if kind == "header":
-                header = obj
-            elif kind == "sample":
-                samples.append(SampleRecord(
-                    sample_id=obj["sample_id"],
-                    prompt_index=obj["prompt_index"],
-                    prompt=obj["prompt"],
-                    targets=tuple(obj["targets"]),
-                    seed_index=obj["seed_index"],
-                    run_seed=obj["run_seed"],
-                    labels={k: int(v) for k, v in obj["labels"].items()},
-                    complete=bool(obj["complete"]),
-                    nearest_component=obj["nearest_component"],
-                ))
-            elif kind == "stats":
-                stats = obj
-            else:
-                raise ValueError(f"unknown manifest line kind {kind!r}")
+                raise ValueError(f"{where}: {exc}") from exc
+            kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+            if not isinstance(kind, str) or kind not in _LINE_KEYS:
+                raise ValueError(f"{where}: expected a JSON object whose "
+                                 f"'kind' is one of {sorted(_LINE_KEYS)}")
+            missing = [k for k in _LINE_KEYS[kind] if k not in obj]
+            if missing:
+                raise ValueError(f"{where}: {kind} line lacks {missing}")
+            try:
+                if kind == "header":
+                    if obj["format_version"] != MANIFEST_VERSION:
+                        raise ValueError("unsupported manifest version "
+                                         f"{obj['format_version']}")
+                    header = (DatasetConfig.from_dict(obj["config"]),
+                              {k: tuple(v) for k, v in obj["splits"].items()})
+                elif kind == "sample":
+                    samples.append(SampleRecord(
+                        sample_id=obj["sample_id"],
+                        prompt_index=obj["prompt_index"],
+                        prompt=obj["prompt"],
+                        targets=tuple(obj["targets"]),
+                        seed_index=obj["seed_index"],
+                        run_seed=obj["run_seed"],
+                        labels={k: int(v) for k, v in obj["labels"].items()},
+                        complete=bool(obj["complete"]),
+                        nearest_component=obj["nearest_component"],
+                    ))
+                else:
+                    stats = obj
+            except (AttributeError, TypeError, ValueError, UsageError) as exc:
+                raise ValueError(f"{where}: malformed {kind} line: {exc}") from exc
     if header is None:
-        raise ValueError("manifest has no header line")
-    if header["format_version"] != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {header['format_version']}")
-    return DatasetManifest(
-        format_version=header["format_version"],
-        config=DatasetConfig.from_dict(header["config"]),
-        splits={k: tuple(v) for k, v in header["splits"].items()},
-        samples=tuple(samples),
-        stats=stats,
-    )
+        raise ValueError(f"{path}: manifest has no header line")
+    config, splits = header
+    return DatasetManifest(format_version=MANIFEST_VERSION, config=config,
+                           splits=splits, samples=tuple(samples), stats=stats)
 
 
 def load_captures(root, sample_id: str, steps, objects) -> dict[int, dict]:
@@ -358,7 +414,3 @@ def load_captures(root, sample_id: str, steps, objects) -> dict[int, dict]:
     except FileNotFoundError as exc:
         raise MissingCapture(f"sample {sample_id}: {exc}") from exc
     return out
-
-
-def load_final(root, sample_id: str) -> np.ndarray:
-    return read_tensor(Path(root) / TENSOR_DIR / sample_id / "final.bin")

@@ -15,24 +15,32 @@ timestep stored on captures is this noise index.
 Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
-attention maps.  :func:`trajectory` evaluates it once per step with
-:func:`posterior`, and :func:`capture_step` turns that same
-:class:`Posterior` into the predicted final image and every attention map,
-so a capture costs no extra posterior evaluation.  ``logsumexp`` is
-written out by hand rather than imported from scipy: it repeats scipy's own
-formula operation for operation, so every artifact stays bit-identical, at a
-tenth of the cost of scipy's generic array-API path on a 9-vector.
+attention maps.  The engine evaluates it for a batch of latents at once:
+:func:`batch_posterior` takes B latents, each at its own noise index and
+under its own mixture of a :class:`MixtureBank`, and :func:`batch_capture`
+turns that same :class:`Posterior` into predicted final images and
+attention maps, so a capture costs no extra posterior evaluation.
+:func:`denoise_step` advances every row one step, and :func:`lockstep`
+walks several seeds of one mixture together with it.  The
+single-latent calls (:func:`posterior`, :func:`capture_step`,
+:func:`trajectory`, :func:`sample_with_capture`) are batches of one.
+
+Every reduction runs within a row, in the order the single-latent formulas
+use, so a latent's values are bit-identical whatever batch it rides in.
+``logsumexp`` is written out by hand rather than imported from scipy: it
+repeats scipy's own formula operation for operation, row by row, at a tenth
+of the cost of scipy's generic array-API path on a 9-vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidT
+from .errors import DegenerateVariance, InvalidT, UsageError
 from .rng import SplitMix64
 from .scene import MixtureSpec
 
@@ -55,9 +63,10 @@ class NoiseSchedule:
     def sigma(self) -> np.ndarray:
         return np.sqrt(1.0 - self.alphabar)
 
-    def marginal_variance(self, s2: float, t: int) -> float:
-        """Per-pixel variance of the time marginal of a component with variance s2."""
-        ab = float(self.alphabar[t])
+    def marginal_variance(self, s2, t):
+        """Per-pixel variance of the time marginal of a component with
+        variance s2; elementwise over arrays of s2 and t."""
+        ab = self.alphabar[t]
         return ab * s2 + (1.0 - ab)
 
 
@@ -80,6 +89,37 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
 
 
 @dataclass(frozen=True)
+class MixtureBank:
+    """Mixtures stacked for lockstep evaluation; all share one component
+    count and one grid size.  A batch names each row's mixture by its
+    index here."""
+
+    mixtures: tuple[MixtureSpec, ...]
+
+    def __post_init__(self):
+        if len({(len(m.components), m.grid_size) for m in self.mixtures}) != 1:
+            raise UsageError("a mixture bank needs at least one mixture, all "
+                             "with the same component count and grid size")
+
+    @property
+    def grid_size(self) -> int:
+        return self.mixtures[0].grid_size
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Component means, shape ``(M, K, grid_size**2)``."""
+        return np.stack([m.means_matrix for m in self.mixtures])
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        return np.log(np.stack([m.weights for m in self.mixtures]))
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return np.array([m.s2 for m in self.mixtures])
+
+
+@dataclass(frozen=True)
 class CapturedStep:
     """Mid-generation snapshot: projected final image plus attention maps."""
 
@@ -90,10 +130,12 @@ class CapturedStep:
 
 @dataclass(frozen=True)
 class Posterior:
-    """The mixture posterior of one latent state, evaluated once per step.
+    """The mixture posterior of latent states, evaluated once per step.
 
-    ``r`` holds the component responsibilities; ``eps`` is the exact noise
-    prediction, None at ``t = 0`` where no denoising step follows.
+    ``r`` holds the component responsibilities and ``eps`` the exact noise
+    prediction.  From :func:`batch_posterior` both carry a leading row axis,
+    and ``eps`` is zero in rows at ``t = 0``; from :func:`posterior` they do
+    not, and ``eps`` is None at ``t = 0``, where no denoising step follows.
     """
 
     r: np.ndarray
@@ -109,13 +151,32 @@ class GenerationRecord:
     nearest_component: int
 
 
-def _check_t(schedule: NoiseSchedule, t: int) -> None:
-    if not (0 <= t <= schedule.T):
-        raise InvalidT(f"timestep {t} outside [0, {schedule.T}]")
+def _within(x, lo, hi) -> bool:
+    """Whether ``lo <= x <= hi`` holds in every row; each is an int or a
+    per-row array."""
+    if isinstance(x, int) and isinstance(lo, int) and isinstance(hi, int):
+        return lo <= x <= hi
+    return bool(np.all(np.less_equal(lo, x) & np.less_equal(x, hi)))
 
 
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """``log(sum(exp(a)))`` of a 1-d array, bit-identical to scipy's.
+def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
+    if not _within(t, lowest, schedule.T):
+        t = np.asarray(t)
+        bad = t[(t < lowest) | (t > schedule.T)].flat[0]
+        raise InvalidT(f"timestep {bad} outside [{lowest}, {schedule.T}]")
+
+
+def _column(values, ndim: int):
+    """Per-row values shaped to broadcast over each row's other ``ndim - 1``
+    axes; one value for all rows stays a scalar."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return values.reshape((-1,) + (1,) * (ndim - 1))
+    return values
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis, bit-identical to scipy's
+    for each row.
 
     Follows ``scipy.special.logsumexp`` step for step: the maxima are taken
     out of the sum and counted, so that the result is
@@ -123,97 +184,157 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     + a_max`` rounds differently in the last bit for about one input in a
     hundred, which would change artifact bytes.
     """
-    a_max = a.max()
-    if not np.isfinite(a_max):  # scipy's direct fallback, e.g. for all -inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.log(np.exp(a).sum())
+    a_max = a.max(axis=-1, keepdims=True)
+    if np.isfinite(a_max).all():
+        return _shifted_logsumexp(a, a_max)
+    # scipy's direct fallback for a row whose maximum is not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(np.isfinite(a_max[..., 0]), _shifted_logsumexp(a, a_max),
+                        np.log(np.exp(a).sum(axis=-1)))
+
+
+def _shifted_logsumexp(a: np.ndarray, a_max: np.ndarray) -> np.ndarray:
     top = a == a_max
-    m = float(np.count_nonzero(top))
-    s = np.exp(np.where(top, -np.inf, a - a_max)).sum() / m
-    return np.log1p(s) + np.log(m) + a_max
+    m = top.sum(axis=-1, keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(top, -np.inf, a - a_max)).sum(axis=-1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
 
 
-def _log_responsibilities(mixture: MixtureSpec, z_flat: np.ndarray,
-                          alpha_t: float, v: float) -> np.ndarray:
+def _log_responsibilities(log_weights: np.ndarray, means: np.ndarray,
+                          z_flat: np.ndarray, alpha_t, v) -> np.ndarray:
     # Homogeneous variance: the 2 pi and log-det terms cancel after
-    # normalisation, so only weights and scaled distances survive.
-    diffs = z_flat[None, :] - alpha_t * mixture.means_matrix
-    logits = np.log(mixture.weights) - np.einsum("kd,kd->k", diffs, diffs) / (2.0 * v)
-    return logits - _logsumexp(logits)
+    # normalisation, so only weights and scaled distances survive.  The
+    # (B, K, D) differences are built in one buffer: a fresh temporary of
+    # that size per operation costs more than the arithmetic.
+    diffs = np.empty((len(z_flat),) + means.shape[-2:])
+    np.multiply(alpha_t[..., None], means, out=diffs)
+    np.subtract(z_flat[:, None, :], diffs, out=diffs)
+    logits = log_weights - np.einsum("bkd,bkd->bk", diffs, diffs) / (2.0 * v)
+    return logits - _logsumexp(logits)[:, None]
+
+
+def _posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+               z: np.ndarray) -> Posterior:
+    t_col = _column(t, 2)
+    v = schedule.marginal_variance(_column(bank.s2[which], 2), t_col)
+    if (v < MIN_MARGINAL_VARIANCE).any():
+        low = np.argmin(v)
+        raise DegenerateVariance(
+            f"marginal variance {np.min(v):.3e} at "
+            f"t={np.broadcast_to(t_col, np.shape(v)).flat[low]} below "
+            f"{MIN_MARGINAL_VARIANCE:.0e}")
+    means = bank.means[which]
+    alpha_t = schedule.alpha[t_col]
+    z_flat = z.reshape(len(z), -1)
+    r = np.exp(_log_responsibilities(bank.log_weights[which], means, z_flat,
+                                     alpha_t, v))
+    mean_pull = (r[:, None, :] @ means)[:, 0, :]
+    eps = schedule.sigma[t_col] * (z_flat - alpha_t * mean_pull) / v
+    return Posterior(r=r, eps=eps.reshape(z.shape))
+
+
+def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+                    z: np.ndarray) -> Posterior:
+    """The mixture posteriors of B latents: responsibilities and exact eps.
+
+    Row ``b`` is the latent ``z[b]`` (shape ``(B, n, n)``) at noise index
+    ``t[b]`` under ``bank.mixtures[which[b]]``; ``t`` and ``which`` may
+    also be one int for all rows.  The responsibilities ``r`` are the
+    posterior component probabilities under the time marginal.  The noise
+    prediction ``-sigma_t * grad log p_t`` is the responsibility-weighted
+    pull towards the scaled component means:
+
+        eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
+
+    with ``v_t = alphabar_t s2 + 1 - alphabar_t``; it is zero at ``t = 0``.
+    """
+    _check_t(schedule, t)
+    return _posterior(bank, which, schedule, t, z)
 
 
 def posterior(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
               z: np.ndarray) -> Posterior:
-    """The mixture posterior of ``z_t``: responsibilities and exact eps.
-
-    The responsibilities ``r`` are the posterior component probabilities
-    under the time marginal.  For ``t >= 1`` the noise prediction
-    ``-sigma_t * grad log p_t`` is the responsibility-weighted pull towards
-    the scaled component means:
-
-        eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
-
-    with ``v_t = alphabar_t s2 + 1 - alphabar_t``.  At ``t = 0`` eps is None.
-    """
-    _check_t(schedule, t)
-    v = schedule.marginal_variance(mixture.s2, t)
-    if v < MIN_MARGINAL_VARIANCE:
-        raise DegenerateVariance(f"marginal variance {v:.3e} at t={t} below "
-                                 f"{MIN_MARGINAL_VARIANCE:.0e}")
-    alpha_t = float(schedule.alpha[t])
-    z_flat = z.ravel()
-    r = np.exp(_log_responsibilities(mixture, z_flat, alpha_t, v))
-    if t == 0:
-        return Posterior(r=r, eps=None)
-    sigma_t = float(schedule.sigma[t])
-    mean_pull = r @ mixture.means_matrix
-    eps = sigma_t * (z_flat - alpha_t * mean_pull) / v
-    return Posterior(r=r, eps=eps.reshape(z.shape))
+    """The mixture posterior of one latent ``z_t``: :func:`batch_posterior`
+    on a batch of one, with eps None at ``t = 0``."""
+    post = batch_posterior(MixtureBank((mixture,)), 0, schedule, t, z[None])
+    return Posterior(r=post.r[0], eps=None if t == 0 else post.eps[0])
 
 
-def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
+def _ddim(z: np.ndarray, eps: np.ndarray, t, t_next,
+          schedule: NoiseSchedule) -> np.ndarray:
+    t, t_next = _column(t, z.ndim), _column(t_next, z.ndim)
+    alpha, sigma = schedule.alpha, schedule.sigma
+    x0 = (z - sigma[t] * eps) / alpha[t]
+    return alpha[t_next] * x0 + sigma[t_next] * eps
+
+
+def ddim_step(z: np.ndarray, eps: np.ndarray, t, t_next,
               schedule: NoiseSchedule) -> np.ndarray:
     """Deterministic (eta = 0) update from noise index ``t`` to ``t_next``.
 
     Projects the clean image estimate ``x0 = (z - sigma_t eps) / alpha_t`` and
-    re-noises it to the target level: ``alpha_t' x0 + sigma_t' eps``.
+    re-noises it to the target level: ``alpha_t' x0 + sigma_t' eps``.  For a
+    batch (rows on the first axis of ``z``) ``t`` and ``t_next`` may be
+    per-row arrays.  A row with ``t_next == t`` is returned unchanged.
     """
     _check_t(schedule, t)
-    if not (0 <= t_next <= t):
+    if not _within(t_next, 0, t):
         raise InvalidT(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
-    if t_next == t:
-        return z.copy()
-    alpha_t = float(schedule.alpha[t])
-    sigma_t = float(schedule.sigma[t])
-    x0 = (z - sigma_t * eps) / alpha_t
-    return float(schedule.alpha[t_next]) * x0 + float(schedule.sigma[t_next]) * eps
+    out = _ddim(z, eps, t, t_next, schedule)
+    stay = np.equal(t_next, t)
+    return np.where(_column(stay, z.ndim), z, out) if stay.any() else out
+
+
+def denoise_step(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+                 z: np.ndarray) -> tuple[Posterior, np.ndarray]:
+    """One lockstep step: each row's posterior at its noise index ``t`` in
+    [1, T] and its latent at ``t - 1``; rows as in :func:`batch_posterior`."""
+    _check_t(schedule, t, lowest=1)
+    post = _posterior(bank, which, schedule, t, z)
+    return post, _ddim(z, post.eps, t, np.subtract(t, 1), schedule)
+
+
+def initial_latent(seed: int, grid_size: int) -> np.ndarray:
+    """The pure-noise latent ``z_T`` a generation with ``seed`` starts from."""
+    return SplitMix64(seed).normals(grid_size * grid_size).reshape(
+        grid_size, grid_size)
+
+
+def lockstep(mixture: MixtureSpec, schedule: NoiseSchedule,
+             seeds: Sequence[int]) -> Iterator[tuple[int, np.ndarray,
+                                                     Posterior | None]]:
+    """Lazily walk one deterministic generation per seed, all in lockstep.
+
+    Yields ``(t, z_t, posterior)`` with one row per seed at every noise
+    index from T down to 1, before the corresponding DDIM step runs, then
+    a final ``(0, z_0, None)``.  Consumers that stop early never pay for
+    the steps after the next.
+    """
+    bank = MixtureBank((mixture,))
+    z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
+    for t in range(schedule.T, 0, -1):
+        post, z_next = denoise_step(bank, 0, schedule, t, z)
+        yield t, z, post
+        z = z_next
+    yield 0, z, None
 
 
 def trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
                seed: int) -> Iterator[tuple[int, np.ndarray, Posterior | None]]:
-    """Lazily walk one deterministic generation, yielding ``(t, z_t, posterior)``.
-
-    Yields at every noise index from T down to 1 before the corresponding
-    DDIM step runs, with the step's :class:`Posterior`, then a final
-    ``(0, z_0, None)``.  Consumers that stop early never pay for the
-    remaining steps.
-    """
-    stream = SplitMix64(seed)
-    n = mixture.grid_size
-    z = stream.normals(n * n).reshape(n, n)
-    for t in range(schedule.T, 0, -1):
-        post = posterior(mixture, schedule, t, z)
-        yield t, z, post
-        z = ddim_step(z, post.eps, t, t - 1, schedule)
-    yield 0, z, None
+    """:func:`lockstep` on one seed: yields ``(t, z_t, posterior)`` for a
+    single latent."""
+    for t, z, post in lockstep(mixture, schedule, (seed,)):
+        yield t, z[0], (None if post is None
+                        else Posterior(r=post.r[0], eps=post.eps[0]))
 
 
-def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
-                 z: np.ndarray, post: Posterior | None) -> CapturedStep:
-    """Snapshot one trajectory point: predicted final image plus attention.
+def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+                  z: np.ndarray, post: Posterior | None) -> list[CapturedStep]:
+    """Snapshot trajectory points: predicted final image plus attention.
 
-    ``post`` is the posterior :func:`trajectory` yielded with ``z``; when it
-    is None (as at ``t = 0``) it is evaluated here, once for all targets.
+    Rows are as in :func:`batch_posterior`, and ``post`` is the posterior it
+    returned for them; when None it is evaluated here, once for all rows
+    and targets.
 
     The predicted final image is the one-jump DDIM projection to ``t' = 0``,
     which equals the posterior mean of the clean image given ``z_t``
@@ -223,35 +344,68 @@ def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
     and templates peak at one.
     """
     if post is None:
-        post = posterior(mixture, schedule, t, z)
-    pfi = z.copy() if t == 0 else ddim_step(z, post.eps, t, 0, schedule)
-    stacks = mixture.template_stacks  # per target: (K, H, W), zeros where absent
-    attention = {o: np.einsum("k,kij->ij", post.r, stacks[o])
-                 for o in mixture.targets}
-    return CapturedStep(t=t, pfi=pfi, attention=attention)
+        post = batch_posterior(bank, which, schedule, t, z)
+    pfi = ddim_step(z, post.eps, t, 0, schedule)
+    if isinstance(which, np.ndarray) and which.ndim:
+        groups = [(m, (which == m).nonzero()[0]) for m in np.unique(which)]
+    else:
+        groups = [(which, np.arange(len(z)))]
+    attention: list[dict[str, np.ndarray]] = [{} for _ in z]
+    for m, rows in groups:
+        # per target: (K, H, W) templates, zeros where absent
+        for obj, stack in bank.mixtures[m].template_stacks.items():
+            maps = np.einsum("bk,kij->bij", post.r[rows], stack)
+            for row, amap in zip(rows, maps):
+                attention[row][obj] = amap
+    t = t.tolist() if isinstance(t, np.ndarray) and t.ndim else [int(t)] * len(z)
+    return [CapturedStep(t=t[b], pfi=pfi[b], attention=attention[b])
+            for b in range(len(z))]
 
 
-def sample_with_capture(mixture: MixtureSpec, schedule: NoiseSchedule,
-                        seed: int, critical_timesteps) -> GenerationRecord:
-    """Run one generation, recording snapshots at the requested noise indices.
+def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
+                 z: np.ndarray, post: Posterior | None) -> CapturedStep:
+    """:func:`batch_capture` of one latent; ``post`` is the posterior
+    :func:`trajectory` yielded with ``z``, evaluated here when None (as
+    at ``t = 0``)."""
+    if post is not None and post.eps is not None:
+        post = Posterior(r=post.r[None], eps=post.eps[None])
+    else:
+        post = None
+    return batch_capture(MixtureBank((mixture,)), 0, schedule, t, z[None],
+                         post)[0]
+
+
+def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
+                 seeds: Sequence[int],
+                 critical_timesteps) -> list[GenerationRecord]:
+    """Run one generation per seed in lockstep, recording snapshots at the
+    requested noise indices.
 
     ``critical_timesteps`` are noise indices in [0, T]; captures come out in
     generation order, i.e. sorted by decreasing ``t``.  The same seed always
-    reproduces the identical record, bit for bit.
+    reproduces the identical record, bit for bit, in any batch.
     """
     wanted = {int(t) for t in critical_timesteps}
     for t in wanted:
         _check_t(schedule, t)
-    captures: list[CapturedStep] = []
+    bank = MixtureBank((mixture,))
+    captures: list[list[CapturedStep]] = [[] for _ in seeds]
     z_final = None
-    for t, z, post in trajectory(mixture, schedule, seed):
+    for t, z, post in lockstep(mixture, schedule, seeds):
         if t in wanted:
-            captures.append(capture_step(mixture, schedule, t, z, post))
+            for row, cap in zip(captures, batch_capture(bank, 0, schedule, t,
+                                                        z, post)):
+                row.append(cap)
         if t == 0:
             z_final = z
-    dists = np.linalg.norm(mixture.means_matrix - z_final.ravel()[None, :], axis=1)
-    return GenerationRecord(
-        captures=tuple(captures),
-        final_image=z_final,
-        nearest_component=int(np.argmin(dists)),
-    )
+    dists = np.linalg.norm(mixture.means_matrix[None]
+                           - z_final.reshape(len(seeds), 1, -1), axis=2)
+    return [GenerationRecord(captures=tuple(caps), final_image=final,
+                             nearest_component=int(np.argmin(d)))
+            for caps, final, d in zip(captures, z_final, dists)]
+
+
+def sample_with_capture(mixture: MixtureSpec, schedule: NoiseSchedule,
+                        seed: int, critical_timesteps) -> GenerationRecord:
+    """:func:`sample_batch` on one seed."""
+    return sample_batch(mixture, schedule, (seed,), critical_timesteps)[0]

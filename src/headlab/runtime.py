@@ -12,18 +12,25 @@ can only ever save time, never smuggle an incomplete image through.
 Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices.
+
+An arm runs as a pool of ``SLOTS`` attempts denoised in lockstep, each at
+its own step and under its own prompt's mixture: an attempt that ends hands
+its slot to its run's next attempt, or to the next run.  The engine's
+batched steps are bit-identical to single-latent ones, so the slot count
+changes no trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import label_image
 from .detector import DetectorModel, live_features
-from .engine import NoiseSchedule, capture_step, trajectory
+from .engine import (MixtureBank, NoiseSchedule, Posterior, batch_capture,
+                     denoise_step, initial_latent)
 from .errors import RestartLimitExceeded, UsageError
 from .rng import SplitMix64, mix64
 from .scene import MixtureSpec, ObjectSpec
@@ -33,6 +40,10 @@ HEAD = "head"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_INCOMPLETE = "completed_incomplete"
 OUTCOME_COMPLETE = "completed_complete"
+
+# Attempts one arm keeps in flight.  The cost per latent-step falls until
+# about a dozen rows and is flat beyond; more slots only cost memory.
+SLOTS = 16
 
 _BOOTSTRAP_TAG = 0xB007
 _BOOTSTRAP_RESAMPLES = 200
@@ -86,33 +97,184 @@ class RunTrace:
         return sum(1 for a in self.attempts if a.outcome == OUTCOME_ABORTED)
 
 
-def _head_attempt(mixture: MixtureSpec, schedule: NoiseSchedule,
-                  model: DetectorModel, catalog: dict[str, ObjectSpec],
-                  seed: int):
-    """One inspected attempt: (aborted, verdicts, steps, final_or_none)."""
-    needed = set(model.steps)
-    decision = max(needed)
-    verdicts: dict[str, int] = {}
-    pfi_by: dict[int, np.ndarray] = {}
-    attn_by: dict[str, dict[int, np.ndarray]] = {o: {} for o in mixture.targets}
-    for t, z, post in trajectory(mixture, schedule, seed):
-        u = schedule.T - t
-        if u in needed:
-            cap = capture_step(mixture, schedule, t, z, post)
-            pfi_by[u] = cap.pfi
-            for obj in mixture.targets:
-                attn_by[obj][u] = cap.attention[obj]
-        if u == decision:
-            verdicts = {}
-            for obj in mixture.targets:
-                row = live_features(pfi_by, attn_by[obj], catalog[obj],
-                                    model.variant, model.steps)
-                verdicts[obj] = int(model.predict(row)[0])
-            if not all(verdicts.values()):
-                return True, verdicts, decision, None
-        if t == 0:
-            return False, verdicts, schedule.T, z
-    raise AssertionError("trajectory ended before t=0")  # pragma: no cover
+@dataclass(frozen=True)
+class _Run:
+    """One restart-until-accepted run: its mixture (an index into the arm's
+    mixtures) and the indices its attempt seeds derive from."""
+
+    mixture: int
+    prompt_index: int
+    run_index: int
+    prompt_id: str
+
+
+@dataclass
+class _Attempt:
+    """An attempt in flight: its run (a position in the arm's runs), its
+    index and seed, and what it has captured and decided so far."""
+
+    run: int
+    index: int
+    seed: int
+    pfi_by: dict[int, np.ndarray] = field(default_factory=dict)
+    attn_by: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
+    verdicts: dict[str, int] | None = None
+
+
+def _run_pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
+              policy: RunPolicy, catalog: dict[str, ObjectSpec],
+              root_seed: int, label_threshold: float):
+    """Every run of ``runs`` over one bank, ``SLOTS`` attempts in lockstep.
+
+    An attempt that ends hands its slot to its run's next attempt, or, once
+    the run is accepted or out of attempts, to the next run not yet started.
+    Returns the traces by position in ``runs`` and the position of the
+    first run that exhausted ``max_restarts`` (None if none did); once one
+    has, later runs are dropped, since only an earlier run can come first.
+    """
+    T, model = schedule.T, policy.model
+    if model is not None:
+        decision = max(model.steps)
+        capture_at = np.zeros(T + 1, dtype=bool)  # by noise index
+        capture_at[[T - u for u in model.steps]] = True
+    n = bank.grid_size
+    history: list[list[AttemptRecord]] = [[] for _ in runs]
+    totals = [0] * len(runs)
+    traces: list[RunTrace | None] = [None] * len(runs)
+    failed = None
+    next_run = 0
+    live: list[_Attempt] = []
+    waiting: list[_Attempt] = []
+    z = np.empty((0, n, n))
+    t = np.empty(0, dtype=np.int64)
+    which = np.empty(0, dtype=np.int64)
+
+    def attempt(run: int, index: int) -> _Attempt:
+        spec = runs[run]
+        seed = mix64(root_seed, spec.prompt_index, spec.run_index, index)
+        targets = bank.mixtures[spec.mixture].targets
+        return _Attempt(run=run, index=index, seed=seed,
+                        attn_by={obj: {} for obj in targets})
+
+    while True:
+        while (failed is None and next_run < len(runs)
+               and len(live) + len(waiting) < SLOTS):
+            waiting.append(attempt(next_run, 0))
+            next_run += 1
+        if waiting:
+            live += waiting
+            z = np.concatenate([z, [initial_latent(a.seed, n) for a in waiting]])
+            t = np.concatenate([t, np.full(len(waiting), T)])
+            which = np.concatenate([which, [runs[a.run].mixture for a in waiting]])
+            waiting = []
+        if not live:
+            return traces, failed
+        post, z_next = denoise_step(bank, which, schedule, t, z)
+        ended: dict[int, tuple[str, int]] = {}  # row -> (outcome, steps)
+        if model is not None:
+            rows = capture_at[t].nonzero()[0]
+            if rows.size:
+                caps = batch_capture(bank, which[rows], schedule, t[rows],
+                                     z[rows], Posterior(r=post.r[rows],
+                                                        eps=post.eps[rows]))
+                for row, cap in zip(rows, caps):
+                    a = live[row]
+                    a.pfi_by[T - cap.t] = cap.pfi
+                    for obj, amap in cap.attention.items():
+                        a.attn_by[obj][T - cap.t] = amap
+            for row in (t == T - decision).nonzero()[0]:
+                a = live[row]
+                a.verdicts = {}
+                for obj, attn_by in a.attn_by.items():
+                    features = live_features(a.pfi_by, attn_by, catalog[obj],
+                                             model.variant, model.steps)
+                    a.verdicts[obj] = int(model.predict(features)[0])
+                if not all(a.verdicts.values()):
+                    ended[row] = (OUTCOME_ABORTED, decision)
+        z, t = z_next, t - 1
+        for row in (t == 0).nonzero()[0]:
+            if row not in ended:
+                targets = bank.mixtures[which[row]].targets
+                labels = label_image(z[row], targets, catalog, label_threshold)
+                complete = all(labels[o] == 1 for o in targets)
+                ended[row] = (OUTCOME_COMPLETE if complete
+                              else OUTCOME_INCOMPLETE, T)
+        if not ended:
+            continue
+        for row, (outcome, steps) in sorted(ended.items()):
+            a = live[row]
+            history[a.run].append(AttemptRecord(seed=a.seed, outcome=outcome,
+                                                steps=steps,
+                                                verdicts=a.verdicts))
+            totals[a.run] += steps
+            if outcome == OUTCOME_COMPLETE:
+                traces[a.run] = RunTrace(prompt_id=runs[a.run].prompt_id,
+                                         attempts=tuple(history[a.run]),
+                                         total_steps=totals[a.run],
+                                         accepted_seed=a.seed)
+            elif a.index + 1 < policy.max_restarts:
+                waiting.append(attempt(a.run, a.index + 1))
+            elif failed is None or a.run < failed:
+                failed = a.run
+        keep = [row for row, a in enumerate(live) if row not in ended
+                and (failed is None or a.run < failed)]
+        waiting = [a for a in waiting if failed is None or a.run < failed]
+        live = [live[row] for row in keep]
+        z, t, which = z[keep], t[keep], which[keep]
+
+
+def _run_arm(mixtures, runs: list[_Run], schedule: NoiseSchedule,
+             policy: RunPolicy, catalog: dict[str, ObjectSpec],
+             root_seed: int, label_threshold: float) -> tuple[RunTrace, ...]:
+    """Every run of one policy arm; traces in the order of ``runs``.
+
+    A lockstep batch needs one component count, so mixtures with different
+    counts (prompts with different numbers of targets) run in separate
+    pools.  Raises ``RestartLimitExceeded`` for the first run, in the order
+    of ``runs``, that no attempt within ``max_restarts`` completes.
+    """
+    policy.validate(schedule.T)
+    traces: list[RunTrace | None] = [None] * len(runs)
+    failures = []
+    for size in sorted({len(m.components) for m in mixtures}):
+        members = [i for i, m in enumerate(mixtures) if len(m.components) == size]
+        local = {i: k for k, i in enumerate(members)}
+        positions = [p for p, run in enumerate(runs) if run.mixture in local]
+        bank = MixtureBank(tuple(mixtures[i] for i in members))
+        pooled, failed = _run_pool(
+            bank, [replace(runs[p], mixture=local[runs[p].mixture])
+                   for p in positions],
+            schedule, policy, catalog, root_seed, label_threshold)
+        for p, trace in zip(positions, pooled):
+            traces[p] = trace
+        if failed is not None:
+            failures.append(positions[failed])
+    if failures:
+        run = runs[min(failures)]
+        raise RestartLimitExceeded(
+            f"no accepted image within {policy.max_restarts} attempts "
+            f"(prompt {run.prompt_id or run.prompt_index}, run {run.run_index})")
+    return tuple(traces)
+
+
+def run_arm(mixtures, schedule: NoiseSchedule, policy: RunPolicy,
+            catalog: dict[str, ObjectSpec], root_seed: int,
+            runs_per_prompt: int, prompt_ids,
+            label_threshold: float = 0.5) -> tuple[RunTrace, ...]:
+    """Run ``runs_per_prompt`` restart-until-accepted runs of one policy on
+    every prompt, ``SLOTS`` attempts at a time.
+
+    Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``.  Returns the
+    traces in (prompt, run) order; the slot count changes none of them.
+    """
+    if runs_per_prompt < 1:
+        raise UsageError("runs_per_prompt must be >= 1")
+    if len(prompt_ids) != len(mixtures):
+        raise UsageError("prompt_ids and mixtures must align")
+    runs = [_Run(mixture=i, prompt_index=i, run_index=j, prompt_id=pid)
+            for i, pid in enumerate(prompt_ids) for j in range(runs_per_prompt)]
+    return _run_arm(mixtures, runs, schedule, policy, catalog, root_seed,
+                    label_threshold)
 
 
 def run_until_complete(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -120,41 +282,15 @@ def run_until_complete(mixture: MixtureSpec, schedule: NoiseSchedule,
                        root_seed: int, prompt_index: int = 0,
                        run_index: int = 0, label_threshold: float = 0.5,
                        prompt_id: str = "") -> RunTrace:
-    """Restart with fresh seeds until an attempt is accepted.
+    """Restart with fresh seeds until an attempt is accepted: one run.
 
     Acceptance always requires the finished image to pass the
     matched-filter presence check for every target.
     """
-    policy.validate(schedule.T)
-    attempts: list[AttemptRecord] = []
-    total = 0
-    for attempt_index in range(policy.max_restarts):
-        seed = mix64(root_seed, prompt_index, run_index, attempt_index)
-        if policy.mode == HEAD:
-            aborted, verdicts, steps, final = _head_attempt(
-                mixture, schedule, policy.model, catalog, seed)
-        else:
-            final = None
-            for t, z, _ in trajectory(mixture, schedule, seed):
-                if t == 0:
-                    final = z
-            aborted, verdicts, steps = False, None, schedule.T
-        total += steps
-        if aborted:
-            attempts.append(AttemptRecord(seed=seed, outcome=OUTCOME_ABORTED,
-                                          steps=steps, verdicts=verdicts))
-            continue
-        labels = label_image(final, mixture.targets, catalog, label_threshold)
-        complete = all(labels[o] == 1 for o in mixture.targets)
-        outcome = OUTCOME_COMPLETE if complete else OUTCOME_INCOMPLETE
-        attempts.append(AttemptRecord(seed=seed, outcome=outcome,
-                                      steps=steps, verdicts=verdicts))
-        if complete:
-            return RunTrace(prompt_id=prompt_id, attempts=tuple(attempts),
-                            total_steps=total, accepted_seed=seed)
-    raise RestartLimitExceeded(
-        f"no accepted image within {policy.max_restarts} attempts "
-        f"(prompt {prompt_id or prompt_index})")
+    run = _Run(mixture=0, prompt_index=prompt_index, run_index=run_index,
+               prompt_id=prompt_id)
+    return _run_arm([mixture], [run], schedule, policy, catalog, root_seed,
+                    label_threshold)[0]
 
 
 @dataclass(frozen=True)
@@ -213,36 +349,37 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
         raise UsageError("runs_per_prompt must be >= 1")
     if len(prompts) != len(mixtures):
         raise UsageError("prompts and mixtures must align")
+    if not prompts:
+        raise UsageError("a campaign needs at least one prompt")
+    for policy in (reference, treatment):
+        policy.validate(schedule.T)
+    ids = [p.text for p in prompts]
+
+    def steps(policy: RunPolicy) -> np.ndarray:
+        traces = run_arm(mixtures, schedule, policy, catalog, root_seed,
+                         runs_per_prompt, ids, label_threshold)
+        return np.array([trace.total_steps for trace in traces],
+                        dtype=np.float64).reshape(len(prompts), runs_per_prompt)
+
+    # Each arm is its own pool, so the work of each stays separable.
+    ref_steps = steps(reference)
+    treat_steps = steps(treatment)
     rows: list[CampaignRow] = []
-    all_ref, all_treat = [], []
-    for i, (prompt, mixture) in enumerate(zip(prompts, mixtures)):
-        ref_steps = np.empty(runs_per_prompt)
-        treat_steps = np.empty(runs_per_prompt)
-        for j in range(runs_per_prompt):
-            kwargs = dict(catalog=catalog, root_seed=root_seed,
-                          prompt_index=i, run_index=j,
-                          label_threshold=label_threshold,
-                          prompt_id=prompt.text)
-            ref_steps[j] = run_until_complete(mixture, schedule, reference,
-                                              **kwargs).total_steps
-            treat_steps[j] = run_until_complete(mixture, schedule, treatment,
-                                                **kwargs).total_steps
-        saving = 1.0 - treat_steps.mean() / ref_steps.mean()
-        ci_lo, ci_hi = _bootstrap_ci(ref_steps, treat_steps,
+    for i, prompt in enumerate(prompts):
+        saving = 1.0 - treat_steps[i].mean() / ref_steps[i].mean()
+        ci_lo, ci_hi = _bootstrap_ci(ref_steps[i], treat_steps[i],
                                      mix64(root_seed, _BOOTSTRAP_TAG, i))
         rows.append(CampaignRow(prompt_id=prompt.text, policy=reference.mode,
                                 runs=runs_per_prompt,
-                                mean_steps=float(ref_steps.mean()),
+                                mean_steps=float(ref_steps[i].mean()),
                                 saving=None, ci_lo=None, ci_hi=None))
         rows.append(CampaignRow(prompt_id=prompt.text, policy=treatment.mode,
                                 runs=runs_per_prompt,
-                                mean_steps=float(treat_steps.mean()),
+                                mean_steps=float(treat_steps[i].mean()),
                                 saving=float(saving),
                                 ci_lo=ci_lo, ci_hi=ci_hi))
-        all_ref.append(ref_steps)
-        all_treat.append(treat_steps)
-    ref = np.concatenate(all_ref)
-    treat = np.concatenate(all_treat)
+    ref = ref_steps.ravel()
+    treat = treat_steps.ravel()
     pooled_saving = 1.0 - treat.mean() / ref.mean()
     ci_lo, ci_hi = _bootstrap_ci(ref, treat, mix64(root_seed, _BOOTSTRAP_TAG))
     rows.append(CampaignRow(prompt_id="pooled", policy=reference.mode,

@@ -32,11 +32,6 @@ def tensor_bytes(array: np.ndarray) -> bytes:
     return header + dims + arr.tobytes(order="C")
 
 
-def write_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_bytes(array))
-
-
 def tensor_from_bytes(blob: bytes) -> np.ndarray:
     """Inverse of :func:`tensor_bytes`; raises ``ValueError`` on bad data."""
     head_size = len(MAGIC) + struct.calcsize("<IBI")

@@ -241,6 +241,31 @@ def test_truncated_manifest_names_file_and_line(cli_dataset, tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("line", [
+    {"x": 1},
+    [1],
+    "header",
+    {"kind": 5},
+    {"kind": "footer"},
+    {"kind": "sample", "sample_id": "p000s00"},
+    {"kind": "header", "config": {}, "splits": {}},
+    {"kind": "header", "format_version": 1, "splits": {}},
+    {"kind": "header", "format_version": 1, "config": {}},
+    {"kind": "header", "format_version": 1, "config": {"num_steps": "x"},
+     "splits": {}},
+    {"kind": "header", "format_version": 1, "config": {}, "splits": []},
+])
+def test_malformed_manifest_line_names_file_and_line(tmp_path, capsys, line):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    rc = main(["train", "--dataset", str(tmp_path), "--steps", "16",
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:1: ") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
 def test_eval_unknown_split_exits_1(cli_dataset, cli_models, tmp_path,
                                     capsys):
     rc = main(["eval", "--dataset", str(cli_dataset),
@@ -401,6 +426,47 @@ def test_config_section_must_be_an_object(tmp_path, capsys, sections, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(next(iter(sections))) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sections, argv, key", [
+    ({"detector": {"steps": 5}},
+     ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8"],
+     "detector.steps"),
+    ({"dataset": {"seeds_per_prompt": "a"}}, ["make-dataset"],
+     "dataset.seeds_per_prompt"),
+    ({"runtime": {"max_restarts": "a"}},
+     ["run", "--dataset", "ds", "--model", "model.json"],
+     "runtime.max_restarts"),
+])
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, sections, argv,
+                                            key):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(sections), encoding="utf-8")
+    rc = main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_types_are_checked():
+    for payload in ({"dataset": {"split_fractions": [0.5, 0.5]}},
+                    {"dataset": {"subjects": ["cat", 3]}},
+                    {"dataset": {"num_steps": True}},
+                    {"dataset": {"num_steps": 50.0}},
+                    {"detector": {"target_recall": "high"}},
+                    {"simulation": {"p_grid": 0.5}}):
+        with pytest.raises(UsageError):
+            ExperimentConfig.from_dict(payload)
+    config = ExperimentConfig.from_dict(
+        {"dataset": {"faithfulness": 1, "critical_steps": [4, 8]},
+         "detector": {"target_recall": None, "steps": [16]}})
+    assert config.dataset.faithfulness == 1.0
+    assert isinstance(config.dataset.faithfulness, float)
+    assert config.dataset.critical_steps == (4, 8)
+    assert config.detector.target_recall is None
+    assert ExperimentConfig.from_dict(
+        {"detector": {"target_recall": 0.9}}).detector.target_recall == 0.9
 
 
 def test_config_without_a_reader_is_rejected(tmp_path, capsys):

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from headlab.dataset import (DatasetConfig, build_prompt_grid,
+from headlab.dataset import (TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_captures,
-                             load_final, load_manifest, split_prompts)
+                             load_manifest, split_prompts)
 from headlab.errors import MissingCapture, UsageError
 from headlab.rng import mix64
 from headlab.scene import build_conditional_mixture, render_mean_image
+from headlab.tensorio import read_tensor
 
 from conftest import TINY_CONFIG
 
@@ -127,7 +128,8 @@ def test_tensor_layout_and_loading(tiny_dataset):
         assert cap["pfi"].shape == (16, 16)
         for obj in s.targets:
             assert cap["attn"][obj].shape == (16, 16)
-    final = load_final(tiny_dataset.root, s.sample_id)
+    final = read_tensor(tiny_dataset.root / TENSOR_DIR / s.sample_id
+                        / "final.bin")
     assert final.shape == (16, 16)
     # the label-0 snapshot carries no signal yet: its projected final image
     # is the prior blend over all components, not any one clean image

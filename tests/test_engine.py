@@ -5,11 +5,14 @@ import pytest
 from scipy.special import logsumexp
 
 from headlab import engine
-from headlab.engine import (NoiseSchedule, _logsumexp, capture_step,
-                            ddim_step, make_schedule, posterior,
+from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
+                             build_prompt_grid, generate_dataset)
+from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
+                            batch_capture, batch_posterior, capture_step,
+                            ddim_step, make_schedule, posterior, sample_batch,
                             sample_with_capture, trajectory)
-from headlab.errors import DegenerateVariance, InvalidT
-from headlab.rng import SplitMix64
+from headlab.errors import DegenerateVariance, InvalidT, UsageError
+from headlab.rng import SplitMix64, mix64
 from headlab.scene import build_conditional_mixture
 
 
@@ -329,3 +332,162 @@ def test_sampler_respects_seed_and_nearest_component(catalog, schedule):
                            axis=1)
     assert a.nearest_component == int(np.argmin(dists))
     assert dists[a.nearest_component] < 1.0
+
+
+def test_dataset_generation_evaluates_one_posterior_per_prompt_step(
+        catalog, tmp_path, monkeypatch):
+    """A prompt's seeds share each denoising step's kernel call."""
+    config = DatasetConfig(subjects=("cat", "dog"), objects=("bench", "kite"),
+                           seeds_per_prompt=3, critical_steps=(0, 8),
+                           split_fractions=(0.5, 0.25, 0.25))
+    calls = []
+    original = engine._log_responsibilities
+    monkeypatch.setattr(engine, "_log_responsibilities",
+                        lambda *args: calls.append(1) or original(*args))
+    generate_dataset(config, catalog, tmp_path / "ds")
+    prompts = len(config.subjects) * len(config.objects)
+    assert len(calls) == prompts * config.num_steps
+
+
+# ------------------------------------------------------------- batching
+
+def _reference_trajectory(mixture, schedule, seed):
+    """Per-latent formulas, operation for operation as the engine computed
+    them before it was batched: (t, z, r, eps, pfi, attention) per step."""
+    z = SplitMix64(seed).normals(256).reshape(16, 16)
+    out = []
+    for t in range(schedule.T, -1, -1):
+        ab = float(schedule.alphabar[t])
+        v = ab * mixture.s2 + (1.0 - ab)
+        alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
+        zf = z.ravel()
+        diffs = zf[None, :] - alpha_t * mixture.means_matrix
+        logits = (np.log(mixture.weights)
+                  - np.einsum("kd,kd->k", diffs, diffs) / (2.0 * v))
+        r = np.exp(logits - logsumexp(logits))
+        attention = {o: np.einsum("k,kij->ij", r, stack)
+                     for o, stack in mixture.template_stacks.items()}
+        if t == 0:
+            out.append((t, z, r, None, z.copy(), attention))
+            break
+        eps = (sigma_t * (zf - alpha_t * (r @ mixture.means_matrix))
+               / v).reshape(16, 16)
+        x0 = (z - sigma_t * eps) / alpha_t
+        pfi = float(schedule.alpha[0]) * x0 + float(schedule.sigma[0]) * eps
+        out.append((t, z, r, eps, pfi, attention))
+        z = (float(schedule.alpha[t - 1]) * x0
+             + float(schedule.sigma[t - 1]) * eps)
+    return out
+
+
+def _single_latent_steps(mixture, schedule, seed):
+    """(t, z, r, eps, pfi, attention) per step from the batch-of-one API."""
+    out = []
+    for t, z, post in trajectory(mixture, schedule, seed):
+        cap = capture_step(mixture, schedule, t, z, post)
+        if post is None:
+            post = posterior(mixture, schedule, t, z)
+        out.append((t, z, post.r, post.eps, cap.pfi, cap.attention))
+    return out
+
+
+def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
+    for targets, seed in ((("cat", "bench"), 5), (("owl", "kite"), 11),
+                          (("dog",), 3), (("fox", "drum", "kite"), 8)):
+        mix = build_conditional_mixture(targets, 0.8, catalog)
+        got = _single_latent_steps(mix, schedule, seed)
+        want = _reference_trajectory(mix, schedule, seed)
+        assert len(got) == len(want) == schedule.T + 1
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            for a, b in zip(g[1:5], w[1:5]):
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert list(g[5]) == list(w[5])
+            assert all(np.array_equal(g[5][o], w[5][o]) for o in w[5])
+
+
+@pytest.fixture(scope="module")
+def corpus_rows(catalog, schedule):
+    """The default corpus's 720 (mixture index, seed) rows, its 60 mixtures,
+    and the single-latent steps, keyed by t, of every 7th row (103 rows,
+    covering every mixture)."""
+    config = DatasetConfig()
+    mixtures = [build_conditional_mixture(p.targets, DEFAULT_FAITHFULNESS,
+                                          catalog, s2=config.component_std ** 2)
+                for p in build_prompt_grid(config.subjects, config.objects)]
+    rows = [(i, mix64(config.global_seed, i, s))
+            for i in range(len(mixtures))
+            for s in range(config.seeds_per_prompt)]
+    single = {b: {step[0]: step for step in
+                  _single_latent_steps(mixtures[i], schedule, seed)}
+              for b, (i, seed) in enumerate(rows) if b % 7 == 0}
+    return mixtures, rows, single
+
+
+@pytest.mark.parametrize("size", [1, 7, 720])
+def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
+                                                     size):
+    """Rows start at staggered steps, as a slot pool refills them, so a
+    batch mixes noise indices (t = 0 included) and mixtures."""
+    mixtures, rows, single = corpus_rows
+    batch = range(len(rows)) if size == len(rows) else sorted(single)[:size]
+    reference = [single.get(b) for b in batch]
+    bank = MixtureBank(tuple(mixtures))
+    which = np.array([rows[b][0] for b in batch])
+    z = np.stack([engine.initial_latent(rows[b][1], 16) for b in batch])
+    t = np.full(size, schedule.T)
+    start = [k % 5 for k in range(size)]
+    compared = 0
+    for step in range(schedule.T + 1 + max(start)):
+        live = np.flatnonzero([start[b] <= step <= start[b] + schedule.T
+                               for b in range(size)])
+        post = batch_posterior(bank, which[live], schedule, t[live], z[live])
+        caps = batch_capture(bank, which[live], schedule, t[live], z[live],
+                             post)
+        for k, b in enumerate(live):
+            if reference[b] is None:
+                continue
+            _, z1, r1, eps1, pfi1, attention1 = reference[b][t[b]]
+            assert np.array_equal(z[b], z1)
+            assert np.array_equal(post.r[k], r1)
+            assert eps1 is None or np.array_equal(post.eps[k], eps1)
+            assert caps[k].t == t[b] and np.array_equal(caps[k].pfi, pfi1)
+            assert list(caps[k].attention) == list(attention1)
+            for obj, amap in attention1.items():
+                assert np.array_equal(caps[k].attention[obj], amap)
+            compared += 1
+        z[live] = ddim_step(z[live], post.eps, t[live],
+                            np.maximum(t[live] - 1, 0), schedule)
+        t[live] = np.maximum(t[live] - 1, 0)
+    assert compared == min(size, len(single)) * (schedule.T + 1)
+
+
+def test_sample_batch_equals_single_samples(catalog, schedule):
+    mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
+    seeds = [mix64(2, 0, s) for s in range(7)]
+    wanted = {0, 1, 16, 34, schedule.T}
+    for seed, got in zip(seeds, sample_batch(mix, schedule, seeds, wanted)):
+        want = sample_with_capture(mix, schedule, seed, wanted)
+        assert np.array_equal(got.final_image, want.final_image)
+        assert got.nearest_component == want.nearest_component
+        assert [c.t for c in got.captures] == [c.t for c in want.captures]
+        for a, b in zip(got.captures, want.captures):
+            assert np.array_equal(a.pfi, b.pfi)
+            assert all(np.array_equal(a.attention[o], b.attention[o])
+                       for o in mix.targets)
+
+
+def test_mixture_bank_needs_one_component_count(catalog):
+    two = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
+    three = build_conditional_mixture(("cat", "bench", "kite"), 0.8, catalog)
+    assert MixtureBank((two, two)).means.shape == (2, 9, 256)
+    for mixtures in ((), (two, three)):
+        with pytest.raises(UsageError):
+            MixtureBank(mixtures)
+
+
+def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):
+    bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
+    z = np.zeros((3, 16, 16))
+    with pytest.raises(InvalidT, match="timestep 51 "):
+        batch_posterior(bank, 0, schedule, np.array([3, 51, 2]), z)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from headlab import runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
 from headlab.errors import RestartLimitExceeded, UsageError
@@ -10,7 +11,7 @@ from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
-                             _bootstrap_ci, measure_campaign,
+                             _bootstrap_ci, measure_campaign, run_arm,
                              run_until_complete, write_campaign_csv)
 from headlab.scene import Prompt, build_conditional_mixture, prompt_text
 
@@ -183,6 +184,74 @@ def test_campaign_structure(catalog, schedule, tiny_model):
     assert report.pooled_saving == pooled[1].saving
 
 
+def _campaign_traces(catalog, schedule, tiny_model):
+    """test_campaign_structure's campaign, with each arm's traces."""
+    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
+                              0.59 ** 0.5)
+    policies = (RunPolicy(), RunPolicy(model=tiny_model))
+    report = measure_campaign(prompts, mixtures, schedule, *policies,
+                              catalog, runs_per_prompt=4, root_seed=77)
+    arms = [run_arm(mixtures, schedule, policy, catalog, root_seed=77,
+                    runs_per_prompt=4, prompt_ids=[p.text for p in prompts])
+            for policy in policies]
+    return report, arms
+
+
+def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
+                                    monkeypatch):
+    results = []
+    for slots in (1, 3, 16):
+        monkeypatch.setattr(runtime, "SLOTS", slots)
+        results.append(_campaign_traces(catalog, schedule, tiny_model))
+    for report, arms in results[1:]:
+        assert report == results[0][0]
+        assert arms == results[0][1]
+    report, (ref, treat) = results[0]
+    for arm in (ref, treat):
+        assert [t.prompt_id for t in arm] == (["a cat and a bench"] * 4
+                                              + ["a owl and a drum"] * 4)
+    assert sum(t.n_aborted for t in treat) > 0
+    # traces come in (prompt, run) order: run j of prompt i draws its seeds
+    # from mix64(root_seed, i, j, attempt)
+    for k, trace in enumerate(treat):
+        assert trace.attempts[0].seed == mix64(77, k // 4, k % 4, 0)
+    ref_steps = [t.total_steps for t in ref]
+    assert report.rows[0].mean_steps == np.mean(ref_steps[:4])
+    assert report.rows[-2].mean_steps == np.mean(ref_steps)
+
+
+def test_restart_limit_names_the_first_failing_run(catalog, schedule,
+                                                   monkeypatch):
+    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
+                              0.8)
+    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
+                           max_restarts=4)
+    for slots in (1, 3, 16):
+        monkeypatch.setattr(runtime, "SLOTS", slots)
+        with pytest.raises(RestartLimitExceeded) as info:
+            run_arm(mixtures, schedule, reject_all, catalog, root_seed=1,
+                    runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
+        assert str(info.value) == ("no accepted image within 4 attempts "
+                                   "(prompt a cat and a bench, run 0)")
+
+
+def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
+                                                    tiny_model):
+    """Prompts with different numbers of targets cannot share a lockstep
+    batch; each run still equals the same run made alone."""
+    prompts, mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)],
+                              0.7)
+    ids = [p.text for p in prompts]
+    for policy in (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0))):
+        arm = run_arm(mixtures, schedule, policy, catalog, root_seed=3,
+                      runs_per_prompt=2, prompt_ids=ids)
+        assert arm == tuple(
+            run_until_complete(mixtures[i], schedule, policy, catalog,
+                               root_seed=3, prompt_index=i, run_index=j,
+                               prompt_id=ids[i])
+            for i in range(3) for j in range(2))
+
+
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("fox", "kite")], 0.7)
     args = (prompts, mixtures, schedule, RunPolicy(),
@@ -202,6 +271,13 @@ def test_campaign_validation(catalog, schedule):
         measure_campaign(prompts, [], schedule, RunPolicy(),
                          RunPolicy(), catalog,
                          runs_per_prompt=1, root_seed=0)
+    with pytest.raises(UsageError):
+        measure_campaign([], [], schedule, RunPolicy(), RunPolicy(),
+                         catalog, runs_per_prompt=1, root_seed=0)
+    for runs_per_prompt, ids in ((0, ["a"]), (1, ["a", "b"])):
+        with pytest.raises(UsageError):
+            run_arm(mixtures, schedule, RunPolicy(), catalog, root_seed=0,
+                    runs_per_prompt=runs_per_prompt, prompt_ids=ids)
 
 
 def _bootstrap_ci_loop(ref, treat, seed):

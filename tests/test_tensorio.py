@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from headlab.tensorio import (MAGIC, read_tensor, tensor_bytes,
-                              tensor_from_bytes, write_tensor)
+                              tensor_from_bytes)
 
 
 def test_roundtrip_preserves_float32_exactly():
@@ -25,7 +25,7 @@ def test_roundtrip_is_byte_stable():
 def test_file_roundtrip(tmp_path):
     arr = np.arange(16, dtype=np.float32).reshape(4, 4)
     path = tmp_path / "t.bin"
-    write_tensor(path, arr)
+    path.write_bytes(tensor_bytes(arr))
     assert np.array_equal(read_tensor(path), arr)
 
 
