@@ -282,7 +282,8 @@ def run_until_complete(mixture: MixtureSpec, schedule: NoiseSchedule,
                        root_seed: int, prompt_index: int = 0,
                        run_index: int = 0, label_threshold: float = 0.5,
                        prompt_id: str = "") -> RunTrace:
-    """Restart with fresh seeds until an attempt is accepted: one run.
+    """Restart with fresh seeds until an attempt is accepted: the slot pool
+    of :func:`run_arm` holding one run, so a batch of one.
 
     Acceptance always requires the finished image to pass the
     matched-filter presence check for every target.
