@@ -6,10 +6,11 @@ Carlo policy economics, decision-step and completeness sweeps, live
 abort-and-reseed campaigns, and plain-text report rendering.
 
 Exit codes: 0 on success, 1 when the invocation or its inputs are invalid,
-2 when a computation fails at runtime.  Every subcommand that takes
-``--out`` writes its artifacts there together with ``config_snapshot.json``,
-a sorted-key JSON record sufficient to reproduce the outputs bit for bit
-(nothing here ever reads the clock or ambient entropy).
+2 when a computation fails at runtime, runs out of memory or is
+interrupted.  Every subcommand that takes ``--out`` writes its artifacts
+there together with ``config_snapshot.json``, a sorted-key JSON record
+sufficient to reproduce the outputs bit for bit (nothing here ever reads
+the clock or ambient entropy).
 """
 
 from __future__ import annotations
@@ -170,17 +171,14 @@ def _object_names(count: int) -> tuple[str, ...]:
 
 
 def _cmd_make_dataset(args) -> None:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = _with_flags(load_experiment_config(args.config).dataset, args)
     if args.catalog is not None:
         catalog = load_catalog(args.catalog)
     else:
         catalog = default_catalog()
     out = Path(args.out)
-    _write_snapshot(out, "make-dataset",
-                    {"dataset": config.to_dict(), "jobs": args.jobs})
-    manifest = generate_dataset(config, catalog, out, jobs=args.jobs)
+    _write_snapshot(out, "make-dataset", {"dataset": config.to_dict()})
+    manifest = generate_dataset(config, catalog, out)
     stats = manifest.stats
     print(f"dataset {out}: {len(manifest.samples)} samples, "
           f"complete fraction {stats['complete_fraction']:.4f}")
@@ -416,7 +414,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("make-dataset", help="generate the capture dataset")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--global-seed", dest="global_seed", type=int, default=None)
     p.add_argument("--seeds-per-prompt", dest="seeds_per_prompt", type=int,
                    default=None)
@@ -519,6 +516,12 @@ def main(argv=None) -> int:
         return 1
     except (RunFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

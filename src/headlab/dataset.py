@@ -14,32 +14,48 @@ On-disk layout under the dataset root:
 * ``manifest.jsonl`` - header line (config, splits), one line per sample,
   one trailing stats line; plain UTF-8 JSON per line.
 * ``catalog.txt`` - the object catalog used, in the plain-text table format.
-* ``tensors/<sample_id>/<u>_pfi.bin`` and ``<u>_attn_<obj>.bin`` - captures.
-* ``tensors/<sample_id>/final.bin`` - the finished image.
+* ``tensors/<u>.bin`` - every capture at label ``u``, one tensor of shape
+  ``(N, 1 + n_targets, n, n)``: row ``i`` belongs to the ``i``-th sample
+  line, channel 0 is its predicted final image and channel ``1 + j`` the
+  attention map of its ``j``-th target.
+* ``tensors/final.bin`` - the finished images, shape ``(N, n, n)``.
+
+Generation denoises the samples in manifest order, in lockstep chunks of at
+most ``CHUNK_ROWS`` consecutive samples whose prompts share one component
+count, and streams each chunk's rows into those files, so no corpus-sized
+array is ever held in memory.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .engine import make_schedule, sample_batch
+from .engine import (MixtureBank, batch_capture, denoise_step, initial_latent,
+                     make_schedule)
 from .errors import MissingCapture, UsageError
 from .rng import SplitMix64, mix64
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
                     build_conditional_mixture, dump_catalog, prompt_text)
-from .tensorio import tensor_bytes, read_tensor
+from .tensorio import TensorWriter, read_tensor
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.jsonl"
 CATALOG_NAME = "catalog.txt"
 TENSOR_DIR = "tensors"
+FINAL_NAME = "final.bin"
+
+# Samples denoised together.  Per latent-step the cost falls until about a
+# dozen rows; 64-row chunks ran slower than 16-row ones.
+CHUNK_ROWS = 16
 
 DEFAULT_FAITHFULNESS = 0.59 ** 0.5  # two targets then complete with prob 0.59
 DEFAULT_CRITICAL_STEPS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 25, 40)
@@ -104,10 +120,20 @@ class DatasetConfig:
 
 
 def _typed(hint, value):
-    """``value`` checked against the config field type ``hint``: int, float,
-    str, an optional value or a tuple of them.  Lists become tuples and
-    numbers for a float field become floats; raises ``TypeError``."""
-    if typing.get_origin(hint) is tuple:
+    """``value`` checked against the field type ``hint``: int, float, bool,
+    str, an optional value, or a tuple or dict of them.  Lists become
+    tuples and ints for a float field become floats; raises
+    ``TypeError``."""
+    if type(value) is hint:  # a JSON value of the field's own type
+        return value
+    origin = typing.get_origin(hint)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {value!r}")
+        key_hint, item_hint = typing.get_args(hint)
+        return {_typed(key_hint, k): _typed(item_hint, v)
+                for k, v in value.items()}
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"expected a list, got {value!r}")
         args = typing.get_args(hint)
@@ -121,26 +147,26 @@ def _typed(hint, value):
                 return _typed(option, value)
             except TypeError:
                 pass
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is float and number:
+    if hint is float and type(value) is int:
         return float(value)
-    if (hint is int and number and isinstance(value, int)
-            or hint is str and isinstance(value, str)
-            or hint is type(None) and value is None):
-        return value
     raise TypeError(f"expected {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def config_kwargs(cls, section: str, payload) -> dict:
-    """Keyword arguments for the config dataclass ``cls`` from the JSON
-    object of config section ``section``.
+    """Keyword arguments for the dataclass ``cls`` from the JSON object of
+    config section (or manifest line kind) ``section``.
 
     Unknown keys and values of the wrong type raise ``UsageError``; a bad
     value is named as ``section.key``.
     """
     if not isinstance(payload, dict):
         raise UsageError(f"config section {section!r} must be a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = set(payload) - set(hints)
     if unknown:
         raise UsageError(f"unknown keys in config section {section!r}: "
@@ -179,11 +205,16 @@ class DatasetManifest:
     samples: tuple[SampleRecord, ...]
     stats: dict = field(default_factory=dict)
 
-    def samples_for_split(self, split: str) -> list[SampleRecord]:
+    def rows_for_split(self, split: str) -> list[int]:
+        """Positions in ``samples``, which are rows of the tensor store, of
+        the samples of one split."""
         if split not in self.splits:
             raise UsageError(f"unknown split {split!r}; have {sorted(self.splits)}")
         wanted = set(self.splits[split])
-        return [s for s in self.samples if s.prompt_index in wanted]
+        return [i for i, s in enumerate(self.samples) if s.prompt_index in wanted]
+
+    def samples_for_split(self, split: str) -> list[SampleRecord]:
+        return [self.samples[i] for i in self.rows_for_split(split)]
 
 
 def build_prompt_grid(subjects, objects) -> tuple[Prompt, ...]:
@@ -226,48 +257,6 @@ def _jsonl(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _generate_prompt(config: DatasetConfig, catalog: dict[str, ObjectSpec],
-                     prompt_index: int, prompt: Prompt):
-    """All samples for one prompt, its seeds generated as one lockstep
-    batch: manifest dicts plus tensor file bytes."""
-    schedule = make_schedule(config.num_steps)
-    mixture = build_conditional_mixture(prompt.targets, config.faithfulness,
-                                        catalog, s2=config.component_std**2)
-    noise_indices = {config.num_steps - u for u in config.critical_steps}
-    seeds = [mix64(config.global_seed, prompt_index, seed_index)
-             for seed_index in range(config.seeds_per_prompt)]
-    generations = sample_batch(mixture, schedule, seeds, noise_indices)
-    records = []
-    files: dict[str, bytes] = {}
-    for seed_index, (run_seed, record) in enumerate(zip(seeds, generations)):
-        labels = label_image(record.final_image, prompt.targets, catalog,
-                             config.label_threshold)
-        sample_id = f"p{prompt_index:03d}s{seed_index:02d}"
-        base = f"{TENSOR_DIR}/{sample_id}"
-        for cap in record.captures:
-            u = config.num_steps - cap.t
-            files[f"{base}/{u}_pfi.bin"] = tensor_bytes(cap.pfi)
-            for obj, attn in cap.attention.items():
-                files[f"{base}/{u}_attn_{obj}.bin"] = tensor_bytes(attn)
-        files[f"{base}/final.bin"] = tensor_bytes(record.final_image)
-        records.append(SampleRecord(
-            sample_id=sample_id,
-            prompt_index=prompt_index,
-            prompt=prompt.text,
-            targets=prompt.targets,
-            seed_index=seed_index,
-            run_seed=run_seed,
-            labels=labels,
-            complete=all(labels[t] == 1 for t in prompt.targets),
-            nearest_component=record.nearest_component,
-        ))
-    return prompt_index, records, files
-
-
-def _worker(args):
-    return _generate_prompt(*args)
-
-
 def _prompt_stats(prompts, samples) -> dict:
     per_prompt = []
     for i, prompt in enumerate(prompts):
@@ -295,34 +284,88 @@ def _prompt_stats(prompts, samples) -> dict:
     }
 
 
+def step_path(root, u: int) -> Path:
+    """The file holding every capture at label ``u``."""
+    return Path(root) / TENSOR_DIR / f"{int(u)}.bin"
+
+
+def _chunks(rows, key):
+    """Runs of at most ``CHUNK_ROWS`` consecutive rows of one ``key``."""
+    for _, run in itertools.groupby(rows, key=key):
+        run = list(run)
+        for start in range(0, len(run), CHUNK_ROWS):
+            yield run[start:start + CHUNK_ROWS]
+
+
 def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
-                     out_dir, jobs: int = 1) -> DatasetManifest:
+                     out_dir) -> DatasetManifest:
     """Generate every (prompt, seed) sample and persist the whole protocol.
 
-    Output bytes are a pure function of ``config`` and ``catalog``; the
-    parallelism degree never changes them (results merge in prompt order).
+    Output bytes are a pure function of ``config`` and ``catalog``: every
+    row is bit-identical whatever chunk it is denoised in.
     """
     config.validate()
     for name in list(config.subjects) + list(config.objects):
         if name not in catalog:
             raise UsageError(f"config references {name!r} missing from catalog")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / TENSOR_DIR).mkdir(parents=True, exist_ok=True)
     prompts = build_prompt_grid(config.subjects, config.objects)
-    tasks = [(config, catalog, i, p) for i, p in enumerate(prompts)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_worker, tasks), key=lambda r: r[0])
-    else:
-        results = [_generate_prompt(*t) for t in tasks]
+    mixtures = [build_conditional_mixture(p.targets, config.faithfulness, catalog,
+                                          s2=config.component_std**2)
+                for p in prompts]
 
+    def size(i: int) -> int:
+        return len(mixtures[i].components)
+
+    # A lockstep batch needs one component count: one bank per count, and
+    # each prompt's index in its bank.
+    banks, local = {}, {}
+    for count in sorted({size(i) for i in range(len(prompts))}):
+        members = [i for i in range(len(prompts)) if size(i) == count]
+        banks[count] = MixtureBank(tuple(mixtures[i] for i in members))
+        local.update((i, j) for j, i in enumerate(members))
+    T, n = config.num_steps, mixtures[0].grid_size
+    schedule = make_schedule(T)
+    rows = [(i, s) for i in range(len(prompts))
+            for s in range(config.seeds_per_prompt)]
+    channels = 1 + len(prompts[0].targets)
     samples: list[SampleRecord] = []
-    for _, records, files in results:
-        for relpath, blob in files.items():
-            path = out / relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(blob)
-        samples.extend(records)
+    with ExitStack() as files:
+        store = {T - u: files.enter_context(TensorWriter(
+                     step_path(out, u), (len(rows), channels, n, n)))
+                 for u in config.critical_steps}
+        final = files.enter_context(TensorWriter(
+            out / TENSOR_DIR / FINAL_NAME, (len(rows), n, n)))
+        for chunk in _chunks(rows, key=lambda row: size(row[0])):
+            bank = banks[size(chunk[0][0])]
+            which = np.array([local[i] for i, _ in chunk])
+            seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
+            z = np.stack([initial_latent(seed, n) for seed in seeds])
+            for t in range(T, 0, -1):
+                post, z_next = denoise_step(bank, which, schedule, t, z)
+                if t in store:
+                    store[t].append(batch_capture(bank, which, schedule, t,
+                                                  z, post).channels)
+                z = z_next
+            final.append(z)
+            nearest = np.linalg.norm(bank.means[which] - z.reshape(len(z), 1, -1),
+                                     axis=2).argmin(axis=1)
+            for (i, s), run_seed, image, k in zip(chunk, seeds, z, nearest):
+                targets = prompts[i].targets
+                labels = label_image(image, targets, catalog,
+                                     config.label_threshold)
+                samples.append(SampleRecord(
+                    sample_id=f"p{i:03d}s{s:02d}",
+                    prompt_index=i,
+                    prompt=prompts[i].text,
+                    targets=targets,
+                    seed_index=s,
+                    run_seed=run_seed,
+                    labels=labels,
+                    complete=all(labels[o] == 1 for o in targets),
+                    nearest_component=int(k),
+                ))
 
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
     stats = _prompt_stats(prompts, samples)
@@ -353,7 +396,12 @@ _LINE_KEYS = {
 
 def load_manifest(root) -> DatasetManifest:
     """Parse ``manifest.jsonl``; a malformed line raises ``ValueError``
-    naming ``path:line``."""
+    naming ``path:line``.
+
+    Sample values must have their :class:`SampleRecord` types, and each
+    sample must name a prompt of the header's prompt grid with its targets:
+    a sample's line decides its row in the tensor store.
+    """
     path = Path(root) / MANIFEST_NAME
     header = None
     samples: list[SampleRecord] = []
@@ -377,40 +425,55 @@ def load_manifest(root) -> DatasetManifest:
                     if obj["format_version"] != MANIFEST_VERSION:
                         raise ValueError("unsupported manifest version "
                                          f"{obj['format_version']}")
-                    header = (DatasetConfig.from_dict(obj["config"]),
-                              {k: tuple(v) for k, v in obj["splits"].items()})
+                    config = DatasetConfig.from_dict(obj["config"])
+                    header = (config,
+                              {k: tuple(v) for k, v in obj["splits"].items()},
+                              build_prompt_grid(config.subjects, config.objects))
                 elif kind == "sample":
-                    samples.append(SampleRecord(
-                        sample_id=obj["sample_id"],
-                        prompt_index=obj["prompt_index"],
-                        prompt=obj["prompt"],
-                        targets=tuple(obj["targets"]),
-                        seed_index=obj["seed_index"],
-                        run_seed=obj["run_seed"],
-                        labels={k: int(v) for k, v in obj["labels"].items()},
-                        complete=bool(obj["complete"]),
-                        nearest_component=obj["nearest_component"],
-                    ))
+                    if header is None:
+                        raise ValueError("sample line before the header")
+                    sample = SampleRecord(**config_kwargs(
+                        SampleRecord, "sample",
+                        {k: obj[k] for k in _LINE_KEYS["sample"]}))
+                    grid = header[2]
+                    if (not 0 <= sample.prompt_index < len(grid)
+                            or grid[sample.prompt_index].targets != sample.targets):
+                        raise ValueError(
+                            f"targets {list(sample.targets)} are not those of "
+                            f"prompt {sample.prompt_index} of the prompt grid")
+                    samples.append(sample)
                 else:
                     stats = obj
             except (AttributeError, TypeError, ValueError, UsageError) as exc:
                 raise ValueError(f"{where}: malformed {kind} line: {exc}") from exc
     if header is None:
         raise ValueError(f"{path}: manifest has no header line")
-    config, splits = header
+    if not samples:
+        raise ValueError(f"{path}: manifest has no sample lines")
+    config, splits, _ = header
     return DatasetManifest(format_version=MANIFEST_VERSION, config=config,
                            splits=splits, samples=tuple(samples), stats=stats)
 
 
-def load_captures(root, sample_id: str, steps, objects) -> dict[int, dict]:
-    """Read stored captures for one sample, keyed by capture label."""
-    base = Path(root) / TENSOR_DIR / sample_id
-    out: dict[int, dict] = {}
+def load_step(root, manifest: DatasetManifest, u: int,
+              grid_size: int) -> np.ndarray:
+    """Every stored capture at label ``u``, one row per manifest sample.
+
+    The tensor has shape ``(N, 1 + n_targets, grid_size, grid_size)`` in the
+    layout of ``tensors/<u>.bin``.  A missing file raises
+    ``MissingCapture``; an unreadable one, or one whose shape does not
+    match the manifest, raises ``ValueError`` naming the file.
+    """
+    path = step_path(root, u)
     try:
-        for u in steps:
-            attn = {o: read_tensor(base / f"{u}_attn_{o}.bin") for o in objects}
-            out[int(u)] = {"pfi": read_tensor(base / f"{u}_pfi.bin"),
-                           "attn": attn}
+        tensor = read_tensor(path)
     except FileNotFoundError as exc:
-        raise MissingCapture(f"sample {sample_id}: {exc}") from exc
-    return out
+        raise MissingCapture(f"capture step {u}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    expected = (len(manifest.samples), 1 + len(manifest.samples[0].targets),
+                grid_size, grid_size)
+    if tensor.shape != expected:
+        raise ValueError(f"{path}: shape {tensor.shape} does not match the "
+                         f"manifest's {expected}")
+    return tensor

@@ -19,9 +19,11 @@ predicted-final-image slots (same dimensionality, so weights stay
 comparable); ``multi_timestep`` concatenates one six-feature block per
 decision step, ordered by step label.
 
-Inputs are squeezed through float32 before any arithmetic so that features
-computed live during a run match features computed from round-tripped
-tensor files bit for bit.
+Features are computed for a stack of captures of one object at once; every
+reduction stays within its row, so a row's features do not depend on the
+stack it rides in.  Inputs are squeezed through float32 before any
+arithmetic so that features computed live during a run match features
+computed from the stored float32 tensors bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DatasetManifest, load_captures
+from .dataset import DatasetManifest, load_step
 from .errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                      UsageError)
 from .scene import ObjectSpec
@@ -51,35 +53,43 @@ _PFI_SLOTS = (3, 4, 5)
 
 def extract_features(pfi: np.ndarray, attention: np.ndarray,
                      spec: ObjectSpec) -> np.ndarray:
-    """Six-feature summary of one object at one capture."""
+    """Six-feature summaries of one object over a stack of captures.
+
+    ``pfi`` and ``attention`` have shape ``(R, n, n)``: row ``b`` is one
+    capture's predicted final image and the object's attention map.
+    Returns shape ``(R, 6)``.
+    """
     pfi = np.asarray(pfi, dtype=np.float32).astype(np.float64)
     attention = np.asarray(attention, dtype=np.float32).astype(np.float64)
-    if pfi.shape != attention.shape:
+    if pfi.shape != attention.shape or pfi.ndim != 3:
         raise DimensionMismatch(
-            f"pfi shape {pfi.shape} != attention shape {attention.shape}")
+            f"pfi shape {pfi.shape} != attention shape {attention.shape}, "
+            "or not a stack of images")
 
-    flat = attention.ravel()
-    total = float(flat.sum())
-    k = max(1, round(TOP_MASS_FRACTION * flat.size))
-    if total > 0.0:
-        top = np.sort(flat)[-k:]
-        topmass = float(top.sum()) / total
-    else:
-        topmass = 0.0
+    out = np.empty((len(pfi), len(FEATURE_NAMES)))
+    flat = attention.reshape(len(attention), -1)
+    total = flat.sum(axis=1)
+    out[:, 0] = flat.max(axis=1)
+    out[:, 1] = total / flat.shape[1]  # the mean, as np.mean computes it
+    k = max(1, round(TOP_MASS_FRACTION * flat.shape[1]))
+    top = np.sort(flat, axis=1)[:, -k:].sum(axis=1)
+    out[:, 2] = np.divide(top, total, out=np.zeros_like(total),
+                          where=total > 0.0)
 
     responses = spec.filter_responses(pfi)
-    order = np.argsort(responses)
-    best = int(order[-1])
-    match = float(responses[best])
-    gap = float(responses[best] - responses[order[-2]]) if responses.size > 1 else 0.0
+    order = np.argsort(responses, axis=1)
+    best = order[:, -1]
+    out[:, 3] = responses[np.arange(len(pfi)), best]
+    out[:, 4] = (out[:, 3] - responses[np.arange(len(pfi)), order[:, -2]]
+                 if responses.shape[1] > 1 else 0.0)
 
-    r, c = spec.candidate_positions[best]
     h = LOCAL_PATCH // 2
-    patch = pfi[max(0, r - h):r + h + 1, max(0, c - h):c + h + 1]
-    local_energy = float(np.mean(patch ** 2))
-
-    return np.array([float(flat.max()), float(flat.mean()), topmass,
-                     match, gap, local_energy])
+    for p in set(best.tolist()):
+        at = (best == p).nonzero()[0]
+        r, c = spec.candidate_positions[p]
+        patch = pfi[at, max(0, r - h):r + h + 1, max(0, c - h):c + h + 1]
+        out[at, 5] = (patch ** 2).sum(axis=(1, 2)) / patch[0].size
+    return out
 
 
 def feature_names_for(variant: str, steps) -> tuple[str, ...]:
@@ -95,14 +105,15 @@ def feature_names_for(variant: str, steps) -> tuple[str, ...]:
     return FEATURE_NAMES
 
 
-def _variant_row(blocks: dict[int, np.ndarray], variant: str,
-                 steps: tuple[int, ...]) -> np.ndarray:
+def _variant_rows(blocks: dict[int, np.ndarray], variant: str,
+                  steps: tuple[int, ...]) -> np.ndarray:
+    """Feature rows from per-step ``(R, 6)`` blocks."""
     if variant == "multi_timestep":
-        return np.concatenate([blocks[u] for u in steps])
-    row = blocks[steps[0]].copy()
+        return np.concatenate([blocks[u] for u in steps], axis=1)
+    rows = blocks[steps[0]].copy()
     if variant == "attention_only":
-        row[list(_PFI_SLOTS)] = 0.0
-    return row
+        rows[:, list(_PFI_SLOTS)] = 0.0
+    return rows
 
 
 @dataclass(frozen=True)
@@ -130,41 +141,59 @@ def build_design_matrix(root, manifest: DatasetManifest,
                         catalog: dict[str, ObjectSpec], steps,
                         variant: str = "combined",
                         split: str = "train") -> DesignMatrix:
-    """Assemble (sample, object) rows for one split from stored captures."""
+    """Assemble (sample, object) rows for one split from stored captures.
+
+    Each step's tensor is read once; rows come sample by sample in manifest
+    order, then by target.
+    """
     names = feature_names_for(variant, steps)
     steps = tuple(sorted(int(u) for u in steps))
     missing = set(steps) - set(manifest.config.critical_steps)
     if missing:
         raise UsageError(f"steps {sorted(missing)} were not captured; "
                          f"captured: {list(manifest.config.critical_steps)}")
-    rows, labels, sample_ids, object_ids = [], [], [], []
-    for sample in manifest.samples_for_split(split):
-        captures = load_captures(root, sample.sample_id, steps, sample.targets)
-        for obj in sample.targets:
-            blocks = {u: extract_features(captures[u]["pfi"],
-                                          captures[u]["attn"][obj],
-                                          catalog[obj])
-                      for u in steps}
-            rows.append(_variant_row(blocks, variant, steps))
-            labels.append(sample.labels[obj])
-            sample_ids.append(sample.sample_id)
-            object_ids.append(obj)
-    if not rows:
+    index = np.array(manifest.rows_for_split(split), dtype=np.int64)
+    if not index.size:
         raise DegenerateLabels(f"split {split!r} produced no rows")
-    return DesignMatrix(x=np.array(rows), y=np.array(labels, dtype=np.int64),
-                        sample_ids=tuple(sample_ids),
-                        object_ids=tuple(object_ids),
-                        feature_names=names, variant=variant, steps=steps)
+    chosen = [manifest.samples[i] for i in index]
+    # object groups: (target slot, object id) -> positions in ``chosen``
+    groups: dict[tuple[int, str], list[int]] = {}
+    for row, sample in enumerate(chosen):
+        for j, obj in enumerate(sample.targets):
+            groups.setdefault((j, obj), []).append(row)
+    grid_size = catalog[chosen[0].targets[0]].grid_size
+    blocks = {}
+    for u in steps:
+        store = load_step(root, manifest, u, grid_size)
+        feats = np.empty((len(chosen), store.shape[1] - 1, len(FEATURE_NAMES)))
+        for (j, obj), rows in groups.items():
+            stored = index[rows]
+            feats[rows, j] = extract_features(store[stored, 0],
+                                              store[stored, 1 + j], catalog[obj])
+        blocks[u] = feats.reshape(-1, len(FEATURE_NAMES))
+    return DesignMatrix(
+        x=_variant_rows(blocks, variant, steps),
+        y=np.array([s.labels[obj] for s in chosen for obj in s.targets],
+                   dtype=np.int64),
+        sample_ids=tuple(s.sample_id for s in chosen for _ in s.targets),
+        object_ids=tuple(obj for s in chosen for obj in s.targets),
+        feature_names=names, variant=variant, steps=steps)
 
 
-def live_features(pfi_by_step: dict[int, np.ndarray],
-                  attn_by_step: dict[int, np.ndarray], spec: ObjectSpec,
-                  variant: str, steps) -> np.ndarray:
-    """Single feature row from in-memory captures (runtime path)."""
+def live_features(captured: dict[int, np.ndarray], target: int,
+                  spec: ObjectSpec, variant: str, steps) -> np.ndarray:
+    """Single feature row of one attempt's ``target``-th target from its
+    in-memory captures (runtime path).
+
+    ``captured`` maps each capture label to the attempt's channels in the
+    stored layout: ``(1 + n_targets, n, n)``, the predicted final image
+    first, then the attention maps in target order.
+    """
     steps = tuple(sorted(int(u) for u in steps))
-    blocks = {u: extract_features(pfi_by_step[u], attn_by_step[u], spec)
+    blocks = {u: extract_features(captured[u][None, 0],
+                                  captured[u][None, 1 + target], spec)
               for u in steps}
-    return _variant_row(blocks, variant, steps)
+    return _variant_rows(blocks, variant, steps)[0]
 
 
 @dataclass(frozen=True)

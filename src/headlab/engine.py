@@ -97,9 +97,11 @@ class MixtureBank:
     mixtures: tuple[MixtureSpec, ...]
 
     def __post_init__(self):
-        if len({(len(m.components), m.grid_size) for m in self.mixtures}) != 1:
+        if len({(len(m.components), len(m.targets), m.grid_size)
+                for m in self.mixtures}) != 1:
             raise UsageError("a mixture bank needs at least one mixture, all "
-                             "with the same component count and grid size")
+                             "with the same component count, target count "
+                             "and grid size")
 
     @property
     def grid_size(self) -> int:
@@ -121,11 +123,27 @@ class MixtureBank:
 
 @dataclass(frozen=True)
 class CapturedStep:
-    """Mid-generation snapshot: projected final image plus attention maps."""
+    """Mid-generation snapshots of a batch: noise indices ``t`` (B,),
+    projected final images ``pfi`` (B, n, n) and attention maps
+    ``attention`` (B, n_targets, n, n), in the order of each mixture's
+    targets.  The single-latent calls hand out one row of each: an int
+    ``t``, ``pfi`` (n, n) and ``attention`` (n_targets, n, n)."""
 
-    t: int
+    t: np.ndarray | int
     pfi: np.ndarray
-    attention: dict[str, np.ndarray]
+    attention: np.ndarray
+
+    @property
+    def channels(self) -> np.ndarray:
+        """The predicted final image, then the attention maps, stacked on
+        the axis before the image axes: ``(B, 1 + n_targets, n, n)``."""
+        return np.concatenate([self.pfi[..., None, :, :], self.attention],
+                              axis=-3)
+
+    def row(self, b: int) -> "CapturedStep":
+        """Row ``b`` of a batch, as views."""
+        return CapturedStep(t=int(self.t[b]), pfi=self.pfi[b],
+                            attention=self.attention[b])
 
 
 @dataclass(frozen=True)
@@ -329,8 +347,8 @@ def trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
 
 
 def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
-                  z: np.ndarray, post: Posterior | None) -> list[CapturedStep]:
-    """Snapshot trajectory points: predicted final image plus attention.
+                  z: np.ndarray, post: Posterior | None) -> CapturedStep:
+    """Snapshot trajectory points: predicted final images plus attention.
 
     Rows are as in :func:`batch_posterior`, and ``post`` is the posterior it
     returned for them; when None it is evaluated here, once for all rows
@@ -341,25 +359,24 @@ def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
     (Tweedie); at ``t = 0`` it is a copy of ``z``.  The attention map of a
     target is ``sum over components containing it of r_k * its placed
     template``; values stay in [0, 1] because responsibilities sum to one
-    and templates peak at one.
+    and templates peak at one.  One einsum per mixture fills the maps of
+    all its rows and targets.
     """
     if post is None:
         post = batch_posterior(bank, which, schedule, t, z)
     pfi = ddim_step(z, post.eps, t, 0, schedule)
+    mixtures = bank.mixtures
     if isinstance(which, np.ndarray) and which.ndim:
-        groups = [(m, (which == m).nonzero()[0]) for m in np.unique(which)]
+        attention = np.empty((len(z), len(mixtures[0].targets)) + z.shape[1:])
+        for m in np.unique(which):
+            rows = (which == m).nonzero()[0]
+            attention[rows] = np.einsum("bk,okij->boij", post.r[rows],
+                                        mixtures[m].template_stacks)
     else:
-        groups = [(which, np.arange(len(z)))]
-    attention: list[dict[str, np.ndarray]] = [{} for _ in z]
-    for m, rows in groups:
-        # per target: (K, H, W) templates, zeros where absent
-        for obj, stack in bank.mixtures[m].template_stacks.items():
-            maps = np.einsum("bk,kij->bij", post.r[rows], stack)
-            for row, amap in zip(rows, maps):
-                attention[row][obj] = amap
-    t = t.tolist() if isinstance(t, np.ndarray) and t.ndim else [int(t)] * len(z)
-    return [CapturedStep(t=t[b], pfi=pfi[b], attention=attention[b])
-            for b in range(len(z))]
+        attention = np.einsum("bk,okij->boij", post.r,
+                              mixtures[which].template_stacks)
+    return CapturedStep(t=np.broadcast_to(t, len(z)), pfi=pfi,
+                        attention=attention)
 
 
 def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
@@ -372,7 +389,7 @@ def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
     else:
         post = None
     return batch_capture(MixtureBank((mixture,)), 0, schedule, t, z[None],
-                         post)[0]
+                         post).row(0)
 
 
 def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -393,9 +410,9 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
     z_final = None
     for t, z, post in lockstep(mixture, schedule, seeds):
         if t in wanted:
-            for row, cap in zip(captures, batch_capture(bank, 0, schedule, t,
-                                                        z, post)):
-                row.append(cap)
+            cap = batch_capture(bank, 0, schedule, t, z, post)
+            for b, row in enumerate(captures):
+                row.append(cap.row(b))
         if t == 0:
             z_final = z
     dists = np.linalg.norm(mixture.means_matrix[None]

@@ -111,13 +111,13 @@ class _Run:
 @dataclass
 class _Attempt:
     """An attempt in flight: its run (a position in the arm's runs), its
-    index and seed, and what it has captured and decided so far."""
+    index and seed, and what it has captured and decided so far; captures
+    are its rows of :attr:`CapturedStep.channels`, by capture label."""
 
     run: int
     index: int
     seed: int
-    pfi_by: dict[int, np.ndarray] = field(default_factory=dict)
-    attn_by: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
+    captured: dict[int, np.ndarray] = field(default_factory=dict)
     verdicts: dict[str, int] | None = None
 
 
@@ -152,9 +152,7 @@ def _run_pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     def attempt(run: int, index: int) -> _Attempt:
         spec = runs[run]
         seed = mix64(root_seed, spec.prompt_index, spec.run_index, index)
-        targets = bank.mixtures[spec.mixture].targets
-        return _Attempt(run=run, index=index, seed=seed,
-                        attn_by={obj: {} for obj in targets})
+        return _Attempt(run=run, index=index, seed=seed)
 
     while True:
         while (failed is None and next_run < len(runs)
@@ -177,16 +175,13 @@ def _run_pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 caps = batch_capture(bank, which[rows], schedule, t[rows],
                                      z[rows], Posterior(r=post.r[rows],
                                                         eps=post.eps[rows]))
-                for row, cap in zip(rows, caps):
-                    a = live[row]
-                    a.pfi_by[T - cap.t] = cap.pfi
-                    for obj, amap in cap.attention.items():
-                        a.attn_by[obj][T - cap.t] = amap
+                for row, u, channels in zip(rows, T - caps.t, caps.channels):
+                    live[row].captured[int(u)] = channels
             for row in (t == T - decision).nonzero()[0]:
                 a = live[row]
                 a.verdicts = {}
-                for obj, attn_by in a.attn_by.items():
-                    features = live_features(a.pfi_by, attn_by, catalog[obj],
+                for j, obj in enumerate(bank.mixtures[which[row]].targets):
+                    features = live_features(a.captured, j, catalog[obj],
                                              model.variant, model.steps)
                     a.verdicts[obj] = int(model.predict(features)[0])
                 if not all(a.verdicts.values()):
@@ -228,16 +223,20 @@ def _run_arm(mixtures, runs: list[_Run], schedule: NoiseSchedule,
              root_seed: int, label_threshold: float) -> tuple[RunTrace, ...]:
     """Every run of one policy arm; traces in the order of ``runs``.
 
-    A lockstep batch needs one component count, so mixtures with different
-    counts (prompts with different numbers of targets) run in separate
-    pools.  Raises ``RestartLimitExceeded`` for the first run, in the order
-    of ``runs``, that no attempt within ``max_restarts`` completes.
+    A lockstep batch needs one component count and one target count, so
+    mixtures that differ in either run in separate pools.  Raises
+    ``RestartLimitExceeded`` for the first run, in the order of ``runs``,
+    that no attempt within ``max_restarts`` completes.
     """
     policy.validate(schedule.T)
     traces: list[RunTrace | None] = [None] * len(runs)
     failures = []
-    for size in sorted({len(m.components) for m in mixtures}):
-        members = [i for i, m in enumerate(mixtures) if len(m.components) == size]
+
+    def shape(m: MixtureSpec) -> tuple[int, int]:
+        return len(m.components), len(m.targets)
+
+    for size in sorted({shape(m) for m in mixtures}):
+        members = [i for i, m in enumerate(mixtures) if shape(m) == size]
         local = {i: k for k, i in enumerate(members)}
         positions = [p for p, run in enumerate(runs) if run.mixture in local]
         bank = MixtureBank(tuple(mixtures[i] for i in members))

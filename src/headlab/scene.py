@@ -76,9 +76,10 @@ class ObjectSpec:
         """Matched-filter response ``<image, g_p> / ||g_p||^2`` per position.
 
         A noiseless unit blob at candidate position p responds exactly 1.0 at
-        that position.
+        that position.  A stack of images, shape ``(..., H, W)``, gives one
+        response per image and position, shape ``(..., P)``.
         """
-        overlaps = np.einsum("pij,ij->p", self._placed_stack, image)
+        overlaps = np.einsum("pij,...ij->...p", self._placed_stack, image)
         return overlaps / self._placed_energy
 
 
@@ -239,16 +240,17 @@ class MixtureSpec:
         return np.stack([c.mean.ravel() for c in self.components])
 
     @cached_property
-    def template_stacks(self) -> dict[str, np.ndarray]:
-        """Per object: (K, H, W) placed templates, all-zero where absent."""
-        stacks: dict[str, np.ndarray] = {}
-        for i, (object_id, spec) in enumerate(zip(self.targets, self.objects)):
-            stack = np.zeros((len(self.components), self.grid_size, self.grid_size))
+    def template_stacks(self) -> np.ndarray:
+        """Per target, in target order, the (K, H, W) placed templates of
+        the components, all-zero where the target is absent: shape
+        ``(n_targets, K, H, W)``."""
+        stacks = np.zeros((len(self.targets), len(self.components),
+                           self.grid_size, self.grid_size))
+        for i, spec in enumerate(self.objects):
             for k, comp in enumerate(self.components):
                 choice = comp.position_choice[i]
                 if choice is not None:
-                    stack[k] = spec._placed_stack[choice]
-            stacks[object_id] = stack
+                    stacks[i, k] = spec._placed_stack[choice]
         return stacks
 
 

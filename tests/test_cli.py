@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
 from headlab.detector import DetectorModel
 from headlab.errors import UsageError
+from headlab.scene import default_catalog, dump_catalog
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
                              "objects": ["bench", "kite", "drum"],
@@ -159,16 +162,50 @@ def test_make_dataset_reports_size(cli_dataset, capsys, config_path,
     assert snapshot["dataset"]["seeds_per_prompt"] == 4
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_make_dataset_is_byte_deterministic(cli_dataset, config_path,
                                             tmp_path):
     again = tmp_path / "again"
     assert _quiet(["make-dataset", "--config", str(config_path),
                    "--out", str(again)]) == 0
-    for name in ("manifest.jsonl", "catalog.txt"):
-        assert (again / name).read_bytes() == (cli_dataset / name).read_bytes()
-    probe = "p000s00/final.bin"
-    assert ((again / "tensors" / probe).read_bytes() ==
-            (cli_dataset / "tensors" / probe).read_bytes())
+    assert _files(again) == _files(cli_dataset)
+
+
+def test_make_dataset_writes_one_file_per_step(cli_dataset):
+    """Guards the packed store against a return to per-sample files: the
+    step tensors, final.bin, the manifest, the catalog and the snapshot."""
+    files = [p for p in cli_dataset.rglob("*") if p.is_file()]
+    steps = TINY_SECTIONS["dataset"]["critical_steps"]
+    assert len(files) == len(steps) + 4
+
+
+def test_make_dataset_over_a_catalog_of_mixed_position_counts(tmp_path):
+    """Prompts of 6, 9 and 12 components in one corpus: generated, trained
+    and evaluated without error."""
+    catalog = default_catalog()
+    catalog["kite"] = replace(catalog["kite"], candidate_positions=(
+        *catalog["kite"].candidate_positions, (8, 12)))
+    catalog["drum"] = replace(catalog["drum"], candidate_positions=(
+        catalog["drum"].candidate_positions[0],))
+    dump_catalog(catalog, tmp_path / "mixed.txt")
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({"dataset": {
+        "subjects": ["cat", "dog", "fox", "owl"],
+        "objects": ["kite", "bench", "drum"], "seeds_per_prompt": 3,
+        "critical_steps": [0, 4, 16], "split_fractions": [0.5, 0.25, 0.25]}}),
+        encoding="utf-8")
+    data, model = tmp_path / "ds", tmp_path / "m"
+    assert _quiet(["make-dataset", "--config", str(config), "--catalog",
+                   str(tmp_path / "mixed.txt"), "--out", str(data)]) == 0
+    assert _quiet(["train", "--dataset", str(data), "--out", str(model),
+                   "--steps", "16"]) == 0
+    assert _quiet(["eval", "--dataset", str(data), "--model",
+                   str(model / "model.json"), "--split", "val",
+                   "--out", str(tmp_path / "ev")]) == 0
 
 
 # ------------------------------------------------------------- detector
@@ -239,6 +276,96 @@ def test_truncated_manifest_names_file_and_line(cli_dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}:4:") and err.count("\n") == 1
     assert not (tmp_path / "m").exists()
+
+
+def _edited_copy(cli_dataset, tmp_path, line_no, **changes):
+    """A copy of the CLI dataset whose manifest line ``line_no`` (1-based)
+    has ``changes`` applied."""
+    import shutil
+
+    root = tmp_path / "ds"
+    shutil.copytree(cli_dataset, root)
+    manifest = root / "manifest.jsonl"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    obj = json.loads(lines[line_no - 1])
+    obj.update(changes)
+    lines[line_no - 1] = json.dumps(obj) + "\n"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("line_no, changes, detail", [
+    (2, {"prompt_index": "0"}, "sample.prompt_index: expected int"),
+    (2, {"labels": {"cat": "1", "bench": 0}}, "sample.labels: expected int"),
+    (3, {"complete": 1}, "sample.complete: expected bool"),
+    (3, {"targets": ["cat", "kite"]}, "prompt grid"),
+    (2, {"prompt_index": 99}, "prompt grid"),
+])
+def test_sample_value_of_wrong_type_exits_2(cli_dataset, tmp_path, capsys,
+                                             line_no, changes, detail):
+    root = _edited_copy(cli_dataset, tmp_path, line_no, **changes)
+    rc = main(["train", "--dataset", str(root), "--steps", "16",
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    where = f"error: {root / 'manifest.jsonl'}:{line_no}: "
+    assert err.startswith(where) and err.count("\n") == 1
+    assert detail in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_version_1_manifest_exits_2(cli_dataset, tmp_path, capsys):
+    root = _edited_copy(cli_dataset, tmp_path, 1, format_version=1)
+    rc = main(["train", "--dataset", str(root), "--steps", "16",
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / 'manifest.jsonl'}:1: ")
+    assert "unsupported manifest version 1" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 16, 16), (48, 2, 16, 16),
+                                   (48, 3, 8, 8), None])
+def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,
+                                             shape):
+    import shutil
+
+    from headlab.tensorio import tensor_bytes
+
+    model = tmp_path / "u8" / "model.json"
+    assert _quiet(["train", "--dataset", str(cli_dataset), "--steps", "8",
+                   "--out", str(model.parent)]) == 0
+    root = tmp_path / "ds"
+    shutil.copytree(cli_dataset, root)
+    step = root / "tensors" / "8.bin"
+    if shape is None:  # truncated
+        step.write_bytes(step.read_bytes()[:-4])
+    else:
+        step.write_bytes(tensor_bytes(np.zeros(shape)))
+    for argv in (["train", "--steps", "8"],
+                 ["eval", "--model", str(model)]):
+        rc = main([*argv, "--dataset", str(root), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {step}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc, message", [(KeyboardInterrupt, "interrupted"),
+                                          (MemoryError, "out of memory")])
+def test_interrupt_and_memory_exhaustion_exit_2(monkeypatch, capsys, exc,
+                                               message):
+    from headlab import cli
+
+    def fail(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_cmd_sweep_p", fail)
+    rc = main(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+               "--t-last", "8", "--out", "unused"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line", [

@@ -1,13 +1,16 @@
 """Dataset protocol: grid, labeling, persistence, splits, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from headlab import dataset
 from headlab.dataset import (TENSOR_DIR, DatasetConfig, build_prompt_grid,
-                             generate_dataset, label_image, load_captures,
-                             load_manifest, split_prompts)
+                             generate_dataset, label_image, load_manifest,
+                             load_step, split_prompts)
+from headlab.engine import make_schedule, sample_batch
 from headlab.errors import MissingCapture, UsageError
 from headlab.rng import mix64
 from headlab.scene import build_conditional_mixture, render_mean_image
@@ -120,17 +123,17 @@ def test_manifest_roundtrip(tiny_dataset):
 
 def test_tensor_layout_and_loading(tiny_dataset):
     mani = tiny_dataset.manifest
-    s = mani.samples[3]
-    caps = load_captures(tiny_dataset.root, s.sample_id,
-                         mani.config.critical_steps, s.targets)
-    assert set(caps) == set(mani.config.critical_steps)
+    steps = mani.config.critical_steps
+    names = sorted(p.name for p in (tiny_dataset.root / TENSOR_DIR).iterdir())
+    assert names == sorted([f"{u}.bin" for u in steps] + ["final.bin"])
+    i = 3
+    s = mani.samples[i]
+    caps = {u: load_step(tiny_dataset.root, mani, u, 16)[i] for u in steps}
     for u, cap in caps.items():
-        assert cap["pfi"].shape == (16, 16)
-        for obj in s.targets:
-            assert cap["attn"][obj].shape == (16, 16)
-    final = read_tensor(tiny_dataset.root / TENSOR_DIR / s.sample_id
-                        / "final.bin")
-    assert final.shape == (16, 16)
+        assert cap.shape == (1 + len(s.targets), 16, 16)
+    finals = read_tensor(tiny_dataset.root / TENSOR_DIR / "final.bin")
+    assert finals.shape == (len(mani.samples), 16, 16)
+    final = finals[i]
     # the label-0 snapshot carries no signal yet: its projected final image
     # is the prior blend over all components, not any one clean image
     mixture = build_conditional_mixture(s.targets, mani.config.faithfulness,
@@ -138,14 +141,62 @@ def test_tensor_layout_and_loading(tiny_dataset):
                                         s2=mani.config.component_std ** 2)
     prior_blend = (np.asarray(mixture.weights)
                    @ mixture.means_matrix).reshape(16, 16)
-    assert np.allclose(caps[0]["pfi"], prior_blend, atol=0.05)
+    assert np.allclose(caps[0][0], prior_blend, atol=0.05)
     # the finished image commits to one component: a full-height peak
-    assert final.max() > 0.9 > caps[0]["pfi"].max()
+    assert final.max() > 0.9 > caps[0][0].max()
+
+
+def _assert_rows_equal_per_prompt_batches(root, mani, catalog):
+    cfg = mani.config
+    schedule = make_schedule(cfg.num_steps)
+    stored = {u: load_step(root, mani, u, 16) for u in cfg.critical_steps}
+    finals = read_tensor(root / TENSOR_DIR / "final.bin")
+    wanted = [cfg.num_steps - u for u in cfg.critical_steps]
+    for i, prompt in enumerate(build_prompt_grid(cfg.subjects, cfg.objects)):
+        mixture = build_conditional_mixture(prompt.targets, cfg.faithfulness,
+                                            catalog, s2=cfg.component_std ** 2)
+        rows = [b for b, s in enumerate(mani.samples) if s.prompt_index == i]
+        records = sample_batch(mixture, schedule,
+                               [mani.samples[b].run_seed for b in rows], wanted)
+        for b, record in zip(rows, records):
+            assert mani.samples[b].nearest_component == record.nearest_component
+            assert np.array_equal(finals[b],
+                                  record.final_image.astype(np.float32))
+            for cap in record.captures:
+                row = stored[cfg.num_steps - cap.t][b]
+                assert np.array_equal(row[0], cap.pfi.astype(np.float32))
+                assert np.array_equal(row[1:], cap.attention.astype(np.float32))
+
+
+def test_stored_rows_equal_per_prompt_batches(tiny_dataset):
+    """Whole-corpus chunks store what each prompt's own lockstep batch
+    captures, cast to float32."""
+    _assert_rows_equal_per_prompt_batches(
+        tiny_dataset.root, tiny_dataset.manifest, tiny_dataset.catalog)
+
+
+def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
+    """Objects with 1, 2 and 3 candidate positions give prompts of 6, 9 and
+    12 components; chunks never mix two counts, yet every row still equals
+    its prompt's own batch.  In manifest order the counts run 12, 9, 9, 6
+    per subject, so two 9-component prompts share a chunk."""
+    mixed = dict(catalog)
+    mixed["kite"] = replace(catalog["kite"], candidate_positions=(
+        *catalog["kite"].candidate_positions, (8, 12)))
+    mixed["drum"] = replace(catalog["drum"], candidate_positions=(
+        catalog["drum"].candidate_positions[0],))
+    cfg = DatasetConfig(subjects=("cat", "dog"),
+                        objects=("kite", "bench", "lamp", "drum"),
+                        seeds_per_prompt=3, critical_steps=(0, 4, 16))
+    monkeypatch.setattr(dataset, "CHUNK_ROWS", 4)
+    mani = generate_dataset(cfg, mixed, tmp_path)
+    assert len(mani.samples) == 24
+    _assert_rows_equal_per_prompt_batches(tmp_path, load_manifest(tmp_path), mixed)
 
 
 def test_missing_capture_error(tiny_dataset):
     with pytest.raises(MissingCapture):
-        load_captures(tiny_dataset.root, "p000s00", (3,), ("cat",))
+        load_step(tiny_dataset.root, tiny_dataset.manifest, 3, 16)
 
 
 def test_split_accessor(tiny_dataset):
@@ -164,20 +215,51 @@ def test_generation_rejects_missing_catalog_entries(tmp_path, catalog):
         generate_dataset(cfg, catalog, tmp_path / "x")
 
 
-def test_byte_determinism_and_jobs_merge(tmp_path, catalog):
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_generate_dataset_is_byte_deterministic(tmp_path, catalog):
     cfg = DatasetConfig(subjects=("cat", "dog"), objects=("bench",),
                         seeds_per_prompt=2, critical_steps=(0, 4),
                         split_fractions=(0.5, 0.25, 0.25))
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    generate_dataset(cfg, catalog, a, jobs=1)
-    generate_dataset(cfg, catalog, b, jobs=1)
-    generate_dataset(cfg, catalog, c, jobs=2)
-    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    a, b = tmp_path / "a", tmp_path / "b"
+    generate_dataset(cfg, catalog, a)
+    generate_dataset(cfg, catalog, b)
+    files = _files(a)
     assert files, "dataset produced no files"
-    for rel in files:
-        bytes_a = (a / rel).read_bytes()
-        assert bytes_a == (b / rel).read_bytes(), f"rerun differs: {rel}"
-        assert bytes_a == (c / rel).read_bytes(), f"jobs=2 differs: {rel}"
+    assert files == _files(b)
+
+
+def test_chunk_size_changes_no_byte(tmp_path, catalog, monkeypatch):
+    cfg = DatasetConfig(subjects=("cat", "dog", "owl"), objects=("bench", "kite"),
+                        seeds_per_prompt=3, critical_steps=(0, 4, 16),
+                        split_fractions=(0.5, 0.25, 0.25))
+    built = []
+    for rows in (1, 5, 16):
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        generate_dataset(cfg, catalog, tmp_path / str(rows))
+        built.append(_files(tmp_path / str(rows)))
+    assert built[0] == built[1] == built[2]
+
+
+def test_design_matrix_reads_each_step_once(tiny_dataset, monkeypatch):
+    """Guards the packed store: a design matrix reads one tensor per step,
+    never one per sample."""
+    from headlab.detector import build_design_matrix
+
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return read_tensor(path)
+
+    monkeypatch.setattr(dataset, "read_tensor", counting)
+    steps = (0, 4, 16)
+    build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
+                        tiny_dataset.catalog, steps, variant="multi_timestep")
+    assert len(reads) == len(steps)
 
 
 def test_manifest_has_no_timestamps(tiny_dataset):

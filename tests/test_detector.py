@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from headlab.dataset import load_captures
+from headlab.dataset import load_step
 from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
                               build_design_matrix, calibrate_threshold,
                               evaluate_detector, extract_features,
@@ -26,7 +26,7 @@ def test_feature_values_on_crafted_inputs():
     spec = _solo_spec()
     pfi = spec.placed_template((8, 8))
     attention = np.ones((16, 16))
-    feats = extract_features(pfi, attention, spec)
+    feats = extract_features(pfi[None], attention[None], spec)[0]
     named = dict(zip(FEATURE_NAMES, feats))
     assert named["attn_max"] == 1.0
     assert named["attn_mean"] == 1.0
@@ -42,7 +42,7 @@ def test_feature_gap_with_two_positions():
     spec = _solo_spec(((4, 4), (12, 12)))
     pfi = spec.placed_template((12, 12))
     feats = dict(zip(FEATURE_NAMES,
-                     extract_features(pfi, np.zeros((16, 16)), spec)))
+                     extract_features(pfi[None], np.zeros((1, 16, 16)), spec)[0]))
     assert feats["pfi_match"] == pytest.approx(1.0, abs=1e-6)
     assert feats["pfi_match_gap"] > 0.9
     assert feats["attn_max"] == 0.0
@@ -52,8 +52,8 @@ def test_feature_gap_with_two_positions():
 def test_features_match_after_disk_roundtrip():
     spec = _solo_spec()
     rng = np.random.default_rng(0)
-    pfi = rng.normal(size=(16, 16))
-    attention = rng.uniform(size=(16, 16))
+    pfi = rng.normal(size=(3, 16, 16))
+    attention = rng.uniform(size=(3, 16, 16))
     direct = extract_features(pfi, attention, spec)
     roundtrip = extract_features(tensor_from_bytes(tensor_bytes(pfi)),
                                  tensor_from_bytes(tensor_bytes(attention)),
@@ -64,7 +64,9 @@ def test_features_match_after_disk_roundtrip():
 def test_feature_shape_mismatch():
     spec = _solo_spec()
     with pytest.raises(DimensionMismatch):
-        extract_features(np.zeros((16, 16)), np.zeros((8, 8)), spec)
+        extract_features(np.zeros((1, 16, 16)), np.zeros((1, 8, 8)), spec)
+    with pytest.raises(DimensionMismatch):
+        extract_features(np.zeros((16, 16)), np.zeros((16, 16)), spec)
 
 
 def test_feature_names_for_variants():
@@ -276,7 +278,8 @@ def test_live_features_equal_disk_features(tiny_dataset):
     mani = tiny_dataset.manifest
     cfg = mani.config
     sch = make_schedule(cfg.num_steps)
-    sample = mani.samples[5]
+    row = 5
+    sample = mani.samples[row]
     mix = build_conditional_mixture(sample.targets, cfg.faithfulness,
                                     tiny_dataset.catalog,
                                     s2=cfg.component_std ** 2)
@@ -284,14 +287,53 @@ def test_live_features_equal_disk_features(tiny_dataset):
     record = sample_with_capture(mix, sch, sample.run_seed,
                                  {cfg.num_steps - u for u in steps})
     cap = record.captures[0]
-    stored = load_captures(tiny_dataset.root, sample.sample_id, steps,
-                           sample.targets)
-    for obj in sample.targets:
-        live = live_features({8: cap.pfi}, {8: cap.attention[obj]},
-                             tiny_dataset.catalog[obj], "combined", steps)
-        disk = extract_features(stored[8]["pfi"], stored[8]["attn"][obj],
-                                tiny_dataset.catalog[obj])
+    stored = load_step(tiny_dataset.root, mani, 8, 16)[row]
+    for j, obj in enumerate(sample.targets):
+        live = live_features({8: cap.channels}, j, tiny_dataset.catalog[obj],
+                             "combined", steps)
+        disk = extract_features(stored[None, 0], stored[None, 1 + j],
+                                tiny_dataset.catalog[obj])[0]
         assert np.array_equal(live, disk)
+
+
+def _row_features(pfi, attention, spec):
+    """The six features of one capture, computed row by row as before
+    feature extraction was batched."""
+    pfi = np.asarray(pfi, dtype=np.float32).astype(np.float64)
+    attention = np.asarray(attention, dtype=np.float32).astype(np.float64)
+    flat = attention.ravel()
+    total = float(flat.sum())
+    k = max(1, round(0.05 * flat.size))
+    topmass = float(np.sort(flat)[-k:].sum()) / total if total > 0.0 else 0.0
+    responses = spec.filter_responses(pfi)
+    order = np.argsort(responses)
+    best = int(order[-1])
+    match = float(responses[best])
+    gap = float(responses[best] - responses[order[-2]]) if responses.size > 1 else 0.0
+    r, c = spec.candidate_positions[best]
+    patch = pfi[max(0, r - 2):r + 3, max(0, c - 2):c + 3]
+    return np.array([float(flat.max()), float(flat.mean()), topmass,
+                     match, gap, float(np.mean(patch ** 2))])
+
+
+def test_batched_features_equal_row_by_row_features(tiny_dataset):
+    mani = tiny_dataset.manifest
+    catalog = tiny_dataset.catalog
+    compared = 0
+    for u in mani.config.critical_steps:
+        store = load_step(tiny_dataset.root, mani, u, 16)
+        for j in range(store.shape[1] - 1):
+            for obj in {s.targets[j] for s in mani.samples}:
+                rows = [b for b, s in enumerate(mani.samples)
+                        if s.targets[j] == obj]
+                got = extract_features(store[rows, 0], store[rows, 1 + j],
+                                       catalog[obj])
+                for g, b in zip(got, rows):
+                    want = _row_features(store[b, 0], store[b, 1 + j],
+                                         catalog[obj])
+                    assert np.array_equal(g, want), (u, b, obj)
+                    compared += 1
+    assert compared == len(mani.config.critical_steps) * 2 * len(mani.samples)
 
 
 def test_fit_detector_learns_dataset(tiny_dataset):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from headlab import engine
-from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
+from headlab.dataset import (CHUNK_ROWS, DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
 from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
                             batch_capture, batch_posterior, capture_step,
@@ -13,7 +13,7 @@ from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
                             sample_with_capture, trajectory)
 from headlab.errors import DegenerateVariance, InvalidT, UsageError
 from headlab.rng import SplitMix64, mix64
-from headlab.scene import build_conditional_mixture
+from headlab.scene import ObjectSpec, build_conditional_mixture
 
 
 # ------------------------------------------------------------- schedule
@@ -223,9 +223,9 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
-        for obj in ("cat", "bench"):
-            amap = capture_step(mix, schedule, t, z, None).attention[obj]
-            assert amap.shape == (16, 16)
+        maps = capture_step(mix, schedule, t, z, None).attention
+        assert maps.shape == (2, 16, 16)  # cat, then bench
+        for amap in maps:
             assert amap.min() >= 0.0
             assert amap.max() <= 1.0 + 1e-12
 
@@ -235,7 +235,7 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = capture_step(mix, schedule, 1, z, None).attention["cat"]
+    amap = capture_step(mix, schedule, 1, z, None).attention[0]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -269,7 +269,7 @@ def test_capture_contents(catalog, schedule):
     by_t = {c.t: c for c in record.captures}
     assert set(by_t) == {0, 30, schedule.T}
     assert np.array_equal(by_t[0].pfi, record.final_image)
-    assert set(by_t[30].attention) == {"cat", "bench"}
+    assert by_t[30].attention.shape == (2, 16, 16)  # cat, then bench
     # a capture's projection should already resemble a clean image
     assert by_t[30].pfi.max() < 2.0
 
@@ -285,8 +285,7 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     for cap in record.captures:
         fresh = capture_step(mix, schedule, cap.t, latents[cap.t], None)
         assert np.array_equal(cap.pfi, fresh.pfi)
-        for obj in mix.targets:
-            assert np.array_equal(cap.attention[obj], fresh.attention[obj])
+        assert np.array_equal(cap.attention, fresh.attention)
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
@@ -334,10 +333,12 @@ def test_sampler_respects_seed_and_nearest_component(catalog, schedule):
     assert dists[a.nearest_component] < 1.0
 
 
-def test_dataset_generation_evaluates_one_posterior_per_prompt_step(
+def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
         catalog, tmp_path, monkeypatch):
-    """A prompt's seeds share each denoising step's kernel call."""
-    config = DatasetConfig(subjects=("cat", "dog"), objects=("bench", "kite"),
+    """A chunk's rows, whatever their prompts, share each denoising step's
+    kernel call."""
+    config = DatasetConfig(subjects=("cat", "dog", "owl"),
+                           objects=("bench", "kite"),
                            seeds_per_prompt=3, critical_steps=(0, 8),
                            split_fractions=(0.5, 0.25, 0.25))
     calls = []
@@ -345,8 +346,9 @@ def test_dataset_generation_evaluates_one_posterior_per_prompt_step(
     monkeypatch.setattr(engine, "_log_responsibilities",
                         lambda *args: calls.append(1) or original(*args))
     generate_dataset(config, catalog, tmp_path / "ds")
-    prompts = len(config.subjects) * len(config.objects)
-    assert len(calls) == prompts * config.num_steps
+    rows = len(config.subjects) * len(config.objects) * config.seeds_per_prompt
+    assert rows == 18 > CHUNK_ROWS
+    assert len(calls) == -(-rows // CHUNK_ROWS) * config.num_steps
 
 
 # ------------------------------------------------------------- batching
@@ -366,7 +368,8 @@ def _reference_trajectory(mixture, schedule, seed):
                   - np.einsum("kd,kd->k", diffs, diffs) / (2.0 * v))
         r = np.exp(logits - logsumexp(logits))
         attention = {o: np.einsum("k,kij->ij", r, stack)
-                     for o, stack in mixture.template_stacks.items()}
+                     for o, stack in zip(mixture.targets,
+                                         mixture.template_stacks)}
         if t == 0:
             out.append((t, z, r, None, z.copy(), attention))
             break
@@ -402,8 +405,9 @@ def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
             assert g[0] == w[0]
             for a, b in zip(g[1:5], w[1:5]):
                 assert (a is None and b is None) or np.array_equal(a, b)
-            assert list(g[5]) == list(w[5])
-            assert all(np.array_equal(g[5][o], w[5][o]) for o in w[5])
+            assert len(g[5]) == len(w[5])
+            assert all(np.array_equal(g[5][j], w[5][o])
+                       for j, o in enumerate(w[5]))
 
 
 @pytest.fixture(scope="module")
@@ -451,10 +455,8 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
             assert np.array_equal(z[b], z1)
             assert np.array_equal(post.r[k], r1)
             assert eps1 is None or np.array_equal(post.eps[k], eps1)
-            assert caps[k].t == t[b] and np.array_equal(caps[k].pfi, pfi1)
-            assert list(caps[k].attention) == list(attention1)
-            for obj, amap in attention1.items():
-                assert np.array_equal(caps[k].attention[obj], amap)
+            assert caps.t[k] == t[b] and np.array_equal(caps.pfi[k], pfi1)
+            assert np.array_equal(caps.attention[k], attention1)
             compared += 1
         z[live] = ddim_step(z[live], post.eps, t[live],
                             np.maximum(t[live] - 1, 0), schedule)
@@ -473,15 +475,19 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
         assert [c.t for c in got.captures] == [c.t for c in want.captures]
         for a, b in zip(got.captures, want.captures):
             assert np.array_equal(a.pfi, b.pfi)
-            assert all(np.array_equal(a.attention[o], b.attention[o])
-                       for o in mix.targets)
+            assert np.array_equal(a.attention, b.attention)
 
 
 def test_mixture_bank_needs_one_component_count(catalog):
     two = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     three = build_conditional_mixture(("cat", "bench", "kite"), 0.8, catalog)
+    # one target at eight positions: nine components, as (cat, bench) has
+    wide = ObjectSpec(object_id="wide", sigma=1.5, grid_size=16,
+                      candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
+    one = build_conditional_mixture(("wide",), 0.8, {"wide": wide})
+    assert len(one.components) == len(two.components)
     assert MixtureBank((two, two)).means.shape == (2, 9, 256)
-    for mixtures in ((), (two, three)):
+    for mixtures in ((), (two, three), (two, one)):
         with pytest.raises(UsageError):
             MixtureBank(mixtures)
 

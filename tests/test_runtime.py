@@ -13,7 +13,8 @@ from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              CampaignReport, CampaignRow, RunPolicy,
                              _bootstrap_ci, measure_campaign, run_arm,
                              run_until_complete, write_campaign_csv)
-from headlab.scene import Prompt, build_conditional_mixture, prompt_text
+from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
+                           prompt_text)
 
 
 def _flat_model(steps, bias):
@@ -250,6 +251,25 @@ def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
                                root_seed=3, prompt_index=i, run_index=j,
                                prompt_id=ids[i])
             for i in range(3) for j in range(2))
+
+
+def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule):
+    """A one-target prompt can have as many components as a two-target
+    one; the two still run in separate pools, each run as if alone."""
+    wide = ObjectSpec(object_id="wide", sigma=1.5, grid_size=16,
+                      candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
+    catalog = {**catalog, "wide": wide}
+    prompts, mixtures = _grid(catalog, [("wide",), ("owl", "drum")], 0.7)
+    assert len(mixtures[0].components) == len(mixtures[1].components)
+    ids = [p.text for p in prompts]
+    policy = RunPolicy(model=_flat_model((4,), bias=0.0))
+    arm = run_arm(mixtures, schedule, policy, catalog, root_seed=3,
+                  runs_per_prompt=2, prompt_ids=ids)
+    assert arm == tuple(
+        run_until_complete(mixtures[i], schedule, policy, catalog,
+                           root_seed=3, prompt_index=i, run_index=j,
+                           prompt_id=ids[i])
+        for i in range(2) for j in range(2))
 
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):

@@ -167,7 +167,7 @@ def test_mixture_validation_errors(catalog):
 
 def test_template_stack_zeroes_absent_components(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    stack = mix.template_stacks["cat"]
+    stack = mix.template_stacks[mix.targets.index("cat")]
     for k, comp in enumerate(mix.components):
         if comp.presence[0]:  # "cat" is target 0
             assert stack[k].max() == pytest.approx(1.0)
