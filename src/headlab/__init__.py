@@ -15,9 +15,7 @@ from .detector import (ConfusionReport, DesignMatrix, DetectorModel,
                        fit_detector, train_logistic)
 from .engine import (CapturedStep, GenerationRecord, MixtureBank,
                      NoiseSchedule, Posterior, batch_capture, batch_posterior,
-                     capture_step, ddim_step, denoise_step, lockstep,
-                     make_schedule, posterior, sample_batch,
-                     sample_with_capture, trajectory)
+                     ddim_step, denoise_step, make_schedule, sample_batch)
 from .errors import (DegenerateLabels, DegenerateVariance, DimensionMismatch,
                      EmptyTargets, GrammarError, HeadLabError, InvalidInput,
                      InvalidT, MissingCapture, MissingReport, NeverAccepts,
@@ -32,7 +30,6 @@ from .timesaver import (AttemptDistribution, PolicyParams, SimReport,
                         baseline_cost, expected_cost_closed_form,
                         monte_carlo_cost, relative_saving, sweep_probability,
                         sweep_tlast)
-from .runtime import (RunPolicy, RunTrace, measure_campaign, run_arm,
-                      run_until_complete)
+from .runtime import RunPolicy, RunTrace, measure_campaign, run_arm
 
 __version__ = "0.1.0"

@@ -147,9 +147,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_dataset(dataset_dir):
+    """The dataset's root, manifest and catalog; a catalog that lacks an
+    object the manifest names raises ``ValueError`` naming the catalog
+    file and the missing ids."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
     catalog = load_catalog(root / CATALOG_NAME)
+    config = manifest.config
+    missing = [name for name in (*config.subjects, *config.objects)
+               if name not in catalog]
+    if missing:
+        raise ValueError(f"{root / CATALOG_NAME}: lacks {missing}, which "
+                         "the manifest names")
     return root, manifest, catalog
 
 

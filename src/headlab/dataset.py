@@ -21,9 +21,9 @@ On-disk layout under the dataset root:
 * ``tensors/final.bin`` - the finished images, shape ``(N, n, n)``.
 
 Generation denoises the samples in manifest order, in lockstep chunks of at
-most ``CHUNK_ROWS`` consecutive samples whose prompts share one component
-count, and streams each chunk's rows into those files, so no corpus-sized
-array is ever held in memory.
+most ``CHUNK_ROWS`` consecutive samples whose prompts share one
+``MixtureBank``, and streams each chunk's rows into those files, so no
+corpus-sized array is ever held in memory.
 """
 
 from __future__ import annotations
@@ -315,16 +315,12 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                                           s2=config.component_std**2)
                 for p in prompts]
 
-    def size(i: int) -> int:
-        return len(mixtures[i].components)
-
-    # A lockstep batch needs one component count: one bank per count, and
-    # each prompt's index in its bank.
-    banks, local = {}, {}
-    for count in sorted({size(i) for i in range(len(prompts))}):
-        members = [i for i in range(len(prompts)) if size(i) == count]
-        banks[count] = MixtureBank(tuple(mixtures[i] for i in members))
-        local.update((i, j) for j, i in enumerate(members))
+    # A lockstep batch needs one bank: each prompt's bank, as a position in
+    # ``banks``, and its index in that bank.
+    banks, place = [], {}
+    for bank, members in MixtureBank.group(mixtures):
+        place.update((i, (len(banks), j)) for j, i in enumerate(members))
+        banks.append(bank)
     T, n = config.num_steps, mixtures[0].grid_size
     schedule = make_schedule(T)
     rows = [(i, s) for i in range(len(prompts))
@@ -337,9 +333,9 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                  for u in config.critical_steps}
         final = files.enter_context(TensorWriter(
             out / TENSOR_DIR / FINAL_NAME, (len(rows), n, n)))
-        for chunk in _chunks(rows, key=lambda row: size(row[0])):
-            bank = banks[size(chunk[0][0])]
-            which = np.array([local[i] for i, _ in chunk])
+        for chunk in _chunks(rows, key=lambda row: place[row[0]][0]):
+            bank = banks[place[chunk[0][0]][0]]
+            which = np.array([place[i][1] for i, _ in chunk])
             seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
             z = np.stack([initial_latent(seed, n) for seed in seeds])
             for t in range(T, 0, -1):

@@ -20,23 +20,21 @@ attention maps.  The engine evaluates it for a batch of latents at once:
 under its own mixture of a :class:`MixtureBank`, and :func:`batch_capture`
 turns that same :class:`Posterior` into predicted final images and
 attention maps, so a capture costs no extra posterior evaluation.
-:func:`denoise_step` advances every row one step, and :func:`lockstep`
-walks several seeds of one mixture together with it.  The
-single-latent calls (:func:`posterior`, :func:`capture_step`,
-:func:`trajectory`, :func:`sample_with_capture`) are batches of one.
+:func:`denoise_step` advances every row one step, and :func:`sample_batch`
+walks several seeds of one mixture from noise to image with it.
 
-Every reduction runs within a row, in the order the single-latent formulas
-use, so a latent's values are bit-identical whatever batch it rides in.
-``logsumexp`` is written out by hand rather than imported from scipy: it
-repeats scipy's own formula operation for operation, row by row, at a tenth
-of the cost of scipy's generic array-API path on a 9-vector.
+Every reduction runs within a row, so a latent's values are the same, bit
+for bit, whatever batch it rides in.  ``logsumexp`` is written out by hand
+rather than imported from scipy: it repeats scipy's own formula operation
+for operation, row by row, at a tenth of the cost of scipy's generic
+array-API path on a 9-vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,20 +86,33 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
     return NoiseSchedule(T=T, alphabar=alphabar)
 
 
+def _bank_key(m: MixtureSpec) -> tuple[int, int, int]:
+    return len(m.components), len(m.targets), m.grid_size
+
+
 @dataclass(frozen=True)
 class MixtureBank:
     """Mixtures stacked for lockstep evaluation; all share one component
-    count and one grid size.  A batch names each row's mixture by its
-    index here."""
+    count, one target count and one grid size.  A batch names each row's
+    mixture by its index here."""
 
     mixtures: tuple[MixtureSpec, ...]
 
     def __post_init__(self):
-        if len({(len(m.components), len(m.targets), m.grid_size)
-                for m in self.mixtures}) != 1:
+        if len({_bank_key(m) for m in self.mixtures}) != 1:
             raise UsageError("a mixture bank needs at least one mixture, all "
                              "with the same component count, target count "
                              "and grid size")
+
+    @staticmethod
+    def group(mixtures) -> list[tuple["MixtureBank", list[int]]]:
+        """The fewest banks holding every mixture of ``mixtures``, each
+        with the positions of its members there, in ascending order."""
+        members: dict[tuple[int, int, int], list[int]] = {}
+        for i, m in enumerate(mixtures):
+            members.setdefault(_bank_key(m), []).append(i)
+        return [(MixtureBank(tuple(mixtures[i] for i in idx)), idx)
+                for _, idx in sorted(members.items())]
 
     @property
     def grid_size(self) -> int:
@@ -126,47 +137,38 @@ class CapturedStep:
     """Mid-generation snapshots of a batch: noise indices ``t`` (B,),
     projected final images ``pfi`` (B, n, n) and attention maps
     ``attention`` (B, n_targets, n, n), in the order of each mixture's
-    targets.  The single-latent calls hand out one row of each: an int
-    ``t``, ``pfi`` (n, n) and ``attention`` (n_targets, n, n)."""
+    targets."""
 
-    t: np.ndarray | int
+    t: np.ndarray
     pfi: np.ndarray
     attention: np.ndarray
 
     @property
     def channels(self) -> np.ndarray:
-        """The predicted final image, then the attention maps, stacked on
-        the axis before the image axes: ``(B, 1 + n_targets, n, n)``."""
-        return np.concatenate([self.pfi[..., None, :, :], self.attention],
-                              axis=-3)
-
-    def row(self, b: int) -> "CapturedStep":
-        """Row ``b`` of a batch, as views."""
-        return CapturedStep(t=int(self.t[b]), pfi=self.pfi[b],
-                            attention=self.attention[b])
+        """The predicted final image, then the attention maps:
+        ``(B, 1 + n_targets, n, n)``."""
+        return np.concatenate([self.pfi[:, None], self.attention], axis=1)
 
 
 @dataclass(frozen=True)
 class Posterior:
-    """The mixture posterior of latent states, evaluated once per step.
-
-    ``r`` holds the component responsibilities and ``eps`` the exact noise
-    prediction.  From :func:`batch_posterior` both carry a leading row axis,
-    and ``eps`` is zero in rows at ``t = 0``; from :func:`posterior` they do
-    not, and ``eps`` is None at ``t = 0``, where no denoising step follows.
-    """
+    """The mixture posteriors of a batch of latent states, evaluated once
+    per step: component responsibilities ``r`` (B, K) and the exact noise
+    prediction ``eps`` (B, n, n), zero in rows at ``t = 0``."""
 
     r: np.ndarray
-    eps: np.ndarray | None
+    eps: np.ndarray
 
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One full deterministic generation and everything captured along it."""
+    """Deterministic generations, one row per seed, and everything captured
+    along them: one batch :class:`CapturedStep` per requested noise index,
+    the finished images (B, n, n) and each image's nearest component (B,)."""
 
     captures: tuple[CapturedStep, ...]
     final_image: np.ndarray
-    nearest_component: int
+    nearest_component: np.ndarray
 
 
 def _within(x, lo, hi) -> bool:
@@ -270,14 +272,6 @@ def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
     return _posterior(bank, which, schedule, t, z)
 
 
-def posterior(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
-              z: np.ndarray) -> Posterior:
-    """The mixture posterior of one latent ``z_t``: :func:`batch_posterior`
-    on a batch of one, with eps None at ``t = 0``."""
-    post = batch_posterior(MixtureBank((mixture,)), 0, schedule, t, z[None])
-    return Posterior(r=post.r[0], eps=None if t == 0 else post.eps[0])
-
-
 def _ddim(z: np.ndarray, eps: np.ndarray, t, t_next,
           schedule: NoiseSchedule) -> np.ndarray:
     t, t_next = _column(t, z.ndim), _column(t_next, z.ndim)
@@ -318,34 +312,6 @@ def initial_latent(seed: int, grid_size: int) -> np.ndarray:
         grid_size, grid_size)
 
 
-def lockstep(mixture: MixtureSpec, schedule: NoiseSchedule,
-             seeds: Sequence[int]) -> Iterator[tuple[int, np.ndarray,
-                                                     Posterior | None]]:
-    """Lazily walk one deterministic generation per seed, all in lockstep.
-
-    Yields ``(t, z_t, posterior)`` with one row per seed at every noise
-    index from T down to 1, before the corresponding DDIM step runs, then
-    a final ``(0, z_0, None)``.  Consumers that stop early never pay for
-    the steps after the next.
-    """
-    bank = MixtureBank((mixture,))
-    z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
-    for t in range(schedule.T, 0, -1):
-        post, z_next = denoise_step(bank, 0, schedule, t, z)
-        yield t, z, post
-        z = z_next
-    yield 0, z, None
-
-
-def trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
-               seed: int) -> Iterator[tuple[int, np.ndarray, Posterior | None]]:
-    """:func:`lockstep` on one seed: yields ``(t, z_t, posterior)`` for a
-    single latent."""
-    for t, z, post in lockstep(mixture, schedule, (seed,)):
-        yield t, z[0], (None if post is None
-                        else Posterior(r=post.r[0], eps=post.eps[0]))
-
-
 def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
                   z: np.ndarray, post: Posterior | None) -> CapturedStep:
     """Snapshot trajectory points: predicted final images plus attention.
@@ -379,50 +345,29 @@ def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
                         attention=attention)
 
 
-def capture_step(mixture: MixtureSpec, schedule: NoiseSchedule, t: int,
-                 z: np.ndarray, post: Posterior | None) -> CapturedStep:
-    """:func:`batch_capture` of one latent; ``post`` is the posterior
-    :func:`trajectory` yielded with ``z``, evaluated here when None (as
-    at ``t = 0``)."""
-    if post is not None and post.eps is not None:
-        post = Posterior(r=post.r[None], eps=post.eps[None])
-    else:
-        post = None
-    return batch_capture(MixtureBank((mixture,)), 0, schedule, t, z[None],
-                         post).row(0)
-
-
 def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
-                 seeds: Sequence[int],
-                 critical_timesteps) -> list[GenerationRecord]:
+                 seeds: Sequence[int], critical_timesteps) -> GenerationRecord:
     """Run one generation per seed in lockstep, recording snapshots at the
-    requested noise indices.
+    requested noise indices; row ``b`` of the record is ``seeds[b]``'s.
 
     ``critical_timesteps`` are noise indices in [0, T]; captures come out in
     generation order, i.e. sorted by decreasing ``t``.  The same seed always
-    reproduces the identical record, bit for bit, in any batch.
+    reproduces the identical row, bit for bit, in any batch.
     """
     wanted = {int(t) for t in critical_timesteps}
     for t in wanted:
         _check_t(schedule, t)
     bank = MixtureBank((mixture,))
-    captures: list[list[CapturedStep]] = [[] for _ in seeds]
-    z_final = None
-    for t, z, post in lockstep(mixture, schedule, seeds):
+    z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
+    captures = []
+    for t in range(schedule.T, 0, -1):
+        post, z_next = denoise_step(bank, 0, schedule, t, z)
         if t in wanted:
-            cap = batch_capture(bank, 0, schedule, t, z, post)
-            for b, row in enumerate(captures):
-                row.append(cap.row(b))
-        if t == 0:
-            z_final = z
-    dists = np.linalg.norm(mixture.means_matrix[None]
-                           - z_final.reshape(len(seeds), 1, -1), axis=2)
-    return [GenerationRecord(captures=tuple(caps), final_image=final,
-                             nearest_component=int(np.argmin(d)))
-            for caps, final, d in zip(captures, z_final, dists)]
-
-
-def sample_with_capture(mixture: MixtureSpec, schedule: NoiseSchedule,
-                        seed: int, critical_timesteps) -> GenerationRecord:
-    """:func:`sample_batch` on one seed."""
-    return sample_batch(mixture, schedule, (seed,), critical_timesteps)[0]
+            captures.append(batch_capture(bank, 0, schedule, t, z, post))
+        z = z_next
+    if 0 in wanted:
+        captures.append(batch_capture(bank, 0, schedule, 0, z, None))
+    nearest = np.linalg.norm(mixture.means_matrix - z.reshape(len(z), 1, -1),
+                             axis=2).argmin(axis=1)
+    return GenerationRecord(captures=tuple(captures), final_image=z,
+                            nearest_component=nearest)

@@ -15,14 +15,13 @@ campaign see the same attempt sequence for matching indices.
 
 An arm runs as a pool of ``SLOTS`` attempts denoised in lockstep, each at
 its own step and under its own prompt's mixture: an attempt that ends hands
-its slot to its run's next attempt, or to the next run.  The engine's
-batched steps are bit-identical to single-latent ones, so the slot count
-changes no trace.
+its slot to its run's next attempt, or to the next run.  A latent's values
+do not depend on the batch it rides in, so the slot count changes no trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .engine import (MixtureBank, NoiseSchedule, Posterior, batch_capture,
                      denoise_step, initial_latent)
 from .errors import RestartLimitExceeded, UsageError
 from .rng import SplitMix64, mix64
-from .scene import MixtureSpec, ObjectSpec
+from .scene import ObjectSpec
 
 BASELINE = "baseline"
 HEAD = "head"
@@ -99,8 +98,8 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class _Run:
-    """One restart-until-accepted run: its mixture (an index into the arm's
-    mixtures) and the indices its attempt seeds derive from."""
+    """One restart-until-accepted run: its mixture (an index into its
+    pool's bank) and the indices its attempt seeds derive from."""
 
     mixture: int
     prompt_index: int
@@ -218,44 +217,6 @@ def _run_pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         z, t, which = z[keep], t[keep], which[keep]
 
 
-def _run_arm(mixtures, runs: list[_Run], schedule: NoiseSchedule,
-             policy: RunPolicy, catalog: dict[str, ObjectSpec],
-             root_seed: int, label_threshold: float) -> tuple[RunTrace, ...]:
-    """Every run of one policy arm; traces in the order of ``runs``.
-
-    A lockstep batch needs one component count and one target count, so
-    mixtures that differ in either run in separate pools.  Raises
-    ``RestartLimitExceeded`` for the first run, in the order of ``runs``,
-    that no attempt within ``max_restarts`` completes.
-    """
-    policy.validate(schedule.T)
-    traces: list[RunTrace | None] = [None] * len(runs)
-    failures = []
-
-    def shape(m: MixtureSpec) -> tuple[int, int]:
-        return len(m.components), len(m.targets)
-
-    for size in sorted({shape(m) for m in mixtures}):
-        members = [i for i, m in enumerate(mixtures) if shape(m) == size]
-        local = {i: k for k, i in enumerate(members)}
-        positions = [p for p, run in enumerate(runs) if run.mixture in local]
-        bank = MixtureBank(tuple(mixtures[i] for i in members))
-        pooled, failed = _run_pool(
-            bank, [replace(runs[p], mixture=local[runs[p].mixture])
-                   for p in positions],
-            schedule, policy, catalog, root_seed, label_threshold)
-        for p, trace in zip(positions, pooled):
-            traces[p] = trace
-        if failed is not None:
-            failures.append(positions[failed])
-    if failures:
-        run = runs[min(failures)]
-        raise RestartLimitExceeded(
-            f"no accepted image within {policy.max_restarts} attempts "
-            f"(prompt {run.prompt_id or run.prompt_index}, run {run.run_index})")
-    return tuple(traces)
-
-
 def run_arm(mixtures, schedule: NoiseSchedule, policy: RunPolicy,
             catalog: dict[str, ObjectSpec], root_seed: int,
             runs_per_prompt: int, prompt_ids,
@@ -263,34 +224,38 @@ def run_arm(mixtures, schedule: NoiseSchedule, policy: RunPolicy,
     """Run ``runs_per_prompt`` restart-until-accepted runs of one policy on
     every prompt, ``SLOTS`` attempts at a time.
 
-    Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``.  Returns the
-    traces in (prompt, run) order; the slot count changes none of them.
+    Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``; run ``j`` of
+    it draws its attempt seeds from ``(root_seed, i, j)``.  Acceptance
+    always requires the finished image to pass the matched-filter presence
+    check for every target.  Mixtures that cannot share a
+    :class:`MixtureBank` run in separate pools.  Returns the traces in
+    (prompt, run) order; the slot count changes none of them.  Raises
+    ``RestartLimitExceeded`` for the first run in that order that no
+    attempt within ``max_restarts`` completes.
     """
     if runs_per_prompt < 1:
         raise UsageError("runs_per_prompt must be >= 1")
     if len(prompt_ids) != len(mixtures):
         raise UsageError("prompt_ids and mixtures must align")
-    runs = [_Run(mixture=i, prompt_index=i, run_index=j, prompt_id=pid)
-            for i, pid in enumerate(prompt_ids) for j in range(runs_per_prompt)]
-    return _run_arm(mixtures, runs, schedule, policy, catalog, root_seed,
-                    label_threshold)
-
-
-def run_until_complete(mixture: MixtureSpec, schedule: NoiseSchedule,
-                       policy: RunPolicy, catalog: dict[str, ObjectSpec],
-                       root_seed: int, prompt_index: int = 0,
-                       run_index: int = 0, label_threshold: float = 0.5,
-                       prompt_id: str = "") -> RunTrace:
-    """Restart with fresh seeds until an attempt is accepted: the slot pool
-    of :func:`run_arm` holding one run, so a batch of one.
-
-    Acceptance always requires the finished image to pass the
-    matched-filter presence check for every target.
-    """
-    run = _Run(mixture=0, prompt_index=prompt_index, run_index=run_index,
-               prompt_id=prompt_id)
-    return _run_arm([mixture], [run], schedule, policy, catalog, root_seed,
-                    label_threshold)[0]
+    policy.validate(schedule.T)
+    traces: list[RunTrace | None] = [None] * (len(mixtures) * runs_per_prompt)
+    failures = []
+    for bank, members in MixtureBank.group(mixtures):
+        runs = [_Run(mixture=k, prompt_index=i, run_index=j,
+                     prompt_id=prompt_ids[i])
+                for k, i in enumerate(members) for j in range(runs_per_prompt)]
+        pooled, failed = _run_pool(bank, runs, schedule, policy, catalog,
+                                   root_seed, label_threshold)
+        for run, trace in zip(runs, pooled):
+            traces[run.prompt_index * runs_per_prompt + run.run_index] = trace
+        if failed is not None:
+            failures.append(runs[failed])
+    if failures:
+        run = min(failures, key=lambda r: (r.prompt_index, r.run_index))
+        raise RestartLimitExceeded(
+            f"no accepted image within {policy.max_restarts} attempts "
+            f"(prompt {run.prompt_id or run.prompt_index}, run {run.run_index})")
+    return tuple(traces)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from headlab.cli import main
 from headlab.dataset import build_prompt_grid, label_image
 from headlab.detector import (DetectorModel, build_design_matrix,
                               evaluate_detector, fit_detector, merge_counts)
-from headlab.engine import capture_step, posterior, sample_with_capture
+from headlab.engine import (MixtureBank, batch_capture, batch_posterior,
+                            sample_batch)
 from headlab.rng import mix64
 from headlab.runtime import RunPolicy, measure_campaign
 from headlab.scene import build_conditional_mixture
@@ -126,7 +127,8 @@ def test_criterion_1_predicted_final_matches_posterior_mean(
     worst = 0.0
     for t in (1, 5, 10, 16, 25, 40, 50, 50, 30, 8):
         z = _marginal_draw(mixture, schedule, t, rng)
-        got = capture_step(mixture, schedule, t, z, None).pfi
+        got = batch_capture(MixtureBank((mixture,)), 0, schedule, t, z[None],
+                            None).pfi[0]
         want = _oracle_posterior_mean(mixture, schedule, z, t)
         worst = max(worst, float(np.abs(got - want).max()))
     _verdict(capfd, 1, worst < 1e-8,
@@ -149,7 +151,8 @@ def test_criterion_2_noise_prediction_matches_numeric_gradient(
         lp = _oracle_log_marginal(mixture, schedule, batch, t)
         score = (lp[:z_flat.size] - lp[z_flat.size:]) / (2.0 * h)
         want = -float(schedule.sigma[t]) * score.reshape(z.shape)
-        got = posterior(mixture, schedule, t, z).eps
+        got = batch_posterior(MixtureBank((mixture,)), 0, schedule, t,
+                              z[None]).eps[0]
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
     _verdict(capfd, 2, worst < 1e-5,
@@ -192,11 +195,11 @@ def test_criterion_4_generations_follow_the_scene_distribution(
     n = 500
     counts = np.zeros(len(mixture.weights), dtype=int)
     complete = 0
-    for j in range(n):
-        record = sample_with_capture(mixture, schedule, mix64(101, j), ())
-        counts[record.nearest_component] += 1
-        labels = label_image(record.final_image, ("cat", "bench"),
-                             catalog, 0.5)
+    record = sample_batch(mixture, schedule, [mix64(101, j) for j in range(n)],
+                          ())
+    for image, k in zip(record.final_image, record.nearest_component):
+        counts[k] += 1
+        labels = label_image(image, ("cat", "bench"), catalog, 0.5)
         complete += int(all(v == 1 for v in labels.values()))
     frac = complete / n
     sd = (0.64 * 0.36 / n) ** 0.5

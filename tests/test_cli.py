@@ -324,6 +324,31 @@ def test_version_1_manifest_exits_2(cli_dataset, tmp_path, capsys):
     assert "unsupported manifest version 1" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep-tlast", "run"])
+def test_catalog_missing_a_manifest_object_exits_2(cli_dataset, cli_models,
+                                                   tmp_path, capsys, command):
+    import shutil
+
+    root = tmp_path / "ds"
+    shutil.copytree(cli_dataset, root)
+    catalog = root / "catalog.txt"
+    lines = catalog.read_text(encoding="utf-8").splitlines(keepends=True)
+    catalog.write_text("".join(line for line in lines
+                               if not line.startswith("bench ")),
+                       encoding="utf-8")
+    argv = {"train": ["--steps", "8"],
+            "eval": ["--model", str(cli_models[16])],
+            "sweep-tlast": ["--models", f"{cli_models[2]},{cli_models[16]}"],
+            "run": ["--model", str(cli_models[2]), "--runs-per-prompt", "1"]}
+    rc = main([command, *argv[command], "--dataset", str(root),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {catalog}: ") and err.count("\n") == 1
+    assert "['bench']" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("shape", [(1, 3, 16, 16), (48, 2, 16, 16),
                                    (48, 3, 8, 8), None])
 def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,

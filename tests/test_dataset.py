@@ -156,16 +156,16 @@ def _assert_rows_equal_per_prompt_batches(root, mani, catalog):
         mixture = build_conditional_mixture(prompt.targets, cfg.faithfulness,
                                             catalog, s2=cfg.component_std ** 2)
         rows = [b for b, s in enumerate(mani.samples) if s.prompt_index == i]
-        records = sample_batch(mixture, schedule,
-                               [mani.samples[b].run_seed for b in rows], wanted)
-        for b, record in zip(rows, records):
-            assert mani.samples[b].nearest_component == record.nearest_component
-            assert np.array_equal(finals[b],
-                                  record.final_image.astype(np.float32))
-            for cap in record.captures:
-                row = stored[cfg.num_steps - cap.t][b]
-                assert np.array_equal(row[0], cap.pfi.astype(np.float32))
-                assert np.array_equal(row[1:], cap.attention.astype(np.float32))
+        record = sample_batch(mixture, schedule,
+                              [mani.samples[b].run_seed for b in rows], wanted)
+        assert ([mani.samples[b].nearest_component for b in rows]
+                == record.nearest_component.tolist())
+        assert np.array_equal(finals[rows],
+                              record.final_image.astype(np.float32))
+        for cap in record.captures:
+            step = stored[cfg.num_steps - int(cap.t[0])][rows]
+            assert np.array_equal(step[:, 0], cap.pfi.astype(np.float32))
+            assert np.array_equal(step[:, 1:], cap.attention.astype(np.float32))
 
 
 def test_stored_rows_equal_per_prompt_batches(tiny_dataset):

@@ -272,7 +272,7 @@ def test_multi_timestep_concatenates_blocks(tiny_dataset):
 
 def test_live_features_equal_disk_features(tiny_dataset):
     """The runtime path and the stored-tensor path must agree bit for bit."""
-    from headlab.engine import make_schedule, sample_with_capture
+    from headlab.engine import make_schedule, sample_batch
     from headlab.scene import build_conditional_mixture
 
     mani = tiny_dataset.manifest
@@ -284,12 +284,12 @@ def test_live_features_equal_disk_features(tiny_dataset):
                                     tiny_dataset.catalog,
                                     s2=cfg.component_std ** 2)
     steps = (8,)
-    record = sample_with_capture(mix, sch, sample.run_seed,
-                                 {cfg.num_steps - u for u in steps})
+    record = sample_batch(mix, sch, (sample.run_seed,),
+                          {cfg.num_steps - u for u in steps})
     cap = record.captures[0]
     stored = load_step(tiny_dataset.root, mani, 8, 16)[row]
     for j, obj in enumerate(sample.targets):
-        live = live_features({8: cap.channels}, j, tiny_dataset.catalog[obj],
+        live = live_features({8: cap.channels[0]}, j, tiny_dataset.catalog[obj],
                              "combined", steps)
         disk = extract_features(stored[None, 0], stored[None, 1 + j],
                                 tiny_dataset.catalog[obj])[0]

@@ -8,9 +8,8 @@ from headlab import engine
 from headlab.dataset import (CHUNK_ROWS, DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
 from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
-                            batch_capture, batch_posterior, capture_step,
-                            ddim_step, make_schedule, posterior, sample_batch,
-                            sample_with_capture, trajectory)
+                            batch_capture, batch_posterior, ddim_step,
+                            denoise_step, make_schedule, sample_batch)
 from headlab.errors import DegenerateVariance, InvalidT, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.scene import ObjectSpec, build_conditional_mixture
@@ -37,6 +36,10 @@ def test_schedule_lengths():
     sch = make_schedule(10)
     assert sch.T == 10
     assert sch.alphabar.shape == (11,)
+
+
+def _bank(mixture) -> MixtureBank:
+    return MixtureBank((mixture,))
 
 
 # ------------------------------------------------------------- ddim
@@ -101,7 +104,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = posterior(mix, schedule, t, z).eps
+        eps = batch_posterior(_bank(mix), 0, schedule, t, z[None]).eps[0]
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -124,7 +127,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = posterior(mix1, schedule, t, z).eps
+    eps = batch_posterior(_bank(mix1), 0, schedule, t, z[None]).eps[0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = mix1.components[0].mean.reshape(16, 16)
@@ -154,7 +157,7 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = posterior(mix, schedule, t, z).r
+        r = batch_posterior(_bank(mix), 0, schedule, t, z[None]).r[0]
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -165,17 +168,18 @@ def test_posterior_rejects_out_of_range_t(catalog, schedule):
     z = np.zeros((16, 16))
     for t in (-1, schedule.T + 1):
         with pytest.raises(InvalidT):
-            posterior(mix, schedule, t, z)
+            batch_posterior(_bank(mix), 0, schedule, t, z[None])
         with pytest.raises(InvalidT):
-            capture_step(mix, schedule, t, z, None)
+            batch_capture(_bank(mix), 0, schedule, t, z[None], None)
 
 
 def test_posterior_at_zero_has_no_eps(catalog, schedule):
+    """At t = 0 no denoising step follows: the noise prediction is zero."""
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
-    post = posterior(mix, schedule, 0, z)
-    assert post.eps is None
-    assert post.r.shape == (len(mix.components),)
+    post = batch_posterior(_bank(mix), 0, schedule, 0, z[None])
+    assert post.eps.shape == (1, 16, 16) and not post.eps.any()
+    assert post.r.shape == (1, len(mix.components))
     assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,7 +189,7 @@ def test_degenerate_variance_raises(catalog):
     mix = build_conditional_mixture(("cat",), 1.0, catalog, s2=1e-30)
     z = np.zeros((16, 16))
     with pytest.raises(DegenerateVariance):
-        posterior(mix, sch, 1, z)
+        batch_posterior(_bank(mix), 0, sch, 1, z[None])
 
 
 # ------------------------------------------------------------- projector
@@ -196,7 +200,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
-        pfi = capture_step(mix, schedule, t, z, None).pfi
+        pfi = batch_capture(_bank(mix), 0, schedule, t, z[None], None).pfi[0]
         ab = schedule.alphabar[t]
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
@@ -212,9 +216,9 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
 def test_predict_final_image_at_zero_returns_state(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.9, catalog)
     z = SplitMix64(2).normals(256).reshape(16, 16)
-    out = capture_step(mix, schedule, 0, z, None).pfi
+    out = batch_capture(_bank(mix), 0, schedule, 0, z[None], None).pfi[0]
     assert np.array_equal(out, z)
-    assert out is not z
+    assert not np.shares_memory(out, z)
 
 
 # ------------------------------------------------------------- attention
@@ -223,7 +227,8 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
-        maps = capture_step(mix, schedule, t, z, None).attention
+        maps = batch_capture(_bank(mix), 0, schedule, t, z[None],
+                             None).attention[0]
         assert maps.shape == (2, 16, 16)  # cat, then bench
         for amap in maps:
             assert amap.min() >= 0.0
@@ -235,7 +240,8 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = capture_step(mix, schedule, 1, z, None).attention[0]  # cat
+    amap = batch_capture(_bank(mix), 0, schedule, 1, z[None],
+                         None).attention[0, 0]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -243,33 +249,54 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
 
 # ------------------------------------------------------------- sampling
 
+def _single_latent_steps(mixture, schedule, seed):
+    """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
+    bank = _bank(mixture)
+    z = engine.initial_latent(seed, mixture.grid_size)[None]
+    out = []
+    for t in range(schedule.T, -1, -1):
+        if t:
+            post, z_next = denoise_step(bank, 0, schedule, t, z)
+        else:
+            post = batch_posterior(bank, 0, schedule, t, z)
+        cap = batch_capture(bank, 0, schedule, t, z, post)
+        out.append((t, z[0], post.r[0], post.eps[0], cap.pfi[0],
+                    cap.attention[0]))
+        z = z_next
+    return out
+
+
+def _latents(mixture, schedule, seed):
+    """The latent of one generation at every noise index, as a batch of
+    one, by ``t``."""
+    return {t: z[None] for t, z, *_ in
+            _single_latent_steps(mixture, schedule, seed)}
+
+
 def test_trajectory_structure_and_determinism(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    steps = list(trajectory(mix, schedule, seed=77))
-    assert [t for t, _, _ in steps] == list(range(schedule.T, -1, -1))
-    assert steps[-1][2] is None
-    assert all(eps is not None for _, _, eps in steps[:-1])
-    again = list(trajectory(mix, schedule, seed=77))
-    assert np.array_equal(steps[-1][1], again[-1][1])
-    other = list(trajectory(mix, schedule, seed=78))
-    assert not np.array_equal(steps[-1][1], other[-1][1])
+    record = sample_batch(mix, schedule, (77, 77, 78),
+                          range(schedule.T + 1))
+    assert ([c.t.tolist() for c in record.captures]
+            == [[t] * 3 for t in range(schedule.T, -1, -1)])
+    assert np.array_equal(record.final_image[0], record.final_image[1])
+    assert not np.array_equal(record.final_image[0], record.final_image[2])
 
 
 def test_capture_order_is_generation_order(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    record = sample_with_capture(mix, schedule, seed=5,
-                                 critical_timesteps={8, 16})
-    assert [c.t for c in record.captures] == [16, 8]
+    record = sample_batch(mix, schedule, (5,), critical_timesteps={8, 16})
+    assert [c.t.tolist() for c in record.captures] == [[16], [8]]
 
 
 def test_capture_contents(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    record = sample_with_capture(mix, schedule, seed=5,
-                                 critical_timesteps={0, 30, schedule.T})
-    by_t = {c.t: c for c in record.captures}
+    record = sample_batch(mix, schedule, (5,),
+                          critical_timesteps={0, 30, schedule.T})
+    by_t = {int(c.t[0]): c for c in record.captures}
     assert set(by_t) == {0, 30, schedule.T}
     assert np.array_equal(by_t[0].pfi, record.final_image)
-    assert by_t[30].attention.shape == (2, 16, 16)  # cat, then bench
+    assert by_t[30].attention.shape == (1, 2, 16, 16)  # cat, then bench
     # a capture's projection should already resemble a clean image
     assert by_t[30].pfi.max() < 2.0
 
@@ -277,24 +304,24 @@ def test_capture_contents(catalog, schedule):
 def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     wanted = {0, 1, 2, 8, 16, 30, schedule.T}
-    record = sample_with_capture(mix, schedule, seed=11,
-                                 critical_timesteps=wanted)
-    latents = {t: z for t, z, _ in trajectory(mix, schedule, seed=11)
-               if t in wanted}
-    assert [c.t for c in record.captures] == sorted(wanted, reverse=True)
+    record = sample_batch(mix, schedule, (11,), critical_timesteps=wanted)
+    latents = _latents(mix, schedule, 11)
+    assert [int(c.t[0]) for c in record.captures] == sorted(wanted,
+                                                            reverse=True)
     for cap in record.captures:
-        fresh = capture_step(mix, schedule, cap.t, latents[cap.t], None)
+        t = int(cap.t[0])
+        fresh = batch_capture(_bank(mix), 0, schedule, t, latents[t], None)
         assert np.array_equal(cap.pfi, fresh.pfi)
         assert np.array_equal(cap.attention, fresh.attention)
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
     mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
-    for t, z, post in trajectory(mix, schedule, seed=3):
+    for t, z in _latents(mix, schedule, 3).items():
         if t == 0:
-            assert post is None
             continue
-        fresh = posterior(mix, schedule, t, z)
+        post = denoise_step(_bank(mix), 0, schedule, t, z)[0]
+        fresh = batch_posterior(_bank(mix), 0, schedule, t, z)
         assert np.array_equal(post.r, fresh.r)
         assert np.array_equal(post.eps, fresh.eps)
 
@@ -305,11 +332,11 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     original = engine._log_responsibilities
     monkeypatch.setattr(engine, "_log_responsibilities",
                         lambda *args: calls.append(1) or original(*args))
-    sample_with_capture(mix, schedule, seed=5,
-                        critical_timesteps=set(range(1, schedule.T + 1)))
+    sample_batch(mix, schedule, (5,),
+                 critical_timesteps=set(range(1, schedule.T + 1)))
     assert len(calls) == schedule.T
     calls.clear()
-    sample_with_capture(mix, schedule, seed=5, critical_timesteps={0, 16})
+    sample_batch(mix, schedule, (5,), critical_timesteps={0, 16})
     # t = 0 takes no denoising step; its capture evaluates one posterior
     assert len(calls) == schedule.T + 1
 
@@ -317,20 +344,20 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
 def test_capture_rejects_out_of_range(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.8, catalog)
     with pytest.raises(InvalidT):
-        sample_with_capture(mix, schedule, seed=1,
-                            critical_timesteps={schedule.T + 1})
+        sample_batch(mix, schedule, (1,),
+                     critical_timesteps={schedule.T + 1})
 
 
 def test_sampler_respects_seed_and_nearest_component(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    a = sample_with_capture(mix, schedule, seed=123, critical_timesteps=())
-    b = sample_with_capture(mix, schedule, seed=123, critical_timesteps=())
+    a = sample_batch(mix, schedule, (123,), critical_timesteps=())
+    b = sample_batch(mix, schedule, (123,), critical_timesteps=())
     assert np.array_equal(a.final_image, b.final_image)
-    assert a.nearest_component == b.nearest_component
-    dists = np.linalg.norm(mix.means_matrix - a.final_image.ravel()[None, :],
+    assert np.array_equal(a.nearest_component, b.nearest_component)
+    dists = np.linalg.norm(mix.means_matrix - a.final_image[0].ravel()[None, :],
                            axis=1)
-    assert a.nearest_component == int(np.argmin(dists))
-    assert dists[a.nearest_component] < 1.0
+    assert a.nearest_component[0] == int(np.argmin(dists))
+    assert dists[a.nearest_component[0]] < 1.0
 
 
 def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
@@ -371,7 +398,7 @@ def _reference_trajectory(mixture, schedule, seed):
                      for o, stack in zip(mixture.targets,
                                          mixture.template_stacks)}
         if t == 0:
-            out.append((t, z, r, None, z.copy(), attention))
+            out.append((t, z, r, np.zeros_like(z), z.copy(), attention))
             break
         eps = (sigma_t * (zf - alpha_t * (r @ mixture.means_matrix))
                / v).reshape(16, 16)
@@ -380,17 +407,6 @@ def _reference_trajectory(mixture, schedule, seed):
         out.append((t, z, r, eps, pfi, attention))
         z = (float(schedule.alpha[t - 1]) * x0
              + float(schedule.sigma[t - 1]) * eps)
-    return out
-
-
-def _single_latent_steps(mixture, schedule, seed):
-    """(t, z, r, eps, pfi, attention) per step from the batch-of-one API."""
-    out = []
-    for t, z, post in trajectory(mixture, schedule, seed):
-        cap = capture_step(mixture, schedule, t, z, post)
-        if post is None:
-            post = posterior(mixture, schedule, t, z)
-        out.append((t, z, post.r, post.eps, cap.pfi, cap.attention))
     return out
 
 
@@ -404,7 +420,7 @@ def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
         for g, w in zip(got, want):
             assert g[0] == w[0]
             for a, b in zip(g[1:5], w[1:5]):
-                assert (a is None and b is None) or np.array_equal(a, b)
+                assert np.array_equal(a, b)
             assert len(g[5]) == len(w[5])
             assert all(np.array_equal(g[5][j], w[5][o])
                        for j, o in enumerate(w[5]))
@@ -454,7 +470,7 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
             _, z1, r1, eps1, pfi1, attention1 = reference[b][t[b]]
             assert np.array_equal(z[b], z1)
             assert np.array_equal(post.r[k], r1)
-            assert eps1 is None or np.array_equal(post.eps[k], eps1)
+            assert np.array_equal(post.eps[k], eps1)
             assert caps.t[k] == t[b] and np.array_equal(caps.pfi[k], pfi1)
             assert np.array_equal(caps.attention[k], attention1)
             compared += 1
@@ -468,14 +484,16 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     seeds = [mix64(2, 0, s) for s in range(7)]
     wanted = {0, 1, 16, 34, schedule.T}
-    for seed, got in zip(seeds, sample_batch(mix, schedule, seeds, wanted)):
-        want = sample_with_capture(mix, schedule, seed, wanted)
-        assert np.array_equal(got.final_image, want.final_image)
-        assert got.nearest_component == want.nearest_component
-        assert [c.t for c in got.captures] == [c.t for c in want.captures]
-        for a, b in zip(got.captures, want.captures):
-            assert np.array_equal(a.pfi, b.pfi)
-            assert np.array_equal(a.attention, b.attention)
+    got = sample_batch(mix, schedule, seeds, wanted)
+    for b, seed in enumerate(seeds):
+        want = sample_batch(mix, schedule, (seed,), wanted)
+        assert np.array_equal(got.final_image[b], want.final_image[0])
+        assert got.nearest_component[b] == want.nearest_component[0]
+        assert ([c.t[b] for c in got.captures]
+                == [c.t[0] for c in want.captures])
+        for x, y in zip(got.captures, want.captures):
+            assert np.array_equal(x.pfi[b], y.pfi[0])
+            assert np.array_equal(x.attention[b], y.attention[0])
 
 
 def test_mixture_bank_needs_one_component_count(catalog):
@@ -490,6 +508,11 @@ def test_mixture_bank_needs_one_component_count(catalog):
     for mixtures in ((), (two, three), (two, one)):
         with pytest.raises(UsageError):
             MixtureBank(mixtures)
+    mixtures = (two, three, two, one)
+    groups = MixtureBank.group(mixtures)
+    assert sorted(members for _, members in groups) == [[0, 2], [1], [3]]
+    for bank, members in groups:
+        assert all(m is mixtures[i] for m, i in zip(bank.mixtures, members))
 
 
 def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):

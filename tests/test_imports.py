@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the engine and the runtime define nothing public that the package never
+reaches."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,59 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _names(node) -> set[str]:
+    """Every identifier ``node`` reads, as a name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreached(sources: dict[str, str], checked) -> list[str]:
+    """Public top-level functions and classes of the modules ``checked``
+    that no code of the package reaches.
+
+    Code outside the definitions of ``checked`` is where the package starts;
+    a definition is reached when it is named in that code or in the body
+    of a reached definition.  Imports name nothing, so a re-export does not
+    count, and neither does a caller that is itself unreached.
+    """
+    defs, roots = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if module in checked and isinstance(
+                    node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            else:
+                roots |= _names(node)
+    reached, todo = set(), roots & defs.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (_names(defs[name]) & defs.keys()) - reached
+    return sorted(n for n in defs.keys() - reached if not n.startswith("_"))
+
+
+def test_checker_flags_an_unreached_definition():
+    sources = {"lib.py": ("def used(): return helper()\n"
+                          "def helper(): return 1\n"
+                          "def wrapper(): return inner()\n"
+                          "def inner(): return helper()\n"
+                          "class Unused: pass\n"
+                          "def _private(): pass\n"),
+               "app.py": ("from lib import used, wrapper\n"
+                          "import lib\n"
+                          "print(used(), lib.helper)\n")}
+    assert _unreached(sources, {"lib.py"}) == ["Unused", "inner", "wrapper"]
+
+
+# Public names kept although the package never reaches them: sample_batch
+# is the tests' per-prompt reference for the rows of the packed capture
+# store, and GenerationRecord is what it returns.
+KEPT_FOR_TESTS = ("GenerationRecord", "sample_batch")
+
+
+def test_engine_and_runtime_define_only_what_the_package_reaches():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _unreached(sources, {"engine.py", "runtime.py"}) == sorted(
+        KEPT_FOR_TESTS)

@@ -12,7 +12,7 @@ from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
                              _bootstrap_ci, measure_campaign, run_arm,
-                             run_until_complete, write_campaign_csv)
+                             write_campaign_csv)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
 
@@ -57,10 +57,16 @@ def test_mode_follows_model(tiny_model):
 
 # ------------------------------------------------------------- single runs
 
+def _runs(mixture, schedule, policy, catalog, root_seed, n, prompt_id=""):
+    """Runs 0..n-1 of one prompt: attempt seeds ``mix64(root_seed, 0, j, k)``."""
+    return run_arm([mixture], schedule, policy, catalog, root_seed=root_seed,
+                   runs_per_prompt=n, prompt_ids=[prompt_id])
+
+
 def test_baseline_run_structure(mixture, schedule, catalog):
     policy = RunPolicy()
-    trace = run_until_complete(mixture, schedule, policy, catalog,
-                               root_seed=11, prompt_id="demo")
+    (trace,) = _runs(mixture, schedule, policy, catalog, 11, 1,
+                     prompt_id="demo")
     assert trace.prompt_id == "demo"
     assert trace.attempts[-1].outcome == OUTCOME_COMPLETE
     for record in trace.attempts[:-1]:
@@ -77,9 +83,7 @@ def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
     policy = RunPolicy(model=tiny_model)
     decision = max(tiny_model.steps)
     total_aborts = 0
-    for run_index in range(12):
-        trace = run_until_complete(mixture, schedule, policy, catalog,
-                                   root_seed=5, run_index=run_index)
+    for trace in _runs(mixture, schedule, policy, catalog, 5, 12):
         expected = 0
         for record in trace.attempts:
             if record.outcome == OUTCOME_ABORTED:
@@ -100,11 +104,8 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
     """A detector that always says present must replay the baseline."""
     inert = RunPolicy(model=_flat_model((16,), bias=0.0))
     base = RunPolicy()
-    for run_index in range(4):
-        a = run_until_complete(mixture, schedule, inert, catalog,
-                               root_seed=3, run_index=run_index)
-        b = run_until_complete(mixture, schedule, base, catalog,
-                               root_seed=3, run_index=run_index)
+    for a, b in zip(_runs(mixture, schedule, inert, catalog, 3, 4),
+                    _runs(mixture, schedule, base, catalog, 3, 4), strict=True):
         assert a.total_steps == b.total_steps
         assert a.accepted_seed == b.accepted_seed
         assert [r.seed for r in a.attempts] == [r.seed for r in b.attempts]
@@ -113,8 +114,7 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
 
 def test_certain_mixture_accepts_first_attempt(catalog, schedule):
     sure = build_conditional_mixture(("cat", "bench"), 1.0, catalog)
-    trace = run_until_complete(sure, schedule, RunPolicy(),
-                               catalog, root_seed=0)
+    (trace,) = _runs(sure, schedule, RunPolicy(), catalog, 0, 1)
     assert trace.n_attempts == 1
     assert trace.total_steps == schedule.T
 
@@ -122,9 +122,8 @@ def test_certain_mixture_accepts_first_attempt(catalog, schedule):
 def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
     policy = RunPolicy()
     n_runs = 250
-    counts = [run_until_complete(mixture, schedule, policy, catalog,
-                                 root_seed=21, run_index=j).n_attempts
-              for j in range(n_runs)]
+    counts = [trace.n_attempts for trace in
+              _runs(mixture, schedule, policy, catalog, 21, n_runs)]
     p = 0.59
     sd = ((1 - p) / p**2) ** 0.5
     assert abs(np.mean(counts) - 1 / p) < 3 * sd / n_runs**0.5
@@ -134,8 +133,7 @@ def test_restart_limit(mixture, schedule, catalog):
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     with pytest.raises(RestartLimitExceeded):
-        run_until_complete(mixture, schedule, reject_all, catalog,
-                           root_seed=1)
+        _runs(mixture, schedule, reject_all, catalog, 1, 1)
 
 
 # ------------------------------------------------------------- campaigns
@@ -236,24 +234,32 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                                    "(prompt a cat and a bench, run 0)")
 
 
+def _arm_alone(monkeypatch, *args, **kwargs):
+    """``run_arm`` with one slot: each run made alone, a batch of one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "SLOTS", 1)
+        return run_arm(*args, **kwargs)
+
+
 def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
-                                                    tiny_model):
+                                                    tiny_model, monkeypatch):
     """Prompts with different numbers of targets cannot share a lockstep
     batch; each run still equals the same run made alone."""
     prompts, mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)],
                               0.7)
     ids = [p.text for p in prompts]
     for policy in (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0))):
-        arm = run_arm(mixtures, schedule, policy, catalog, root_seed=3,
-                      runs_per_prompt=2, prompt_ids=ids)
-        assert arm == tuple(
-            run_until_complete(mixtures[i], schedule, policy, catalog,
-                               root_seed=3, prompt_index=i, run_index=j,
-                               prompt_id=ids[i])
-            for i in range(3) for j in range(2))
+        args = (mixtures, schedule, policy, catalog)
+        kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
+        arm = run_arm(*args, **kwargs)
+        runs = [(i, j) for i in range(3) for j in range(2)]
+        assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
+                == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
+        assert arm == _arm_alone(monkeypatch, *args, **kwargs)
 
 
-def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule):
+def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
+                                                         monkeypatch):
     """A one-target prompt can have as many components as a two-target
     one; the two still run in separate pools, each run as if alone."""
     wide = ObjectSpec(object_id="wide", sigma=1.5, grid_size=16,
@@ -263,13 +269,13 @@ def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule):
     assert len(mixtures[0].components) == len(mixtures[1].components)
     ids = [p.text for p in prompts]
     policy = RunPolicy(model=_flat_model((4,), bias=0.0))
-    arm = run_arm(mixtures, schedule, policy, catalog, root_seed=3,
-                  runs_per_prompt=2, prompt_ids=ids)
-    assert arm == tuple(
-        run_until_complete(mixtures[i], schedule, policy, catalog,
-                           root_seed=3, prompt_index=i, run_index=j,
-                           prompt_id=ids[i])
-        for i in range(2) for j in range(2))
+    args = (mixtures, schedule, policy, catalog)
+    kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
+    arm = run_arm(*args, **kwargs)
+    runs = [(i, j) for i in range(2) for j in range(2)]
+    assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
+            == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
+    assert arm == _arm_alone(monkeypatch, *args, **kwargs)
 
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
