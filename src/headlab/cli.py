@@ -23,6 +23,7 @@ import typing
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
+from .atomic import write_atomic
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_manifest, CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
@@ -120,14 +121,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"command": command, **payload}
-    (out_dir / SNAPSHOT_NAME).write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(out_dir / SNAPSHOT_NAME, {"command": command, **payload})
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -147,12 +145,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_dataset(dataset_dir):
-    """The dataset's root, manifest and catalog; a catalog that lacks an
-    object the manifest names raises ``ValueError`` naming the catalog
-    file and the missing ids."""
+    """The dataset's root, manifest and catalog.
+
+    The catalog is part of the dataset, so a damaged one is a runtime
+    failure like a damaged manifest or tensor: a malformed line, or a
+    catalog that lacks an object the manifest names, raises ``ValueError``
+    naming the catalog file."""
     root = Path(dataset_dir)
     manifest = load_manifest(root)
-    catalog = load_catalog(root / CATALOG_NAME)
+    try:
+        catalog = load_catalog(root / CATALOG_NAME)
+    except UsageError as exc:
+        raise ValueError(str(exc)) from None
     config = manifest.config
     missing = [name for name in (*config.subjects, *config.objects)
                if name not in catalog]
@@ -408,7 +412,7 @@ def _cmd_report(args) -> None:
     text = "\n\n".join(sections) + "\n"
     out = Path(args.out)
     _write_snapshot(out, "report", {"dir": str(args.dir)})
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    write_atomic(out / "report.txt", text)
     print(text, end="")
 
 

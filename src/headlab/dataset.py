@@ -119,42 +119,56 @@ class DatasetConfig:
         return cls(**config_kwargs(cls, "dataset", d))
 
 
-def _typed(hint, value):
-    """``value`` checked against the field type ``hint``: int, float, bool,
-    str, an optional value, or a tuple or dict of them.  Lists become
-    tuples and ints for a float field become floats; raises
-    ``TypeError``."""
-    if type(value) is hint:  # a JSON value of the field's own type
-        return value
+@functools.cache
+def _checker(hint):
+    """A function that checks a JSON value against the field type ``hint``:
+    int, float, bool, str, an optional value, or a tuple or dict of them.
+    It turns lists into tuples and ints for a float field into floats, and
+    raises ``TypeError``.  Each type's checker is built once."""
     origin = typing.get_origin(hint)
     if origin is dict:
-        if not isinstance(value, dict):
-            raise TypeError(f"expected an object, got {value!r}")
-        key_hint, item_hint = typing.get_args(hint)
-        return {_typed(key_hint, k): _typed(item_hint, v)
-                for k, v in value.items()}
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"expected a list, got {value!r}")
+        check_key, check_item = map(_checker, typing.get_args(hint))
+
+        def check(value):
+            if not isinstance(value, dict):
+                raise TypeError(f"expected an object, got {value!r}")
+            return {check_key(k): check_item(v) for k, v in value.items()}
+    elif origin is tuple:
         args = typing.get_args(hint)
-        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
-        if len(kinds) != len(value):
-            raise TypeError(f"expected {len(kinds)} values, got {len(value)}")
-        return tuple(_typed(k, v) for k, v in zip(kinds, value))
-    if isinstance(hint, types.UnionType):
-        for option in typing.get_args(hint):
-            try:
-                return _typed(option, value)
-            except TypeError:
-                pass
-    if hint is float and type(value) is int:
-        return float(value)
-    raise TypeError(f"expected {getattr(hint, '__name__', hint)}, got {value!r}")
+        items = None if args[-1] is Ellipsis else tuple(map(_checker, args))
+        check_each = _checker(args[0])
+
+        def check(value):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"expected a list, got {value!r}")
+            if items is None:
+                return tuple(check_each(v) for v in value)
+            if len(items) != len(value):
+                raise TypeError(f"expected {len(items)} values, got {len(value)}")
+            return tuple(c(v) for c, v in zip(items, value))
+    else:
+        options = (tuple(map(_checker, typing.get_args(hint)))
+                   if isinstance(hint, types.UnionType) else ())
+        name = getattr(hint, "__name__", hint)
+
+        def check(value):
+            if type(value) is hint:  # a JSON value of the field's own type
+                return value
+            for option in options:
+                try:
+                    return option(value)
+                except TypeError:
+                    pass
+            if hint is float and type(value) is int:
+                return float(value)
+            raise TypeError(f"expected {name}, got {value!r}")
+    return check
 
 
 @functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
+def _field_checkers(cls) -> dict:
+    return {name: _checker(hint)
+            for name, hint in typing.get_type_hints(cls).items()}
 
 
 def config_kwargs(cls, section: str, payload) -> dict:
@@ -166,15 +180,15 @@ def config_kwargs(cls, section: str, payload) -> dict:
     """
     if not isinstance(payload, dict):
         raise UsageError(f"config section {section!r} must be a JSON object")
-    hints = _field_types(cls)
-    unknown = set(payload) - set(hints)
+    checkers = _field_checkers(cls)
+    unknown = set(payload) - set(checkers)
     if unknown:
         raise UsageError(f"unknown keys in config section {section!r}: "
                          f"{sorted(unknown)}")
     kwargs = {}
     for key, value in payload.items():
         try:
-            kwargs[key] = _typed(hints[key], value)
+            kwargs[key] = checkers[key](value)
         except TypeError as exc:
             raise UsageError(f"{section}.{key}: {exc}") from None
     return kwargs
@@ -402,6 +416,7 @@ def load_manifest(root) -> DatasetManifest:
     header = None
     samples: list[SampleRecord] = []
     stats: dict = {}
+    sample_checkers = _field_checkers(SampleRecord)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{path}:{lineno}"
@@ -428,9 +443,13 @@ def load_manifest(root) -> DatasetManifest:
                 elif kind == "sample":
                     if header is None:
                         raise ValueError("sample line before the header")
-                    sample = SampleRecord(**config_kwargs(
-                        SampleRecord, "sample",
-                        {k: obj[k] for k in _LINE_KEYS["sample"]}))
+                    values = {}
+                    for key, check in sample_checkers.items():
+                        try:
+                            values[key] = check(obj[key])
+                        except TypeError as exc:
+                            raise TypeError(f"sample.{key}: {exc}") from None
+                    sample = SampleRecord(**values)
                     grid = header[2]
                     if (not 0 <= sample.prompt_index < len(grid)
                             or grid[sample.prompt_index].targets != sample.targets):

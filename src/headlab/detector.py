@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from .atomic import write_atomic
 from .dataset import DatasetManifest, load_step
 from .errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                      UsageError)
@@ -274,8 +275,7 @@ class DetectorModel:
             "bias": self.bias,
             "threshold": self.threshold,
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1)
-                              + "\n", encoding="utf-8")
+        write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, path) -> "DetectorModel":

@@ -4,7 +4,9 @@ Every stochastic piece of the package draws from :class:`SplitMix64` so that
 runs are reproducible bit-for-bit from a single 64-bit seed, independent of
 numpy version or platform.  The generator is counter-based: output ``i`` is
 ``finalize(seed + (i + 1) * GOLDEN)`` modulo 2**64, which lets us vectorise
-arbitrarily large draws without carrying mutable numpy state around.
+arbitrarily large draws without carrying mutable numpy state around, and
+lets :func:`stream_words` compute any stretch of the stream directly from
+its offset.
 
 Layout of derived quantities:
 
@@ -52,11 +54,37 @@ def mix64(*values: int) -> int:
     return h
 
 
-def _finalize_array(x: np.ndarray) -> np.ndarray:
-    # Same bit dance as finalize64, on a uint64 array (wraps silently).
-    x = (x ^ (x >> np.uint64(30))) * _U64_MIX1
-    x = (x ^ (x >> np.uint64(27))) * _U64_MIX2
-    return x ^ (x >> np.uint64(31))
+def stream_words(seed: int, start: int, n: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Words ``start .. start + n - 1`` of the stream seeded with ``seed``.
+
+    Word ``i`` is ``finalize64(seed + (i + 1) * GOLDEN)``, so a stretch drawn
+    at offset ``start`` equals that slice of one sequential draw.  The words
+    go into ``out[:n]`` (a uint64 array) when it is given, else into a new
+    array; the returned array is the one written.
+    """
+    if n < 0:
+        raise ValueError("draw count must be non-negative")
+    x = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    words = x if out is None else out[:n]
+    np.multiply(x, _U64_GOLDEN, out=words)
+    words += np.uint64(int(seed) & MASK64)
+    tmp = np.empty_like(words) if out is None else x
+    # Same bit dance as finalize64, in place (uint64 arithmetic wraps).
+    for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
+        np.right_shift(words, np.uint64(shift), out=tmp)
+        words ^= tmp
+        words *= mix
+    np.right_shift(words, np.uint64(31), out=tmp)
+    words ^= tmp
+    return words
+
+
+def to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word, into ``out``
+    (a float64 array of the same length) when it is given."""
+    return np.multiply(words >> np.uint64(11), 2.0**-53, out=out,
+                       dtype=np.float64)
 
 
 class SplitMix64:
@@ -72,15 +100,13 @@ class SplitMix64:
         return self._counter
 
     def _raw(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("draw count must be non-negative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        words = stream_words(self._seed, self._counter, n)
         self._counter += n
-        return _finalize_array(np.uint64(self._seed) + idx * _U64_GOLDEN)
+        return words
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1), each using the top 53 bits of one word."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return to_uniforms(self._raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller on consecutive uniforms."""

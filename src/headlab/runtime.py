@@ -22,10 +22,10 @@ do not depend on the batch it rides in, so the slot count changes no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, live_features
 from .engine import (MixtureBank, NoiseSchedule, Posterior, batch_capture,
@@ -366,4 +366,4 @@ def write_campaign_csv(report: CampaignReport, path) -> None:
         lines.append(",".join([r.prompt_id.replace(",", ";"), r.policy,
                                str(r.runs), f"{r.mean_steps:.4f}",
                                fmt(r.saving), fmt(r.ci_lo), fmt(r.ci_hi)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

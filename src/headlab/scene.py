@@ -17,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import EmptyTargets, GrammarError, UnknownObject, UsageError
 
 GRID_SIZE = 16
@@ -148,11 +149,11 @@ def load_catalog(path: str) -> dict[str, ObjectSpec]:
 
 def dump_catalog(catalog: dict[str, ObjectSpec], path: str) -> None:
     """Inverse of :func:`load_catalog` (positions as ``r,c`` tokens)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# id sigma positions...\n")
-        for spec in catalog.values():
-            tokens = " ".join(f"{r},{c}" for (r, c) in spec.candidate_positions)
-            fh.write(f"{spec.object_id} {spec.sigma} {tokens}\n")
+    lines = ["# id sigma positions...\n"]
+    for spec in catalog.values():
+        tokens = " ".join(f"{r},{c}" for (r, c) in spec.candidate_positions)
+        lines.append(f"{spec.object_id} {spec.sigma} {tokens}\n")
+    write_atomic(path, "".join(lines))
 
 
 _PART_RE = re.compile(r"^a ([a-z][a-z0-9_-]*)$")

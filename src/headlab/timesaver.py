@@ -16,15 +16,17 @@ exactly when complete, for an expected cost of 1 / P(complete).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
                      UsageError)
-from .rng import SplitMix64
+from .rng import stream_words, to_uniforms
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
+# Runs per block of a Monte Carlo round: the block's arrays stay in cache.
+MC_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,14 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     Every still-active run draws one attempt per round; runs retire when an
     attempt both survives the detector and is actually complete.  Raises
     ``TrialBudgetExceeded`` once any run exceeds ``max_attempts`` attempts.
+
+    A round of ``k`` active runs takes ``k`` pattern uniforms and then
+    ``k * n_obj`` verdict uniforms, run-major, from the ``SplitMix64(seed)``
+    stream.  The round is worked through in blocks of at most ``MC_BLOCK``
+    runs so that its arrays stay in cache.  Each block reads its own words
+    of the stream by offset, and each of its runs adds one cost in that
+    round, as it would in one whole-round pass.  The block size therefore
+    changes no bit of the report.
     """
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:
@@ -189,12 +199,17 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     pass_present = np.array([policy.recall[o] for o in dist.objects])
     pass_absent = np.array([1.0 - policy.true_negative_rate[o]
                             for o in dist.objects])
+    # Row j: the chance object j passes the detector, per pattern index.
+    pass_by_object = np.where(pattern_matrix, pass_present, pass_absent).T.copy()
     complete_mask = pattern_matrix.all(axis=1)
+    step_cost = np.array([policy.cost_fraction, 1.0])
 
-    stream = SplitMix64(seed)
+    block = min(MC_BLOCK, n_runs)
+    words = np.empty(block * n_obj, dtype=np.uint64)
+    u = np.empty(block * n_obj)
     costs = np.zeros(n_runs)
     active = np.arange(n_runs)
-    f = policy.cost_fraction
+    counter = 0
     rounds = 0
     while active.size:
         rounds += 1
@@ -202,15 +217,26 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
             raise TrialBudgetExceeded(
                 f"no acceptance within {max_attempts} attempts per run")
         k = active.size
-        pat_idx = np.searchsorted(cdf, stream.uniforms(k), side="right")
-        pat_idx = np.minimum(pat_idx, len(cdf) - 1)
-        present = pattern_matrix[pat_idx]
-        pass_prob = np.where(present, pass_present, pass_absent)
-        verdicts = stream.uniforms(k * n_obj).reshape(k, n_obj) < pass_prob
-        continued = verdicts.all(axis=1)
-        costs[active] += np.where(continued, 1.0, f)
-        accepted = continued & complete_mask[pat_idx]
-        active = active[~accepted]
+        keep = np.empty(k, dtype=bool)
+        for lo in range(0, k, block):
+            hi = min(lo + block, k)
+            b = hi - lo
+            # Pattern index: the count of cdf entries at or below the draw,
+            # as searchsorted(cdf, u, side="right") on a cdf ending in 1.0.
+            draw = to_uniforms(stream_words(seed, counter + lo, b, words), u[:b])
+            pat = np.zeros(b, dtype=np.intp)
+            for edge in cdf[:-1]:
+                pat += draw >= edge
+            verdicts = to_uniforms(
+                stream_words(seed, counter + k + lo * n_obj, b * n_obj, words),
+                u[:b * n_obj]).reshape(b, n_obj)
+            cont = verdicts[:, 0] < pass_by_object[0][pat]
+            for j in range(1, n_obj):
+                cont &= verdicts[:, j] < pass_by_object[j][pat]
+            costs[active[lo:hi]] += step_cost[cont.view(np.uint8)]
+            np.logical_not(cont & complete_mask[pat], out=keep[lo:hi])
+        counter += k * (1 + n_obj)
+        active = active[keep]
 
     mean = float(costs.mean())
     std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0
@@ -319,7 +345,7 @@ def write_sweep_tlast_csv(rows, path) -> None:
                                _fmt(r.saving_closed_form),
                                _fmt(r.saving_monte_carlo),
                                _fmt(r.ci_lo), _fmt(r.ci_hi)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_sweep_p_csv(rows, path) -> None:
@@ -327,4 +353,4 @@ def write_sweep_p_csv(rows, path) -> None:
     for r in rows:
         lines.append(",".join([_fmt(r.completeness), str(r.t_last),
                                _fmt(r.saving_closed_form)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -5,10 +5,17 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import settings
 
 from headlab.dataset import DatasetConfig, DatasetManifest, generate_dataset
 from headlab.engine import NoiseSchedule, make_schedule
 from headlab.scene import ObjectSpec, default_catalog
+
+# Property tests replay the same examples on every run, so tier-1 stays
+# deterministic; they keep their sizes small.
+settings.register_profile("headlab", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("headlab")
 
 
 @dataclass(frozen=True)

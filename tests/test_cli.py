@@ -349,6 +349,37 @@ def test_catalog_missing_a_manifest_object_exits_2(cli_dataset, cli_models,
     assert not (tmp_path / "o").exists()
 
 
+def test_malformed_dataset_catalog_exits_2(cli_dataset, tmp_path, capsys):
+    import shutil
+
+    root = tmp_path / "ds"
+    shutil.copytree(cli_dataset, root)
+    catalog = root / "catalog.txt"
+    lines = catalog.read_text(encoding="utf-8").splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if line.startswith("bench "))
+    parts = lines[line_no - 1].split(" ")
+    lines[line_no - 1] = " ".join([parts[0], "wide", *parts[2:]])
+    catalog.write_text("".join(lines), encoding="utf-8")
+    rc = main(["train", "--dataset", str(root), "--steps", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {catalog}:{line_no}: ")
+    assert "bad sigma 'wide'" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_catalog_flag_exits_1(tmp_path, capsys):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("bench wide 1,1\n", encoding="utf-8")
+    rc = main(["make-dataset", "--catalog", str(catalog),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {catalog}:1: bad sigma 'wide'\n"
+
+
 @pytest.mark.parametrize("shape", [(1, 3, 16, 16), (48, 2, 16, 16),
                                    (48, 3, 8, 8), None])
 def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from headlab.rng import GOLDEN, MASK64, SplitMix64, finalize64, mix64
+from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64, mix64,
+                         stream_words, to_uniforms)
 
 # First outputs of the widely published 64-bit mix sequence for seed 0:
 # each output is finalize64 of the seed advanced i+1 times by the golden
@@ -84,3 +85,49 @@ def test_mix64_handles_wide_values():
 def test_stream_rejects_bad_counts():
     with pytest.raises(ValueError):
         SplitMix64(0).uniforms(-1)
+
+
+# -------------------------------------------------- counter-addressed words
+
+def test_stream_words_at_an_offset_are_a_slice_of_one_draw():
+    seed = 2 ** 63 + 12345
+    whole = SplitMix64(seed)._raw(1000)
+    for start, n in ((0, 0), (0, 1), (1, 7), (250, 500), (999, 1)):
+        assert np.array_equal(stream_words(seed, start, n),
+                              whole[start:start + n])
+
+
+def test_stream_words_write_into_the_callers_buffer():
+    whole = stream_words(7, 0, 64)
+    buf = np.zeros(32, dtype=np.uint64)
+    out = stream_words(7, 10, 20, buf)
+    assert np.shares_memory(out, buf) and out.shape == (20,)
+    assert np.array_equal(buf[:20], whole[10:30])
+    assert not buf[20:].any()
+
+
+def test_stream_words_reject_bad_counts():
+    with pytest.raises(ValueError):
+        stream_words(0, 0, -1)
+
+
+def test_to_uniforms_matches_the_stream():
+    u = to_uniforms(stream_words(99, 5, 10), np.empty(10))
+    stream = SplitMix64(99)
+    stream.uniforms(5)
+    assert np.array_equal(u, stream.uniforms(10))
+
+
+def test_uniforms_normals_and_counter_are_pinned():
+    # Values drawn before the stream was addressed by offset: they must
+    # not move a bit.
+    stream = SplitMix64(2024)
+    assert [x.hex() for x in stream.uniforms(3)] == [
+        "0x1.3edb1fd9f11ddp-1", "0x1.8e430bb1511f0p-4", "0x1.31bdf2fd636e8p-2"]
+    assert stream.counter == 3
+    assert [x.hex() for x in stream.normals(3)] == [
+        "0x1.0194b4d485348p+0", "-0x1.d088bf185859dp+0", "0x1.6c3e808ed1e54p-1"]
+    assert stream.counter == 7
+    assert [x.hex() for x in stream.uniforms(2)] == [
+        "0x1.3154067d33894p-1", "0x1.59cf4702dd4f0p-3"]
+    assert stream.counter == 9

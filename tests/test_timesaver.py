@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from headlab import timesaver
 from headlab.errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
                             UsageError)
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
@@ -178,6 +180,56 @@ def test_monte_carlo_rejects_zero_runs():
     policy = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.1)
     with pytest.raises(UsageError):
         monte_carlo_cost(dist, policy, 0, seed=0)
+
+
+# Reports at 50,000 runs, so that a round spans several blocks, frozen as
+# float.hex: (objects, faithfulness, recall, tn rate, f, seed, mean, stderr).
+FROZEN_REPORTS = [
+    (("a",), 0.59, {"a": 1.0}, {"a": 1.0}, 0.16, 1,
+     "0x1.1c9dc57844b54p+0", "0x1.949433172c401p-11"),
+    (("a",), 0.3, {"a": 1.0}, {"a": 0.0}, 0.08, 2,
+     "0x1.aa7674d163348p+1", "0x1.98f3785923090p-7"),
+    (("a", "b"), 0.8, {"a": 0.95, "b": 0.95}, {"a": 0.85, "b": 0.85}, 0.16, 3,
+     "0x1.2f5a385aba60cp+0", "0x1.a7f482ced5e6cp-10"),
+    (("a", "b"), 0.59 ** 0.5, {"a": 1.0, "b": 0.9}, {"a": 0.0, "b": 1.0},
+     0.32, 4, "0x1.7c18a796b25eap+0", "0x1.c42559229b25ep-9"),
+    (("a", "b", "c"), 0.7, {"a": 0.9, "b": 0.9, "c": 0.9},
+     {"a": 0.0, "b": 0.0, "c": 0.0}, 0.2, 5,
+     "0x1.b147496aad1d1p+1", "0x1.9e76afaedde8fp-7"),
+    (("a", "b", "c"), 0.9, {"a": 1.0, "b": 1.0, "c": 1.0},
+     {"a": 0.5, "b": 1.0, "c": 0.0}, 0.0, 6,
+     "0x1.2c27a63736cdfp+0", "0x1.05eae5caae2bep-9"),
+]
+
+
+@pytest.mark.parametrize("objects,q,recall,tn,f,seed,mean,stderr",
+                         FROZEN_REPORTS)
+def test_monte_carlo_bits_are_frozen(objects, q, recall, tn, f, seed, mean,
+                                     stderr):
+    dist = AttemptDistribution.from_faithfulness(objects, q)
+    policy = PolicyParams(recall=recall, true_negative_rate=tn,
+                          cost_fraction=f)
+    report = monte_carlo_cost(dist, policy, 50_000, seed=seed)
+    assert (report.mean_cost.hex(), report.stderr.hex()) == (mean, stderr)
+
+
+@given(n_obj=st.integers(1, 3),
+       q=st.sampled_from([0.5, 0.8, 1.0]),
+       recall=st.sampled_from([0.6, 1.0]),
+       tn=st.sampled_from([0.0, 0.7, 1.0]),
+       f=st.sampled_from([0.0, 0.25]),
+       n_runs=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_monte_carlo_block_size_changes_no_bit(n_obj, q, recall, tn, f,
+                                               n_runs, seed):
+    objects = tuple("abc"[:n_obj])
+    dist = AttemptDistribution.from_faithfulness(objects, q)
+    policy = PolicyParams.symmetric(objects, recall, tn, f)
+    whole = monte_carlo_cost(dist, policy, n_runs, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", 64)
+        blocked = monte_carlo_cost(dist, policy, n_runs, seed=seed)
+    assert blocked == whole
 
 
 # ------------------------------------------------------------- sweeps
