@@ -30,6 +30,6 @@ from .timesaver import (AttemptDistribution, PolicyParams, SimReport,
                         baseline_cost, expected_cost_closed_form,
                         monte_carlo_cost, relative_saving, sweep_probability,
                         sweep_tlast)
-from .runtime import RunPolicy, RunTrace, measure_campaign, run_arm
+from .runtime import RunPolicy, RunTrace, measure_campaign, run_arms
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ Exit codes: 0 on success, 1 when the invocation or its inputs are invalid,
 interrupted.  Every subcommand that takes ``--out`` writes its artifacts
 there together with ``config_snapshot.json``, a sorted-key JSON record
 sufficient to reproduce the outputs bit for bit (nothing here ever reads
-the clock or ambient entropy).
+the clock or ambient entropy).  The snapshot is written last, so a command
+that stops part way leaves the previous snapshot beside the previous
+artifacts.
 """
 
 from __future__ import annotations
@@ -119,8 +121,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _out_dir(path) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Record the command's configuration; called after its last artifact."""
     _write_json(out_dir / SNAPSHOT_NAME, {"command": command, **payload})
 
 
@@ -190,8 +198,8 @@ def _cmd_make_dataset(args) -> None:
     else:
         catalog = default_catalog()
     out = Path(args.out)
-    _write_snapshot(out, "make-dataset", {"dataset": config.to_dict()})
     manifest = generate_dataset(config, catalog, out)
+    _write_snapshot(out, "make-dataset", {"dataset": config.to_dict()})
     stats = manifest.stats
     print(f"dataset {out}: {len(manifest.samples)} samples, "
           f"complete fraction {stats['complete_fraction']:.4f}")
@@ -215,9 +223,7 @@ def _cmd_train(args) -> None:
                                   split=settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
                                               settings.target_recall)
-    out = Path(args.out)
-    _write_snapshot(out, "train", {"dataset": str(args.dataset),
-                                   "detector": asdict(settings)})
+    out = _out_dir(args.out)
     model.save(out / "model.json")
     report = {}
     for split in ("train", "val"):
@@ -228,6 +234,8 @@ def _cmd_train(args) -> None:
                                        variant=settings.variant,
                                        split=split)).to_dict()
     _write_json(out / "train_report.json", report)
+    _write_snapshot(out, "train", {"dataset": str(args.dataset),
+                                   "detector": asdict(settings)})
     shown = "val" if "val" in report else "train"
     pooled = report[shown]["pooled"]
     print(f"model {out / 'model.json'}: {shown} recall "
@@ -240,13 +248,13 @@ def _cmd_eval(args) -> None:
     design = build_design_matrix(root, manifest, catalog, model.steps,
                                  variant=model.variant, split=args.split)
     report = evaluate_detector(model, design)
-    out = Path(args.out)
-    _write_snapshot(out, "eval", {"dataset": str(args.dataset),
-                                  "model": str(args.model),
-                                  "split": args.split})
+    out = _out_dir(args.out)
     _write_json(out / "eval_report.json",
                 {"split": args.split, "variant": model.variant,
                  "steps": list(model.steps), **report.to_dict()})
+    _write_snapshot(out, "eval", {"dataset": str(args.dataset),
+                                  "model": str(args.model),
+                                  "split": args.split})
     pooled = report.pooled
     print(f"split {args.split}: recall {pooled.recall:.4f}, "
           f"tn_rate {pooled.true_negative_rate:.4f}, "
@@ -281,11 +289,11 @@ def _cmd_simulate(args) -> None:
                        "mc_mean_cost": report.mean_cost,
                        "mc_stderr": report.stderr})
     if args.out is not None:
-        out = Path(args.out)
+        out = _out_dir(args.out)
+        _write_json(out / "simulate_result.json", result)
         _write_snapshot(out, "simulate",
                         {k: result[k] for k in
                          ("p", "recall", "tn_rate", "f", "objects")})
-        _write_json(out / "simulate_result.json", result)
 
 
 def _rate_point(report, manifest, t_last: int) -> RatePoint:
@@ -322,12 +330,12 @@ def _cmd_sweep_tlast(args) -> None:
         ("subject", "thing"), manifest.config.faithfulness)
     rows = sweep_tlast(dist, points, num_steps, n_runs=args.mc_runs,
                        seed=args.seed)
-    out = Path(args.out)
+    out = _out_dir(args.out)
+    write_sweep_tlast_csv(rows, out / "sweep_tlast.csv")
     _write_snapshot(out, "sweep-tlast",
                     {"dataset": str(args.dataset), "models": model_paths,
                      "split": args.split, "mc_runs": args.mc_runs,
                      "seed": args.seed})
-    write_sweep_tlast_csv(rows, out / "sweep_tlast.csv")
     for row in rows:
         print(f"t_last {row.t_last:3d}  f {row.cost_fraction:.2f}  "
               f"saving_cf {row.saving_closed_form:+.4f}")
@@ -339,12 +347,12 @@ def _cmd_sweep_p(args) -> None:
     names = _object_names(args.objects)
     rows = sweep_probability(names, args.recall, args.tn_rate, args.t_last,
                              args.num_steps, grid)
-    out = Path(args.out)
+    out = _out_dir(args.out)
+    write_sweep_p_csv(rows, out / "sweep_p.csv")
     _write_snapshot(out, "sweep-p",
                     {"recall": args.recall, "tn_rate": args.tn_rate,
                      "t_last": args.t_last, "num_steps": args.num_steps,
                      "objects": args.objects, "p_grid": list(grid)})
-    write_sweep_p_csv(rows, out / "sweep_p.csv")
     print(f"wrote {len(rows)} rows to {out / 'sweep_p.csv'}")
 
 
@@ -372,11 +380,11 @@ def _cmd_run(args) -> None:
                               treatment, catalog, settings.runs_per_prompt,
                               settings.root_seed,
                               label_threshold=config.label_threshold)
-    out = Path(args.out)
+    out = _out_dir(args.out)
+    write_campaign_csv(report, out / "campaign.csv")
     _write_snapshot(out, "run",
                     {"dataset": str(args.dataset), "model": str(args.model),
                      "split": args.split, **asdict(settings)})
-    write_campaign_csv(report, out / "campaign.csv")
     print(f"pooled saving {report.pooled_saving:+.4f} "
           f"({settings.runs_per_prompt} runs x {len(prompts)} prompts)")
 
@@ -410,9 +418,9 @@ def _cmd_report(args) -> None:
     if not sections:
         raise UsageError(f"no known CSV artifacts found under {src}")
     text = "\n\n".join(sections) + "\n"
-    out = Path(args.out)
-    _write_snapshot(out, "report", {"dir": str(args.dir)})
+    out = _out_dir(args.out)
     write_atomic(out / "report.txt", text)
+    _write_snapshot(out, "report", {"dir": str(args.dir)})
     print(text, end="")
 
 

@@ -13,10 +13,14 @@ Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices.
 
-An arm runs as a pool of ``SLOTS`` attempts denoised in lockstep, each at
-its own step and under its own prompt's mixture: an attempt that ends hands
-its slot to its run's next attempt, or to the next run.  A latent's values
-do not depend on the batch it rides in, so the slot count changes no trace.
+Both arms run in one pool of ``SLOTS`` attempts denoised in lockstep, each
+at its own step and under its own prompt's mixture.  Attempt ``k`` of a run
+is one latent, denoised once for every arm still making that run: a head
+arm that aborts it leaves it, and the rest carry it on.  An attempt that
+ends hands its slot to its run's next attempt, made by the arms whose run
+goes on, or to the next run.  A latent's values do not depend on the batch
+it rides in, nor on the arms it serves, so each arm's traces equal those of
+the arm run alone, and the slot count changes none of them.
 """
 
 from __future__ import annotations
@@ -109,153 +113,184 @@ class _Run:
 
 @dataclass
 class _Attempt:
-    """An attempt in flight: its run (a position in the arm's runs), its
-    index and seed, and what it has captured and decided so far; captures
-    are its rows of :attr:`CapturedStep.channels`, by capture label."""
+    """An attempt in flight: its run (a position in the pool's runs), its
+    index and seed, the arms (positions in the pool's policies) that make
+    it, what it has captured, and each arm's verdicts and ``(outcome,
+    steps)`` so far; captures are its rows of :attr:`CapturedStep.channels`,
+    by capture label."""
 
     run: int
     index: int
     seed: int
+    arms: list[int]
     captured: dict[int, np.ndarray] = field(default_factory=dict)
-    verdicts: dict[str, int] | None = None
+    verdicts: dict[int, dict[str, int]] = field(default_factory=dict)
+    outcomes: dict[int, tuple[str, int]] = field(default_factory=dict)
 
 
-def _run_pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
-              policy: RunPolicy, catalog: dict[str, ObjectSpec],
-              root_seed: int, label_threshold: float):
-    """Every run of ``runs`` over one bank, ``SLOTS`` attempts in lockstep.
+def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
+          policies, catalog: dict[str, ObjectSpec], root_seed: int,
+          label_threshold: float):
+    """Every run of ``runs`` over one bank under every policy, ``SLOTS``
+    attempts in lockstep.
 
-    An attempt that ends hands its slot to its run's next attempt, or, once
-    the run is accepted or out of attempts, to the next run not yet started.
-    Returns the traces by position in ``runs`` and the position of the
-    first run that exhausted ``max_restarts`` (None if none did); once one
-    has, later runs are dropped, since only an earlier run can come first.
+    An attempt is one latent for all the arms that make it.  It captures at
+    the capture steps of every head arm; a head arm that aborts it at its
+    decision step leaves it, and it ends once no arm is left or it reaches
+    ``t = 0``, where its image is labelled once for the arms still on it.
+    It then hands its slot to its run's next attempt, made by the arms
+    whose run goes on, or to the next run not yet started.  Returns, by
+    arm, the traces by position in ``runs`` and the position of the first
+    run that exhausted the arm's ``max_restarts`` (None if none did); once
+    one has, the arm drops later runs, since only an earlier run can come
+    first.
     """
-    T, model = schedule.T, policy.model
-    if model is not None:
-        decision = max(model.steps)
-        capture_at = np.zeros(T + 1, dtype=bool)  # by noise index
+    T, n = schedule.T, bank.grid_size
+    arms = range(len(policies))
+    heads = [(a, p.model, max(p.model.steps))
+             for a, p in enumerate(policies) if p.model is not None]
+    capture_at = np.zeros(T + 1, dtype=bool)  # by noise index
+    for _, model, _ in heads:
         capture_at[[T - u for u in model.steps]] = True
-    n = bank.grid_size
-    history: list[list[AttemptRecord]] = [[] for _ in runs]
-    totals = [0] * len(runs)
-    traces: list[RunTrace | None] = [None] * len(runs)
-    failed = None
+    history = [[[] for _ in runs] for _ in arms]
+    totals = [[0] * len(runs) for _ in arms]
+    traces = [[None] * len(runs) for _ in arms]
+    failed: list[int | None] = [None for _ in arms]
     next_run = 0
     live: list[_Attempt] = []
     waiting: list[_Attempt] = []
     z = np.empty((0, n, n))
     t = np.empty(0, dtype=np.int64)
     which = np.empty(0, dtype=np.int64)
+    on = np.empty((0, len(policies)), dtype=bool)  # arms still denoising a row
 
-    def attempt(run: int, index: int) -> _Attempt:
+    def attempt(run: int, index: int, by: list[int]) -> _Attempt:
         spec = runs[run]
         seed = mix64(root_seed, spec.prompt_index, spec.run_index, index)
-        return _Attempt(run=run, index=index, seed=seed)
+        return _Attempt(run=run, index=index, seed=seed, arms=by)
 
     while True:
-        while (failed is None and next_run < len(runs)
-               and len(live) + len(waiting) < SLOTS):
-            waiting.append(attempt(next_run, 0))
+        fresh = [a for a in arms if failed[a] is None]
+        while fresh and next_run < len(runs) and len(live) + len(waiting) < SLOTS:
+            waiting.append(attempt(next_run, 0, fresh))
             next_run += 1
         if waiting:
             live += waiting
             z = np.concatenate([z, [initial_latent(a.seed, n) for a in waiting]])
             t = np.concatenate([t, np.full(len(waiting), T)])
             which = np.concatenate([which, [runs[a.run].mixture for a in waiting]])
+            on = np.concatenate([on, [[a in w.arms for a in arms]
+                                      for w in waiting]])
             waiting = []
         if not live:
             return traces, failed
         post, z_next = denoise_step(bank, which, schedule, t, z)
-        ended: dict[int, tuple[str, int]] = {}  # row -> (outcome, steps)
-        if model is not None:
-            rows = capture_at[t].nonzero()[0]
-            if rows.size:
-                caps = batch_capture(bank, which[rows], schedule, t[rows],
-                                     z[rows], Posterior(r=post.r[rows],
-                                                        eps=post.eps[rows]))
-                for row, u, channels in zip(rows, T - caps.t, caps.channels):
-                    live[row].captured[int(u)] = channels
-            for row in (t == T - decision).nonzero()[0]:
-                a = live[row]
-                a.verdicts = {}
+        rows = capture_at[t].nonzero()[0]
+        if rows.size:
+            caps = batch_capture(bank, which[rows], schedule, t[rows], z[rows],
+                                 Posterior(r=post.r[rows], eps=post.eps[rows]))
+            for row, u, channels in zip(rows, T - caps.t, caps.channels):
+                live[row].captured[int(u)] = channels
+        for a, model, decision in heads:
+            for row in (on[:, a] & (t == T - decision)).nonzero()[0]:
+                at = live[row]
+                verdicts = at.verdicts[a] = {}
                 for j, obj in enumerate(bank.mixtures[which[row]].targets):
-                    features = live_features(a.captured, j, catalog[obj],
+                    features = live_features(at.captured, j, catalog[obj],
                                              model.variant, model.steps)
-                    a.verdicts[obj] = int(model.predict(features)[0])
-                if not all(a.verdicts.values()):
-                    ended[row] = (OUTCOME_ABORTED, decision)
+                    verdicts[obj] = int(model.predict(features)[0])
+                if not all(verdicts.values()):
+                    at.outcomes[a] = (OUTCOME_ABORTED, decision)
+                    on[row, a] = False
         z, t = z_next, t - 1
-        for row in (t == 0).nonzero()[0]:
-            if row not in ended:
-                targets = bank.mixtures[which[row]].targets
-                labels = label_image(z[row], targets, catalog, label_threshold)
-                complete = all(labels[o] == 1 for o in targets)
-                ended[row] = (OUTCOME_COMPLETE if complete
-                              else OUTCOME_INCOMPLETE, T)
-        if not ended:
+        for row in ((t == 0) & on.any(axis=1)).nonzero()[0]:
+            targets = bank.mixtures[which[row]].targets
+            labels = label_image(z[row], targets, catalog, label_threshold)
+            complete = all(labels[o] == 1 for o in targets)
+            for a in on[row].nonzero()[0]:
+                live[row].outcomes[a] = (OUTCOME_COMPLETE if complete
+                                         else OUTCOME_INCOMPLETE, T)
+        done = (t == 0) | ~on.any(axis=1)
+        if not done.any():
             continue
-        for row, (outcome, steps) in sorted(ended.items()):
-            a = live[row]
-            history[a.run].append(AttemptRecord(seed=a.seed, outcome=outcome,
-                                                steps=steps,
-                                                verdicts=a.verdicts))
-            totals[a.run] += steps
-            if outcome == OUTCOME_COMPLETE:
-                traces[a.run] = RunTrace(prompt_id=runs[a.run].prompt_id,
-                                         attempts=tuple(history[a.run]),
-                                         total_steps=totals[a.run],
-                                         accepted_seed=a.seed)
-            elif a.index + 1 < policy.max_restarts:
-                waiting.append(attempt(a.run, a.index + 1))
-            elif failed is None or a.run < failed:
-                failed = a.run
-        keep = [row for row, a in enumerate(live) if row not in ended
-                and (failed is None or a.run < failed)]
-        waiting = [a for a in waiting if failed is None or a.run < failed]
+        for at in (live[row] for row in done.nonzero()[0]):
+            going_on = []
+            for a, (outcome, steps) in at.outcomes.items():
+                history[a][at.run].append(AttemptRecord(
+                    seed=at.seed, outcome=outcome, steps=steps,
+                    verdicts=at.verdicts.get(a)))
+                totals[a][at.run] += steps
+                if outcome == OUTCOME_COMPLETE:
+                    traces[a][at.run] = RunTrace(
+                        prompt_id=runs[at.run].prompt_id,
+                        attempts=tuple(history[a][at.run]),
+                        total_steps=totals[a][at.run], accepted_seed=at.seed)
+                elif at.index + 1 < policies[a].max_restarts:
+                    going_on.append(a)
+                elif failed[a] is None or at.run < failed[a]:
+                    failed[a] = at.run
+            if going_on:
+                waiting.append(attempt(at.run, at.index + 1, going_on))
+        for a, first in enumerate(failed):
+            if first is not None:
+                on[[at.run > first for at in live], a] = False
+                for at in waiting:
+                    at.arms = [b for b in at.arms if b != a or at.run < first]
+        waiting = [at for at in waiting if at.arms]
+        keep = (~done & on.any(axis=1)).nonzero()[0]
         live = [live[row] for row in keep]
-        z, t, which = z[keep], t[keep], which[keep]
+        z, t, which, on = z[keep], t[keep], which[keep], on[keep]
 
 
-def run_arm(mixtures, schedule: NoiseSchedule, policy: RunPolicy,
-            catalog: dict[str, ObjectSpec], root_seed: int,
-            runs_per_prompt: int, prompt_ids,
-            label_threshold: float = 0.5) -> tuple[RunTrace, ...]:
-    """Run ``runs_per_prompt`` restart-until-accepted runs of one policy on
-    every prompt, ``SLOTS`` attempts at a time.
+def run_arms(mixtures, schedule: NoiseSchedule, policies,
+             catalog: dict[str, ObjectSpec], root_seed: int,
+             runs_per_prompt: int, prompt_ids,
+             label_threshold: float = 0.5) -> tuple[tuple[RunTrace, ...], ...]:
+    """Run ``runs_per_prompt`` restart-until-accepted runs of every policy
+    on every prompt, ``SLOTS`` attempts at a time, each attempt denoised
+    once for all the policies that make it.
 
     Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``; run ``j`` of
-    it draws its attempt seeds from ``(root_seed, i, j)``.  Acceptance
-    always requires the finished image to pass the matched-filter presence
-    check for every target.  Mixtures that cannot share a
-    :class:`MixtureBank` run in separate pools.  Returns the traces in
-    (prompt, run) order; the slot count changes none of them.  Raises
+    it draws its attempt seeds from ``(root_seed, i, j)`` under every
+    policy.  Acceptance always requires the finished image to pass the
+    matched-filter presence check for every target.  Mixtures that cannot
+    share a :class:`MixtureBank` run in separate pools.  Returns one tuple
+    of traces per policy, in (prompt, run) order; each equals the policy
+    run alone, and the slot count changes none of them.  Raises
     ``RestartLimitExceeded`` for the first run in that order that no
-    attempt within ``max_restarts`` completes.
+    attempt within ``max_restarts`` completes, under the first policy that
+    has one.
     """
     if runs_per_prompt < 1:
         raise UsageError("runs_per_prompt must be >= 1")
     if len(prompt_ids) != len(mixtures):
         raise UsageError("prompt_ids and mixtures must align")
-    policy.validate(schedule.T)
-    traces: list[RunTrace | None] = [None] * (len(mixtures) * runs_per_prompt)
-    failures = []
+    if not policies:
+        raise UsageError("at least one policy is required")
+    for policy in policies:
+        policy.validate(schedule.T)
+    traces = [[None] * (len(mixtures) * runs_per_prompt) for _ in policies]
+    failures: list[list[_Run]] = [[] for _ in policies]
     for bank, members in MixtureBank.group(mixtures):
         runs = [_Run(mixture=k, prompt_index=i, run_index=j,
                      prompt_id=prompt_ids[i])
                 for k, i in enumerate(members) for j in range(runs_per_prompt)]
-        pooled, failed = _run_pool(bank, runs, schedule, policy, catalog,
-                                   root_seed, label_threshold)
-        for run, trace in zip(runs, pooled):
-            traces[run.prompt_index * runs_per_prompt + run.run_index] = trace
-        if failed is not None:
-            failures.append(runs[failed])
-    if failures:
-        run = min(failures, key=lambda r: (r.prompt_index, r.run_index))
-        raise RestartLimitExceeded(
-            f"no accepted image within {policy.max_restarts} attempts "
-            f"(prompt {run.prompt_id or run.prompt_index}, run {run.run_index})")
-    return tuple(traces)
+        pooled, failed = _pool(bank, runs, schedule, policies, catalog,
+                               root_seed, label_threshold)
+        for arm, arm_failures, arm_traces, first in zip(traces, failures,
+                                                        pooled, failed):
+            for run, trace in zip(runs, arm_traces):
+                arm[run.prompt_index * runs_per_prompt + run.run_index] = trace
+            if first is not None:
+                arm_failures.append(runs[first])
+    for policy, arm_failures in zip(policies, failures):
+        if arm_failures:
+            run = min(arm_failures, key=lambda r: (r.prompt_index, r.run_index))
+            raise RestartLimitExceeded(
+                f"no accepted image within {policy.max_restarts} attempts "
+                f"(prompt {run.prompt_id or run.prompt_index}, "
+                f"run {run.run_index})")
+    return tuple(tuple(arm) for arm in traces)
 
 
 @dataclass(frozen=True)
@@ -307,28 +342,21 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
 
     Relative saving is ``1 - steps_treatment / steps_reference``, reported
     per prompt and pooled, with paired-bootstrap confidence intervals.
-    Because attempt seeds depend only on indices, arm order never changes
-    any trace.
+    Both arms share one pool, so each ``(run, attempt)`` latent is denoised
+    once; because attempt seeds depend only on indices, neither arm's traces
+    differ from the arm run alone.
     """
-    if runs_per_prompt < 1:
-        raise UsageError("runs_per_prompt must be >= 1")
-    if len(prompts) != len(mixtures):
-        raise UsageError("prompts and mixtures must align")
     if not prompts:
         raise UsageError("a campaign needs at least one prompt")
-    for policy in (reference, treatment):
-        policy.validate(schedule.T)
-    ids = [p.text for p in prompts]
-
-    def steps(policy: RunPolicy) -> np.ndarray:
-        traces = run_arm(mixtures, schedule, policy, catalog, root_seed,
-                         runs_per_prompt, ids, label_threshold)
-        return np.array([trace.total_steps for trace in traces],
-                        dtype=np.float64).reshape(len(prompts), runs_per_prompt)
-
-    # Each arm is its own pool, so the work of each stays separable.
-    ref_steps = steps(reference)
-    treat_steps = steps(treatment)
+    # run_arms checks the other arguments.  One pool for both arms: the
+    # latents they share are denoised once, so the wall time of one arm
+    # alone is no longer measured.
+    ref_steps, treat_steps = (
+        np.array([trace.total_steps for trace in traces],
+                 dtype=np.float64).reshape(len(prompts), runs_per_prompt)
+        for traces in run_arms(mixtures, schedule, (reference, treatment),
+                               catalog, root_seed, runs_per_prompt,
+                               [p.text for p in prompts], label_threshold))
     rows: list[CampaignRow] = []
     for i, prompt in enumerate(prompts):
         saving = 1.0 - treat_steps[i].mean() / ref_steps[i].mean()

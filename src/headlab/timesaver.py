@@ -40,11 +40,13 @@ class AttemptDistribution:
     def __post_init__(self):
         if not self.objects:
             raise UsageError("at least one object is required")
+        # NaN fails every comparison, so test for what is valid
+        if not all(np.isfinite(p) and p >= 0 for p in self.probabilities):
+            raise UsageError("pattern probabilities must be finite and "
+                             "non-negative")
         total = sum(self.probabilities)
         if abs(total - 1.0) > 1e-9:
             raise UsageError(f"pattern probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.probabilities):
-            raise UsageError("pattern probabilities must be non-negative")
         for pat in self.patterns:
             if len(pat) != len(self.objects):
                 raise UsageError("pattern length must match object count")

@@ -1,5 +1,6 @@
 """Whole-file artifact writes: a failed write leaves the old file intact."""
 
+import json
 import os
 
 import pytest
@@ -65,3 +66,6 @@ def test_interrupted_command_keeps_the_artifact_it_was_writing(
     assert result.read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == [
         "config_snapshot.json", "simulate_result.json"]
+    # the snapshot is written after the result, so it still describes it
+    snapshot = json.loads((out / "config_snapshot.json").read_text("utf-8"))
+    assert snapshot["f"] == 0.16

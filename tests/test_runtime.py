@@ -6,12 +6,13 @@ import pytest
 from headlab import runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
+from headlab.engine import MixtureBank, denoise_step
 from headlab.errors import RestartLimitExceeded, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
-                             _bootstrap_ci, measure_campaign, run_arm,
+                             _bootstrap_ci, measure_campaign, run_arms,
                              write_campaign_csv)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
@@ -59,8 +60,10 @@ def test_mode_follows_model(tiny_model):
 
 def _runs(mixture, schedule, policy, catalog, root_seed, n, prompt_id=""):
     """Runs 0..n-1 of one prompt: attempt seeds ``mix64(root_seed, 0, j, k)``."""
-    return run_arm([mixture], schedule, policy, catalog, root_seed=root_seed,
-                   runs_per_prompt=n, prompt_ids=[prompt_id])
+    (traces,) = run_arms([mixture], schedule, (policy,), catalog,
+                         root_seed=root_seed, runs_per_prompt=n,
+                         prompt_ids=[prompt_id])
+    return traces
 
 
 def test_baseline_run_structure(mixture, schedule, catalog):
@@ -183,25 +186,27 @@ def test_campaign_structure(catalog, schedule, tiny_model):
     assert report.pooled_saving == pooled[1].saving
 
 
-def _campaign_traces(catalog, schedule, tiny_model):
-    """test_campaign_structure's campaign, with each arm's traces."""
+def _head_campaign(catalog, tiny_model):
+    """test_campaign_structure's grid and arms, and arguments to
+    ``run_arms`` under which the head aborts complete attempts of two runs
+    and so makes attempts the baseline never makes."""
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                               0.59 ** 0.5)
     policies = (RunPolicy(), RunPolicy(model=tiny_model))
-    report = measure_campaign(prompts, mixtures, schedule, *policies,
-                              catalog, runs_per_prompt=4, root_seed=77)
-    arms = [run_arm(mixtures, schedule, policy, catalog, root_seed=77,
-                    runs_per_prompt=4, prompt_ids=[p.text for p in prompts])
-            for policy in policies]
-    return report, arms
+    return prompts, mixtures, policies, dict(
+        root_seed=88, runs_per_prompt=4, prompt_ids=[p.text for p in prompts])
 
 
 def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
                                     monkeypatch):
+    prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     results = []
     for slots in (1, 3, 16):
         monkeypatch.setattr(runtime, "SLOTS", slots)
-        results.append(_campaign_traces(catalog, schedule, tiny_model))
+        report = measure_campaign(prompts, mixtures, schedule, *policies,
+                                  catalog, runs_per_prompt=4, root_seed=88)
+        results.append((report, run_arms(mixtures, schedule, policies,
+                                         catalog, **kwargs)))
     for report, arms in results[1:]:
         assert report == results[0][0]
         assert arms == results[0][1]
@@ -213,7 +218,7 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
     # traces come in (prompt, run) order: run j of prompt i draws its seeds
     # from mix64(root_seed, i, j, attempt)
     for k, trace in enumerate(treat):
-        assert trace.attempts[0].seed == mix64(77, k // 4, k % 4, 0)
+        assert trace.attempts[0].seed == mix64(88, k // 4, k % 4, 0)
     ref_steps = [t.total_steps for t in ref]
     assert report.rows[0].mean_steps == np.mean(ref_steps[:4])
     assert report.rows[-2].mean_steps == np.mean(ref_steps)
@@ -228,34 +233,184 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
     for slots in (1, 3, 16):
         monkeypatch.setattr(runtime, "SLOTS", slots)
         with pytest.raises(RestartLimitExceeded) as info:
-            run_arm(mixtures, schedule, reject_all, catalog, root_seed=1,
-                    runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
+            run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
+                     runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
         assert str(info.value) == ("no accepted image within 4 attempts "
                                    "(prompt a cat and a bench, run 0)")
 
 
-def _arm_alone(monkeypatch, *args, **kwargs):
-    """``run_arm`` with one slot: each run made alone, a batch of one."""
+def _alone(monkeypatch, mixtures, schedule, policy, catalog, **kwargs):
+    """One policy's traces with one slot: each run made alone, by one arm,
+    a batch of one."""
     with monkeypatch.context() as patch:
         patch.setattr(runtime, "SLOTS", 1)
-        return run_arm(*args, **kwargs)
+        (traces,) = run_arms(mixtures, schedule, (policy,), catalog, **kwargs)
+    return traces
+
+
+def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, policies,
+                               catalog, **kwargs):
+    """Each arm of ``policies`` run in one pool equals the arm run alone,
+    at every slot count; returns the joint traces."""
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
+                         **kwargs) for policy in policies)
+    for slots in (1, 3, 16):
+        monkeypatch.setattr(runtime, "SLOTS", slots)
+        assert run_arms(mixtures, schedule, policies, catalog,
+                        **kwargs) == alone
+    return alone
+
+
+def test_joint_arms_equal_single_arms_with_aborts(catalog, schedule,
+                                                   tiny_model, monkeypatch):
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    ref, treat = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
+                                            policies, catalog, **kwargs)
+    assert sum(t.n_aborted for t in treat) > 0
+    # an abort of a complete attempt sends the head past the baseline
+    assert any(h.n_attempts > b.n_attempts for b, h in zip(ref, treat))
+
+
+@pytest.mark.parametrize("arm", ["baseline", "head"])
+def test_joint_identical_arms_equal_single_arms(catalog, schedule, tiny_model,
+                                                 monkeypatch, arm):
+    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    policy = RunPolicy(model=tiny_model if arm == "head" else None)
+    first, second = _assert_joint_equals_alone(
+        monkeypatch, mixtures, schedule, (policy, policy), catalog, **kwargs)
+    assert first == second
+
+
+def test_joint_arms_with_different_restart_limits(catalog, schedule,
+                                                   tiny_model, monkeypatch):
+    """Each arm's limit is the most attempts any of its runs needs, so both
+    limits are reached, at different attempts, without a failure."""
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    limits = [max(t.n_attempts for t in _alone(monkeypatch, mixtures,
+                                               schedule, policy, catalog,
+                                               **kwargs))
+              for policy in policies]
+    assert limits[0] != limits[1]
+    tight = tuple(RunPolicy(model=p.model, max_restarts=m)
+                  for p, m in zip(policies, limits))
+    _assert_joint_equals_alone(monkeypatch, mixtures, schedule, tight,
+                               catalog, **kwargs)
+
+
+def _restart_message(mixtures, schedule, policies, catalog, **kwargs) -> str:
+    with pytest.raises(RestartLimitExceeded) as info:
+        run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    return str(info.value)
+
+
+def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
+        catalog, schedule, tiny_model, monkeypatch):
+    """Arms run one after the other would stop at the reference's first
+    failing run, and at the treatment's only when the reference has none."""
+    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
+                           max_restarts=4)
+    impatient = RunPolicy(max_restarts=2)
+    for slots in (1, 3, 16):
+        monkeypatch.setattr(runtime, "SLOTS", slots)
+        # both arms fail, the treatment at an earlier run
+        assert (_restart_message(mixtures, schedule, (impatient, reject_all),
+                                 catalog, **kwargs)
+                == _restart_message(mixtures, schedule, (impatient,),
+                                    catalog, **kwargs)
+                == "no accepted image within 2 attempts "
+                   "(prompt a cat and a bench, run 2)")
+        # only the treatment fails
+        assert (_restart_message(mixtures, schedule,
+                                 (RunPolicy(), reject_all), catalog, **kwargs)
+                == _restart_message(mixtures, schedule, (reject_all,),
+                                    catalog, **kwargs)
+                == "no accepted image within 4 attempts "
+                   "(prompt a cat and a bench, run 0)")
+
+
+def _counting_rows(monkeypatch) -> list[int]:
+    """Route the runtime's ``denoise_step`` through a wrapper that records
+    how many rows each call takes."""
+    rows = []
+
+    def counting(bank, which, schedule, t, z):
+        rows.append(len(z))
+        return denoise_step(bank, which, schedule, t, z)
+
+    monkeypatch.setattr(runtime, "denoise_step", counting)
+    return rows
+
+
+def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
+                                                      monkeypatch):
+    """Past its first failing run an arm drops out of the pool, and the other
+    arm goes on making those runs as if alone."""
+    _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
+    ((bank, members),) = MixtureBank.group(mixtures)
+    runs = [runtime._Run(mixture=k, prompt_index=i, run_index=j, prompt_id="")
+            for k, i in enumerate(members) for j in range(3)]
+    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
+                           max_restarts=4)
+    rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
+    (alone,), _ = runtime._pool(bank, runs, schedule, (RunPolicy(),), *rest)
+    assert None not in alone
+    for slots in (3, 16, 1):
+        monkeypatch.setattr(runtime, "SLOTS", slots)
+        with monkeypatch.context() as patch:
+            rows = _counting_rows(patch)
+            traces, failed = runtime._pool(bank, runs, schedule,
+                                           (reject_all, RunPolicy()), *rest)
+        assert failed == [0, None]
+        assert traces[1] == alone
+    # With one slot the failing arm makes no attempt of a later run: beyond
+    # the baseline's attempts of run 0 it adds its own aborts, 17 calls each.
+    extra = max(0, 4 - alone[0].n_attempts)
+    assert extra > 0
+    assert sum(rows) == sum(t.total_steps for t in alone) + 17 * extra
+    # A baseline allowed one attempt fails at run 0; the runs after it, each
+    # accepted at its first attempt alone, are made by the other arm only.
+    assert [t.n_attempts for t in alone[1:]] == [1] * 5
+    traces, failed = runtime._pool(bank, runs, schedule,
+                                   (RunPolicy(max_restarts=1), RunPolicy()),
+                                   *rest)
+    assert failed == [0, None]
+    assert traces == [[None] * 6, list(alone)]
+
+
+def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
+                                                monkeypatch):
+    """The rows denoised are the baseline's steps plus those of the head
+    attempts the baseline never makes: each (run, attempt) latent the arms
+    share is denoised once.  An aborted attempt rides one call more than
+    its steps: the call at its decision step evaluates the posterior that
+    its capture reads."""
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    rows = _counting_rows(monkeypatch)
+    ref, treat = run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    beyond = [a for b, h in zip(ref, treat) for a in h.attempts[b.n_attempts:]]
+    assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
+    assert sum(rows) == (sum(t.total_steps for t in ref)
+                         + sum(a.steps + (a.outcome == OUTCOME_ABORTED)
+                               for a in beyond))
+    assert sum(rows) < sum(t.total_steps for t in ref + treat)
 
 
 def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
-                                                    tiny_model, monkeypatch):
+                                                    monkeypatch):
     """Prompts with different numbers of targets cannot share a lockstep
-    batch; each run still equals the same run made alone."""
+    batch; each run of each arm still equals the same run made alone."""
     prompts, mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)],
                               0.7)
     ids = [p.text for p in prompts]
-    for policy in (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0))):
-        args = (mixtures, schedule, policy, catalog)
-        kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
-        arm = run_arm(*args, **kwargs)
-        runs = [(i, j) for i in range(3) for j in range(2)]
+    policies = (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0)))
+    kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
+    arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
+                                      policies, catalog, **kwargs)
+    runs = [(i, j) for i in range(3) for j in range(2)]
+    for arm in arms:
         assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
                 == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
-        assert arm == _arm_alone(monkeypatch, *args, **kwargs)
 
 
 def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
@@ -269,13 +424,12 @@ def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
     assert len(mixtures[0].components) == len(mixtures[1].components)
     ids = [p.text for p in prompts]
     policy = RunPolicy(model=_flat_model((4,), bias=0.0))
-    args = (mixtures, schedule, policy, catalog)
     kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
-    arm = run_arm(*args, **kwargs)
+    (arm,) = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
+                                        (policy,), catalog, **kwargs)
     runs = [(i, j) for i in range(2) for j in range(2)]
     assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
             == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
-    assert arm == _arm_alone(monkeypatch, *args, **kwargs)
 
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
@@ -300,10 +454,12 @@ def test_campaign_validation(catalog, schedule):
     with pytest.raises(UsageError):
         measure_campaign([], [], schedule, RunPolicy(), RunPolicy(),
                          catalog, runs_per_prompt=1, root_seed=0)
-    for runs_per_prompt, ids in ((0, ["a"]), (1, ["a", "b"])):
+    for runs_per_prompt, ids, policies in ((0, ["a"], (RunPolicy(),)),
+                                           (1, ["a", "b"], (RunPolicy(),)),
+                                           (1, ["a"], ())):
         with pytest.raises(UsageError):
-            run_arm(mixtures, schedule, RunPolicy(), catalog, root_seed=0,
-                    runs_per_prompt=runs_per_prompt, prompt_ids=ids)
+            run_arms(mixtures, schedule, policies, catalog, root_seed=0,
+                     runs_per_prompt=runs_per_prompt, prompt_ids=ids)
 
 
 def _bootstrap_ci_loop(ref, treat, seed):

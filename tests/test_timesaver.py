@@ -51,6 +51,15 @@ def test_distribution_validation():
         AttemptDistribution.from_faithfulness(("a",), 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_distribution_rejects_non_finite_or_negative_probability(bad):
+    """NaN passes both a sum-to-one and a non-negativity comparison, so
+    without its own check a NaN probability reached the simulator."""
+    with pytest.raises(UsageError, match="finite and non-negative"):
+        AttemptDistribution(objects=("a",), patterns=((0,), (1,)),
+                            probabilities=(bad, 1.0))
+
+
 def test_policy_validation():
     with pytest.raises(UsageError):
         PolicyParams.symmetric(("a",), 1.2, 0.5, 0.1)
