@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import typing
@@ -136,20 +137,16 @@ def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated floats, got {text!r}") from exc
+def _list_of(kind):
+    """An argparse type for comma-separated values of ``kind``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}"
+            ) from exc
+    return parse
 
 
 def _load_dataset(dataset_dir):
@@ -210,29 +207,22 @@ def _cmd_make_dataset(args) -> None:
 
 def _cmd_train(args) -> None:
     settings = _with_flags(load_experiment_config(args.config).detector, args)
-    if settings.variant not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}")
     root, manifest, catalog = _load_dataset(args.dataset)
-    design = build_design_matrix(root, manifest, catalog, settings.steps,
-                                 variant=settings.variant, split="train")
-    model = fit_detector(design, lr=settings.lr, epochs=settings.epochs,
-                         l2=settings.l2, threshold=settings.threshold)
+    design = functools.cache(lambda split: build_design_matrix(
+        root, manifest, catalog, settings.steps, variant=settings.variant,
+        split=split))
+    model = fit_detector(design("train"), lr=settings.lr,
+                         epochs=settings.epochs, l2=settings.l2,
+                         threshold=settings.threshold)
     if settings.target_recall is not None:
-        cal = build_design_matrix(root, manifest, catalog, settings.steps,
-                                  variant=settings.variant,
-                                  split=settings.calibration_split)
+        cal = design(settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
                                               settings.target_recall)
     out = _out_dir(args.out)
     model.save(out / "model.json")
-    report = {}
-    for split in ("train", "val"):
-        if not manifest.samples_for_split(split):
-            continue
-        report[split] = evaluate_detector(
-            model, build_design_matrix(root, manifest, catalog, settings.steps,
-                                       variant=settings.variant,
-                                       split=split)).to_dict()
+    report = {split: evaluate_detector(model, design(split)).to_dict()
+              for split in ("train", "val")
+              if manifest.samples_for_split(split)}
     _write_json(out / "train_report.json", report)
     _write_snapshot(out, "train", {"dataset": str(args.dataset),
                                    "detector": asdict(settings)})
@@ -448,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--variant", default=None, choices=VARIANTS)
-    p.add_argument("--steps", type=_parse_int_list, default=None,
+    p.add_argument("--steps", type=_list_of(int), default=None,
                    help="comma-separated capture labels, e.g. 8 or 4,8,16")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -496,7 +486,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-last", dest="t_last", type=int, required=True)
     p.add_argument("--num-steps", dest="num_steps", type=int, default=50)
     p.add_argument("--objects", type=int, default=2)
-    p.add_argument("--p-grid", dest="p_grid", type=_parse_float_list,
+    p.add_argument("--p-grid", dest="p_grid", type=_list_of(float),
                    default=None,
                    help="comma-separated completeness values")
     p.add_argument("--config", default=None)

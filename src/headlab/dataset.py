@@ -4,10 +4,11 @@ Capture bookkeeping convention: a capture label ``u`` counts *completed*
 denoising iterations, so label ``u`` is taken at engine noise index
 ``num_steps - u``.  Small labels are cheap to reach (the attempt has burned
 few steps) but noisy; large labels are nearly resolved and cost almost a
-full generation.  Abort policies keyed at label ``u`` therefore consume
-exactly ``u`` steps per aborted attempt, and ``u / num_steps`` is the sunk
-cost fraction.  Labels must stay below ``num_steps`` (deciding at the full
-step count would mean the image is already finished).
+full generation.  An attempt aborted at label ``u`` has taken ``u`` DDIM
+updates plus the posterior evaluation at noise index ``num_steps - u`` that
+the capture reads; the sunk cost fraction ``f = u / num_steps`` counts the
+updates, as the paper does.  Labels must stay below ``num_steps`` (deciding
+at the full step count would mean the image is already finished).
 
 On-disk layout under the dataset root:
 

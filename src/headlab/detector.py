@@ -19,11 +19,11 @@ predicted-final-image slots (same dimensionality, so weights stay
 comparable); ``multi_timestep`` concatenates one six-feature block per
 decision step, ordered by step label.
 
-Features are computed for a stack of captures of one object at once; every
-reduction stays within its row, so a row's features do not depend on the
-stack it rides in.  Inputs are squeezed through float32 before any
-arithmetic so that features computed live during a run match features
-computed from the stored float32 tensors bit for bit.
+One feature path, :func:`feature_rows`, builds the rows for training,
+evaluation and live aborts from stacks of captures; every reduction stays
+within its row, so a row's features do not depend on the stack it rides
+in.  Inputs are squeezed through float32 first, so features computed live
+match those computed from the stored float32 tensors bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ TOP_MASS_FRACTION = 0.05
 LOCAL_PATCH = 5
 MODEL_VERSION = 1
 
-_ATTENTION_SLOTS = (0, 1, 2)
 _PFI_SLOTS = (3, 4, 5)
 
 
@@ -99,6 +98,8 @@ def feature_names_for(variant: str, steps) -> tuple[str, ...]:
     steps = tuple(sorted(int(u) for u in steps))
     if not steps:
         raise UsageError("at least one decision step is required")
+    if len(set(steps)) != len(steps):
+        raise UsageError(f"decision steps {list(steps)} repeat a step")
     if variant == "multi_timestep":
         return tuple(f"{name}@{u}" for u in steps for name in FEATURE_NAMES)
     if len(steps) != 1:
@@ -106,15 +107,34 @@ def feature_names_for(variant: str, steps) -> tuple[str, ...]:
     return FEATURE_NAMES
 
 
-def _variant_rows(blocks: dict[int, np.ndarray], variant: str,
-                  steps: tuple[int, ...]) -> np.ndarray:
-    """Feature rows from per-step ``(R, 6)`` blocks."""
+def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
+                 variant: str, steps) -> np.ndarray:
+    """Design rows of ``R`` captures, capture by capture and then by target.
+
+    ``channels_at(u)`` gives the captures at label ``u`` in the stored
+    layout, ``(R, 1 + n_targets, n, n)``; ``targets[r]`` names capture
+    ``r``'s targets.  Each (target slot, object) group of rows takes one
+    :func:`extract_features` call per step.
+    """
+    feature_names_for(variant, steps)
+    groups: dict[tuple[int, str], list[int]] = {}
+    for row, names in enumerate(targets):
+        for j, obj in enumerate(names):
+            groups.setdefault((j, obj), []).append(row)
+    blocks = []
+    for u in sorted(int(u) for u in steps):
+        channels = channels_at(u)
+        feats = np.empty((len(targets), len(targets[0]), len(FEATURE_NAMES)))
+        for (j, obj), rows in groups.items():
+            feats[rows, j] = extract_features(channels[rows, 0],
+                                              channels[rows, 1 + j],
+                                              catalog[obj])
+        blocks.append(feats.reshape(-1, len(FEATURE_NAMES)))
     if variant == "multi_timestep":
-        return np.concatenate([blocks[u] for u in steps], axis=1)
-    rows = blocks[steps[0]].copy()
+        return np.concatenate(blocks, axis=1)
     if variant == "attention_only":
-        rows[:, list(_PFI_SLOTS)] = 0.0
-    return rows
+        blocks[0][:, list(_PFI_SLOTS)] = 0.0
+    return blocks[0]
 
 
 @dataclass(frozen=True)
@@ -157,44 +177,15 @@ def build_design_matrix(root, manifest: DatasetManifest,
     if not index.size:
         raise DegenerateLabels(f"split {split!r} produced no rows")
     chosen = [manifest.samples[i] for i in index]
-    # object groups: (target slot, object id) -> positions in ``chosen``
-    groups: dict[tuple[int, str], list[int]] = {}
-    for row, sample in enumerate(chosen):
-        for j, obj in enumerate(sample.targets):
-            groups.setdefault((j, obj), []).append(row)
     grid_size = catalog[chosen[0].targets[0]].grid_size
-    blocks = {}
-    for u in steps:
-        store = load_step(root, manifest, u, grid_size)
-        feats = np.empty((len(chosen), store.shape[1] - 1, len(FEATURE_NAMES)))
-        for (j, obj), rows in groups.items():
-            stored = index[rows]
-            feats[rows, j] = extract_features(store[stored, 0],
-                                              store[stored, 1 + j], catalog[obj])
-        blocks[u] = feats.reshape(-1, len(FEATURE_NAMES))
     return DesignMatrix(
-        x=_variant_rows(blocks, variant, steps),
+        x=feature_rows(lambda u: load_step(root, manifest, u, grid_size)[index],
+                       [s.targets for s in chosen], catalog, variant, steps),
         y=np.array([s.labels[obj] for s in chosen for obj in s.targets],
                    dtype=np.int64),
         sample_ids=tuple(s.sample_id for s in chosen for _ in s.targets),
         object_ids=tuple(obj for s in chosen for obj in s.targets),
         feature_names=names, variant=variant, steps=steps)
-
-
-def live_features(captured: dict[int, np.ndarray], target: int,
-                  spec: ObjectSpec, variant: str, steps) -> np.ndarray:
-    """Single feature row of one attempt's ``target``-th target from its
-    in-memory captures (runtime path).
-
-    ``captured`` maps each capture label to the attempt's channels in the
-    stored layout: ``(1 + n_targets, n, n)``, the predicted final image
-    first, then the attention maps in target order.
-    """
-    steps = tuple(sorted(int(u) for u in steps))
-    blocks = {u: extract_features(captured[u][None, 0],
-                                  captured[u][None, 1 + target], spec)
-              for u in steps}
-    return _variant_rows(blocks, variant, steps)[0]
 
 
 @dataclass(frozen=True)
@@ -279,26 +270,48 @@ class DetectorModel:
 
     @classmethod
     def load(cls, path) -> "DetectorModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: model must be a JSON object")
-        if payload.get("format_version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version in {path}")
+        """Read a model that :meth:`save` could have written; anything else
+        raises ``ValueError`` naming the file."""
         try:
-            return cls(
-                variant=payload["variant"],
-                steps=tuple(int(u) for u in payload["steps"]),
-                feature_names=tuple(payload["feature_names"]),
-                mean=np.array(payload["mean"]),
-                scale=np.array(payload["scale"]),
-                weights=np.array(payload["weights"]),
-                bias=float(payload["bias"]),
-                threshold=float(payload["threshold"]),
-            )
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("model must be a JSON object")
+            if payload.get("format_version") != MODEL_VERSION:
+                raise ValueError("unsupported model version")
+            variant, steps = payload["variant"], payload["steps"]
+            if not (isinstance(steps, list)
+                    and all(type(u) is int and u >= 0 for u in steps)
+                    and steps == sorted(set(steps))):
+                raise ValueError("'steps' must be an ascending list of "
+                                 "distinct non-negative integers")
+            names = feature_names_for(variant, steps)
+            if payload["feature_names"] != list(names):
+                raise ValueError(f"'feature_names' must be {list(names)} for "
+                                 f"variant {variant!r} at steps {steps}")
+            mean, scale, weights = (_finite(payload[key], repr(key), len(names))
+                                    for key in ("mean", "scale", "weights"))
+            if not (scale > 0.0).all():
+                raise ValueError("'scale' entries must be above 0")
+            bias, threshold = _finite([payload["bias"], payload["threshold"]],
+                                      "'bias' and 'threshold'", 2)
+            return cls(variant=variant, steps=tuple(steps),
+                       feature_names=names, mean=mean, scale=scale,
+                       weights=weights, bias=float(bias),
+                       threshold=float(threshold))
         except KeyError as exc:
             raise ValueError(f"{path}: model lacks key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError, UsageError) as exc:
             raise ValueError(f"{path}: malformed model: {exc}") from exc
+
+
+def _finite(values, what: str, width: int) -> np.ndarray:
+    """``values`` as floats, if it is a list of ``width`` finite JSON
+    numbers."""
+    if (not isinstance(values, list) or len(values) != width
+            or any(type(v) not in (int, float) for v in values)
+            or not np.isfinite(np.array(values, dtype=np.float64)).all()):
+        raise ValueError(f"{what} must be {width} finite numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,

@@ -3,11 +3,12 @@
 A run repeatedly generates attempts with fresh derived seeds until one is
 accepted.  The baseline policy always generates all ``T`` steps and accepts
 when the finished image contains every target.  The head policy additionally
-inspects captures partway through: once the decision step is reached, the
-detector votes per object, and a single predicted-absent verdict aborts the
-attempt on the spot, wasting only the steps already taken.  Completed
-attempts still face the final presence check in both arms, so the detector
-can only ever save time, never smuggle an incomplete image through.
+inspects captures partway through: at the decision step ``u`` the detector
+votes per object, and a single predicted-absent verdict aborts the attempt
+on the spot, wasting ``u`` DDIM updates (the paper's ``f = u/T``) plus the
+posterior evaluation at noise index ``T - u`` that its capture reads.
+Completed attempts still face the final presence check in both arms, so the
+detector can only ever save time, never smuggle an incomplete image through.
 
 Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
@@ -31,7 +32,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .dataset import label_image
-from .detector import DetectorModel, live_features
+from .detector import DetectorModel, feature_rows
 from .engine import (MixtureBank, NoiseSchedule, Posterior, batch_capture,
                      denoise_step, initial_latent)
 from .errors import RestartLimitExceeded, UsageError
@@ -192,15 +193,18 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             for row, u, channels in zip(rows, T - caps.t, caps.channels):
                 live[row].captured[int(u)] = channels
         for a, model, decision in heads:
-            for row in (on[:, a] & (t == T - decision)).nonzero()[0]:
-                at = live[row]
-                verdicts = at.verdicts[a] = {}
-                for j, obj in enumerate(bank.mixtures[which[row]].targets):
-                    features = live_features(at.captured, j, catalog[obj],
-                                             model.variant, model.steps)
-                    verdicts[obj] = int(model.predict(features)[0])
+            deciding = (on[:, a] & (t == T - decision)).nonzero()[0]
+            if not deciding.size:
+                continue
+            targets = [bank.mixtures[m].targets for m in which[deciding]]
+            x = feature_rows(
+                lambda u: np.stack([live[row].captured[u] for row in deciding]),
+                targets, catalog, model.variant, model.steps)
+            votes = model.predict(x).reshape(len(deciding), -1).tolist()
+            for row, names, row_votes in zip(deciding, targets, votes):
+                verdicts = live[row].verdicts[a] = dict(zip(names, row_votes))
                 if not all(verdicts.values()):
-                    at.outcomes[a] = (OUTCOME_ABORTED, decision)
+                    live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
                     on[row, a] = False
         z, t = z_next, t - 1
         for row in ((t == 0) & on.any(axis=1)).nonzero()[0]:
@@ -357,31 +361,22 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
         for traces in run_arms(mixtures, schedule, (reference, treatment),
                                catalog, root_seed, runs_per_prompt,
                                [p.text for p in prompts], label_threshold))
+    groups = [(prompt.text, ref_steps[i], treat_steps[i],
+               mix64(root_seed, _BOOTSTRAP_TAG, i))
+              for i, prompt in enumerate(prompts)]
+    groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel(),
+                   mix64(root_seed, _BOOTSTRAP_TAG)))
     rows: list[CampaignRow] = []
-    for i, prompt in enumerate(prompts):
-        saving = 1.0 - treat_steps[i].mean() / ref_steps[i].mean()
-        ci_lo, ci_hi = _bootstrap_ci(ref_steps[i], treat_steps[i],
-                                     mix64(root_seed, _BOOTSTRAP_TAG, i))
-        rows.append(CampaignRow(prompt_id=prompt.text, policy=reference.mode,
-                                runs=runs_per_prompt,
-                                mean_steps=float(ref_steps[i].mean()),
+    for prompt_id, ref, treat, bootstrap_seed in groups:
+        ci_lo, ci_hi = _bootstrap_ci(ref, treat, bootstrap_seed)
+        rows.append(CampaignRow(prompt_id=prompt_id, policy=reference.mode,
+                                runs=ref.size, mean_steps=float(ref.mean()),
                                 saving=None, ci_lo=None, ci_hi=None))
-        rows.append(CampaignRow(prompt_id=prompt.text, policy=treatment.mode,
-                                runs=runs_per_prompt,
-                                mean_steps=float(treat_steps[i].mean()),
-                                saving=float(saving),
+        rows.append(CampaignRow(prompt_id=prompt_id, policy=treatment.mode,
+                                runs=treat.size,
+                                mean_steps=float(treat.mean()),
+                                saving=float(1.0 - treat.mean() / ref.mean()),
                                 ci_lo=ci_lo, ci_hi=ci_hi))
-    ref = ref_steps.ravel()
-    treat = treat_steps.ravel()
-    pooled_saving = 1.0 - treat.mean() / ref.mean()
-    ci_lo, ci_hi = _bootstrap_ci(ref, treat, mix64(root_seed, _BOOTSTRAP_TAG))
-    rows.append(CampaignRow(prompt_id="pooled", policy=reference.mode,
-                            runs=ref.size, mean_steps=float(ref.mean()),
-                            saving=None, ci_lo=None, ci_hi=None))
-    rows.append(CampaignRow(prompt_id="pooled", policy=treatment.mode,
-                            runs=treat.size, mean_steps=float(treat.mean()),
-                            saving=float(pooled_saving),
-                            ci_lo=ci_lo, ci_hi=ci_hi))
     return CampaignReport(rows=tuple(rows))
 
 

@@ -248,21 +248,46 @@ def test_eval_artifacts(cli_dataset, cli_models, tmp_path, capsys):
     assert set(report["pooled"]) >= {"tp", "fp", "tn", "fn", "recall"}
 
 
-def test_eval_model_missing_keys_exits_2(cli_dataset, tmp_path, capsys):
+def test_eval_model_missing_keys_exits_2(cli_dataset, cli_models, tmp_path,
+                                         capsys):
+    """A model the package could not have written ends ``eval`` and ``run``
+    alike with one error line naming the file."""
+    valid = json.loads(cli_models[16].read_text(encoding="utf-8"))
+
+    def edit(**changes):
+        return {**valid, **changes}
+
+    width = len(valid["feature_names"])
     model = tmp_path / "model.json"
     for payload, detail in (
             ({"format_version": 1, "variant": "combined"}, "'steps'"),
             ([1], "JSON object"),
             ({"format_version": 1, "variant": "combined", "steps": 5},
-             "malformed model")):
+             "malformed model"),
+            (edit(steps=[-1]), "'steps'"),
+            (edit(steps=[16.0]), "'steps'"),
+            (edit(mean=["a"] * width), "'mean'"),
+            (edit(weights=[None] * width), "'weights'"),
+            (edit(variant="bogus"), "'bogus'"),
+            (edit(steps=[8, 16]), "exactly one decision step"),
+            (edit(scale=[[1.0]] * width), "'scale'"),
+            (edit(feature_names=valid["feature_names"][::-1]),
+             "'feature_names'"),
+            (edit(scale=[0.0] * width), "'scale'"),
+            (edit(weights=valid["weights"][1:]), "'weights'"),
+            (edit(bias=float("nan")), "'bias'"),
+            (edit(threshold=10 ** 400), "malformed model")):
         model.write_text(json.dumps(payload), encoding="utf-8")
-        rc = main(["eval", "--dataset", str(cli_dataset), "--model", str(model),
-                   "--out", str(tmp_path / "ev")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert str(model) in err and detail in err
-        assert not (tmp_path / "ev").exists()
+        for argv in (["eval", "--dataset", str(cli_dataset)],
+                     ["run", "--dataset", str(cli_dataset),
+                      "--runs-per-prompt", "1"]):
+            rc = main(argv + ["--model", str(model),
+                              "--out", str(tmp_path / "out")])
+            assert rc == 2, (argv[0], payload)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert str(model) in err and detail in err, (argv[0], err)
+            assert not (tmp_path / "out").exists()
 
 
 def test_truncated_manifest_names_file_and_line(cli_dataset, tmp_path, capsys):

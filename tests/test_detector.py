@@ -1,13 +1,16 @@
 """Presence detector: features, training, evaluation, calibration."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from headlab.dataset import load_step
 from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
                               build_design_matrix, calibrate_threshold,
                               evaluate_detector, extract_features,
-                              feature_names_for, fit_detector, live_features,
+                              feature_names_for, feature_rows, fit_detector,
                               merge_counts, train_logistic, ObjectCounts)
 from headlab.errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                             UsageError)
@@ -81,6 +84,8 @@ def test_feature_names_for_variants():
         feature_names_for("nope", (8,))
     with pytest.raises(UsageError):
         feature_names_for("combined", ())
+    with pytest.raises(UsageError):
+        feature_names_for("multi_timestep", (8, 8))
 
 
 # ------------------------------------------------------------- training
@@ -146,20 +151,32 @@ def test_model_rejects_wrong_width():
         _toy_model().scores(np.zeros((1, 3)))
 
 
+def _real_model(variant="combined", steps=(8,), threshold=0.5):
+    """A model of the shape :func:`fit_detector` writes."""
+    names = feature_names_for(variant, steps)
+    rng = np.random.default_rng(len(names))
+    return DetectorModel(variant=variant, steps=steps, feature_names=names,
+                         mean=rng.normal(size=len(names)),
+                         scale=rng.uniform(0.5, 2.0, size=len(names)),
+                         weights=rng.normal(size=len(names)), bias=-0.25,
+                         threshold=threshold)
+
+
 def test_model_json_roundtrip(tmp_path):
-    model = _toy_model(threshold=0.37)
+    model = _real_model(threshold=0.37)
     path = tmp_path / "m.json"
     model.save(path)
     back = DetectorModel.load(path)
     assert back.variant == model.variant
     assert back.steps == model.steps
+    assert back.feature_names == model.feature_names
     assert back.threshold == model.threshold
-    x = np.random.default_rng(0).normal(size=(5, 2))
+    x = np.random.default_rng(0).normal(size=(5, 6))
     assert np.array_equal(back.scores(x), model.scores(x))
 
 
 def test_model_load_rejects_bad_version(tmp_path):
-    model = _toy_model()
+    model = _real_model()
     path = tmp_path / "m.json"
     model.save(path)
     text = path.read_text("utf-8").replace('"format_version": 1',
@@ -167,6 +184,45 @@ def test_model_load_rejects_bad_version(tmp_path):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
         DetectorModel.load(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@example(variant=("combined", (8,)), key="bias", value=3)
+@example(variant=("attention_only", (0,)), key="steps", value=[5])
+@example(variant=("multi_timestep", (2, 8)), key="threshold", value=-1.5)
+@given(variant=st.sampled_from([("combined", (8,)), ("attention_only", (0,)),
+                                ("multi_timestep", (2, 8))]),
+       key=st.sampled_from(["format_version", "variant", "steps",
+                            "feature_names", "mean", "scale", "weights",
+                            "bias", "threshold"]),
+       value=_JSON | st.lists(st.floats(), max_size=13)
+       | st.lists(st.integers(-2, 20), max_size=3))
+def test_model_load_accepts_a_working_model_or_raises_value_error(
+        tmp_path_factory, variant, key, value):
+    """A model file with one field replaced loads as a model that scores
+    captures, or fails as ``ValueError``; nothing else escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    _real_model(*variant).save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        model = DetectorModel.load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    spec = _solo_spec()
+    channels = np.random.default_rng(1).uniform(size=(3, 2, 16, 16))
+    x = feature_rows(lambda u: channels, [("dot",)] * 3, {"dot": spec},
+                     model.variant, model.steps)
+    assert model.predict(x).shape == (3,)
 
 
 # ------------------------------------------------------------- evaluation
@@ -271,29 +327,35 @@ def test_multi_timestep_concatenates_blocks(tiny_dataset):
 
 
 def test_live_features_equal_disk_features(tiny_dataset):
-    """The runtime path and the stored-tensor path must agree bit for bit."""
+    """Rows built from a fresh capture equal the sample's rows built from
+    the stored tensors, bit for bit, for every variant."""
     from headlab.engine import make_schedule, sample_batch
     from headlab.scene import build_conditional_mixture
 
     mani = tiny_dataset.manifest
     cfg = mani.config
-    sch = make_schedule(cfg.num_steps)
     row = 5
     sample = mani.samples[row]
     mix = build_conditional_mixture(sample.targets, cfg.faithfulness,
                                     tiny_dataset.catalog,
                                     s2=cfg.component_std ** 2)
-    steps = (8,)
-    record = sample_batch(mix, sch, (sample.run_seed,),
-                          {cfg.num_steps - u for u in steps})
-    cap = record.captures[0]
-    stored = load_step(tiny_dataset.root, mani, 8, 16)[row]
-    for j, obj in enumerate(sample.targets):
-        live = live_features({8: cap.channels[0]}, j, tiny_dataset.catalog[obj],
-                             "combined", steps)
-        disk = extract_features(stored[None, 0], stored[None, 1 + j],
-                                tiny_dataset.catalog[obj])[0]
-        assert np.array_equal(live, disk)
+    record = sample_batch(mix, make_schedule(cfg.num_steps), (sample.run_seed,),
+                          {cfg.num_steps - u for u in cfg.critical_steps})
+    by_label = {cfg.num_steps - int(cap.t[0]): cap.channels
+                for cap in record.captures}
+    split = next(name for name, prompts in mani.splits.items()
+                 if sample.prompt_index in prompts)
+    for variant, steps in (("combined", (8,)), ("attention_only", (16,)),
+                           ("multi_timestep", (2, 8, 16))):
+        live = feature_rows(by_label.__getitem__, [sample.targets],
+                            tiny_dataset.catalog, variant, steps)
+        disk = build_design_matrix(tiny_dataset.root, mani,
+                                   tiny_dataset.catalog, steps=steps,
+                                   variant=variant, split=split)
+        mine = [i for i, sid in enumerate(disk.sample_ids)
+                if sid == sample.sample_id]
+        assert len(mine) == len(sample.targets)
+        assert np.array_equal(live, disk.x[mine]), variant
 
 
 def _row_features(pfi, attention, spec):

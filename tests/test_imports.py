@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the engine and the runtime define nothing public that the package never
+"""Source hygiene: every name a module imports is used in that module,
+every private top-level name a module defines is read there, and the
+engine and the runtime define nothing public that the package never
 reaches."""
 
 import ast
@@ -39,6 +40,39 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _unread_private(source: str) -> list[str]:
+    """Private top-level names (``_x``, not dunders) that a module defines,
+    by ``def``, ``class`` or assignment, and never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined |= {n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(n for n in defined - read
+                  if n.startswith("_") and not n.startswith("__"))
+
+
+def test_checker_flags_an_unread_private_name():
+    source = ("_USED = 1\n_UNUSED, PUBLIC = 2, 3\n__all__ = []\n"
+              "def _helper(): return _USED\n"
+              "def _orphan(): pass\n"
+              "class _Kept: pass\n"
+              "def main(): return _helper(), _Kept\n")
+    assert _unread_private(source) == ["_UNUSED", "_orphan"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(module):
+    assert _unread_private(module.read_text(encoding="utf-8")) == []
 
 
 def _names(node) -> set[str]:
