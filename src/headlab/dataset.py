@@ -22,9 +22,11 @@ On-disk layout under the dataset root:
 * ``tensors/final.bin`` - the finished images, shape ``(N, n, n)``.
 
 Generation denoises the samples in manifest order, in lockstep chunks of at
-most ``CHUNK_ROWS`` consecutive samples whose prompts share one
+most ``engine.LOCKSTEP_ROWS`` consecutive samples whose prompts share one
 ``MixtureBank``, and streams each chunk's rows into those files, so no
-corpus-sized array is ever held in memory.
+corpus-sized array is ever held in memory.  The manifest then replaces any
+earlier one in a single rename, and tensor files of an earlier build that
+it does not describe are deleted.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
+from .atomic import write_atomic
 from .engine import (MixtureBank, batch_capture, denoise_step, initial_latent,
                      make_schedule)
 from .errors import MissingCapture, UsageError
@@ -53,10 +57,6 @@ MANIFEST_NAME = "manifest.jsonl"
 CATALOG_NAME = "catalog.txt"
 TENSOR_DIR = "tensors"
 FINAL_NAME = "final.bin"
-
-# Samples denoised together.  Per latent-step the cost falls until about a
-# dozen rows; 64-row chunks ran slower than 16-row ones.
-CHUNK_ROWS = 16
 
 DEFAULT_FAITHFULNESS = 0.59 ** 0.5  # two targets then complete with prob 0.59
 DEFAULT_CRITICAL_STEPS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 25, 40)
@@ -305,11 +305,13 @@ def step_path(root, u: int) -> Path:
 
 
 def _chunks(rows, key):
-    """Runs of at most ``CHUNK_ROWS`` consecutive rows of one ``key``."""
+    """Runs of at most ``engine.LOCKSTEP_ROWS`` consecutive rows of one
+    ``key``."""
+    size = engine.LOCKSTEP_ROWS
     for _, run in itertools.groupby(rows, key=key):
         run = list(run)
-        for start in range(0, len(run), CHUNK_ROWS):
-            yield run[start:start + CHUNK_ROWS]
+        for start in range(0, len(run), size):
+            yield run[start:start + size]
 
 
 def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
@@ -380,19 +382,25 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
 
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
     stats = _prompt_stats(prompts, samples)
-    with open(out / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        fh.write(_jsonl({"kind": "header", "format_version": MANIFEST_VERSION,
-                         "config": config.to_dict(),
-                         "splits": {k: list(v) for k, v in splits.items()}}))
-        for s in samples:
-            fh.write(_jsonl({"kind": "sample", "sample_id": s.sample_id,
+    lines = [_jsonl({"kind": "header", "format_version": MANIFEST_VERSION,
+                     "config": config.to_dict(),
+                     "splits": {k: list(v) for k, v in splits.items()}})]
+    for s in samples:
+        lines.append(_jsonl({"kind": "sample", "sample_id": s.sample_id,
                              "prompt_index": s.prompt_index, "prompt": s.prompt,
                              "targets": list(s.targets),
                              "seed_index": s.seed_index, "run_seed": s.run_seed,
                              "labels": s.labels, "complete": s.complete,
                              "nearest_component": s.nearest_component}))
-        fh.write(_jsonl({"kind": "stats", **stats}))
+    lines.append(_jsonl({"kind": "stats", **stats}))
+    write_atomic(out / MANIFEST_NAME, "".join(lines))
     dump_catalog(catalog, out / CATALOG_NAME)
+    # A rebuild into an old dataset leaves no step the new manifest lacks.
+    written = {step_path(out, u) for u in config.critical_steps}
+    written.add(out / TENSOR_DIR / FINAL_NAME)
+    for path in (out / TENSOR_DIR).glob("*.bin"):
+        if path not in written:
+            path.unlink()
     return DatasetManifest(format_version=MANIFEST_VERSION, config=config,
                            splits=splits, samples=tuple(samples), stats=stats)
 

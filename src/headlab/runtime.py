@@ -14,14 +14,15 @@ Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices.
 
-Both arms run in one pool of ``SLOTS`` attempts denoised in lockstep, each
-at its own step and under its own prompt's mixture.  Attempt ``k`` of a run
-is one latent, denoised once for every arm still making that run: a head
-arm that aborts it leaves it, and the rest carry it on.  An attempt that
-ends hands its slot to its run's next attempt, made by the arms whose run
-goes on, or to the next run.  A latent's values do not depend on the batch
-it rides in, nor on the arms it serves, so each arm's traces equal those of
-the arm run alone, and the slot count changes none of them.
+Both arms run in one pool of ``engine.LOCKSTEP_ROWS`` attempts denoised in
+lockstep, each at its own step and under its own prompt's mixture.  Attempt
+``k`` of a run is one latent, denoised once for every arm still making that
+run: a head arm that aborts it leaves it, and the rest carry it on.  An
+attempt that ends hands its slot to its run's next attempt, made by the
+arms whose run goes on, or to the next run.  A latent's values do not
+depend on the batch it rides in, nor on the arms it serves, so each arm's
+traces equal those of the arm run alone, and the slot count changes none
+of them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import engine
 from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
@@ -44,10 +46,6 @@ HEAD = "head"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_INCOMPLETE = "completed_incomplete"
 OUTCOME_COMPLETE = "completed_complete"
-
-# Attempts one arm keeps in flight.  The cost per latent-step falls until
-# about a dozen rows and is flat beyond; more slots only cost memory.
-SLOTS = 16
 
 _BOOTSTRAP_TAG = 0xB007
 _BOOTSTRAP_RESAMPLES = 200
@@ -115,10 +113,11 @@ class _Run:
 @dataclass
 class _Attempt:
     """An attempt in flight: its run (a position in the pool's runs), its
-    index and seed, the arms (positions in the pool's policies) that make
-    it, what it has captured, and each arm's verdicts and ``(outcome,
-    steps)`` so far; captures are its rows of :attr:`CapturedStep.channels`,
-    by capture label."""
+    index and seed, the arms (positions in the pool's policies) still
+    making it, what it has captured, and each arm's verdicts and
+    ``(outcome, steps)`` so far; captures are its rows of
+    :attr:`CapturedStep.channels`, by capture label.  An arm leaves
+    ``arms`` when it aborts the attempt or drops the run."""
 
     run: int
     index: int
@@ -132,8 +131,8 @@ class _Attempt:
 def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
           policies, catalog: dict[str, ObjectSpec], root_seed: int,
           label_threshold: float):
-    """Every run of ``runs`` over one bank under every policy, ``SLOTS``
-    attempts in lockstep.
+    """Every run of ``runs`` over one bank under every policy,
+    ``engine.LOCKSTEP_ROWS`` attempts in lockstep.
 
     An attempt is one latent for all the arms that make it.  It captures at
     the capture steps of every head arm; a head arm that aborts it at its
@@ -163,16 +162,16 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     z = np.empty((0, n, n))
     t = np.empty(0, dtype=np.int64)
     which = np.empty(0, dtype=np.int64)
-    on = np.empty((0, len(policies)), dtype=bool)  # arms still denoising a row
 
     def attempt(run: int, index: int, by: list[int]) -> _Attempt:
         spec = runs[run]
         seed = mix64(root_seed, spec.prompt_index, spec.run_index, index)
-        return _Attempt(run=run, index=index, seed=seed, arms=by)
+        return _Attempt(run=run, index=index, seed=seed, arms=list(by))
 
     while True:
         fresh = [a for a in arms if failed[a] is None]
-        while fresh and next_run < len(runs) and len(live) + len(waiting) < SLOTS:
+        while (fresh and next_run < len(runs)
+               and len(live) + len(waiting) < engine.LOCKSTEP_ROWS):
             waiting.append(attempt(next_run, 0, fresh))
             next_run += 1
         if waiting:
@@ -180,8 +179,6 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             z = np.concatenate([z, [initial_latent(a.seed, n) for a in waiting]])
             t = np.concatenate([t, np.full(len(waiting), T)])
             which = np.concatenate([which, [runs[a.run].mixture for a in waiting]])
-            on = np.concatenate([on, [[a in w.arms for a in arms]
-                                      for w in waiting]])
             waiting = []
         if not live:
             return traces, failed
@@ -193,8 +190,9 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             for row, u, channels in zip(rows, T - caps.t, caps.channels):
                 live[row].captured[int(u)] = channels
         for a, model, decision in heads:
-            deciding = (on[:, a] & (t == T - decision)).nonzero()[0]
-            if not deciding.size:
+            deciding = [row for row in (t == T - decision).nonzero()[0]
+                        if a in live[row].arms]
+            if not deciding:
                 continue
             targets = [bank.mixtures[m].targets for m in which[deciding]]
             x = feature_rows(
@@ -205,19 +203,21 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 verdicts = live[row].verdicts[a] = dict(zip(names, row_votes))
                 if not all(verdicts.values()):
                     live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
-                    on[row, a] = False
+                    live[row].arms.remove(a)
         z, t = z_next, t - 1
-        for row in ((t == 0) & on.any(axis=1)).nonzero()[0]:
+        for row in (t == 0).nonzero()[0]:
+            if not live[row].arms:  # every arm aborted it at step T - 1
+                continue
             targets = bank.mixtures[which[row]].targets
             labels = label_image(z[row], targets, catalog, label_threshold)
             complete = all(labels[o] == 1 for o in targets)
-            for a in on[row].nonzero()[0]:
+            for a in live[row].arms:
                 live[row].outcomes[a] = (OUTCOME_COMPLETE if complete
                                          else OUTCOME_INCOMPLETE, T)
-        done = (t == 0) | ~on.any(axis=1)
-        if not done.any():
+        done = [row for row, at in enumerate(live) if t[row] == 0 or not at.arms]
+        if not done:
             continue
-        for at in (live[row] for row in done.nonzero()[0]):
+        for at in (live[row] for row in done):
             going_on = []
             for a, (outcome, steps) in at.outcomes.items():
                 history[a][at.run].append(AttemptRecord(
@@ -237,13 +237,13 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 waiting.append(attempt(at.run, at.index + 1, going_on))
         for a, first in enumerate(failed):
             if first is not None:
-                on[[at.run > first for at in live], a] = False
-                for at in waiting:
-                    at.arms = [b for b in at.arms if b != a or at.run < first]
+                for at in live + waiting:
+                    if at.run > first and a in at.arms:
+                        at.arms.remove(a)
         waiting = [at for at in waiting if at.arms]
-        keep = (~done & on.any(axis=1)).nonzero()[0]
+        keep = [row for row, at in enumerate(live) if t[row] and at.arms]
         live = [live[row] for row in keep]
-        z, t, which, on = z[keep], t[keep], which[keep], on[keep]
+        z, t, which = z[keep], t[keep], which[keep]
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,
@@ -251,8 +251,8 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
              runs_per_prompt: int, prompt_ids,
              label_threshold: float = 0.5) -> tuple[tuple[RunTrace, ...], ...]:
     """Run ``runs_per_prompt`` restart-until-accepted runs of every policy
-    on every prompt, ``SLOTS`` attempts at a time, each attempt denoised
-    once for all the policies that make it.
+    on every prompt, ``engine.LOCKSTEP_ROWS`` attempts at a time, each
+    attempt denoised once for all the policies that make it.
 
     Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``; run ``j`` of
     it draws its attempt seeds from ``(root_seed, i, j)`` under every

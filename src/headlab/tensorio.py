@@ -36,7 +36,7 @@ def tensor_header(shape) -> bytes:
 
 def tensor_bytes(array: np.ndarray) -> bytes:
     """Serialize an array (cast to float32) into the container format."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array, dtype="<f4")
     return tensor_header(arr.shape) + arr.tobytes(order="C")
 
 

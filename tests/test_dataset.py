@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from headlab import dataset
+from headlab import dataset, engine
 from headlab.dataset import (TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_manifest,
                              load_step, split_prompts)
@@ -188,7 +188,7 @@ def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
     cfg = DatasetConfig(subjects=("cat", "dog"),
                         objects=("kite", "bench", "lamp", "drum"),
                         seeds_per_prompt=3, critical_steps=(0, 4, 16))
-    monkeypatch.setattr(dataset, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 4)
     mani = generate_dataset(cfg, mixed, tmp_path)
     assert len(mani.samples) == 24
     _assert_rows_equal_per_prompt_batches(tmp_path, load_manifest(tmp_path), mixed)
@@ -232,13 +232,46 @@ def test_generate_dataset_is_byte_deterministic(tmp_path, catalog):
     assert files == _files(b)
 
 
+def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, catalog,
+                                                      monkeypatch):
+    cfg = DatasetConfig(subjects=("cat",), objects=("bench",),
+                        seeds_per_prompt=2, critical_steps=(0, 4),
+                        split_fractions=(1.0, 0.0, 0.0))
+    generate_dataset(cfg, catalog, tmp_path)
+    before = (tmp_path / "manifest.jsonl").read_bytes()
+    jsonl = dataset._jsonl
+
+    def failing(obj):
+        if obj["kind"] == "stats":
+            raise RuntimeError("serialisation failed")
+        return jsonl(obj)
+
+    monkeypatch.setattr(dataset, "_jsonl", failing)
+    with pytest.raises(RuntimeError, match="serialisation failed"):
+        generate_dataset(replace(cfg, seeds_per_prompt=3), catalog, tmp_path)
+    assert (tmp_path / "manifest.jsonl").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "catalog.txt", "manifest.jsonl", TENSOR_DIR]
+
+
+def test_rebuild_with_fewer_steps_equals_a_fresh_build(tmp_path, catalog):
+    cfg = DatasetConfig(subjects=("cat", "dog"), objects=("bench",),
+                        seeds_per_prompt=2, critical_steps=(0, 4, 16),
+                        split_fractions=(0.5, 0.25, 0.25))
+    generate_dataset(cfg, catalog, tmp_path / "rebuilt")
+    fewer = replace(cfg, critical_steps=(0, 4))
+    generate_dataset(fewer, catalog, tmp_path / "rebuilt")
+    generate_dataset(fewer, catalog, tmp_path / "fresh")
+    assert _files(tmp_path / "rebuilt") == _files(tmp_path / "fresh")
+
+
 def test_chunk_size_changes_no_byte(tmp_path, catalog, monkeypatch):
     cfg = DatasetConfig(subjects=("cat", "dog", "owl"), objects=("bench", "kite"),
                         seeds_per_prompt=3, critical_steps=(0, 4, 16),
                         split_fractions=(0.5, 0.25, 0.25))
     built = []
     for rows in (1, 5, 16):
-        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", rows)
         generate_dataset(cfg, catalog, tmp_path / str(rows))
         built.append(_files(tmp_path / str(rows)))
     assert built[0] == built[1] == built[2]

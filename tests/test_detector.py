@@ -1,19 +1,22 @@
 """Presence detector: features, training, evaluation, calibration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.special import expit as scipy_expit
 
 from headlab.dataset import load_step
 from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
                               build_design_matrix, calibrate_threshold,
-                              evaluate_detector, extract_features,
+                              evaluate_detector, expit, extract_features,
                               feature_names_for, feature_rows, fit_detector,
                               merge_counts, train_logistic, ObjectCounts)
 from headlab.errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                             UsageError)
+from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
 from headlab.tensorio import tensor_bytes, tensor_from_bytes
 
@@ -99,6 +102,27 @@ def test_gradient_descent_separates_toy_points():
     assert result.weights[0] == pytest.approx(result.weights[1])
     assert result.weights[0] > 0
     assert abs(result.bias) < 1e-9  # symmetric data keeps the bias at zero
+
+
+def _libm_expit(v: float) -> float:
+    """``1 / (1 + exp(-v))`` over the C library's ``exp``, which
+    ``math.exp`` calls; where that overflows to inf, ``math.exp`` raises."""
+    try:
+        e = math.exp(-v)
+    except OverflowError:
+        e = math.inf
+    return 1.0 / (1.0 + e)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expit_is_bit_identical_to_scipy_and_the_c_library():
+    edges = [0.0, -0.0, 709.5, -709.5, 745.0, -745.0, math.inf, -math.inf,
+             math.nan, -math.nan]
+    x = np.concatenate([edges, 20.0 * SplitMix64(2409).normals(10**5)])
+    bits = expit(x).view(np.uint64)
+    assert np.array_equal(bits, scipy_expit(x).view(np.uint64))
+    assert np.array_equal(bits, np.array([_libm_expit(v) for v in x.tolist()])
+                          .view(np.uint64))
 
 
 def test_training_rejects_single_class():

@@ -1,11 +1,16 @@
 """Diffusion engine: schedule invariants, exact score, projector, captures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from headlab import engine
-from headlab.dataset import (CHUNK_ROWS, DEFAULT_FAITHFULNESS, DatasetConfig,
+from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
 from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
                             batch_capture, batch_posterior, ddim_step,
@@ -374,8 +379,8 @@ def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
                         lambda *args: calls.append(1) or original(*args))
     generate_dataset(config, catalog, tmp_path / "ds")
     rows = len(config.subjects) * len(config.objects) * config.seeds_per_prompt
-    assert rows == 18 > CHUNK_ROWS
-    assert len(calls) == -(-rows // CHUNK_ROWS) * config.num_steps
+    assert rows == 18 > engine.LOCKSTEP_ROWS
+    assert len(calls) == -(-rows // engine.LOCKSTEP_ROWS) * config.num_steps
 
 
 # ------------------------------------------------------------- batching
@@ -520,3 +525,63 @@ def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):
     z = np.zeros((3, 16, 16))
     with pytest.raises(InvalidT, match="timestep 51 "):
         batch_posterior(bank, 0, schedule, np.array([3, 51, 2]), z)
+    with pytest.raises(IndexError):
+        batch_posterior(bank, np.array([0, 1, 0]), schedule, 3, z)
+
+
+def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
+                                                              schedule):
+    """The work arrays a bank keeps, grown by one batch, leave no trace in
+    the values of the next, smaller one."""
+    bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
+                             for pair in (("cat", "bench"), ("dog", "kite"))))
+    which = np.array([1, 0, 1, 1, 0])
+    t = np.array([50, 31, 7, 1, 20])
+    z = np.stack([SplitMix64(s).normals(256).reshape(16, 16) for s in range(5)])
+    alone = [batch_posterior(bank, which[b], schedule, t[b], z[b:b + 1])
+             for b in range(5)]
+    for rows in (slice(0, 5), slice(1, 3), slice(4, 5)):
+        post = batch_posterior(bank, which[rows], schedule, t[rows], z[rows])
+        for b, (r, eps) in enumerate(zip(post.r, post.eps), rows.start):
+            assert np.array_equal(r, alone[b].r[0])
+            assert np.array_equal(eps, alone[b].eps[0])
+
+
+_FAULT_PROBE = """
+import resource
+import sys
+
+import numpy as np
+
+from headlab.engine import (MixtureBank, denoise_step, initial_latent,
+                            make_schedule)
+from headlab.scene import build_conditional_mixture, default_catalog
+
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+catalog = default_catalog()
+bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
+                         for pair in (("cat", "bench"), ("dog", "kite"))))
+schedule = make_schedule(50)
+which = np.arange(16) % 2
+z = np.stack([initial_latent(seed, bank.grid_size) for seed in range(16)])
+t = np.full(16, 30)
+for _ in range(5):
+    denoise_step(bank, which, schedule, t, z)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    denoise_step(bank, which, schedule, t, z)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_denoise_step_takes_under_one_page_fault_per_call():
+    """Steps of 16 rows reuse memory the process already has.  Fresh
+    (B, K, D) arrays per step cost about a hundred minor faults per call,
+    because glibc hands them back to the kernel when they are freed,
+    unless an earlier import (scipy's, for one) has raised its malloc
+    thresholds; so the probe runs in a fresh interpreter without scipy."""
+    src = Path(engine.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 200

@@ -1,9 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
-every private top-level name a module defines is read there, and the
-engine and the runtime define nothing public that the package never
-reaches."""
+every private top-level name a module defines is read there, the engine
+and the runtime define nothing public that the package never reaches, and
+nothing the package runs needs scipy, which only the tests use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +132,34 @@ def test_engine_and_runtime_define_only_what_the_package_reaches():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert _unreached(sources, {"engine.py", "runtime.py"}) == sorted(
         KEPT_FOR_TESTS)
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level package of every absolute import in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert _imported_modules("import scipy.special as sp\n"
+                             "from scipy import stats\nfrom . import engine\n"
+                             "import numpy as np\n") == {"numpy", "scipy"}
+    for module in SRC.glob("*.py"):
+        assert "scipy" not in _imported_modules(
+            module.read_text(encoding="utf-8")), module.name
+
+
+def test_the_cli_imports_without_scipy():
+    """A fresh interpreter, since the tests themselves import scipy."""
+    probe = ("import sys, headlab.cli\n"
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from headlab import runtime
+from headlab import engine, runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
 from headlab.engine import MixtureBank, denoise_step
@@ -202,7 +202,7 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
     prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     results = []
     for slots in (1, 3, 16):
-        monkeypatch.setattr(runtime, "SLOTS", slots)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         report = measure_campaign(prompts, mixtures, schedule, *policies,
                                   catalog, runs_per_prompt=4, root_seed=88)
         results.append((report, run_arms(mixtures, schedule, policies,
@@ -231,7 +231,7 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     for slots in (1, 3, 16):
-        monkeypatch.setattr(runtime, "SLOTS", slots)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with pytest.raises(RestartLimitExceeded) as info:
             run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
                      runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
@@ -243,7 +243,7 @@ def _alone(monkeypatch, mixtures, schedule, policy, catalog, **kwargs):
     """One policy's traces with one slot: each run made alone, by one arm,
     a batch of one."""
     with monkeypatch.context() as patch:
-        patch.setattr(runtime, "SLOTS", 1)
+        patch.setattr(engine, "LOCKSTEP_ROWS", 1)
         (traces,) = run_arms(mixtures, schedule, (policy,), catalog, **kwargs)
     return traces
 
@@ -255,7 +255,7 @@ def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, policies,
     alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
                          **kwargs) for policy in policies)
     for slots in (1, 3, 16):
-        monkeypatch.setattr(runtime, "SLOTS", slots)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         assert run_arms(mixtures, schedule, policies, catalog,
                         **kwargs) == alone
     return alone
@@ -312,7 +312,7 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
                            max_restarts=4)
     impatient = RunPolicy(max_restarts=2)
     for slots in (1, 3, 16):
-        monkeypatch.setattr(runtime, "SLOTS", slots)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         # both arms fail, the treatment at an earlier run
         assert (_restart_message(mixtures, schedule, (impatient, reject_all),
                                  catalog, **kwargs)
@@ -356,7 +356,7 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     (alone,), _ = runtime._pool(bank, runs, schedule, (RunPolicy(),), *rest)
     assert None not in alone
     for slots in (3, 16, 1):
-        monkeypatch.setattr(runtime, "SLOTS", slots)
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
             rows = _counting_rows(patch)
             traces, failed = runtime._pool(bank, runs, schedule,
@@ -376,6 +376,29 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
                                    *rest)
     assert failed == [0, None]
     assert traces == [[None] * 6, list(alone)]
+
+
+def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
+        catalog, schedule, monkeypatch):
+    """Arms that decide at step T - 1 abort an attempt in the step that
+    takes it to t = 0: only the arms left on it label its image."""
+    _, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
+    ((bank, _),) = MixtureBank.group(mixtures)
+    runs = [runtime._Run(mixture=0, prompt_index=0, run_index=0, prompt_id="")]
+    late = RunPolicy(model=_flat_model((schedule.T - 1,), bias=-10.0),
+                     max_restarts=3)
+    labelled = []
+    label_image = runtime.label_image
+    monkeypatch.setattr(runtime, "label_image",
+                        lambda *args: labelled.append(1) or label_image(*args))
+    rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
+    _, failed = runtime._pool(bank, runs, schedule, (late, late), *rest)
+    assert failed == [0, 0]
+    assert labelled == []
+    (_, (trace,)), failed = runtime._pool(bank, runs, schedule,
+                                          (late, RunPolicy()), *rest)
+    assert failed == [0, None]
+    assert len(labelled) == trace.n_attempts
 
 
 def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,

@@ -1,7 +1,10 @@
 """Tensor container: float32 payloads behind a validated binary header."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from headlab.tensorio import (MAGIC, TensorWriter, read_tensor, tensor_bytes,
                               tensor_from_bytes)
@@ -124,3 +127,38 @@ def test_file_read_rejects_what_the_blob_parser_rejects(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(ValueError):
         read_tensor(path)
+
+
+@st.composite
+def _near_tensor_blobs(draw) -> bytes:
+    """Bytes shaped like a tensor: header fields valid or not, a rank that
+    may disagree with the dimension list, huge dimensions, a payload of the
+    right length or of any, and maybe a cut."""
+    dims = draw(st.lists(st.integers(0, 3), max_size=3)
+                | st.lists(st.integers(0, 2**32 - 1), max_size=4))
+    size = 4 * int(np.prod(dims, dtype=object))
+    fitting = (st.binary(min_size=size, max_size=size) if size <= 80
+               else st.nothing())
+    blob = (draw(st.just(MAGIC) | st.binary(min_size=4, max_size=4))
+            + struct.pack("<IBI", draw(st.just(1) | st.integers(0, 2)),
+                          draw(st.just(0) | st.integers(0, 1)),
+                          max(0, len(dims) + draw(st.just(0)
+                                                  | st.integers(-1, 1))))
+            + struct.pack(f"<{len(dims)}I", *dims)
+            + draw(fitting | st.binary(max_size=80)))
+    cut = draw(st.none() | st.integers(0, len(blob)))
+    return blob[:cut]
+
+
+@example(blob=MAGIC + struct.pack("<IBI", 1, 0, 0) + bytes(4))  # a scalar
+@given(blob=st.binary(max_size=40) | _near_tensor_blobs())
+def test_any_bytes_give_an_array_or_a_value_error(tmp_path_factory, blob):
+    """What the parsers accept is a tensor whose own bytes are ``blob``."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(blob)
+    for read in (lambda: tensor_from_bytes(blob), lambda: read_tensor(path)):
+        try:
+            array = read()
+        except ValueError:
+            continue
+        assert tensor_bytes(array) == blob
