@@ -179,7 +179,7 @@ def _with_flags(settings, args):
 
 
 def _object_names(count: int) -> tuple[str, ...]:
-    """Placeholder names for ``--objects``, bounded like prompt targets."""
+    """Placeholder names for ``--objects``, at most ``MAX_TARGETS``."""
     if not 1 <= count <= MAX_TARGETS:
         raise UsageError(f"--objects must be in [1, {MAX_TARGETS}], got {count}")
     return tuple(f"object{i}" for i in range(count))
@@ -258,6 +258,9 @@ def _cmd_simulate(args) -> None:
     if args.mc_runs < 0:
         raise UsageError(f"--mc-runs must be >= 0, got {args.mc_runs}")
     names = _object_names(args.objects)
+    # NaN fails this test too; a negative p would have a complex root
+    if not 0.0 < args.p <= 1.0:
+        raise UsageError(f"--p must be in (0, 1], got {args.p}")
     q = args.p ** (1.0 / args.objects)
     dist = AttemptDistribution.from_faithfulness(names, q)
     policy = PolicyParams.symmetric(names, args.recall, args.tn_rate, args.f)

@@ -214,7 +214,6 @@ class SampleRecord:
 class DatasetManifest:
     """Parsed manifest: config snapshot, split map, sample index, stats."""
 
-    format_version: int
     config: DatasetConfig
     splits: dict[str, tuple[int, ...]]
     samples: tuple[SampleRecord, ...]
@@ -359,7 +358,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                 post, z_next = denoise_step(bank, which, schedule, t, z)
                 if t in store:
                     store[t].append(batch_capture(bank, which, schedule, t,
-                                                  z, post).channels)
+                                                  z, post))
                 z = z_next
             final.append(z)
             nearest = np.linalg.norm(bank.means[which] - z.reshape(len(z), 1, -1),
@@ -401,8 +400,8 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     for path in (out / TENSOR_DIR).glob("*.bin"):
         if path not in written:
             path.unlink()
-    return DatasetManifest(format_version=MANIFEST_VERSION, config=config,
-                           splits=splits, samples=tuple(samples), stats=stats)
+    return DatasetManifest(config=config, splits=splits,
+                           samples=tuple(samples), stats=stats)
 
 
 _LINE_KEYS = {
@@ -475,8 +474,8 @@ def load_manifest(root) -> DatasetManifest:
     if not samples:
         raise ValueError(f"{path}: manifest has no sample lines")
     config, splits, _ = header
-    return DatasetManifest(format_version=MANIFEST_VERSION, config=config,
-                           splits=splits, samples=tuple(samples), stats=stats)
+    return DatasetManifest(config=config, splits=splits,
+                           samples=tuple(samples), stats=stats)
 
 
 def load_step(root, manifest: DatasetManifest, u: int,

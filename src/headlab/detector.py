@@ -209,7 +209,6 @@ class TrainResult:
     weights: np.ndarray
     bias: float
     final_loss: float
-    epochs: int
 
 
 def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
@@ -242,7 +241,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
                  + 0.5 * l2 * float(w @ w))
     if not np.isfinite(loss) or not np.all(np.isfinite(w)):
         raise NonFiniteLoss(f"training diverged (loss={loss})")
-    return TrainResult(weights=w, bias=b, final_loss=loss, epochs=epochs)
+    return TrainResult(weights=w, bias=b, final_loss=loss)
 
 
 @dataclass
@@ -282,7 +281,9 @@ class DetectorModel:
             "bias": self.bias,
             "threshold": self.threshold,
         }
-        write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        # ``load`` refuses NaN and infinities, so never write one
+        write_atomic(path, json.dumps(payload, sort_keys=True, indent=1,
+                                      allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "DetectorModel":
@@ -333,6 +334,8 @@ def _finite(values, what: str, width: int) -> np.ndarray:
 def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,
                  l2: float = 1e-4, threshold: float = 0.5) -> DetectorModel:
     """Standardize on the training split, then run gradient descent."""
+    if not np.isfinite(threshold):
+        raise UsageError(f"threshold must be finite, got {threshold}")
     mean = design.x.mean(axis=0)
     std = design.x.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)

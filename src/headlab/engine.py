@@ -155,24 +155,6 @@ class MixtureBank:
 
 
 @dataclass(frozen=True)
-class CapturedStep:
-    """Mid-generation snapshots of a batch: noise indices ``t`` (B,),
-    projected final images ``pfi`` (B, n, n) and attention maps
-    ``attention`` (B, n_targets, n, n), in the order of each mixture's
-    targets."""
-
-    t: np.ndarray
-    pfi: np.ndarray
-    attention: np.ndarray
-
-    @property
-    def channels(self) -> np.ndarray:
-        """The predicted final image, then the attention maps:
-        ``(B, 1 + n_targets, n, n)``."""
-        return np.concatenate([self.pfi[:, None], self.attention], axis=1)
-
-
-@dataclass(frozen=True)
 class Posterior:
     """The mixture posteriors of a batch of latent states, evaluated once
     per step: component responsibilities ``r`` (B, K) and the exact noise
@@ -185,10 +167,11 @@ class Posterior:
 @dataclass(frozen=True)
 class GenerationRecord:
     """Deterministic generations, one row per seed, and everything captured
-    along them: one batch :class:`CapturedStep` per requested noise index,
-    the finished images (B, n, n) and each image's nearest component (B,)."""
+    along them: by requested noise index, in generation order, the
+    :func:`batch_capture` of every row, then the finished images (B, n, n)
+    and each image's nearest component (B,)."""
 
-    captures: tuple[CapturedStep, ...]
+    captures: dict[int, np.ndarray]
     final_image: np.ndarray
     nearest_component: np.ndarray
 
@@ -211,6 +194,13 @@ def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
 def _column(values, ndim: int):
     """Per-row values shaped to broadcast over each row's other ``ndim - 1``
     axes; one value for all rows stays a scalar."""
+    # One int ``t`` for all rows (the corpus chunks, ``sample_batch``) is a
+    # fast path, not a convenience: a scalar broadcasts over the batch in
+    # one flat loop, a column in one loop per row.  A 16-row
+    # ``denoise_step`` takes 125-175 us with an int ``t`` and 205-250 us
+    # with per-row ``t`` (the campaign pool), mostly in the multiply of
+    # ``_log_responsibilities`` (10-14 against 29-44 us), ``_ddim`` (17-23
+    # against 29-38 us) and ``_check_t`` (0.3 against 7 us).
     if isinstance(values, np.ndarray) and values.ndim:
         return values.reshape((-1,) + (1,) * (ndim - 1))
     return values
@@ -266,12 +256,9 @@ def _posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
             f"t={np.broadcast_to(t_col, np.shape(v)).flat[low]} below "
             f"{MIN_MARGINAL_VARIANCE:.0e}")
     means, diffs = bank._work_arrays(len(z))
-    if np.ndim(which):
-        # ``bank.s2[which]`` above has raised IndexError on a bad index, so
-        # wrapping changes no row.
-        np.take(bank.means, which, axis=0, out=means, mode="wrap")
-    else:
-        means = bank.means[which]
+    # ``bank.s2[which]`` above has raised IndexError on a bad index, so
+    # wrapping changes no row.
+    np.take(bank.means, which, axis=0, out=means, mode="wrap")
     alpha_t = schedule.alpha[t_col]
     z_flat = z.reshape(len(z), -1)
     r = np.exp(_log_responsibilities(bank.log_weights[which], means, z_flat,
@@ -286,11 +273,11 @@ def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
     """The mixture posteriors of B latents: responsibilities and exact eps.
 
     Row ``b`` is the latent ``z[b]`` (shape ``(B, n, n)``) at noise index
-    ``t[b]`` under ``bank.mixtures[which[b]]``; ``t`` and ``which`` may
-    also be one int for all rows.  The responsibilities ``r`` are the
-    posterior component probabilities under the time marginal.  The noise
-    prediction ``-sigma_t * grad log p_t`` is the responsibility-weighted
-    pull towards the scaled component means:
+    ``t[b]`` under ``bank.mixtures[which[b]]``; ``t`` may also be one int
+    for all rows.  The responsibilities ``r`` are the posterior component
+    probabilities under the time marginal.  The noise prediction
+    ``-sigma_t * grad log p_t`` is the responsibility-weighted pull towards
+    the scaled component means:
 
         eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
 
@@ -341,8 +328,10 @@ def initial_latent(seed: int, grid_size: int) -> np.ndarray:
 
 
 def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
-                  z: np.ndarray, post: Posterior | None) -> CapturedStep:
-    """Snapshot trajectory points: predicted final images plus attention.
+                  z: np.ndarray, post: Posterior | None) -> np.ndarray:
+    """Snapshot trajectory points in the stored layout, shape
+    ``(B, 1 + n_targets, n, n)``: per row, the predicted final image, then
+    the attention map of each of its mixture's targets in target order.
 
     Rows are as in :func:`batch_posterior`, and ``post`` is the posterior it
     returned for them; when None it is evaluated here, once for all rows
@@ -358,19 +347,13 @@ def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
     """
     if post is None:
         post = batch_posterior(bank, which, schedule, t, z)
-    pfi = ddim_step(z, post.eps, t, 0, schedule)
-    mixtures = bank.mixtures
-    if isinstance(which, np.ndarray) and which.ndim:
-        attention = np.empty((len(z), len(mixtures[0].targets)) + z.shape[1:])
-        for m in np.unique(which):
-            rows = (which == m).nonzero()[0]
-            attention[rows] = np.einsum("bk,okij->boij", post.r[rows],
-                                        mixtures[m].template_stacks)
-    else:
-        attention = np.einsum("bk,okij->boij", post.r,
-                              mixtures[which].template_stacks)
-    return CapturedStep(t=np.broadcast_to(t, len(z)), pfi=pfi,
-                        attention=attention)
+    out = np.empty((len(z), 1 + len(bank.mixtures[0].targets)) + z.shape[1:])
+    out[:, 0] = ddim_step(z, post.eps, t, 0, schedule)
+    for m in np.unique(which):
+        rows = (which == m).nonzero()[0]
+        out[rows, 1:] = np.einsum("bk,okij->boij", post.r[rows],
+                                  bank.mixtures[m].template_stacks)
+    return out
 
 
 def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -386,16 +369,17 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
     for t in wanted:
         _check_t(schedule, t)
     bank = MixtureBank((mixture,))
+    which = np.zeros(len(seeds), dtype=np.intp)
     z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
-    captures = []
+    captures = {}
     for t in range(schedule.T, 0, -1):
-        post, z_next = denoise_step(bank, 0, schedule, t, z)
+        post, z_next = denoise_step(bank, which, schedule, t, z)
         if t in wanted:
-            captures.append(batch_capture(bank, 0, schedule, t, z, post))
+            captures[t] = batch_capture(bank, which, schedule, t, z, post)
         z = z_next
     if 0 in wanted:
-        captures.append(batch_capture(bank, 0, schedule, 0, z, None))
+        captures[0] = batch_capture(bank, which, schedule, 0, z, None)
     nearest = np.linalg.norm(mixture.means_matrix - z.reshape(len(z), 1, -1),
                              axis=2).argmin(axis=1)
-    return GenerationRecord(captures=tuple(captures), final_image=z,
+    return GenerationRecord(captures=captures, final_image=z,
                             nearest_component=nearest)

@@ -25,7 +25,7 @@ class UsageError(InvalidInput):
 
 
 class GrammarError(InvalidInput):
-    """Prompt text does not match the supported grammar."""
+    """A target list names an object twice."""
 
 
 class UnknownObject(InvalidInput):

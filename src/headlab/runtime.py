@@ -87,8 +87,15 @@ class RunTrace:
 
     prompt_id: str
     attempts: tuple[AttemptRecord, ...]
-    total_steps: int
-    accepted_seed: int
+
+    @property
+    def total_steps(self) -> int:
+        return sum(a.steps for a in self.attempts)
+
+    @property
+    def accepted_seed(self) -> int:
+        """The seed of the last attempt, the one accepted."""
+        return self.attempts[-1].seed
 
     @property
     def n_attempts(self) -> int:
@@ -116,8 +123,8 @@ class _Attempt:
     index and seed, the arms (positions in the pool's policies) still
     making it, what it has captured, and each arm's verdicts and
     ``(outcome, steps)`` so far; captures are its rows of
-    :attr:`CapturedStep.channels`, by capture label.  An arm leaves
-    ``arms`` when it aborts the attempt or drops the run."""
+    :func:`batch_capture`, by capture label.  An arm leaves ``arms`` when
+    it aborts the attempt or drops the run."""
 
     run: int
     index: int
@@ -153,7 +160,6 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     for _, model, _ in heads:
         capture_at[[T - u for u in model.steps]] = True
     history = [[[] for _ in runs] for _ in arms]
-    totals = [[0] * len(runs) for _ in arms]
     traces = [[None] * len(runs) for _ in arms]
     failed: list[int | None] = [None for _ in arms]
     next_run = 0
@@ -187,8 +193,8 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         if rows.size:
             caps = batch_capture(bank, which[rows], schedule, t[rows], z[rows],
                                  Posterior(r=post.r[rows], eps=post.eps[rows]))
-            for row, u, channels in zip(rows, T - caps.t, caps.channels):
-                live[row].captured[int(u)] = channels
+            for row, channels in zip(rows, caps):
+                live[row].captured[T - int(t[row])] = channels
         for a, model, decision in heads:
             deciding = [row for row in (t == T - decision).nonzero()[0]
                         if a in live[row].arms]
@@ -223,12 +229,10 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 history[a][at.run].append(AttemptRecord(
                     seed=at.seed, outcome=outcome, steps=steps,
                     verdicts=at.verdicts.get(a)))
-                totals[a][at.run] += steps
                 if outcome == OUTCOME_COMPLETE:
                     traces[a][at.run] = RunTrace(
                         prompt_id=runs[at.run].prompt_id,
-                        attempts=tuple(history[a][at.run]),
-                        total_steps=totals[a][at.run], accepted_seed=at.seed)
+                        attempts=tuple(history[a][at.run]))
                 elif at.index + 1 < policies[a].max_restarts:
                     going_on.append(a)
                 elif failed[a] is None or at.run < failed[a]:

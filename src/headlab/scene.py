@@ -1,4 +1,4 @@
-"""Analytic scene model: object catalog, prompt grammar, conditional mixture.
+"""Analytic scene model: object catalog, prompts, conditional mixture.
 
 A "scene" is a small grayscale grid on which each requested object either
 appears (as a Gaussian blob at one of its candidate positions) or is dropped.
@@ -10,7 +10,6 @@ per-pixel variance ``s2`` shared by every component.  All downstream math
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -23,7 +22,7 @@ from .errors import EmptyTargets, GrammarError, UnknownObject, UsageError
 GRID_SIZE = 16
 BLOB_SIGMAS = (1.0, 1.5, 2.0)
 COMPONENT_STD = 0.05
-MAX_TARGETS = 3  # the prompt grammar's cap on targets per prompt
+MAX_TARGETS = 3  # the cap on `simulate` and `sweep-p` `--objects`
 
 SUBJECT_IDS = ("cat", "dog", "fox", "owl", "frog",
                "crab", "deer", "mole", "swan", "toad")
@@ -156,12 +155,9 @@ def dump_catalog(catalog: dict[str, ObjectSpec], path: str) -> None:
     write_atomic(path, "".join(lines))
 
 
-_PART_RE = re.compile(r"^a ([a-z][a-z0-9_-]*)$")
-
-
 @dataclass(frozen=True)
 class Prompt:
-    """Prompt text plus its parsed, ordered target ids."""
+    """Prompt text plus its ordered target ids."""
 
     text: str
     targets: tuple[str, ...]
@@ -170,34 +166,6 @@ class Prompt:
 def prompt_text(targets: tuple[str, ...] | list[str]) -> str:
     """Render a target list back into the canonical prompt wording."""
     return " and ".join(f"a {t}" for t in targets)
-
-
-def extract_targets(text: str, catalog: dict[str, ObjectSpec]) -> Prompt:
-    """Parse ``"a X and a Y [and a Z]"`` into a :class:`Prompt`.
-
-    Raises :class:`GrammarError` on malformed or duplicated targets and
-    :class:`UnknownObject` when a token is not in the catalog.
-    """
-    cleaned = " ".join(text.strip().split())
-    if not cleaned:
-        raise GrammarError("empty prompt")
-    parts = cleaned.split(" and ")
-    if len(parts) > MAX_TARGETS:
-        raise GrammarError(f"at most {MAX_TARGETS} targets supported, "
-                           f"got {len(parts)}")
-    targets: list[str] = []
-    for part in parts:
-        m = _PART_RE.match(part)
-        if m is None:
-            raise GrammarError(f"cannot parse prompt fragment {part!r}")
-        targets.append(m.group(1))
-    dupes = {t for t in targets if targets.count(t) > 1}
-    if dupes:
-        raise GrammarError(f"duplicate target: {sorted(dupes)[0]!r}")
-    for t in targets:
-        if t not in catalog:
-            raise UnknownObject(f"object {t!r} not in catalog")
-    return Prompt(text=cleaned, targets=tuple(targets))
 
 
 @dataclass(frozen=True)
@@ -226,7 +194,6 @@ class MixtureSpec:
 
     targets: tuple[str, ...]
     objects: tuple[ObjectSpec, ...]
-    q: tuple[float, ...]
     s2: float
     grid_size: int
     components: tuple[SceneComponent, ...]
@@ -331,7 +298,6 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
     return MixtureSpec(
         targets=targets,
         objects=tuple(specs),
-        q=q_vec,
         s2=float(s2),
         grid_size=grid_size,
         components=tuple(components),

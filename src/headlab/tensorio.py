@@ -83,7 +83,7 @@ _HEAD_SIZE = len(MAGIC) + struct.calcsize("<IBI")
 def _parse_header(head: bytes) -> tuple[tuple[int, ...], int]:
     """Shape and element count of the header at the start of ``head``."""
     if len(head) < _HEAD_SIZE:
-        raise ValueError("tensor blob truncated before header end")
+        raise ValueError("tensor truncated before header end")
     if head[:4] != MAGIC:
         raise ValueError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
     version, dtype_code, rank = struct.unpack_from("<IBI", head, 4)
@@ -92,24 +92,9 @@ def _parse_header(head: bytes) -> tuple[tuple[int, ...], int]:
     if dtype_code != DTYPE_FLOAT32:
         raise ValueError(f"unsupported dtype code {dtype_code}")
     if len(head) < _HEAD_SIZE + 4 * rank:
-        raise ValueError("tensor blob truncated in dimension list")
+        raise ValueError("tensor truncated in dimension list")
     dims = struct.unpack_from(f"<{rank}I", head, _HEAD_SIZE)
     return dims, int(np.prod(dims, dtype=np.int64)) if rank else 1
-
-
-def _check_payload(nbytes: int, count: int, dims) -> None:
-    if nbytes != 4 * count:
-        raise ValueError(f"payload holds {nbytes} bytes, "
-                         f"expected {4 * count} for shape {dims}")
-
-
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`tensor_bytes`; raises ``ValueError`` on bad data."""
-    dims, count = _parse_header(blob)
-    offset = _HEAD_SIZE + 4 * len(dims)
-    _check_payload(len(blob) - offset, count, dims)
-    return np.frombuffer(blob, dtype="<f4", count=count,
-                         offset=offset).reshape(dims).copy()
 
 
 def read_tensor(path) -> np.ndarray:
@@ -121,5 +106,7 @@ def read_tensor(path) -> np.ndarray:
         rank = (struct.unpack_from("<I", head, _HEAD_SIZE - 4)[0]
                 if len(head) == _HEAD_SIZE else 0)
         dims, count = _parse_header(head + fh.read(min(4 * rank, size)))
-        _check_payload(size - fh.tell(), count, dims)
+        if size - fh.tell() != 4 * count:
+            raise ValueError(f"payload holds {size - fh.tell()} bytes, "
+                             f"expected {4 * count} for shape {dims}")
         return np.fromfile(fh, dtype="<f4", count=count).reshape(dims)

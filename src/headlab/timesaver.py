@@ -165,7 +165,6 @@ def relative_saving(dist: AttemptDistribution, policy: PolicyParams) -> float:
 class SimReport:
     """Monte Carlo estimate of expected cost until acceptance."""
 
-    n_runs: int
     mean_cost: float
     stderr: float
     ci_lo: float
@@ -243,8 +242,8 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     mean = float(costs.mean())
     std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0
     se = std / np.sqrt(n_runs)
-    return SimReport(n_runs=n_runs, mean_cost=mean, stderr=se,
-                     ci_lo=mean - 1.96 * se, ci_hi=mean + 1.96 * se)
+    return SimReport(mean_cost=mean, stderr=se, ci_lo=mean - 1.96 * se,
+                     ci_hi=mean + 1.96 * se)
 
 
 @dataclass(frozen=True)

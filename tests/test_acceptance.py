@@ -127,8 +127,8 @@ def test_criterion_1_predicted_final_matches_posterior_mean(
     worst = 0.0
     for t in (1, 5, 10, 16, 25, 40, 50, 50, 30, 8):
         z = _marginal_draw(mixture, schedule, t, rng)
-        got = batch_capture(MixtureBank((mixture,)), 0, schedule, t, z[None],
-                            None).pfi[0]
+        got = batch_capture(MixtureBank((mixture,)), np.zeros(1, dtype=int),
+                            schedule, t, z[None], None)[0, 0]
         want = _oracle_posterior_mean(mixture, schedule, z, t)
         worst = max(worst, float(np.abs(got - want).max()))
     _verdict(capfd, 1, worst < 1e-8,
@@ -151,8 +151,8 @@ def test_criterion_2_noise_prediction_matches_numeric_gradient(
         lp = _oracle_log_marginal(mixture, schedule, batch, t)
         score = (lp[:z_flat.size] - lp[z_flat.size:]) / (2.0 * h)
         want = -float(schedule.sigma[t]) * score.reshape(z.shape)
-        got = batch_posterior(MixtureBank((mixture,)), 0, schedule, t,
-                              z[None]).eps[0]
+        got = batch_posterior(MixtureBank((mixture,)), np.zeros(1, dtype=int),
+                              schedule, t, z[None]).eps[0]
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
     _verdict(capfd, 2, worst < 1e-5,

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
@@ -120,6 +121,16 @@ def test_invalid_invocations_exit_1(argv, capsys):
     ["train", "--dataset", "unused", "--out", "unused", "--steps", "x"],
     ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
      "--p-grid", "0.5,y", "--out", "unused"],
+    ["simulate", "--p", "-0.5", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "2", "--out", "unused"],
+    ["simulate", "--p", "nan", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "3", "--out", "unused"],
+    ["simulate", "--p", "0", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "2", "--out", "unused"],
+    ["simulate", "--p", "inf", "--recall", "1.0", "--tn-rate", "1.0",
+     "--f", "0.16", "--objects", "2", "--out", "unused"],
+    ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
+     "--p-grid", "0.5,nan", "--out", "unused"],
 ])
 def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -127,6 +138,46 @@ def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "unused").exists()
+
+
+_FLOATS = (st.sampled_from(["-0.5", "0", "-0.0", "nan", "inf", "-inf", "1e400",
+                            "-1e400", "5e-324", "0.59", "1"])
+           | st.floats().map(repr))
+_INTS = (st.sampled_from(["-1", "0", "1", "2", "3", "4", str(2**64)])
+         | st.integers().map(str))
+
+
+def _flags(**values) -> list[str]:
+    """``--flag=value`` keeps a negative value from reading as a flag."""
+    return [f"--{name.replace('_', '-')}={value}"
+            for name, value in values.items()]
+
+
+def _exits_cleanly(argv, out) -> None:
+    """``argv`` exits 0, 1 or 2, with one ``error:`` line when it fails and
+    none when it succeeds, and never with a traceback."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = _quiet([*argv, f"--out={out}"])
+    assert rc in (0, 1, 2)
+    assert stderr.getvalue().count("error:") == (rc != 0)
+
+
+@example(p="-0.5", recall="1", tn_rate="1", f="0.16", objects="2", seed="0")
+@given(p=_FLOATS, recall=_FLOATS, tn_rate=_FLOATS, f=_FLOATS, objects=_INTS,
+       seed=_INTS)
+def test_simulate_numeric_flags_end_in_an_exit_code(tmp_path_factory,
+                                                    **values):
+    _exits_cleanly(["simulate", "--mc-runs=0", *_flags(**values)],
+                   tmp_path_factory.getbasetemp() / "fuzz-simulate")
+
+
+@given(grid=st.lists(_FLOATS, max_size=3), recall=_FLOATS, tn_rate=_FLOATS,
+       t_last=_INTS, num_steps=_INTS, objects=_INTS)
+def test_sweep_p_numeric_flags_end_in_an_exit_code(tmp_path_factory, grid,
+                                                   **values):
+    argv = ["sweep-p", f"--p-grid={','.join(grid)}", *_flags(**values)]
+    _exits_cleanly(argv, tmp_path_factory.getbasetemp() / "fuzz-sweep-p")
 
 
 def test_simulate_accepts_the_object_bounds(capsys):
@@ -226,6 +277,35 @@ def test_train_with_calibration(cli_dataset, tmp_path):
                    "--steps", "16", "--target-recall", "1.0"]) == 0
     model = DetectorModel.load(out / "model.json")
     assert 0.0 < model.threshold < 0.5
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
+                                              threshold, source):
+    """A threshold ``load`` would refuse exits 1 before anything is
+    written."""
+    config = tmp_path / "threshold.json"
+    config.write_text(
+        json.dumps({"detector": {"threshold": float(threshold)}}),
+        encoding="utf-8")
+    out = tmp_path / "model"
+    extra = (["--threshold", threshold] if source == "flag"
+             else ["--config", str(config)])
+    assert main(["train", "--dataset", str(cli_dataset), "--out", str(out),
+                 *extra]) == 1
+    assert (capsys.readouterr().err
+            == f"error: threshold must be finite, got {threshold}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["threshold", "bias"])
+def test_model_save_refuses_what_load_would_refuse(cli_models, tmp_path,
+                                                   field):
+    model = replace(DetectorModel.load(cli_models[16]), **{field: np.inf})
+    with pytest.raises(ValueError):
+        model.save(tmp_path / "model.json")
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_rejects_uncaptured_step(cli_dataset, tmp_path, capsys):

@@ -162,10 +162,10 @@ def _assert_rows_equal_per_prompt_batches(root, mani, catalog):
                 == record.nearest_component.tolist())
         assert np.array_equal(finals[rows],
                               record.final_image.astype(np.float32))
-        for cap in record.captures:
-            step = stored[cfg.num_steps - int(cap.t[0])][rows]
-            assert np.array_equal(step[:, 0], cap.pfi.astype(np.float32))
-            assert np.array_equal(step[:, 1:], cap.attention.astype(np.float32))
+        assert sorted(record.captures) == sorted(wanted)
+        for t, channels in record.captures.items():
+            assert np.array_equal(stored[cfg.num_steps - t][rows],
+                                  channels.astype(np.float32))
 
 
 def test_stored_rows_equal_per_prompt_batches(tiny_dataset):

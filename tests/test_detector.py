@@ -18,7 +18,7 @@ from headlab.errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                             UsageError)
 from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
-from headlab.tensorio import tensor_bytes, tensor_from_bytes
+from headlab.tensorio import read_tensor, tensor_bytes
 
 
 def _solo_spec(positions=((8, 8),)) -> ObjectSpec:
@@ -55,15 +55,18 @@ def test_feature_gap_with_two_positions():
     assert feats["attn_topmass"] == 0.0  # zero total mass convention
 
 
-def test_features_match_after_disk_roundtrip():
+def test_features_match_after_disk_roundtrip(tmp_path):
     spec = _solo_spec()
     rng = np.random.default_rng(0)
     pfi = rng.normal(size=(3, 16, 16))
     attention = rng.uniform(size=(3, 16, 16))
     direct = extract_features(pfi, attention, spec)
-    roundtrip = extract_features(tensor_from_bytes(tensor_bytes(pfi)),
-                                 tensor_from_bytes(tensor_bytes(attention)),
-                                 spec)
+    stored = []
+    for name, array in (("pfi", pfi), ("attention", attention)):
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(tensor_bytes(array))
+        stored.append(read_tensor(path))
+    roundtrip = extract_features(*stored, spec)
     assert np.array_equal(direct, roundtrip)
 
 
@@ -365,8 +368,8 @@ def test_live_features_equal_disk_features(tiny_dataset):
                                     s2=cfg.component_std ** 2)
     record = sample_batch(mix, make_schedule(cfg.num_steps), (sample.run_seed,),
                           {cfg.num_steps - u for u in cfg.critical_steps})
-    by_label = {cfg.num_steps - int(cap.t[0]): cap.channels
-                for cap in record.captures}
+    by_label = {cfg.num_steps - t: channels
+                for t, channels in record.captures.items()}
     split = next(name for name, prompts in mani.splits.items()
                  if sample.prompt_index in prompts)
     for variant, steps in (("combined", (8,)), ("attention_only", (16,)),

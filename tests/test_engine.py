@@ -47,6 +47,9 @@ def _bank(mixture) -> MixtureBank:
     return MixtureBank((mixture,))
 
 
+ROW = np.zeros(1, dtype=int)  # one latent under a one-mixture bank
+
+
 # ------------------------------------------------------------- ddim
 
 def _toy_schedule() -> NoiseSchedule:
@@ -109,7 +112,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = batch_posterior(_bank(mix), 0, schedule, t, z[None]).eps[0]
+        eps = batch_posterior(_bank(mix), ROW, schedule, t, z[None]).eps[0]
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -132,7 +135,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = batch_posterior(_bank(mix1), 0, schedule, t, z[None]).eps[0]
+    eps = batch_posterior(_bank(mix1), ROW, schedule, t, z[None]).eps[0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = mix1.components[0].mean.reshape(16, 16)
@@ -162,7 +165,7 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = batch_posterior(_bank(mix), 0, schedule, t, z[None]).r[0]
+        r = batch_posterior(_bank(mix), ROW, schedule, t, z[None]).r[0]
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -173,16 +176,16 @@ def test_posterior_rejects_out_of_range_t(catalog, schedule):
     z = np.zeros((16, 16))
     for t in (-1, schedule.T + 1):
         with pytest.raises(InvalidT):
-            batch_posterior(_bank(mix), 0, schedule, t, z[None])
+            batch_posterior(_bank(mix), ROW, schedule, t, z[None])
         with pytest.raises(InvalidT):
-            batch_capture(_bank(mix), 0, schedule, t, z[None], None)
+            batch_capture(_bank(mix), ROW, schedule, t, z[None], None)
 
 
 def test_posterior_at_zero_has_no_eps(catalog, schedule):
     """At t = 0 no denoising step follows: the noise prediction is zero."""
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
-    post = batch_posterior(_bank(mix), 0, schedule, 0, z[None])
+    post = batch_posterior(_bank(mix), ROW, schedule, 0, z[None])
     assert post.eps.shape == (1, 16, 16) and not post.eps.any()
     assert post.r.shape == (1, len(mix.components))
     assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +197,7 @@ def test_degenerate_variance_raises(catalog):
     mix = build_conditional_mixture(("cat",), 1.0, catalog, s2=1e-30)
     z = np.zeros((16, 16))
     with pytest.raises(DegenerateVariance):
-        batch_posterior(_bank(mix), 0, sch, 1, z[None])
+        batch_posterior(_bank(mix), ROW, sch, 1, z[None])
 
 
 # ------------------------------------------------------------- projector
@@ -205,7 +208,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
-        pfi = batch_capture(_bank(mix), 0, schedule, t, z[None], None).pfi[0]
+        pfi = batch_capture(_bank(mix), ROW, schedule, t, z[None], None)[0, 0]
         ab = schedule.alphabar[t]
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
@@ -221,7 +224,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
 def test_predict_final_image_at_zero_returns_state(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.9, catalog)
     z = SplitMix64(2).normals(256).reshape(16, 16)
-    out = batch_capture(_bank(mix), 0, schedule, 0, z[None], None).pfi[0]
+    out = batch_capture(_bank(mix), ROW, schedule, 0, z[None], None)[0, 0]
     assert np.array_equal(out, z)
     assert not np.shares_memory(out, z)
 
@@ -232,8 +235,8 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
-        maps = batch_capture(_bank(mix), 0, schedule, t, z[None],
-                             None).attention[0]
+        maps = batch_capture(_bank(mix), ROW, schedule, t, z[None],
+                             None)[0, 1:]
         assert maps.shape == (2, 16, 16)  # cat, then bench
         for amap in maps:
             assert amap.min() >= 0.0
@@ -245,8 +248,8 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = batch_capture(_bank(mix), 0, schedule, 1, z[None],
-                         None).attention[0, 0]  # cat
+    amap = batch_capture(_bank(mix), ROW, schedule, 1, z[None],
+                         None)[0, 1]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -261,12 +264,11 @@ def _single_latent_steps(mixture, schedule, seed):
     out = []
     for t in range(schedule.T, -1, -1):
         if t:
-            post, z_next = denoise_step(bank, 0, schedule, t, z)
+            post, z_next = denoise_step(bank, ROW, schedule, t, z)
         else:
-            post = batch_posterior(bank, 0, schedule, t, z)
-        cap = batch_capture(bank, 0, schedule, t, z, post)
-        out.append((t, z[0], post.r[0], post.eps[0], cap.pfi[0],
-                    cap.attention[0]))
+            post = batch_posterior(bank, ROW, schedule, t, z)
+        cap = batch_capture(bank, ROW, schedule, t, z, post)
+        out.append((t, z[0], post.r[0], post.eps[0], cap[0, 0], cap[0, 1:]))
         z = z_next
     return out
 
@@ -282,8 +284,8 @@ def test_trajectory_structure_and_determinism(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     record = sample_batch(mix, schedule, (77, 77, 78),
                           range(schedule.T + 1))
-    assert ([c.t.tolist() for c in record.captures]
-            == [[t] * 3 for t in range(schedule.T, -1, -1)])
+    assert list(record.captures) == list(range(schedule.T, -1, -1))
+    assert all(c.shape == (3, 3, 16, 16) for c in record.captures.values())
     assert np.array_equal(record.final_image[0], record.final_image[1])
     assert not np.array_equal(record.final_image[0], record.final_image[2])
 
@@ -291,19 +293,19 @@ def test_trajectory_structure_and_determinism(catalog, schedule):
 def test_capture_order_is_generation_order(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     record = sample_batch(mix, schedule, (5,), critical_timesteps={8, 16})
-    assert [c.t.tolist() for c in record.captures] == [[16], [8]]
+    assert list(record.captures) == [16, 8]
 
 
 def test_capture_contents(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     record = sample_batch(mix, schedule, (5,),
                           critical_timesteps={0, 30, schedule.T})
-    by_t = {int(c.t[0]): c for c in record.captures}
+    by_t = record.captures
     assert set(by_t) == {0, 30, schedule.T}
-    assert np.array_equal(by_t[0].pfi, record.final_image)
-    assert by_t[30].attention.shape == (1, 2, 16, 16)  # cat, then bench
+    assert np.array_equal(by_t[0][:, 0], record.final_image)
+    assert by_t[30].shape == (1, 3, 16, 16)  # the PFI, then cat and bench
     # a capture's projection should already resemble a clean image
-    assert by_t[30].pfi.max() < 2.0
+    assert by_t[30][:, 0].max() < 2.0
 
 
 def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
@@ -311,13 +313,10 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     wanted = {0, 1, 2, 8, 16, 30, schedule.T}
     record = sample_batch(mix, schedule, (11,), critical_timesteps=wanted)
     latents = _latents(mix, schedule, 11)
-    assert [int(c.t[0]) for c in record.captures] == sorted(wanted,
-                                                            reverse=True)
-    for cap in record.captures:
-        t = int(cap.t[0])
-        fresh = batch_capture(_bank(mix), 0, schedule, t, latents[t], None)
-        assert np.array_equal(cap.pfi, fresh.pfi)
-        assert np.array_equal(cap.attention, fresh.attention)
+    assert list(record.captures) == sorted(wanted, reverse=True)
+    for t, cap in record.captures.items():
+        fresh = batch_capture(_bank(mix), ROW, schedule, t, latents[t], None)
+        assert np.array_equal(cap, fresh)
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
@@ -325,8 +324,8 @@ def test_trajectory_posterior_matches_public_api(catalog, schedule):
     for t, z in _latents(mix, schedule, 3).items():
         if t == 0:
             continue
-        post = denoise_step(_bank(mix), 0, schedule, t, z)[0]
-        fresh = batch_posterior(_bank(mix), 0, schedule, t, z)
+        post = denoise_step(_bank(mix), ROW, schedule, t, z)[0]
+        fresh = batch_posterior(_bank(mix), ROW, schedule, t, z)
         assert np.array_equal(post.r, fresh.r)
         assert np.array_equal(post.eps, fresh.eps)
 
@@ -476,8 +475,8 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
             assert np.array_equal(z[b], z1)
             assert np.array_equal(post.r[k], r1)
             assert np.array_equal(post.eps[k], eps1)
-            assert caps.t[k] == t[b] and np.array_equal(caps.pfi[k], pfi1)
-            assert np.array_equal(caps.attention[k], attention1)
+            assert np.array_equal(caps[k, 0], pfi1)
+            assert np.array_equal(caps[k, 1:], attention1)
             compared += 1
         z[live] = ddim_step(z[live], post.eps, t[live],
                             np.maximum(t[live] - 1, 0), schedule)
@@ -494,11 +493,9 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
         want = sample_batch(mix, schedule, (seed,), wanted)
         assert np.array_equal(got.final_image[b], want.final_image[0])
         assert got.nearest_component[b] == want.nearest_component[0]
-        assert ([c.t[b] for c in got.captures]
-                == [c.t[0] for c in want.captures])
-        for x, y in zip(got.captures, want.captures):
-            assert np.array_equal(x.pfi[b], y.pfi[0])
-            assert np.array_equal(x.attention[b], y.attention[0])
+        assert list(got.captures) == list(want.captures)
+        for t, cap in got.captures.items():
+            assert np.array_equal(cap[b], want.captures[t][0])
 
 
 def test_mixture_bank_needs_one_component_count(catalog):
@@ -524,7 +521,8 @@ def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):
     bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
     z = np.zeros((3, 16, 16))
     with pytest.raises(InvalidT, match="timestep 51 "):
-        batch_posterior(bank, 0, schedule, np.array([3, 51, 2]), z)
+        batch_posterior(bank, np.zeros(3, dtype=int), schedule,
+                        np.array([3, 51, 2]), z)
     with pytest.raises(IndexError):
         batch_posterior(bank, np.array([0, 1, 0]), schedule, 3, z)
 
@@ -538,7 +536,7 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
     which = np.array([1, 0, 1, 1, 0])
     t = np.array([50, 31, 7, 1, 20])
     z = np.stack([SplitMix64(s).normals(256).reshape(16, 16) for s in range(5)])
-    alone = [batch_posterior(bank, which[b], schedule, t[b], z[b:b + 1])
+    alone = [batch_posterior(bank, which[b:b + 1], schedule, t[b], z[b:b + 1])
              for b in range(5)]
     for rows in (slice(0, 5), slice(1, 3), slice(4, 5)):
         post = batch_posterior(bank, which[rows], schedule, t[rows], z[rows])

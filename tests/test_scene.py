@@ -1,53 +1,23 @@
-"""Scene layer: prompt grammar, object templates, conditional mixtures."""
+"""Scene layer: prompts, object templates, conditional mixtures."""
 
 import numpy as np
 import pytest
 
+from headlab.dataset import build_prompt_grid
 from headlab.errors import EmptyTargets, GrammarError, UnknownObject, UsageError
-from headlab.scene import (ObjectSpec, build_conditional_mixture,
+from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            completeness_probability, dump_catalog,
-                           extract_targets, load_catalog,
-                           pattern_distribution, prompt_text,
+                           load_catalog, pattern_distribution, prompt_text,
                            render_mean_image)
 
 
-# ------------------------------------------------------------- grammar
+# ------------------------------------------------------------- prompts
 
-def test_extract_two_targets(catalog):
-    prompt = extract_targets("a cat and a bench", catalog)
-    assert prompt.targets == ("cat", "bench")
-    assert prompt.text == "a cat and a bench"
-
-
-def test_extract_normalizes_whitespace(catalog):
-    prompt = extract_targets("  a   cat  and  a bench ", catalog)
-    assert prompt.targets == ("cat", "bench")
-
-
-def test_extract_three_targets(catalog):
-    prompt = extract_targets("a cat and a dog and a kite", catalog)
-    assert prompt.targets == ("cat", "dog", "kite")
-
-
-def test_prompt_text_roundtrip(catalog):
+def test_prompt_text_roundtrip():
     text = prompt_text(("owl", "vase"))
     assert text == "a owl and a vase"
-    assert extract_targets(text, catalog).targets == ("owl", "vase")
-
-
-@pytest.mark.parametrize("bad", [
-    "", "   ", "cat and bench", "a cat and bench", "the cat and a bench",
-    "a cat and a dog and a kite and a drum", "a cat and a cat",
-    "a Cat and a bench",
-])
-def test_extract_rejects_malformed(bad, catalog):
-    with pytest.raises(GrammarError):
-        extract_targets(bad, catalog)
-
-
-def test_extract_rejects_unknown_object(catalog):
-    with pytest.raises(UnknownObject):
-        extract_targets("a cat and a zeppelin", catalog)
+    assert build_prompt_grid(("owl",), ("vase",)) == (
+        Prompt(text=text, targets=("owl", "vase")),)
 
 
 # ------------------------------------------------------------- templates
@@ -157,6 +127,8 @@ def test_mixture_validation_errors(catalog):
         build_conditional_mixture((), 0.8, catalog)
     with pytest.raises(UnknownObject):
         build_conditional_mixture(("cat", "ghost"), 0.8, catalog)
+    with pytest.raises(GrammarError):
+        build_conditional_mixture(("cat", "cat"), 0.8, catalog)
     with pytest.raises(UsageError):
         build_conditional_mixture(("cat",), 0.0, catalog)
     with pytest.raises(UsageError):

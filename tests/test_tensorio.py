@@ -6,36 +6,38 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from headlab.tensorio import (MAGIC, TensorWriter, read_tensor, tensor_bytes,
-                              tensor_from_bytes)
+from headlab.tensorio import MAGIC, TensorWriter, read_tensor, tensor_bytes
 
 
-def test_roundtrip_preserves_float32_exactly():
+def _read(tmp_path, blob: bytes) -> np.ndarray:
+    """``read_tensor`` of a file holding ``blob``."""
+    path = tmp_path / "t.bin"
+    path.write_bytes(blob)
+    return read_tensor(path)
+
+
+def test_roundtrip_preserves_float32_exactly(tmp_path):
     arr = np.linspace(-3, 3, 24, dtype=np.float64).reshape(2, 3, 4)
     blob = tensor_bytes(arr)
-    back = tensor_from_bytes(blob)
+    back = _read(tmp_path, blob)
     assert back.dtype == np.float32
     assert back.shape == (2, 3, 4)
     assert np.array_equal(back, arr.astype(np.float32))
 
 
-def test_roundtrip_is_byte_stable():
+def test_roundtrip_is_byte_stable(tmp_path):
     arr = np.float32([[1.5, -2.25], [0.0, 3e-9]])
     blob = tensor_bytes(arr)
-    assert tensor_bytes(tensor_from_bytes(blob)) == blob
+    assert tensor_bytes(_read(tmp_path, blob)) == blob
 
 
 def test_file_roundtrip(tmp_path):
     arr = np.arange(16, dtype=np.float32).reshape(4, 4)
-    path = tmp_path / "t.bin"
-    path.write_bytes(tensor_bytes(arr))
-    assert np.array_equal(read_tensor(path), arr)
+    assert np.array_equal(_read(tmp_path, tensor_bytes(arr)), arr)
 
 
 def test_file_read_is_writable(tmp_path):
-    path = tmp_path / "t.bin"
-    path.write_bytes(tensor_bytes(np.ones((2, 3))))
-    back = read_tensor(path)
+    back = _read(tmp_path, tensor_bytes(np.ones((2, 3))))
     back[0, 0] = 5.0
     assert back.sum() == 10.0
 
@@ -61,9 +63,9 @@ def test_writer_rejects_rows_that_do_not_fit(tmp_path):
             writer.append(np.zeros((1, 3)))
 
 
-def test_non_contiguous_input_ok():
+def test_non_contiguous_input_ok(tmp_path):
     arr = np.arange(36, dtype=np.float32).reshape(6, 6)[::2, ::2]
-    back = tensor_from_bytes(tensor_bytes(arr))
+    back = _read(tmp_path, tensor_bytes(arr))
     assert np.array_equal(back, arr)
 
 
@@ -72,39 +74,39 @@ def test_header_starts_with_magic():
     assert blob[:4] == MAGIC
 
 
-def test_rejects_bad_magic():
+def test_rejects_bad_magic(tmp_path):
     blob = bytearray(tensor_bytes(np.zeros(3, dtype=np.float32)))
     blob[0] ^= 0xFF
-    with pytest.raises(ValueError):
-        tensor_from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="bad magic"):
+        _read(tmp_path, bytes(blob))
 
 
-def test_rejects_truncation():
+def test_rejects_truncation(tmp_path):
     blob = tensor_bytes(np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        tensor_from_bytes(blob[:-1])
-    with pytest.raises(ValueError):
-        tensor_from_bytes(blob[:6])
+    with pytest.raises(ValueError, match="payload holds 15 bytes"):
+        _read(tmp_path, blob[:-1])
+    with pytest.raises(ValueError, match="before header end"):
+        _read(tmp_path, blob[:6])
 
 
-def test_rejects_trailing_garbage():
+def test_rejects_trailing_garbage(tmp_path):
     blob = tensor_bytes(np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        tensor_from_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match="payload holds 17 bytes"):
+        _read(tmp_path, blob + b"\x00")
 
 
-def test_rejects_unknown_version():
+def test_rejects_unknown_version(tmp_path):
     blob = bytearray(tensor_bytes(np.zeros(2, dtype=np.float32)))
     blob[4] = 99  # version field follows the 4-byte magic
-    with pytest.raises(ValueError):
-        tensor_from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="version 99"):
+        _read(tmp_path, bytes(blob))
 
 
-def test_rejects_unknown_dtype():
+def test_rejects_unknown_dtype(tmp_path):
     blob = bytearray(tensor_bytes(np.zeros(2, dtype=np.float32)))
     blob[8] = 7  # dtype byte follows the u32 version
-    with pytest.raises(ValueError):
-        tensor_from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="dtype code 7"):
+        _read(tmp_path, bytes(blob))
 
 
 def _damaged_blobs():
@@ -122,11 +124,7 @@ def _damaged_blobs():
                               "rank"])
 def test_file_read_rejects_what_the_blob_parser_rejects(tmp_path, blob):
     with pytest.raises(ValueError):
-        tensor_from_bytes(blob)
-    path = tmp_path / "t.bin"
-    path.write_bytes(blob)
-    with pytest.raises(ValueError):
-        read_tensor(path)
+        _read(tmp_path, blob)
 
 
 @st.composite
@@ -153,12 +151,9 @@ def _near_tensor_blobs(draw) -> bytes:
 @example(blob=MAGIC + struct.pack("<IBI", 1, 0, 0) + bytes(4))  # a scalar
 @given(blob=st.binary(max_size=40) | _near_tensor_blobs())
 def test_any_bytes_give_an_array_or_a_value_error(tmp_path_factory, blob):
-    """What the parsers accept is a tensor whose own bytes are ``blob``."""
-    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
-    path.write_bytes(blob)
-    for read in (lambda: tensor_from_bytes(blob), lambda: read_tensor(path)):
-        try:
-            array = read()
-        except ValueError:
-            continue
-        assert tensor_bytes(array) == blob
+    """What the reader accepts is a tensor whose own bytes are ``blob``."""
+    try:
+        array = _read(tmp_path_factory.getbasetemp(), blob)
+    except ValueError:
+        return
+    assert tensor_bytes(array) == blob
