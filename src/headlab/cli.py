@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, asdict, fields, replace
@@ -134,7 +135,8 @@ def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1,
+                                  allow_nan=False) + "\n")
 
 
 def _list_of(kind):
@@ -267,20 +269,25 @@ def _cmd_simulate(args) -> None:
     expected = expected_cost_closed_form(dist, policy)
     base = baseline_cost(dist)
     saving = relative_saving(dist, policy)
-    print(f"saving {saving:.4f}")
     result = {"p": args.p, "recall": args.recall, "tn_rate": args.tn_rate,
               "f": args.f, "objects": args.objects,
               "expected_cost": expected, "baseline_cost": base,
               "saving_closed_form": saving}
+    lines = [f"saving {saving:.4f}"]
     if args.mc_runs > 0:
         report = monte_carlo_cost(dist, policy, args.mc_runs, seed=args.seed)
         mc_saving = 1.0 - report.mean_cost / base
-        print(f"mc saving {mc_saving:.4f} "
-              f"(ci {1.0 - report.ci_hi / base:.4f}..{1.0 - report.ci_lo / base:.4f})")
+        lines.append(f"mc saving {mc_saving:.4f} (ci "
+                     f"{1.0 - report.ci_hi / base:.4f}..{1.0 - report.ci_lo / base:.4f})")
         result.update({"mc_runs": args.mc_runs, "seed": args.seed,
                        "saving_monte_carlo": mc_saving,
                        "mc_mean_cost": report.mean_cost,
                        "mc_stderr": report.stderr})
+    bad = sorted(k for k, v in result.items()
+                 if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise UsageError(f"non-finite result {', '.join(bad)} at --p {args.p}")
+    print("\n".join(lines))
     if args.out is not None:
         out = _out_dir(args.out)
         _write_json(out / "simulate_result.json", result)

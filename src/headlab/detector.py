@@ -219,6 +219,12 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     gradient is averaged over rows so the learning rate is insensitive to
     the dataset size.
     """
+    if epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise UsageError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise UsageError(f"l2 must be finite and >= 0, got {l2}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -229,16 +235,17 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     n = x.shape[0]
     w = np.zeros(x.shape[1])
     b = 0.0
-    loss = np.inf
-    for _ in range(epochs):
+    # a diverging fit ends in NonFiniteLoss below, not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            logits = x @ w + b
+            p = expit(logits)
+            err = p - y
+            w -= lr * (x.T @ err / n + l2 * w)
+            b -= lr * float(err.mean())
         logits = x @ w + b
-        p = expit(logits)
-        err = p - y
-        w -= lr * (x.T @ err / n + l2 * w)
-        b -= lr * float(err.mean())
-    logits = x @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
-                 + 0.5 * l2 * float(w @ w))
+        loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
+                     + 0.5 * l2 * float(w @ w))
     if not np.isfinite(loss) or not np.all(np.isfinite(w)):
         raise NonFiniteLoss(f"training diverged (loss={loss})")
     return TrainResult(weights=w, bias=b, final_loss=loss)

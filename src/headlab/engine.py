@@ -16,8 +16,8 @@ Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
 attention maps.  The engine evaluates it for a batch of latents at once:
-:func:`batch_posterior` takes B latents, each at its own noise index and
-under its own mixture of a :class:`MixtureBank`, and :func:`batch_capture`
+:func:`batch_posterior` takes B latents at one noise index, each under its
+own mixture of a :class:`MixtureBank`, and :func:`batch_capture`
 turns that same :class:`Posterior` into predicted final images and
 attention maps, so a capture costs no extra posterior evaluation.
 :func:`denoise_step` advances every row one step, and :func:`sample_batch`
@@ -32,6 +32,7 @@ array-API path on a 9-vector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -46,11 +47,11 @@ COSINE_OFFSET = 0.008
 MIN_MARGINAL_VARIANCE = 1e-12
 
 # Latents denoised together in one lockstep batch: the rows of a dataset
-# chunk and the attempts of a campaign pool.  No value changes an output
-# byte.  The cost per latent-step still falls past 16 rows: in single
-# perfbench runs, 32 and 64 rows were faster on the campaign and corpus
-# workloads, for 1.4 and 3.6 MB more peak RSS.  16 stands until pairs of
-# runs pick another value.
+# chunk and the attempts of a campaign wave.  No value changes an output
+# byte.  The cost per latent-step still falls past 16 rows: with the pool
+# in waves, single perfbench runs at 32 and 64 rows were faster on the
+# campaign and corpus workloads, for 0.9-1.2 and 3.2-3.9 MB more peak RSS.
+# 16 stands until pairs of runs pick another value.
 LOCKSTEP_ROWS = 16
 
 
@@ -69,9 +70,9 @@ class NoiseSchedule:
     def sigma(self) -> np.ndarray:
         return np.sqrt(1.0 - self.alphabar)
 
-    def marginal_variance(self, s2, t):
+    def marginal_variance(self, s2, t: int):
         """Per-pixel variance of the time marginal of a component with
-        variance s2; elementwise over arrays of s2 and t."""
+        variance s2 at noise index t; elementwise over an array of s2."""
         ab = self.alphabar[t]
         return ab * s2 + (1.0 - ab)
 
@@ -158,7 +159,7 @@ class MixtureBank:
 class Posterior:
     """The mixture posteriors of a batch of latent states, evaluated once
     per step: component responsibilities ``r`` (B, K) and the exact noise
-    prediction ``eps`` (B, n, n), zero in rows at ``t = 0``."""
+    prediction ``eps`` (B, n, n), zero at ``t = 0``."""
 
     r: np.ndarray
     eps: np.ndarray
@@ -176,34 +177,14 @@ class GenerationRecord:
     nearest_component: np.ndarray
 
 
-def _within(x, lo, hi) -> bool:
-    """Whether ``lo <= x <= hi`` holds in every row; each is an int or a
-    per-row array."""
-    if isinstance(x, int) and isinstance(lo, int) and isinstance(hi, int):
-        return lo <= x <= hi
-    return bool(np.all(np.less_equal(lo, x) & np.less_equal(x, hi)))
-
-
 def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
-    if not _within(t, lowest, schedule.T):
-        t = np.asarray(t)
-        bad = t[(t < lowest) | (t > schedule.T)].flat[0]
-        raise InvalidT(f"timestep {bad} outside [{lowest}, {schedule.T}]")
-
-
-def _column(values, ndim: int):
-    """Per-row values shaped to broadcast over each row's other ``ndim - 1``
-    axes; one value for all rows stays a scalar."""
-    # One int ``t`` for all rows (the corpus chunks, ``sample_batch``) is a
-    # fast path, not a convenience: a scalar broadcasts over the batch in
-    # one flat loop, a column in one loop per row.  A 16-row
-    # ``denoise_step`` takes 125-175 us with an int ``t`` and 205-250 us
-    # with per-row ``t`` (the campaign pool), mostly in the multiply of
-    # ``_log_responsibilities`` (10-14 against 29-44 us), ``_ddim`` (17-23
-    # against 29-38 us) and ``_check_t`` (0.3 against 7 us).
-    if isinstance(values, np.ndarray) and values.ndim:
-        return values.reshape((-1,) + (1,) * (ndim - 1))
-    return values
+    # Every call takes one int ``t`` for all its rows, and ``operator.index``
+    # refuses a per-row array.  A scalar broadcasts over the batch in one
+    # flat loop, a per-row column in one loop per row: a 16-row
+    # ``denoise_step`` took 125-175 us with an int ``t`` and 205-250 us
+    # with per-row ``t``.
+    if not lowest <= operator.index(t) <= schedule.T:
+        raise InvalidT(f"timestep {t} outside [{lowest}, {schedule.T}]")
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -239,43 +220,40 @@ def _log_responsibilities(log_weights: np.ndarray, means: np.ndarray,
     # normalisation, so only weights and scaled distances survive.  The
     # (B, K, D) differences are built in the one buffer ``diffs``: a fresh
     # temporary of that size per operation costs more than the arithmetic.
-    np.multiply(alpha_t[..., None], means, out=diffs)
+    np.multiply(alpha_t, means, out=diffs)
     np.subtract(z_flat[:, None, :], diffs, out=diffs)
     logits = log_weights - np.einsum("bkd,bkd->bk", diffs, diffs) / (2.0 * v)
     return logits - _logsumexp(logits)[:, None]
 
 
-def _posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+def _posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
                z: np.ndarray) -> Posterior:
-    t_col = _column(t, 2)
-    v = schedule.marginal_variance(_column(bank.s2[which], 2), t_col)
+    v = schedule.marginal_variance(bank.s2[which][:, None], t)
     if (v < MIN_MARGINAL_VARIANCE).any():
-        low = np.argmin(v)
         raise DegenerateVariance(
-            f"marginal variance {np.min(v):.3e} at "
-            f"t={np.broadcast_to(t_col, np.shape(v)).flat[low]} below "
+            f"marginal variance {np.min(v):.3e} at t={t} below "
             f"{MIN_MARGINAL_VARIANCE:.0e}")
     means, diffs = bank._work_arrays(len(z))
     # ``bank.s2[which]`` above has raised IndexError on a bad index, so
     # wrapping changes no row.
     np.take(bank.means, which, axis=0, out=means, mode="wrap")
-    alpha_t = schedule.alpha[t_col]
+    alpha_t = schedule.alpha[t]
     z_flat = z.reshape(len(z), -1)
     r = np.exp(_log_responsibilities(bank.log_weights[which], means, z_flat,
                                      alpha_t, v, diffs))
     mean_pull = (r[:, None, :] @ means)[:, 0, :]
-    eps = schedule.sigma[t_col] * (z_flat - alpha_t * mean_pull) / v
+    eps = schedule.sigma[t] * (z_flat - alpha_t * mean_pull) / v
     return Posterior(r=r, eps=eps.reshape(z.shape))
 
 
-def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
                     z: np.ndarray) -> Posterior:
     """The mixture posteriors of B latents: responsibilities and exact eps.
 
-    Row ``b`` is the latent ``z[b]`` (shape ``(B, n, n)``) at noise index
-    ``t[b]`` under ``bank.mixtures[which[b]]``; ``t`` may also be one int
-    for all rows.  The responsibilities ``r`` are the posterior component
-    probabilities under the time marginal.  The noise prediction
+    Row ``b`` is the latent ``z[b]`` (shape ``(B, n, n)``) at the noise
+    index ``t`` all rows share, under ``bank.mixtures[which[b]]``.  The
+    responsibilities ``r`` are the posterior component probabilities under
+    the time marginal.  The noise prediction
     ``-sigma_t * grad log p_t`` is the responsibility-weighted pull towards
     the scaled component means:
 
@@ -287,38 +265,34 @@ def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t,
     return _posterior(bank, which, schedule, t, z)
 
 
-def _ddim(z: np.ndarray, eps: np.ndarray, t, t_next,
+def _ddim(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
           schedule: NoiseSchedule) -> np.ndarray:
-    t, t_next = _column(t, z.ndim), _column(t_next, z.ndim)
     alpha, sigma = schedule.alpha, schedule.sigma
     x0 = (z - sigma[t] * eps) / alpha[t]
     return alpha[t_next] * x0 + sigma[t_next] * eps
 
 
-def ddim_step(z: np.ndarray, eps: np.ndarray, t, t_next,
+def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
               schedule: NoiseSchedule) -> np.ndarray:
     """Deterministic (eta = 0) update from noise index ``t`` to ``t_next``.
 
     Projects the clean image estimate ``x0 = (z - sigma_t eps) / alpha_t`` and
-    re-noises it to the target level: ``alpha_t' x0 + sigma_t' eps``.  For a
-    batch (rows on the first axis of ``z``) ``t`` and ``t_next`` may be
-    per-row arrays.  A row with ``t_next == t`` is returned unchanged.
+    re-noises it to the target level: ``alpha_t' x0 + sigma_t' eps``.  With
+    ``t_next == t`` it returns a copy of ``z``.
     """
     _check_t(schedule, t)
-    if not _within(t_next, 0, t):
+    if not 0 <= operator.index(t_next) <= t:
         raise InvalidT(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
-    out = _ddim(z, eps, t, t_next, schedule)
-    stay = np.equal(t_next, t)
-    return np.where(_column(stay, z.ndim), z, out) if stay.any() else out
+    return z.copy() if t_next == t else _ddim(z, eps, t, t_next, schedule)
 
 
-def denoise_step(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+def denoise_step(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
                  z: np.ndarray) -> tuple[Posterior, np.ndarray]:
-    """One lockstep step: each row's posterior at its noise index ``t`` in
+    """One lockstep step: each row's posterior at the noise index ``t`` in
     [1, T] and its latent at ``t - 1``; rows as in :func:`batch_posterior`."""
     _check_t(schedule, t, lowest=1)
     post = _posterior(bank, which, schedule, t, z)
-    return post, _ddim(z, post.eps, t, np.subtract(t, 1), schedule)
+    return post, _ddim(z, post.eps, t, t - 1, schedule)
 
 
 def initial_latent(seed: int, grid_size: int) -> np.ndarray:
@@ -327,7 +301,7 @@ def initial_latent(seed: int, grid_size: int) -> np.ndarray:
         grid_size, grid_size)
 
 
-def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t,
+def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
                   z: np.ndarray, post: Posterior | None) -> np.ndarray:
     """Snapshot trajectory points in the stored layout, shape
     ``(B, 1 + n_targets, n, n)``: per row, the predicted final image, then

@@ -14,15 +14,17 @@ Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices.
 
-Both arms run in one pool of ``engine.LOCKSTEP_ROWS`` attempts denoised in
-lockstep, each at its own step and under its own prompt's mixture.  Attempt
+Both arms run in one pool that denoises attempts in waves of up to
+``engine.LOCKSTEP_ROWS``, each under its own prompt's mixture.  Attempt
 ``k`` of a run is one latent, denoised once for every arm still making that
-run: a head arm that aborts it leaves it, and the rest carry it on.  An
-attempt that ends hands its slot to its run's next attempt, made by the
-arms whose run goes on, or to the next run.  A latent's values do not
-depend on the batch it rides in, nor on the arms it serves, so each arm's
-traces equal those of the arm run alone, and the slot count changes none
-of them.
+run: a head arm that aborts it leaves it, and the rest carry it on.  The
+rows of a wave start at ``t = T`` together and step at one noise index, so
+every engine call takes one int ``t``; a row leaves once no arm is left on
+it or at ``t = 0``.  Its run's next attempt, made by the arms whose run goes
+on, waits for the next wave, which starts when this one is empty.  A
+latent's values do not depend on the batch it rides in, nor on the arms it
+serves, so each arm's traces equal those of the arm run alone, and the slot
+count changes none of them.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from . import engine
 from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
-from .engine import (MixtureBank, NoiseSchedule, Posterior, batch_capture,
-                     denoise_step, initial_latent)
+from .engine import (MixtureBank, NoiseSchedule, batch_capture, denoise_step,
+                     initial_latent)
 from .errors import RestartLimitExceeded, UsageError
 from .rng import SplitMix64, mix64
 from .scene import ObjectSpec
@@ -138,36 +140,34 @@ class _Attempt:
 def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
           policies, catalog: dict[str, ObjectSpec], root_seed: int,
           label_threshold: float):
-    """Every run of ``runs`` over one bank under every policy,
-    ``engine.LOCKSTEP_ROWS`` attempts in lockstep.
+    """Every run of ``runs`` over one bank under every policy, in waves of
+    up to ``engine.LOCKSTEP_ROWS`` attempts.
 
-    An attempt is one latent for all the arms that make it.  It captures at
-    the capture steps of every head arm; a head arm that aborts it at its
-    decision step leaves it, and it ends once no arm is left or it reaches
-    ``t = 0``, where its image is labelled once for the arms still on it.
-    It then hands its slot to its run's next attempt, made by the arms
-    whose run goes on, or to the next run not yet started.  Returns, by
-    arm, the traces by position in ``runs`` and the position of the first
-    run that exhausted the arm's ``max_restarts`` (None if none did); once
-    one has, the arm drops later runs, since only an earlier run can come
-    first.
+    An attempt is one latent for all the arms that make it.  A wave takes
+    the attempts waiting for one, then the first attempts of runs not yet
+    started, in order; its rows start at ``t = T`` and step together.  It
+    captures at the capture steps of every head arm, and the head arms
+    decide at their decision steps, each over all its rows at once.  A row
+    whose arms have all aborted it, or left its run, leaves the wave; at
+    ``t = 0`` the image of every row left is labelled once for the arms
+    still on it.  An attempt that ends queues its run's next attempt, made
+    by the arms whose run goes on, for the next wave, which starts once
+    this one is empty.  Returns, by arm, the traces by position in ``runs``
+    and the position of the first run that exhausted the arm's
+    ``max_restarts`` (None if none did); once one has, the arm drops later
+    runs, since only an earlier run can come first.
     """
     T, n = schedule.T, bank.grid_size
     arms = range(len(policies))
     heads = [(a, p.model, max(p.model.steps))
              for a, p in enumerate(policies) if p.model is not None]
-    capture_at = np.zeros(T + 1, dtype=bool)  # by noise index
-    for _, model, _ in heads:
-        capture_at[[T - u for u in model.steps]] = True
+    capture_at = {T - u for _, model, _ in heads for u in model.steps}
     history = [[[] for _ in runs] for _ in arms]
     traces = [[None] * len(runs) for _ in arms]
     failed: list[int | None] = [None for _ in arms]
     next_run = 0
     live: list[_Attempt] = []
     waiting: list[_Attempt] = []
-    z = np.empty((0, n, n))
-    t = np.empty(0, dtype=np.int64)
-    which = np.empty(0, dtype=np.int64)
 
     def attempt(run: int, index: int, by: list[int]) -> _Attempt:
         spec = runs[run]
@@ -175,29 +175,27 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         return _Attempt(run=run, index=index, seed=seed, arms=list(by))
 
     while True:
-        fresh = [a for a in arms if failed[a] is None]
-        while (fresh and next_run < len(runs)
-               and len(live) + len(waiting) < engine.LOCKSTEP_ROWS):
-            waiting.append(attempt(next_run, 0, fresh))
-            next_run += 1
-        if waiting:
-            live += waiting
-            z = np.concatenate([z, [initial_latent(a.seed, n) for a in waiting]])
-            t = np.concatenate([t, np.full(len(waiting), T)])
-            which = np.concatenate([which, [runs[a.run].mixture for a in waiting]])
-            waiting = []
         if not live:
-            return traces, failed
+            fresh = [a for a in arms if failed[a] is None]
+            while (fresh and next_run < len(runs)
+                   and len(waiting) < engine.LOCKSTEP_ROWS):
+                waiting.append(attempt(next_run, 0, fresh))
+                next_run += 1
+            if not waiting:
+                return traces, failed
+            live = waiting[:engine.LOCKSTEP_ROWS]
+            waiting = waiting[engine.LOCKSTEP_ROWS:]
+            z = np.stack([initial_latent(at.seed, n) for at in live])
+            which = np.array([runs[at.run].mixture for at in live])
+            t = T
         post, z_next = denoise_step(bank, which, schedule, t, z)
-        rows = capture_at[t].nonzero()[0]
-        if rows.size:
-            caps = batch_capture(bank, which[rows], schedule, t[rows], z[rows],
-                                 Posterior(r=post.r[rows], eps=post.eps[rows]))
-            for row, channels in zip(rows, caps):
-                live[row].captured[T - int(t[row])] = channels
+        if t in capture_at:
+            caps = batch_capture(bank, which, schedule, t, z, post)
+            for at, channels in zip(live, caps):
+                at.captured[T - t] = channels
         for a, model, decision in heads:
-            deciding = [row for row in (t == T - decision).nonzero()[0]
-                        if a in live[row].arms]
+            deciding = ([row for row, at in enumerate(live) if a in at.arms]
+                        if t == T - decision else [])
             if not deciding:
                 continue
             targets = [bank.mixtures[m].targets for m in which[deciding]]
@@ -211,19 +209,20 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                     live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
         z, t = z_next, t - 1
-        for row in (t == 0).nonzero()[0]:
-            if not live[row].arms:  # every arm aborted it at step T - 1
-                continue
-            targets = bank.mixtures[which[row]].targets
-            labels = label_image(z[row], targets, catalog, label_threshold)
-            complete = all(labels[o] == 1 for o in targets)
-            for a in live[row].arms:
-                live[row].outcomes[a] = (OUTCOME_COMPLETE if complete
-                                         else OUTCOME_INCOMPLETE, T)
-        done = [row for row, at in enumerate(live) if t[row] == 0 or not at.arms]
+        if t == 0:
+            for at, image, m in zip(live, z, which):
+                if not at.arms:  # every arm aborted it at step T - 1
+                    continue
+                targets = bank.mixtures[m].targets
+                labels = label_image(image, targets, catalog, label_threshold)
+                complete = all(labels[o] == 1 for o in targets)
+                for a in at.arms:
+                    at.outcomes[a] = (OUTCOME_COMPLETE if complete
+                                      else OUTCOME_INCOMPLETE, T)
+        done = [at for at in live if t == 0 or not at.arms]
         if not done:
             continue
-        for at in (live[row] for row in done):
+        for at in done:
             going_on = []
             for a, (outcome, steps) in at.outcomes.items():
                 history[a][at.run].append(AttemptRecord(
@@ -245,9 +244,9 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                     if at.run > first and a in at.arms:
                         at.arms.remove(a)
         waiting = [at for at in waiting if at.arms]
-        keep = [row for row, at in enumerate(live) if t[row] and at.arms]
+        keep = [row for row, at in enumerate(live) if t and at.arms]
         live = [live[row] for row in keep]
-        z, t, which = z[keep], t[keep], which[keep]
+        z, which = z[keep], which[keep]
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from headlab import cli
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
 from headlab.detector import DetectorModel
@@ -131,6 +132,9 @@ def test_invalid_invocations_exit_1(argv, capsys):
      "--f", "0.16", "--objects", "2", "--out", "unused"],
     ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
      "--p-grid", "0.5,nan", "--out", "unused"],
+    # 1/p overflows: the baseline cost is infinite
+    ["simulate", "--p", "5e-324", "--recall", "1", "--tn-rate", "1",
+     "--f", "0", "--objects", "3", "--out", "unused"],
 ])
 def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -178,6 +182,19 @@ def test_sweep_p_numeric_flags_end_in_an_exit_code(tmp_path_factory, grid,
                                                    **values):
     argv = ["sweep-p", f"--p-grid={','.join(grid)}", *_flags(**values)]
     _exits_cleanly(argv, tmp_path_factory.getbasetemp() / "fuzz-sweep-p")
+
+
+@example(values={"lr": "1e308"})
+@given(values=st.fixed_dictionaries({}, optional={
+    "epochs": st.sampled_from(["0", "-1", "1.5", "x"])
+    | st.integers(max_value=3).map(str),
+    "lr": _FLOATS, "l2": _FLOATS, "threshold": _FLOATS}))
+def test_train_numeric_flags_end_in_an_exit_code(cli_dataset, tmp_path_factory,
+                                                 values):
+    """Each flag is given or left at its default, so many examples train; a
+    fuzzed epoch count stays small, since it runs that many epochs."""
+    _exits_cleanly(["train", f"--dataset={cli_dataset}", *_flags(**values)],
+                   tmp_path_factory.getbasetemp() / "fuzz-train")
 
 
 def test_simulate_accepts_the_object_bounds(capsys):
@@ -297,6 +314,39 @@ def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
     assert (capsys.readouterr().err
             == f"error: threshold must be finite, got {threshold}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name, value, message", [
+    ("epochs", -5, "epochs must be >= 1, got -5"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("lr", -1.0, "lr must be finite and > 0, got -1.0"),
+    ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+    ("lr", float("inf"), "lr must be finite and > 0, got inf"),
+    ("lr", float("nan"), "lr must be finite and > 0, got nan"),
+    ("l2", -10.0, "l2 must be finite and >= 0, got -10.0"),
+    ("l2", float("nan"), "l2 must be finite and >= 0, got nan"),
+])
+def test_train_rejects_bad_hyperparameters(cli_dataset, tmp_path, capsys,
+                                           name, value, message, source):
+    """A fit that could only go the wrong way, or not at all, exits 1
+    before anything is written."""
+    config = tmp_path / "detector.json"
+    config.write_text(json.dumps({"detector": {name: value}}),
+                      encoding="utf-8")
+    out = tmp_path / "model"
+    extra = ([f"--{name}={value}"] if source == "flag"
+             else ["--config", str(config)])
+    assert main(["train", "--dataset", str(cli_dataset), "--out", str(out),
+                 *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_json_artifacts_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"cost": float("inf")})
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("field", ["threshold", "bias"])

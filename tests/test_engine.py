@@ -451,36 +451,36 @@ def corpus_rows(catalog, schedule):
 @pytest.mark.parametrize("size", [1, 7, 720])
 def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
                                                      size):
-    """Rows start at staggered steps, as a slot pool refills them, so a
-    batch mixes noise indices (t = 0 included) and mixtures."""
+    """Rows start in up to five cohorts at staggered steps, so a step makes
+    one int-``t`` call per cohort, ``t = 0`` included; a cohort mixes
+    mixtures, and the cohorts differ in size."""
     mixtures, rows, single = corpus_rows
     batch = range(len(rows)) if size == len(rows) else sorted(single)[:size]
     reference = [single.get(b) for b in batch]
     bank = MixtureBank(tuple(mixtures))
     which = np.array([rows[b][0] for b in batch])
     z = np.stack([engine.initial_latent(rows[b][1], 16) for b in batch])
-    t = np.full(size, schedule.T)
-    start = [k % 5 for k in range(size)]
+    cohorts = [np.arange(start, size, 5) for start in range(min(size, 5))]
     compared = 0
-    for step in range(schedule.T + 1 + max(start)):
-        live = np.flatnonzero([start[b] <= step <= start[b] + schedule.T
-                               for b in range(size)])
-        post = batch_posterior(bank, which[live], schedule, t[live], z[live])
-        caps = batch_capture(bank, which[live], schedule, t[live], z[live],
-                             post)
-        for k, b in enumerate(live):
-            if reference[b] is None:
+    for step in range(schedule.T + len(cohorts)):
+        for start, live in enumerate(cohorts):
+            t = schedule.T - (step - start)
+            if not 0 <= t <= schedule.T:
                 continue
-            _, z1, r1, eps1, pfi1, attention1 = reference[b][t[b]]
-            assert np.array_equal(z[b], z1)
-            assert np.array_equal(post.r[k], r1)
-            assert np.array_equal(post.eps[k], eps1)
-            assert np.array_equal(caps[k, 0], pfi1)
-            assert np.array_equal(caps[k, 1:], attention1)
-            compared += 1
-        z[live] = ddim_step(z[live], post.eps, t[live],
-                            np.maximum(t[live] - 1, 0), schedule)
-        t[live] = np.maximum(t[live] - 1, 0)
+            post = batch_posterior(bank, which[live], schedule, t, z[live])
+            caps = batch_capture(bank, which[live], schedule, t, z[live],
+                                 post)
+            for k, b in enumerate(live):
+                if reference[b] is None:
+                    continue
+                _, z1, r1, eps1, pfi1, attention1 = reference[b][t]
+                assert np.array_equal(z[b], z1)
+                assert np.array_equal(post.r[k], r1)
+                assert np.array_equal(post.eps[k], eps1)
+                assert np.array_equal(caps[k, 0], pfi1)
+                assert np.array_equal(caps[k, 1:], attention1)
+                compared += 1
+            z[live] = ddim_step(z[live], post.eps, t, max(t - 1, 0), schedule)
     assert compared == min(size, len(single)) * (schedule.T + 1)
 
 
@@ -521,8 +521,10 @@ def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):
     bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
     z = np.zeros((3, 16, 16))
     with pytest.raises(InvalidT, match="timestep 51 "):
+        batch_posterior(bank, np.zeros(3, dtype=int), schedule, 51, z)
+    with pytest.raises(TypeError):  # one int t for all rows
         batch_posterior(bank, np.zeros(3, dtype=int), schedule,
-                        np.array([3, 51, 2]), z)
+                        np.array([3, 50, 2]), z)
     with pytest.raises(IndexError):
         batch_posterior(bank, np.array([0, 1, 0]), schedule, 3, z)
 
@@ -534,15 +536,15 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
     bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                              for pair in (("cat", "bench"), ("dog", "kite"))))
     which = np.array([1, 0, 1, 1, 0])
-    t = np.array([50, 31, 7, 1, 20])
     z = np.stack([SplitMix64(s).normals(256).reshape(16, 16) for s in range(5)])
-    alone = [batch_posterior(bank, which[b:b + 1], schedule, t[b], z[b:b + 1])
-             for b in range(5)]
-    for rows in (slice(0, 5), slice(1, 3), slice(4, 5)):
-        post = batch_posterior(bank, which[rows], schedule, t[rows], z[rows])
-        for b, (r, eps) in enumerate(zip(post.r, post.eps), rows.start):
-            assert np.array_equal(r, alone[b].r[0])
-            assert np.array_equal(eps, alone[b].eps[0])
+    for t in (50, 31, 7, 1, 20):
+        alone = [batch_posterior(bank, which[b:b + 1], schedule, t, z[b:b + 1])
+                 for b in range(5)]
+        for rows in (slice(0, 5), slice(1, 3), slice(4, 5)):
+            post = batch_posterior(bank, which[rows], schedule, t, z[rows])
+            for b, (r, eps) in enumerate(zip(post.r, post.eps), rows.start):
+                assert np.array_equal(r, alone[b].r[0])
+                assert np.array_equal(eps, alone[b].eps[0])
 
 
 _FAULT_PROBE = """
@@ -562,7 +564,7 @@ bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
 schedule = make_schedule(50)
 which = np.arange(16) % 2
 z = np.stack([initial_latent(seed, bank.grid_size) for seed in range(16)])
-t = np.full(16, 30)
+t = 30
 for _ in range(5):
     denoise_step(bank, which, schedule, t, z)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

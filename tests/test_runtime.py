@@ -6,7 +6,7 @@ import pytest
 from headlab import engine, runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
-from headlab.engine import MixtureBank, denoise_step
+from headlab.engine import MixtureBank, batch_capture, denoise_step
 from headlab.errors import RestartLimitExceeded, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
@@ -329,17 +329,25 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
                    "(prompt a cat and a bench, run 0)")
 
 
-def _counting_rows(monkeypatch) -> list[int]:
-    """Route the runtime's ``denoise_step`` through a wrapper that records
-    how many rows each call takes."""
-    rows = []
+def _counting_calls(monkeypatch):
+    """Route the runtime's ``denoise_step`` and ``batch_capture`` through
+    wrappers that check each call takes one int ``t`` for all its rows, and
+    record each call's ``(t, rows)``: the steps, then the captures."""
+    steps, captures = [], []
 
     def counting(bank, which, schedule, t, z):
-        rows.append(len(z))
+        assert type(t) is int and len(which) == len(z)
+        steps.append((t, len(z)))
         return denoise_step(bank, which, schedule, t, z)
 
+    def capturing(bank, which, schedule, t, z, post):
+        assert type(t) is int and len(which) == len(z) == len(post.r)
+        captures.append((t, len(z)))
+        return batch_capture(bank, which, schedule, t, z, post)
+
     monkeypatch.setattr(runtime, "denoise_step", counting)
-    return rows
+    monkeypatch.setattr(runtime, "batch_capture", capturing)
+    return steps, captures
 
 
 def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
@@ -358,7 +366,7 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     for slots in (3, 16, 1):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
-            rows = _counting_rows(patch)
+            steps, _ = _counting_calls(patch)
             traces, failed = runtime._pool(bank, runs, schedule,
                                            (reject_all, RunPolicy()), *rest)
         assert failed == [0, None]
@@ -367,7 +375,8 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     # the baseline's attempts of run 0 it adds its own aborts, 17 calls each.
     extra = max(0, 4 - alone[0].n_attempts)
     assert extra > 0
-    assert sum(rows) == sum(t.total_steps for t in alone) + 17 * extra
+    assert (sum(rows for _, rows in steps)
+            == sum(t.total_steps for t in alone) + 17 * extra)
     # A baseline allowed one attempt fails at run 0; the runs after it, each
     # accepted at its first attempt alone, are made by the other arm only.
     assert [t.n_attempts for t in alone[1:]] == [1] * 5
@@ -409,14 +418,40 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     its steps: the call at its decision step evaluates the posterior that
     its capture reads."""
     _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
-    rows = _counting_rows(monkeypatch)
+    steps, _ = _counting_calls(monkeypatch)
     ref, treat = run_arms(mixtures, schedule, policies, catalog, **kwargs)
     beyond = [a for b, h in zip(ref, treat) for a in h.attempts[b.n_attempts:]]
     assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
-    assert sum(rows) == (sum(t.total_steps for t in ref)
-                         + sum(a.steps + (a.outcome == OUTCOME_ABORTED)
-                               for a in beyond))
-    assert sum(rows) < sum(t.total_steps for t in ref + treat)
+    rows = sum(rows for _, rows in steps)
+    assert rows == 1135 == (sum(t.total_steps for t in ref)
+                            + sum(a.steps + (a.outcome == OUTCOME_ABORTED)
+                                  for a in beyond))
+    assert rows < sum(t.total_steps for t in ref + treat)
+
+
+@pytest.mark.parametrize("slots", [1, 3, 16])
+def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
+                                       monkeypatch, slots):
+    """Each wave starts at ``t = T`` with at most ``LOCKSTEP_ROWS`` rows and
+    steps them down together, losing the rows that leave; a new wave
+    starts once the last has reached ``t = 1`` or emptied.  The head
+    captures the whole wave at its one capture step."""
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    steps, captures = _counting_calls(monkeypatch)
+    run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    waves = []
+    for t, rows in steps:
+        if t == schedule.T:
+            waves.append([])
+        else:
+            assert t == waves[-1][-1][0] - 1 and rows <= waves[-1][-1][1]
+        waves[-1].append((t, rows))
+    assert all(0 < wave[0][1] <= slots for wave in waves)
+    assert len(waves) > 1
+    # tiny_model decides at step 16 and captures there only
+    capture_t = schedule.T - 16
+    assert captures == [step for step in steps if step[0] == capture_t]
 
 
 def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
