@@ -23,10 +23,10 @@ On-disk layout under the dataset root:
 
 Generation denoises the samples in manifest order, in lockstep chunks of at
 most ``engine.LOCKSTEP_ROWS`` consecutive samples whose prompts share one
-``MixtureBank``, and streams each chunk's rows into those files, so no
-corpus-sized array is ever held in memory.  The manifest then replaces any
-earlier one in a single rename, and tensor files of an earlier build that
-it does not describe are deleted.
+``MixtureBank``, each chunk one ``LockstepBatch``, and streams each chunk's
+rows into those files, so no corpus-sized array is ever held in memory.
+The manifest then replaces any earlier one in a single rename, and tensor
+files of an earlier build that it does not describe are deleted.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import engine
 from .atomic import write_atomic
-from .engine import (MixtureBank, batch_capture, denoise_step, initial_latent,
+from .engine import (LockstepBatch, MixtureBank, initial_latent,
                      make_schedule)
 from .errors import MissingCapture, UsageError
 from .rng import SplitMix64, mix64
@@ -354,12 +354,13 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
             which = np.array([place[i][1] for i, _ in chunk])
             seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
             z = np.stack([initial_latent(seed, n) for seed in seeds])
+            batch = LockstepBatch(bank, which, schedule)
             for t in range(T, 0, -1):
-                post, z_next = denoise_step(bank, which, schedule, t, z)
+                post, z_next = batch.step(t, z)
                 if t in store:
-                    store[t].append(batch_capture(bank, which, schedule, t,
-                                                  z, post))
+                    store[t].append(batch.capture(t, z, post))
                 z = z_next
+            del batch  # its arrays go before the next chunk's are made
             final.append(z)
             nearest = np.linalg.norm(bank.means[which] - z.reshape(len(z), 1, -1),
                                      axis=2).argmin(axis=1)

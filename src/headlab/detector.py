@@ -46,6 +46,10 @@ VARIANTS = ("combined", "attention_only", "multi_timestep")
 TOP_MASS_FRACTION = 0.05
 LOCAL_PATCH = 5
 MODEL_VERSION = 1
+# The most gradient-descent epochs a fit may run, 200 times the default: an
+# epoch is a few tens of microseconds on a small dataset, so a typo'd count
+# ends in an error, not in a fit that never returns.
+MAX_EPOCHS = 100_000
 
 _PFI_SLOTS = (3, 4, 5)
 
@@ -221,6 +225,8 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
+    if epochs > MAX_EPOCHS:
+        raise UsageError(f"epochs must be <= {MAX_EPOCHS}, got {epochs}")
     if not (np.isfinite(lr) and lr > 0):
         raise UsageError(f"lr must be finite and > 0, got {lr}")
     if not (np.isfinite(l2) and l2 >= 0):
@@ -277,6 +283,8 @@ class DetectorModel:
         return (self.scores(x) >= self.threshold).astype(np.int64)
 
     def save(self, path) -> None:
+        if not 0.0 <= self.threshold <= 1.0:  # ``load`` would refuse it
+            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
         payload = {
             "format_version": MODEL_VERSION,
             "variant": self.variant,
@@ -318,6 +326,9 @@ class DetectorModel:
                 raise ValueError("'scale' entries must be above 0")
             bias, threshold = _finite([payload["bias"], payload["threshold"]],
                                       "'bias' and 'threshold'", 2)
+            # a calibrated threshold is a score, which can saturate at 0 or 1
+            if not 0.0 <= threshold <= 1.0:
+                raise ValueError("'threshold' must be in [0, 1]")
             return cls(variant=variant, steps=tuple(steps),
                        feature_names=names, mean=mean, scale=scale,
                        weights=weights, bias=float(bias),
@@ -343,6 +354,8 @@ def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,
     """Standardize on the training split, then run gradient descent."""
     if not np.isfinite(threshold):
         raise UsageError(f"threshold must be finite, got {threshold}")
+    if not 0.0 < threshold < 1.0:
+        raise UsageError(f"threshold must be in (0, 1), got {threshold}")
     mean = design.x.mean(axis=0)
     std = design.x.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)

@@ -15,13 +15,15 @@ timestep stored on captures is this noise index.
 Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
-attention maps.  The engine evaluates it for a batch of latents at once:
-:func:`batch_posterior` takes B latents at one noise index, each under its
-own mixture of a :class:`MixtureBank`, and :func:`batch_capture`
-turns that same :class:`Posterior` into predicted final images and
-attention maps, so a capture costs no extra posterior evaluation.
-:func:`denoise_step` advances every row one step, and :func:`sample_batch`
-walks several seeds of one mixture from noise to image with it.
+attention maps.  The engine evaluates it for a batch of latents at once.  A
+:class:`LockstepBatch` is built once for the rows of a dataset chunk, a
+campaign wave or a :func:`sample_batch` call, each row under its own
+mixture of a :class:`MixtureBank`, and gathers what those rows read from
+the bank.  Its :meth:`~LockstepBatch.step` advances every row one step at
+one noise index and returns the :class:`Posterior` it evaluated, and its
+:meth:`~LockstepBatch.capture` turns that same posterior into predicted
+final images and attention maps, so a capture costs no extra posterior
+evaluation.
 
 Every reduction runs within a row, so a latent's values are the same, bit
 for bit, whatever batch it rides in.  ``logsumexp`` is written out by hand
@@ -33,7 +35,7 @@ array-API path on a 9-vector.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -48,11 +50,14 @@ MIN_MARGINAL_VARIANCE = 1e-12
 
 # Latents denoised together in one lockstep batch: the rows of a dataset
 # chunk and the attempts of a campaign wave.  No value changes an output
-# byte.  The cost per latent-step still falls past 16 rows: with the pool
-# in waves, single perfbench runs at 32 and 64 rows were faster on the
-# campaign and corpus workloads, for 0.9-1.2 and 3.2-3.9 MB more peak RSS.
-# 16 stands until pairs of runs pick another value.
-LOCKSTEP_ROWS = 16
+# byte.  In 10 alternating pairs of perfbench runs, batches of 32 rows
+# against 16-row calls that gathered their rows on every step took the
+# campaign's wall time from 0.314 to 0.264 s (medians; better in 10 of 10)
+# and its setup from 1.175 to 0.997 s, and the corpus's wall time from
+# 0.410 to 0.368 s, for 1.6 MB (3%) more campaign peak RSS.  64 rows cost
+# 3.2-3.9 MB (7-8%) of peak RSS in single runs, near the benchmark's 10%
+# bound, and were not paired.
+LOCKSTEP_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -69,12 +74,6 @@ class NoiseSchedule:
     @cached_property
     def sigma(self) -> np.ndarray:
         return np.sqrt(1.0 - self.alphabar)
-
-    def marginal_variance(self, s2, t: int):
-        """Per-pixel variance of the time marginal of a component with
-        variance s2 at noise index t; elementwise over an array of s2."""
-        ab = self.alphabar[t]
-        return ab * s2 + (1.0 - ab)
 
 
 def make_schedule(T: int = 50) -> NoiseSchedule:
@@ -106,8 +105,6 @@ class MixtureBank:
     mixture by its index here."""
 
     mixtures: tuple[MixtureSpec, ...]
-    _work: list[np.ndarray] = field(default_factory=list, init=False,
-                                    repr=False, compare=False)
 
     def __post_init__(self):
         if len({_bank_key(m) for m in self.mixtures}) != 1:
@@ -142,18 +139,6 @@ class MixtureBank:
     def s2(self) -> np.ndarray:
         return np.array([m.s2 for m in self.mixtures])
 
-    def _work_arrays(self, rows: int) -> list[np.ndarray]:
-        """Two ``(rows, K, grid_size**2)`` float64 scratch arrays for a
-        posterior evaluation: views of arrays the bank keeps, sized to the
-        most rows it has seen, so no two evaluations on one bank may run
-        at once.  A fresh pair per step is big enough for glibc to hand
-        back to the kernel when freed, and each step would then take a page
-        fault per 4 KiB page of it."""
-        if not self._work or len(self._work[0]) < rows:
-            self._work[:] = [np.empty((rows,) + self.means.shape[1:])
-                             for _ in range(2)]
-        return [work[:rows] for work in self._work]
-
 
 @dataclass(frozen=True)
 class Posterior:
@@ -169,8 +154,8 @@ class Posterior:
 class GenerationRecord:
     """Deterministic generations, one row per seed, and everything captured
     along them: by requested noise index, in generation order, the
-    :func:`batch_capture` of every row, then the finished images (B, n, n)
-    and each image's nearest component (B,)."""
+    :meth:`LockstepBatch.capture` of every row, then the finished images
+    (B, n, n) and each image's nearest component (B,)."""
 
     captures: dict[int, np.ndarray]
     final_image: np.ndarray
@@ -180,9 +165,9 @@ class GenerationRecord:
 def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
     # Every call takes one int ``t`` for all its rows, and ``operator.index``
     # refuses a per-row array.  A scalar broadcasts over the batch in one
-    # flat loop, a per-row column in one loop per row: a 16-row
-    # ``denoise_step`` took 125-175 us with an int ``t`` and 205-250 us
-    # with per-row ``t``.
+    # flat loop, a per-row column in one loop per row, which made a 16-row
+    # step about 50% dearer.  A ``LockstepBatch.step`` at one int ``t`` takes
+    # about 66 us at 16 rows and 123 us at 32 (2-core Xeon, numpy 2.4).
     if not lowest <= operator.index(t) <= schedule.T:
         raise InvalidT(f"timestep {t} outside [{lowest}, {schedule.T}]")
 
@@ -213,63 +198,10 @@ def _shifted_logsumexp(a: np.ndarray, a_max: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + a_max)[..., 0]
 
 
-def _log_responsibilities(log_weights: np.ndarray, means: np.ndarray,
-                          z_flat: np.ndarray, alpha_t, v,
-                          diffs: np.ndarray) -> np.ndarray:
-    # Homogeneous variance: the 2 pi and log-det terms cancel after
-    # normalisation, so only weights and scaled distances survive.  The
-    # (B, K, D) differences are built in the one buffer ``diffs``: a fresh
-    # temporary of that size per operation costs more than the arithmetic.
-    np.multiply(alpha_t, means, out=diffs)
-    np.subtract(z_flat[:, None, :], diffs, out=diffs)
-    logits = log_weights - np.einsum("bkd,bkd->bk", diffs, diffs) / (2.0 * v)
-    return logits - _logsumexp(logits)[:, None]
-
-
-def _posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
-               z: np.ndarray) -> Posterior:
-    v = schedule.marginal_variance(bank.s2[which][:, None], t)
-    if (v < MIN_MARGINAL_VARIANCE).any():
-        raise DegenerateVariance(
-            f"marginal variance {np.min(v):.3e} at t={t} below "
-            f"{MIN_MARGINAL_VARIANCE:.0e}")
-    means, diffs = bank._work_arrays(len(z))
-    # ``bank.s2[which]`` above has raised IndexError on a bad index, so
-    # wrapping changes no row.
-    np.take(bank.means, which, axis=0, out=means, mode="wrap")
-    alpha_t = schedule.alpha[t]
-    z_flat = z.reshape(len(z), -1)
-    r = np.exp(_log_responsibilities(bank.log_weights[which], means, z_flat,
-                                     alpha_t, v, diffs))
-    mean_pull = (r[:, None, :] @ means)[:, 0, :]
-    eps = schedule.sigma[t] * (z_flat - alpha_t * mean_pull) / v
-    return Posterior(r=r, eps=eps.reshape(z.shape))
-
-
-def batch_posterior(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
-                    z: np.ndarray) -> Posterior:
-    """The mixture posteriors of B latents: responsibilities and exact eps.
-
-    Row ``b`` is the latent ``z[b]`` (shape ``(B, n, n)``) at the noise
-    index ``t`` all rows share, under ``bank.mixtures[which[b]]``.  The
-    responsibilities ``r`` are the posterior component probabilities under
-    the time marginal.  The noise prediction
-    ``-sigma_t * grad log p_t`` is the responsibility-weighted pull towards
-    the scaled component means:
-
-        eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
-
-    with ``v_t = alphabar_t s2 + 1 - alphabar_t``; it is zero at ``t = 0``.
-    """
-    _check_t(schedule, t)
-    return _posterior(bank, which, schedule, t, z)
-
-
-def _ddim(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
-          schedule: NoiseSchedule) -> np.ndarray:
-    alpha, sigma = schedule.alpha, schedule.sigma
-    x0 = (z - sigma[t] * eps) / alpha[t]
-    return alpha[t_next] * x0 + sigma[t_next] * eps
+def _ddim(z: np.ndarray, eps: np.ndarray, alpha_t: float, sigma_t: float,
+          alpha_next: float, sigma_next: float) -> np.ndarray:
+    x0 = (z - sigma_t * eps) / alpha_t
+    return alpha_next * x0 + sigma_next * eps
 
 
 def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
@@ -283,51 +215,143 @@ def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
     _check_t(schedule, t)
     if not 0 <= operator.index(t_next) <= t:
         raise InvalidT(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
-    return z.copy() if t_next == t else _ddim(z, eps, t, t_next, schedule)
+    if t_next == t:
+        return z.copy()
+    alpha, sigma = schedule.alpha, schedule.sigma
+    return _ddim(z, eps, alpha[t], sigma[t], alpha[t_next], sigma[t_next])
 
 
-def denoise_step(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
-                 z: np.ndarray) -> tuple[Posterior, np.ndarray]:
-    """One lockstep step: each row's posterior at the noise index ``t`` in
-    [1, T] and its latent at ``t - 1``; rows as in :func:`batch_posterior`."""
-    _check_t(schedule, t, lowest=1)
-    post = _posterior(bank, which, schedule, t, z)
-    return post, _ddim(z, post.eps, t, t - 1, schedule)
+class LockstepBatch:
+    """B latents denoised in lockstep: row ``b`` is under
+    ``bank.mixtures[which[b]]``, and every call takes one int noise index
+    ``t`` for all rows and the rows' latents ``z`` (B, n, n).
+
+    Built once per dataset chunk, campaign wave or :func:`sample_batch`
+    call, it gathers what its rows read from the bank: their component
+    means and log weights, and their marginal variance at every noise index
+    and its double, as ``(T + 1, B, 1)`` tables.  It owns the two
+    ``(B, K, D)`` arrays a posterior evaluation works in, so no two of its
+    evaluations may run at once; a fresh pair per step would be handed
+    back to the kernel when freed and faulted in again on the next.  Each
+    row's values are those of the formulas of :meth:`posterior` applied to
+    it alone, operation for operation.
+    """
+
+    def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule):
+        which = np.asarray(which, dtype=np.intp)
+        s2 = bank.s2[which]  # an IndexError for a row past the bank
+        self._schedule = schedule
+        self._alpha = schedule.alpha.tolist()
+        self._sigma = schedule.sigma.tolist()
+        self._stacks = {m: bank.mixtures[m].template_stacks
+                        for m in np.unique(which).tolist()}
+        self._channels = 1 + len(bank.mixtures[0].targets)
+        self._means = bank.means[which]
+        self._diffs = np.empty_like(self._means)
+        self._log_weights = bank.log_weights[which]
+        # the per-pixel variance of each row's time marginal, by t
+        ab = schedule.alphabar[:, None, None]
+        self._v = ab * s2[:, None] + (1.0 - ab)
+        self._set_rows(which)
+
+    def _set_rows(self, which: np.ndarray) -> None:
+        self.which = which
+        self._v2 = 2.0 * self._v
+        self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
+            axis=(1, 2)).tolist()
+        self._groups = []
+        for m, stacks in self._stacks.items():
+            rows = (which == m).nonzero()[0]
+            if len(rows):
+                self._groups.append((rows, stacks))
+
+    def keep(self, rows) -> None:
+        """Go on with the rows at positions ``rows`` only, in that order, as
+        when attempts leave a wave; the rows kept keep their values."""
+        self._means = self._means[rows]
+        self._diffs = self._diffs[:len(self._means)]
+        self._log_weights = self._log_weights[rows]
+        self._v = self._v[:, rows]
+        self._set_rows(self.which[rows])
+
+    def posterior(self, t: int, z: np.ndarray) -> Posterior:
+        """The rows' mixture posteriors at the noise index ``t``:
+        responsibilities and exact eps.
+
+        The responsibilities ``r`` are the posterior component
+        probabilities under the time marginal.  The noise prediction
+        ``-sigma_t * grad log p_t`` is the responsibility-weighted pull
+        towards the scaled component means:
+
+            eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
+
+        with ``v_t = alphabar_t s2 + 1 - alphabar_t``; it is zero at
+        ``t = 0``.
+        """
+        _check_t(self._schedule, t)
+        return self._posterior(t, z)
+
+    def _posterior(self, t: int, z: np.ndarray) -> Posterior:
+        if self._degenerate[t]:
+            raise DegenerateVariance(
+                f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
+                f"{MIN_MARGINAL_VARIANCE:.0e}")
+        v, alpha_t = self._v[t], self._alpha[t]
+        means, diffs = self._means, self._diffs
+        z_flat = z.reshape(len(z), -1)
+        # Homogeneous variance: the 2 pi and log-det terms cancel after
+        # normalisation, so only weights and scaled distances survive.  The
+        # differences are built in ``diffs``: a fresh temporary of that size
+        # per operation costs more than the arithmetic.
+        np.multiply(alpha_t, means, out=diffs)
+        np.subtract(z_flat[:, None, :], diffs, out=diffs)
+        logits = (self._log_weights
+                  - np.einsum("bkd,bkd->bk", diffs, diffs) / self._v2[t])
+        r = np.exp(logits - _logsumexp(logits)[:, None])
+        mean_pull = (r[:, None, :] @ means)[:, 0, :]
+        eps = self._sigma[t] * (z_flat - alpha_t * mean_pull) / v
+        return Posterior(r=r, eps=eps.reshape(z.shape))
+
+    def step(self, t: int, z: np.ndarray) -> tuple[Posterior, np.ndarray]:
+        """One lockstep step: each row's posterior at the noise index ``t``
+        in [1, T] and its latent at ``t - 1``."""
+        _check_t(self._schedule, t, lowest=1)
+        post = self._posterior(t, z)
+        alpha, sigma = self._alpha, self._sigma
+        return post, _ddim(z, post.eps, alpha[t], sigma[t], alpha[t - 1],
+                           sigma[t - 1])
+
+    def capture(self, t: int, z: np.ndarray,
+                post: Posterior | None = None) -> np.ndarray:
+        """Snapshot trajectory points in the stored layout, shape
+        ``(B, 1 + n_targets, n, n)``: per row, the predicted final image,
+        then the attention map of each of its mixture's targets in target
+        order.
+
+        ``post`` is the rows' posterior at ``t``, as :meth:`step` returned
+        it; when None it is evaluated here, once for all rows and targets.
+
+        The predicted final image is the one-jump DDIM projection to
+        ``t' = 0``, which equals the posterior mean of the clean image given
+        ``z_t`` (Tweedie); at ``t = 0`` it is a copy of ``z``.  The
+        attention map of a target is ``sum over components containing it of
+        r_k * its placed template``; values stay in [0, 1] because
+        responsibilities sum to one and templates peak at one.  One einsum
+        per mixture fills the maps of all its rows and targets.
+        """
+        if post is None:
+            post = self.posterior(t, z)
+        out = np.empty((len(z), self._channels) + z.shape[1:])
+        out[:, 0] = ddim_step(z, post.eps, t, 0, self._schedule)
+        for rows, stacks in self._groups:
+            out[rows, 1:] = np.einsum("bk,okij->boij", post.r[rows], stacks)
+        return out
 
 
 def initial_latent(seed: int, grid_size: int) -> np.ndarray:
     """The pure-noise latent ``z_T`` a generation with ``seed`` starts from."""
     return SplitMix64(seed).normals(grid_size * grid_size).reshape(
         grid_size, grid_size)
-
-
-def batch_capture(bank: MixtureBank, which, schedule: NoiseSchedule, t: int,
-                  z: np.ndarray, post: Posterior | None) -> np.ndarray:
-    """Snapshot trajectory points in the stored layout, shape
-    ``(B, 1 + n_targets, n, n)``: per row, the predicted final image, then
-    the attention map of each of its mixture's targets in target order.
-
-    Rows are as in :func:`batch_posterior`, and ``post`` is the posterior it
-    returned for them; when None it is evaluated here, once for all rows
-    and targets.
-
-    The predicted final image is the one-jump DDIM projection to ``t' = 0``,
-    which equals the posterior mean of the clean image given ``z_t``
-    (Tweedie); at ``t = 0`` it is a copy of ``z``.  The attention map of a
-    target is ``sum over components containing it of r_k * its placed
-    template``; values stay in [0, 1] because responsibilities sum to one
-    and templates peak at one.  One einsum per mixture fills the maps of
-    all its rows and targets.
-    """
-    if post is None:
-        post = batch_posterior(bank, which, schedule, t, z)
-    out = np.empty((len(z), 1 + len(bank.mixtures[0].targets)) + z.shape[1:])
-    out[:, 0] = ddim_step(z, post.eps, t, 0, schedule)
-    for m in np.unique(which):
-        rows = (which == m).nonzero()[0]
-        out[rows, 1:] = np.einsum("bk,okij->boij", post.r[rows],
-                                  bank.mixtures[m].template_stacks)
-    return out
 
 
 def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -342,17 +366,17 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
     wanted = {int(t) for t in critical_timesteps}
     for t in wanted:
         _check_t(schedule, t)
-    bank = MixtureBank((mixture,))
-    which = np.zeros(len(seeds), dtype=np.intp)
+    batch = LockstepBatch(MixtureBank((mixture,)),
+                          np.zeros(len(seeds), dtype=np.intp), schedule)
     z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
     captures = {}
     for t in range(schedule.T, 0, -1):
-        post, z_next = denoise_step(bank, which, schedule, t, z)
+        post, z_next = batch.step(t, z)
         if t in wanted:
-            captures[t] = batch_capture(bank, which, schedule, t, z, post)
+            captures[t] = batch.capture(t, z, post)
         z = z_next
     if 0 in wanted:
-        captures[0] = batch_capture(bank, which, schedule, 0, z, None)
+        captures[0] = batch.capture(0, z)
     nearest = np.linalg.norm(mixture.means_matrix - z.reshape(len(z), 1, -1),
                              axis=2).argmin(axis=1)
     return GenerationRecord(captures=captures, final_image=z,

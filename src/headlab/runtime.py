@@ -18,11 +18,12 @@ Both arms run in one pool that denoises attempts in waves of up to
 ``engine.LOCKSTEP_ROWS``, each under its own prompt's mixture.  Attempt
 ``k`` of a run is one latent, denoised once for every arm still making that
 run: a head arm that aborts it leaves it, and the rest carry it on.  The
-rows of a wave start at ``t = T`` together and step at one noise index, so
-every engine call takes one int ``t``; a row leaves once no arm is left on
-it or at ``t = 0``.  Its run's next attempt, made by the arms whose run goes
-on, waits for the next wave, which starts when this one is empty.  A
-latent's values do not depend on the batch it rides in, nor on the arms it
+rows of a wave start at ``t = T`` together and step at one noise index, as
+one :class:`~headlab.engine.LockstepBatch`, so every engine call takes one
+int ``t``; a row leaves the batch once no arm is left on it or at
+``t = 0``.  Its run's next attempt, made by the arms whose run goes on,
+waits for the next wave, which starts when this one is empty.  A latent's
+values do not depend on the batch it rides in, nor on the arms it
 serves, so each arm's traces equal those of the arm run alone, and the slot
 count changes none of them.
 """
@@ -37,8 +38,7 @@ from . import engine
 from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
-from .engine import (MixtureBank, NoiseSchedule, batch_capture, denoise_step,
-                     initial_latent)
+from .engine import LockstepBatch, MixtureBank, NoiseSchedule, initial_latent
 from .errors import RestartLimitExceeded, UsageError
 from .rng import SplitMix64, mix64
 from .scene import ObjectSpec
@@ -125,8 +125,8 @@ class _Attempt:
     index and seed, the arms (positions in the pool's policies) still
     making it, what it has captured, and each arm's verdicts and
     ``(outcome, steps)`` so far; captures are its rows of
-    :func:`batch_capture`, by capture label.  An arm leaves ``arms`` when
-    it aborts the attempt or drops the run."""
+    :meth:`LockstepBatch.capture`, by capture label.  An arm leaves
+    ``arms`` when it aborts the attempt or drops the run."""
 
     run: int
     index: int
@@ -145,10 +145,11 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
 
     An attempt is one latent for all the arms that make it.  A wave takes
     the attempts waiting for one, then the first attempts of runs not yet
-    started, in order; its rows start at ``t = T`` and step together.  It
-    captures at the capture steps of every head arm, and the head arms
-    decide at their decision steps, each over all its rows at once.  A row
-    whose arms have all aborted it, or left its run, leaves the wave; at
+    started, in order; its rows start at ``t = T`` and step together, as
+    one lockstep batch built for the wave.  It captures at the capture
+    steps of every head arm, and the head arms decide at their decision
+    steps, each over all its rows at once.  A row whose arms have all
+    aborted it, or left its run, leaves the wave and its batch; at
     ``t = 0`` the image of every row left is labelled once for the arms
     still on it.  An attempt that ends queues its run's next attempt, made
     by the arms whose run goes on, for the next wave, which starts once
@@ -186,11 +187,12 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             live = waiting[:engine.LOCKSTEP_ROWS]
             waiting = waiting[engine.LOCKSTEP_ROWS:]
             z = np.stack([initial_latent(at.seed, n) for at in live])
-            which = np.array([runs[at.run].mixture for at in live])
+            batch = LockstepBatch(bank, [runs[at.run].mixture for at in live],
+                                  schedule)
             t = T
-        post, z_next = denoise_step(bank, which, schedule, t, z)
+        post, z_next = batch.step(t, z)
         if t in capture_at:
-            caps = batch_capture(bank, which, schedule, t, z, post)
+            caps = batch.capture(t, z, post)
             for at, channels in zip(live, caps):
                 at.captured[T - t] = channels
         for a, model, decision in heads:
@@ -198,7 +200,8 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                         if t == T - decision else [])
             if not deciding:
                 continue
-            targets = [bank.mixtures[m].targets for m in which[deciding]]
+            targets = [bank.mixtures[m].targets
+                       for m in batch.which[deciding]]
             x = feature_rows(
                 lambda u: np.stack([live[row].captured[u] for row in deciding]),
                 targets, catalog, model.variant, model.steps)
@@ -210,7 +213,7 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                     live[row].arms.remove(a)
         z, t = z_next, t - 1
         if t == 0:
-            for at, image, m in zip(live, z, which):
+            for at, image, m in zip(live, z, batch.which):
                 if not at.arms:  # every arm aborted it at step T - 1
                     continue
                 targets = bank.mixtures[m].targets
@@ -246,7 +249,11 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         waiting = [at for at in waiting if at.arms]
         keep = [row for row, at in enumerate(live) if t and at.arms]
         live = [live[row] for row in keep]
-        z, which = z[keep], which[keep]
+        z = z[keep]
+        if live:
+            batch.keep(keep)
+        else:  # its arrays go before the next wave's are made
+            batch = None
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,

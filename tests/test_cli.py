@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from headlab import cli
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
-from headlab.detector import DetectorModel
+from headlab.detector import MAX_EPOCHS, DetectorModel
 from headlab.errors import UsageError
 from headlab.scene import default_catalog, dump_catalog
 
@@ -185,14 +185,17 @@ def test_sweep_p_numeric_flags_end_in_an_exit_code(tmp_path_factory, grid,
 
 
 @example(values={"lr": "1e308"})
+@example(values={"epochs": str(2**40)})
 @given(values=st.fixed_dictionaries({}, optional={
-    "epochs": st.sampled_from(["0", "-1", "1.5", "x"])
-    | st.integers(max_value=3).map(str),
+    "epochs": st.sampled_from(["0", "-1", "1.5", "x", str(MAX_EPOCHS + 1)])
+    | st.integers(max_value=3).map(str)
+    | st.integers(min_value=MAX_EPOCHS + 1).map(str),
     "lr": _FLOATS, "l2": _FLOATS, "threshold": _FLOATS}))
 def test_train_numeric_flags_end_in_an_exit_code(cli_dataset, tmp_path_factory,
                                                  values):
     """Each flag is given or left at its default, so many examples train; a
-    fuzzed epoch count stays small, since it runs that many epochs."""
+    fuzzed epoch count that is accepted stays small, since it runs that many
+    epochs, and one above ``MAX_EPOCHS`` is refused before any."""
     _exits_cleanly(["train", f"--dataset={cli_dataset}", *_flags(**values)],
                    tmp_path_factory.getbasetemp() / "fuzz-train")
 
@@ -326,6 +329,13 @@ def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
     ("lr", float("nan"), "lr must be finite and > 0, got nan"),
     ("l2", -10.0, "l2 must be finite and >= 0, got -10.0"),
     ("l2", float("nan"), "l2 must be finite and >= 0, got nan"),
+    ("epochs", MAX_EPOCHS + 1, f"epochs must be <= {MAX_EPOCHS}, got "
+                               f"{MAX_EPOCHS + 1}"),
+    ("epochs", 2**40, f"epochs must be <= {MAX_EPOCHS}, got {2**40}"),
+    ("threshold", -0.5, "threshold must be in (0, 1), got -0.5"),
+    ("threshold", 0.0, "threshold must be in (0, 1), got 0.0"),
+    ("threshold", 1.0, "threshold must be in (0, 1), got 1.0"),
+    ("threshold", 2.0, "threshold must be in (0, 1), got 2.0"),
 ])
 def test_train_rejects_bad_hyperparameters(cli_dataset, tmp_path, capsys,
                                            name, value, message, source):

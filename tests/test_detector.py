@@ -10,10 +10,11 @@ from scipy.special import expit as scipy_expit
 
 from headlab.dataset import load_step
 from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
-                              build_design_matrix, calibrate_threshold,
-                              evaluate_detector, expit, extract_features,
-                              feature_names_for, feature_rows, fit_detector,
-                              merge_counts, train_logistic, ObjectCounts)
+                              MAX_EPOCHS, build_design_matrix,
+                              calibrate_threshold, evaluate_detector, expit,
+                              extract_features, feature_names_for,
+                              feature_rows, fit_detector, merge_counts,
+                              train_logistic, ObjectCounts)
 from headlab.errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
                             UsageError)
 from headlab.rng import SplitMix64
@@ -211,6 +212,48 @@ def test_model_load_rejects_bad_version(tmp_path):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
         DetectorModel.load(path)
+
+
+@pytest.mark.parametrize("threshold", [-0.5, -1e-300, 1.0000000000000002, 2])
+def test_model_load_rejects_a_threshold_outside_the_unit_interval(
+        tmp_path, threshold):
+    """``save`` refuses such a model too, so the file is edited."""
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="outside"):
+        _real_model(threshold=threshold).save(path)
+    assert not path.exists()
+    _real_model().save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**payload, "threshold": threshold}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"'threshold' must be in \[0, 1\]"):
+        DetectorModel.load(path)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_model_load_accepts_a_saturated_threshold(tmp_path, threshold):
+    """A threshold calibrated on saturated scores can be exactly 0 or 1."""
+    path = tmp_path / "m.json"
+    _real_model(threshold=threshold).save(path)
+    assert DetectorModel.load(path).threshold == threshold
+
+
+def test_training_rejects_a_threshold_outside_the_open_unit_interval():
+    design = DesignMatrix(x=np.array([[1.0], [-1.0]]), y=np.array([1, 0]),
+                          sample_ids=("a", "b"), object_ids=("o", "o"),
+                          feature_names=("f",), variant="combined",
+                          steps=(8,))
+    for threshold in (-0.5, 0.0, 1.0, 2.0):
+        with pytest.raises(UsageError, match=r"must be in \(0, 1\)"):
+            fit_detector(design, threshold=threshold)
+
+
+def test_training_rejects_epochs_above_the_ceiling():
+    x = np.array([[1.0], [-1.0]])
+    y = np.array([1.0, 0.0])
+    assert train_logistic(x, y, epochs=1).weights.shape == (1,)
+    with pytest.raises(UsageError, match=f"epochs must be <= {MAX_EPOCHS}"):
+        train_logistic(x, y, epochs=MAX_EPOCHS + 1)
 
 
 _JSON = st.recursive(

@@ -12,9 +12,9 @@ from scipy.special import logsumexp
 from headlab import engine
 from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
-from headlab.engine import (MixtureBank, NoiseSchedule, _logsumexp,
-                            batch_capture, batch_posterior, ddim_step,
-                            denoise_step, make_schedule, sample_batch)
+from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
+                            _logsumexp, ddim_step, make_schedule,
+                            sample_batch)
 from headlab.errors import DegenerateVariance, InvalidT, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.scene import ObjectSpec, build_conditional_mixture
@@ -43,11 +43,10 @@ def test_schedule_lengths():
     assert sch.alphabar.shape == (11,)
 
 
-def _bank(mixture) -> MixtureBank:
-    return MixtureBank((mixture,))
-
-
-ROW = np.zeros(1, dtype=int)  # one latent under a one-mixture bank
+def _batch(mixture, schedule, rows: int = 1) -> LockstepBatch:
+    """``rows`` latents under a one-mixture bank."""
+    return LockstepBatch(MixtureBank((mixture,)), np.zeros(rows, dtype=int),
+                         schedule)
 
 
 # ------------------------------------------------------------- ddim
@@ -112,7 +111,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = batch_posterior(_bank(mix), ROW, schedule, t, z[None]).eps[0]
+        eps = _batch(mix, schedule).posterior(t, z[None]).eps[0]
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -135,7 +134,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = batch_posterior(_bank(mix1), ROW, schedule, t, z[None]).eps[0]
+    eps = _batch(mix1, schedule).posterior(t, z[None]).eps[0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = mix1.components[0].mean.reshape(16, 16)
@@ -165,7 +164,7 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = batch_posterior(_bank(mix), ROW, schedule, t, z[None]).r[0]
+        r = _batch(mix, schedule).posterior(t, z[None]).r[0]
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -174,18 +173,23 @@ def test_responsibilities_sum_to_one(catalog, schedule):
 def test_posterior_rejects_out_of_range_t(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.8, catalog)
     z = np.zeros((16, 16))
+    batch = _batch(mix, schedule)
     for t in (-1, schedule.T + 1):
         with pytest.raises(InvalidT):
-            batch_posterior(_bank(mix), ROW, schedule, t, z[None])
+            batch.posterior(t, z[None])
         with pytest.raises(InvalidT):
-            batch_capture(_bank(mix), ROW, schedule, t, z[None], None)
+            batch.step(t, z[None])
+        with pytest.raises(InvalidT):
+            batch.capture(t, z[None])
+    with pytest.raises(InvalidT):  # a step needs a step to take
+        batch.step(0, z[None])
 
 
 def test_posterior_at_zero_has_no_eps(catalog, schedule):
     """At t = 0 no denoising step follows: the noise prediction is zero."""
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
-    post = batch_posterior(_bank(mix), ROW, schedule, 0, z[None])
+    post = _batch(mix, schedule).posterior(0, z[None])
     assert post.eps.shape == (1, 16, 16) and not post.eps.any()
     assert post.r.shape == (1, len(mix.components))
     assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -196,8 +200,9 @@ def test_degenerate_variance_raises(catalog):
     sch = NoiseSchedule(T=2, alphabar=np.array([1.0, 1.0, 1.0]))
     mix = build_conditional_mixture(("cat",), 1.0, catalog, s2=1e-30)
     z = np.zeros((16, 16))
-    with pytest.raises(DegenerateVariance):
-        batch_posterior(_bank(mix), ROW, sch, 1, z[None])
+    batch = _batch(mix, sch)  # the variance is checked step by step
+    with pytest.raises(DegenerateVariance, match="at t=1 "):
+        batch.step(1, z[None])
 
 
 # ------------------------------------------------------------- projector
@@ -208,7 +213,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
-        pfi = batch_capture(_bank(mix), ROW, schedule, t, z[None], None)[0, 0]
+        pfi = _batch(mix, schedule).capture(t, z[None])[0, 0]
         ab = schedule.alphabar[t]
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
@@ -224,7 +229,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
 def test_predict_final_image_at_zero_returns_state(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.9, catalog)
     z = SplitMix64(2).normals(256).reshape(16, 16)
-    out = batch_capture(_bank(mix), ROW, schedule, 0, z[None], None)[0, 0]
+    out = _batch(mix, schedule).capture(0, z[None])[0, 0]
     assert np.array_equal(out, z)
     assert not np.shares_memory(out, z)
 
@@ -235,8 +240,7 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
-        maps = batch_capture(_bank(mix), ROW, schedule, t, z[None],
-                             None)[0, 1:]
+        maps = _batch(mix, schedule).capture(t, z[None])[0, 1:]
         assert maps.shape == (2, 16, 16)  # cat, then bench
         for amap in maps:
             assert amap.min() >= 0.0
@@ -248,8 +252,7 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = batch_capture(_bank(mix), ROW, schedule, 1, z[None],
-                         None)[0, 1]  # cat
+    amap = _batch(mix, schedule).capture(1, z[None])[0, 1]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -259,15 +262,15 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
 
 def _single_latent_steps(mixture, schedule, seed):
     """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
-    bank = _bank(mixture)
+    batch = _batch(mixture, schedule)
     z = engine.initial_latent(seed, mixture.grid_size)[None]
     out = []
     for t in range(schedule.T, -1, -1):
         if t:
-            post, z_next = denoise_step(bank, ROW, schedule, t, z)
+            post, z_next = batch.step(t, z)
         else:
-            post = batch_posterior(bank, ROW, schedule, t, z)
-        cap = batch_capture(bank, ROW, schedule, t, z, post)
+            post = batch.posterior(t, z)
+        cap = batch.capture(t, z, post)
         out.append((t, z[0], post.r[0], post.eps[0], cap[0, 0], cap[0, 1:]))
         z = z_next
     return out
@@ -315,7 +318,7 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     latents = _latents(mix, schedule, 11)
     assert list(record.captures) == sorted(wanted, reverse=True)
     for t, cap in record.captures.items():
-        fresh = batch_capture(_bank(mix), ROW, schedule, t, latents[t], None)
+        fresh = _batch(mix, schedule).capture(t, latents[t])
         assert np.array_equal(cap, fresh)
 
 
@@ -324,25 +327,48 @@ def test_trajectory_posterior_matches_public_api(catalog, schedule):
     for t, z in _latents(mix, schedule, 3).items():
         if t == 0:
             continue
-        post = denoise_step(_bank(mix), ROW, schedule, t, z)[0]
-        fresh = batch_posterior(_bank(mix), ROW, schedule, t, z)
+        post = _batch(mix, schedule).step(t, z)[0]
+        fresh = _batch(mix, schedule).posterior(t, z)
         assert np.array_equal(post.r, fresh.r)
         assert np.array_equal(post.eps, fresh.eps)
 
 
+def _counting_batches(monkeypatch) -> list[tuple[str, int, int]]:
+    """Route every batch's posterior evaluations, steps and captures
+    through wrappers that record ``(kind, t, rows)`` in call order."""
+    calls = []
+
+    def counting(kind, method):
+        def wrapper(batch, t, z, *rest):
+            calls.append((kind, t, len(z)))
+            return method(batch, t, z, *rest)
+        return wrapper
+
+    for kind, name in (("posterior", "_posterior"), ("step", "step"),
+                       ("capture", "capture")):
+        monkeypatch.setattr(LockstepBatch, name,
+                            counting(kind, getattr(LockstepBatch, name)))
+    return calls
+
+
+def _kinds(calls, kind: str) -> list[tuple[str, int, int]]:
+    return [call for call in calls if call[0] == kind]
+
+
 def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     mix = build_conditional_mixture(("cat", "bench", "kite"), 0.8, catalog)
-    calls = []
-    original = engine._log_responsibilities
-    monkeypatch.setattr(engine, "_log_responsibilities",
-                        lambda *args: calls.append(1) or original(*args))
+    calls = _counting_batches(monkeypatch)
     sample_batch(mix, schedule, (5,),
                  critical_timesteps=set(range(1, schedule.T + 1)))
-    assert len(calls) == schedule.T
+    assert len(_kinds(calls, "posterior")) == schedule.T
+    assert len(_kinds(calls, "step")) == schedule.T
+    assert len(_kinds(calls, "capture")) == schedule.T
     calls.clear()
     sample_batch(mix, schedule, (5,), critical_timesteps={0, 16})
     # t = 0 takes no denoising step; its capture evaluates one posterior
-    assert len(calls) == schedule.T + 1
+    assert len(_kinds(calls, "posterior")) == schedule.T + 1
+    assert len(_kinds(calls, "step")) == schedule.T
+    assert [t for _, t, _ in _kinds(calls, "capture")] == [16, 0]
 
 
 def test_capture_rejects_out_of_range(catalog, schedule):
@@ -370,16 +396,19 @@ def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
     kernel call."""
     config = DatasetConfig(subjects=("cat", "dog", "owl"),
                            objects=("bench", "kite"),
-                           seeds_per_prompt=3, critical_steps=(0, 8),
+                           seeds_per_prompt=6, critical_steps=(0, 8),
                            split_fractions=(0.5, 0.25, 0.25))
-    calls = []
-    original = engine._log_responsibilities
-    monkeypatch.setattr(engine, "_log_responsibilities",
-                        lambda *args: calls.append(1) or original(*args))
+    calls = _counting_batches(monkeypatch)
     generate_dataset(config, catalog, tmp_path / "ds")
     rows = len(config.subjects) * len(config.objects) * config.seeds_per_prompt
-    assert rows == 18 > engine.LOCKSTEP_ROWS
-    assert len(calls) == -(-rows // engine.LOCKSTEP_ROWS) * config.num_steps
+    assert rows == 36 > engine.LOCKSTEP_ROWS
+    chunks = -(-rows // engine.LOCKSTEP_ROWS)
+    assert len(_kinds(calls, "posterior")) == chunks * config.num_steps
+    assert len(_kinds(calls, "step")) == chunks * config.num_steps
+    assert (sum(n for _, _, n in _kinds(calls, "step"))
+            == rows * config.num_steps)
+    # labels 0 and 8 are noise indices T and T - 8, both taken by a step
+    assert len(_kinds(calls, "capture")) == chunks * 2
 
 
 # ------------------------------------------------------------- batching
@@ -455,21 +484,25 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
     one int-``t`` call per cohort, ``t = 0`` included; a cohort mixes
     mixtures, and the cohorts differ in size."""
     mixtures, rows, single = corpus_rows
-    batch = range(len(rows)) if size == len(rows) else sorted(single)[:size]
-    reference = [single.get(b) for b in batch]
+    picked = range(len(rows)) if size == len(rows) else sorted(single)[:size]
+    reference = [single.get(b) for b in picked]
     bank = MixtureBank(tuple(mixtures))
-    which = np.array([rows[b][0] for b in batch])
-    z = np.stack([engine.initial_latent(rows[b][1], 16) for b in batch])
+    which = np.array([rows[b][0] for b in picked])
+    z = np.stack([engine.initial_latent(rows[b][1], 16) for b in picked])
     cohorts = [np.arange(start, size, 5) for start in range(min(size, 5))]
+    batches = [LockstepBatch(bank, which[live], schedule) for live in cohorts]
     compared = 0
     for step in range(schedule.T + len(cohorts)):
         for start, live in enumerate(cohorts):
             t = schedule.T - (step - start)
             if not 0 <= t <= schedule.T:
                 continue
-            post = batch_posterior(bank, which[live], schedule, t, z[live])
-            caps = batch_capture(bank, which[live], schedule, t, z[live],
-                                 post)
+            batch = batches[start]
+            if t:
+                post, z_next = batch.step(t, z[live])
+            else:
+                post, z_next = batch.posterior(t, z[live]), z[live]
+            caps = batch.capture(t, z[live], post)
             for k, b in enumerate(live):
                 if reference[b] is None:
                     continue
@@ -480,7 +513,7 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
                 assert np.array_equal(caps[k, 0], pfi1)
                 assert np.array_equal(caps[k, 1:], attention1)
                 compared += 1
-            z[live] = ddim_step(z[live], post.eps, t, max(t - 1, 0), schedule)
+            z[live] = z_next
     assert compared == min(size, len(single)) * (schedule.T + 1)
 
 
@@ -517,34 +550,93 @@ def test_mixture_bank_needs_one_component_count(catalog):
         assert all(m is mixtures[i] for m, i in zip(bank.mixtures, members))
 
 
-def test_batch_posterior_rejects_out_of_range_rows(catalog, schedule):
+def test_lockstep_batch_rejects_out_of_range_rows(catalog, schedule):
     bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
     z = np.zeros((3, 16, 16))
+    batch = LockstepBatch(bank, np.zeros(3, dtype=int), schedule)
     with pytest.raises(InvalidT, match="timestep 51 "):
-        batch_posterior(bank, np.zeros(3, dtype=int), schedule, 51, z)
+        batch.step(51, z)
     with pytest.raises(TypeError):  # one int t for all rows
-        batch_posterior(bank, np.zeros(3, dtype=int), schedule,
-                        np.array([3, 50, 2]), z)
+        batch.step(np.array([3, 50, 2]), z)
     with pytest.raises(IndexError):
-        batch_posterior(bank, np.array([0, 1, 0]), schedule, 3, z)
+        LockstepBatch(bank, np.array([0, 1, 0]), schedule)
+
+
+def _pair_bank(catalog) -> MixtureBank:
+    return MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
+                             for pair in (("cat", "bench"), ("dog", "kite"))))
 
 
 def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
                                                               schedule):
-    """The work arrays a bank keeps, grown by one batch, leave no trace in
-    the values of the next, smaller one."""
-    bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
-                             for pair in (("cat", "bench"), ("dog", "kite"))))
+    """Rows a batch keeps mid-trajectory go on bit for bit as each would
+    alone, in the smaller arrays the batch then works in; the second keep
+    drops every row of one mixture."""
+    bank = _pair_bank(catalog)
     which = np.array([1, 0, 1, 1, 0])
-    z = np.stack([SplitMix64(s).normals(256).reshape(16, 16) for s in range(5)])
-    for t in (50, 31, 7, 1, 20):
-        alone = [batch_posterior(bank, which[b:b + 1], schedule, t, z[b:b + 1])
-                 for b in range(5)]
-        for rows in (slice(0, 5), slice(1, 3), slice(4, 5)):
-            post = batch_posterior(bank, which[rows], schedule, t, z[rows])
-            for b, (r, eps) in enumerate(zip(post.r, post.eps), rows.start):
-                assert np.array_equal(r, alone[b].r[0])
-                assert np.array_equal(eps, alone[b].eps[0])
+    seeds = [mix64(5, b) for b in range(5)]
+    alone = [{step[0]: step for step in
+              _single_latent_steps(bank.mixtures[m], schedule, seed)}
+             for m, seed in zip(which, seeds)]
+    batch = LockstepBatch(bank, which, schedule)
+    keeps = {31: [1, 2, 4], 7: [0, 2]}  # positions in the batch at that t
+    rows = list(range(5))  # the row of ``which`` at each position
+    z = np.stack([engine.initial_latent(seed, 16) for seed in seeds])
+    for t in range(schedule.T, -1, -1):
+        if t:
+            post, z_next = batch.step(t, z)
+        else:
+            post, z_next = batch.posterior(t, z), z
+        caps = batch.capture(t, z, post)
+        assert np.array_equal(batch.which, which[rows])
+        for k, b in enumerate(rows):
+            _, z1, r1, eps1, pfi1, attention1 = alone[b][t]
+            assert np.array_equal(z[k], z1)
+            assert np.array_equal(post.r[k], r1)
+            assert np.array_equal(post.eps[k], eps1)
+            assert np.array_equal(caps[k, 0], pfi1)
+            assert np.array_equal(caps[k, 1:], attention1)
+        z = z_next
+        if t in keeps:
+            rows = [rows[k] for k in keeps[t]]
+            z = z[keeps[t]]
+            batch.keep(keeps[t])
+    assert rows == [1, 4]
+
+
+def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
+                                                      monkeypatch):
+    """A batch gathers its rows' means, log weights and variances once,
+    when it is built; its steps, captures and keeps never read the bank's
+    arrays again, and give what an unguarded batch gives."""
+    bank = _pair_bank(catalog)
+    which = np.array([1, 0, 1])
+    z_start = np.stack([engine.initial_latent(s, 16) for s in range(3)])
+
+    def trajectory(batch):
+        out, z = [], z_start
+        for t in range(schedule.T, 0, -1):
+            post, z_next = batch.step(t, z)
+            out += [post.r, post.eps, batch.capture(t, z, post)]
+            if t == 20:
+                batch.keep([0, 2])
+                z_next = z_next[[0, 2]]
+            z = z_next
+        return out + [batch.capture(0, z), z]
+
+    want = trajectory(LockstepBatch(bank, which, schedule))
+    batch = LockstepBatch(bank, which, schedule)
+
+    def gone(_):
+        raise AssertionError("a built batch read its bank")
+
+    for name in ("means", "log_weights", "s2"):
+        monkeypatch.setattr(MixtureBank, name, property(gone))
+        with pytest.raises(AssertionError):
+            getattr(bank, name)
+    got = trajectory(batch)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 _FAULT_PROBE = """
@@ -553,7 +645,7 @@ import sys
 
 import numpy as np
 
-from headlab.engine import (MixtureBank, denoise_step, initial_latent,
+from headlab.engine import (LockstepBatch, MixtureBank, initial_latent,
                             make_schedule)
 from headlab.scene import build_conditional_mixture, default_catalog
 
@@ -562,20 +654,20 @@ catalog = default_catalog()
 bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                          for pair in (("cat", "bench"), ("dog", "kite"))))
 schedule = make_schedule(50)
-which = np.arange(16) % 2
-z = np.stack([initial_latent(seed, bank.grid_size) for seed in range(16)])
+batch = LockstepBatch(bank, np.arange(32) % 2, schedule)
+z = np.stack([initial_latent(seed, bank.grid_size) for seed in range(32)])
 t = 30
 for _ in range(5):
-    denoise_step(bank, which, schedule, t, z)
+    batch.step(t, z)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(200):
-    denoise_step(bank, which, schedule, t, z)
+    batch.step(t, z)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def test_denoise_step_takes_under_one_page_fault_per_call():
-    """Steps of 16 rows reuse memory the process already has.  Fresh
+def test_batch_step_takes_under_one_page_fault_per_call():
+    """Steps of 32 rows reuse memory the process already has.  Fresh
     (B, K, D) arrays per step cost about a hundred minor faults per call,
     because glibc hands them back to the kernel when they are freed,
     unless an earlier import (scipy's, for one) has raised its malloc

@@ -7,9 +7,12 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from headlab.engine import MixtureBank
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "headlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -168,3 +171,35 @@ def test_the_cli_imports_without_scipy():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The batch-at-a-time engine API that ``engine.LockstepBatch`` replaced:
+# free functions that gathered a chunk's rows from the bank on every step,
+# and the scratch arrays the bank kept for them.
+REPLACED_BY_THE_BATCH = ("denoise_step", "batch_posterior", "batch_capture",
+                         "_work_arrays")
+
+
+def _defined_or_named(source: str) -> set[str]:
+    """Every name ``source`` defines by ``def`` or ``class``, plus every
+    identifier it reads, as a name or as an attribute."""
+    tree = ast.parse(source)
+    return _names(tree) | {node.name for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_checker_finds_a_method_and_an_attribute():
+    source = ("class Bank:\n    def _work_arrays(self): pass\n"
+              "def step(bank): return bank.batch_capture\n")
+    assert {"_work_arrays", "batch_capture"} <= _defined_or_named(source)
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_replaced_engine_api_stays_deleted(module):
+    names = _defined_or_named(module.read_text(encoding="utf-8"))
+    assert not names & set(REPLACED_BY_THE_BATCH)
+
+
+def test_the_mixture_bank_keeps_no_work_arrays():
+    assert [f.name for f in fields(MixtureBank)] == ["mixtures"]

@@ -6,7 +6,7 @@ import pytest
 from headlab import engine, runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
-from headlab.engine import MixtureBank, batch_capture, denoise_step
+from headlab.engine import LockstepBatch, MixtureBank
 from headlab.errors import RestartLimitExceeded, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
@@ -201,7 +201,7 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
                                     monkeypatch):
     prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     results = []
-    for slots in (1, 3, 16):
+    for slots in (1, 3, 16, 32):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         report = measure_campaign(prompts, mixtures, schedule, *policies,
                                   catalog, runs_per_prompt=4, root_seed=88)
@@ -230,7 +230,7 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                               0.8)
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
-    for slots in (1, 3, 16):
+    for slots in (1, 3, 16, 32):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with pytest.raises(RestartLimitExceeded) as info:
             run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
@@ -254,7 +254,7 @@ def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, policies,
     at every slot count; returns the joint traces."""
     alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
                          **kwargs) for policy in policies)
-    for slots in (1, 3, 16):
+    for slots in (1, 3, 16, 32):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         assert run_arms(mixtures, schedule, policies, catalog,
                         **kwargs) == alone
@@ -311,7 +311,7 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     impatient = RunPolicy(max_restarts=2)
-    for slots in (1, 3, 16):
+    for slots in (1, 3, 16, 32):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         # both arms fail, the treatment at an earlier run
         assert (_restart_message(mixtures, schedule, (impatient, reject_all),
@@ -330,23 +330,24 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
 
 
 def _counting_calls(monkeypatch):
-    """Route the runtime's ``denoise_step`` and ``batch_capture`` through
-    wrappers that check each call takes one int ``t`` for all its rows, and
-    record each call's ``(t, rows)``: the steps, then the captures."""
+    """Route every batch's steps and captures through wrappers that check
+    each call takes one int ``t`` and one latent per row, and record each
+    call's ``(t, rows)``: the steps, then the captures."""
     steps, captures = [], []
+    step, capture = LockstepBatch.step, LockstepBatch.capture
 
-    def counting(bank, which, schedule, t, z):
-        assert type(t) is int and len(which) == len(z)
+    def counting(batch, t, z):
+        assert type(t) is int and len(batch.which) == len(z)
         steps.append((t, len(z)))
-        return denoise_step(bank, which, schedule, t, z)
+        return step(batch, t, z)
 
-    def capturing(bank, which, schedule, t, z, post):
-        assert type(t) is int and len(which) == len(z) == len(post.r)
+    def capturing(batch, t, z, post):
+        assert type(t) is int and len(batch.which) == len(z) == len(post.r)
         captures.append((t, len(z)))
-        return batch_capture(bank, which, schedule, t, z, post)
+        return capture(batch, t, z, post)
 
-    monkeypatch.setattr(runtime, "denoise_step", counting)
-    monkeypatch.setattr(runtime, "batch_capture", capturing)
+    monkeypatch.setattr(LockstepBatch, "step", counting)
+    monkeypatch.setattr(LockstepBatch, "capture", capturing)
     return steps, captures
 
 
@@ -363,7 +364,7 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
     (alone,), _ = runtime._pool(bank, runs, schedule, (RunPolicy(),), *rest)
     assert None not in alone
-    for slots in (3, 16, 1):
+    for slots in (3, 16, 32, 1):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
             steps, _ = _counting_calls(patch)
@@ -429,7 +430,7 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     assert rows < sum(t.total_steps for t in ref + treat)
 
 
-@pytest.mark.parametrize("slots", [1, 3, 16])
+@pytest.mark.parametrize("slots", [1, 3, 16, 32])
 def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
                                        monkeypatch, slots):
     """Each wave starts at ``t = T`` with at most ``LOCKSTEP_ROWS`` rows and
