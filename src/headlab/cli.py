@@ -34,7 +34,7 @@ from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        calibrate_threshold, evaluate_detector, fit_detector,
                        merge_counts)
 from .engine import make_schedule
-from .errors import InvalidInput, MissingReport, RunFailure, UsageError
+from .errors import RunFailure, UsageError
 from .runtime import RunPolicy, measure_campaign, write_campaign_csv
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
@@ -305,7 +305,7 @@ def _rate_point(report, manifest, t_last: int) -> RatePoint:
         counts = merge_counts(report.per_object[i] for i in ids
                               if i in report.per_object)
         if counts.recall is None or counts.true_negative_rate is None:
-            raise MissingReport(
+            raise UsageError(
                 f"role {role!r} lacks both outcome classes at t_last={t_last}")
         recall_by[role] = counts.recall
         tn_by[role] = counts.true_negative_rate
@@ -370,8 +370,8 @@ def _cmd_run(args) -> None:
         if not keep:
             raise UsageError(f"split {args.split!r} selects no prompts")
         prompts = tuple(p for i, p in enumerate(prompts) if i in keep)
-    mixtures = [build_conditional_mixture(p.targets, config.faithfulness,
-                                          catalog, s2=config.component_std**2)
+    mixtures = [build_conditional_mixture(p.targets, catalog=catalog,
+                                          **config.mixture_kwargs)
                 for p in prompts]
     schedule = make_schedule(config.num_steps)
     reference = RunPolicy(max_restarts=settings.max_restarts)
@@ -532,7 +532,7 @@ def main(argv=None) -> int:
             raise UsageError(parser.format_usage().strip())
         args.func(args)
         return 0
-    except InvalidInput as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RunFailure, OSError, ValueError) as exc:

@@ -37,7 +37,7 @@ import json
 import types
 import typing
 from contextlib import ExitStack
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from . import engine
 from .atomic import write_atomic
 from .engine import (LockstepBatch, MixtureBank, initial_latent,
                      make_schedule)
-from .errors import MissingCapture, UsageError
+from .errors import RunFailure, UsageError
 from .rng import SplitMix64, mix64
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
                     build_conditional_mixture, dump_catalog, prompt_text)
@@ -108,6 +108,14 @@ class DatasetConfig:
             raise UsageError("label_threshold must be in (0, 1)")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or len(self.split_fractions) != 3:
             raise UsageError("split_fractions must be three values summing to 1")
+
+    @property
+    def mixture_kwargs(self) -> dict:
+        """The :func:`~headlab.scene.build_conditional_mixture` arguments a
+        prompt's mixture takes from this config: each target present with
+        probability ``faithfulness``, each component with per-pixel
+        variance ``component_std ** 2``."""
+        return {"q": self.faithfulness, "s2": self.component_std**2}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -327,8 +335,8 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     out = Path(out_dir)
     (out / TENSOR_DIR).mkdir(parents=True, exist_ok=True)
     prompts = build_prompt_grid(config.subjects, config.objects)
-    mixtures = [build_conditional_mixture(p.targets, config.faithfulness, catalog,
-                                          s2=config.component_std**2)
+    mixtures = [build_conditional_mixture(p.targets, catalog=catalog,
+                                          **config.mixture_kwargs)
                 for p in prompts]
 
     # A lockstep batch needs one bank: each prompt's bank, as a position in
@@ -362,9 +370,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                 z = z_next
             del batch  # its arrays go before the next chunk's are made
             final.append(z)
-            nearest = np.linalg.norm(bank.means[which] - z.reshape(len(z), 1, -1),
-                                     axis=2).argmin(axis=1)
-            for (i, s), run_seed, image, k in zip(chunk, seeds, z, nearest):
+            for (i, s), run_seed, image in zip(chunk, seeds, z):
                 targets = prompts[i].targets
                 labels = label_image(image, targets, catalog,
                                      config.label_threshold)
@@ -377,7 +383,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                     run_seed=run_seed,
                     labels=labels,
                     complete=all(labels[o] == 1 for o in targets),
-                    nearest_component=int(k),
+                    nearest_component=mixtures[i].nearest_component(image),
                 ))
 
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
@@ -385,13 +391,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     lines = [_jsonl({"kind": "header", "format_version": MANIFEST_VERSION,
                      "config": config.to_dict(),
                      "splits": {k: list(v) for k, v in splits.items()}})]
-    for s in samples:
-        lines.append(_jsonl({"kind": "sample", "sample_id": s.sample_id,
-                             "prompt_index": s.prompt_index, "prompt": s.prompt,
-                             "targets": list(s.targets),
-                             "seed_index": s.seed_index, "run_seed": s.run_seed,
-                             "labels": s.labels, "complete": s.complete,
-                             "nearest_component": s.nearest_component}))
+    lines.extend(_jsonl({"kind": "sample", **asdict(s)}) for s in samples)
     lines.append(_jsonl({"kind": "stats", **stats}))
     write_atomic(out / MANIFEST_NAME, "".join(lines))
     dump_catalog(catalog, out / CATALOG_NAME)
@@ -407,8 +407,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
 
 _LINE_KEYS = {
     "header": ("format_version", "config", "splits"),
-    "sample": ("sample_id", "prompt_index", "prompt", "targets", "seed_index",
-               "run_seed", "labels", "complete", "nearest_component"),
+    "sample": tuple(f.name for f in fields(SampleRecord)),
     "stats": (),
 }
 
@@ -485,14 +484,14 @@ def load_step(root, manifest: DatasetManifest, u: int,
 
     The tensor has shape ``(N, 1 + n_targets, grid_size, grid_size)`` in the
     layout of ``tensors/<u>.bin``.  A missing file raises
-    ``MissingCapture``; an unreadable one, or one whose shape does not
+    ``RunFailure``; an unreadable one, or one whose shape does not
     match the manifest, raises ``ValueError`` naming the file.
     """
     path = step_path(root, u)
     try:
         tensor = read_tensor(path)
     except FileNotFoundError as exc:
-        raise MissingCapture(f"capture step {u}: {exc}") from exc
+        raise RunFailure(f"capture step {u}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     expected = (len(manifest.samples), 1 + len(manifest.samples[0].targets),

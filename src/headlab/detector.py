@@ -36,8 +36,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .dataset import DatasetManifest, load_step
-from .errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
-                     UsageError)
+from .errors import RunFailure, UsageError
 from .scene import ObjectSpec
 
 FEATURE_NAMES = ("attn_max", "attn_mean", "attn_topmass",
@@ -82,7 +81,7 @@ def extract_features(pfi: np.ndarray, attention: np.ndarray,
     pfi = np.asarray(pfi, dtype=np.float32).astype(np.float64)
     attention = np.asarray(attention, dtype=np.float32).astype(np.float64)
     if pfi.shape != attention.shape or pfi.ndim != 3:
-        raise DimensionMismatch(
+        raise UsageError(
             f"pfi shape {pfi.shape} != attention shape {attention.shape}, "
             "or not a stack of images")
 
@@ -171,10 +170,10 @@ class DesignMatrix:
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:
-            raise DimensionMismatch(
+            raise UsageError(
                 f"{self.x.shape[0]} feature rows vs {self.y.shape[0]} labels")
         if self.x.shape[1] != len(self.feature_names):
-            raise DimensionMismatch(
+            raise UsageError(
                 f"{self.x.shape[1]} columns vs {len(self.feature_names)} names")
 
 
@@ -195,7 +194,7 @@ def build_design_matrix(root, manifest: DatasetManifest,
                          f"captured: {list(manifest.config.critical_steps)}")
     index = np.array(manifest.rows_for_split(split), dtype=np.int64)
     if not index.size:
-        raise DegenerateLabels(f"split {split!r} produced no rows")
+        raise RunFailure(f"split {split!r} produced no rows")
     chosen = [manifest.samples[i] for i in index]
     grid_size = catalog[chosen[0].targets[0]].grid_size
     return DesignMatrix(
@@ -234,14 +233,14 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"bad shapes x{x.shape} y{y.shape}")
+        raise UsageError(f"bad shapes x{x.shape} y{y.shape}")
     classes = np.unique(y)
     if not np.array_equal(classes, [0.0, 1.0]):
-        raise DegenerateLabels(f"need both classes present, got {classes.tolist()}")
+        raise RunFailure(f"need both classes present, got {classes.tolist()}")
     n = x.shape[0]
     w = np.zeros(x.shape[1])
     b = 0.0
-    # a diverging fit ends in NonFiniteLoss below, not in numpy warnings
+    # a diverging fit ends in RunFailure below, not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             logits = x @ w + b
@@ -253,7 +252,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
         loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
                      + 0.5 * l2 * float(w @ w))
     if not np.isfinite(loss) or not np.all(np.isfinite(w)):
-        raise NonFiniteLoss(f"training diverged (loss={loss})")
+        raise RunFailure(f"training diverged (loss={loss})")
     return TrainResult(weights=w, bias=b, final_loss=loss)
 
 
@@ -273,7 +272,7 @@ class DetectorModel:
     def scores(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.weights.shape[0]:
-            raise DimensionMismatch(
+            raise UsageError(
                 f"{x.shape[1]} features, model expects {self.weights.shape[0]}")
         z = (x - self.mean) / self.scale
         return expit(z @ self.weights + self.bias)
@@ -461,6 +460,6 @@ def calibrate_threshold(scores: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     pos = np.sort(scores[y == 1])[::-1]
     if pos.size == 0:
-        raise DegenerateLabels("cannot calibrate recall with no positive rows")
+        raise RunFailure("cannot calibrate recall with no positive rows")
     k = int(np.ceil(target_recall * pos.size))
     return float(pos[k - 1])

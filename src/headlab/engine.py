@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateVariance, InvalidT, UsageError
+from .errors import RunFailure, UsageError
 from .rng import SplitMix64
 from .scene import MixtureSpec
 
@@ -85,7 +85,7 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
     projector, so the final entry is clamped to ``alphabar_{T-1} / 1000``.
     """
     if T < 2:
-        raise InvalidT(f"schedule needs at least 2 steps, got {T}")
+        raise UsageError(f"schedule needs at least 2 steps, got {T}")
     u = np.arange(T + 1, dtype=np.float64)
     angle = ((u / T + COSINE_OFFSET) / (1.0 + COSINE_OFFSET)) * (np.pi / 2.0)
     profile = np.cos(angle) ** 2
@@ -169,7 +169,7 @@ def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
     # step about 50% dearer.  A ``LockstepBatch.step`` at one int ``t`` takes
     # about 66 us at 16 rows and 123 us at 32 (2-core Xeon, numpy 2.4).
     if not lowest <= operator.index(t) <= schedule.T:
-        raise InvalidT(f"timestep {t} outside [{lowest}, {schedule.T}]")
+        raise UsageError(f"timestep {t} outside [{lowest}, {schedule.T}]")
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
     """
     _check_t(schedule, t)
     if not 0 <= operator.index(t_next) <= t:
-        raise InvalidT(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
+        raise UsageError(f"ddim target {t_next} must satisfy 0 <= t' <= t ({t})")
     if t_next == t:
         return z.copy()
     alpha, sigma = schedule.alpha, schedule.sigma
@@ -293,7 +293,7 @@ class LockstepBatch:
 
     def _posterior(self, t: int, z: np.ndarray) -> Posterior:
         if self._degenerate[t]:
-            raise DegenerateVariance(
+            raise RunFailure(
                 f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
                 f"{MIN_MARGINAL_VARIANCE:.0e}")
         v, alpha_t = self._v[t], self._alpha[t]
@@ -377,7 +377,7 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
         z = z_next
     if 0 in wanted:
         captures[0] = batch.capture(0, z)
-    nearest = np.linalg.norm(mixture.means_matrix - z.reshape(len(z), 1, -1),
-                             axis=2).argmin(axis=1)
-    return GenerationRecord(captures=captures, final_image=z,
-                            nearest_component=nearest)
+    return GenerationRecord(
+        captures=captures, final_image=z,
+        nearest_component=np.array([mixture.nearest_component(image)
+                                    for image in z]))

@@ -39,7 +39,7 @@ from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
 from .engine import LockstepBatch, MixtureBank, NoiseSchedule, initial_latent
-from .errors import RestartLimitExceeded, UsageError
+from .errors import RunFailure, UsageError
 from .rng import SplitMix64, mix64
 from .scene import ObjectSpec
 
@@ -271,7 +271,7 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     share a :class:`MixtureBank` run in separate pools.  Returns one tuple
     of traces per policy, in (prompt, run) order; each equals the policy
     run alone, and the slot count changes none of them.  Raises
-    ``RestartLimitExceeded`` for the first run in that order that no
+    ``RunFailure`` for the first run in that order that no
     attempt within ``max_restarts`` completes, under the first policy that
     has one.
     """
@@ -300,7 +300,7 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     for policy, arm_failures in zip(policies, failures):
         if arm_failures:
             run = min(arm_failures, key=lambda r: (r.prompt_index, r.run_index))
-            raise RestartLimitExceeded(
+            raise RunFailure(
                 f"no accepted image within {policy.max_restarts} attempts "
                 f"(prompt {run.prompt_id or run.prompt_index}, "
                 f"run {run.run_index})")

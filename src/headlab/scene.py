@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import EmptyTargets, GrammarError, UnknownObject, UsageError
+from .errors import UsageError
 
 GRID_SIZE = 16
 BLOB_SIGMAS = (1.0, 1.5, 2.0)
@@ -207,6 +207,12 @@ class MixtureSpec:
         """Component means flattened to shape ``(K, grid_size**2)``."""
         return np.stack([c.mean.ravel() for c in self.components])
 
+    def nearest_component(self, image: np.ndarray) -> int:
+        """The index of the component whose mean is closest to ``image``
+        in Euclidean distance."""
+        return int(np.linalg.norm(self.means_matrix - image.reshape(1, -1),
+                                  axis=1).argmin())
+
     @cached_property
     def template_stacks(self) -> np.ndarray:
         """Per target, in target order, the (K, H, W) placed templates of
@@ -245,13 +251,13 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
     """
     targets = tuple(targets)
     if not targets:
-        raise EmptyTargets("mixture requested for an empty target set")
+        raise UsageError("mixture requested for an empty target set")
     if len(set(targets)) != len(targets):
-        raise GrammarError("duplicate target in mixture request")
+        raise UsageError("duplicate target in mixture request")
     specs = []
     for t in targets:
         if t not in catalog:
-            raise UnknownObject(f"object {t!r} not in catalog")
+            raise UsageError(f"object {t!r} not in catalog")
         specs.append(catalog[t])
     if isinstance(q, dict):
         q_vec = tuple(float(q[t]) for t in targets)

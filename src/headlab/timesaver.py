@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
-                     UsageError)
+from .errors import RunFailure, UsageError
 from .rng import stream_words, to_uniforms
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
@@ -139,7 +138,7 @@ def expected_cost_closed_form(dist: AttemptDistribution,
     _check_policy_objects(dist, policy)
     accept = acceptance_probability(dist, policy)
     if accept <= 0.0:
-        raise NeverAccepts("policy accepts with probability zero")
+        raise RunFailure("policy accepts with probability zero")
     f = policy.cost_fraction
     per_attempt = 0.0
     for pat, p in zip(dist.patterns, dist.probabilities):
@@ -152,7 +151,7 @@ def baseline_cost(dist: AttemptDistribution) -> float:
     """Expected cost of the never-abort policy: 1 / P(complete)."""
     p = dist.complete_probability
     if p <= 0.0:
-        raise NeverAccepts("attempts are never complete; baseline diverges")
+        raise RunFailure("attempts are never complete; baseline diverges")
     return 1.0 / p
 
 
@@ -178,7 +177,7 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
 
     Every still-active run draws one attempt per round; runs retire when an
     attempt both survives the detector and is actually complete.  Raises
-    ``TrialBudgetExceeded`` once any run exceeds ``max_attempts`` attempts.
+    ``RunFailure`` once any run exceeds ``max_attempts`` attempts.
 
     A round of ``k`` active runs takes ``k`` pattern uniforms and then
     ``k * n_obj`` verdict uniforms, run-major, from the ``SplitMix64(seed)``
@@ -190,7 +189,7 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     """
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:
-        raise NeverAccepts("policy accepts with probability zero")
+        raise RunFailure("policy accepts with probability zero")
     if n_runs < 1:
         raise UsageError("n_runs must be >= 1")
     n_obj = len(dist.objects)
@@ -215,7 +214,7 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     while active.size:
         rounds += 1
         if rounds > max_attempts:
-            raise TrialBudgetExceeded(
+            raise RunFailure(
                 f"no acceptance within {max_attempts} attempts per run")
         k = active.size
         keep = np.empty(k, dtype=bool)
@@ -274,8 +273,8 @@ def sweep_tlast(dist: AttemptDistribution, points, num_steps: int,
     """Saving as a function of the decision step, one row per rate point."""
     points = list(points)
     if len({p.t_last for p in points}) < 2:
-        raise MissingReport("sweep needs rate points for at least two "
-                            "distinct decision steps")
+        raise UsageError("sweep needs rate points for at least two "
+                         "distinct decision steps")
     rows = []
     for point in sorted(points, key=lambda p: p.t_last):
         if not (0 <= point.t_last < num_steps):

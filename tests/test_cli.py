@@ -13,7 +13,7 @@ from headlab import cli
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
 from headlab.detector import MAX_EPOCHS, DetectorModel
-from headlab.errors import UsageError
+from headlab.errors import RunFailure, UsageError
 from headlab.scene import default_catalog, dump_catalog
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
@@ -198,6 +198,118 @@ def test_train_numeric_flags_end_in_an_exit_code(cli_dataset, tmp_path_factory,
     epochs, and one above ``MAX_EPOCHS`` is refused before any."""
     _exits_cleanly(["train", f"--dataset={cli_dataset}", *_flags(**values)],
                    tmp_path_factory.getbasetemp() / "fuzz-train")
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(workdir, config_path, cli_dataset, cli_models):
+    """Files for the path flags of the argv fuzz tests, by ``@name``."""
+    root = workdir / "fuzz-inputs"
+    report = root / "report"
+    ragged = root / "ragged"
+    for path in (report, ragged, root / "empty"):
+        path.mkdir(parents=True)
+    (root / "garbage").write_text("{not json\n", encoding="utf-8")
+    (root / "catalog.txt").write_text("cat 1.0 3,4\n", encoding="utf-8")
+    dump_catalog(default_catalog(), root / "full-catalog.txt")
+    (report / "sweep_p.csv").write_text("p,saving\n0.5,0.25\n",
+                                        encoding="utf-8")
+    (ragged / "campaign.csv").write_text("a,b\n1\n", encoding="utf-8")
+    named = {"config": config_path, "dataset": cli_dataset,
+             "model2": cli_models[2], "model16": cli_models[16],
+             "report": report, "ragged": ragged, "empty": root / "empty",
+             "garbage": root / "garbage", "missing": root / "missing",
+             "catalog": root / "catalog.txt",
+             "full-catalog": root / "full-catalog.txt"}
+    return {f"@{name}": str(path) for name, path in named.items()}
+
+
+def _path(*names):
+    """A path flag's value: one of the ``fuzz_paths`` files ``names`` or
+    any text."""
+    return st.sampled_from([f"@{name}" for name in names]) | st.text(max_size=8)
+
+
+_SPLITS = (st.sampled_from(["train", "val", "test", "all", "nope", ""])
+           | st.text(max_size=6))
+# Counts of rows a command builds are drawn small: nothing bounds them, and
+# a large accepted count is materialised before any work starts.
+_SMALL = st.sampled_from(["1", "2", "0", "-1", "x", "1.5"])
+
+
+def _fuzz(subcommand, paths, values, out) -> None:
+    """``_exits_cleanly`` for ``head subcommand`` with the flags ``values``,
+    each ``@name`` replaced by the file ``paths`` holds for it."""
+    _exits_cleanly([subcommand, *_flags(**{k: paths.get(v, v)
+                                          for k, v in values.items()})], out)
+
+
+@example(values={"dataset": "@dataset", "model": "@model2", "split": "val"})
+@given(values=st.fixed_dictionaries(
+    {"dataset": _path("dataset", "missing", "garbage"),
+     "model": _path("model2", "model16", "garbage", "missing")},
+    optional={"split": _SPLITS}))
+def test_eval_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory, values):
+    _fuzz("eval", fuzz_paths, values,
+          tmp_path_factory.getbasetemp() / "fuzz-eval")
+
+
+@example(values={"dataset": "@dataset", "models": "@model2,@model16",
+                 "mc_runs": "10"})
+@given(values=st.fixed_dictionaries(
+    {"dataset": st.sampled_from(["@dataset", "@missing"]),
+     "models": st.lists(_path("model2", "model16", "garbage"),
+                        max_size=3).map(",".join)},
+    optional={"split": _SPLITS, "seed": _INTS,
+              "mc_runs": st.sampled_from(["-1", "x"])
+              | st.integers(min_value=0, max_value=50).map(str)}))
+def test_sweep_tlast_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
+                                               values):
+    """Each model of the comma-separated ``--models`` is resolved alone."""
+    models = ",".join(fuzz_paths.get(v, v) for v in values["models"].split(","))
+    _fuzz("sweep-tlast", fuzz_paths, {**values, "models": models},
+          tmp_path_factory.getbasetemp() / "fuzz-sweep-tlast")
+
+
+@example(values={"dataset": "@dataset", "model": "@model16",
+                 "runs_per_prompt": "1", "split": "val"})
+@given(values=st.fixed_dictionaries(
+    {"dataset": st.sampled_from(["@dataset", "@missing"]),
+     "model": _path("model2", "model16", "garbage"),
+     "runs_per_prompt": _SMALL},
+    optional={"split": _SPLITS, "config": _path("config", "garbage", "missing"),
+              "root_seed": _INTS, "max_restarts": _INTS}))
+def test_run_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory, values):
+    """``--runs-per-prompt`` is always given: the config's 20 runs per
+    prompt would make each example a full campaign."""
+    _fuzz("run", fuzz_paths, values,
+          tmp_path_factory.getbasetemp() / "fuzz-run")
+
+
+@example(values={"dir": "@report"})
+@given(values=st.fixed_dictionaries(
+    {"dir": _path("report", "ragged", "empty", "missing", "garbage")}))
+def test_report_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
+                                          values):
+    _fuzz("report", fuzz_paths, values,
+          tmp_path_factory.getbasetemp() / "fuzz-report")
+
+
+@example(values={"config": "@config", "seeds_per_prompt": "1",
+                 "catalog": "@full-catalog"})
+@given(values=st.fixed_dictionaries(
+    {"config": _path("config", "garbage", "missing"),
+     "seeds_per_prompt": _SMALL},
+    optional={"num_steps": st.integers(min_value=-1, max_value=20).map(str),
+              "global_seed": _INTS, "faithfulness": _FLOATS,
+              "catalog": _path("catalog", "full-catalog", "garbage",
+                               "missing")}))
+def test_make_dataset_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
+                                                values):
+    """``--config`` and ``--seeds-per-prompt`` are always given and the
+    step count is drawn small, so a build that runs stays tiny: the
+    default config alone is the full 720-sample corpus."""
+    _fuzz("make-dataset", fuzz_paths, values,
+          tmp_path_factory.getbasetemp() / "fuzz-make-dataset")
 
 
 def test_simulate_accepts_the_object_bounds(capsys):
@@ -572,19 +684,23 @@ def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,
         assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("exc, message", [(KeyboardInterrupt, "interrupted"),
-                                          (MemoryError, "out of memory")])
+@pytest.mark.parametrize("exc, message, code", [
+    pytest.param(KeyboardInterrupt, "interrupted", 2,
+                 id="KeyboardInterrupt-interrupted"),
+    pytest.param(MemoryError, "out of memory", 2,
+                 id="MemoryError-out of memory"),
+    pytest.param(UsageError, "bad input", 1, id="UsageError-bad input"),
+    pytest.param(RunFailure, "failed run", 2, id="RunFailure-failed run")])
 def test_interrupt_and_memory_exhaustion_exit_2(monkeypatch, capsys, exc,
-                                               message):
-    from headlab import cli
-
+                                               message, code):
+    """Each exception family ends in its own exit code and one line."""
     def fail(args):
-        raise exc()
+        raise exc(message)
 
     monkeypatch.setattr(cli, "_cmd_sweep_p", fail)
     rc = main(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
                "--t-last", "8", "--out", "unused"])
-    assert rc == 2
+    assert rc == code
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
 

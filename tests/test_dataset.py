@@ -11,7 +11,7 @@ from headlab.dataset import (TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_manifest,
                              load_step, split_prompts)
 from headlab.engine import make_schedule, sample_batch
-from headlab.errors import MissingCapture, UsageError
+from headlab.errors import RunFailure, UsageError
 from headlab.rng import mix64
 from headlab.scene import build_conditional_mixture, render_mean_image
 from headlab.tensorio import read_tensor
@@ -48,7 +48,7 @@ def test_config_validation_rejects(overrides):
 def test_config_dict_roundtrip():
     cfg = DatasetConfig()
     assert DatasetConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown keys in config section "):
         DatasetConfig.from_dict({"bogus_key": 1})
 
 
@@ -195,7 +195,7 @@ def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
 
 
 def test_missing_capture_error(tiny_dataset):
-    with pytest.raises(MissingCapture):
+    with pytest.raises(RunFailure, match="^capture step 3: "):
         load_step(tiny_dataset.root, tiny_dataset.manifest, 3, 16)
 
 
@@ -204,14 +204,14 @@ def test_split_accessor(tiny_dataset):
     for name in ("train", "val", "test"):
         for s in mani.samples_for_split(name):
             assert s.prompt_index in mani.splits[name]
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown split 'nope'"):
         mani.samples_for_split("nope")
 
 
 def test_generation_rejects_missing_catalog_entries(tmp_path, catalog):
     cfg = DatasetConfig(subjects=("cat",), objects=("spaceship",),
                         split_fractions=(1.0, 0.0, 0.0))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^config references 'spaceship' "):
         generate_dataset(cfg, catalog, tmp_path / "x")
 
 

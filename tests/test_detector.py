@@ -15,8 +15,7 @@ from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
                               extract_features, feature_names_for,
                               feature_rows, fit_detector, merge_counts,
                               train_logistic, ObjectCounts)
-from headlab.errors import (DegenerateLabels, DimensionMismatch, NonFiniteLoss,
-                            UsageError)
+from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
 from headlab.tensorio import read_tensor, tensor_bytes
@@ -73,9 +72,9 @@ def test_features_match_after_disk_roundtrip(tmp_path):
 
 def test_feature_shape_mismatch():
     spec = _solo_spec()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match=r"^pfi shape \(1, 16, 16\) != "):
         extract_features(np.zeros((1, 16, 16)), np.zeros((1, 8, 8)), spec)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match="or not a stack of images$"):
         extract_features(np.zeros((16, 16)), np.zeros((16, 16)), spec)
 
 
@@ -85,13 +84,13 @@ def test_feature_names_for_variants():
     multi = feature_names_for("multi_timestep", (16, 8))
     assert len(multi) == 12
     assert multi[0] == "attn_max@8" and multi[6] == "attn_max@16"
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="takes exactly one decision step"):
         feature_names_for("combined", (8, 16))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown detector variant 'nope'"):
         feature_names_for("nope", (8,))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^at least one decision step"):
         feature_names_for("combined", ())
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^decision steps \[8, 8\] repeat"):
         feature_names_for("multi_timestep", (8, 8))
 
 
@@ -130,19 +129,19 @@ def test_expit_is_bit_identical_to_scipy_and_the_c_library():
 
 
 def test_training_rejects_single_class():
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(RunFailure, match="^need both classes present"):
         train_logistic(np.zeros((4, 2)), np.ones(4))
 
 
 def test_training_rejects_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match=r"^bad shapes x\(4, 2\) y\(3,\)$"):
         train_logistic(np.zeros((4, 2)), np.zeros(3))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_rejects_non_finite():
     x = np.array([[np.nan, 0.0], [1.0, 1.0]])
-    with pytest.raises(NonFiniteLoss):
+    with pytest.raises(RunFailure, match=r"^training diverged \(loss=nan\)$"):
         train_logistic(x, np.array([0, 1]))
 
 
@@ -175,7 +174,7 @@ def test_model_scores_and_tie_goes_to_present():
 
 
 def test_model_rejects_wrong_width():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UsageError, match="^3 features, model expects 2$"):
         _toy_model().scores(np.zeros((1, 3)))
 
 
@@ -343,9 +342,9 @@ def test_calibrate_threshold_order_statistics():
 
 
 def test_calibrate_threshold_errors():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^target recall must be in \(0, 1\]"):
         calibrate_threshold(np.array([0.5]), np.array([1]), 0.0)
-    with pytest.raises(DegenerateLabels):
+    with pytest.raises(RunFailure, match="^cannot calibrate recall with no "):
         calibrate_threshold(np.array([0.5]), np.array([0]), 0.9)
 
 
@@ -365,7 +364,7 @@ def test_design_matrix_from_dataset(tiny_dataset):
 
 
 def test_design_matrix_rejects_uncaptured_step(tiny_dataset):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^steps \[3\] were not captured"):
         build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
                             tiny_dataset.catalog, steps=(3,), split="train")
 

@@ -7,7 +7,7 @@ from headlab import engine, runtime
 from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
 from headlab.engine import LockstepBatch, MixtureBank
-from headlab.errors import RestartLimitExceeded, UsageError
+from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
@@ -44,9 +44,9 @@ def mixture(catalog):
 # ------------------------------------------------------------- policies
 
 def test_policy_validation(tiny_model):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^max_restarts must be >= 1$"):
         RunPolicy(max_restarts=0).validate(50)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^decision step must precede"):
         RunPolicy(model=tiny_model).validate(16)
     RunPolicy(model=tiny_model).validate(50)
 
@@ -135,7 +135,7 @@ def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
 def test_restart_limit(mixture, schedule, catalog):
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
-    with pytest.raises(RestartLimitExceeded):
+    with pytest.raises(RunFailure, match="^no accepted image within 4 attempts"):
         _runs(mixture, schedule, reject_all, catalog, 1, 1)
 
 
@@ -232,7 +232,7 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                            max_restarts=4)
     for slots in (1, 3, 16, 32):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        with pytest.raises(RestartLimitExceeded) as info:
+        with pytest.raises(RunFailure) as info:
             run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
                      runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
         assert str(info.value) == ("no accepted image within 4 attempts "
@@ -298,7 +298,7 @@ def test_joint_arms_with_different_restart_limits(catalog, schedule,
 
 
 def _restart_message(mixtures, schedule, policies, catalog, **kwargs) -> str:
-    with pytest.raises(RestartLimitExceeded) as info:
+    with pytest.raises(RunFailure, match="^no accepted image within ") as info:
         run_arms(mixtures, schedule, policies, catalog, **kwargs)
     return str(info.value)
 
@@ -502,21 +502,22 @@ def test_campaign_is_deterministic(catalog, schedule, tiny_model):
 
 def test_campaign_validation(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^runs_per_prompt must be >= 1$"):
         measure_campaign(prompts, mixtures, schedule,
                          RunPolicy(), RunPolicy(),
                          catalog, runs_per_prompt=0, root_seed=0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^prompt_ids and mixtures must align$"):
         measure_campaign(prompts, [], schedule, RunPolicy(),
                          RunPolicy(), catalog,
                          runs_per_prompt=1, root_seed=0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
         measure_campaign([], [], schedule, RunPolicy(), RunPolicy(),
                          catalog, runs_per_prompt=1, root_seed=0)
-    for runs_per_prompt, ids, policies in ((0, ["a"], (RunPolicy(),)),
-                                           (1, ["a", "b"], (RunPolicy(),)),
-                                           (1, ["a"], ())):
-        with pytest.raises(UsageError):
+    for runs_per_prompt, ids, policies, message in (
+            (0, ["a"], (RunPolicy(),), "runs_per_prompt must be >= 1"),
+            (1, ["a", "b"], (RunPolicy(),), "prompt_ids and mixtures must align"),
+            (1, ["a"], (), "at least one policy is required")):
+        with pytest.raises(UsageError, match=f"^{message}$"):
             run_arms(mixtures, schedule, policies, catalog, root_seed=0,
                      runs_per_prompt=runs_per_prompt, prompt_ids=ids)
 
@@ -542,7 +543,7 @@ def test_bootstrap_ci_equals_per_resample_loop(n):
 
 
 def test_pooled_saving_requires_pooled_row():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^campaign report has no pooled "):
         _ = CampaignReport(rows=()).pooled_saving
 
 

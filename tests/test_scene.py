@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from headlab.dataset import build_prompt_grid
-from headlab.errors import EmptyTargets, GrammarError, UnknownObject, UsageError
+from headlab.errors import UsageError
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            completeness_probability, dump_catalog,
                            load_catalog, pattern_distribution, prompt_text,
@@ -48,13 +48,13 @@ def test_filter_response_identifies_own_template(catalog):
 
 
 def test_object_spec_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^blob sigma must be positive"):
         ObjectSpec(object_id="x", sigma=-1.0,
                    candidate_positions=((1, 1),), grid_size=16)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^position \(99, 1\) outside 16x16"):
         ObjectSpec(object_id="x", sigma=1.0,
                    candidate_positions=((99, 1),), grid_size=16)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="needs at least one position$"):
         ObjectSpec(object_id="x", sigma=1.0,
                    candidate_positions=(), grid_size=16)
 
@@ -71,7 +71,7 @@ def test_catalog_text_roundtrip(tmp_path, catalog):
 def test_load_catalog_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("cat not-a-number 1,2\n", encoding="utf-8")
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=":1: bad sigma 'not-a-number'$"):
         load_catalog(path)
 
 
@@ -123,17 +123,17 @@ def test_component_means_render_templates(catalog):
 
 
 def test_mixture_validation_errors(catalog):
-    with pytest.raises(EmptyTargets):
+    with pytest.raises(UsageError, match="^mixture requested for an empty "):
         build_conditional_mixture((), 0.8, catalog)
-    with pytest.raises(UnknownObject):
+    with pytest.raises(UsageError, match="^object 'ghost' not in catalog$"):
         build_conditional_mixture(("cat", "ghost"), 0.8, catalog)
-    with pytest.raises(GrammarError):
+    with pytest.raises(UsageError, match="^duplicate target in mixture "):
         build_conditional_mixture(("cat", "cat"), 0.8, catalog)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^faithfulness for 'cat' .* got 0\.0$"):
         build_conditional_mixture(("cat",), 0.0, catalog)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^faithfulness for 'cat' .* got 1\.2$"):
         build_conditional_mixture(("cat",), 1.2, catalog)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^component variance must be "):
         build_conditional_mixture(("cat",), 0.8, catalog, s2=0.0)
 
 

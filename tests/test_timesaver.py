@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from headlab import timesaver
-from headlab.errors import (MissingReport, NeverAccepts, TrialBudgetExceeded,
-                            UsageError)
+from headlab.errors import RunFailure, UsageError
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                ProbabilityRow, RatePoint, SweepRow,
                                acceptance_probability, baseline_cost,
@@ -39,15 +38,15 @@ def test_two_object_distribution_factorizes():
 
 
 def test_distribution_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^at least one object is required$"):
         AttemptDistribution(objects=(), patterns=(), probabilities=())
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^pattern probabilities sum to 0.5"):
         AttemptDistribution(objects=("a",), patterns=((1,),),
                             probabilities=(0.5,))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^pattern length must match "):
         AttemptDistribution(objects=("a",), patterns=((1, 0),),
                             probabilities=(1.0,))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^faithfulness values must be in "):
         AttemptDistribution.from_faithfulness(("a",), 0.0)
 
 
@@ -61,9 +60,9 @@ def test_distribution_rejects_non_finite_or_negative_probability(bad):
 
 
 def test_policy_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^recall\['a'\]=1\.2 outside "):
         PolicyParams.symmetric(("a",), 1.2, 0.5, 0.1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^cost_fraction must be in \[0, 1\)$"):
         PolicyParams.symmetric(("a",), 0.9, 0.5, 1.0)
 
 
@@ -133,15 +132,15 @@ def test_saving_monotone_non_increasing_in_cost_fraction():
 def test_never_accepts():
     dist = AttemptDistribution.from_faithfulness(("a",), 0.59)
     dead = PolicyParams.symmetric(("a",), 0.0, 1.0, 0.16)
-    with pytest.raises(NeverAccepts):
+    with pytest.raises(RunFailure, match="^policy accepts with probability "):
         expected_cost_closed_form(dist, dead)
-    with pytest.raises(NeverAccepts):
+    with pytest.raises(RunFailure, match="^policy accepts with probability "):
         monte_carlo_cost(dist, dead, 10, seed=0)
 
 
 def test_policy_objects_must_cover_distribution():
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^policy lacks rates for objects \['b'\]$"):
         expected_cost_closed_form(
             dist, PolicyParams(recall={"a": 1.0},
                                true_negative_rate={"a": 1.0},
@@ -180,14 +179,14 @@ def test_monte_carlo_is_deterministic():
 def test_monte_carlo_budget_cap():
     dist = AttemptDistribution.from_faithfulness(("a",), 0.01)
     policy = PolicyParams.symmetric(("a",), 0.05, 0.99, 0.1)
-    with pytest.raises(TrialBudgetExceeded):
+    with pytest.raises(RunFailure, match="^no acceptance within 3 attempts "):
         monte_carlo_cost(dist, policy, 200, seed=0, max_attempts=3)
 
 
 def test_monte_carlo_rejects_zero_runs():
     dist = AttemptDistribution.from_faithfulness(("a",), 0.5)
     policy = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^n_runs must be >= 1$"):
         monte_carlo_cost(dist, policy, 0, seed=0)
 
 
@@ -245,7 +244,7 @@ def test_monte_carlo_block_size_changes_no_bit(n_obj, q, recall, tn, f,
 
 def test_sweep_tlast_needs_two_points():
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
-    with pytest.raises(MissingReport):
+    with pytest.raises(UsageError, match="^sweep needs rate points for at "):
         sweep_tlast(dist, [_point(8, 0.9, 0.8)], 50)
 
 
@@ -272,7 +271,7 @@ def test_sweep_tlast_monte_carlo_agrees():
 
 def test_sweep_tlast_rejects_out_of_range():
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^t_last=50 outside \[0, 50\)$"):
         sweep_tlast(dist, [_point(5, 1, 1), _point(50, 1, 1)], 50)
 
 
