@@ -35,6 +35,7 @@ from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        merge_counts)
 from .engine import make_schedule
 from .errors import RunFailure, UsageError
+from .rng import MASK64
 from .runtime import RunPolicy, measure_campaign, write_campaign_csv
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
@@ -137,6 +138,14 @@ def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
 def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=1,
                                   allow_nan=False) + "\n")
+
+
+def _seed(text: str) -> int:
+    """An argparse type for a seed of the 64-bit random streams."""
+    seed = int(text)
+    if not 0 <= seed <= MASK64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _list_of(kind):
@@ -476,7 +485,7 @@ def build_parser() -> _Parser:
                    help="cost fraction sunk at the abort decision")
     p.add_argument("--objects", type=int, default=1)
     p.add_argument("--mc-runs", dest="mc_runs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -486,7 +495,7 @@ def build_parser() -> _Parser:
                    help="comma-separated model.json paths")
     p.add_argument("--split", default="val")
     p.add_argument("--mc-runs", dest="mc_runs", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_tlast)
 

@@ -47,7 +47,7 @@ from .atomic import write_atomic
 from .engine import (LockstepBatch, MixtureBank, initial_latent,
                      make_schedule)
 from .errors import RunFailure, UsageError
-from .rng import SplitMix64, mix64
+from .rng import MASK64, SplitMix64, mix64
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
                     build_conditional_mixture, dump_catalog, prompt_text)
 from .tensorio import TensorWriter, read_tensor
@@ -63,6 +63,11 @@ DEFAULT_CRITICAL_STEPS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 
 SPLIT_NAMES = ("train", "val", "test")
 
 _SPLIT_STREAM_TAG = 0x53504C4954  # ascii "SPLIT"
+
+# At most 60,000 samples, with about 3.4 GB of captures, on the default grid.
+MAX_SEEDS_PER_PROMPT = 1000
+# 20 times the default; 10**9 steps would fill memory with the schedule.
+MAX_NUM_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,18 @@ class DatasetConfig:
             raise UsageError("duplicate object id")
         if self.seeds_per_prompt < 1:
             raise UsageError("seeds_per_prompt must be >= 1")
+        if self.seeds_per_prompt > MAX_SEEDS_PER_PROMPT:
+            raise UsageError(f"seeds_per_prompt must be <= "
+                             f"{MAX_SEEDS_PER_PROMPT}, got "
+                             f"{self.seeds_per_prompt}")
         if self.num_steps < 2:
             raise UsageError("num_steps must be >= 2")
+        if self.num_steps > MAX_NUM_STEPS:
+            raise UsageError(f"num_steps must be <= {MAX_NUM_STEPS}, got "
+                             f"{self.num_steps}")
+        if not 0 <= self.global_seed <= MASK64:
+            raise UsageError(f"global_seed must be in [0, 2**64), got "
+                             f"{self.global_seed}")
         steps = self.critical_steps
         if not steps:
             raise UsageError("critical_steps must be non-empty")
@@ -361,16 +376,16 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
             bank = banks[place[chunk[0][0]][0]]
             which = np.array([place[i][1] for i, _ in chunk])
             seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
-            z = np.stack([initial_latent(seed, n) for seed in seeds])
-            batch = LockstepBatch(bank, which, schedule)
+            batch = LockstepBatch(bank, which, schedule, np.stack(
+                [initial_latent(seed, n) for seed in seeds]))
             for t in range(T, 0, -1):
-                post, z_next = batch.step(t, z)
                 if t in store:
-                    store[t].append(batch.capture(t, z, post))
-                z = z_next
+                    store[t].append(batch.capture(t))
+                batch.step(t)
+            images = batch.z
             del batch  # its arrays go before the next chunk's are made
-            final.append(z)
-            for (i, s), run_seed, image in zip(chunk, seeds, z):
+            final.append(images)
+            for (i, s), run_seed, image in zip(chunk, seeds, images):
                 targets = prompts[i].targets
                 labels = label_image(image, targets, catalog,
                                      config.label_threshold)
@@ -391,7 +406,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     lines = [_jsonl({"kind": "header", "format_version": MANIFEST_VERSION,
                      "config": config.to_dict(),
                      "splits": {k: list(v) for k, v in splits.items()}})]
-    lines.extend(_jsonl({"kind": "sample", **asdict(s)}) for s in samples)
+    lines.extend(_jsonl({"kind": "sample", **vars(s)}) for s in samples)
     lines.append(_jsonl({"kind": "stats", **stats}))
     write_atomic(out / MANIFEST_NAME, "".join(lines))
     dump_catalog(catalog, out / CATALOG_NAME)

@@ -16,14 +16,14 @@ Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
 attention maps.  The engine evaluates it for a batch of latents at once.  A
-:class:`LockstepBatch` is built once for the rows of a dataset chunk, a
-campaign wave or a :func:`sample_batch` call, each row under its own
-mixture of a :class:`MixtureBank`, and gathers what those rows read from
-the bank.  Its :meth:`~LockstepBatch.step` advances every row one step at
-one noise index and returns the :class:`Posterior` it evaluated, and its
-:meth:`~LockstepBatch.capture` turns that same posterior into predicted
-final images and attention maps, so a capture costs no extra posterior
-evaluation.
+:class:`LockstepBatch` is built once for the rows of a dataset chunk or a
+campaign wave, each row under its own mixture of a :class:`MixtureBank`
+and from its own starting noise, and gathers what those rows read from the
+bank.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
+their posterior at a noise index into predicted final images and
+attention maps, and :meth:`~LockstepBatch.step` advances them one step.
+The posterior is evaluated once per step and kept for both, so a capture
+costs no extra evaluation.
 
 Every reduction runs within a row, so a latent's values are the same, bit
 for bit, whatever batch it rides in.  ``logsumexp`` is written out by hand
@@ -37,7 +37,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -150,18 +149,6 @@ class Posterior:
     eps: np.ndarray
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Deterministic generations, one row per seed, and everything captured
-    along them: by requested noise index, in generation order, the
-    :meth:`LockstepBatch.capture` of every row, then the finished images
-    (B, n, n) and each image's nearest component (B,)."""
-
-    captures: dict[int, np.ndarray]
-    final_image: np.ndarray
-    nearest_component: np.ndarray
-
-
 def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
     # Every call takes one int ``t`` for all its rows, and ``operator.index``
     # refuses a per-row array.  A scalar broadcasts over the batch in one
@@ -222,22 +209,30 @@ def ddim_step(z: np.ndarray, eps: np.ndarray, t: int, t_next: int,
 
 
 class LockstepBatch:
-    """B latents denoised in lockstep: row ``b`` is under
-    ``bank.mixtures[which[b]]``, and every call takes one int noise index
-    ``t`` for all rows and the rows' latents ``z`` (B, n, n).
+    """B latents denoised in lockstep: row ``b`` starts from ``z[b]`` of
+    ``z`` (B, n, n) under ``bank.mixtures[which[b]]``, and every call takes
+    one int noise index ``t`` for all rows.
 
-    Built once per dataset chunk, campaign wave or :func:`sample_batch`
-    call, it gathers what its rows read from the bank: their component
-    means and log weights, and their marginal variance at every noise index
-    and its double, as ``(T + 1, B, 1)`` tables.  It owns the two
-    ``(B, K, D)`` arrays a posterior evaluation works in, so no two of its
-    evaluations may run at once; a fresh pair per step would be handed
-    back to the kernel when freed and faulted in again on the next.  Each
-    row's values are those of the formulas of :meth:`posterior` applied to
-    it alone, operation for operation.
+    The batch owns its rows' latents.  :meth:`posterior` and
+    :meth:`capture` read them at ``t``, :meth:`step` takes them to
+    ``t - 1``, and :attr:`z` hands them out, as the finished images once
+    the rows have stepped to ``t = 0``.  The posterior at ``t`` is
+    evaluated once and kept until :meth:`step` or :meth:`keep` changes the
+    latents, so a capture and the step after it share one evaluation.
+
+    Built once per dataset chunk or campaign wave, it gathers what its
+    rows read from the bank: their component means and log weights, and
+    their marginal variance at every noise index and its double, as
+    ``(T + 1, B, 1)`` tables.  It owns the two ``(B, K, D)`` arrays a
+    posterior evaluation works in, so no two of its evaluations may run at
+    once; a fresh pair per step would be handed back to the kernel when
+    freed and faulted in again on the next.  Each row's values are those of
+    the formulas of :meth:`posterior` applied to it alone, operation for
+    operation.
     """
 
-    def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule):
+    def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule,
+                 z: np.ndarray):
         which = np.asarray(which, dtype=np.intp)
         s2 = bank.s2[which]  # an IndexError for a row past the bank
         self._schedule = schedule
@@ -252,10 +247,12 @@ class LockstepBatch:
         # the per-pixel variance of each row's time marginal, by t
         ab = schedule.alphabar[:, None, None]
         self._v = ab * s2[:, None] + (1.0 - ab)
+        self._z = np.array(z, dtype=np.float64)
         self._set_rows(which)
 
     def _set_rows(self, which: np.ndarray) -> None:
         self.which = which
+        self._post = None  # (t, the posterior of the latents as they are)
         self._v2 = 2.0 * self._v
         self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
             axis=(1, 2)).tolist()
@@ -265,16 +262,25 @@ class LockstepBatch:
             if len(rows):
                 self._groups.append((rows, stacks))
 
+    @property
+    def z(self) -> np.ndarray:
+        """The rows' latents (B, n, n), read-only, at the noise index the
+        batch has stepped to."""
+        z = self._z.view()
+        z.flags.writeable = False
+        return z
+
     def keep(self, rows) -> None:
         """Go on with the rows at positions ``rows`` only, in that order, as
         when attempts leave a wave; the rows kept keep their values."""
+        self._z = self._z[rows]
         self._means = self._means[rows]
         self._diffs = self._diffs[:len(self._means)]
         self._log_weights = self._log_weights[rows]
         self._v = self._v[:, rows]
         self._set_rows(self.which[rows])
 
-    def posterior(self, t: int, z: np.ndarray) -> Posterior:
+    def posterior(self, t: int) -> Posterior:
         """The rows' mixture posteriors at the noise index ``t``:
         responsibilities and exact eps.
 
@@ -289,15 +295,17 @@ class LockstepBatch:
         ``t = 0``.
         """
         _check_t(self._schedule, t)
-        return self._posterior(t, z)
+        if self._post is None or self._post[0] != t:
+            self._post = (t, self._posterior(t))
+        return self._post[1]
 
-    def _posterior(self, t: int, z: np.ndarray) -> Posterior:
+    def _posterior(self, t: int) -> Posterior:
         if self._degenerate[t]:
             raise RunFailure(
                 f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
                 f"{MIN_MARGINAL_VARIANCE:.0e}")
         v, alpha_t = self._v[t], self._alpha[t]
-        means, diffs = self._means, self._diffs
+        means, diffs, z = self._means, self._diffs, self._z
         z_flat = z.reshape(len(z), -1)
         # Homogeneous variance: the 2 pi and log-det terms cancel after
         # normalisation, so only weights and scaled distances survive.  The
@@ -312,35 +320,33 @@ class LockstepBatch:
         eps = self._sigma[t] * (z_flat - alpha_t * mean_pull) / v
         return Posterior(r=r, eps=eps.reshape(z.shape))
 
-    def step(self, t: int, z: np.ndarray) -> tuple[Posterior, np.ndarray]:
-        """One lockstep step: each row's posterior at the noise index ``t``
-        in [1, T] and its latent at ``t - 1``."""
+    def step(self, t: int) -> None:
+        """One lockstep step: every row's latent goes from the noise index
+        ``t`` in [1, T] to ``t - 1`` by the DDIM update, with its posterior
+        at ``t``."""
         _check_t(self._schedule, t, lowest=1)
-        post = self._posterior(t, z)
+        eps = self.posterior(t).eps
         alpha, sigma = self._alpha, self._sigma
-        return post, _ddim(z, post.eps, alpha[t], sigma[t], alpha[t - 1],
-                           sigma[t - 1])
+        self._z = _ddim(self._z, eps, alpha[t], sigma[t], alpha[t - 1],
+                        sigma[t - 1])
+        self._post = None
 
-    def capture(self, t: int, z: np.ndarray,
-                post: Posterior | None = None) -> np.ndarray:
-        """Snapshot trajectory points in the stored layout, shape
-        ``(B, 1 + n_targets, n, n)``: per row, the predicted final image,
-        then the attention map of each of its mixture's targets in target
-        order.
-
-        ``post`` is the rows' posterior at ``t``, as :meth:`step` returned
-        it; when None it is evaluated here, once for all rows and targets.
+    def capture(self, t: int) -> np.ndarray:
+        """Snapshot the rows at the noise index ``t`` in the stored layout,
+        shape ``(B, 1 + n_targets, n, n)``: per row, the predicted final
+        image, then the attention map of each of its mixture's targets in
+        target order, all from the rows' one posterior at ``t``.
 
         The predicted final image is the one-jump DDIM projection to
         ``t' = 0``, which equals the posterior mean of the clean image given
-        ``z_t`` (Tweedie); at ``t = 0`` it is a copy of ``z``.  The
+        ``z_t`` (Tweedie); at ``t = 0`` it is a copy of the latent.  The
         attention map of a target is ``sum over components containing it of
         r_k * its placed template``; values stay in [0, 1] because
         responsibilities sum to one and templates peak at one.  One einsum
         per mixture fills the maps of all its rows and targets.
         """
-        if post is None:
-            post = self.posterior(t, z)
+        post = self.posterior(t)
+        z = self._z
         out = np.empty((len(z), self._channels) + z.shape[1:])
         out[:, 0] = ddim_step(z, post.eps, t, 0, self._schedule)
         for rows, stacks in self._groups:
@@ -352,32 +358,3 @@ def initial_latent(seed: int, grid_size: int) -> np.ndarray:
     """The pure-noise latent ``z_T`` a generation with ``seed`` starts from."""
     return SplitMix64(seed).normals(grid_size * grid_size).reshape(
         grid_size, grid_size)
-
-
-def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
-                 seeds: Sequence[int], critical_timesteps) -> GenerationRecord:
-    """Run one generation per seed in lockstep, recording snapshots at the
-    requested noise indices; row ``b`` of the record is ``seeds[b]``'s.
-
-    ``critical_timesteps`` are noise indices in [0, T]; captures come out in
-    generation order, i.e. sorted by decreasing ``t``.  The same seed always
-    reproduces the identical row, bit for bit, in any batch.
-    """
-    wanted = {int(t) for t in critical_timesteps}
-    for t in wanted:
-        _check_t(schedule, t)
-    batch = LockstepBatch(MixtureBank((mixture,)),
-                          np.zeros(len(seeds), dtype=np.intp), schedule)
-    z = np.stack([initial_latent(s, mixture.grid_size) for s in seeds])
-    captures = {}
-    for t in range(schedule.T, 0, -1):
-        post, z_next = batch.step(t, z)
-        if t in wanted:
-            captures[t] = batch.capture(t, z, post)
-        z = z_next
-    if 0 in wanted:
-        captures[0] = batch.capture(0, z)
-    return GenerationRecord(
-        captures=captures, final_image=z,
-        nearest_component=np.array([mixture.nearest_component(image)
-                                    for image in z]))

@@ -40,7 +40,7 @@ from .dataset import label_image
 from .detector import DetectorModel, feature_rows
 from .engine import LockstepBatch, MixtureBank, NoiseSchedule, initial_latent
 from .errors import RunFailure, UsageError
-from .rng import SplitMix64, mix64
+from .rng import MASK64, SplitMix64, mix64
 from .scene import ObjectSpec
 
 BASELINE = "baseline"
@@ -51,6 +51,11 @@ OUTCOME_COMPLETE = "completed_complete"
 
 _BOOTSTRAP_TAG = 0xB007
 _BOOTSTRAP_RESAMPLES = 200
+
+# 60,000 runs per arm on the default grid, every trace held until the end.
+MAX_RUNS_PER_PROMPT = 1000
+# 100 times the default, so that a run no attempt completes still ends.
+MAX_RESTARTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,9 @@ class RunPolicy:
     def validate(self, num_steps: int) -> None:
         if self.max_restarts < 1:
             raise UsageError("max_restarts must be >= 1")
+        if self.max_restarts > MAX_RESTARTS:
+            raise UsageError(f"max_restarts must be <= {MAX_RESTARTS}, got "
+                             f"{self.max_restarts}")
         if self.model is not None and max(self.model.steps) >= num_steps:
             raise UsageError("decision step must precede the final step")
 
@@ -146,12 +154,12 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     An attempt is one latent for all the arms that make it.  A wave takes
     the attempts waiting for one, then the first attempts of runs not yet
     started, in order; its rows start at ``t = T`` and step together, as
-    one lockstep batch built for the wave.  It captures at the capture
-    steps of every head arm, and the head arms decide at their decision
-    steps, each over all its rows at once.  A row whose arms have all
-    aborted it, or left its run, leaves the wave and its batch; at
-    ``t = 0`` the image of every row left is labelled once for the arms
-    still on it.  An attempt that ends queues its run's next attempt, made
+    one lockstep batch built for the wave.  At each noise index the wave
+    captures, if it is a capture step of some head arm, the head arms
+    deciding there decide, each over all its rows at once, and then every
+    row steps.  A row whose arms have all aborted it, or left its run,
+    leaves the wave and its batch; at ``t = 0`` the image of every row
+    left is labelled once for the arms still on it.  An attempt that ends queues its run's next attempt, made
     by the arms whose run goes on, for the next wave, which starts once
     this one is empty.  Returns, by arm, the traces by position in ``runs``
     and the position of the first run that exhausted the arm's
@@ -186,14 +194,12 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 return traces, failed
             live = waiting[:engine.LOCKSTEP_ROWS]
             waiting = waiting[engine.LOCKSTEP_ROWS:]
-            z = np.stack([initial_latent(at.seed, n) for at in live])
-            batch = LockstepBatch(bank, [runs[at.run].mixture for at in live],
-                                  schedule)
+            batch = LockstepBatch(
+                bank, [runs[at.run].mixture for at in live], schedule,
+                np.stack([initial_latent(at.seed, n) for at in live]))
             t = T
-        post, z_next = batch.step(t, z)
         if t in capture_at:
-            caps = batch.capture(t, z, post)
-            for at, channels in zip(live, caps):
+            for at, channels in zip(live, batch.capture(t)):
                 at.captured[T - t] = channels
         for a, model, decision in heads:
             deciding = ([row for row, at in enumerate(live) if a in at.arms]
@@ -211,9 +217,10 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 if not all(verdicts.values()):
                     live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
-        z, t = z_next, t - 1
+        batch.step(t)
+        t -= 1
         if t == 0:
-            for at, image, m in zip(live, z, batch.which):
+            for at, image, m in zip(live, batch.z, batch.which):
                 if not at.arms:  # every arm aborted it at step T - 1
                     continue
                 targets = bank.mixtures[m].targets
@@ -249,7 +256,6 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         waiting = [at for at in waiting if at.arms]
         keep = [row for row, at in enumerate(live) if t and at.arms]
         live = [live[row] for row in keep]
-        z = z[keep]
         if live:
             batch.keep(keep)
         else:  # its arrays go before the next wave's are made
@@ -277,6 +283,11 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     """
     if runs_per_prompt < 1:
         raise UsageError("runs_per_prompt must be >= 1")
+    if runs_per_prompt > MAX_RUNS_PER_PROMPT:
+        raise UsageError(f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
+                         f"got {runs_per_prompt}")
+    if not 0 <= root_seed <= MASK64:
+        raise UsageError(f"root_seed must be in [0, 2**64), got {root_seed}")
     if len(prompt_ids) != len(mixtures):
         raise UsageError("prompt_ids and mixtures must align")
     if not policies:

@@ -308,24 +308,3 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
         grid_size=grid_size,
         components=tuple(components),
     )
-
-
-def completeness_probability(mixture: MixtureSpec) -> float:
-    """Total weight of components where every target is present.
-
-    Equals the product of the per-object faithfulness values; position splits
-    never change presence marginals.
-    """
-    total = 0.0
-    for comp in mixture.components:
-        if all(comp.presence):
-            total += comp.weight
-    return total
-
-
-def pattern_distribution(mixture: MixtureSpec) -> dict[tuple[int, ...], float]:
-    """Marginal probability of each presence pattern (positions summed out)."""
-    dist: dict[tuple[int, ...], float] = {}
-    for comp in mixture.components:
-        dist[comp.presence] = dist.get(comp.presence, 0.0) + comp.weight
-    return dist

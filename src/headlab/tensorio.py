@@ -34,15 +34,10 @@ def tensor_header(shape) -> bytes:
             + struct.pack(f"<{len(shape)}I", *shape))
 
 
-def tensor_bytes(array: np.ndarray) -> bytes:
-    """Serialize an array (cast to float32) into the container format."""
-    arr = np.asarray(array, dtype="<f4")
-    return tensor_header(arr.shape) + arr.tobytes(order="C")
-
-
 class TensorWriter:
     """Write a tensor of ``shape`` to ``path`` one slice of leading rows at
-    a time; the bytes equal :func:`tensor_bytes` of the whole tensor.
+    a time: the bytes are the header of ``shape``, then every row's float32
+    values in row-major order.
 
     Closing it before all ``shape[0]`` rows arrived raises ``ValueError``.
     """

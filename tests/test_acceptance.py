@@ -19,13 +19,15 @@ from headlab.cli import main
 from headlab.dataset import build_prompt_grid, label_image
 from headlab.detector import (DetectorModel, build_design_matrix,
                               evaluate_detector, fit_detector, merge_counts)
-from headlab.engine import LockstepBatch, MixtureBank, sample_batch
+from headlab.engine import LockstepBatch, MixtureBank
 from headlab.rng import mix64
 from headlab.runtime import RunPolicy, measure_campaign
 from headlab.scene import build_conditional_mixture
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                expected_cost_closed_form, monte_carlo_cost,
                                relative_saving)
+
+from oracles import sample_batch
 
 STEP_GRID = (5, 8, 10, 16, 20, 25, 40)
 
@@ -127,7 +129,7 @@ def test_criterion_1_predicted_final_matches_posterior_mean(
     for t in (1, 5, 10, 16, 25, 40, 50, 50, 30, 8):
         z = _marginal_draw(mixture, schedule, t, rng)
         got = LockstepBatch(MixtureBank((mixture,)), np.zeros(1, dtype=int),
-                            schedule).capture(t, z[None])[0, 0]
+                            schedule, z[None]).capture(t)[0, 0]
         want = _oracle_posterior_mean(mixture, schedule, z, t)
         worst = max(worst, float(np.abs(got - want).max()))
     _verdict(capfd, 1, worst < 1e-8,
@@ -151,7 +153,7 @@ def test_criterion_2_noise_prediction_matches_numeric_gradient(
         score = (lp[:z_flat.size] - lp[z_flat.size:]) / (2.0 * h)
         want = -float(schedule.sigma[t]) * score.reshape(z.shape)
         got = LockstepBatch(MixtureBank((mixture,)), np.zeros(1, dtype=int),
-                            schedule).posterior(t, z[None]).eps[0]
+                            schedule, z[None]).posterior(t).eps[0]
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
     _verdict(capfd, 2, worst < 1e-5,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import example, given, strategies as st
 from headlab import cli
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
+from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
+                             DatasetConfig)
 from headlab.detector import MAX_EPOCHS, DetectorModel
 from headlab.errors import RunFailure, UsageError
+from headlab.runtime import MAX_RESTARTS, MAX_RUNS_PER_PROMPT
 from headlab.scene import default_catalog, dump_catalog
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
@@ -231,9 +235,12 @@ def _path(*names):
 
 _SPLITS = (st.sampled_from(["train", "val", "test", "all", "nope", ""])
            | st.text(max_size=6))
-# Counts of rows a command builds are drawn small: nothing bounds them, and
-# a large accepted count is materialised before any work starts.
-_SMALL = st.sampled_from(["1", "2", "0", "-1", "x", "1.5"])
+def _count(bound: int):
+    """A count of rows a command builds, ``bound`` at most: small when it is
+    accepted, since an accepted count is materialised before any work
+    starts, or one past the bound or far past it, which is refused."""
+    return st.sampled_from(["1", "2", "0", "-1", "x", "1.5", str(bound + 1),
+                            str(2**64)])
 
 
 def _fuzz(subcommand, paths, values, out) -> None:
@@ -275,7 +282,7 @@ def test_sweep_tlast_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
 @given(values=st.fixed_dictionaries(
     {"dataset": st.sampled_from(["@dataset", "@missing"]),
      "model": _path("model2", "model16", "garbage"),
-     "runs_per_prompt": _SMALL},
+     "runs_per_prompt": _count(MAX_RUNS_PER_PROMPT)},
     optional={"split": _SPLITS, "config": _path("config", "garbage", "missing"),
               "root_seed": _INTS, "max_restarts": _INTS}))
 def test_run_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory, values):
@@ -298,8 +305,9 @@ def test_report_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
                  "catalog": "@full-catalog"})
 @given(values=st.fixed_dictionaries(
     {"config": _path("config", "garbage", "missing"),
-     "seeds_per_prompt": _SMALL},
-    optional={"num_steps": st.integers(min_value=-1, max_value=20).map(str),
+     "seeds_per_prompt": _count(MAX_SEEDS_PER_PROMPT)},
+    optional={"num_steps": st.integers(min_value=-1, max_value=20).map(str)
+              | st.sampled_from([str(MAX_NUM_STEPS + 1), str(2**64)]),
               "global_seed": _INTS, "faithfulness": _FLOATS,
               "catalog": _path("catalog", "full-catalog", "garbage",
                                "missing")}))
@@ -663,7 +671,7 @@ def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,
                                              shape):
     import shutil
 
-    from headlab.tensorio import tensor_bytes
+    from oracles import tensor_bytes
 
     model = tmp_path / "u8" / "model.json"
     assert _quiet(["train", "--dataset", str(cli_dataset), "--steps", "8",
@@ -840,6 +848,39 @@ def test_experiment_config_roundtrip():
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
+def _instances(cls):
+    """Any instance of the config dataclass ``cls``, each field drawn from
+    its type; floats may be infinite but not NaN, which equals nothing."""
+    def values(hint):
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            if args[-1] is Ellipsis:
+                return st.lists(values(args[0]), max_size=4).map(tuple)
+            return st.tuples(*map(values, args))
+        if args:  # an optional value
+            return st.one_of(*map(values, args))
+        return st.floats(allow_nan=False) if hint is float else st.from_type(hint)
+    return st.builds(cls, **{name: values(hint) for name, hint
+                             in typing.get_type_hints(cls).items()})
+
+
+def _through_json(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
+@given(config=_instances(DatasetConfig))
+def test_any_dataset_config_round_trips(config):
+    assert DatasetConfig.from_dict(_through_json(config.to_dict())) == config
+
+
+@given(config=st.builds(ExperimentConfig, **{
+    name: _instances(section)
+    for name, section in typing.get_type_hints(ExperimentConfig).items()}))
+def test_any_experiment_config_round_trips(config):
+    assert (ExperimentConfig.from_dict(_through_json(config.to_dict()))
+            == config)
+
+
 def test_experiment_config_rejects_unknown_section():
     with pytest.raises(UsageError):
         ExperimentConfig.from_dict({"bogus": {}})
@@ -890,6 +931,64 @@ def test_config_section_must_be_an_object(tmp_path, capsys, sections, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(next(iter(sections))) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command, section, key, value", [
+    ("make-dataset", "dataset", "seeds_per_prompt", MAX_SEEDS_PER_PROMPT + 1),
+    ("make-dataset", "dataset", "seeds_per_prompt", 2**64),
+    ("make-dataset", "dataset", "num_steps", MAX_NUM_STEPS + 1),
+    ("make-dataset", "dataset", "num_steps", 10**9),
+    ("make-dataset", "dataset", "global_seed", -1),
+    ("make-dataset", "dataset", "global_seed", 2**64),
+    ("run", "runtime", "runs_per_prompt", MAX_RUNS_PER_PROMPT + 1),
+    ("run", "runtime", "runs_per_prompt", 2**64),
+    ("run", "runtime", "max_restarts", MAX_RESTARTS + 1),
+    ("run", "runtime", "max_restarts", 2**64),
+    ("run", "runtime", "root_seed", -1),
+    ("run", "runtime", "root_seed", 2**64),
+])
+def test_sizes_and_seeds_out_of_range_exit_1(cli_dataset, cli_models,
+                                             tmp_path, capsys, command,
+                                             section, key, value, by_config):
+    """A size past its bound or a seed outside [0, 2**64), from a flag or
+    from the config, is refused before any work starts, with one error
+    line naming it."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "run":
+        argv += ["--dataset", str(cli_dataset), "--model", str(cli_models[16])]
+    if by_config:
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv += _flags(**{key: value})
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert str(value) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.59", "--recall", "0.9", "--tn-rate", "0.8",
+     "--f", "0.16", "--mc-runs", "10"],
+    ["sweep-tlast", "--dataset", "@dataset", "--models", "@model2,@model16",
+     "--mc-runs", "10"],
+])
+def test_seed_flags_take_64_bit_seeds(fuzz_paths, tmp_path, capsys, argv):
+    """``--seed`` is refused outside [0, 2**64), where the streams would
+    wrap it round, and taken at both ends of that range."""
+    argv = [",".join(fuzz_paths.get(p, p) for p in a.split(",")) for a in argv]
+    out = tmp_path / "out"
+    for seed in ("-1", str(2**64)):
+        assert main([*argv, f"--seed={seed}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --seed: must be in [0, 2**64), got "
+                            f"{seed}\n") and err.count("\n") == 1
+        assert not out.exists()
+    for seed in ("0", str(2**64 - 1)):
+        assert _quiet([*argv, f"--seed={seed}", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("sections, argv, key", [

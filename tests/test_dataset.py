@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from headlab import dataset, engine
-from headlab.dataset import (TENSOR_DIR, DatasetConfig, build_prompt_grid,
+from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
+                             TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_manifest,
                              load_step, split_prompts)
-from headlab.engine import make_schedule, sample_batch
+from headlab.engine import make_schedule
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import mix64
 from headlab.scene import build_conditional_mixture, render_mean_image
 from headlab.tensorio import read_tensor
 
 from conftest import TINY_CONFIG
+from oracles import sample_batch
 
 
 # ------------------------------------------------------------- config
@@ -39,10 +41,19 @@ def test_default_config_is_valid():
     {"label_threshold": 1.0},
     {"component_std": 0.0},
     {"split_fractions": (0.5, 0.5, 0.5)},
+    {"seeds_per_prompt": MAX_SEEDS_PER_PROMPT + 1},
+    {"num_steps": MAX_NUM_STEPS + 1},
+    {"global_seed": -1},
+    {"global_seed": 2**64},
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(UsageError):
         DatasetConfig(**overrides).validate()
+
+
+def test_config_validation_takes_the_bounds():
+    DatasetConfig(seeds_per_prompt=MAX_SEEDS_PER_PROMPT,
+                  num_steps=MAX_NUM_STEPS, global_seed=2**64 - 1).validate()
 
 
 def test_config_dict_roundtrip():

@@ -18,7 +18,9 @@ from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
-from headlab.tensorio import read_tensor, tensor_bytes
+from headlab.tensorio import read_tensor
+
+from oracles import sample_batch, tensor_bytes
 
 
 def _solo_spec(positions=((8, 8),)) -> ObjectSpec:
@@ -398,7 +400,7 @@ def test_multi_timestep_concatenates_blocks(tiny_dataset):
 def test_live_features_equal_disk_features(tiny_dataset):
     """Rows built from a fresh capture equal the sample's rows built from
     the stored tensors, bit for bit, for every variant."""
-    from headlab.engine import make_schedule, sample_batch
+    from headlab.engine import make_schedule
     from headlab.scene import build_conditional_mixture
 
     mani = tiny_dataset.manifest

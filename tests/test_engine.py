@@ -13,11 +13,12 @@ from headlab import engine
 from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
-                            _logsumexp, ddim_step, make_schedule,
-                            sample_batch)
+                            _logsumexp, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.scene import ObjectSpec, build_conditional_mixture
+
+from oracles import sample_batch
 
 
 # ------------------------------------------------------------- schedule
@@ -43,10 +44,10 @@ def test_schedule_lengths():
     assert sch.alphabar.shape == (11,)
 
 
-def _batch(mixture, schedule, rows: int = 1) -> LockstepBatch:
-    """``rows`` latents under a one-mixture bank."""
-    return LockstepBatch(MixtureBank((mixture,)), np.zeros(rows, dtype=int),
-                         schedule)
+def _batch(mixture, schedule, z) -> LockstepBatch:
+    """The latents ``z`` (B, n, n) under a one-mixture bank."""
+    return LockstepBatch(MixtureBank((mixture,)), np.zeros(len(z), dtype=int),
+                         schedule, z)
 
 
 # ------------------------------------------------------------- ddim
@@ -111,7 +112,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = _batch(mix, schedule).posterior(t, z[None]).eps[0]
+        eps = _batch(mix, schedule, z[None]).posterior(t).eps[0]
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -134,7 +135,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = _batch(mix1, schedule).posterior(t, z[None]).eps[0]
+    eps = _batch(mix1, schedule, z[None]).posterior(t).eps[0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = mix1.components[0].mean.reshape(16, 16)
@@ -164,7 +165,7 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = _batch(mix, schedule).posterior(t, z[None]).r[0]
+        r = _batch(mix, schedule, z[None]).posterior(t).r[0]
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -172,25 +173,24 @@ def test_responsibilities_sum_to_one(catalog, schedule):
 
 def test_posterior_rejects_out_of_range_t(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.8, catalog)
-    z = np.zeros((16, 16))
-    batch = _batch(mix, schedule)
+    batch = _batch(mix, schedule, np.zeros((1, 16, 16)))
     for t in (-1, schedule.T + 1):
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[0, 50\]$"):
-            batch.posterior(t, z[None])
+            batch.posterior(t)
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[1, 50\]$"):
-            batch.step(t, z[None])
+            batch.step(t)
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[0, 50\]$"):
-            batch.capture(t, z[None])
+            batch.capture(t)
     # a step needs a step to take
     with pytest.raises(UsageError, match=r"^timestep 0 outside \[1, 50\]$"):
-        batch.step(0, z[None])
+        batch.step(0)
 
 
 def test_posterior_at_zero_has_no_eps(catalog, schedule):
     """At t = 0 no denoising step follows: the noise prediction is zero."""
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
-    post = _batch(mix, schedule).posterior(0, z[None])
+    post = _batch(mix, schedule, z[None]).posterior(0)
     assert post.eps.shape == (1, 16, 16) and not post.eps.any()
     assert post.r.shape == (1, len(mix.components))
     assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -200,10 +200,9 @@ def test_degenerate_variance_raises(catalog):
     # a hand-built schedule with no noise and near-zero component spread
     sch = NoiseSchedule(T=2, alphabar=np.array([1.0, 1.0, 1.0]))
     mix = build_conditional_mixture(("cat",), 1.0, catalog, s2=1e-30)
-    z = np.zeros((16, 16))
-    batch = _batch(mix, sch)  # the variance is checked step by step
+    batch = _batch(mix, sch, np.zeros((1, 16, 16)))  # checked step by step
     with pytest.raises(RunFailure, match="^marginal variance .* at t=1 below"):
-        batch.step(1, z[None])
+        batch.step(1)
 
 
 # ------------------------------------------------------------- projector
@@ -214,7 +213,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     for _ in range(10):
         t = 1 + int(stream.integers(1, schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
-        pfi = _batch(mix, schedule).capture(t, z[None])[0, 0]
+        pfi = _batch(mix, schedule, z[None]).capture(t)[0, 0]
         ab = schedule.alphabar[t]
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
@@ -230,9 +229,10 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
 def test_predict_final_image_at_zero_returns_state(catalog, schedule):
     mix = build_conditional_mixture(("cat",), 0.9, catalog)
     z = SplitMix64(2).normals(256).reshape(16, 16)
-    out = _batch(mix, schedule).capture(0, z[None])[0, 0]
+    batch = _batch(mix, schedule, z[None])
+    out = batch.capture(0)[0, 0]
     assert np.array_equal(out, z)
-    assert not np.shares_memory(out, z)
+    assert not np.shares_memory(out, batch.z)
 
 
 # ------------------------------------------------------------- attention
@@ -241,7 +241,7 @@ def test_attention_maps_bounded_and_faithful(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     z = SplitMix64(6).normals(256).reshape(16, 16)
     for t in (5, 25, 45):
-        maps = _batch(mix, schedule).capture(t, z[None])[0, 1:]
+        maps = _batch(mix, schedule, z[None]).capture(t)[0, 1:]
         assert maps.shape == (2, 16, 16)  # cat, then bench
         for amap in maps:
             assert amap.min() >= 0.0
@@ -253,7 +253,7 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
     comp = max((c for c in mix.components if all(c.presence)),
                key=lambda c: c.weight)
     z = comp.mean.reshape(16, 16)
-    amap = _batch(mix, schedule).capture(1, z[None])[0, 1]  # cat
+    amap = _batch(mix, schedule, z[None]).capture(1)[0, 1]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
     assert amap.max() > 0.9
@@ -263,17 +263,15 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
 
 def _single_latent_steps(mixture, schedule, seed):
     """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
-    batch = _batch(mixture, schedule)
-    z = engine.initial_latent(seed, mixture.grid_size)[None]
+    batch = _batch(mixture, schedule,
+                   engine.initial_latent(seed, mixture.grid_size)[None])
     out = []
     for t in range(schedule.T, -1, -1):
+        post, cap = batch.posterior(t), batch.capture(t)
+        out.append((t, batch.z[0], post.r[0], post.eps[0], cap[0, 0],
+                    cap[0, 1:]))
         if t:
-            post, z_next = batch.step(t, z)
-        else:
-            post = batch.posterior(t, z)
-        cap = batch.capture(t, z, post)
-        out.append((t, z[0], post.r[0], post.eps[0], cap[0, 0], cap[0, 1:]))
-        z = z_next
+            batch.step(t)
     return out
 
 
@@ -319,19 +317,22 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
     latents = _latents(mix, schedule, 11)
     assert list(record.captures) == sorted(wanted, reverse=True)
     for t, cap in record.captures.items():
-        fresh = _batch(mix, schedule).capture(t, latents[t])
+        fresh = _batch(mix, schedule, latents[t]).capture(t)
         assert np.array_equal(cap, fresh)
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
+    """A step moves each latent by the public DDIM update with the eps of
+    the public posterior at its latents."""
     mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
     for t, z in _latents(mix, schedule, 3).items():
         if t == 0:
             continue
-        post = _batch(mix, schedule).step(t, z)[0]
-        fresh = _batch(mix, schedule).posterior(t, z)
-        assert np.array_equal(post.r, fresh.r)
-        assert np.array_equal(post.eps, fresh.eps)
+        batch = _batch(mix, schedule, z)
+        batch.step(t)
+        fresh = _batch(mix, schedule, z).posterior(t)
+        assert np.array_equal(batch.z, ddim_step(z, fresh.eps, t, t - 1,
+                                                 schedule))
 
 
 def _counting_batches(monkeypatch) -> list[tuple[str, int, int]]:
@@ -340,9 +341,9 @@ def _counting_batches(monkeypatch) -> list[tuple[str, int, int]]:
     calls = []
 
     def counting(kind, method):
-        def wrapper(batch, t, z, *rest):
-            calls.append((kind, t, len(z)))
-            return method(batch, t, z, *rest)
+        def wrapper(batch, t):
+            calls.append((kind, t, len(batch.z)))
+            return method(batch, t)
         return wrapper
 
     for kind, name in (("posterior", "_posterior"), ("step", "step"),
@@ -370,6 +371,21 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     assert len(_kinds(calls, "posterior")) == schedule.T + 1
     assert len(_kinds(calls, "step")) == schedule.T
     assert [t for _, t, _ in _kinds(calls, "capture")] == [16, 0]
+    # a capture, then the step at its t, evaluate one posterior, which the
+    # batch keeps until its latents change
+    z = np.stack([engine.initial_latent(s, 16) for s in (5, 6)])
+    batch = _batch(mix, schedule, z)
+    calls.clear()
+    batch.capture(16)
+    batch.posterior(16)
+    batch.step(16)
+    assert [kind for kind, *_ in calls] == ["capture", "posterior", "step"]
+    calls.clear()
+    batch.posterior(15)
+    batch.keep([1])
+    batch.capture(15)
+    assert _kinds(calls, "posterior") == [("posterior", 15, 2),
+                                          ("posterior", 15, 1)]
 
 
 def test_capture_rejects_out_of_range(catalog, schedule):
@@ -491,7 +507,8 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
     which = np.array([rows[b][0] for b in picked])
     z = np.stack([engine.initial_latent(rows[b][1], 16) for b in picked])
     cohorts = [np.arange(start, size, 5) for start in range(min(size, 5))]
-    batches = [LockstepBatch(bank, which[live], schedule) for live in cohorts]
+    batches = [LockstepBatch(bank, which[live], schedule, z[live])
+               for live in cohorts]
     compared = 0
     for step in range(schedule.T + len(cohorts)):
         for start, live in enumerate(cohorts):
@@ -499,22 +516,19 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
             if not 0 <= t <= schedule.T:
                 continue
             batch = batches[start]
-            if t:
-                post, z_next = batch.step(t, z[live])
-            else:
-                post, z_next = batch.posterior(t, z[live]), z[live]
-            caps = batch.capture(t, z[live], post)
+            post, caps = batch.posterior(t), batch.capture(t)
             for k, b in enumerate(live):
                 if reference[b] is None:
                     continue
                 _, z1, r1, eps1, pfi1, attention1 = reference[b][t]
-                assert np.array_equal(z[b], z1)
+                assert np.array_equal(batch.z[k], z1)
                 assert np.array_equal(post.r[k], r1)
                 assert np.array_equal(post.eps[k], eps1)
                 assert np.array_equal(caps[k, 0], pfi1)
                 assert np.array_equal(caps[k, 1:], attention1)
                 compared += 1
-            z[live] = z_next
+            if t:
+                batch.step(t)
     assert compared == min(size, len(single)) * (schedule.T + 1)
 
 
@@ -530,6 +544,21 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
         assert list(got.captures) == list(want.captures)
         for t, cap in got.captures.items():
             assert np.array_equal(cap[b], want.captures[t][0])
+
+
+def test_batch_owns_a_copy_of_its_latents(catalog, schedule):
+    """The batch steps its own copy of the latents it was given, and hands
+    them out read-only."""
+    z = np.stack([engine.initial_latent(s, 16) for s in (1, 2)])
+    given = z.copy()
+    batch = _batch(build_conditional_mixture(("cat",), 0.8, catalog),
+                   schedule, z)
+    z[0] = 0.0
+    assert np.array_equal(batch.z, given)
+    batch.step(schedule.T)
+    assert not np.shares_memory(batch.z, z)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.z[0, 0, 0] = 1.0
 
 
 def test_mixture_bank_needs_one_component_count(catalog):
@@ -554,13 +583,13 @@ def test_mixture_bank_needs_one_component_count(catalog):
 def test_lockstep_batch_rejects_out_of_range_rows(catalog, schedule):
     bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
     z = np.zeros((3, 16, 16))
-    batch = LockstepBatch(bank, np.zeros(3, dtype=int), schedule)
+    batch = LockstepBatch(bank, np.zeros(3, dtype=int), schedule, z)
     with pytest.raises(UsageError, match=r"^timestep 51 outside \[1, 50\]$"):
-        batch.step(51, z)
+        batch.step(51)
     with pytest.raises(TypeError):  # one int t for all rows
-        batch.step(np.array([3, 50, 2]), z)
+        batch.step(np.array([3, 50, 2]))
     with pytest.raises(IndexError):
-        LockstepBatch(bank, np.array([0, 1, 0]), schedule)
+        LockstepBatch(bank, np.array([0, 1, 0]), schedule, z)
 
 
 def _pair_bank(catalog) -> MixtureBank:
@@ -579,28 +608,24 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
     alone = [{step[0]: step for step in
               _single_latent_steps(bank.mixtures[m], schedule, seed)}
              for m, seed in zip(which, seeds)]
-    batch = LockstepBatch(bank, which, schedule)
+    batch = LockstepBatch(bank, which, schedule, np.stack(
+        [engine.initial_latent(seed, 16) for seed in seeds]))
     keeps = {31: [1, 2, 4], 7: [0, 2]}  # positions in the batch at that t
     rows = list(range(5))  # the row of ``which`` at each position
-    z = np.stack([engine.initial_latent(seed, 16) for seed in seeds])
     for t in range(schedule.T, -1, -1):
-        if t:
-            post, z_next = batch.step(t, z)
-        else:
-            post, z_next = batch.posterior(t, z), z
-        caps = batch.capture(t, z, post)
+        post, caps = batch.posterior(t), batch.capture(t)
         assert np.array_equal(batch.which, which[rows])
         for k, b in enumerate(rows):
             _, z1, r1, eps1, pfi1, attention1 = alone[b][t]
-            assert np.array_equal(z[k], z1)
+            assert np.array_equal(batch.z[k], z1)
             assert np.array_equal(post.r[k], r1)
             assert np.array_equal(post.eps[k], eps1)
             assert np.array_equal(caps[k, 0], pfi1)
             assert np.array_equal(caps[k, 1:], attention1)
-        z = z_next
+        if t:
+            batch.step(t)
         if t in keeps:
             rows = [rows[k] for k in keeps[t]]
-            z = z[keeps[t]]
             batch.keep(keeps[t])
     assert rows == [1, 4]
 
@@ -615,18 +640,17 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     z_start = np.stack([engine.initial_latent(s, 16) for s in range(3)])
 
     def trajectory(batch):
-        out, z = [], z_start
+        out = []
         for t in range(schedule.T, 0, -1):
-            post, z_next = batch.step(t, z)
-            out += [post.r, post.eps, batch.capture(t, z, post)]
+            post = batch.posterior(t)
+            out += [post.r, post.eps, batch.capture(t)]
+            batch.step(t)
             if t == 20:
                 batch.keep([0, 2])
-                z_next = z_next[[0, 2]]
-            z = z_next
-        return out + [batch.capture(0, z), z]
+        return out + [batch.capture(0), batch.z]
 
-    want = trajectory(LockstepBatch(bank, which, schedule))
-    batch = LockstepBatch(bank, which, schedule)
+    want = trajectory(LockstepBatch(bank, which, schedule, z_start))
+    batch = LockstepBatch(bank, which, schedule, z_start)
 
     def gone(_):
         raise AssertionError("a built batch read its bank")
@@ -655,14 +679,15 @@ catalog = default_catalog()
 bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                          for pair in (("cat", "bench"), ("dog", "kite"))))
 schedule = make_schedule(50)
-batch = LockstepBatch(bank, np.arange(32) % 2, schedule)
-z = np.stack([initial_latent(seed, bank.grid_size) for seed in range(32)])
-t = 30
+batch = LockstepBatch(bank, np.arange(32) % 2, schedule, np.stack(
+    [initial_latent(seed, bank.grid_size) for seed in range(32)]))
+t = 30  # each step moves the batch's latents on from where the last left them
 for _ in range(5):
-    batch.step(t, z)
+    batch.step(t)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(200):
-    batch.step(t, z)
+    batch.step(t)
+assert np.isfinite(batch.z).all()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -126,15 +126,8 @@ def test_checker_flags_an_unreached_definition():
 
 
 # Public names kept although the package never reaches them, each with the
-# reason the tests need it.
-KEPT_FOR_TESTS = {
-    "sample_batch": "the per-prompt reference for the rows of the capture "
-                    "store",
-    "GenerationRecord": "what sample_batch returns",
-    "tensor_bytes": "the reference bytes for TensorWriter's streamed file",
-    "completeness_probability": "a test oracle for the mixture weights",
-    "pattern_distribution": "a test oracle for the mixture weights",
-}
+# reason the tests need it.  Test oracles live in ``tests/oracles.py``.
+KEPT_FOR_TESTS: dict[str, str] = {}
 
 
 def test_every_module_defines_only_what_the_package_reaches():

@@ -9,7 +9,8 @@ from headlab.detector import (DetectorModel, build_design_matrix,
 from headlab.engine import LockstepBatch, MixtureBank
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64
-from headlab.runtime import (BASELINE, HEAD, OUTCOME_ABORTED,
+from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
+                             MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
                              _bootstrap_ci, measure_campaign, run_arms,
@@ -46,6 +47,11 @@ def mixture(catalog):
 def test_policy_validation(tiny_model):
     with pytest.raises(UsageError, match="^max_restarts must be >= 1$"):
         RunPolicy(max_restarts=0).validate(50)
+    with pytest.raises(UsageError, match=f"^max_restarts must be <= "
+                                         f"{MAX_RESTARTS}, got "
+                                         f"{MAX_RESTARTS + 1}$"):
+        RunPolicy(max_restarts=MAX_RESTARTS + 1).validate(50)
+    RunPolicy(max_restarts=MAX_RESTARTS).validate(50)
     with pytest.raises(UsageError, match="^decision step must precede"):
         RunPolicy(model=tiny_model).validate(16)
     RunPolicy(model=tiny_model).validate(50)
@@ -331,20 +337,21 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
 
 def _counting_calls(monkeypatch):
     """Route every batch's steps and captures through wrappers that check
-    each call takes one int ``t`` and one latent per row, and record each
-    call's ``(t, rows)``: the steps, then the captures."""
+    each call takes one int ``t`` on a batch holding one latent per row,
+    and record each call's ``(t, rows)``: the steps, then the captures."""
     steps, captures = [], []
     step, capture = LockstepBatch.step, LockstepBatch.capture
 
-    def counting(batch, t, z):
-        assert type(t) is int and len(batch.which) == len(z)
-        steps.append((t, len(z)))
-        return step(batch, t, z)
+    def counting(batch, t):
+        assert type(t) is int and len(batch.which) == len(batch.z)
+        steps.append((t, len(batch.z)))
+        return step(batch, t)
 
-    def capturing(batch, t, z, post):
-        assert type(t) is int and len(batch.which) == len(z) == len(post.r)
-        captures.append((t, len(z)))
-        return capture(batch, t, z, post)
+    def capturing(batch, t):
+        caps = capture(batch, t)
+        assert type(t) is int and len(batch.which) == len(batch.z) == len(caps)
+        captures.append((t, len(caps)))
+        return caps
 
     monkeypatch.setattr(LockstepBatch, "step", counting)
     monkeypatch.setattr(LockstepBatch, "capture", capturing)
@@ -513,13 +520,23 @@ def test_campaign_validation(catalog, schedule):
     with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
         measure_campaign([], [], schedule, RunPolicy(), RunPolicy(),
                          catalog, runs_per_prompt=1, root_seed=0)
-    for runs_per_prompt, ids, policies, message in (
-            (0, ["a"], (RunPolicy(),), "runs_per_prompt must be >= 1"),
-            (1, ["a", "b"], (RunPolicy(),), "prompt_ids and mixtures must align"),
-            (1, ["a"], (), "at least one policy is required")):
+    too_many = MAX_RUNS_PER_PROMPT + 1
+    for runs_per_prompt, root_seed, ids, policies, message in (
+            (0, 0, ["a"], (RunPolicy(),), "runs_per_prompt must be >= 1"),
+            (too_many, 0, ["a"], (RunPolicy(),),
+             f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
+             f"got {too_many}"),
+            (1, -1, ["a"], (RunPolicy(),),
+             r"root_seed must be in \[0, 2\*\*64\), got -1"),
+            (1, 2**64, ["a"], (RunPolicy(),),
+             rf"root_seed must be in \[0, 2\*\*64\), got {2**64}"),
+            (1, 0, ["a", "b"], (RunPolicy(),),
+             "prompt_ids and mixtures must align"),
+            (1, 0, ["a"], (), "at least one policy is required")):
         with pytest.raises(UsageError, match=f"^{message}$"):
-            run_arms(mixtures, schedule, policies, catalog, root_seed=0,
-                     runs_per_prompt=runs_per_prompt, prompt_ids=ids)
+            run_arms(mixtures, schedule, policies, catalog,
+                     root_seed=root_seed, runs_per_prompt=runs_per_prompt,
+                     prompt_ids=ids)
 
 
 def _bootstrap_ci_loop(ref, treat, seed):

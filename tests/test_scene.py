@@ -6,9 +6,10 @@ import pytest
 from headlab.dataset import build_prompt_grid
 from headlab.errors import UsageError
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
-                           completeness_probability, dump_catalog,
-                           load_catalog, pattern_distribution, prompt_text,
+                           dump_catalog, load_catalog, prompt_text,
                            render_mean_image)
+
+from oracles import completeness_probability, pattern_distribution
 
 
 # ------------------------------------------------------------- prompts

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from headlab.tensorio import MAGIC, TensorWriter, read_tensor, tensor_bytes
+from headlab.tensorio import MAGIC, TensorWriter, read_tensor
+
+from oracles import tensor_bytes
 
 
 def _read(tmp_path, blob: bytes) -> np.ndarray:
