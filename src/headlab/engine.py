@@ -25,11 +25,24 @@ attention maps, and :meth:`~LockstepBatch.step` advances them one step.
 The posterior is evaluated once per step and kept for both, so a capture
 costs no extra evaluation.
 
-Every reduction runs within a row, so a latent's values are the same, bit
-for bit, whatever batch it rides in.  ``logsumexp`` is written out by hand
-rather than imported from scipy: it repeats scipy's own formula operation
-for operation, row by row, at a tenth of the cost of scipy's generic
-array-API path on a 9-vector.
+Latents are stepped as coefficients.  Each component mean is a sum of
+placed templates, ``mu_k = E[k, 1:] @ g``, and eps and the DDIM update are
+affine in ``z`` and ``sum_k r_k mu_k``, so a trajectory stays exactly in
+the span of its row's basis ``[z_T, g_1..g_J]`` and is held as ``P = J + 1``
+coefficients ``a``.  With the basis's Gram matrix ``G``, a distance is
+``||z - alpha_t mu_k||^2 = d^T G d`` for ``d = a - alpha_t E_k``, over
+(B, K, P) arrays rather than (B, K, D = n * n) ones; the dense form would
+cost less only once ``P^2`` nears ``D``.  Images are built only where they
+are read: a capture's predicted final images and the finished latents.
+They equal the per-pixel formulas' up to rounding, about 1e-13 on the
+default prompts.
+
+Every reduction of a step is an elementwise product summed over the row's
+own last axis, so a latent's values are the same, bit for bit, whatever
+batch it rides in.  ``logsumexp`` is written out by hand rather than
+imported from scipy: it repeats scipy's own formula operation for
+operation, row by row, at a tenth of the cost of scipy's generic array-API
+path on a 9-vector.
 """
 
 from __future__ import annotations
@@ -49,13 +62,10 @@ MIN_MARGINAL_VARIANCE = 1e-12
 
 # Latents denoised together in one lockstep batch: the rows of a dataset
 # chunk and the attempts of a campaign wave.  No value changes an output
-# byte.  In 10 alternating pairs of perfbench runs, batches of 32 rows
-# against 16-row calls that gathered their rows on every step took the
-# campaign's wall time from 0.314 to 0.264 s (medians; better in 10 of 10)
-# and its setup from 1.175 to 0.997 s, and the corpus's wall time from
-# 0.410 to 0.368 s, for 1.6 MB (3%) more campaign peak RSS.  64 rows cost
-# 3.2-3.9 MB (7-8%) of peak RSS in single runs, near the benchmark's 10%
-# bound, and were not paired.
+# byte.  In 10 alternating pairs of perfbench runs (2-vCPU Xeon, seeds
+# 1-10, 6 s), 64 rows against 32 moved the campaign's wall time from 0.177
+# to 0.166 s (medians) but won only 8 pairs, and the corpus's from 0.310 to
+# 0.298 s, winning 5; peak RSS rose 0.35 and 0.75 MB.
 LOCKSTEP_ROWS = 32
 
 
@@ -93,29 +103,30 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
     return NoiseSchedule(T=T, alphabar=alphabar)
 
 
-def _bank_key(m: MixtureSpec) -> tuple[int, int, int]:
-    return len(m.components), len(m.targets), m.grid_size
+def _bank_key(m: MixtureSpec) -> tuple[int, int, int, int]:
+    return (len(m.components), len(m.targets),
+            sum(len(o.candidate_positions) for o in m.objects), m.grid_size)
 
 
 @dataclass(frozen=True)
 class MixtureBank:
     """Mixtures stacked for lockstep evaluation; all share one component
-    count, one target count and one grid size.  A batch names each row's
-    mixture by its index here."""
+    count, one target count, one placed-template count and one grid size.
+    A batch names each row's mixture by its index here."""
 
     mixtures: tuple[MixtureSpec, ...]
 
     def __post_init__(self):
         if len({_bank_key(m) for m in self.mixtures}) != 1:
             raise UsageError("a mixture bank needs at least one mixture, all "
-                             "with the same component count, target count "
-                             "and grid size")
+                             "with the same component count, target count, "
+                             "placed-template count and grid size")
 
     @staticmethod
     def group(mixtures) -> list[tuple["MixtureBank", list[int]]]:
         """The fewest banks holding every mixture of ``mixtures``, each
         with the positions of its members there, in ascending order."""
-        members: dict[tuple[int, int, int], list[int]] = {}
+        members: dict[tuple[int, int, int, int], list[int]] = {}
         for i, m in enumerate(mixtures):
             members.setdefault(_bank_key(m), []).append(i)
         return [(MixtureBank(tuple(mixtures[i] for i in idx)), idx)
@@ -126,9 +137,22 @@ class MixtureBank:
         return self.mixtures[0].grid_size
 
     @cached_property
-    def means(self) -> np.ndarray:
-        """Component means, shape ``(M, K, grid_size**2)``."""
-        return np.stack([m.means_matrix for m in self.mixtures])
+    def templates(self) -> np.ndarray:
+        """Each mixture's placed templates ``g``, one per (target, candidate
+        position) in that order, flattened: shape ``(M, J, D)``."""
+        return np.stack([np.concatenate([o.placed_stack for o in m.objects])
+                         for m in self.mixtures]).reshape(
+                             len(self.mixtures), -1, self.grid_size ** 2)
+
+    @cached_property
+    def mean_coefficients(self) -> np.ndarray:
+        """``E`` of shape ``(M, K, P = 1 + J)``: 1 where component k places
+        template j, so that ``mu_k = E[k, 1:] @ g``; column 0, for a row's
+        starting noise, is zero."""
+        return np.array([[[0.0] + [float(choice == j) for choice, o
+                                   in zip(c.position_choice, m.objects)
+                                   for j in range(len(o.candidate_positions))]
+                          for c in m.components] for m in self.mixtures])
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -150,11 +174,8 @@ class Posterior:
 
 
 def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
-    # Every call takes one int ``t`` for all its rows, and ``operator.index``
-    # refuses a per-row array.  A scalar broadcasts over the batch in one
-    # flat loop, a per-row column in one loop per row, which made a 16-row
-    # step about 50% dearer.  A ``LockstepBatch.step`` at one int ``t`` takes
-    # about 66 us at 16 rows and 123 us at 32 (2-core Xeon, numpy 2.4).
+    # Every call takes one int ``t`` for all its rows; ``operator.index``
+    # refuses a per-row array.
     if not lowest <= operator.index(t) <= schedule.T:
         raise UsageError(f"timestep {t} outside [{lowest}, {schedule.T}]")
 
@@ -213,22 +234,18 @@ class LockstepBatch:
     ``z`` (B, n, n) under ``bank.mixtures[which[b]]``, and every call takes
     one int noise index ``t`` for all rows.
 
-    The batch owns its rows' latents.  :meth:`posterior` and
-    :meth:`capture` read them at ``t``, :meth:`step` takes them to
-    ``t - 1``, and :attr:`z` hands them out, as the finished images once
-    the rows have stepped to ``t = 0``.  The posterior at ``t`` is
-    evaluated once and kept until :meth:`step` or :meth:`keep` changes the
-    latents, so a capture and the step after it share one evaluation.
+    The batch owns its rows' latents, as coefficients over their bases.
+    :meth:`posterior` and :meth:`capture` read them at ``t``, :meth:`step`
+    takes them to ``t - 1``, and :attr:`z` builds their images, the
+    finished ones at ``t = 0``.  The posterior at ``t`` is evaluated once
+    and kept until :meth:`step` changes the latents: a capture and the step
+    after it share it, and :meth:`keep` subsets it.
 
     Built once per dataset chunk or campaign wave, it gathers what its
-    rows read from the bank: their component means and log weights, and
-    their marginal variance at every noise index and its double, as
-    ``(T + 1, B, 1)`` tables.  It owns the two ``(B, K, D)`` arrays a
-    posterior evaluation works in, so no two of its evaluations may run at
-    once; a fresh pair per step would be handed back to the kernel when
-    freed and faulted in again on the next.  Each row's values are those of
-    the formulas of :meth:`posterior` applied to it alone, operation for
-    operation.
+    rows read from the bank, with each row's Gram matrix and its marginal
+    variance at every noise index and its double, as ``(T + 1, B, 1)``
+    tables.  Each row's values are those of the same formulas applied to
+    it alone, operation for operation.
     """
 
     def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule,
@@ -241,18 +258,26 @@ class LockstepBatch:
         self._stacks = {m: bank.mixtures[m].template_stacks
                         for m in np.unique(which).tolist()}
         self._channels = 1 + len(bank.mixtures[0].targets)
-        self._means = bank.means[which]
-        self._diffs = np.empty_like(self._means)
+        self._shape = np.shape(z)[1:]
+        self._basis = basis = np.concatenate(
+            [np.reshape(z, (len(which), 1, -1)), bank.templates[which]], 1)
+        # the Gram matrix of each row's basis, flattened to (B, 1, P * P)
+        self._gram = np.stack([(basis[:, p, None] * basis).sum(-1)
+                               for p in range(basis.shape[1])],
+                              axis=1).reshape(len(which), 1, -1)
+        self._coef = bank.mean_coefficients[which]
+        self._coef_t = self._coef.transpose(0, 2, 1).copy()
+        self._a = np.zeros(basis.shape[:2])
+        self._a[:, 0] = 1.0
         self._log_weights = bank.log_weights[which]
         # the per-pixel variance of each row's time marginal, by t
         ab = schedule.alphabar[:, None, None]
         self._v = ab * s2[:, None] + (1.0 - ab)
-        self._z = np.array(z, dtype=np.float64)
+        self._post = None  # (t, r, eps coefficients) of the latents as they are
         self._set_rows(which)
 
     def _set_rows(self, which: np.ndarray) -> None:
         self.which = which
-        self._post = None  # (t, the posterior of the latents as they are)
         self._v2 = 2.0 * self._v
         self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
             axis=(1, 2)).tolist()
@@ -262,72 +287,76 @@ class LockstepBatch:
             if len(rows):
                 self._groups.append((rows, stacks))
 
+    def _images(self, c: np.ndarray) -> np.ndarray:
+        """The images (B, n, n) of coefficients ``c`` (B, P)."""
+        out = c[:, :1] * self._basis[:, 0]
+        for p in range(1, c.shape[1]):
+            out += c[:, p:p + 1] * self._basis[:, p]
+        return out.reshape((len(c),) + self._shape)
+
     @property
     def z(self) -> np.ndarray:
         """The rows' latents (B, n, n), read-only, at the noise index the
         batch has stepped to."""
-        z = self._z.view()
+        z = self._images(self._a)
         z.flags.writeable = False
         return z
 
     def keep(self, rows) -> None:
         """Go on with the rows at positions ``rows`` only, in that order, as
-        when attempts leave a wave; the rows kept keep their values."""
-        self._z = self._z[rows]
-        self._means = self._means[rows]
-        self._diffs = self._diffs[:len(self._means)]
-        self._log_weights = self._log_weights[rows]
+        when attempts leave a wave; the rows kept keep their values, and
+        their share of the posterior already evaluated."""
+        for name in ("_basis", "_gram", "_coef", "_coef_t", "_a",
+                     "_log_weights"):
+            setattr(self, name, getattr(self, name)[rows])
         self._v = self._v[:, rows]
+        if self._post is not None:
+            t, r, e = self._post
+            self._post = (t, r[rows], e[rows])
         self._set_rows(self.which[rows])
 
     def posterior(self, t: int) -> Posterior:
-        """The rows' mixture posteriors at the noise index ``t``:
-        responsibilities and exact eps.
-
-        The responsibilities ``r`` are the posterior component
-        probabilities under the time marginal.  The noise prediction
-        ``-sigma_t * grad log p_t`` is the responsibility-weighted pull
-        towards the scaled component means:
-
-            eps = sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t
-
-        with ``v_t = alphabar_t s2 + 1 - alphabar_t``; it is zero at
-        ``t = 0``.
+        """The rows' mixture posteriors at the noise index ``t``: the
+        component responsibilities ``r`` under the time marginal, and the
+        exact eps ``-sigma_t * grad log p_t``, the pull towards the scaled
+        component means ``sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t``
+        with ``v_t = alphabar_t s2 + 1 - alphabar_t``, zero at ``t = 0``.
         """
+        r, e = self._evaluated(t)
+        return Posterior(r=r, eps=self._images(e))
+
+    def _evaluated(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``r`` and the eps coefficients at ``t``, evaluated once."""
         _check_t(self._schedule, t)
         if self._post is None or self._post[0] != t:
-            self._post = (t, self._posterior(t))
-        return self._post[1]
+            self._post = (t, *self._posterior(t))
+        return self._post[1:]
 
-    def _posterior(self, t: int) -> Posterior:
+    def _posterior(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         if self._degenerate[t]:
             raise RunFailure(
                 f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
                 f"{MIN_MARGINAL_VARIANCE:.0e}")
-        v, alpha_t = self._v[t], self._alpha[t]
-        means, diffs, z = self._means, self._diffs, self._z
-        z_flat = z.reshape(len(z), -1)
+        alpha_t = self._alpha[t]
         # Homogeneous variance: the 2 pi and log-det terms cancel after
-        # normalisation, so only weights and scaled distances survive.  The
-        # differences are built in ``diffs``: a fresh temporary of that size
-        # per operation costs more than the arithmetic.
-        np.multiply(alpha_t, means, out=diffs)
-        np.subtract(z_flat[:, None, :], diffs, out=diffs)
-        logits = (self._log_weights
-                  - np.einsum("bkd,bkd->bk", diffs, diffs) / self._v2[t])
+        # normalisation, so only weights and scaled distances survive.
+        # ||z - alpha_t mu_k||^2 = sum_pq G_pq d_p d_q, with d = a - alpha_t E_k
+        diff = self._a[:, None, :] - alpha_t * self._coef
+        terms = diff[..., :, None] * diff[..., None, :]
+        d2 = (terms.reshape(diff.shape[:2] + (-1,)) * self._gram).sum(-1)
+        logits = self._log_weights - d2 / self._v2[t]
         r = np.exp(logits - _logsumexp(logits)[:, None])
-        mean_pull = (r[:, None, :] @ means)[:, 0, :]
-        eps = self._sigma[t] * (z_flat - alpha_t * mean_pull) / v
-        return Posterior(r=r, eps=eps.reshape(z.shape))
+        pull = (self._coef_t * r[:, None, :]).sum(-1)
+        return r, self._sigma[t] * (self._a - alpha_t * pull) / self._v[t]
 
     def step(self, t: int) -> None:
         """One lockstep step: every row's latent goes from the noise index
         ``t`` in [1, T] to ``t - 1`` by the DDIM update, with its posterior
         at ``t``."""
         _check_t(self._schedule, t, lowest=1)
-        eps = self.posterior(t).eps
+        _, e = self._evaluated(t)
         alpha, sigma = self._alpha, self._sigma
-        self._z = _ddim(self._z, eps, alpha[t], sigma[t], alpha[t - 1],
+        self._a = _ddim(self._a, e, alpha[t], sigma[t], alpha[t - 1],
                         sigma[t - 1])
         self._post = None
 
@@ -339,18 +368,17 @@ class LockstepBatch:
 
         The predicted final image is the one-jump DDIM projection to
         ``t' = 0``, which equals the posterior mean of the clean image given
-        ``z_t`` (Tweedie); at ``t = 0`` it is a copy of the latent.  The
-        attention map of a target is ``sum over components containing it of
-        r_k * its placed template``; values stay in [0, 1] because
-        responsibilities sum to one and templates peak at one.  One einsum
-        per mixture fills the maps of all its rows and targets.
+        ``z_t`` (Tweedie), taken on the coefficients; at ``t = 0`` it is the
+        latent.  The attention map of a target is ``sum over components
+        containing it of r_k * its placed template``; values stay in [0, 1]
+        because responsibilities sum to one and templates peak at one.  One
+        einsum per mixture fills the maps of all its rows and targets.
         """
-        post = self.posterior(t)
-        z = self._z
-        out = np.empty((len(z), self._channels) + z.shape[1:])
-        out[:, 0] = ddim_step(z, post.eps, t, 0, self._schedule)
+        r, e = self._evaluated(t)
+        out = np.empty((len(r), self._channels) + self._shape)
+        out[:, 0] = self._images(ddim_step(self._a, e, t, 0, self._schedule))
         for rows, stacks in self._groups:
-            out[rows, 1:] = np.einsum("bk,okij->boij", post.r[rows], stacks)
+            out[rows, 1:] = np.einsum("bk,okij->boij", r[rows], stacks)
         return out
 
 

@@ -155,13 +155,14 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     the attempts waiting for one, then the first attempts of runs not yet
     started, in order; its rows start at ``t = T`` and step together, as
     one lockstep batch built for the wave.  At each noise index the wave
-    captures, if it is a capture step of some head arm, the head arms
-    deciding there decide, each over all its rows at once, and then every
-    row steps.  A row whose arms have all aborted it, or left its run,
-    leaves the wave and its batch; at ``t = 0`` the image of every row
-    left is labelled once for the arms still on it.  An attempt that ends queues its run's next attempt, made
-    by the arms whose run goes on, for the next wave, which starts once
-    this one is empty.  Returns, by arm, the traces by position in ``runs``
+    captures, if it is a capture step of some head arm, and the head arms
+    deciding there decide, each over all its rows at once.  A row whose
+    arms have all aborted it, or left its run, then leaves the wave and
+    its batch, and the rows left step on together; at ``t = 0`` the image
+    of every row left is labelled once for the arms still on it.  An
+    attempt that ends queues its run's next attempt, made by the arms
+    whose run goes on, for the next wave, which starts once this one is
+    empty.  Returns, by arm, the traces by position in ``runs``
     and the position of the first run that exhausted the arm's
     ``max_restarts`` (None if none did); once one has, the arm drops later
     runs, since only an earlier run can come first.
@@ -198,6 +199,9 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 bank, [runs[at.run].mixture for at in live], schedule,
                 np.stack([initial_latent(at.seed, n) for at in live]))
             t = T
+        else:  # the rows some arm still makes step on
+            batch.step(t)
+            t -= 1
         if t in capture_at:
             for at, channels in zip(live, batch.capture(t)):
                 at.captured[T - t] = channels
@@ -217,12 +221,8 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 if not all(verdicts.values()):
                     live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
-        batch.step(t)
-        t -= 1
         if t == 0:
             for at, image, m in zip(live, batch.z, batch.which):
-                if not at.arms:  # every arm aborted it at step T - 1
-                    continue
                 targets = bank.mixtures[m].targets
                 labels = label_image(image, targets, catalog, label_threshold)
                 complete = all(labels[o] == 1 for o in targets)
@@ -256,10 +256,7 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         waiting = [at for at in waiting if at.arms]
         keep = [row for row, at in enumerate(live) if t and at.arms]
         live = [live[row] for row in keep]
-        if live:
-            batch.keep(keep)
-        else:  # its arrays go before the next wave's are made
-            batch = None
+        batch.keep(keep)
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,

@@ -63,14 +63,14 @@ class ObjectSpec:
         return np.exp(-d2 / (2.0 * self.sigma**2))
 
     @cached_property
-    def _placed_stack(self) -> np.ndarray:
+    def placed_stack(self) -> np.ndarray:
         """Placed templates for every candidate position, shape (P, H, W)."""
         return np.stack([self.placed_template(p) for p in self.candidate_positions])
 
     @cached_property
     def _placed_energy(self) -> np.ndarray:
         """Squared L2 norm of each placed template, shape (P,)."""
-        return np.einsum("pij,pij->p", self._placed_stack, self._placed_stack)
+        return np.einsum("pij,pij->p", self.placed_stack, self.placed_stack)
 
     def filter_responses(self, image: np.ndarray) -> np.ndarray:
         """Matched-filter response ``<image, g_p> / ||g_p||^2`` per position.
@@ -79,7 +79,7 @@ class ObjectSpec:
         that position.  A stack of images, shape ``(..., H, W)``, gives one
         response per image and position, shape ``(..., P)``.
         """
-        overlaps = np.einsum("pij,...ij->...p", self._placed_stack, image)
+        overlaps = np.einsum("pij,...ij->...p", self.placed_stack, image)
         return overlaps / self._placed_energy
 
 
@@ -224,7 +224,7 @@ class MixtureSpec:
             for k, comp in enumerate(self.components):
                 choice = comp.position_choice[i]
                 if choice is not None:
-                    stacks[i, k] = spec._placed_stack[choice]
+                    stacks[i, k] = spec.placed_stack[choice]
         return stacks
 
 

@@ -1,9 +1,10 @@
 """Reference implementations that the tests check the package against.
 
 Nothing in ``headlab`` calls these.  Each states plainly something the
-package computes another way: whole generations with their captures, one
-lockstep batch per call; a tensor file as one bytes object; and a
-mixture's presence marginals.
+package computes another way: the mixture posterior and whole trajectories
+by per-pixel formulas, where the engine steps coefficients; whole
+generations with their captures, one lockstep batch per call; a tensor
+file as one bytes object; and a mixture's presence marginals.
 """
 
 from __future__ import annotations
@@ -12,11 +13,54 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latent)
 from headlab.scene import MixtureSpec
 from headlab.tensorio import tensor_header
+
+
+def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,
+                    z: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (B, K) and exact eps (B, n, n) of the latents ``z``
+    (B, n, n) under ``mixture`` at the noise index ``t``, from distances to
+    every scaled component mean over all ``D = n * n`` pixels: the engine's
+    formulas before it moved to coefficients."""
+    ab = float(schedule.alphabar[t])
+    v = ab * mixture.s2 + (1.0 - ab)
+    alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
+    means = mixture.means_matrix
+    z_flat = z.reshape(len(z), -1)
+    diffs = z_flat[:, None, :] - alpha_t * means
+    logits = (np.log(mixture.weights)
+              - np.einsum("bkd,bkd->bk", diffs, diffs) / (2.0 * v))
+    r = np.exp(logits - logsumexp(logits, axis=-1, keepdims=True))
+    eps = sigma_t * (z_flat - alpha_t * (r @ means)) / v
+    return r, eps.reshape(z.shape)
+
+
+def dense_trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
+                     z: np.ndarray) -> list[tuple]:
+    """One generation from the latent ``z`` (n, n) by the per-pixel
+    formulas: ``(t, z, r, eps, pfi, attention)`` at every noise index from
+    ``T`` down to 0, the attention maps by target."""
+    out = []
+    for t in range(schedule.T, -1, -1):
+        r, eps = dense_posterior(mixture, schedule, z[None], t)
+        r, eps = r[0], eps[0]
+        attention = {o: np.einsum("k,kij->ij", r, stack)
+                     for o, stack in zip(mixture.targets,
+                                         mixture.template_stacks)}
+        alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
+        if t == 0:
+            out.append((t, z, r, eps, z.copy(), attention))
+            break
+        x0 = (z - sigma_t * eps) / alpha_t
+        out.append((t, z, r, eps, x0, attention))
+        z = (float(schedule.alpha[t - 1]) * x0
+             + float(schedule.sigma[t - 1]) * eps)
+    return out
 
 
 @dataclass(frozen=True)

@@ -364,3 +364,22 @@ def test_frozen_validation_confusion(trained):
     assert (pooled.tp, pooled.fp, pooled.tn, pooled.fn) == (164, 4, 46, 2)
     assert pooled.recall == pytest.approx(164 / 166)
     assert pooled.true_negative_rate == pytest.approx(0.92)
+
+
+def test_frozen_gate_campaign(dataset, trained, schedule):
+    """The head arm of a two-runs-per-prompt campaign over the default
+    prompts at u=8, the benchmark's seed-0 campaign, must never drift."""
+    config = dataset.manifest.config
+    prompts = build_prompt_grid(config.subjects, config.objects)
+    mixtures = [build_conditional_mixture(p.targets, catalog=dataset.catalog,
+                                          **config.mixture_kwargs)
+                for p in prompts]
+    campaign = measure_campaign(
+        prompts, mixtures, schedule, RunPolicy(),
+        RunPolicy(model=trained[8].model), dataset.catalog,
+        runs_per_prompt=2, root_seed=2024,
+        label_threshold=config.label_threshold)
+    (head,) = [row for row in campaign.rows
+               if row.prompt_id == "pooled" and row.policy == "head"]
+    assert head.mean_steps == 64.6
+    assert campaign.pooled_saving == 0.2888073394495413

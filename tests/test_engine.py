@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp
 
 from headlab import engine
@@ -16,9 +17,9 @@ from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _logsumexp, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64
-from headlab.scene import ObjectSpec, build_conditional_mixture
+from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
 
-from oracles import sample_batch
+from oracles import dense_trajectory, sample_batch
 
 
 # ------------------------------------------------------------- schedule
@@ -261,6 +262,12 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
 
 # ------------------------------------------------------------- sampling
 
+# The engine steps coefficients over each row's basis, and the per-pixel
+# formulas round differently: on the default prompts they agree to about
+# 1e-13.  This bound is far above that and far below the float32
+# resolution of a stored value near one (6e-8).
+TOLERANCE = 1e-9
+
 def _single_latent_steps(mixture, schedule, seed):
     """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
     batch = _batch(mixture, schedule,
@@ -311,28 +318,39 @@ def test_capture_contents(catalog, schedule):
 
 
 def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
+    """Captures along a generation equal the per-latent formulas bit for
+    bit; a batch started at the latent of that step, whose basis holds it
+    in place of the starting noise, gives them within rounding."""
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     wanted = {0, 1, 2, 8, 16, 30, schedule.T}
     record = sample_batch(mix, schedule, (11,), critical_timesteps=wanted)
-    latents = _latents(mix, schedule, 11)
+    reference = {step[0]: step for step in
+                 _reference_trajectory(mix, schedule, 11)}
     assert list(record.captures) == sorted(wanted, reverse=True)
     for t, cap in record.captures.items():
-        fresh = _batch(mix, schedule, latents[t]).capture(t)
-        assert np.array_equal(cap, fresh)
+        _, z, _, _, pfi, attention = reference[t]
+        assert np.array_equal(cap[0, 0], pfi)
+        assert np.array_equal(cap[0, 1:], np.stack(list(attention.values())))
+        fresh = _batch(mix, schedule, z[None]).capture(t)
+        assert np.abs(cap - fresh).max() < TOLERANCE
 
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
     """A step moves each latent by the public DDIM update with the eps of
-    the public posterior at its latents."""
+    the public posterior at its latents: bit for bit as the per-latent
+    formulas step it, and within rounding of the update on its image."""
     mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
+    reference = {step[0]: step for step in
+                 _reference_trajectory(mix, schedule, 3)}
     for t, z in _latents(mix, schedule, 3).items():
+        assert np.array_equal(z[0], reference[t][1])
         if t == 0:
             continue
         batch = _batch(mix, schedule, z)
         batch.step(t)
         fresh = _batch(mix, schedule, z).posterior(t)
-        assert np.array_equal(batch.z, ddim_step(z, fresh.eps, t, t - 1,
-                                                 schedule))
+        assert np.abs(batch.z - ddim_step(z, fresh.eps, t, t - 1,
+                                          schedule)).max() < TOLERANCE
 
 
 def _counting_batches(monkeypatch) -> list[tuple[str, int, int]]:
@@ -380,12 +398,19 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     batch.posterior(16)
     batch.step(16)
     assert [kind for kind, *_ in calls] == ["capture", "posterior", "step"]
+    # a keep keeps the kept rows' share of the posterior evaluated
     calls.clear()
-    batch.posterior(15)
+    post = batch.posterior(15)
     batch.keep([1])
-    batch.capture(15)
-    assert _kinds(calls, "posterior") == [("posterior", 15, 2),
-                                          ("posterior", 15, 1)]
+    caps = batch.capture(15)
+    batch.step(15)
+    assert _kinds(calls, "posterior") == [("posterior", 15, 2)]
+    alone = _batch(mix, schedule, z[1:])
+    alone.step(16)
+    assert np.array_equal(post.r[1:], alone.posterior(15).r)
+    assert np.array_equal(caps, alone.capture(15))
+    alone.step(15)
+    assert np.array_equal(batch.z, alone.z)
 
 
 def test_capture_rejects_out_of_range(catalog, schedule):
@@ -431,49 +456,106 @@ def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
 # ------------------------------------------------------------- batching
 
 def _reference_trajectory(mixture, schedule, seed):
-    """Per-latent formulas, operation for operation as the engine computed
-    them before it was batched: (t, z, r, eps, pfi, attention) per step."""
-    z = SplitMix64(seed).normals(256).reshape(16, 16)
+    """Per-latent formulas, operation for operation as the engine computes
+    them for a row: (t, z, r, eps, pfi, attention) per step.  The latent
+    is held as its coefficients ``a`` over ``basis = [z_T, g_1..g_J]``,
+    and each image is built from coefficients."""
+    z_start = SplitMix64(seed).normals(256)
+    basis = np.stack([z_start] + [o.placed_template(p).ravel()
+                                  for o in mixture.objects
+                                  for p in o.candidate_positions])
+    gram = np.stack([(basis[p] * basis).sum(-1)
+                     for p in range(len(basis))]).ravel()
+    coef = np.array([[0.0] + [float(choice == j) for choice, o
+                              in zip(c.position_choice, mixture.objects)
+                              for j in range(len(o.candidate_positions))]
+                     for c in mixture.components])
+    coef_t = np.ascontiguousarray(coef.T)  # so that sums over k are pairwise
+
+    def image(c):
+        out = c[0] * basis[0]
+        for p in range(1, len(basis)):
+            out += c[p] * basis[p]
+        return out.reshape(16, 16)
+
+    a = np.zeros(len(basis))
+    a[0] = 1.0
     out = []
     for t in range(schedule.T, -1, -1):
         ab = float(schedule.alphabar[t])
         v = ab * mixture.s2 + (1.0 - ab)
         alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
-        zf = z.ravel()
-        diffs = zf[None, :] - alpha_t * mixture.means_matrix
-        logits = (np.log(mixture.weights)
-                  - np.einsum("kd,kd->k", diffs, diffs) / (2.0 * v))
+        diff = a - alpha_t * coef
+        d2 = ((diff[:, :, None] * diff[:, None, :]).reshape(len(coef), -1)
+              * gram).sum(-1)
+        logits = np.log(mixture.weights) - d2 / (2.0 * v)
         r = np.exp(logits - logsumexp(logits))
+        e = sigma_t * (a - alpha_t * (coef_t * r).sum(-1)) / v
         attention = {o: np.einsum("k,kij->ij", r, stack)
                      for o, stack in zip(mixture.targets,
                                          mixture.template_stacks)}
         if t == 0:
-            out.append((t, z, r, np.zeros_like(z), z.copy(), attention))
+            out.append((t, image(a), r, image(e), image(a.copy()), attention))
             break
-        eps = (sigma_t * (zf - alpha_t * (r @ mixture.means_matrix))
-               / v).reshape(16, 16)
-        x0 = (z - sigma_t * eps) / alpha_t
-        pfi = float(schedule.alpha[0]) * x0 + float(schedule.sigma[0]) * eps
-        out.append((t, z, r, eps, pfi, attention))
-        z = (float(schedule.alpha[t - 1]) * x0
-             + float(schedule.sigma[t - 1]) * eps)
+        x0 = (a - sigma_t * e) / alpha_t
+        pfi = float(schedule.alpha[0]) * x0 + float(schedule.sigma[0]) * e
+        out.append((t, image(a), r, image(e), image(pfi), attention))
+        a = float(schedule.alpha[t - 1]) * x0 + float(schedule.sigma[t - 1]) * e
     return out
 
 
 def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
+    """Bit for bit against the per-latent coefficient formulas, and within
+    rounding of the per-pixel ones."""
     for targets, seed in ((("cat", "bench"), 5), (("owl", "kite"), 11),
                           (("dog",), 3), (("fox", "drum", "kite"), 8)):
         mix = build_conditional_mixture(targets, 0.8, catalog)
         got = _single_latent_steps(mix, schedule, seed)
         want = _reference_trajectory(mix, schedule, seed)
-        assert len(got) == len(want) == schedule.T + 1
-        for g, w in zip(got, want):
-            assert g[0] == w[0]
-            for a, b in zip(g[1:5], w[1:5]):
+        dense = dense_trajectory(mix, schedule,
+                                 engine.initial_latent(seed, 16))
+        assert len(got) == len(want) == len(dense) == schedule.T + 1
+        for g, w, d in zip(got, want, dense):
+            assert g[0] == w[0] == d[0]
+            for a, b, c in zip(g[1:5], w[1:5], d[1:5]):
                 assert np.array_equal(a, b)
-            assert len(g[5]) == len(w[5])
-            assert all(np.array_equal(g[5][j], w[5][o])
-                       for j, o in enumerate(w[5]))
+                assert np.abs(a - c).max() < TOLERANCE
+            assert len(g[5]) == len(w[5]) == len(d[5])
+            for j, o in enumerate(w[5]):
+                assert np.array_equal(g[5][j], w[5][o])
+                assert np.abs(g[5][j] - d[5][o]).max() < TOLERANCE
+
+
+@st.composite
+def _small_catalogs(draw) -> dict[str, ObjectSpec]:
+    """One to ``MAX_TARGETS`` objects, each a blob of its own width at one
+    to three candidate positions anywhere on the grid."""
+    cell = st.tuples(st.integers(0, 15), st.integers(0, 15))
+    return {f"o{i}": ObjectSpec(
+                object_id=f"o{i}", sigma=draw(st.floats(0.7, 3.0)),
+                candidate_positions=tuple(draw(st.lists(cell, min_size=1,
+                                                        max_size=3))))
+            for i in range(draw(st.integers(1, MAX_TARGETS)))}
+
+
+@given(objects=_small_catalogs(), q=st.floats(0.05, 1.0),
+       std=st.floats(0.01, 1.0), seed=st.integers(0, 2**64 - 1))
+@example(objects={o: ObjectSpec(object_id=o, sigma=1.5,
+                                candidate_positions=((3, c), (12, c)))
+                  for o, c in (("a", 4), ("b", 12))},
+         q=1.0, std=0.05, seed=7)  # always present: K = 4
+def test_coefficient_steps_track_the_dense_oracle(schedule, objects, q, std,
+                                                  seed):
+    """Along a whole trajectory, the responsibilities and latents of the
+    coefficient engine stay within rounding of the per-pixel formulas."""
+    mix = build_conditional_mixture(tuple(objects), q, objects, s2=std ** 2)
+    z = engine.initial_latent(seed, 16)
+    batch = _batch(mix, schedule, z[None])
+    for t, z_dense, r_dense, *_ in dense_trajectory(mix, schedule, z):
+        assert np.abs(batch.posterior(t).r[0] - r_dense).max() < TOLERANCE
+        assert np.abs(batch.z[0] - z_dense).max() < TOLERANCE
+        if t:
+            batch.step(t)
 
 
 @pytest.fixture(scope="module")
@@ -569,8 +651,20 @@ def test_mixture_bank_needs_one_component_count(catalog):
                       candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
     one = build_conditional_mixture(("wide",), 0.8, {"wide": wide})
     assert len(one.components) == len(two.components)
-    assert MixtureBank((two, two)).means.shape == (2, 9, 256)
-    for mixtures in ((), (two, three), (two, one)):
+    # two targets with three positions each, always present: nine
+    # components again, over six placed templates
+    trio = {o: ObjectSpec(object_id=o, sigma=1.5, grid_size=16,
+                          candidate_positions=((2, c), (8, c), (14, c)))
+            for o, c in (("left", 4), ("right", 12))}
+    six = build_conditional_mixture(("left", "right"), 1.0, trio)
+    assert len(six.components) == len(two.components)
+    bank = MixtureBank((two, two))
+    assert bank.templates.shape == (2, 4, 256)
+    assert bank.mean_coefficients.shape == (2, 9, 5)
+    assert not bank.mean_coefficients[..., 0].any()
+    assert np.array_equal(bank.mean_coefficients[0, :, 1:] @ bank.templates[0],
+                          two.means_matrix)
+    for mixtures in ((), (two, three), (two, one), (two, six)):
         with pytest.raises(UsageError, match="^a mixture bank needs"):
             MixtureBank(mixtures)
     mixtures = (two, three, two, one)
@@ -632,7 +726,8 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
 
 def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
                                                       monkeypatch):
-    """A batch gathers its rows' means, log weights and variances once,
+    """A batch gathers its rows' bases, mean coefficients, log weights and
+    variances once,
     when it is built; its steps, captures and keeps never read the bank's
     arrays again, and give what an unguarded batch gives."""
     bank = _pair_bank(catalog)
@@ -655,7 +750,7 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     def gone(_):
         raise AssertionError("a built batch read its bank")
 
-    for name in ("means", "log_weights", "s2"):
+    for name in ("templates", "mean_coefficients", "log_weights", "s2"):
         monkeypatch.setattr(MixtureBank, name, property(gone))
         with pytest.raises(AssertionError):
             getattr(bank, name)
@@ -693,11 +788,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_batch_step_takes_under_one_page_fault_per_call():
-    """Steps of 32 rows reuse memory the process already has.  Fresh
-    (B, K, D) arrays per step cost about a hundred minor faults per call,
-    because glibc hands them back to the kernel when they are freed,
-    unless an earlier import (scipy's, for one) has raised its malloc
-    thresholds; so the probe runs in a fresh interpreter without scipy."""
+    """Steps of 32 rows reuse memory the process already has.  Work
+    arrays past glibc's mmap threshold (128 KiB unless an earlier import,
+    scipy's for one, has raised it) are handed back to the kernel when
+    freed and faulted in again on the next step, about a hundred minor
+    faults per call for the dense (B, K, D) ones; the step's (B, K, P, P)
+    arrays stay in malloc's arena.  So the probe runs in a fresh
+    interpreter without scipy."""
     src = Path(engine.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
                           env={**os.environ, "PYTHONPATH": str(src)},

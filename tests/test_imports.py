@@ -194,5 +194,12 @@ def test_the_replaced_engine_api_stays_deleted(module):
     assert not names & set(REPLACED_BY_THE_BATCH)
 
 
+def test_the_engine_steps_no_dense_posterior():
+    """Steps work on coefficients over each row's basis: the engine names
+    no component mean image and keeps no (B, K, D) work arrays."""
+    names = _defined_or_named((SRC / "engine.py").read_text(encoding="utf-8"))
+    assert not names & {"means_matrix", "means", "_means", "_diffs"}
+
+
 def test_the_mixture_bank_keeps_no_work_arrays():
     assert [f.name for f in fields(MixtureBank)] == ["mixtures"]

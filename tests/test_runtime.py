@@ -380,11 +380,11 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
         assert failed == [0, None]
         assert traces[1] == alone
     # With one slot the failing arm makes no attempt of a later run: beyond
-    # the baseline's attempts of run 0 it adds its own aborts, 17 calls each.
+    # the baseline's attempts of run 0 it adds its own aborts, 16 steps each.
     extra = max(0, 4 - alone[0].n_attempts)
     assert extra > 0
     assert (sum(rows for _, rows in steps)
-            == sum(t.total_steps for t in alone) + 17 * extra)
+            == sum(t.total_steps for t in alone) + 16 * extra)
     # A baseline allowed one attempt fails at run 0; the runs after it, each
     # accepted at its first attempt alone, are made by the other arm only.
     assert [t.n_attempts for t in alone[1:]] == [1] * 5
@@ -397,8 +397,8 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
 
 def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
         catalog, schedule, monkeypatch):
-    """Arms that decide at step T - 1 abort an attempt in the step that
-    takes it to t = 0: only the arms left on it label its image."""
+    """Arms that decide at step T - 1 abort an attempt at t = 1, before
+    its last step: only the arms left on it label its image."""
     _, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     ((bank, _),) = MixtureBank.group(mixtures)
     runs = [runtime._Run(mixture=0, prompt_index=0, run_index=0, prompt_id="")]
@@ -422,18 +422,16 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
                                                 monkeypatch):
     """The rows denoised are the baseline's steps plus those of the head
     attempts the baseline never makes: each (run, attempt) latent the arms
-    share is denoised once.  An aborted attempt rides one call more than
-    its steps: the call at its decision step evaluates the posterior that
-    its capture reads."""
+    share is denoised once, and an aborted attempt leaves before the step
+    at its decision, so it takes exactly the steps it is charged."""
     _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
     ref, treat = run_arms(mixtures, schedule, policies, catalog, **kwargs)
     beyond = [a for b, h in zip(ref, treat) for a in h.attempts[b.n_attempts:]]
     assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
     rows = sum(rows for _, rows in steps)
-    assert rows == 1135 == (sum(t.total_steps for t in ref)
-                            + sum(a.steps + (a.outcome == OUTCOME_ABORTED)
-                                  for a in beyond))
+    assert rows == 1130 == (sum(t.total_steps for t in ref)
+                            + sum(a.steps for a in beyond))
     assert rows < sum(t.total_steps for t in ref + treat)
 
 
@@ -457,9 +455,11 @@ def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
         waves[-1].append((t, rows))
     assert all(0 < wave[0][1] <= slots for wave in waves)
     assert len(waves) > 1
-    # tiny_model decides at step 16 and captures there only
+    # tiny_model decides at step 16 and captures there only, every row the
+    # step before brought there
     capture_t = schedule.T - 16
-    assert captures == [step for step in steps if step[0] == capture_t]
+    assert captures == [(capture_t, rows) for t, rows in steps
+                        if t == capture_t + 1]
 
 
 def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
