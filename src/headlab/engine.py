@@ -33,16 +33,18 @@ coefficients ``a``.  With the basis's Gram matrix ``G``, a distance is
 ``||z - alpha_t mu_k||^2 = d^T G d`` for ``d = a - alpha_t E_k``, over
 (B, K, P) arrays rather than (B, K, D = n * n) ones; the dense form would
 cost less only once ``P^2`` nears ``D``.  Images are built only where they
-are read: a capture's predicted final images and the finished latents.
-They equal the per-pixel formulas' up to rounding, about 1e-13 on the
-default prompts.
+are read, by one ordered multiply-add over basis columns: a capture's
+predicted final images, its attention maps, each from the
+responsibility-weighted mean coefficients ``sum_k r_k E_k`` over its
+target's own templates, and the finished latents.  They equal the
+per-pixel formulas' up to rounding, about 1e-13 on the default prompts.
 
-Every reduction of a step is an elementwise product summed over the row's
-own last axis, so a latent's values are the same, bit for bit, whatever
-batch it rides in.  ``logsumexp`` is written out by hand rather than
-imported from scipy: it repeats scipy's own formula operation for
-operation, row by row, at a tenth of the cost of scipy's generic array-API
-path on a 9-vector.
+Every reduction of a step or a capture is an elementwise product summed
+over the row's own last axis, or an ordered sum over its columns, so a
+latent's values are the same, bit for bit, whatever batch it rides in.
+``logsumexp`` is written out by hand rather than imported from scipy: it
+repeats scipy's own formula operation for operation, row by row, at a
+tenth of the cost of scipy's generic array-API path on a 9-vector.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,30 +106,30 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
     return NoiseSchedule(T=T, alphabar=alphabar)
 
 
-def _bank_key(m: MixtureSpec) -> tuple[int, int, int, int]:
-    return (len(m.components), len(m.targets),
-            sum(len(o.candidate_positions) for o in m.objects), m.grid_size)
+def _bank_key(m: MixtureSpec) -> tuple[int, tuple[int, ...], int]:
+    return (len(m.components),
+            tuple(len(o.candidate_positions) for o in m.objects), m.grid_size)
 
 
 @dataclass(frozen=True)
 class MixtureBank:
     """Mixtures stacked for lockstep evaluation; all share one component
-    count, one target count, one placed-template count and one grid size.
-    A batch names each row's mixture by its index here."""
+    count, one candidate-position count per target and one grid size.  A
+    batch names each row's mixture by its index here."""
 
     mixtures: tuple[MixtureSpec, ...]
 
     def __post_init__(self):
         if len({_bank_key(m) for m in self.mixtures}) != 1:
             raise UsageError("a mixture bank needs at least one mixture, all "
-                             "with the same component count, target count, "
-                             "placed-template count and grid size")
+                             "with the same component count, candidate-"
+                             "position count per target and grid size")
 
     @staticmethod
     def group(mixtures) -> list[tuple["MixtureBank", list[int]]]:
         """The fewest banks holding every mixture of ``mixtures``, each
         with the positions of its members there, in ascending order."""
-        members: dict[tuple[int, int, int, int], list[int]] = {}
+        members: dict[tuple[int, tuple[int, ...], int], list[int]] = {}
         for i, m in enumerate(mixtures):
             members.setdefault(_bank_key(m), []).append(i)
         return [(MixtureBank(tuple(mixtures[i] for i in idx)), idx)
@@ -135,6 +138,14 @@ class MixtureBank:
     @property
     def grid_size(self) -> int:
         return self.mixtures[0].grid_size
+
+    @property
+    def target_columns(self) -> list[tuple[int, int]]:
+        """Each target's columns ``[lo, hi)`` of a row's basis
+        ``[z_T, g_1..g_J]``, in target order: its placed templates."""
+        ends = list(accumulate((len(o.candidate_positions)
+                                for o in self.mixtures[0].objects), initial=1))
+        return list(zip(ends[:-1], ends[1:]))
 
     @cached_property
     def templates(self) -> np.ndarray:
@@ -182,24 +193,17 @@ def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """``log(sum(exp(a)))`` over the last axis, bit-identical to scipy's
-    for each row.
+    for each row whose maximum is finite.
 
     Follows ``scipy.special.logsumexp`` step for step: the maxima are taken
     out of the sum and counted, so that the result is
     ``log1p(s) + log(m) + a_max``.  The shorter ``log(sum(exp(a - a_max)))
     + a_max`` rounds differently in the last bit for about one input in a
-    hundred, which would change artifact bytes.
+    hundred, which would change artifact bytes.  The engine's logits always
+    have a finite maximum: the weights are positive and the scaled
+    distances finite once the marginal variance passes its check.
     """
     a_max = a.max(axis=-1, keepdims=True)
-    if np.isfinite(a_max).all():
-        return _shifted_logsumexp(a, a_max)
-    # scipy's direct fallback for a row whose maximum is not finite
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(np.isfinite(a_max[..., 0]), _shifted_logsumexp(a, a_max),
-                        np.log(np.exp(a).sum(axis=-1)))
-
-
-def _shifted_logsumexp(a: np.ndarray, a_max: np.ndarray) -> np.ndarray:
     top = a == a_max
     m = top.sum(axis=-1, keepdims=True, dtype=np.float64)
     s = np.exp(np.where(top, -np.inf, a - a_max)).sum(axis=-1, keepdims=True) / m
@@ -255,9 +259,7 @@ class LockstepBatch:
         self._schedule = schedule
         self._alpha = schedule.alpha.tolist()
         self._sigma = schedule.sigma.tolist()
-        self._stacks = {m: bank.mixtures[m].template_stacks
-                        for m in np.unique(which).tolist()}
-        self._channels = 1 + len(bank.mixtures[0].targets)
+        self._columns = bank.target_columns
         self._shape = np.shape(z)[1:]
         self._basis = basis = np.concatenate(
             [np.reshape(z, (len(which), 1, -1)), bank.templates[which]], 1)
@@ -273,7 +275,8 @@ class LockstepBatch:
         # the per-pixel variance of each row's time marginal, by t
         ab = schedule.alphabar[:, None, None]
         self._v = ab * s2[:, None] + (1.0 - ab)
-        self._post = None  # (t, r, eps coefficients) of the latents as they are
+        # (t, r, pull, eps coefficients) of the latents as they are
+        self._post = None
         self._set_rows(which)
 
     def _set_rows(self, which: np.ndarray) -> None:
@@ -281,17 +284,13 @@ class LockstepBatch:
         self._v2 = 2.0 * self._v
         self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
             axis=(1, 2)).tolist()
-        self._groups = []
-        for m, stacks in self._stacks.items():
-            rows = (which == m).nonzero()[0]
-            if len(rows):
-                self._groups.append((rows, stacks))
 
-    def _images(self, c: np.ndarray) -> np.ndarray:
-        """The images (B, n, n) of coefficients ``c`` (B, P)."""
-        out = c[:, :1] * self._basis[:, 0]
+    def _images(self, c: np.ndarray, first: int = 0) -> np.ndarray:
+        """The images (B, n, n) of coefficients ``c`` (B, p) over the
+        basis columns from ``first`` on, added up in column order."""
+        out = c[:, :1] * self._basis[:, first]
         for p in range(1, c.shape[1]):
-            out += c[:, p:p + 1] * self._basis[:, p]
+            out += c[:, p:p + 1] * self._basis[:, first + p]
         return out.reshape((len(c),) + self._shape)
 
     @property
@@ -311,8 +310,8 @@ class LockstepBatch:
             setattr(self, name, getattr(self, name)[rows])
         self._v = self._v[:, rows]
         if self._post is not None:
-            t, r, e = self._post
-            self._post = (t, r[rows], e[rows])
+            t, *post = self._post
+            self._post = (t, *(p[rows] for p in post))
         self._set_rows(self.which[rows])
 
     def posterior(self, t: int) -> Posterior:
@@ -322,17 +321,18 @@ class LockstepBatch:
         component means ``sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t``
         with ``v_t = alphabar_t s2 + 1 - alphabar_t``, zero at ``t = 0``.
         """
-        r, e = self._evaluated(t)
+        r, _, e = self._evaluated(t)
         return Posterior(r=r, eps=self._images(e))
 
-    def _evaluated(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """``r`` and the eps coefficients at ``t``, evaluated once."""
+    def _evaluated(self, t: int) -> tuple[np.ndarray, ...]:
+        """``r``, the responsibility-weighted mean coefficients ``pull``
+        and the eps coefficients at ``t``, evaluated once."""
         _check_t(self._schedule, t)
         if self._post is None or self._post[0] != t:
             self._post = (t, *self._posterior(t))
         return self._post[1:]
 
-    def _posterior(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def _posterior(self, t: int) -> tuple[np.ndarray, ...]:
         if self._degenerate[t]:
             raise RunFailure(
                 f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
@@ -347,14 +347,15 @@ class LockstepBatch:
         logits = self._log_weights - d2 / self._v2[t]
         r = np.exp(logits - _logsumexp(logits)[:, None])
         pull = (self._coef_t * r[:, None, :]).sum(-1)
-        return r, self._sigma[t] * (self._a - alpha_t * pull) / self._v[t]
+        e = self._sigma[t] * (self._a - alpha_t * pull) / self._v[t]
+        return r, pull, e
 
     def step(self, t: int) -> None:
         """One lockstep step: every row's latent goes from the noise index
         ``t`` in [1, T] to ``t - 1`` by the DDIM update, with its posterior
         at ``t``."""
         _check_t(self._schedule, t, lowest=1)
-        _, e = self._evaluated(t)
+        *_, e = self._evaluated(t)
         alpha, sigma = self._alpha, self._sigma
         self._a = _ddim(self._a, e, alpha[t], sigma[t], alpha[t - 1],
                         sigma[t - 1])
@@ -370,16 +371,15 @@ class LockstepBatch:
         ``t' = 0``, which equals the posterior mean of the clean image given
         ``z_t`` (Tweedie), taken on the coefficients; at ``t = 0`` it is the
         latent.  The attention map of a target is ``sum over components
-        containing it of r_k * its placed template``; values stay in [0, 1]
-        because responsibilities sum to one and templates peak at one.  One
-        einsum per mixture fills the maps of all its rows and targets.
+        containing it of r_k * its placed template``, which is ``sum_j
+        pull_j g_j`` over the target's own basis columns ``j``; values stay
+        in [0, 1] because responsibilities sum to one and templates peak at
+        one.
         """
-        r, e = self._evaluated(t)
-        out = np.empty((len(r), self._channels) + self._shape)
-        out[:, 0] = self._images(ddim_step(self._a, e, t, 0, self._schedule))
-        for rows, stacks in self._groups:
-            out[rows, 1:] = np.einsum("bk,okij->boij", r[rows], stacks)
-        return out
+        _, pull, e = self._evaluated(t)
+        pfi = self._images(ddim_step(self._a, e, t, 0, self._schedule))
+        return np.stack([pfi] + [self._images(pull[:, lo:hi], lo)
+                                 for lo, hi in self._columns], axis=1)
 
 
 def initial_latent(seed: int, grid_size: int) -> np.ndarray:

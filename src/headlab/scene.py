@@ -176,10 +176,8 @@ class SceneComponent:
     list, or ``None`` when the object is absent.
     """
 
-    presence: tuple[int, ...]
     position_choice: tuple[int | None, ...]
     weight: float
-    mean: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,39 +202,20 @@ class MixtureSpec:
 
     @cached_property
     def means_matrix(self) -> np.ndarray:
-        """Component means flattened to shape ``(K, grid_size**2)``."""
-        return np.stack([c.mean.ravel() for c in self.components])
+        """Component means flattened to shape ``(K, grid_size**2)``: each
+        the sum of its present objects' placed templates, in target order."""
+        means = np.zeros((len(self.components), self.grid_size ** 2))
+        for mean, comp in zip(means, self.components):
+            for spec, choice in zip(self.objects, comp.position_choice):
+                if choice is not None:
+                    mean += spec.placed_stack[choice].ravel()
+        return means
 
     def nearest_component(self, image: np.ndarray) -> int:
         """The index of the component whose mean is closest to ``image``
         in Euclidean distance."""
         return int(np.linalg.norm(self.means_matrix - image.reshape(1, -1),
                                   axis=1).argmin())
-
-    @cached_property
-    def template_stacks(self) -> np.ndarray:
-        """Per target, in target order, the (K, H, W) placed templates of
-        the components, all-zero where the target is absent: shape
-        ``(n_targets, K, H, W)``."""
-        stacks = np.zeros((len(self.targets), len(self.components),
-                           self.grid_size, self.grid_size))
-        for i, spec in enumerate(self.objects):
-            for k, comp in enumerate(self.components):
-                choice = comp.position_choice[i]
-                if choice is not None:
-                    stacks[i, k] = spec.placed_stack[choice]
-        return stacks
-
-
-def render_mean_image(objects: tuple[ObjectSpec, ...],
-                      positions: tuple[tuple[int, int] | None, ...],
-                      grid_size: int) -> np.ndarray:
-    """Sum of placed templates for the present objects (absent -> skipped)."""
-    image = np.zeros((grid_size, grid_size))
-    for spec, pos in zip(objects, positions):
-        if pos is not None:
-            image += spec.placed_template(pos)
-    return image
 
 
 def build_conditional_mixture(targets: tuple[str, ...] | list[str],
@@ -285,20 +264,11 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
     components = []
     for combo in product(*per_object_choices):
         weight = 1.0
-        presence = []
-        position_choice = []
-        positions = []
-        for spec, (choice, w) in zip(specs, combo):
+        for _, w in combo:
             weight *= w
-            presence.append(0 if choice is None else 1)
-            position_choice.append(choice)
-            positions.append(None if choice is None
-                             else spec.candidate_positions[choice])
         components.append(SceneComponent(
-            presence=tuple(presence),
-            position_choice=tuple(position_choice),
+            position_choice=tuple(choice for choice, _ in combo),
             weight=weight,
-            mean=render_mean_image(tuple(specs), tuple(positions), grid_size),
         ))
 
     return MixtureSpec(

@@ -2,9 +2,11 @@
 
 Nothing in ``headlab`` calls these.  Each states plainly something the
 package computes another way: the mixture posterior and whole trajectories
-by per-pixel formulas, where the engine steps coefficients; whole
-generations with their captures, one lockstep batch per call; a tensor
-file as one bytes object; and a mixture's presence marginals.
+by per-pixel formulas, where the engine steps coefficients; attention maps
+from each component's placed template, where the engine weights each
+target's templates by the mean coefficients; whole generations with their
+captures, one lockstep batch per call; a tensor file as one bytes object;
+and a mixture's presence marginals.
 """
 
 from __future__ import annotations
@@ -40,18 +42,33 @@ def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,
     return r, eps.reshape(z.shape)
 
 
+def template_stacks(mixture: MixtureSpec) -> np.ndarray:
+    """Per target, in target order, the (K, n, n) placed templates of the
+    components, all-zero where the target is absent: shape
+    ``(n_targets, K, n, n)``."""
+    n = mixture.grid_size
+    stacks = np.zeros((len(mixture.targets), len(mixture.components), n, n))
+    for i, spec in enumerate(mixture.objects):
+        for k, comp in enumerate(mixture.components):
+            choice = comp.position_choice[i]
+            if choice is not None:
+                stacks[i, k] = spec.placed_template(
+                    spec.candidate_positions[choice])
+    return stacks
+
+
 def dense_trajectory(mixture: MixtureSpec, schedule: NoiseSchedule,
                      z: np.ndarray) -> list[tuple]:
     """One generation from the latent ``z`` (n, n) by the per-pixel
     formulas: ``(t, z, r, eps, pfi, attention)`` at every noise index from
     ``T`` down to 0, the attention maps by target."""
+    stacks = template_stacks(mixture)
     out = []
     for t in range(schedule.T, -1, -1):
         r, eps = dense_posterior(mixture, schedule, z[None], t)
         r, eps = r[0], eps[0]
         attention = {o: np.einsum("k,kij->ij", r, stack)
-                     for o, stack in zip(mixture.targets,
-                                         mixture.template_stacks)}
+                     for o, stack in zip(mixture.targets, stacks)}
         alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
         if t == 0:
             out.append((t, z, r, eps, z.copy(), attention))
@@ -119,7 +136,7 @@ def completeness_probability(mixture: MixtureSpec) -> float:
     """
     total = 0.0
     for comp in mixture.components:
-        if all(comp.presence):
+        if None not in comp.position_choice:
             total += comp.weight
     return total
 
@@ -128,5 +145,6 @@ def pattern_distribution(mixture: MixtureSpec) -> dict[tuple[int, ...], float]:
     """Marginal probability of each presence pattern (positions summed out)."""
     dist: dict[tuple[int, ...], float] = {}
     for comp in mixture.components:
-        dist[comp.presence] = dist.get(comp.presence, 0.0) + comp.weight
+        pattern = tuple(int(c is not None) for c in comp.position_choice)
+        dist[pattern] = dist.get(pattern, 0.0) + comp.weight
     return dist

@@ -11,10 +11,10 @@ from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
                              TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_manifest,
                              load_step, split_prompts)
-from headlab.engine import make_schedule
+from headlab.engine import MixtureBank, make_schedule
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import mix64
-from headlab.scene import build_conditional_mixture, render_mean_image
+from headlab.scene import build_conditional_mixture
 from headlab.tensorio import read_tensor
 
 from conftest import TINY_CONFIG
@@ -75,10 +75,9 @@ def test_prompt_grid_is_subject_major():
 # ------------------------------------------------------------- labeling
 
 def test_label_image_on_clean_render(catalog):
-    objs = (catalog["cat"], catalog["bench"])
-    positions = (catalog["cat"].candidate_positions[0],
-                 catalog["bench"].candidate_positions[1])
-    image = render_mean_image(objs, positions, 16)
+    cat, bench = catalog["cat"], catalog["bench"]
+    image = (cat.placed_template(cat.candidate_positions[0])
+             + bench.placed_template(bench.candidate_positions[1]))
     labels = label_image(image, ("cat", "bench"), catalog)
     assert labels == {"cat": 1, "bench": 1}
     labels = label_image(np.zeros((16, 16)), ("cat", "bench"), catalog)
@@ -187,21 +186,35 @@ def test_stored_rows_equal_per_prompt_batches(tiny_dataset):
 
 
 def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
-    """Objects with 1, 2 and 3 candidate positions give prompts of 6, 9 and
-    12 components; chunks never mix two counts, yet every row still equals
-    its prompt's own batch.  In manifest order the counts run 12, 9, 9, 6
-    per subject, so two 9-component prompts share a chunk."""
+    """Objects with 1, 2 and 3 candidate positions give prompts of 4 to 16
+    components; chunks never mix two banks, yet every row still equals its
+    prompt's own batch.  In manifest order the counts run 12, 9, 9, 6 for
+    the 2-position subjects, so two 9-component prompts share a chunk.
+    The 3-position fox with the 1-position drum, and next in order the
+    1-position owl with the 3-position kite, have 8 components over 4
+    placed templates each, but their targets' templates sit in different
+    columns of the basis: they take two banks."""
     mixed = dict(catalog)
     mixed["kite"] = replace(catalog["kite"], candidate_positions=(
         *catalog["kite"].candidate_positions, (8, 12)))
-    mixed["drum"] = replace(catalog["drum"], candidate_positions=(
-        catalog["drum"].candidate_positions[0],))
-    cfg = DatasetConfig(subjects=("cat", "dog"),
+    mixed["fox"] = replace(catalog["fox"], candidate_positions=(
+        *catalog["fox"].candidate_positions, (8, 4)))
+    for name in ("drum", "owl"):
+        mixed[name] = replace(catalog[name], candidate_positions=(
+            catalog[name].candidate_positions[0],))
+    cfg = DatasetConfig(subjects=("cat", "dog", "fox", "owl"),
                         objects=("kite", "bench", "lamp", "drum"),
                         seeds_per_prompt=3, critical_steps=(0, 4, 16))
+    swapped = [build_conditional_mixture(pair, catalog=mixed,
+                                         **cfg.mixture_kwargs)
+               for pair in (("fox", "drum"), ("owl", "kite"))]
+    assert {(len(m.components), len(m.targets),
+             sum(len(o.candidate_positions) for o in m.objects))
+            for m in swapped} == {(8, 2, 4)}
+    assert len(MixtureBank.group(swapped)) == 2
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 4)
     mani = generate_dataset(cfg, mixed, tmp_path)
-    assert len(mani.samples) == 24
+    assert len(mani.samples) == 48
     _assert_rows_equal_per_prompt_batches(tmp_path, load_manifest(tmp_path), mixed)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from headlab.engine import MixtureBank
+from headlab.scene import SceneComponent
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "headlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -195,10 +196,15 @@ def test_the_replaced_engine_api_stays_deleted(module):
 
 
 def test_the_engine_steps_no_dense_posterior():
-    """Steps work on coefficients over each row's basis: the engine names
-    no component mean image and keeps no (B, K, D) work arrays."""
+    """Steps and captures work on coefficients over each row's basis: the
+    engine names no component mean image or per-component template stack,
+    keeps no (B, K, D) work arrays and contracts nothing by ``einsum``; the
+    scene stores no per-component image."""
     names = _defined_or_named((SRC / "engine.py").read_text(encoding="utf-8"))
-    assert not names & {"means_matrix", "means", "_means", "_diffs"}
+    assert not names & {"means_matrix", "means", "_means", "_diffs",
+                        "einsum", "template_stacks"}
+    assert [f.name for f in fields(SceneComponent)] == ["position_choice",
+                                                       "weight"]
 
 
 def test_the_mixture_bank_keeps_no_work_arrays():

@@ -6,10 +6,10 @@ import pytest
 from headlab.dataset import build_prompt_grid
 from headlab.errors import UsageError
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
-                           dump_catalog, load_catalog, prompt_text,
-                           render_mean_image)
+                           dump_catalog, load_catalog, prompt_text)
 
-from oracles import completeness_probability, pattern_distribution
+from oracles import (completeness_probability, pattern_distribution,
+                     template_stacks)
 
 
 # ------------------------------------------------------------- prompts
@@ -114,13 +114,14 @@ def test_per_object_faithfulness_map(catalog):
 
 def test_component_means_render_templates(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    for comp in mix.components:
-        objs = tuple(catalog[t] for t in mix.targets)
-        positions = tuple(
-            None if choice is None else catalog[t].candidate_positions[choice]
-            for t, choice in zip(mix.targets, comp.position_choice))
-        expected = render_mean_image(objs, positions, 16)
-        assert np.allclose(comp.mean, expected)
+    assert mix.means_matrix.shape == (9, 256)
+    for mean, comp in zip(mix.means_matrix, mix.components):
+        expected = np.zeros((16, 16))
+        for t, choice in zip(mix.targets, comp.position_choice):
+            if choice is not None:
+                expected += catalog[t].placed_template(
+                    catalog[t].candidate_positions[choice])
+        assert np.array_equal(mean, expected.ravel())
 
 
 def test_mixture_validation_errors(catalog):
@@ -140,9 +141,9 @@ def test_mixture_validation_errors(catalog):
 
 def test_template_stack_zeroes_absent_components(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    stack = mix.template_stacks[mix.targets.index("cat")]
+    stack = template_stacks(mix)[mix.targets.index("cat")]
     for k, comp in enumerate(mix.components):
-        if comp.presence[0]:  # "cat" is target 0
+        if comp.position_choice[0] is not None:  # "cat" is target 0
             assert stack[k].max() == pytest.approx(1.0)
         else:
             assert np.all(stack[k] == 0.0)
