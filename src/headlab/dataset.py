@@ -44,7 +44,7 @@ import numpy as np
 
 from . import engine
 from .atomic import write_atomic
-from .engine import (LockstepBatch, MixtureBank, initial_latent,
+from .engine import (LockstepBatch, MixtureBank, initial_latents,
                      make_schedule)
 from .errors import RunFailure, UsageError
 from .rng import MASK64, SplitMix64, mix64
@@ -295,14 +295,12 @@ def _jsonl(obj: dict) -> str:
 
 
 def _prompt_stats(prompts, samples) -> dict:
-    per_prompt = []
-    for i, prompt in enumerate(prompts):
-        mine = [s for s in samples if s.prompt_index == i]
-        per_prompt.append({
-            "prompt_index": i,
-            "n": len(mine),
-            "complete": sum(1 for s in mine if s.complete),
-        })
+    per_prompt = [{"prompt_index": i, "n": 0, "complete": 0}
+                  for i in range(len(prompts))]
+    for s in samples:
+        counts = per_prompt[s.prompt_index]
+        counts["n"] += 1
+        counts["complete"] += int(s.complete)
     n_samples = len(samples)
     presence: dict[str, list[int]] = {}
     for s in samples:
@@ -376,8 +374,8 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
             bank = banks[place[chunk[0][0]][0]]
             which = np.array([place[i][1] for i, _ in chunk])
             seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
-            batch = LockstepBatch(bank, which, schedule, np.stack(
-                [initial_latent(seed, n) for seed in seeds]))
+            batch = LockstepBatch(bank, which, schedule,
+                                  initial_latents(seeds, n))
             for t in range(T, 0, -1):
                 if t in store:
                     store[t].append(batch.capture(t))

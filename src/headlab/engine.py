@@ -19,7 +19,8 @@ attention maps.  The engine evaluates it for a batch of latents at once.  A
 :class:`LockstepBatch` is built once for the rows of a dataset chunk or a
 campaign wave, each row under its own mixture of a :class:`MixtureBank`
 and from its own starting noise, and gathers what those rows read from the
-bank.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
+bank; :func:`initial_latents` draws the starting noise of all its rows in
+one pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
 their posterior at a noise index into predicted final images and
 attention maps, and :meth:`~LockstepBatch.step` advances them one step.
 The posterior is evaluated once per step and kept for both, so a capture
@@ -32,12 +33,15 @@ the span of its row's basis ``[z_T, g_1..g_J]`` and is held as ``P = J + 1``
 coefficients ``a``.  With the basis's Gram matrix ``G``, a distance is
 ``||z - alpha_t mu_k||^2 = d^T G d`` for ``d = a - alpha_t E_k``, over
 (B, K, P) arrays rather than (B, K, D = n * n) ones; the dense form would
-cost less only once ``P^2`` nears ``D``.  Images are built only where they
-are read, by one ordered multiply-add over basis columns: a capture's
-predicted final images, its attention maps, each from the
-responsibility-weighted mean coefficients ``sum_k r_k E_k`` over its
-target's own templates, and the finished latents.  They equal the
-per-pixel formulas' up to rounding, about 1e-13 on the default prompts.
+cost less only once ``P^2`` nears ``D``.  Only the first row and column
+of ``G`` depend on a row's starting noise: the template block is its
+mixture's, computed once per bank as ``MixtureBank.template_gram``.
+Images are built only where they are read, by one ordered multiply-add
+over basis columns: a capture's predicted final images, its attention
+maps, each from the responsibility-weighted mean coefficients
+``sum_k r_k E_k`` over its target's own templates, and the finished
+latents.  They equal the per-pixel formulas' up to rounding, about 1e-13
+on the default prompts.
 
 Every reduction of a step or a capture is an elementwise product summed
 over the row's own last axis, or an ordered sum over its columns, so a
@@ -57,7 +61,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import RunFailure, UsageError
-from .rng import SplitMix64
+from .rng import stream_words, to_normals
 from .scene import MixtureSpec
 
 COSINE_OFFSET = 0.008
@@ -154,6 +158,15 @@ class MixtureBank:
         return np.stack([np.concatenate([o.placed_stack for o in m.objects])
                          for m in self.mixtures]).reshape(
                              len(self.mixtures), -1, self.grid_size ** 2)
+
+    @cached_property
+    def template_gram(self) -> np.ndarray:
+        """Each mixture's template-template inner products ``g_p . g_q``,
+        shape ``(M, J, J)``: the block of a row's Gram matrix that does not
+        depend on its starting noise."""
+        g = self.templates
+        return np.stack([(g[:, p, None] * g).sum(-1)
+                         for p in range(g.shape[1])], axis=1)
 
     @cached_property
     def mean_coefficients(self) -> np.ndarray:
@@ -263,10 +276,15 @@ class LockstepBatch:
         self._shape = np.shape(z)[1:]
         self._basis = basis = np.concatenate(
             [np.reshape(z, (len(which), 1, -1)), bank.templates[which]], 1)
-        # the Gram matrix of each row's basis, flattened to (B, 1, P * P)
-        self._gram = np.stack([(basis[:, p, None] * basis).sum(-1)
-                               for p in range(basis.shape[1])],
-                              axis=1).reshape(len(which), 1, -1)
+        # The Gram matrix of each row's basis, flattened to (B, 1, P * P):
+        # the bank's template block, bordered by the row's z_T products,
+        # which stand for z_T's column too (a product commutes exactly).
+        z_row = (basis[:, :1] * basis).sum(-1)
+        gram = np.empty(z_row.shape + z_row.shape[1:])
+        gram[:, 0] = z_row
+        gram[:, 1:, 0] = z_row[:, 1:]
+        gram[:, 1:, 1:] = bank.template_gram[which]
+        self._gram = gram.reshape(len(which), 1, -1)
         self._coef = bank.mean_coefficients[which]
         self._coef_t = self._coef.transpose(0, 2, 1).copy()
         self._a = np.zeros(basis.shape[:2])
@@ -382,7 +400,10 @@ class LockstepBatch:
                                  for lo, hi in self._columns], axis=1)
 
 
-def initial_latent(seed: int, grid_size: int) -> np.ndarray:
-    """The pure-noise latent ``z_T`` a generation with ``seed`` starts from."""
-    return SplitMix64(seed).normals(grid_size * grid_size).reshape(
-        grid_size, grid_size)
+def initial_latents(seeds, grid_size: int) -> np.ndarray:
+    """The pure-noise latents ``z_T`` (B, n, n) that generations with
+    ``seeds`` start from, row ``b`` the first ``n * n`` normals of
+    ``SplitMix64(seeds[b])``, all drawn in one pass."""
+    d = grid_size * grid_size
+    return to_normals(stream_words(seeds, 0, d + d % 2), d).reshape(
+        len(seeds), grid_size, grid_size)

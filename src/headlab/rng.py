@@ -1,12 +1,13 @@
 """Deterministic random streams built on the SplitMix64 finalizer.
 
-Every stochastic piece of the package draws from :class:`SplitMix64` so that
-runs are reproducible bit-for-bit from a single 64-bit seed, independent of
-numpy version or platform.  The generator is counter-based: output ``i`` is
-``finalize(seed + (i + 1) * GOLDEN)`` modulo 2**64, which lets us vectorise
-arbitrarily large draws without carrying mutable numpy state around, and
-lets :func:`stream_words` compute any stretch of the stream directly from
-its offset.
+Every stochastic piece of the package draws from SplitMix64 streams, one
+seed at a time through :class:`SplitMix64` or many at once through
+:func:`stream_words`, so that runs are reproducible bit-for-bit from a
+single 64-bit seed, independent of numpy version or platform.  The
+generator is counter-based: output ``i`` is ``finalize(seed + (i + 1) *
+GOLDEN)`` modulo 2**64, which lets us vectorise arbitrarily large draws
+without carrying mutable numpy state around, and lets :func:`stream_words`
+compute any stretch of the stream directly from its offset.
 
 Layout of derived quantities:
 
@@ -16,6 +17,12 @@ Layout of derived quantities:
   ``(r cos theta, r sin theta)`` with ``r = sqrt(-2 ln u1)`` and
   ``theta = 2 pi u2``; outputs are interleaved and truncated to the
   requested length.
+* integers in ``[0, bound)`` scale uniforms by ``bound``.
+
+Given a sequence of seeds, :func:`stream_words` returns one row of words
+per seed, which the formulas :class:`SplitMix64` uses take as they take one
+stream's words; all are elementwise, so row ``b`` equals the values of
+``SplitMix64(seeds[b])`` bit for bit, whatever the batch.
 """
 
 from __future__ import annotations
@@ -54,21 +61,27 @@ def mix64(*values: int) -> int:
     return h
 
 
-def stream_words(seed: int, start: int, n: int,
+def stream_words(seed, start: int, n: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Words ``start .. start + n - 1`` of the stream seeded with ``seed``.
 
     Word ``i`` is ``finalize64(seed + (i + 1) * GOLDEN)``, so a stretch drawn
-    at offset ``start`` equals that slice of one sequential draw.  The words
-    go into ``out[:n]`` (a uint64 array) when it is given, else into a new
-    array; the returned array is the one written.
+    at offset ``start`` equals that slice of one sequential draw.  For one
+    int ``seed`` the words go into ``out[:n]`` (a uint64 array) when it is
+    given, else into a new array; the returned array is the one written.
+    For a sequence of ``B`` seeds they come out as a new ``(B, n)`` array,
+    row ``b`` the stream of ``seeds[b]``.
     """
     if n < 0:
         raise ValueError("draw count must be non-negative")
     x = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    words = x if out is None else out[:n]
-    np.multiply(x, _U64_GOLDEN, out=words)
-    words += np.uint64(int(seed) & MASK64)
+    if isinstance(seed, (int, np.integer)):
+        words = x if out is None else out[:n]
+        np.multiply(x, _U64_GOLDEN, out=words)
+        words += np.uint64(int(seed) & MASK64)
+    else:
+        words = x * _U64_GOLDEN + np.array(
+            [int(s) & MASK64 for s in seed], dtype=np.uint64)[:, None]
     tmp = np.empty_like(words) if out is None else x
     # Same bit dance as finalize64, in place (uint64 arithmetic wraps).
     for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
@@ -85,6 +98,29 @@ def to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     (a float64 array of the same length) when it is given."""
     return np.multiply(words >> np.uint64(11), 2.0**-53, out=out,
                        dtype=np.float64)
+
+
+def to_normals(words: np.ndarray, n: int) -> np.ndarray:
+    """``n`` standard normals along the last axis of ``words``, an even
+    number of them per row: Box-Muller on each pair of uniforms, the
+    first of the pair taken from ``(0, 1]`` so that its log is finite."""
+    bits = (words >> np.uint64(11)).astype(np.float64)
+    u1 = (bits[..., 0::2] + 1.0) * 2.0**-53
+    u2 = bits[..., 1::2] * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(words.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :n]
+
+
+def scaled_integers(u: np.ndarray, bound: int) -> np.ndarray:
+    """Ints in ``[0, bound)``, one per uniform of ``u``, by scaling it (fine
+    for shuffles and resampling)."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
 class SplitMix64:
@@ -110,23 +146,11 @@ class SplitMix64:
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller on consecutive uniforms."""
-        pairs = (n + 1) // 2
-        raw = self._raw(2 * pairs)
-        bits = (raw >> np.uint64(11)).astype(np.float64)
-        u1 = (bits[0::2] + 1.0) * 2.0**-53  # (0, 1], keeps the log finite
-        u2 = bits[1::2] * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return to_normals(self._raw(2 * ((n + 1) // 2)), n)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """``n`` ints in [0, bound) by scaling uniforms (fine for shuffles)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return np.minimum((self.uniforms(n) * bound).astype(np.int64), bound - 1)
+        return scaled_integers(self.uniforms(n), bound)
 
     def shuffled(self, n: int) -> np.ndarray:
         """A permutation of ``range(n)`` via seeded Fisher-Yates."""

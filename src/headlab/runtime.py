@@ -20,12 +20,16 @@ Both arms run in one pool that denoises attempts in waves of up to
 run: a head arm that aborts it leaves it, and the rest carry it on.  The
 rows of a wave start at ``t = T`` together and step at one noise index, as
 one :class:`~headlab.engine.LockstepBatch`, so every engine call takes one
-int ``t``; a row leaves the batch once no arm is left on it or at
-``t = 0``.  Its run's next attempt, made by the arms whose run goes on,
-waits for the next wave, which starts when this one is empty.  A latent's
-values do not depend on the batch it rides in, nor on the arms it
-serves, so each arm's traces equal those of the arm run alone, and the slot
-count changes none of them.
+int ``t``, and the starting noise of all its rows is one draw; a row
+leaves the batch once no arm is left on it or at ``t = 0``.  Its run's
+next attempt, made by the arms whose run goes on, waits for the next wave,
+which starts when this one is empty.  A latent's values do not depend on
+the batch it rides in, nor on the arms it serves, so each arm's traces
+equal those of the arm run alone, and the slot count changes none of
+them.
+
+A campaign draws its bootstrap resamples twice: every prompt's at once,
+each from its own seed, then the pooled group's.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ from . import engine
 from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
-from .engine import LockstepBatch, MixtureBank, NoiseSchedule, initial_latent
+from .engine import (LockstepBatch, MixtureBank, NoiseSchedule,
+                     initial_latents)
 from .errors import RunFailure, UsageError
-from .rng import MASK64, SplitMix64, mix64
+from .rng import MASK64, mix64, scaled_integers, stream_words, to_uniforms
 from .scene import ObjectSpec
 
 BASELINE = "baseline"
@@ -197,7 +202,7 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             waiting = waiting[engine.LOCKSTEP_ROWS:]
             batch = LockstepBatch(
                 bank, [runs[at.run].mixture for at in live], schedule,
-                np.stack([initial_latent(at.seed, n) for at in live]))
+                initial_latents([at.seed for at in live], n))
             t = T
         else:  # the rows some arm still makes step on
             batch.step(t)
@@ -340,19 +345,21 @@ class CampaignReport:
         raise UsageError("campaign report has no pooled treatment row")
 
 
-def _bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
-                  seed: int) -> tuple[float, float]:
-    """Percentile CI of 1 - mean(treat)/mean(ref) over paired resamples.
+def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
+                   seeds) -> np.ndarray:
+    """Percentile CIs of 1 - mean(treat)/mean(ref) over paired resamples,
+    one ``(lo, hi)`` row per group: group ``g`` is row ``g`` of ``ref`` and
+    ``treat`` (G, n), its resamples drawn from ``seeds[g]``.
 
-    The stream is counter-based, so one draw of all resamples' indices
-    equals drawing them one resample at a time.
+    The streams are counter-based, so one draw of every group's resamples
+    equals drawing each group's, or each resample's, on its own.
     """
-    n = ref.size
-    idx = SplitMix64(seed).integers(_BOOTSTRAP_RESAMPLES * n, n).reshape(
-        _BOOTSTRAP_RESAMPLES, n)
-    stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
-    return (float(np.percentile(stats, 2.5)),
-            float(np.percentile(stats, 97.5)))
+    g, n = ref.shape
+    idx = scaled_integers(to_uniforms(
+        stream_words(seeds, 0, _BOOTSTRAP_RESAMPLES * n)), n)
+    stats = 1.0 - (np.take_along_axis(treat, idx, 1).reshape(g, -1, n).mean(2)
+                   / np.take_along_axis(ref, idx, 1).reshape(g, -1, n).mean(2))
+    return np.percentile(stats, [2.5, 97.5], axis=1).T
 
 
 def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
@@ -379,14 +386,17 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
         for traces in run_arms(mixtures, schedule, (reference, treatment),
                                catalog, root_seed, runs_per_prompt,
                                [p.text for p in prompts], label_threshold))
-    groups = [(prompt.text, ref_steps[i], treat_steps[i],
-               mix64(root_seed, _BOOTSTRAP_TAG, i))
+    groups = [(prompt.text, ref_steps[i], treat_steps[i])
               for i, prompt in enumerate(prompts)]
-    groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel(),
-                   mix64(root_seed, _BOOTSTRAP_TAG)))
+    groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel()))
+    cis = np.concatenate([
+        _bootstrap_cis(ref_steps, treat_steps,
+                       [mix64(root_seed, _BOOTSTRAP_TAG, i)
+                        for i in range(len(prompts))]),
+        _bootstrap_cis(ref_steps.reshape(1, -1), treat_steps.reshape(1, -1),
+                       [mix64(root_seed, _BOOTSTRAP_TAG)])]).tolist()
     rows: list[CampaignRow] = []
-    for prompt_id, ref, treat, bootstrap_seed in groups:
-        ci_lo, ci_hi = _bootstrap_ci(ref, treat, bootstrap_seed)
+    for (prompt_id, ref, treat), (ci_lo, ci_hi) in zip(groups, cis):
         rows.append(CampaignRow(prompt_id=prompt_id, policy=reference.mode,
                                 runs=ref.size, mean_steps=float(ref.mean()),
                                 saving=None, ci_lo=None, ci_hi=None))

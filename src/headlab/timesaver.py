@@ -24,6 +24,9 @@ from .errors import RunFailure, UsageError
 from .rng import stream_words, to_uniforms
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
+# Ten times the economics runs: about 1.7 s and 0.2 GB of per-run arrays
+# for two objects on a 2-vCPU Xeon.
+MAX_MC_RUNS = 10 ** 7
 # Runs per block of a Monte Carlo round: the block's arrays stay in cache.
 MC_BLOCK = 16384
 
@@ -192,6 +195,8 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
         raise RunFailure("policy accepts with probability zero")
     if n_runs < 1:
         raise UsageError("n_runs must be >= 1")
+    if n_runs > MAX_MC_RUNS:
+        raise UsageError(f"n_runs must be <= {MAX_MC_RUNS}, got {n_runs}")
     n_obj = len(dist.objects)
     cdf = np.cumsum(np.asarray(dist.probabilities))
     cdf[-1] = 1.0

@@ -1,12 +1,15 @@
 """Shared fixtures: the default capture dataset is built once per session."""
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from headlab import rng
 from headlab.dataset import DatasetConfig, DatasetManifest, generate_dataset
 from headlab.engine import NoiseSchedule, make_schedule
 from headlab.scene import ObjectSpec, default_catalog
@@ -63,3 +66,22 @@ def tiny_dataset(tmp_path_factory, catalog) -> BuiltDataset:
     manifest = generate_dataset(TINY_CONFIG, catalog, root)
     return BuiltDataset(root=root, manifest=manifest, catalog=catalog,
                         build_seconds=perf_counter() - start)
+
+
+@pytest.fixture
+def word_draws(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Every draw of stream words, wherever the package binds
+    ``stream_words``, as ``(seed shape, words per seed)`` in call order:
+    shape ``()`` for one seed, ``(B,)`` for a batch of B."""
+    draws = []
+    words = rng.stream_words
+
+    def counting(seed, start, n, out=None):
+        draws.append((np.shape(seed), n))
+        return words(seed, start, n, out)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "headlab"
+                and getattr(module, "stream_words", None) is words):
+            monkeypatch.setattr(module, "stream_words", counting)
+    return draws

@@ -6,7 +6,8 @@ by per-pixel formulas, where the engine steps coefficients; attention maps
 from each component's placed template, where the engine weights each
 target's templates by the mean coefficients; whole generations with their
 captures, one lockstep batch per call; a tensor file as one bytes object;
-and a mixture's presence marginals.
+a mixture's presence marginals; and a campaign group's bootstrap interval
+from its own stream, where the package draws every group's at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
-                            _check_t, initial_latent)
+                            _check_t, initial_latents)
+from headlab.rng import SplitMix64
 from headlab.scene import MixtureSpec
 from headlab.tensorio import tensor_header
 
@@ -106,8 +108,7 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
         _check_t(schedule, t)
     batch = LockstepBatch(
         MixtureBank((mixture,)), np.zeros(len(seeds), dtype=np.intp),
-        schedule, np.stack([initial_latent(s, mixture.grid_size)
-                            for s in seeds]))
+        schedule, initial_latents(seeds, mixture.grid_size))
     captures = {}
     for t in range(schedule.T, 0, -1):
         if t in wanted:
@@ -148,3 +149,14 @@ def pattern_distribution(mixture: MixtureSpec) -> dict[tuple[int, ...], float]:
         pattern = tuple(int(c is not None) for c in comp.position_choice)
         dist[pattern] = dist.get(pattern, 0.0) + comp.weight
     return dist
+
+
+def bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
+                 seed: int) -> tuple[float, float]:
+    """Percentile CI of 1 - mean(treat)/mean(ref) over 200 paired resamples
+    of one group, all resamples' indices drawn at once from ``seed``."""
+    n = ref.size
+    idx = SplitMix64(seed).integers(200 * n, n).reshape(200, n)
+    stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
+    return (float(np.percentile(stats, 2.5)),
+            float(np.percentile(stats, 97.5)))

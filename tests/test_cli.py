@@ -19,6 +19,7 @@ from headlab.detector import MAX_EPOCHS, DetectorModel
 from headlab.errors import RunFailure, UsageError
 from headlab.runtime import MAX_RESTARTS, MAX_RUNS_PER_PROMPT
 from headlab.scene import default_catalog, dump_catalog
+from headlab.timesaver import MAX_MC_RUNS
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
                              "objects": ["bench", "kite", "drum"],
@@ -267,7 +268,8 @@ def test_eval_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory, values):
      "models": st.lists(_path("model2", "model16", "garbage"),
                         max_size=3).map(",".join)},
     optional={"split": _SPLITS, "seed": _INTS,
-              "mc_runs": st.sampled_from(["-1", "x"])
+              "mc_runs": st.sampled_from(["-1", "x", str(MAX_MC_RUNS + 1),
+                                          str(2**64)])
               | st.integers(min_value=0, max_value=50).map(str)}))
 def test_sweep_tlast_flags_end_in_an_exit_code(fuzz_paths, tmp_path_factory,
                                                values):
@@ -968,6 +970,24 @@ def test_sizes_and_seeds_out_of_range_exit_1(cli_dataset, cli_models,
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert str(value) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mc_runs", [MAX_MC_RUNS + 1, 2**64])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.59", "--recall", "0.9", "--tn-rate", "0.8",
+     "--f", "0.16"],
+    ["sweep-tlast", "--dataset", "@dataset", "--models", "@model2,@model16"],
+])
+def test_mc_runs_past_the_bound_exit_1(fuzz_paths, tmp_path, capsys, argv,
+                                       mc_runs):
+    """A Monte Carlo run count past ``MAX_MC_RUNS`` is refused before any
+    round allocates its arrays, with one error line naming it."""
+    argv = [",".join(fuzz_paths.get(p, p) for p in a.split(",")) for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, f"--mc-runs={mc_runs}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n_runs must be <= {MAX_MC_RUNS}, got {mc_runs}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

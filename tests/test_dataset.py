@@ -218,6 +218,37 @@ def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
     _assert_rows_equal_per_prompt_batches(tmp_path, load_manifest(tmp_path), mixed)
 
 
+def test_generation_draws_each_chunks_noise_at_once(tmp_path, catalog,
+                                                    monkeypatch, word_draws):
+    """One draw of starting noise per lockstep chunk, for all its rows;
+    the only other draws are the split's shuffle, one word at a time."""
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 5)
+    generate_dataset(TINY_CONFIG, catalog, tmp_path)
+    prompts = len(TINY_CONFIG.subjects) * len(TINY_CONFIG.objects)
+    rows = prompts * TINY_CONFIG.seeds_per_prompt
+    chunks = [((min(5, rows - lo),), 256) for lo in range(0, rows, 5)]
+    assert [d for d in word_draws if d[0]] == chunks
+    assert [d for d in word_draws if not d[0]] == [((), 1)] * (prompts - 1)
+
+
+def test_prompt_stats_count_each_prompt_in_any_sample_order(tiny_dataset):
+    """Counting per prompt in one pass over the samples, in whatever order
+    they come, gives what scanning every sample for each prompt gives."""
+    mani = tiny_dataset.manifest
+    prompts = build_prompt_grid(mani.config.subjects, mani.config.objects)
+    samples = list(mani.samples)
+    samples = samples[1::2] + samples[::-2]
+    stats = dataset._prompt_stats(prompts + prompts[:1], samples)
+    assert stats["per_prompt"] == [
+        {"prompt_index": i,
+         "n": sum(1 for s in samples if s.prompt_index == i),
+         "complete": sum(1 for s in samples
+                         if s.prompt_index == i and s.complete)}
+        for i in range(len(prompts) + 1)]
+    assert stats["per_prompt"][-1]["n"] == 0
+    assert all(type(p["complete"]) is int for p in stats["per_prompt"])
+
+
 def test_missing_capture_error(tiny_dataset):
     with pytest.raises(RunFailure, match="^capture step 3: "):
         load_step(tiny_dataset.root, tiny_dataset.manifest, 3, 16)

@@ -270,7 +270,7 @@ TOLERANCE = 1e-9
 def _single_latent_steps(mixture, schedule, seed):
     """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
     batch = _batch(mixture, schedule,
-                   engine.initial_latent(seed, mixture.grid_size)[None])
+                   engine.initial_latents([seed], mixture.grid_size))
     out = []
     for t in range(schedule.T, -1, -1):
         post, cap = batch.posterior(t), batch.capture(t)
@@ -390,7 +390,7 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     assert [t for _, t, _ in _kinds(calls, "capture")] == [16, 0]
     # a capture, then the step at its t, evaluate one posterior, which the
     # batch keeps until its latents change
-    z = np.stack([engine.initial_latent(s, 16) for s in (5, 6)])
+    z = engine.initial_latents((5, 6), 16)
     batch = _batch(mix, schedule, z)
     calls.clear()
     batch.capture(16)
@@ -517,7 +517,7 @@ def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
         got = _single_latent_steps(mix, schedule, seed)
         want = _reference_trajectory(mix, schedule, seed)
         dense = dense_trajectory(mix, schedule,
-                                 engine.initial_latent(seed, 16))
+                                 engine.initial_latents([seed], 16)[0])
         assert len(got) == len(want) == len(dense) == schedule.T + 1
         for g, w, d in zip(got, want, dense):
             assert g[0] == w[0] == d[0]
@@ -555,7 +555,7 @@ def test_coefficient_steps_track_the_dense_oracle(schedule, objects, q, std,
     per-pixel formulas: every channel, the predicted final image and each
     target's attention map."""
     mix = build_conditional_mixture(tuple(objects), q, objects, s2=std ** 2)
-    z = engine.initial_latent(seed, 16)
+    z = engine.initial_latents([seed], 16)[0]
     batch = _batch(mix, schedule, z[None])
     for t, z_dense, r_dense, _, pfi, attention in dense_trajectory(
             mix, schedule, z):
@@ -596,7 +596,7 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
     reference = [single.get(b) for b in picked]
     bank = MixtureBank(tuple(mixtures))
     which = np.array([rows[b][0] for b in picked])
-    z = np.stack([engine.initial_latent(rows[b][1], 16) for b in picked])
+    z = engine.initial_latents([rows[b][1] for b in picked], 16)
     cohorts = [np.arange(start, size, 5) for start in range(min(size, 5))]
     batches = [LockstepBatch(bank, which[live], schedule, z[live])
                for live in cohorts]
@@ -640,7 +640,7 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
 def test_batch_owns_a_copy_of_its_latents(catalog, schedule):
     """The batch steps its own copy of the latents it was given, and hands
     them out read-only."""
-    z = np.stack([engine.initial_latent(s, 16) for s in (1, 2)])
+    z = engine.initial_latents((1, 2), 16)
     given = z.copy()
     batch = _batch(build_conditional_mixture(("cat",), 0.8, catalog),
                    schedule, z)
@@ -711,8 +711,8 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
     alone = [{step[0]: step for step in
               _single_latent_steps(bank.mixtures[m], schedule, seed)}
              for m, seed in zip(which, seeds)]
-    batch = LockstepBatch(bank, which, schedule, np.stack(
-        [engine.initial_latent(seed, 16) for seed in seeds]))
+    batch = LockstepBatch(bank, which, schedule,
+                          engine.initial_latents(seeds, 16))
     keeps = {31: [1, 2, 4], 7: [0, 2]}  # positions in the batch at that t
     rows = list(range(5))  # the row of ``which`` at each position
     for t in range(schedule.T, -1, -1):
@@ -735,13 +735,14 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
 
 def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
                                                       monkeypatch):
-    """A batch gathers its rows' bases, mean coefficients, log weights,
-    variances and target columns once, when it is built; its steps,
+    """A batch gathers its rows' bases, template Gram blocks, mean
+    coefficients, log weights, variances and target columns once, when it
+    is built; its steps,
     captures and keeps never read the bank's arrays again, and give what
     an unguarded batch gives."""
     bank = _pair_bank(catalog)
     which = np.array([1, 0, 1])
-    z_start = np.stack([engine.initial_latent(s, 16) for s in range(3)])
+    z_start = engine.initial_latents(range(3), 16)
 
     def trajectory(batch):
         out = []
@@ -759,8 +760,8 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     def gone(_):
         raise AssertionError("a built batch read its bank")
 
-    for name in ("templates", "mean_coefficients", "log_weights", "s2",
-                 "target_columns"):
+    for name in ("templates", "template_gram", "mean_coefficients",
+                 "log_weights", "s2", "target_columns"):
         monkeypatch.setattr(MixtureBank, name, property(gone))
         with pytest.raises(AssertionError):
             getattr(bank, name)
@@ -769,13 +770,63 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+# Seeds at both ends of the range and from the derivations the package uses.
+_NOISE_SEEDS = [0, 1, 2**64 - 1] + [mix64(7, i, s) for i in range(6)
+                                    for s in range(5)]
+
+
+@pytest.mark.parametrize("grid", [16, 15, 7])
+def test_starting_noise_rows_equal_their_own_streams(grid):
+    """Row ``b`` of one batched draw is ``seeds[b]``'s stream alone, bit for
+    bit, for every batch size up to a wave and a bit over: the odd grids
+    take an odd count of normals, so rows start off the SIMD width."""
+    alone = {s: SplitMix64(s).normals(grid * grid).reshape(grid, grid)
+             for s in _NOISE_SEEDS}
+    for size in range(1, 34):
+        seeds = [_NOISE_SEEDS[(size + b) % len(_NOISE_SEEDS)]
+                 for b in range(size)]
+        z = engine.initial_latents(seeds, grid)
+        assert z.shape == (size, grid, grid)
+        for row, seed in zip(z, seeds):
+            assert np.array_equal(row, alone[seed])
+
+
+def test_assembled_gram_equals_the_per_row_formula(schedule):
+    """The Gram matrix a batch assembles from its rows' starting noise and
+    its bank's template block equals each row's whole basis multiplied out,
+    bit for bit, on targets of one, three and two candidate positions."""
+    def spec(name, cells):
+        return ObjectSpec(object_id=name, sigma=1.5, grid_size=16,
+                          candidate_positions=cells)
+
+    bank = MixtureBank(tuple(
+        build_conditional_mixture(tuple(objects), q, objects)
+        for q, objects in (
+            (0.7, {"a": spec("a", ((3, 3),)),
+                   "b": spec("b", ((2, 12), (8, 12), (14, 12))),
+                   "c": spec("c", ((12, 2), (12, 8)))}),
+            (0.9, {"d": spec("d", ((8, 8),)),
+                   "e": spec("e", ((2, 2), (2, 8), (2, 14))),
+                   "f": spec("f", ((14, 4), (14, 12)))}))))
+    assert bank.template_gram.shape == (2, 6, 6)
+    which = np.array([1, 0, 0, 1, 1])
+    z = engine.initial_latents([mix64(3, b) for b in range(5)], 16)
+    batch = LockstepBatch(bank, which, schedule, z)
+    for b, m in enumerate(which):
+        basis = np.concatenate([z[b].reshape(1, -1), bank.templates[m]])
+        gram = np.stack([(basis[p] * basis).sum(-1)
+                         for p in range(len(basis))])
+        assert np.array_equal(batch._gram[b, 0], gram.ravel())
+        assert np.array_equal(gram, gram.T)
+
+
 _FAULT_PROBE = """
 import resource
 import sys
 
 import numpy as np
 
-from headlab.engine import (LockstepBatch, MixtureBank, initial_latent,
+from headlab.engine import (LockstepBatch, MixtureBank, initial_latents,
                             make_schedule)
 from headlab.scene import build_conditional_mixture, default_catalog
 
@@ -784,8 +835,8 @@ catalog = default_catalog()
 bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                          for pair in (("cat", "bench"), ("dog", "kite"))))
 schedule = make_schedule(50)
-batch = LockstepBatch(bank, np.arange(32) % 2, schedule, np.stack(
-    [initial_latent(seed, bank.grid_size) for seed in range(32)]))
+batch = LockstepBatch(bank, np.arange(32) % 2, schedule,
+                      initial_latents(range(32), bank.grid_size))
 t = 30  # each step moves the batch's latents on from where the last left them
 for _ in range(5):
     batch.step(t)

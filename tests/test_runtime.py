@@ -13,10 +13,12 @@ from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
-                             _bootstrap_ci, measure_campaign, run_arms,
+                             _bootstrap_cis, measure_campaign, run_arms,
                              write_campaign_csv)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
+
+from oracles import bootstrap_ci
 
 
 def _flat_model(steps, bias):
@@ -435,6 +437,24 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     assert rows < sum(t.total_steps for t in ref + treat)
 
 
+def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
+        catalog, schedule, tiny_model, monkeypatch, word_draws):
+    """Each wave's starting noise is one draw for all its rows, and the
+    campaign's intervals two more: every prompt's at once, then the
+    pooled group's."""
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 3)
+    prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    steps, _ = _counting_calls(monkeypatch)
+    measure_campaign(prompts, mixtures, schedule, *policies, catalog,
+                     runs_per_prompt=4, root_seed=88)
+    waves = [rows for t, rows in steps if t == schedule.T]
+    assert len(waves) > 1
+    resamples = 200 * kwargs["runs_per_prompt"]
+    assert word_draws == ([((rows,), 256) for rows in waves]
+                          + [((len(prompts),), resamples),
+                             ((1,), resamples * len(prompts))])
+
+
 @pytest.mark.parametrize("slots", [1, 3, 16, 32])
 def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
                                        monkeypatch, slots):
@@ -552,11 +572,20 @@ def _bootstrap_ci_loop(ref, treat, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17, 120])
 def test_bootstrap_ci_equals_per_resample_loop(n):
+    """Every group's interval from the one batched draw equals its own
+    stream's, drawn whole or one resample at a time, bit for bit."""
+    groups = 61
     stream = SplitMix64(n)
-    ref = np.floor(50.0 + 150.0 * stream.uniforms(n))
-    treat = np.floor(16.0 + 150.0 * stream.uniforms(n))
-    for seed in (0, mix64(2024, 0xB007), mix64(7, 0xB007, 3)):
-        assert _bootstrap_ci(ref, treat, seed) == _bootstrap_ci_loop(ref, treat, seed)
+    ref = np.floor(50.0 + 150.0 * stream.uniforms(groups * n)).reshape(groups, n)
+    treat = np.floor(16.0 + 150.0 * stream.uniforms(groups * n)).reshape(groups, n)
+    seeds = [0, mix64(2024, 0xB007), mix64(7, 0xB007, 3), 2**64 - 1] + [
+        mix64(2024, 0xB007, g) for g in range(groups - 4)]
+    cis = _bootstrap_cis(ref, treat, seeds)
+    assert cis.shape == (groups, 2)
+    for g, seed in enumerate(seeds):
+        want = _bootstrap_ci_loop(ref[g], treat[g], seed)
+        assert bootstrap_ci(ref[g], treat[g], seed) == want
+        assert tuple(cis[g].tolist()) == want
 
 
 def test_pooled_saving_requires_pooled_row():

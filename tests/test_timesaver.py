@@ -190,6 +190,16 @@ def test_monte_carlo_rejects_zero_runs():
         monte_carlo_cost(dist, policy, 0, seed=0)
 
 
+def test_monte_carlo_rejects_runs_past_the_bound():
+    """Refused before a round allocates its per-run arrays."""
+    dist = AttemptDistribution.from_faithfulness(("a",), 0.5)
+    policy = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.1)
+    for n_runs in (timesaver.MAX_MC_RUNS + 1, 2**64):
+        with pytest.raises(UsageError, match=f"^n_runs must be <= "
+                           f"{timesaver.MAX_MC_RUNS}, got {n_runs}$"):
+            monte_carlo_cost(dist, policy, n_runs, seed=0)
+
+
 # Reports at 50,000 runs, so that a round spans several blocks, frozen as
 # float.hex: (objects, faithfulness, recall, tn rate, f, seed, mean, stderr).
 FROZEN_REPORTS = [
