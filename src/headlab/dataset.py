@@ -21,9 +21,9 @@ On-disk layout under the dataset root:
   attention map of its ``j``-th target.
 * ``tensors/final.bin`` - the finished images, shape ``(N, n, n)``.
 
-Generation denoises the samples in manifest order, in lockstep chunks of at
-most ``engine.LOCKSTEP_ROWS`` consecutive samples whose prompts share one
-``MixtureBank``, each chunk one ``LockstepBatch``, and streams each chunk's
+Generation denoises the samples in manifest order by
+:func:`~headlab.engine.denoise`, each run of consecutive samples whose
+prompts share one ``MixtureBank`` in its own waves, and streams each wave's
 rows into those files, so no corpus-sized array is ever held in memory.
 The manifest then replaces any earlier one in a single rename, and tensor
 files of an earlier build that it does not describe are deleted.
@@ -42,10 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from .atomic import write_atomic
-from .engine import (LockstepBatch, MixtureBank, initial_latents,
-                     make_schedule)
+from .engine import MixtureBank, denoise, make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64, SplitMix64, mix64
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
@@ -117,12 +115,20 @@ class DatasetConfig:
             raise UsageError(f"critical_steps must lie in [0, {self.num_steps})")
         if not (0.0 < self.faithfulness <= 1.0):
             raise UsageError("faithfulness must be in (0, 1]")
-        if self.component_std <= 0:
-            raise UsageError("component_std must be positive")
+        # NaN fails every comparison here, and a square that overflows or
+        # underflows the last: the mixture's variance must be a positive float
+        if not (self.component_std > 0
+                and 0 < self.component_std * self.component_std < np.inf):
+            raise UsageError(f"component_std must be positive with a finite "
+                             f"positive square, got {self.component_std}")
         if not (0.0 < self.label_threshold < 1.0):
             raise UsageError("label_threshold must be in (0, 1)")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or len(self.split_fractions) != 3:
-            raise UsageError("split_fractions must be three values summing to 1")
+        if (len(self.split_fractions) != 3
+                or not all(0 <= f <= 1 for f in self.split_fractions)
+                or abs(sum(self.split_fractions) - 1.0) > 1e-9):
+            raise UsageError(f"split_fractions must be three values in "
+                             f"[0, 1] summing to 1, got "
+                             f"{list(self.split_fractions)}")
 
     @property
     def mixture_kwargs(self) -> dict:
@@ -324,14 +330,14 @@ def step_path(root, u: int) -> Path:
     return Path(root) / TENSOR_DIR / f"{int(u)}.bin"
 
 
-def _chunks(rows, key):
-    """Runs of at most ``engine.LOCKSTEP_ROWS`` consecutive rows of one
-    ``key``."""
-    size = engine.LOCKSTEP_ROWS
-    for _, run in itertools.groupby(rows, key=key):
-        run = list(run)
-        for start in range(0, len(run), size):
-            yield run[start:start + size]
+class _Sample(typing.NamedTuple):
+    """A row of the corpus: its prompt, its seed index, its prompt's
+    mixture (an index into its bank) and its seed."""
+
+    prompt: int
+    seed_index: int
+    mixture: int
+    seed: int
 
 
 def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
@@ -339,7 +345,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     """Generate every (prompt, seed) sample and persist the whole protocol.
 
     Output bytes are a pure function of ``config`` and ``catalog``: every
-    row is bit-identical whatever chunk it is denoised in.
+    row is bit-identical whatever wave it is denoised in.
     """
     config.validate()
     for name in list(config.subjects) + list(config.objects):
@@ -352,16 +358,13 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                                           **config.mixture_kwargs)
                 for p in prompts]
 
-    # A lockstep batch needs one bank: each prompt's bank, as a position in
-    # ``banks``, and its index in that bank.
-    banks, place = [], {}
-    for bank, members in MixtureBank.group(mixtures):
-        place.update((i, (len(banks), j)) for j, i in enumerate(members))
-        banks.append(bank)
+    # Each prompt's bank, and its mixture's index there.
+    place = {i: (bank, j) for bank, members in MixtureBank.group(mixtures)
+             for j, i in enumerate(members)}
     T, n = config.num_steps, mixtures[0].grid_size
     schedule = make_schedule(T)
-    rows = [(i, s) for i in range(len(prompts))
-            for s in range(config.seeds_per_prompt)]
+    rows = [_Sample(i, s, place[i][1], mix64(config.global_seed, i, s))
+            for i in range(len(prompts)) for s in range(config.seeds_per_prompt)]
     channels = 1 + len(prompts[0].targets)
     samples: list[SampleRecord] = []
     with ExitStack() as files:
@@ -370,34 +373,31 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                  for u in config.critical_steps}
         final = files.enter_context(TensorWriter(
             out / TENSOR_DIR / FINAL_NAME, (len(rows), n, n)))
-        for chunk in _chunks(rows, key=lambda row: place[row[0]][0]):
-            bank = banks[place[chunk[0][0]][0]]
-            which = np.array([place[i][1] for i, _ in chunk])
-            seeds = [mix64(config.global_seed, i, s) for i, s in chunk]
-            batch = LockstepBatch(bank, which, schedule,
-                                  initial_latents(seeds, n))
-            for t in range(T, 0, -1):
+        # each run of consecutive rows whose prompts share a bank
+        for bank, run in itertools.groupby(rows, lambda r: place[r.prompt][0]):
+            for t, batch, wave in denoise(bank, schedule, list(run)):
                 if t in store:
                     store[t].append(batch.capture(t))
-                batch.step(t)
-            images = batch.z
-            del batch  # its arrays go before the next chunk's are made
-            final.append(images)
-            for (i, s), run_seed, image in zip(chunk, seeds, images):
-                targets = prompts[i].targets
-                labels = label_image(image, targets, catalog,
-                                     config.label_threshold)
-                samples.append(SampleRecord(
-                    sample_id=f"p{i:03d}s{s:02d}",
-                    prompt_index=i,
-                    prompt=prompts[i].text,
-                    targets=targets,
-                    seed_index=s,
-                    run_seed=run_seed,
-                    labels=labels,
-                    complete=all(labels[o] == 1 for o in targets),
-                    nearest_component=mixtures[i].nearest_component(image),
-                ))
+                if t:
+                    continue
+                images = batch.z
+                del batch  # its arrays go before the next wave's are made
+                final.append(images)
+                for (i, s, _, run_seed), image in zip(wave, images):
+                    targets = prompts[i].targets
+                    labels = label_image(image, targets, catalog,
+                                         config.label_threshold)
+                    samples.append(SampleRecord(
+                        sample_id=f"p{i:03d}s{s:02d}",
+                        prompt_index=i,
+                        prompt=prompts[i].text,
+                        targets=targets,
+                        seed_index=s,
+                        run_seed=run_seed,
+                        labels=labels,
+                        complete=all(labels[o] == 1 for o in targets),
+                        nearest_component=mixtures[i].nearest_component(image),
+                    ))
 
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
     stats = _prompt_stats(prompts, samples)

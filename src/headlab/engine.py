@@ -16,11 +16,12 @@ Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
 attention maps.  The engine evaluates it for a batch of latents at once.  A
-:class:`LockstepBatch` is built once for the rows of a dataset chunk or a
-campaign wave, each row under its own mixture of a :class:`MixtureBank`
-and from its own starting noise, and gathers what those rows read from the
-bank; :func:`initial_latents` draws the starting noise of all its rows in
-one pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
+:class:`LockstepBatch` is built once for the rows of a wave of
+:func:`denoise`, the one denoising loop of the corpus and the campaign,
+each row under its own mixture of a :class:`MixtureBank` and from its own
+starting noise, and gathers what those rows read from the bank;
+:func:`initial_latents` draws the starting noise of all its rows in one
+pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
 their posterior at a noise index into predicted final images and
 attention maps, and :meth:`~LockstepBatch.step` advances them one step.
 The posterior is evaluated once per step and kept for both, so a capture
@@ -67,8 +68,8 @@ from .scene import MixtureSpec
 COSINE_OFFSET = 0.008
 MIN_MARGINAL_VARIANCE = 1e-12
 
-# Latents denoised together in one lockstep batch: the rows of a dataset
-# chunk and the attempts of a campaign wave.  No value changes an output
+# Latents denoised together in one lockstep batch, a wave of ``denoise``:
+# dataset samples or campaign attempts.  No value changes an output
 # byte.  In 10 alternating pairs of perfbench runs (2-vCPU Xeon, seeds
 # 1-10, 6 s), 64 rows against 32 moved the campaign's wall time from 0.177
 # to 0.166 s (medians) but won only 8 pairs, and the corpus's from 0.310 to
@@ -258,7 +259,7 @@ class LockstepBatch:
     and kept until :meth:`step` changes the latents: a capture and the step
     after it share it, and :meth:`keep` subsets it.
 
-    Built once per dataset chunk or campaign wave, it gathers what its
+    Built once per wave of :func:`denoise`, it gathers what its
     rows read from the bank, with each row's Gram matrix and its marginal
     variance at every noise index and its double, as ``(T + 1, B, 1)``
     tables.  Each row's values are those of the same formulas applied to
@@ -407,3 +408,37 @@ def initial_latents(seeds, grid_size: int) -> np.ndarray:
     d = grid_size * grid_size
     return to_normals(stream_words(seeds, 0, d + d % 2), d).reshape(
         len(seeds), grid_size, grid_size)
+
+
+def denoise(bank: MixtureBank, schedule: NoiseSchedule, queue: list):
+    """Denoise the rows of ``queue`` in waves: the one denoising loop of
+    the corpus and the campaign.
+
+    A row names its mixture by its index ``.mixture`` in ``bank`` and its
+    starting noise by its ``.seed``.  A wave takes up to ``LOCKSTEP_ROWS``
+    rows off the front of ``queue``, draws their starting noise in one
+    pass and denoises them as one :class:`LockstepBatch` from ``t = T``
+    down to 0.  At every noise index, before the step there, it yields
+    ``(t, batch, rows)``, ``rows`` the wave's rows in batch order.  The
+    caller may capture, read ``batch.z``, and drop rows by ``batch.keep``
+    if it subsets ``rows`` in place to match.  The wave ends at ``t = 0``
+    or once no rows are left, and the next one starts from what
+    ``queue`` holds then, so the caller may add rows to it meanwhile; the
+    generator returns once a wave ends with ``queue`` empty.
+
+    Each wave's batch is released before the next one's is built, so a
+    caller that keeps no reference to it, or empties it, holds one wave's
+    arrays at a time.
+    """
+    while queue:
+        rows = queue[:LOCKSTEP_ROWS]
+        del queue[:LOCKSTEP_ROWS]
+        batch = LockstepBatch(
+            bank, [row.mixture for row in rows], schedule,
+            initial_latents([row.seed for row in rows], bank.grid_size))
+        for t in range(schedule.T, -1, -1):
+            yield t, batch, rows
+            if not (t and rows):
+                break
+            batch.step(t)
+        del batch  # before the next wave's batch is built

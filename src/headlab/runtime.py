@@ -14,19 +14,13 @@ Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices.
 
-Both arms run in one pool that denoises attempts in waves of up to
-``engine.LOCKSTEP_ROWS``, each under its own prompt's mixture.  Attempt
-``k`` of a run is one latent, denoised once for every arm still making that
-run: a head arm that aborts it leaves it, and the rest carry it on.  The
-rows of a wave start at ``t = T`` together and step at one noise index, as
-one :class:`~headlab.engine.LockstepBatch`, so every engine call takes one
-int ``t``, and the starting noise of all its rows is one draw; a row
-leaves the batch once no arm is left on it or at ``t = 0``.  Its run's
-next attempt, made by the arms whose run goes on, waits for the next wave,
-which starts when this one is empty.  A latent's values do not depend on
-the batch it rides in, nor on the arms it serves, so each arm's traces
-equal those of the arm run alone, and the slot count changes none of
-them.
+Both arms run in one pool of attempts denoised by
+:func:`~headlab.engine.denoise`, each under its own prompt's mixture.
+Attempt ``k`` of a run is one latent, denoised once for every arm still
+making that run: a head arm that aborts it leaves it, and the rest carry
+it on.  A latent's values do not depend on the wave it rides in, nor on
+the arms it serves, so each arm's traces equal those of the arm run alone,
+and the wave size changes none of them.
 
 A campaign draws its bootstrap resamples twice: every prompt's at once,
 each from its own seed, then the pooled group's.
@@ -42,8 +36,7 @@ from . import engine
 from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
-from .engine import (LockstepBatch, MixtureBank, NoiseSchedule,
-                     initial_latents)
+from .engine import MixtureBank, NoiseSchedule, denoise
 from .errors import RunFailure, UsageError
 from .rng import MASK64, mix64, scaled_integers, stream_words, to_uniforms
 from .scene import ObjectSpec
@@ -135,14 +128,15 @@ class _Run:
 @dataclass
 class _Attempt:
     """An attempt in flight: its run (a position in the pool's runs), its
-    index and seed, the arms (positions in the pool's policies) still
-    making it, what it has captured, and each arm's verdicts and
-    ``(outcome, steps)`` so far; captures are its rows of
-    :meth:`LockstepBatch.capture`, by capture label.  An arm leaves
-    ``arms`` when it aborts the attempt or drops the run."""
+    index, its run's mixture and its seed, the arms (positions in the
+    pool's policies) still making it, what it has captured, and each arm's
+    verdicts and ``(outcome, steps)`` so far; captures are its rows of
+    :meth:`~headlab.engine.LockstepBatch.capture`, by capture label.  An
+    arm leaves ``arms`` when it aborts the attempt or drops the run."""
 
     run: int
     index: int
+    mixture: int
     seed: int
     arms: list[int]
     captured: dict[int, np.ndarray] = field(default_factory=dict)
@@ -153,26 +147,24 @@ class _Attempt:
 def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
           policies, catalog: dict[str, ObjectSpec], root_seed: int,
           label_threshold: float):
-    """Every run of ``runs`` over one bank under every policy, in waves of
-    up to ``engine.LOCKSTEP_ROWS`` attempts.
+    """Every run of ``runs`` over one bank under every policy, its attempts
+    denoised by :func:`~headlab.engine.denoise`.
 
-    An attempt is one latent for all the arms that make it.  A wave takes
-    the attempts waiting for one, then the first attempts of runs not yet
-    started, in order; its rows start at ``t = T`` and step together, as
-    one lockstep batch built for the wave.  At each noise index the wave
-    captures, if it is a capture step of some head arm, and the head arms
-    deciding there decide, each over all its rows at once.  A row whose
-    arms have all aborted it, or left its run, then leaves the wave and
-    its batch, and the rows left step on together; at ``t = 0`` the image
-    of every row left is labelled once for the arms still on it.  An
-    attempt that ends queues its run's next attempt, made by the arms
-    whose run goes on, for the next wave, which starts once this one is
-    empty.  Returns, by arm, the traces by position in ``runs``
-    and the position of the first run that exhausted the arm's
-    ``max_restarts`` (None if none did); once one has, the arm drops later
-    runs, since only an earlier run can come first.
+    An attempt is one latent for all the arms that make it.  The queue
+    holds the attempts waiting for a wave, then, once a wave has ended, the
+    first attempts of runs not yet started, in order, up to a wave's rows.
+    At each noise index the wave captures, if it is a capture step of some
+    head arm, and the head arms deciding there decide, each over all its
+    rows at once.  A row whose arms have all aborted it, or left its run,
+    then leaves the wave, and at ``t = 0`` the image of every row left is
+    labelled once for the arms still on it.  An attempt that ends queues
+    its run's next attempt, made by the arms whose run goes on.  Returns,
+    by arm, the traces by position in ``runs`` and the position of the
+    first run that exhausted the arm's ``max_restarts`` (None if none
+    did); once one has, the arm drops later runs, since only an earlier
+    run can come first.
     """
-    T, n = schedule.T, bank.grid_size
+    T = schedule.T
     arms = range(len(policies))
     heads = [(a, p.model, max(p.model.steps))
              for a, p in enumerate(policies) if p.model is not None]
@@ -181,32 +173,24 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     traces = [[None] * len(runs) for _ in arms]
     failed: list[int | None] = [None for _ in arms]
     next_run = 0
-    live: list[_Attempt] = []
     waiting: list[_Attempt] = []
 
     def attempt(run: int, index: int, by: list[int]) -> _Attempt:
         spec = runs[run]
-        seed = mix64(root_seed, spec.prompt_index, spec.run_index, index)
-        return _Attempt(run=run, index=index, seed=seed, arms=list(by))
+        return _Attempt(run=run, index=index, mixture=spec.mixture,
+                        seed=mix64(root_seed, spec.prompt_index,
+                                   spec.run_index, index), arms=list(by))
 
-    while True:
-        if not live:
-            fresh = [a for a in arms if failed[a] is None]
-            while (fresh and next_run < len(runs)
-                   and len(waiting) < engine.LOCKSTEP_ROWS):
-                waiting.append(attempt(next_run, 0, fresh))
-                next_run += 1
-            if not waiting:
-                return traces, failed
-            live = waiting[:engine.LOCKSTEP_ROWS]
-            waiting = waiting[engine.LOCKSTEP_ROWS:]
-            batch = LockstepBatch(
-                bank, [runs[at.run].mixture for at in live], schedule,
-                initial_latents([at.seed for at in live], n))
-            t = T
-        else:  # the rows some arm still makes step on
-            batch.step(t)
-            t -= 1
+    def admit() -> None:
+        nonlocal next_run
+        fresh = [a for a in arms if failed[a] is None]
+        while (fresh and next_run < len(runs)
+               and len(waiting) < engine.LOCKSTEP_ROWS):
+            waiting.append(attempt(next_run, 0, fresh))
+            next_run += 1
+
+    admit()
+    for t, batch, live in denoise(bank, schedule, waiting):
         if t in capture_at:
             for at, channels in zip(live, batch.capture(t)):
                 at.captured[T - t] = channels
@@ -258,10 +242,13 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                 for at in live + waiting:
                     if at.run > first and a in at.arms:
                         at.arms.remove(a)
-        waiting = [at for at in waiting if at.arms]
+        waiting[:] = [at for at in waiting if at.arms]
         keep = [row for row, at in enumerate(live) if t and at.arms]
-        live = [live[row] for row in keep]
+        live[:] = [live[row] for row in keep]
         batch.keep(keep)
+        if not live:  # the wave has ended
+            admit()
+    return traces, failed
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,
@@ -278,7 +265,7 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     matched-filter presence check for every target.  Mixtures that cannot
     share a :class:`MixtureBank` run in separate pools.  Returns one tuple
     of traces per policy, in (prompt, run) order; each equals the policy
-    run alone, and the slot count changes none of them.  Raises
+    run alone, and the wave size changes none of them.  Raises
     ``RunFailure`` for the first run in that order that no
     attempt within ``max_restarts`` completes, under the first policy that
     has one.

@@ -1,6 +1,7 @@
 """Shared fixtures: the default capture dataset is built once per session."""
 
 import sys
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from headlab import rng
+from headlab import engine, rng
 from headlab.dataset import DatasetConfig, DatasetManifest, generate_dataset
 from headlab.engine import NoiseSchedule, make_schedule
 from headlab.scene import ObjectSpec, default_catalog
@@ -85,3 +86,21 @@ def word_draws(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
                 and getattr(module, "stream_words", None) is words):
             monkeypatch.setattr(module, "stream_words", counting)
     return draws
+
+
+@pytest.fixture
+def released_waves(monkeypatch) -> list[weakref.ref]:
+    """Denoise in waves of 5 rows, each batch built as a subclass that
+    checks, as it is built, that every batch built before it is gone or
+    holds no rows; returns weak references to the batches built."""
+    built = []
+
+    class Checked(engine.LockstepBatch):
+        def __init__(self, *args):
+            assert all(b() is None or len(b().which) == 0 for b in built)
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "LockstepBatch", Checked)
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 5)
+    return built

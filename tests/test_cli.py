@@ -401,6 +401,29 @@ def test_make_dataset_over_a_catalog_of_mixed_position_counts(tmp_path):
                    "--out", str(tmp_path / "ev")]) == 0
 
 
+@pytest.mark.parametrize("values", [
+    {"component_std": 1e308},
+    {"component_std": 1e-200},
+    {"component_std": float("nan")},
+    {"component_std": float("inf")},
+    {"split_fractions": [1.5, -0.25, -0.25]},
+    {"split_fractions": [float("nan"), 0.5, 0.5]},
+])
+def test_make_dataset_rejects_a_bad_config_before_writing(tmp_path, capsys,
+                                                          values):
+    """A component spread whose square overflows, underflows or is not a
+    number, and split fractions outside [0, 1], exit 1 before anything is
+    written."""
+    config = tmp_path / "dataset.json"
+    config.write_text(json.dumps({"dataset": values}), encoding="utf-8")
+    out = tmp_path / "ds"
+    assert main(["make-dataset", "--config", str(config),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- detector
 
 def test_train_artifacts(cli_models, workdir):

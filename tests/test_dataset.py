@@ -40,7 +40,14 @@ def test_default_config_is_valid():
     {"faithfulness": 1.5},
     {"label_threshold": 1.0},
     {"component_std": 0.0},
+    {"component_std": 1e308},
+    {"component_std": 1e-200},
+    {"component_std": float("nan")},
+    {"component_std": float("inf")},
     {"split_fractions": (0.5, 0.5, 0.5)},
+    {"split_fractions": (1.5, -0.25, -0.25)},
+    {"split_fractions": (float("nan"), 0.5, 0.5)},
+    {"split_fractions": (float("inf"), 0.5, float("-inf"))},
     {"seeds_per_prompt": MAX_SEEDS_PER_PROMPT + 1},
     {"num_steps": MAX_NUM_STEPS + 1},
     {"global_seed": -1},
@@ -229,6 +236,14 @@ def test_generation_draws_each_chunks_noise_at_once(tmp_path, catalog,
     chunks = [((min(5, rows - lo),), 256) for lo in range(0, rows, 5)]
     assert [d for d in word_draws if d[0]] == chunks
     assert [d for d in word_draws if not d[0]] == [((), 1)] * (prompts - 1)
+
+
+def test_each_wave_is_released_before_the_next_is_built(tmp_path, catalog,
+                                                       released_waves):
+    generate_dataset(TINY_CONFIG, catalog, tmp_path)
+    prompts = len(TINY_CONFIG.subjects) * len(TINY_CONFIG.objects)
+    assert len(released_waves) == -(-prompts * TINY_CONFIG.seeds_per_prompt
+                                    // 5) > 1
 
 
 def test_prompt_stats_count_each_prompt_in_any_sample_order(tiny_dataset):

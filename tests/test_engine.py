@@ -607,12 +607,13 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
             if not 0 <= t <= schedule.T:
                 continue
             batch = batches[start]
+            latents = batch.z
             post, caps = batch.posterior(t), batch.capture(t)
             for k, b in enumerate(live):
                 if reference[b] is None:
                     continue
                 _, z1, r1, eps1, pfi1, attention1 = reference[b][t]
-                assert np.array_equal(batch.z[k], z1)
+                assert np.array_equal(latents[k], z1)
                 assert np.array_equal(post.r[k], r1)
                 assert np.array_equal(post.eps[k], eps1)
                 assert np.array_equal(caps[k, 0], pfi1)

@@ -209,3 +209,43 @@ def test_the_engine_steps_no_dense_posterior():
 
 def test_the_mixture_bank_keeps_no_work_arrays():
     assert [f.name for f in fields(MixtureBank)] == ["mixtures"]
+
+
+def _calls(source: str, names) -> list[tuple[str, str]]:
+    """``(callee, definition)`` for every call in ``source`` of a function,
+    class or method named in ``names``, by its name, with the top-level
+    ``def`` or ``class`` it is made in (``""`` outside one), sorted."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in names:
+                    found.append((name, where))
+    return sorted(found)
+
+
+def test_checker_finds_calls_and_where_they_are_made():
+    source = ("def loop(b):\n    b.step(1)\n    return Batch(b, step(2))\n"
+              "class C:\n    def m(self): return self.step, Batch\n"
+              "Batch(0).keep([])\n")
+    assert _calls(source, {"step", "Batch"}) == [
+        ("Batch", ""), ("Batch", "loop"), ("step", "loop"), ("step", "loop")]
+
+
+def test_one_denoising_loop():
+    """The corpus and the campaign share one loop: the package builds every
+    lockstep batch, draws every starting noise and steps every latent in
+    ``engine.denoise``, and the corpus's own chunking is gone."""
+    calls = [(module.name, *call) for module in sorted(SRC.glob("*.py"))
+             for call in _calls(module.read_text(encoding="utf-8"),
+                                {"LockstepBatch", "initial_latents", "step"})]
+    assert calls == [("engine.py", "LockstepBatch", "denoise"),
+                     ("engine.py", "initial_latents", "denoise"),
+                     ("engine.py", "step", "denoise")]
+    for module in sorted(SRC.glob("*.py")):
+        assert "_chunks" not in _defined_or_named(
+            module.read_text(encoding="utf-8")), module.name

@@ -455,6 +455,14 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
                              ((1,), resamples * len(prompts))])
 
 
+def test_each_wave_is_released_before_the_next_is_built(catalog, schedule,
+                                                       tiny_model,
+                                                       released_waves):
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    assert len(released_waves) > 1
+
+
 @pytest.mark.parametrize("slots", [1, 3, 16, 32])
 def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
                                        monkeypatch, slots):
