@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -31,8 +30,8 @@ from .atomic import write_atomic
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_manifest, CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
-                       calibrate_threshold, evaluate_detector, fit_detector,
-                       merge_counts)
+                       calibrate_threshold, check_target_recall,
+                       evaluate_detector, fit_detector, merge_counts)
 from .engine import make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64
@@ -219,21 +218,27 @@ def _cmd_make_dataset(args) -> None:
 def _cmd_train(args) -> None:
     settings = _with_flags(load_experiment_config(args.config).detector, args)
     root, manifest, catalog = _load_dataset(args.dataset)
-    design = functools.cache(lambda split: build_design_matrix(
-        root, manifest, catalog, settings.steps, variant=settings.variant,
-        split=split))
-    model = fit_detector(design("train"), lr=settings.lr,
+    reported = [split for split in ("train", "val")
+                if manifest.samples_for_split(split)]
+    splits = ["train", *reported]
+    if settings.target_recall is not None:
+        # checked before any capture is read or any epoch runs
+        manifest.rows_for_split(settings.calibration_split)
+        check_target_recall(settings.target_recall)
+        splits.append(settings.calibration_split)
+    design = build_design_matrix(root, manifest, catalog, settings.steps,
+                                 variant=settings.variant, splits=splits)
+    model = fit_detector(design.of_split("train"), lr=settings.lr,
                          epochs=settings.epochs, l2=settings.l2,
                          threshold=settings.threshold)
     if settings.target_recall is not None:
-        cal = design(settings.calibration_split)
+        cal = design.of_split(settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
                                               settings.target_recall)
     out = _out_dir(args.out)
     model.save(out / "model.json")
-    report = {split: evaluate_detector(model, design(split)).to_dict()
-              for split in ("train", "val")
-              if manifest.samples_for_split(split)}
+    report = {split: evaluate_detector(model, design.of_split(split)).to_dict()
+              for split in reported}
     _write_json(out / "train_report.json", report)
     _write_snapshot(out, "train", {"dataset": str(args.dataset),
                                    "detector": asdict(settings)})
@@ -247,7 +252,7 @@ def _cmd_eval(args) -> None:
     root, manifest, catalog = _load_dataset(args.dataset)
     model = DetectorModel.load(args.model)
     design = build_design_matrix(root, manifest, catalog, model.steps,
-                                 variant=model.variant, split=args.split)
+                                 variant=model.variant, splits=(args.split,))
     report = evaluate_detector(model, design)
     out = _out_dir(args.out)
     _write_json(out / "eval_report.json",
@@ -331,7 +336,8 @@ def _cmd_sweep_tlast(args) -> None:
     for path in model_paths:
         model = DetectorModel.load(path)
         design = build_design_matrix(root, manifest, catalog, model.steps,
-                                     variant=model.variant, split=args.split)
+                                     variant=model.variant,
+                                     splits=(args.split,))
         report = evaluate_detector(model, design)
         points.append(_rate_point(report, manifest, max(model.steps)))
     num_steps = manifest.config.num_steps

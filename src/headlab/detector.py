@@ -20,16 +20,22 @@ comparable); ``multi_timestep`` concatenates one six-feature block per
 decision step, ordered by step label.
 
 One feature path, :func:`feature_rows`, builds the rows for training,
-evaluation and live aborts from stacks of captures; every reduction stays
-within its row, so a row's features do not depend on the stack it rides
-in.  Inputs are squeezed through float32 first, so features computed live
-match those computed from the stored float32 tensors bit for bit.
+evaluation and live aborts from stacks of captures, with one
+:func:`extract_features` pass per capture step over every (capture,
+target) pair: the attention statistics slot by slot, the matched filter
+once per object and the local energy once per best-matching position.
+Every reduction stays within its row, so a row's features do not depend on
+the stack it rides in.  Inputs are squeezed through float32 first, so
+features computed live match those computed from the stored float32
+tensors bit for bit.  :func:`build_design_matrix` covers every split a
+command reads in one such pass, so ``train`` reads each step's tensor once
+for its fit, its report and its calibration.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,44 +76,79 @@ def expit(x) -> np.ndarray:
     return np.where(nan, np.negative(x), p) if nan.any() else p
 
 
-def extract_features(pfi: np.ndarray, attention: np.ndarray,
-                     spec: ObjectSpec) -> np.ndarray:
-    """Six-feature summaries of one object over a stack of captures.
+def extract_features(channels: np.ndarray, targets,
+                     catalog: dict[str, ObjectSpec], rows=None) -> np.ndarray:
+    """Six-feature summaries of every (capture, target) pair at one step.
 
-    ``pfi`` and ``attention`` have shape ``(R, n, n)``: row ``b`` is one
-    capture's predicted final image and the object's attention map.
-    Returns shape ``(R, 6)``.
+    ``channels`` has the stored layout ``(N, 1 + n_targets, n, n)``: row
+    ``b`` is one capture's predicted final image, then one attention map per
+    target.  ``rows`` picks the captures to summarize, all of them by
+    default, and ``targets[r]`` names the objects of capture ``rows[r]``.
+    Returns shape ``(R, n_targets, 6)``.
+
+    The attention statistics are taken target slot by target slot, the
+    matched filter once per object over that object's pairs, and the local
+    energy once per distinct best position.  Each reduction stays within its
+    pair, so the features do not depend on the stack they ride in.  Rows are
+    gathered piece by piece from ``channels``, and only what a float64
+    reduction reads is widened from float32: a maximum and an order are the
+    same in either width.
     """
-    pfi = np.asarray(pfi, dtype=np.float32).astype(np.float64)
-    attention = np.asarray(attention, dtype=np.float32).astype(np.float64)
-    if pfi.shape != attention.shape or pfi.ndim != 3:
+    channels = np.asarray(channels, dtype=np.float32)
+    rows = (np.arange(len(channels)) if rows is None
+            else np.asarray(rows, dtype=np.intp))
+    width = len(targets[0]) if len(targets) else 0
+    if (channels.ndim != 4 or channels.shape[1] != 1 + width
+            or len(rows) != len(targets)
+            or any(len(names) != width for names in targets)):
         raise UsageError(
-            f"pfi shape {pfi.shape} != attention shape {attention.shape}, "
-            "or not a stack of images")
+            f"channels shape {channels.shape} is not one predicted final "
+            f"image and {width} attention maps for each of {len(targets)} "
+            "captures")
 
-    out = np.empty((len(pfi), len(FEATURE_NAMES)))
-    flat = attention.reshape(len(attention), -1)
-    total = flat.sum(axis=1)
-    out[:, 0] = flat.max(axis=1)
-    out[:, 1] = total / flat.shape[1]  # the mean, as np.mean computes it
-    k = max(1, round(TOP_MASS_FRACTION * flat.shape[1]))
-    top = np.sort(flat, axis=1)[:, -k:].sum(axis=1)
-    out[:, 2] = np.divide(top, total, out=np.zeros_like(total),
-                          where=total > 0.0)
+    out = np.empty((len(targets), width, len(FEATURE_NAMES)))
+    for j in range(width):
+        attention = channels[rows, 1 + j].reshape(len(rows), -1)
+        k = max(1, round(TOP_MASS_FRACTION * attention.shape[1]))
+        # widened 64 rows at a time: no float64 copy of a whole slot is made
+        total = np.concatenate([attention[lo:lo + 64].astype(np.float64)
+                                .sum(axis=1)
+                                for lo in range(0, len(rows), 64)])
+        out[:, j, 0] = attention.max(axis=1)
+        out[:, j, 1] = total / attention.shape[1]  # as np.mean computes it
+        attention.sort(axis=1)
+        top = attention[:, -k:].astype(np.float64).sum(axis=1)
+        out[:, j, 2] = np.divide(top, total, out=np.zeros_like(total),
+                                 where=total > 0.0)
 
-    responses = spec.filter_responses(pfi)
-    order = np.argsort(responses, axis=1)
-    best = order[:, -1]
-    out[:, 3] = responses[np.arange(len(pfi)), best]
-    out[:, 4] = (out[:, 3] - responses[np.arange(len(pfi)), order[:, -2]]
-                 if responses.shape[1] > 1 else 0.0)
+    # pair i is capture rows[i // width], target slot i % width
+    capture = np.repeat(rows, width)
+    pairs: dict[str, list[int]] = {}
+    for i, obj in enumerate(obj for names in targets for obj in names):
+        pairs.setdefault(obj, []).append(i)
+    at_position: dict[tuple[int, int], list[np.ndarray]] = {}
+    flat = out.reshape(-1, len(FEATURE_NAMES))
+    for obj, at in pairs.items():
+        spec = catalog[obj]
+        at = np.array(at)
+        responses = spec.filter_responses(
+            channels[capture[at], 0].astype(np.float64))
+        order = np.argsort(responses, axis=1)
+        best = order[:, -1]
+        each = np.arange(len(at))
+        flat[at, 3] = match = responses[each, best]
+        flat[at, 4] = (match - responses[each, order[:, -2]]
+                       if responses.shape[1] > 1 else 0.0)
+        for p in set(best.tolist()):
+            at_position.setdefault(spec.candidate_positions[p], []).append(
+                at[best == p])
 
     h = LOCAL_PATCH // 2
-    for p in set(best.tolist()):
-        at = (best == p).nonzero()[0]
-        r, c = spec.candidate_positions[p]
-        patch = pfi[at, max(0, r - h):r + h + 1, max(0, c - h):c + h + 1]
-        out[at, 5] = (patch ** 2).sum(axis=(1, 2)) / patch[0].size
+    for (r, c), chunks in at_position.items():
+        at = np.concatenate(chunks)
+        patch = channels[capture[at], 0, max(0, r - h):r + h + 1,
+                         max(0, c - h):c + h + 1].astype(np.float64)
+        flat[at, 5] = (patch ** 2).sum(axis=(1, 2)) / patch[0].size
     return out
 
 
@@ -127,28 +168,18 @@ def feature_names_for(variant: str, steps) -> tuple[str, ...]:
 
 
 def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
-                 variant: str, steps) -> np.ndarray:
+                 variant: str, steps, rows=None) -> np.ndarray:
     """Design rows of ``R`` captures, capture by capture and then by target.
 
     ``channels_at(u)`` gives the captures at label ``u`` in the stored
-    layout, ``(R, 1 + n_targets, n, n)``; ``targets[r]`` names capture
-    ``r``'s targets.  Each (target slot, object) group of rows takes one
-    :func:`extract_features` call per step.
+    layout, ``(N, 1 + n_targets, n, n)``; ``rows`` picks ``R`` of them, all
+    by default, and ``targets[r]`` names the targets of capture ``rows[r]``.
+    Each step is read once and takes one :func:`extract_features` call.
     """
     feature_names_for(variant, steps)
-    groups: dict[tuple[int, str], list[int]] = {}
-    for row, names in enumerate(targets):
-        for j, obj in enumerate(names):
-            groups.setdefault((j, obj), []).append(row)
-    blocks = []
-    for u in sorted(int(u) for u in steps):
-        channels = channels_at(u)
-        feats = np.empty((len(targets), len(targets[0]), len(FEATURE_NAMES)))
-        for (j, obj), rows in groups.items():
-            feats[rows, j] = extract_features(channels[rows, 0],
-                                              channels[rows, 1 + j],
-                                              catalog[obj])
-        blocks.append(feats.reshape(-1, len(FEATURE_NAMES)))
+    blocks = [extract_features(channels_at(u), targets, catalog, rows)
+              .reshape(-1, len(FEATURE_NAMES))
+              for u in sorted(int(u) for u in steps)]
     if variant == "multi_timestep":
         return np.concatenate(blocks, axis=1)
     if variant == "attention_only":
@@ -158,12 +189,17 @@ def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Feature matrix plus row bookkeeping for per-object evaluation."""
+    """Feature matrix plus row bookkeeping for per-object evaluation.
+
+    ``sample_ids``, ``object_ids`` and ``splits`` name each row's sample,
+    object and split.
+    """
 
     x: np.ndarray
     y: np.ndarray
     sample_ids: tuple[str, ...]
     object_ids: tuple[str, ...]
+    splits: tuple[str, ...]
     feature_names: tuple[str, ...]
     variant: str
     steps: tuple[int, ...]
@@ -176,15 +212,27 @@ class DesignMatrix:
             raise UsageError(
                 f"{self.x.shape[1]} columns vs {len(self.feature_names)} names")
 
+    def of_split(self, split: str) -> "DesignMatrix":
+        """The rows of one split, in order."""
+        rows = [i for i, name in enumerate(self.splits) if name == split]
+        sample_ids, object_ids, splits = (
+            tuple(ids[i] for i in rows)
+            for ids in (self.sample_ids, self.object_ids, self.splits))
+        return replace(self, x=self.x[rows], y=self.y[rows],
+                       sample_ids=sample_ids, object_ids=object_ids,
+                       splits=splits)
+
 
 def build_design_matrix(root, manifest: DatasetManifest,
                         catalog: dict[str, ObjectSpec], steps,
                         variant: str = "combined",
-                        split: str = "train") -> DesignMatrix:
-    """Assemble (sample, object) rows for one split from stored captures.
+                        splits=("train",)) -> DesignMatrix:
+    """Assemble (sample, object) rows of some splits from stored captures.
 
-    Each step's tensor is read once; rows come sample by sample in manifest
-    order, then by target.
+    Every split is checked before anything is read.  Each step's tensor is
+    then read once, and the features of the splits' rows are extracted in
+    one pass; rows come sample by sample in manifest order, then by target.
+    :meth:`DesignMatrix.of_split` selects one split's rows.
     """
     names = feature_names_for(variant, steps)
     steps = tuple(sorted(int(u) for u in steps))
@@ -192,18 +240,25 @@ def build_design_matrix(root, manifest: DatasetManifest,
     if missing:
         raise UsageError(f"steps {sorted(missing)} were not captured; "
                          f"captured: {list(manifest.config.critical_steps)}")
-    index = np.array(manifest.rows_for_split(split), dtype=np.int64)
-    if not index.size:
-        raise RunFailure(f"split {split!r} produced no rows")
+    split_of: dict[int, str] = {}
+    for split in dict.fromkeys(splits):
+        rows = manifest.rows_for_split(split)
+        if not rows:
+            raise RunFailure(f"split {split!r} produced no rows")
+        split_of.update(dict.fromkeys(rows, split))
+    index = sorted(split_of)
     chosen = [manifest.samples[i] for i in index]
     grid_size = catalog[chosen[0].targets[0]].grid_size
     return DesignMatrix(
-        x=feature_rows(lambda u: load_step(root, manifest, u, grid_size)[index],
-                       [s.targets for s in chosen], catalog, variant, steps),
+        x=feature_rows(lambda u: load_step(root, manifest, u, grid_size),
+                       [s.targets for s in chosen], catalog, variant, steps,
+                       index),
         y=np.array([s.labels[obj] for s in chosen for obj in s.targets],
                    dtype=np.int64),
         sample_ids=tuple(s.sample_id for s in chosen for _ in s.targets),
         object_ids=tuple(obj for s in chosen for obj in s.targets),
+        splits=tuple(split_of[i] for i, s in zip(index, chosen)
+                     for _ in s.targets),
         feature_names=names, variant=variant, steps=steps)
 
 
@@ -240,14 +295,17 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     n = x.shape[0]
     w = np.zeros(x.shape[1])
     b = 0.0
-    # a diverging fit ends in RunFailure below, not in numpy warnings
+    # A diverging fit ends in RunFailure below, not in numpy warnings.  The
+    # loop inlines expit's arithmetic, without its NaN repair: a NaN logit
+    # spreads to the weights either way.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             logits = x @ w + b
-            p = expit(logits)
+            p = 1.0 / (1.0 + np.exp(np.negative(logits,
+                                                dtype=np.complex128)).real)
             err = p - y
             w -= lr * (x.T @ err / n + l2 * w)
-            b -= lr * float(err.mean())
+            b -= lr * float(err.sum() / n)
         logits = x @ w + b
         loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
                      + 0.5 * l2 * float(w @ w))
@@ -446,6 +504,12 @@ def evaluate_detector(model: DetectorModel,
                            per_object=per_object)
 
 
+def check_target_recall(target_recall: float) -> None:
+    """Refuse a recall target outside (0, 1], NaN included."""
+    if not (0.0 < target_recall <= 1.0):
+        raise UsageError("target recall must be in (0, 1]")
+
+
 def calibrate_threshold(scores: np.ndarray, y: np.ndarray,
                         target_recall: float) -> float:
     """Largest threshold whose recall still reaches the target.
@@ -454,8 +518,7 @@ def calibrate_threshold(scores: np.ndarray, y: np.ndarray,
     to the k-th largest positive score yields recall exactly k/n_pos, so
     the answer is that order statistic with ``k = ceil(target * n_pos)``.
     """
-    if not (0.0 < target_recall <= 1.0):
-        raise UsageError("target recall must be in (0, 1]")
+    check_target_recall(target_recall)
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y)
     pos = np.sort(scores[y == 1])[::-1]

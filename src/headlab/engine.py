@@ -275,8 +275,12 @@ class LockstepBatch:
         self._sigma = schedule.sigma.tolist()
         self._columns = bank.target_columns
         self._shape = np.shape(z)[1:]
-        self._basis = basis = np.concatenate(
-            [np.reshape(z, (len(which), 1, -1)), bank.templates[which]], 1)
+        # one allocation: z_T in column 0, the rows' templates gathered
+        # straight into the columns after it
+        self._basis = basis = np.empty(
+            (len(which), 1 + bank.templates.shape[1], bank.templates.shape[2]))
+        basis[:, 0] = np.reshape(z, (len(which), -1))
+        np.take(bank.templates, which, axis=0, out=basis[:, 1:])
         # The Gram matrix of each row's basis, flattened to (B, 1, P * P):
         # the bank's template block, bordered by the row's z_T products,
         # which stand for z_T's column too (a product commutes exactly).

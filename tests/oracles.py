@@ -6,8 +6,10 @@ by per-pixel formulas, where the engine steps coefficients; attention maps
 from each component's placed template, where the engine weights each
 target's templates by the mean coefficients; whole generations with their
 captures, one lockstep batch per call; a tensor file as one bytes object;
-a mixture's presence marginals; and a campaign group's bootstrap interval
-from its own stream, where the package draws every group's at once.
+a mixture's presence marginals; a campaign group's bootstrap interval
+from its own stream, where the package draws every group's at once; and
+the logistic fit's epochs over ``expit`` and ``mean``, where the package
+inlines the logistic and divides the error sum.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from headlab.detector import expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
 from headlab.rng import SplitMix64
@@ -160,3 +163,27 @@ def bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
     stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
     return (float(np.percentile(stats, 2.5)),
             float(np.percentile(stats, 97.5)))
+
+
+def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float, epochs: int,
+                 l2: float) -> tuple[np.ndarray, float, float]:
+    """Weights, bias and final loss of ``epochs`` full-batch gradient
+    descent steps on mean cross-entropy plus ``l2`` on the weights: the
+    loop of ``train_logistic`` over ``expit`` and ``mean``, without its
+    checks."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            logits = x @ w + b
+            p = expit(logits)
+            err = p - y
+            w -= lr * (x.T @ err / n + l2 * w)
+            b -= lr * float(err.mean())
+        logits = x @ w + b
+        loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
+                     + 0.5 * l2 * float(w @ w))
+    return w, b, loss

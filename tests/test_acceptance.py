@@ -56,13 +56,13 @@ def trained(dataset) -> dict[int, TrainedStep]:
         start = perf_counter()
         design = build_design_matrix(dataset.root, dataset.manifest,
                                      dataset.catalog, (u,),
-                                     variant="combined", split="train")
+                                     variant="combined", splits=("train",))
         model = fit_detector(design)
         fit_seconds = perf_counter() - start
         val = evaluate_detector(
             model, build_design_matrix(dataset.root, dataset.manifest,
                                        dataset.catalog, (u,),
-                                       variant="combined", split="val"))
+                                       variant="combined", splits=("val",)))
         out[u] = TrainedStep(model=model, val=val, fit_seconds=fit_seconds)
     return out
 
@@ -219,12 +219,14 @@ def test_criterion_5_detector_clears_quality_bar(dataset, trained, capfd):
     pooled = step.val.pooled
     att_design = build_design_matrix(dataset.root, dataset.manifest,
                                      dataset.catalog, (16,),
-                                     variant="attention_only", split="train")
+                                     variant="attention_only",
+                                     splits=("train",))
     att_model = fit_detector(att_design)
     att_val = evaluate_detector(
         att_model, build_design_matrix(dataset.root, dataset.manifest,
                                        dataset.catalog, (16,),
-                                       variant="attention_only", split="val"))
+                                       variant="attention_only",
+                                       splits=("val",)))
     budget = dataset.build_seconds + step.fit_seconds
     ok = (pooled.recall >= 0.9
           and pooled.true_negative_rate >= 0.8
@@ -285,7 +287,7 @@ def test_criterion_8_live_campaign_matches_closed_form(
     reports = [evaluate_detector(
         model, build_design_matrix(dataset.root, dataset.manifest,
                                    dataset.catalog, (8,), variant="combined",
-                                   split=split))
+                                   splits=(split,)))
         for split in ("train", "val", "test")]
     recall_by, tn_by = _role_rates(reports, config)
     pattern_counts: dict[tuple[int, ...], int] = {}

@@ -444,6 +444,72 @@ def test_train_with_calibration(cli_dataset, tmp_path):
     assert 0.0 < model.threshold < 0.5
 
 
+@pytest.fixture
+def train_work(monkeypatch):
+    """Every stored tensor read, ``extract_features`` call and fit that the
+    package makes, as a dict of lists."""
+    from headlab import dataset, detector
+
+    work = {"reads": [], "extracts": [], "fits": []}
+    for module, name, key in ((dataset, "read_tensor", "reads"),
+                              (detector, "extract_features", "extracts"),
+                              (detector, "train_logistic", "fits")):
+        def counting(*args, _original=getattr(module, name), _key=key,
+                     **kwargs):
+            work[_key].append(args[0])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return work
+
+
+@pytest.mark.parametrize("recall", [[], ["--target-recall", "0.9"],
+                                    ["--target-recall", "0.9",
+                                     "--calibration-split", "test"]])
+@pytest.mark.parametrize("steps", [["--steps", "16"],
+                                   ["--variant", "multi_timestep",
+                                    "--steps", "2,8,16"]])
+def test_train_reads_each_step_once(cli_dataset, tmp_path, train_work,
+                                    steps, recall):
+    """One pass per step covers the fit, the report and the calibration."""
+    assert _quiet(["train", "--dataset", str(cli_dataset),
+                   "--out", str(tmp_path / "m"), *steps, *recall]) == 0
+    wanted = {f"{u}.bin" for u in steps[-1].split(",")}
+    read = [path.name for path in train_work["reads"]]
+    assert sorted(read) == sorted(wanted)
+    assert len(train_work["extracts"]) == len(wanted)
+    assert len(train_work["fits"]) == 1
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--target-recall", "1.5"], 1, "target recall must be in (0, 1]"),
+    (["--target-recall", "0"], 1, "target recall must be in (0, 1]"),
+    (["--target-recall", "nan"], 1, "target recall must be in (0, 1]"),
+    (["--target-recall", "0.9", "--calibration-split", "nope"], 1,
+     "unknown split 'nope'; have ['test', 'train', 'val']"),
+    (["--target-recall", "0.9", "--calibration-split", "test"], 2,
+     "split 'test' produced no rows"),
+])
+def test_train_refuses_its_calibration_before_reading(
+        workdir, tmp_path, train_work, capsys, flags, code, message):
+    """A bad recall target or calibration split ends ``train`` before any
+    tensor is read or any epoch runs."""
+    config = tmp_path / "no_test.json"
+    config.write_text(json.dumps({"dataset": {
+        **TINY_SECTIONS["dataset"], "seeds_per_prompt": 1,
+        "critical_steps": [16], "split_fractions": [0.75, 0.25, 0.0]}}),
+        encoding="utf-8")
+    ds = tmp_path / "ds"
+    assert _quiet(["make-dataset", "--config", str(config),
+                   "--out", str(ds)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert main(["train", "--dataset", str(ds), "--out", str(out),
+                 "--steps", "16", *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert train_work == {"reads": [], "extracts": [], "fits": []}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,

@@ -20,12 +20,20 @@ from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
 from headlab.tensorio import read_tensor
 
-from oracles import sample_batch, tensor_bytes
+from oracles import logistic_fit, sample_batch, tensor_bytes
 
 
 def _solo_spec(positions=((8, 8),)) -> ObjectSpec:
     return ObjectSpec(object_id="dot", sigma=1.5,
                       candidate_positions=tuple(positions), grid_size=16)
+
+
+def _solo_features(pfi, attention, spec) -> np.ndarray:
+    """:func:`extract_features` of R captures of one target, ``spec``, from
+    their predicted final images and attention maps, each ``(R, n, n)``."""
+    channels = np.stack([pfi, attention], axis=1)
+    return extract_features(channels, [(spec.object_id,)] * len(channels),
+                            {spec.object_id: spec})[:, 0]
 
 
 # ------------------------------------------------------------- features
@@ -34,7 +42,7 @@ def test_feature_values_on_crafted_inputs():
     spec = _solo_spec()
     pfi = spec.placed_template((8, 8))
     attention = np.ones((16, 16))
-    feats = extract_features(pfi[None], attention[None], spec)[0]
+    feats = _solo_features(pfi[None], attention[None], spec)[0]
     named = dict(zip(FEATURE_NAMES, feats))
     assert named["attn_max"] == 1.0
     assert named["attn_mean"] == 1.0
@@ -50,7 +58,7 @@ def test_feature_gap_with_two_positions():
     spec = _solo_spec(((4, 4), (12, 12)))
     pfi = spec.placed_template((12, 12))
     feats = dict(zip(FEATURE_NAMES,
-                     extract_features(pfi[None], np.zeros((1, 16, 16)), spec)[0]))
+                     _solo_features(pfi[None], np.zeros((1, 16, 16)), spec)[0]))
     assert feats["pfi_match"] == pytest.approx(1.0, abs=1e-6)
     assert feats["pfi_match_gap"] > 0.9
     assert feats["attn_max"] == 0.0
@@ -62,22 +70,27 @@ def test_features_match_after_disk_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     pfi = rng.normal(size=(3, 16, 16))
     attention = rng.uniform(size=(3, 16, 16))
-    direct = extract_features(pfi, attention, spec)
-    stored = []
-    for name, array in (("pfi", pfi), ("attention", attention)):
-        path = tmp_path / f"{name}.bin"
-        path.write_bytes(tensor_bytes(array))
-        stored.append(read_tensor(path))
-    roundtrip = extract_features(*stored, spec)
+    direct = _solo_features(pfi, attention, spec)
+    path = tmp_path / "channels.bin"
+    path.write_bytes(tensor_bytes(np.stack([pfi, attention], axis=1)))
+    stored = read_tensor(path)
+    roundtrip = _solo_features(stored[:, 0], stored[:, 1], spec)
     assert np.array_equal(direct, roundtrip)
 
 
 def test_feature_shape_mismatch():
-    spec = _solo_spec()
-    with pytest.raises(UsageError, match=r"^pfi shape \(1, 16, 16\) != "):
-        extract_features(np.zeros((1, 16, 16)), np.zeros((1, 8, 8)), spec)
-    with pytest.raises(UsageError, match="or not a stack of images$"):
-        extract_features(np.zeros((16, 16)), np.zeros((16, 16)), spec)
+    catalog = {"dot": _solo_spec()}
+    with pytest.raises(UsageError, match=r"^channels shape \(1, 3, 16, 16\) is "
+                       "not one predicted final image and 1 attention maps "
+                       "for each of 1 captures$"):
+        extract_features(np.zeros((1, 3, 16, 16)), [("dot",)], catalog)
+    with pytest.raises(UsageError, match=r"^channels shape \(2, 16, 16\) "):
+        extract_features(np.zeros((2, 16, 16)), [("dot",)] * 2, catalog)
+    with pytest.raises(UsageError, match="for each of 2 captures$"):
+        extract_features(np.zeros((1, 2, 16, 16)), [("dot",)] * 2, catalog)
+    with pytest.raises(UsageError, match="and 2 attention maps"):
+        extract_features(np.zeros((2, 3, 16, 16)), [("dot", "dot"), ("dot",)],
+                         catalog)
 
 
 def test_feature_names_for_variants():
@@ -155,6 +168,36 @@ def test_training_is_deterministic():
     b = train_logistic(x, y)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+@pytest.mark.parametrize("variant, steps", [("combined", (8,)),
+                                           ("attention_only", (16,)),
+                                           ("multi_timestep", (2, 8, 16))])
+def test_training_equals_the_reference_loop(tiny_dataset, variant, steps):
+    """The fit's weights, bias and loss are those of the loop over
+    ``expit`` and ``mean``, bit for bit, on standardized design rows."""
+    design = build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
+                                 tiny_dataset.catalog, steps, variant=variant,
+                                 splits=("train", "val"))
+    std = design.x.std(axis=0)
+    x = (design.x - design.x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    for lr, epochs, l2 in ((0.1, 500, 1e-4), (2.0, 37, 0.0)):
+        got = train_logistic(x, design.y, lr=lr, epochs=epochs, l2=l2)
+        w, b, loss = logistic_fit(x, design.y, lr, epochs, l2)
+        assert np.array_equal(got.weights, w)
+        assert got.bias == b
+        assert got.final_loss == loss
+
+
+def test_training_still_fails_on_a_diverging_fit():
+    """Logits that overflow to infinities end the fit in NaN weights, which
+    the reference loop reaches too."""
+    x = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]])
+    y = np.array([1.0, 0.0, 0.0])
+    w, _, loss = logistic_fit(x, y, 1e10, 5, 1e-4)
+    assert not np.isfinite(loss) and not np.isfinite(w).all()
+    with pytest.raises(RunFailure, match=r"^training diverged \(loss="):
+        train_logistic(x, y, lr=1e10, epochs=5)
 
 
 # ------------------------------------------------------------- model
@@ -242,6 +285,7 @@ def test_model_load_accepts_a_saturated_threshold(tmp_path, threshold):
 def test_training_rejects_a_threshold_outside_the_open_unit_interval():
     design = DesignMatrix(x=np.array([[1.0], [-1.0]]), y=np.array([1, 0]),
                           sample_ids=("a", "b"), object_ids=("o", "o"),
+                          splits=("train",) * 2,
                           feature_names=("f",), variant="combined",
                           steps=(8,))
     for threshold in (-0.5, 0.0, 1.0, 2.0):
@@ -304,6 +348,7 @@ def test_confusion_counts_and_rates():
         y=np.array([1, 0, 0, 1, 1]),
         sample_ids=("a", "b", "c", "d", "e"),
         object_ids=("cat", "cat", "cat", "kite", "kite"),
+        splits=("val",) * 5,
         feature_names=("f0", "f1"), variant="combined", steps=(8,))
     report = evaluate_detector(_toy_model(), design)
     assert report.pooled.tp == 2 and report.pooled.fp == 1
@@ -356,7 +401,7 @@ def test_design_matrix_from_dataset(tiny_dataset):
     mani = tiny_dataset.manifest
     design = build_design_matrix(tiny_dataset.root, mani,
                                  tiny_dataset.catalog, steps=(8,),
-                                 split="train")
+                                 splits=("train",))
     n_rows = 2 * len(mani.samples_for_split("train"))
     assert design.x.shape == (n_rows, 6)
     assert design.feature_names == FEATURE_NAMES
@@ -368,16 +413,17 @@ def test_design_matrix_from_dataset(tiny_dataset):
 def test_design_matrix_rejects_uncaptured_step(tiny_dataset):
     with pytest.raises(UsageError, match=r"^steps \[3\] were not captured"):
         build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
-                            tiny_dataset.catalog, steps=(3,), split="train")
+                            tiny_dataset.catalog, steps=(3,),
+                            splits=("train",))
 
 
 def test_attention_only_ignores_pfi_channel(tiny_dataset):
     mani = tiny_dataset.manifest
     combined = build_design_matrix(tiny_dataset.root, mani,
                                    tiny_dataset.catalog, steps=(8,),
-                                   split="train", variant="combined")
+                                   splits=("train",), variant="combined")
     attn = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
-                               steps=(8,), split="train",
+                               steps=(8,), splits=("train",),
                                variant="attention_only")
     assert np.array_equal(attn.x[:, :3], combined.x[:, :3])
     assert np.all(attn.x[:, 3:] == 0.0)
@@ -386,12 +432,12 @@ def test_attention_only_ignores_pfi_channel(tiny_dataset):
 def test_multi_timestep_concatenates_blocks(tiny_dataset):
     mani = tiny_dataset.manifest
     multi = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
-                                steps=(8, 2), split="train",
+                                steps=(8, 2), splits=("train",),
                                 variant="multi_timestep")
     lo = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
-                             steps=(2,), split="train")
+                             steps=(2,), splits=("train",))
     hi = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
-                             steps=(8,), split="train")
+                             steps=(8,), splits=("train",))
     assert multi.x.shape[1] == 12
     assert np.array_equal(multi.x[:, :6], lo.x)
     assert np.array_equal(multi.x[:, 6:], hi.x)
@@ -422,7 +468,7 @@ def test_live_features_equal_disk_features(tiny_dataset):
                             tiny_dataset.catalog, variant, steps)
         disk = build_design_matrix(tiny_dataset.root, mani,
                                    tiny_dataset.catalog, steps=steps,
-                                   variant=variant, split=split)
+                                   variant=variant, splits=(split,))
         mine = [i for i, sid in enumerate(disk.sample_ids)
                 if sid == sample.sample_id]
         assert len(mine) == len(sample.targets)
@@ -452,27 +498,103 @@ def _row_features(pfi, attention, spec):
 def test_batched_features_equal_row_by_row_features(tiny_dataset):
     mani = tiny_dataset.manifest
     catalog = tiny_dataset.catalog
+    targets = [s.targets for s in mani.samples]
     compared = 0
     for u in mani.config.critical_steps:
         store = load_step(tiny_dataset.root, mani, u, 16)
-        for j in range(store.shape[1] - 1):
-            for obj in {s.targets[j] for s in mani.samples}:
-                rows = [b for b, s in enumerate(mani.samples)
-                        if s.targets[j] == obj]
-                got = extract_features(store[rows, 0], store[rows, 1 + j],
-                                       catalog[obj])
-                for g, b in zip(got, rows):
-                    want = _row_features(store[b, 0], store[b, 1 + j],
-                                         catalog[obj])
-                    assert np.array_equal(g, want), (u, b, obj)
-                    compared += 1
+        got = extract_features(store, targets, catalog)
+        for b, names in enumerate(targets):
+            for j, obj in enumerate(names):
+                want = _row_features(store[b, 0], store[b, 1 + j],
+                                     catalog[obj])
+                assert np.array_equal(got[b, j], want), (u, b, obj)
+                compared += 1
     assert compared == len(mani.config.critical_steps) * 2 * len(mani.samples)
+
+
+def _assert_rows_are_row_by_row(by_step, targets, catalog, rows=None):
+    """``feature_rows`` over the captures ``by_step[u]``, or over their
+    ``rows``, equals :func:`_row_features` bit for bit, for every step,
+    capture and slot."""
+    steps = sorted(by_step)
+    x = feature_rows(by_step.__getitem__, targets, catalog,
+                     "multi_timestep", steps, rows)
+    width = len(FEATURE_NAMES)
+    row = 0
+    for r, names in enumerate(targets):
+        b = r if rows is None else rows[r]
+        for j, obj in enumerate(names):
+            for i, u in enumerate(steps):
+                want = _row_features(by_step[u][b, 0], by_step[u][b, 1 + j],
+                                     catalog[obj])
+                got = x[row, i * width:(i + 1) * width]
+                assert np.array_equal(got, want), (u, b, j, obj)
+            row += 1
+    assert row == len(x)
+
+
+@pytest.mark.parametrize("every", [None, -3])
+def test_feature_rows_equal_row_by_row_features_of_stored_captures(
+        tiny_dataset, every):
+    """All stored captures, or every third of them gathered backwards."""
+    mani = tiny_dataset.manifest
+    rows = None if every is None else list(range(len(mani.samples)))[::every]
+    picked = mani.samples if rows is None else [mani.samples[b] for b in rows]
+    _assert_rows_are_row_by_row(
+        {u: load_step(tiny_dataset.root, mani, u, 16)
+         for u in mani.config.critical_steps},
+        [s.targets for s in picked], tiny_dataset.catalog, rows)
+
+
+def test_feature_rows_equal_row_by_row_features_of_live_captures(
+        catalog, schedule):
+    """Fresh float64 captures, as the live pool hands them over."""
+    from headlab.scene import build_conditional_mixture
+
+    by_step, targets = {}, []
+    for pair in (("cat", "bench"), ("owl", "kite"), ("dog", "bench")):
+        mix = build_conditional_mixture(pair, 0.6, catalog)
+        record = sample_batch(mix, schedule, range(5), (50, 42, 34, 2, 0))
+        for t, channels in record.captures.items():
+            assert channels.dtype == np.float64
+            by_step.setdefault(50 - t, []).append(channels)
+        targets += [pair] * 5
+    _assert_rows_are_row_by_row(
+        {u: np.concatenate(parts) for u, parts in by_step.items()},
+        targets, catalog)
+
+
+def test_feature_rows_equal_row_by_row_features_at_the_grid_border():
+    """Objects of 1, 2 and 3 candidate positions on an 11x11 grid, placed
+    at its edges and corners so that the energy patches clip, in every
+    target slot, with some all-zero attention maps."""
+    n = 11
+    catalog = {name: ObjectSpec(object_id=name, sigma=sigma,
+                                candidate_positions=positions, grid_size=n)
+               for name, sigma, positions in (
+                   ("one", 1.0, ((0, 0),)),
+                   ("two", 1.5, ((10, 5), (1, 9))),
+                   ("three", 2.0, ((0, 10), (10, 0), (5, 5))))}
+    names = sorted(catalog)
+    rng = np.random.default_rng(22)
+    targets = [tuple(rng.choice(names, size=2)) for _ in range(40)]
+    by_step = {}
+    for u in (3, 7):
+        channels = rng.uniform(size=(40, 3, n, n))
+        for b, pair in enumerate(targets):
+            spec = catalog[pair[b % 2]]
+            position = spec.candidate_positions[b % len(spec.candidate_positions)]
+            channels[b, 0] = (spec.placed_template(position)
+                              + 0.3 * rng.normal(size=(n, n)))
+        channels[::7, 1 + u % 2] = 0.0
+        by_step[u] = channels
+    _assert_rows_are_row_by_row(by_step, targets, catalog)
 
 
 def test_fit_detector_learns_dataset(tiny_dataset):
     mani = tiny_dataset.manifest
     train = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
-                                steps=(16,), split="train")
+                                steps=(16,), splits=("train",))
     model = fit_detector(train)
     report = evaluate_detector(model, train)
     assert report.pooled.accuracy > 0.8

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module imports is used in that module,
 every private top-level name a module defines is read there, no module
-defines anything public that the package never reaches, and nothing the
-package runs needs scipy, which only the tests use."""
+defines anything public that the package never reaches, nothing the
+package runs needs scipy, which only the tests use, and no name that the
+benchmark's traced run wraps goes missing."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from headlab.engine import MixtureBank
 from headlab.scene import SceneComponent
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "headlab"
+PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -249,3 +252,39 @@ def test_one_denoising_loop():
     for module in sorted(SRC.glob("*.py")):
         assert "_chunks" not in _defined_or_named(
             module.read_text(encoding="utf-8")), module.name
+
+
+# The names in ``perfbench/layers.py`` that the traced run looks for and no
+# longer finds, so their per-layer metrics read 0 without an error.
+ABSENT_TRACE_TARGETS = {
+    "headlab.engine:exact_epsilon", "headlab.engine:attention_map",
+    "headlab.engine:capture_step", "headlab.engine:trajectory",
+    "headlab.runtime:capture_step", "headlab.runtime:live_features",
+    "headlab.runtime:run_until_complete", "headlab.runtime:trajectory",
+    "headlab.dataset:sample_with_capture", "headlab.dataset:tensor_bytes",
+    "headlab.detector:load_captures"}
+
+
+def _perfbench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py``, imported under ``name`` for this test only."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_trace_target_goes_missing(monkeypatch):
+    """The absent trace targets may shrink, never grow: a rename that the
+    benchmark does not follow fails here, not as a silent 0."""
+    _perfbench_module("spans", monkeypatch)
+    layers = _perfbench_module("layers", monkeypatch)
+    targets = ([target for _, target, _ in layers.TARGETS]
+               + [target for _, target in layers.GENERATOR_TARGETS])
+    absent = set()
+    for target in targets:
+        owner, attr = layers._owner(target)
+        if owner is None or getattr(owner, attr, None) is None:
+            absent.add(target)
+    assert "headlab.detector:extract_features" in targets
+    assert absent <= ABSENT_TRACE_TARGETS

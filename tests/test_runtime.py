@@ -35,7 +35,7 @@ def _flat_model(steps, bias):
 def tiny_model(tiny_dataset):
     design = build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
                                  tiny_dataset.catalog, steps=(16,),
-                                 variant="combined", split="train")
+                                 variant="combined", splits=("train",))
     return fit_detector(design)
 
 
