@@ -32,11 +32,14 @@ placed templates, ``mu_k = E[k, 1:] @ g``, and eps and the DDIM update are
 affine in ``z`` and ``sum_k r_k mu_k``, so a trajectory stays exactly in
 the span of its row's basis ``[z_T, g_1..g_J]`` and is held as ``P = J + 1``
 coefficients ``a``.  With the basis's Gram matrix ``G``, a distance is
-``||z - alpha_t mu_k||^2 = d^T G d`` for ``d = a - alpha_t E_k``, over
-(B, K, P) arrays rather than (B, K, D = n * n) ones; the dense form would
-cost less only once ``P^2`` nears ``D``.  Only the first row and column
+expanded as ``||z - alpha_t mu_k||^2 = q - 2 alpha_t h_k + alpha_t^2 c_k``
+from the row's inner products ``Ga = G a``, ``h_k = E_k . Ga`` and
+``q = a . Ga``, and the component energies ``c_k = ||mu_k||^2``: per row
+one (P, P) product and one (K, P) one, rather than a (K, D = n * n)
+difference or a (K, P, P) quadratic form.  Only the first row and column
 of ``G`` depend on a row's starting noise: the template block is its
-mixture's, computed once per bank as ``MixtureBank.template_gram``.
+mixture's, computed once per bank as ``MixtureBank.template_gram``, and
+so are the energies, ``MixtureBank.component_energy``.
 Images are built only where they are read, by one ordered multiply-add
 over basis columns: a capture's predicted final images, its attention
 maps, each from the responsibility-weighted mean coefficients
@@ -47,9 +50,6 @@ on the default prompts.
 Every reduction of a step or a capture is an elementwise product summed
 over the row's own last axis, or an ordered sum over its columns, so a
 latent's values are the same, bit for bit, whatever batch it rides in.
-``logsumexp`` is written out by hand rather than imported from scipy: it
-repeats scipy's own formula operation for operation, row by row, at a
-tenth of the cost of scipy's generic array-API path on a 9-vector.
 """
 
 from __future__ import annotations
@@ -70,11 +70,13 @@ MIN_MARGINAL_VARIANCE = 1e-12
 
 # Latents denoised together in one lockstep batch, a wave of ``denoise``:
 # dataset samples or campaign attempts.  No value changes an output
-# byte.  In 10 alternating pairs of perfbench runs (2-vCPU Xeon, seeds
-# 1-10, 6 s), 64 rows against 32 moved the campaign's wall time from 0.177
-# to 0.166 s (medians) but won only 8 pairs, and the corpus's from 0.310 to
-# 0.298 s, winning 5; peak RSS rose 0.35 and 0.75 MB.
-LOCKSTEP_ROWS = 32
+# byte.  In 10 alternating runs of 32, 64, 128 and 256 rows (perfbench,
+# 2-vCPU Xeon, seeds 1-10, 5 s), the campaign's median wall time was
+# 0.102, 0.092, 0.084 and 0.084 s, 128 beating 64 in 9 runs and 32 in 10,
+# and the corpus's 0.198, 0.189, 0.178 and 0.178 s, 128 beating 64 in 9
+# and 32 in 8.  256 rows won 5 of 10 against 128 on each, at 2.5 MB more
+# peak RSS on the campaign (47.8 against 45.3 MB).
+LOCKSTEP_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,15 @@ class MixtureBank:
                          for p in range(g.shape[1])], axis=1)
 
     @cached_property
+    def component_energy(self) -> np.ndarray:
+        """Each component mean's squared norm ``c_k = ||mu_k||^2``, shape
+        ``(M, K)``, from the template block of the Gram matrix: ``E_k . (G
+        E_k)`` over the template columns of ``E``."""
+        e = self.mean_coefficients[..., 1:]
+        ge = (self.template_gram[:, None] * e[:, :, None, :]).sum(-1)
+        return (e * ge).sum(-1)
+
+    @cached_property
     def mean_coefficients(self) -> np.ndarray:
         """``E`` of shape ``(M, K, P = 1 + J)``: 1 where component k places
         template j, so that ``mu_k = E[k, 1:] @ g``; column 0, for a row's
@@ -205,23 +216,11 @@ def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
         raise UsageError(f"timestep {t} outside [{lowest}, {schedule.T}]")
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a)))`` over the last axis, bit-identical to scipy's
-    for each row whose maximum is finite.
-
-    Follows ``scipy.special.logsumexp`` step for step: the maxima are taken
-    out of the sum and counted, so that the result is
-    ``log1p(s) + log(m) + a_max``.  The shorter ``log(sum(exp(a - a_max)))
-    + a_max`` rounds differently in the last bit for about one input in a
-    hundred, which would change artifact bytes.  The engine's logits always
-    have a finite maximum: the weights are positive and the scaled
-    distances finite once the marginal variance passes its check.
-    """
-    a_max = a.max(axis=-1, keepdims=True)
-    top = a == a_max
-    m = top.sum(axis=-1, keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(top, -np.inf, a - a_max)).sum(axis=-1, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """``exp(logits)`` normalised over the last axis, after the row's
+    maximum is taken out so that no ``exp`` overflows."""
+    w = np.exp(logits - logits.max(-1, keepdims=True))
+    return w / w.sum(-1, keepdims=True)
 
 
 def _ddim(z: np.ndarray, eps: np.ndarray, alpha_t: float, sigma_t: float,
@@ -281,15 +280,15 @@ class LockstepBatch:
             (len(which), 1 + bank.templates.shape[1], bank.templates.shape[2]))
         basis[:, 0] = np.reshape(z, (len(which), -1))
         np.take(bank.templates, which, axis=0, out=basis[:, 1:])
-        # The Gram matrix of each row's basis, flattened to (B, 1, P * P):
-        # the bank's template block, bordered by the row's z_T products,
-        # which stand for z_T's column too (a product commutes exactly).
+        # The Gram matrix of each row's basis, (B, P, P): the bank's
+        # template block, bordered by the row's z_T products, which stand
+        # for z_T's column too (a product commutes exactly).
         z_row = (basis[:, :1] * basis).sum(-1)
-        gram = np.empty(z_row.shape + z_row.shape[1:])
+        self._gram = gram = np.empty(z_row.shape + z_row.shape[1:])
         gram[:, 0] = z_row
         gram[:, 1:, 0] = z_row[:, 1:]
         gram[:, 1:, 1:] = bank.template_gram[which]
-        self._gram = gram.reshape(len(which), 1, -1)
+        self._energy = bank.component_energy[which]
         self._coef = bank.mean_coefficients[which]
         self._coef_t = self._coef.transpose(0, 2, 1).copy()
         self._a = np.zeros(basis.shape[:2])
@@ -328,7 +327,7 @@ class LockstepBatch:
         """Go on with the rows at positions ``rows`` only, in that order, as
         when attempts leave a wave; the rows kept keep their values, and
         their share of the posterior already evaluated."""
-        for name in ("_basis", "_gram", "_coef", "_coef_t", "_a",
+        for name in ("_basis", "_gram", "_energy", "_coef", "_coef_t", "_a",
                      "_log_weights"):
             setattr(self, name, getattr(self, name)[rows])
         self._v = self._v[:, rows]
@@ -363,14 +362,15 @@ class LockstepBatch:
         alpha_t = self._alpha[t]
         # Homogeneous variance: the 2 pi and log-det terms cancel after
         # normalisation, so only weights and scaled distances survive.
-        # ||z - alpha_t mu_k||^2 = sum_pq G_pq d_p d_q, with d = a - alpha_t E_k
-        diff = self._a[:, None, :] - alpha_t * self._coef
-        terms = diff[..., :, None] * diff[..., None, :]
-        d2 = (terms.reshape(diff.shape[:2] + (-1,)) * self._gram).sum(-1)
-        logits = self._log_weights - d2 / self._v2[t]
-        r = np.exp(logits - _logsumexp(logits)[:, None])
+        # ||z - alpha_t mu_k||^2 = a.Ga - 2 alpha_t E_k.Ga + alpha_t^2 c_k
+        a = self._a
+        ga = (self._gram * a[:, None, :]).sum(-1)
+        h = (self._coef * ga[:, None, :]).sum(-1)
+        q = (a * ga).sum(-1, keepdims=True)
+        d2 = q - (2.0 * alpha_t) * h + (alpha_t * alpha_t) * self._energy
+        r = _softmax(self._log_weights - d2 / self._v2[t])
         pull = (self._coef_t * r[:, None, :]).sum(-1)
-        e = self._sigma[t] * (self._a - alpha_t * pull) / self._v[t]
+        e = self._sigma[t] * (a - alpha_t * pull) / self._v[t]
         return r, pull, e
 
     def step(self, t: int) -> None:

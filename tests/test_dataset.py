@@ -340,11 +340,11 @@ def test_chunk_size_changes_no_byte(tmp_path, catalog, monkeypatch):
                         seeds_per_prompt=3, critical_steps=(0, 4, 16),
                         split_fractions=(0.5, 0.25, 0.25))
     built = []
-    for rows in (1, 5, 16, 32):
+    for rows in (1, 5, 16, 32, engine.LOCKSTEP_ROWS):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", rows)
         generate_dataset(cfg, catalog, tmp_path / str(rows))
         built.append(_files(tmp_path / str(rows)))
-    assert built[0] == built[1] == built[2] == built[3]
+    assert all(files == built[0] for files in built[1:])
 
 
 def test_design_matrix_reads_each_step_once(tiny_dataset, monkeypatch):

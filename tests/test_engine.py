@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from headlab import engine
 from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
                              build_prompt_grid, generate_dataset)
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
-                            _logsumexp, ddim_step, make_schedule)
+                            _softmax, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64
 from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
@@ -145,8 +145,12 @@ def test_single_component_epsilon_closed_form(schedule):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_logsumexp_is_bit_identical_to_scipy():
+def test_responsibilities_are_scipys_softmax():
+    """The engine's responsibilities from its logits are scipy's softmax
+    within two ulps, row by row of a batch, and every row sums to one
+    within an ulp per component."""
     stream = SplitMix64(2409)
+    rows = []
     for i in range(2000):
         scale = (1e-3, 1.0, 30.0, 1e3)[i % 4]
         a = stream.normals(9) * scale
@@ -154,9 +158,14 @@ def test_logsumexp_is_bit_identical_to_scipy():
             a[stream.integers(3, 9)] = a.max()
         if i % 5 == 0:  # many ties
             a = np.round(a)
-        assert _logsumexp(a) == logsumexp(a)
-    for a in (np.array([0.0, -np.inf]), np.zeros(1), np.array([7.0, 7.0])):
-        assert _logsumexp(a) == logsumexp(a)
+        rows.append(a)
+    for logits in (np.array(rows), np.array([[0.0, -np.inf]]),
+                   np.zeros((1, 1)), np.array([[7.0, 7.0]])):
+        r = _softmax(logits)
+        want = softmax(logits, axis=-1)
+        assert np.all(np.abs(r - want) <= 2 * np.spacing(want))
+        ulps = logits.shape[1] * np.spacing(1.0)
+        assert np.all(np.abs(r.sum(-1) - 1.0) <= ulps)
 
 
 def test_responsibilities_sum_to_one(catalog, schedule):
@@ -439,6 +448,7 @@ def test_dataset_generation_evaluates_one_posterior_per_chunk_step(
                            objects=("bench", "kite"),
                            seeds_per_prompt=6, critical_steps=(0, 8),
                            split_fractions=(0.5, 0.25, 0.25))
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 32)
     calls = _counting_batches(monkeypatch)
     generate_dataset(config, catalog, tmp_path / "ds")
     rows = len(config.subjects) * len(config.objects) * config.seeds_per_prompt
@@ -466,11 +476,14 @@ def _reference_trajectory(mixture, schedule, seed):
                                   for o in mixture.objects
                                   for p in o.candidate_positions])
     gram = np.stack([(basis[p] * basis).sum(-1)
-                     for p in range(len(basis))]).ravel()
+                     for p in range(len(basis))])
     coef = np.array([[0.0] + [float(choice == j) for choice, o
                               in zip(c.position_choice, mixture.objects)
                               for j in range(len(o.candidate_positions))]
                      for c in mixture.components])
+    # ||mu_k||^2 from the template block, E_k . (G E_k)
+    placed = coef[:, 1:]
+    energy = (placed * (gram[1:, 1:] * placed[:, None, :]).sum(-1)).sum(-1)
     coef_t = np.ascontiguousarray(coef.T)  # so that sums over k are pairwise
     ends = np.cumsum([1] + [len(o.candidate_positions)
                             for o in mixture.objects])
@@ -489,11 +502,12 @@ def _reference_trajectory(mixture, schedule, seed):
         ab = float(schedule.alphabar[t])
         v = ab * mixture.s2 + (1.0 - ab)
         alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
-        diff = a - alpha_t * coef
-        d2 = ((diff[:, :, None] * diff[:, None, :]).reshape(len(coef), -1)
-              * gram).sum(-1)
+        ga = (gram * a).sum(-1)
+        d2 = ((a * ga).sum(-1) - (2.0 * alpha_t) * (coef * ga).sum(-1)
+              + (alpha_t * alpha_t) * energy)
         logits = np.log(mixture.weights) - d2 / (2.0 * v)
-        r = np.exp(logits - logsumexp(logits))
+        w = np.exp(logits - logits.max())
+        r = w / w.sum()
         pull = (coef_t * r).sum(-1)
         e = sigma_t * (a - alpha_t * pull) / v
         attention = {o: image(pull[lo:hi], lo)
@@ -736,11 +750,10 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
 
 def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
                                                       monkeypatch):
-    """A batch gathers its rows' bases, template Gram blocks, mean
-    coefficients, log weights, variances and target columns once, when it
-    is built; its steps,
-    captures and keeps never read the bank's arrays again, and give what
-    an unguarded batch gives."""
+    """A batch gathers its rows' bases, template Gram blocks, component
+    energies, mean coefficients, log weights, variances and target columns
+    once, when it is built; its steps, captures and keeps never read the
+    bank's arrays again, and give what an unguarded batch gives."""
     bank = _pair_bank(catalog)
     which = np.array([1, 0, 1])
     z_start = engine.initial_latents(range(3), 16)
@@ -761,8 +774,8 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     def gone(_):
         raise AssertionError("a built batch read its bank")
 
-    for name in ("templates", "template_gram", "mean_coefficients",
-                 "log_weights", "s2", "target_columns"):
+    for name in ("templates", "template_gram", "component_energy",
+                 "mean_coefficients", "log_weights", "s2", "target_columns"):
         monkeypatch.setattr(MixtureBank, name, property(gone))
         with pytest.raises(AssertionError):
             getattr(bank, name)
@@ -783,13 +796,26 @@ def test_starting_noise_rows_equal_their_own_streams(grid):
     take an odd count of normals, so rows start off the SIMD width."""
     alone = {s: SplitMix64(s).normals(grid * grid).reshape(grid, grid)
              for s in _NOISE_SEEDS}
-    for size in range(1, 34):
+    for size in range(1, engine.LOCKSTEP_ROWS + 2):
         seeds = [_NOISE_SEEDS[(size + b) % len(_NOISE_SEEDS)]
                  for b in range(size)]
         z = engine.initial_latents(seeds, grid)
         assert z.shape == (size, grid, grid)
         for row, seed in zip(z, seeds):
             assert np.array_equal(row, alone[seed])
+
+
+def test_component_energy_is_each_mean_squared_norm(catalog):
+    """``component_energy`` holds ``||mu_k||^2`` for every component of
+    every mixture of a bank, from the template block alone."""
+    bank = MixtureBank(tuple(build_conditional_mixture(pair, q, catalog)
+                             for pair, q in ((("cat", "bench"), 0.7),
+                                             (("dog", "kite"), 0.9),
+                                             (("owl", "drum"), 0.5))))
+    assert bank.component_energy.shape == bank.mean_coefficients.shape[:2]
+    for m, mixture in enumerate(bank.mixtures):
+        want = (mixture.means_matrix ** 2).sum(-1)
+        assert np.abs(bank.component_energy[m] - want).max() < 1e-12
 
 
 def test_assembled_gram_equals_the_per_row_formula(schedule):
@@ -817,7 +843,7 @@ def test_assembled_gram_equals_the_per_row_formula(schedule):
         basis = np.concatenate([z[b].reshape(1, -1), bank.templates[m]])
         gram = np.stack([(basis[p] * basis).sum(-1)
                          for p in range(len(basis))])
-        assert np.array_equal(batch._gram[b, 0], gram.ravel())
+        assert np.array_equal(batch._gram[b], gram)
         assert np.array_equal(gram, gram.T)
 
 
@@ -827,8 +853,8 @@ import sys
 
 import numpy as np
 
-from headlab.engine import (LockstepBatch, MixtureBank, initial_latents,
-                            make_schedule)
+from headlab.engine import (LOCKSTEP_ROWS, LockstepBatch, MixtureBank,
+                            initial_latents, make_schedule)
 from headlab.scene import build_conditional_mixture, default_catalog
 
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
@@ -836,8 +862,8 @@ catalog = default_catalog()
 bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                          for pair in (("cat", "bench"), ("dog", "kite"))))
 schedule = make_schedule(50)
-batch = LockstepBatch(bank, np.arange(32) % 2, schedule,
-                      initial_latents(range(32), bank.grid_size))
+batch = LockstepBatch(bank, np.arange(LOCKSTEP_ROWS) % 2, schedule,
+                      initial_latents(range(LOCKSTEP_ROWS), bank.grid_size))
 t = 30  # each step moves the batch's latents on from where the last left them
 for _ in range(5):
     batch.step(t)
@@ -850,13 +876,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_batch_step_takes_under_one_page_fault_per_call():
-    """Steps of 32 rows reuse memory the process already has.  Work
-    arrays past glibc's mmap threshold (128 KiB unless an earlier import,
-    scipy's for one, has raised it) are handed back to the kernel when
-    freed and faulted in again on the next step, about a hundred minor
-    faults per call for the dense (B, K, D) ones; the step's (B, K, P, P)
-    arrays stay in malloc's arena.  So the probe runs in a fresh
-    interpreter without scipy."""
+    """Steps of a wave of ``LOCKSTEP_ROWS`` rows reuse memory the process
+    already has.  Work arrays past glibc's mmap threshold (128 KiB unless an
+    earlier import, scipy's for one, has raised it) are handed back to the
+    kernel when freed and faulted in again on the next step, about a
+    hundred minor faults per call for the dense (B, K, D) ones; the step's
+    (B, P, P) and (B, K, P) arrays stay in malloc's arena.  So the probe
+    runs in a fresh interpreter without scipy."""
     src = Path(engine.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
                           env={**os.environ, "PYTHONPATH": str(src)},

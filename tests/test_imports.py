@@ -210,6 +210,39 @@ def test_the_engine_steps_no_dense_posterior():
                                                        "weight"]
 
 
+def _self_outer_products(source: str) -> list[str]:
+    """Every product of an array with itself, broadcast along new axes at
+    different places, as in ``x[..., :, None] * x[..., None, :]``: an outer
+    product.  Returned as source text."""
+    def new_axes(node) -> bool:
+        return isinstance(node, ast.Subscript) and any(
+            isinstance(n, ast.Constant) and n.value is None
+            for n in ast.walk(node.slice))
+
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and new_axes(node.left) and new_axes(node.right)
+            and ast.dump(node.left.value) == ast.dump(node.right.value)
+            and ast.dump(node.left.slice) != ast.dump(node.right.slice)]
+
+
+def test_checker_flags_an_outer_product_of_one_array():
+    source = ("t = diff[..., :, None] * diff[..., None, :]\n"
+              "u = g[:, None] * e[:, :, None]\n"
+              "v = a[:, None] * a[:, None]\nw = a[:, None] * a\n")
+    assert _self_outer_products(source) == [
+        "diff[..., :, None] * diff[..., None, :]"]
+
+
+def test_the_engine_forms_no_quadratic_form_per_component():
+    """Distances come from per-row inner products with the Gram matrix, so
+    the engine multiplies out no (B, K, P, P) outer product of differences,
+    and its responsibilities are a plain softmax, with no ``logsumexp``."""
+    source = (SRC / "engine.py").read_text(encoding="utf-8")
+    assert _self_outer_products(source) == []
+    assert "logsumexp" not in source
+
+
 def test_the_mixture_bank_keeps_no_work_arrays():
     assert [f.name for f in fields(MixtureBank)] == ["mixtures"]
 

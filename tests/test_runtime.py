@@ -20,6 +20,10 @@ from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
 
 from oracles import bootstrap_ci
 
+# Wave sizes a campaign must not notice: one row, sizes that split its
+# attempts across waves, and the shipped size.
+SLOT_COUNTS = (1, 3, 16, 32, engine.LOCKSTEP_ROWS)
+
 
 def _flat_model(steps, bias):
     """Detector that ignores its input and always emits expit(bias)."""
@@ -209,7 +213,7 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
                                     monkeypatch):
     prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     results = []
-    for slots in (1, 3, 16, 32):
+    for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         report = measure_campaign(prompts, mixtures, schedule, *policies,
                                   catalog, runs_per_prompt=4, root_seed=88)
@@ -238,7 +242,7 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                               0.8)
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
-    for slots in (1, 3, 16, 32):
+    for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with pytest.raises(RunFailure) as info:
             run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
@@ -262,7 +266,7 @@ def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, policies,
     at every slot count; returns the joint traces."""
     alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
                          **kwargs) for policy in policies)
-    for slots in (1, 3, 16, 32):
+    for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         assert run_arms(mixtures, schedule, policies, catalog,
                         **kwargs) == alone
@@ -319,7 +323,7 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     impatient = RunPolicy(max_restarts=2)
-    for slots in (1, 3, 16, 32):
+    for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         # both arms fail, the treatment at an earlier run
         assert (_restart_message(mixtures, schedule, (impatient, reject_all),
@@ -373,7 +377,7 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
     (alone,), _ = runtime._pool(bank, runs, schedule, (RunPolicy(),), *rest)
     assert None not in alone
-    for slots in (3, 16, 32, 1):
+    for slots in (*SLOT_COUNTS[1:], 1):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
             steps, _ = _counting_calls(patch)
@@ -463,7 +467,7 @@ def test_each_wave_is_released_before_the_next_is_built(catalog, schedule,
     assert len(released_waves) > 1
 
 
-@pytest.mark.parametrize("slots", [1, 3, 16, 32])
+@pytest.mark.parametrize("slots", SLOT_COUNTS)
 def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
                                        monkeypatch, slots):
     """Each wave starts at ``t = T`` with at most ``LOCKSTEP_ROWS`` rows and
