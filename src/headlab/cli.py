@@ -39,9 +39,10 @@ from .runtime import RunPolicy, measure_campaign, write_campaign_csv
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
 from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
-                        baseline_cost, expected_cost_closed_form,
-                        monte_carlo_cost, relative_saving, sweep_probability,
-                        sweep_tlast, write_sweep_p_csv, write_sweep_tlast_csv)
+                        baseline_cost, check_run_count,
+                        expected_cost_closed_form, monte_carlo_cost,
+                        relative_saving, sweep_probability, sweep_tlast,
+                        write_sweep_p_csv, write_sweep_tlast_csv)
 
 SNAPSHOT_NAME = "config_snapshot.json"
 
@@ -330,6 +331,7 @@ def _rate_point(report, manifest, t_last: int) -> RatePoint:
 
 
 def _cmd_sweep_tlast(args) -> None:
+    check_run_count(args.mc_runs)
     root, manifest, catalog = _load_dataset(args.dataset)
     model_paths = [p for p in args.models.split(",") if p.strip()]
     points = []

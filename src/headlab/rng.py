@@ -13,6 +13,8 @@ Layout of derived quantities:
 
 * uniforms take the top 53 bits of the mixed word, giving values in [0, 1);
   the variant used for Box-Muller radii adds one ulp so the log is finite.
+  A draw that is only compared with probabilities can stay those 53 bits,
+  an integer ``m``: ``m * 2**-53 < p`` exactly when ``m < ceil(p * 2**53)``.
 * normals come from Box-Muller pairs: uniforms ``2k`` and ``2k + 1`` form
   ``(r cos theta, r sin theta)`` with ``r = sqrt(-2 ln u1)`` and
   ``theta = 2 pi u2``; outputs are interleaved and truncated to the
@@ -61,6 +63,18 @@ def mix64(*values: int) -> int:
     return h
 
 
+def _finalize(words: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The bit dance of :func:`finalize64` on ``words`` in place (uint64
+    arithmetic wraps), with ``tmp`` (same shape) as scratch."""
+    for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
+        np.right_shift(words, np.uint64(shift), out=tmp)
+        words ^= tmp
+        words *= mix
+    np.right_shift(words, np.uint64(31), out=tmp)
+    words ^= tmp
+    return words
+
+
 def stream_words(seed, start: int, n: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Words ``start .. start + n - 1`` of the stream seeded with ``seed``.
@@ -82,15 +96,43 @@ def stream_words(seed, start: int, n: int,
     else:
         words = x * _U64_GOLDEN + np.array(
             [int(s) & MASK64 for s in seed], dtype=np.uint64)[:, None]
-    tmp = np.empty_like(words) if out is None else x
-    # Same bit dance as finalize64, in place (uint64 arithmetic wraps).
-    for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
-        np.right_shift(words, np.uint64(shift), out=tmp)
-        words ^= tmp
-        words *= mix
-    np.right_shift(words, np.uint64(31), out=tmp)
-    words ^= tmp
+    return _finalize(words, np.empty_like(words) if out is None else x)
+
+
+def golden_steps(n: int) -> np.ndarray:
+    """``(i + 1) * GOLDEN`` modulo 2**64 for ``i < n``: what word ``i`` of
+    any stretch of any stream adds to its seed and offset, computed once
+    for every :func:`stream_mantissas` call of up to ``n`` words."""
+    return np.arange(1, n + 1, dtype=np.uint64) * _U64_GOLDEN
+
+
+def stream_mantissas(seed: int, start: int, steps: np.ndarray,
+                     out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The top 53 bits of ``n = len(steps)`` words from ``start`` of one
+    seed's stream, ``stream_words(seed, start, n) >> 11``, written into
+    ``out[:n]`` and returned.
+
+    ``steps`` is ``golden_steps(n)`` or a prefix of a longer one, so each
+    word's counter costs one add of ``seed + start * GOLDEN``; ``tmp`` is
+    uint64 scratch of at least ``n`` entries.  Word ``m`` stands for the
+    uniform ``m * 2**-53`` of :func:`to_uniforms`, so ``u < p`` holds
+    exactly when ``m < ceil(p * 2**53)``, and ``u >= p`` when ``m`` is at
+    least that bound (see :func:`mantissa_bounds`).
+    """
+    n = steps.size
+    words = out[:n]
+    np.add(steps, np.uint64((int(seed) + start * GOLDEN) & MASK64), out=words)
+    _finalize(words, tmp[:n])
+    words >>= np.uint64(11)
     return words
+
+
+def mantissa_bounds(p) -> np.ndarray:
+    """``ceil(p * 2**53)`` as uint64, elementwise, for finite ``p >= 0``
+    (a cumulative probability may pass 1 by rounding): the bound that
+    :func:`stream_mantissas` compares against.  Scaling by a power of two
+    is exact, and so is ``ceil`` on a double."""
+    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
 def to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

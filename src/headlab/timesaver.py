@@ -21,11 +21,11 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import RunFailure, UsageError
-from .rng import stream_words, to_uniforms
+from .rng import golden_steps, mantissa_bounds, stream_mantissas
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
-# Ten times the economics runs: about 1.7 s and 0.2 GB of per-run arrays
-# for two objects on a 2-vCPU Xeon.
+# Ten times the economics runs: about 1.0-1.5 s and 0.2 GB of per-run
+# arrays for two objects at p = 0.59-0.3 on a 2-vCPU Xeon.
 MAX_MC_RUNS = 10 ** 7
 # Runs per block of a Monte Carlo round: the block's arrays stay in cache.
 MC_BLOCK = 16384
@@ -173,6 +173,14 @@ class SimReport:
     ci_hi: float
 
 
+def check_run_count(n_runs: int) -> None:
+    """Refuse a Monte Carlo run count outside ``[1, MAX_MC_RUNS]``."""
+    if n_runs < 1:
+        raise UsageError("n_runs must be >= 1")
+    if n_runs > MAX_MC_RUNS:
+        raise UsageError(f"n_runs must be <= {MAX_MC_RUNS}, got {n_runs}")
+
+
 def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
                      n_runs: int, seed: int,
                      max_attempts: int = MAX_SIMULATED_ATTEMPTS) -> SimReport:
@@ -182,66 +190,92 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     attempt both survives the detector and is actually complete.  Raises
     ``RunFailure`` once any run exceeds ``max_attempts`` attempts.
 
-    A round of ``k`` active runs takes ``k`` pattern uniforms and then
-    ``k * n_obj`` verdict uniforms, run-major, from the ``SplitMix64(seed)``
-    stream.  The round is worked through in blocks of at most ``MC_BLOCK``
-    runs so that its arrays stay in cache.  Each block reads its own words
-    of the stream by offset, and each of its runs adds one cost in that
-    round, as it would in one whole-round pass.  The block size therefore
-    changes no bit of the report.
+    A round of ``k`` active runs takes ``k`` pattern words and then
+    ``k * n_obj`` verdict words, run-major, from the ``SplitMix64(seed)``
+    stream, its runs in run order.  A word is compared by its top 53 bits
+    with the mantissa bounds of the cdf edges and of the pass chances
+    (``rng.mantissa_bounds``), which decides exactly as its uniform would.
+
+    The round is worked through in blocks of at most ``MC_BLOCK`` runs so
+    that its arrays stay in cache.  Each block reads its own words of the
+    stream by offset and adds each run's attempt cost to that run's total,
+    one attempt per round.  The block's retirees then leave their totals
+    in the report's cost array at their run index, and its survivors move,
+    in run order, to the front of the active arrays, behind those of the
+    blocks before it.  So every round sees its runs in run order, each
+    run's cost is the same sequential sum, and the block size changes no
+    bit of the report.
     """
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:
         raise RunFailure("policy accepts with probability zero")
-    if n_runs < 1:
-        raise UsageError("n_runs must be >= 1")
-    if n_runs > MAX_MC_RUNS:
-        raise UsageError(f"n_runs must be <= {MAX_MC_RUNS}, got {n_runs}")
+    check_run_count(n_runs)
     n_obj = len(dist.objects)
-    cdf = np.cumsum(np.asarray(dist.probabilities))
-    cdf[-1] = 1.0
+    # A pattern index counts the cdf edges at or below its uniform, as
+    # searchsorted(cdf, u, side="right") on a cdf ending in 1.0.
+    edges = mantissa_bounds(np.cumsum(np.asarray(dist.probabilities))[:-1])
     pattern_matrix = np.asarray(dist.patterns, dtype=bool)
     pass_present = np.array([policy.recall[o] for o in dist.objects])
     pass_absent = np.array([1.0 - policy.true_negative_rate[o]
                             for o in dist.objects])
-    # Row j: the chance object j passes the detector, per pattern index.
-    pass_by_object = np.where(pattern_matrix, pass_present, pass_absent).T.copy()
+    # Row i: each object passes the detector, under pattern i, when its
+    # verdict word is below its bound.
+    pass_bounds = mantissa_bounds(
+        np.where(pattern_matrix, pass_present, pass_absent))
     complete_mask = pattern_matrix.all(axis=1)
     step_cost = np.array([policy.cost_fraction, 1.0])
 
     block = min(MC_BLOCK, n_runs)
+    steps = golden_steps(block * n_obj)
     words = np.empty(block * n_obj, dtype=np.uint64)
-    u = np.empty(block * n_obj)
-    costs = np.zeros(n_runs)
-    active = np.arange(n_runs)
+    tmp = np.empty_like(words)
+    pattern = np.empty(block, dtype=np.min_scalar_type(edges.size))
+    hit = np.empty(block, dtype=bool)
+    costs = np.empty(n_runs)
+    # The active runs, in run order: their indices (int32 holds any count
+    # up to MAX_MC_RUNS) and their costs so far.
+    runs = np.arange(n_runs, dtype=np.int32)
+    spent = np.zeros(n_runs)
+    k = n_runs
     counter = 0
     rounds = 0
-    while active.size:
+    while k:
         rounds += 1
         if rounds > max_attempts:
             raise RunFailure(
                 f"no acceptance within {max_attempts} attempts per run")
-        k = active.size
-        keep = np.empty(k, dtype=bool)
+        kept = 0
         for lo in range(0, k, block):
             hi = min(lo + block, k)
             b = hi - lo
-            # Pattern index: the count of cdf entries at or below the draw,
-            # as searchsorted(cdf, u, side="right") on a cdf ending in 1.0.
-            draw = to_uniforms(stream_words(seed, counter + lo, b, words), u[:b])
-            pat = np.zeros(b, dtype=np.intp)
-            for edge in cdf[:-1]:
-                pat += draw >= edge
-            verdicts = to_uniforms(
-                stream_words(seed, counter + k + lo * n_obj, b * n_obj, words),
-                u[:b * n_obj]).reshape(b, n_obj)
-            cont = verdicts[:, 0] < pass_by_object[0][pat]
+            draw = stream_mantissas(seed, counter + lo, steps[:b], words, tmp)
+            # Counted in the narrowest dtype, then widened once for the
+            # gathers below.
+            count = pattern[:b]
+            count.fill(0)
+            for edge in edges:
+                count += np.greater_equal(draw, edge, out=hit[:b])
+            pat = count.astype(np.intp)
+            verdicts = stream_mantissas(seed, counter + k + lo * n_obj,
+                                        steps[:b * n_obj], words, tmp)
+            passed = verdicts.reshape(b, n_obj) < pass_bounds.take(pat, axis=0)
+            cont = passed[:, 0]
             for j in range(1, n_obj):
-                cont &= verdicts[:, j] < pass_by_object[j][pat]
-            costs[active[lo:hi]] += step_cost[cont.view(np.uint8)]
-            np.logical_not(cont & complete_mask[pat], out=keep[lo:hi])
+                cont &= passed[:, j]
+            spent[lo:hi] += step_cost.take(cont.view(np.uint8))
+            # Retirees leave their cost at their run index; survivors move,
+            # in order, to the front of the active arrays.
+            done = cont & complete_mask.take(pat)
+            gone = np.flatnonzero(done)
+            costs[runs[lo:hi].take(gone)] = spent[lo:hi].take(gone)
+            stay = np.flatnonzero(np.logical_not(done, out=done))
+            n_kept = kept + stay.size
+            runs[kept:n_kept] = runs[lo:hi].take(stay)
+            spent[kept:n_kept] = spent[lo:hi].take(stay)
+            kept = n_kept
         counter += k * (1 + n_obj)
-        active = active[keep]
+        k = kept
+    del runs, spent  # before std's temporary of one double per run
 
     mean = float(costs.mean())
     std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0

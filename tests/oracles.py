@@ -7,9 +7,11 @@ from each component's placed template, where the engine weights each
 target's templates by the mean coefficients; whole generations with their
 captures, one lockstep batch per call; a tensor file as one bytes object;
 a mixture's presence marginals; a campaign group's bootstrap interval
-from its own stream, where the package draws every group's at once; and
-the logistic fit's epochs over ``expit`` and ``mean``, where the package
-inlines the logistic and divides the error sum.
+from its own stream, where the package draws every group's at once; the
+logistic fit's epochs over ``expit`` and ``mean``, where the package
+inlines the logistic and divides the error sum; and the Monte Carlo of
+restart costs over float uniforms and per-run arrays, where the package
+compares word mantissas and compacts its runs block by block.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from scipy.special import logsumexp
 from headlab.detector import expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
-from headlab.rng import SplitMix64
+from headlab.errors import RunFailure, UsageError
+from headlab.rng import SplitMix64, stream_words, to_uniforms
 from headlab.scene import MixtureSpec
 from headlab.tensorio import tensor_header
+from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
+                               AttemptDistribution, PolicyParams, SimReport,
+                               _check_policy_objects, acceptance_probability)
 
 
 def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -187,3 +193,72 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float, epochs: int,
         loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits)
                      + 0.5 * l2 * float(w @ w))
     return w, b, loss
+
+
+def monte_carlo_reference(dist: AttemptDistribution, policy: PolicyParams,
+                          n_runs: int, seed: int,
+                          max_attempts: int = MAX_SIMULATED_ATTEMPTS
+                          ) -> SimReport:
+    """``monte_carlo_cost`` as it was before its runs were compacted block
+    by block: float uniforms from ``to_uniforms``, a per-run cost array
+    added into by run index on every attempt, and a new active-run array
+    each round.  The block size is the one the module had when this was
+    imported, whatever a test patches in later."""
+    _check_policy_objects(dist, policy)
+    if acceptance_probability(dist, policy) <= 0.0:
+        raise RunFailure("policy accepts with probability zero")
+    if n_runs < 1:
+        raise UsageError("n_runs must be >= 1")
+    if n_runs > MAX_MC_RUNS:
+        raise UsageError(f"n_runs must be <= {MAX_MC_RUNS}, got {n_runs}")
+    n_obj = len(dist.objects)
+    cdf = np.cumsum(np.asarray(dist.probabilities))
+    cdf[-1] = 1.0
+    pattern_matrix = np.asarray(dist.patterns, dtype=bool)
+    pass_present = np.array([policy.recall[o] for o in dist.objects])
+    pass_absent = np.array([1.0 - policy.true_negative_rate[o]
+                            for o in dist.objects])
+    # Row j: the chance object j passes the detector, per pattern index.
+    pass_by_object = np.where(pattern_matrix, pass_present, pass_absent).T.copy()
+    complete_mask = pattern_matrix.all(axis=1)
+    step_cost = np.array([policy.cost_fraction, 1.0])
+
+    block = min(MC_BLOCK, n_runs)
+    words = np.empty(block * n_obj, dtype=np.uint64)
+    u = np.empty(block * n_obj)
+    costs = np.zeros(n_runs)
+    active = np.arange(n_runs)
+    counter = 0
+    rounds = 0
+    while active.size:
+        rounds += 1
+        if rounds > max_attempts:
+            raise RunFailure(
+                f"no acceptance within {max_attempts} attempts per run")
+        k = active.size
+        keep = np.empty(k, dtype=bool)
+        for lo in range(0, k, block):
+            hi = min(lo + block, k)
+            b = hi - lo
+            # Pattern index: the count of cdf entries at or below the draw,
+            # as searchsorted(cdf, u, side="right") on a cdf ending in 1.0.
+            draw = to_uniforms(stream_words(seed, counter + lo, b, words), u[:b])
+            pat = np.zeros(b, dtype=np.intp)
+            for edge in cdf[:-1]:
+                pat += draw >= edge
+            verdicts = to_uniforms(
+                stream_words(seed, counter + k + lo * n_obj, b * n_obj, words),
+                u[:b * n_obj]).reshape(b, n_obj)
+            cont = verdicts[:, 0] < pass_by_object[0][pat]
+            for j in range(1, n_obj):
+                cont &= verdicts[:, j] < pass_by_object[j][pat]
+            costs[active[lo:hi]] += step_cost[cont.view(np.uint8)]
+            np.logical_not(cont & complete_mask[pat], out=keep[lo:hi])
+        counter += k * (1 + n_obj)
+        active = active[keep]
+
+    mean = float(costs.mean())
+    std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0
+    se = std / np.sqrt(n_runs)
+    return SimReport(mean_cost=mean, stderr=se, ci_lo=mean - 1.96 * se,
+                     ci_hi=mean + 1.96 * se)

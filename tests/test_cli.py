@@ -1079,6 +1079,26 @@ def test_mc_runs_past_the_bound_exit_1(fuzz_paths, tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mc_runs, message", [
+    (0, "n_runs must be >= 1"),
+    (MAX_MC_RUNS + 1, f"n_runs must be <= {MAX_MC_RUNS}, got {MAX_MC_RUNS + 1}"),
+])
+def test_sweep_tlast_refuses_its_run_count_before_reading_tensors(
+        fuzz_paths, tmp_path, capsys, monkeypatch, mc_runs, message):
+    """A bad ``--mc-runs`` is refused before any model's design matrix is
+    built, and before ``--out`` is made."""
+    built = []
+    monkeypatch.setattr(cli, "build_design_matrix",
+                        lambda *args, **kwargs: built.append(args))
+    out = tmp_path / "out"
+    assert main(["sweep-tlast", "--dataset", fuzz_paths["@dataset"],
+                 "--models", f"{fuzz_paths['@model2']},{fuzz_paths['@model16']}",
+                 f"--mc-runs={mc_runs}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "0.59", "--recall", "0.9", "--tn-rate", "0.8",
      "--f", "0.16", "--mc-runs", "10"],

@@ -287,6 +287,36 @@ def test_one_denoising_loop():
             module.read_text(encoding="utf-8")), module.name
 
 
+FINALIZER_MULTIPLIERS = {"_MIX1", "_MIX2", "_U64_MIX1", "_U64_MIX2"}
+
+
+def _readers(source: str, names) -> list[str]:
+    """The top-level definitions of ``source`` whose bodies read any of
+    ``names``, sorted."""
+    return sorted(top.name for top in ast.parse(source).body
+                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  and _names(top) & set(names))
+
+
+def test_checker_finds_the_definitions_that_read_a_name():
+    source = ("K = 3\ndef a(): return K\ndef b(): return 1\n"
+              "class C:\n    def m(self): return self.K\n")
+    assert _readers(source, {"K"}) == ["C", "a"]
+
+
+def test_the_splitmix64_finalizer_is_written_once():
+    """Only ``rng.py`` names the finalizer's multipliers, and there only
+    the finalizer of one int and the one of arrays in place read them:
+    every stream, sequential or by offset, goes through that one."""
+    for module in sorted(SRC.glob("*.py")):
+        names = _defined_or_named(module.read_text(encoding="utf-8"))
+        if module.name != "rng.py":
+            assert not names & FINALIZER_MULTIPLIERS, module.name
+    rng_source = (SRC / "rng.py").read_text(encoding="utf-8")
+    assert _readers(rng_source, FINALIZER_MULTIPLIERS) == ["_finalize",
+                                                           "finalize64"]
+
+
 # The names in ``perfbench/layers.py`` that the traced run looks for and no
 # longer finds, so their per-layer metrics read 0 without an error.
 ABSENT_TRACE_TARGETS = {

@@ -1,10 +1,14 @@
 """Counter-based RNG: golden outputs, distribution sanity, determinism."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64, mix64,
-                         stream_words, to_uniforms)
+from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64,
+                         golden_steps, mantissa_bounds, mix64,
+                         stream_mantissas, stream_words, to_uniforms)
 
 # First outputs of the widely published 64-bit mix sequence for seed 0:
 # each output is finalize64 of the seed advanced i+1 times by the golden
@@ -116,6 +120,49 @@ def test_to_uniforms_matches_the_stream():
     stream = SplitMix64(99)
     stream.uniforms(5)
     assert np.array_equal(u, stream.uniforms(10))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("start, n", [
+    (0, 1), (0, 300), (12345, 77),
+    (2 ** 64 - 301, 300),  # the last word's counter is 2**64 - 1
+    (2 ** 63 - 5, 10),
+])
+def test_stream_mantissas_are_the_words_top_53_bits(seed, start, n):
+    steps = golden_steps(n + 9)[:n]
+    out = np.zeros(n + 4, dtype=np.uint64)
+    m = stream_mantissas(seed, start, steps, out, np.empty(n, dtype=np.uint64))
+    assert np.shares_memory(m, out) and m.shape == (n,)
+    assert np.array_equal(m, stream_words(seed, start, n) >> np.uint64(11))
+    assert not out[n:].any()
+
+
+def test_golden_steps_are_the_counters_times_golden():
+    assert [int(x) for x in golden_steps(4)] == [
+        (i + 1) * GOLDEN & MASK64 for i in range(4)]
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2 ** -53, 0.15, 0.5,
+                               1 - 2 ** -53, 1.0])
+def test_mantissa_bound_splits_the_uniforms_at_p(p):
+    """``u < p`` exactly when the word's mantissa is below the bound, and
+    ``u >= p`` exactly when it is not, on both sides of the bound; the
+    11 bits below the mantissa change nothing."""
+    c = int(mantissa_bounds(p))
+    assert c == math.ceil(Fraction(p) * 2 ** 53)
+    for m in (c - 1, c, c + 1):
+        if not 0 <= m < 2 ** 53:
+            continue
+        for low in (0, 2047):
+            word = np.array([m << 11 | low], dtype=np.uint64)
+            u = to_uniforms(word)[0]
+            assert (u < p) == (m < c)
+            assert (u >= p) == (m >= c)
+
+
+def test_mantissa_bounds_keep_their_shape():
+    p = np.array([[0.0, 0.25], [1.0, 0.5]])
+    assert mantissa_bounds(p).tolist() == [[0, 2 ** 51], [2 ** 53, 2 ** 52]]
 
 
 def test_uniforms_normals_and_counter_are_pinned():

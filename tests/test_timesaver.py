@@ -1,17 +1,21 @@
 """Abort-policy economics: closed-form identities, Monte Carlo, sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from headlab import timesaver
 from headlab.errors import RunFailure, UsageError
+from headlab.rng import stream_words, to_uniforms
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                ProbabilityRow, RatePoint, SweepRow,
                                acceptance_probability, baseline_cost,
                                expected_cost_closed_form, monte_carlo_cost,
                                relative_saving, sweep_probability, sweep_tlast,
                                write_sweep_p_csv, write_sweep_tlast_csv)
+from oracles import monte_carlo_reference
 
 
 def _point(t_last, recall, tn):
@@ -248,6 +252,106 @@ def test_monte_carlo_block_size_changes_no_bit(n_obj, q, recall, tn, f,
         patch.setattr(timesaver, "MC_BLOCK", 64)
         blocked = monte_carlo_cost(dist, policy, n_runs, seed=seed)
     assert blocked == whole
+
+
+def _outcome(simulate, *args, **kwargs):
+    """A Monte Carlo report, or the ``RunFailure`` it ends in, as its
+    type and message."""
+    try:
+        return simulate(*args, **kwargs)
+    except RunFailure as failure:
+        return type(failure), str(failure)
+
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.3, 1.0))
+
+
+@given(n_obj=st.integers(1, 3),
+       q=st.floats(0.4, 1.0),
+       recall=st.lists(RATES, min_size=3, max_size=3),
+       tn=st.lists(RATES, min_size=3, max_size=3),
+       f=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+       n_runs=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 64 - 1),
+       block=st.sampled_from([1, 7, 64, timesaver.MC_BLOCK]),
+       max_attempts=st.integers(1, 12))
+def test_monte_carlo_equals_the_reference_bit_for_bit(n_obj, q, recall, tn, f,
+                                                      n_runs, seed, block,
+                                                      max_attempts):
+    """The same report as the float-uniform, per-run-array loop, whatever
+    the block size, and the same failure when a run needs more attempts
+    than allowed."""
+    objects = tuple("abc"[:n_obj])
+    dist = AttemptDistribution.from_faithfulness(objects, q)
+    policy = PolicyParams(recall=dict(zip(objects, recall)),
+                          true_negative_rate=dict(zip(objects, tn)),
+                          cost_fraction=f)
+    expected = _outcome(monte_carlo_reference, dist, policy, n_runs, seed,
+                        max_attempts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        assert _outcome(monte_carlo_cost, dist, policy, n_runs, seed,
+                        max_attempts) == expected
+
+
+@pytest.mark.parametrize("probabilities", [
+    (0.25, 0.75, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.4, 0.6 + 5e-10, 0.0, 0.0),
+])
+@pytest.mark.parametrize("block", [1, 7, 64, timesaver.MC_BLOCK])
+def test_a_cdf_that_reaches_one_early_picks_no_later_pattern(probabilities,
+                                                            block):
+    """Patterns after the cumulative sum reaches (or passes) 1.0 are never
+    drawn, as with the float uniforms, which are all below 1."""
+    dist = AttemptDistribution(objects=("a", "b"),
+                               patterns=((0, 1), (1, 1), (1, 0), (0, 0)),
+                               probabilities=probabilities)
+    policy = PolicyParams.symmetric(("a", "b"), 0.9, 0.6, 0.25)
+    expected = monte_carlo_reference(dist, policy, 3000, seed=2 ** 64 - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        assert monte_carlo_cost(dist, policy, 3000,
+                                seed=2 ** 64 - 1) == expected
+
+
+def test_a_draw_on_a_bound_falls_as_its_uniform_does():
+    """A pattern draw equal to a cdf edge picks the pattern above the edge,
+    and a verdict draw equal to the pass chance fails, as ``u >= edge``
+    and ``u < chance`` decide for the float uniforms."""
+    seed = 12345
+    # One run: round one reads its pattern word, then its verdict word.
+    u_pattern, u_verdict = (float(u) for u in
+                            to_uniforms(stream_words(seed, 0, 2)))
+    on_edge = AttemptDistribution(objects=("a",), patterns=((0,), (1,)),
+                                  probabilities=(u_pattern, 1.0 - u_pattern))
+    perfect = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.25)
+    report = monte_carlo_cost(on_edge, perfect, 1, seed)
+    assert report == monte_carlo_reference(on_edge, perfect, 1, seed)
+    assert report.mean_cost == 1.0  # present, passed and accepted at once
+    present = AttemptDistribution.from_faithfulness(("a",), 1.0)
+    on_chance = PolicyParams.symmetric(("a",), u_verdict, 1.0, 0.25)
+    report = monte_carlo_cost(present, on_chance, 1, seed)
+    assert report == monte_carlo_reference(present, on_chance, 1, seed)
+    assert report.mean_cost >= 1.25  # the first attempt is aborted
+
+
+def test_monte_carlo_memory_per_run():
+    """At 10^6 runs of the economics point p = 0.3 (two objects, recall
+    0.95, tn rate 0.85), the traced peak stays within 23.4 bytes per run:
+    a cost and a running cost as doubles and an int32 run index, plus one
+    block's scratch."""
+    assert timesaver.MAX_MC_RUNS < 2 ** 31
+    n_runs = 1_000_000
+    dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.3 ** 0.5)
+    policy = PolicyParams.symmetric(("a", "b"), 0.95, 0.85, 0.16)
+    tracemalloc.start()
+    try:
+        monte_carlo_cost(dist, policy, n_runs, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n_runs <= 23.4
 
 
 # ------------------------------------------------------------- sweeps
