@@ -12,7 +12,8 @@ there together with ``config_snapshot.json``, a sorted-key JSON record
 sufficient to reproduce the outputs bit for bit (nothing here ever reads
 the clock or ambient entropy).  The snapshot is written last, so a command
 that stops part way leaves the previous snapshot beside the previous
-artifacts.
+artifacts.  ``make-dataset`` builds its whole tree, snapshot included, in a
+staging directory and then puts it in place of the old one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import typing
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
-from .atomic import write_atomic
+from .atomic import replaced_directory, write_atomic
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_manifest, CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
@@ -85,12 +86,6 @@ class ExperimentConfig:
     detector: DetectorSettings = DetectorSettings()
     simulation: SimulationSettings = SimulationSettings()
     runtime: RuntimeSettings = RuntimeSettings()
-
-    def to_dict(self) -> dict:
-        return {"dataset": self.dataset.to_dict(),
-                "detector": asdict(self.detector),
-                "simulation": asdict(self.simulation),
-                "runtime": asdict(self.runtime)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -206,8 +201,9 @@ def _cmd_make_dataset(args) -> None:
     else:
         catalog = default_catalog()
     out = Path(args.out)
-    manifest = generate_dataset(config, catalog, out)
-    _write_snapshot(out, "make-dataset", {"dataset": config.to_dict()})
+    with replaced_directory(out) as staging:
+        manifest = generate_dataset(config, catalog, staging)
+        _write_snapshot(staging, "make-dataset", {"dataset": config.to_dict()})
     stats = manifest.stats
     print(f"dataset {out}: {len(manifest.samples)} samples, "
           f"complete fraction {stats['complete_fraction']:.4f}")

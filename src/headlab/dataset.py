@@ -25,8 +25,9 @@ Generation denoises the samples in manifest order by
 :func:`~headlab.engine.denoise`, each run of consecutive samples whose
 prompts share one ``MixtureBank`` in its own waves, and streams each wave's
 rows into those files, so no corpus-sized array is ever held in memory.
-The manifest then replaces any earlier one in a single rename, and tensor
-files of an earlier build that it does not describe are deleted.
+It writes into a directory of its own: ``head make-dataset`` builds there
+in a staging directory and publishes the whole tree at once (see
+:func:`~headlab.atomic.replaced_directory`).
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
 from .engine import MixtureBank, denoise, make_schedule
 from .errors import RunFailure, UsageError
-from .rng import MASK64, SplitMix64, mix64
+from .rng import MASK64, mix64, shuffled
 from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
                     build_conditional_mixture, dump_catalog, prompt_text)
 from .tensorio import TensorWriter, read_tensor
@@ -58,7 +58,6 @@ FINAL_NAME = "final.bin"
 
 DEFAULT_FAITHFULNESS = 0.59 ** 0.5  # two targets then complete with prob 0.59
 DEFAULT_CRITICAL_STEPS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18, 20, 25, 40)
-SPLIT_NAMES = ("train", "val", "test")
 
 _SPLIT_STREAM_TAG = 0x53504C4954  # ascii "SPLIT"
 
@@ -285,8 +284,7 @@ def label_image(image: np.ndarray, targets, catalog: dict[str, ObjectSpec],
 
 def split_prompts(n_prompts: int, fractions, seed: int) -> dict[str, tuple[int, ...]]:
     """Prompt-disjoint train/val/test assignment via a seeded shuffle."""
-    stream = SplitMix64(mix64(seed, _SPLIT_STREAM_TAG))
-    perm = stream.shuffled(n_prompts)
+    perm = shuffled(mix64(seed, _SPLIT_STREAM_TAG), n_prompts)
     n_train = int(np.floor(fractions[0] * n_prompts))
     n_val = int(np.floor(fractions[1] * n_prompts))
     return {
@@ -342,7 +340,9 @@ class _Sample(typing.NamedTuple):
 
 def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                      out_dir) -> DatasetManifest:
-    """Generate every (prompt, seed) sample and persist the whole protocol.
+    """Generate every (prompt, seed) sample and persist the whole protocol
+    into ``out_dir``, which should be new or empty: files of an earlier
+    build are overwritten, not removed.
 
     Output bytes are a pure function of ``config`` and ``catalog``: every
     row is bit-identical whatever wave it is denoised in.
@@ -406,14 +406,8 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                      "splits": {k: list(v) for k, v in splits.items()}})]
     lines.extend(_jsonl({"kind": "sample", **vars(s)}) for s in samples)
     lines.append(_jsonl({"kind": "stats", **stats}))
-    write_atomic(out / MANIFEST_NAME, "".join(lines))
+    (out / MANIFEST_NAME).write_text("".join(lines), encoding="utf-8")
     dump_catalog(catalog, out / CATALOG_NAME)
-    # A rebuild into an old dataset leaves no step the new manifest lacks.
-    written = {step_path(out, u) for u in config.critical_steps}
-    written.add(out / TENSOR_DIR / FINAL_NAME)
-    for path in (out / TENSOR_DIR).glob("*.bin"):
-        if path not in written:
-            path.unlink()
     return DatasetManifest(config=config, splits=splits,
                            samples=tuple(samples), stats=stats)
 

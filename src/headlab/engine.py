@@ -407,8 +407,9 @@ class LockstepBatch:
 
 def initial_latents(seeds, grid_size: int) -> np.ndarray:
     """The pure-noise latents ``z_T`` (B, n, n) that generations with
-    ``seeds`` start from, row ``b`` the first ``n * n`` normals of
-    ``SplitMix64(seeds[b])``, all drawn in one pass."""
+    ``seeds`` start from, all drawn in one pass: row ``b`` is the first
+    ``n * n`` Box-Muller normals of the stream of ``seeds[b]``, from its
+    first ``n * n`` words, rounded up to an even count."""
     d = grid_size * grid_size
     return to_normals(stream_words(seeds, 0, d + d % 2), d).reshape(
         len(seeds), grid_size, grid_size)

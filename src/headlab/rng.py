@@ -1,13 +1,14 @@
 """Deterministic random streams built on the SplitMix64 finalizer.
 
-Every stochastic piece of the package draws from SplitMix64 streams, one
-seed at a time through :class:`SplitMix64` or many at once through
-:func:`stream_words`, so that runs are reproducible bit-for-bit from a
-single 64-bit seed, independent of numpy version or platform.  The
-generator is counter-based: output ``i`` is ``finalize(seed + (i + 1) *
-GOLDEN)`` modulo 2**64, which lets us vectorise arbitrarily large draws
-without carrying mutable numpy state around, and lets :func:`stream_words`
-compute any stretch of the stream directly from its offset.
+Every stochastic piece of the package draws from SplitMix64 streams, so
+that runs are reproducible bit-for-bit from a single 64-bit seed,
+independent of numpy version or platform.  The generator is counter-based:
+word ``i`` of the stream seeded with ``seed`` is ``finalize(seed + (i + 1)
+* GOLDEN)`` modulo 2**64, so any stretch of any stream is computed directly
+from its offset, with no mutable state.  :func:`stream_words` draws one
+stretch of many streams at once, a row per seed, and
+:func:`stream_mantissas` one stretch of one stream into the caller's
+buffers; both add ``seed + start * GOLDEN`` to :func:`golden_steps`.
 
 Layout of derived quantities:
 
@@ -19,12 +20,13 @@ Layout of derived quantities:
   ``(r cos theta, r sin theta)`` with ``r = sqrt(-2 ln u1)`` and
   ``theta = 2 pi u2``; outputs are interleaved and truncated to the
   requested length.
-* integers in ``[0, bound)`` scale uniforms by ``bound``.
+* integers in ``[0, bound)`` scale uniforms by ``bound``, which may differ
+  from word to word, as in the Fisher-Yates draws of :func:`shuffled`.
 
-Given a sequence of seeds, :func:`stream_words` returns one row of words
-per seed, which the formulas :class:`SplitMix64` uses take as they take one
-stream's words; all are elementwise, so row ``b`` equals the values of
-``SplitMix64(seeds[b])`` bit for bit, whatever the batch.
+All formulas are elementwise, so a row of a batch draw equals the same
+stream drawn alone, bit for bit.  :class:`SplitMix64` reads one stream in
+order; it is the sequential reference that the tests pin these formulas
+against.
 """
 
 from __future__ import annotations
@@ -75,41 +77,35 @@ def _finalize(words: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return words
 
 
-def stream_words(seed, start: int, n: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Words ``start .. start + n - 1`` of the stream seeded with ``seed``.
+def stream_words(seeds, start: int, n: int) -> np.ndarray:
+    """Words ``start .. start + n - 1`` of the stream of each seed of the
+    sequence ``seeds``, as a ``(B, n)`` array, row ``b`` the stream of
+    ``seeds[b]``.
 
-    Word ``i`` is ``finalize64(seed + (i + 1) * GOLDEN)``, so a stretch drawn
-    at offset ``start`` equals that slice of one sequential draw.  For one
-    int ``seed`` the words go into ``out[:n]`` (a uint64 array) when it is
-    given, else into a new array; the returned array is the one written.
-    For a sequence of ``B`` seeds they come out as a new ``(B, n)`` array,
-    row ``b`` the stream of ``seeds[b]``.
+    Word ``i`` of a row is ``golden_steps(n)[i] + (seed + start * GOLDEN)``
+    finalized, so a stretch drawn at offset ``start`` equals that slice of
+    one sequential draw.
     """
     if n < 0:
         raise ValueError("draw count must be non-negative")
-    x = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    if isinstance(seed, (int, np.integer)):
-        words = x if out is None else out[:n]
-        np.multiply(x, _U64_GOLDEN, out=words)
-        words += np.uint64(int(seed) & MASK64)
-    else:
-        words = x * _U64_GOLDEN + np.array(
-            [int(s) & MASK64 for s in seed], dtype=np.uint64)[:, None]
-    return _finalize(words, np.empty_like(words) if out is None else x)
+    words = golden_steps(n) + np.array(
+        [(int(s) + start * GOLDEN) & MASK64 for s in seeds],
+        dtype=np.uint64)[:, None]
+    return _finalize(words, np.empty_like(words))
 
 
 def golden_steps(n: int) -> np.ndarray:
     """``(i + 1) * GOLDEN`` modulo 2**64 for ``i < n``: what word ``i`` of
-    any stretch of any stream adds to its seed and offset, computed once
-    for every :func:`stream_mantissas` call of up to ``n`` words."""
+    any stretch of any stream adds to its seed and offset.  A caller of
+    :func:`stream_mantissas` computes it once for all its calls of up to
+    ``n`` words."""
     return np.arange(1, n + 1, dtype=np.uint64) * _U64_GOLDEN
 
 
 def stream_mantissas(seed: int, start: int, steps: np.ndarray,
                      out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The top 53 bits of ``n = len(steps)`` words from ``start`` of one
-    seed's stream, ``stream_words(seed, start, n) >> 11``, written into
+    seed's stream, ``stream_words([seed], start, n)[0] >> 11``, written into
     ``out[:n]`` and returned.
 
     ``steps`` is ``golden_steps(n)`` or a prefix of a longer one, so each
@@ -135,11 +131,9 @@ def mantissa_bounds(p) -> np.ndarray:
     return np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
-def to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of each word, into ``out``
-    (a float64 array of the same length) when it is given."""
-    return np.multiply(words >> np.uint64(11), 2.0**-53, out=out,
-                       dtype=np.float64)
+def to_uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word."""
+    return np.multiply(words >> np.uint64(11), 2.0**-53, dtype=np.float64)
 
 
 def to_normals(words: np.ndarray, n: int) -> np.ndarray:
@@ -157,28 +151,40 @@ def to_normals(words: np.ndarray, n: int) -> np.ndarray:
     return out[..., :n]
 
 
-def scaled_integers(u: np.ndarray, bound: int) -> np.ndarray:
+def scaled_integers(u: np.ndarray, bound) -> np.ndarray:
     """Ints in ``[0, bound)``, one per uniform of ``u``, by scaling it (fine
-    for shuffles and resampling)."""
-    if bound <= 0:
+    for shuffles and resampling); ``bound`` is one positive int or one per
+    uniform."""
+    bound = np.asarray(bound, dtype=np.int64)
+    if (bound <= 0).any():
         raise ValueError("bound must be positive")
     return np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
+def shuffled(seed: int, n: int) -> np.ndarray:
+    """A permutation of ``range(n)`` by Fisher-Yates on the stream of
+    ``seed``: for ``i`` from ``n - 1`` down to 1, swap ``i`` with ``j`` in
+    ``[0, i]``, ``j`` scaled from the stream's next word.  The ``n - 1``
+    words are drawn in one pass."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    picks = scaled_integers(to_uniforms(stream_words([seed], 0, n - 1)[0]),
+                            np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), picks):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 class SplitMix64:
-    """Counter-based stream of uniforms and normals from one 64-bit seed."""
+    """One seed's stream of uniforms and normals, read in order."""
 
     def __init__(self, seed: int):
         self._seed = int(seed) & MASK64
         self._counter = 0
 
-    @property
-    def counter(self) -> int:
-        """Number of raw 64-bit words consumed so far."""
-        return self._counter
-
     def _raw(self, n: int) -> np.ndarray:
-        words = stream_words(self._seed, self._counter, n)
+        words = stream_words([self._seed], self._counter, n)[0]
         self._counter += n
         return words
 
@@ -189,15 +195,3 @@ class SplitMix64:
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller on consecutive uniforms."""
         return to_normals(self._raw(2 * ((n + 1) // 2)), n)
-
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """``n`` ints in [0, bound) by scaling uniforms (fine for shuffles)."""
-        return scaled_integers(self.uniforms(n), bound)
-
-    def shuffled(self, n: int) -> np.ndarray:
-        """A permutation of ``range(n)`` via seeded Fisher-Yates."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = int(self.integers(1, i + 1)[0])
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm

@@ -100,19 +100,6 @@ class RunTrace:
     def total_steps(self) -> int:
         return sum(a.steps for a in self.attempts)
 
-    @property
-    def accepted_seed(self) -> int:
-        """The seed of the last attempt, the one accepted."""
-        return self.attempts[-1].seed
-
-    @property
-    def n_attempts(self) -> int:
-        return len(self.attempts)
-
-    @property
-    def n_aborted(self) -> int:
-        return sum(1 for a in self.attempts if a.outcome == OUTCOME_ABORTED)
-
 
 @dataclass(frozen=True)
 class _Run:

@@ -45,8 +45,11 @@ class ObjectSpec:
     grid_size: int = GRID_SIZE
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise UsageError(f"blob sigma must be positive, got {self.sigma}")
+        # NaN fails every comparison here, and a square that overflows or
+        # underflows the last: the blob's width must be a positive float
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+            raise UsageError(f"blob sigma must be positive with a finite "
+                             f"positive square, got {self.sigma}")
         if not self.candidate_positions:
             raise UsageError(f"object {self.object_id!r} needs at least one position")
         n = self.grid_size
@@ -60,7 +63,9 @@ class ObjectSpec:
         rows = np.arange(self.grid_size, dtype=np.float64)[:, None]
         cols = np.arange(self.grid_size, dtype=np.float64)[None, :]
         d2 = (rows - r0) ** 2 + (cols - c0) ** 2
-        return np.exp(-d2 / (2.0 * self.sigma**2))
+        # a narrow blob's quotient may overflow: exp(-inf) is its exact 0
+        with np.errstate(over="ignore"):
+            return np.exp(-d2 / (2.0 * self.sigma**2))
 
     @cached_property
     def placed_stack(self) -> np.ndarray:
@@ -111,7 +116,7 @@ def load_catalog(path: str) -> dict[str, ObjectSpec]:
     """Read a catalog from a plain-text table.
 
     One line per object: ``id sigma r1,c1 r2,c2 ...``.  Blank lines and lines
-    starting with ``#`` are skipped.
+    starting with ``#`` are skipped.  Every error names ``path:line``.
     """
     catalog: dict[str, ObjectSpec] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -138,11 +143,14 @@ def load_catalog(path: str) -> dict[str, ObjectSpec]:
                     positions.append((int(rc[0]), int(rc[1])))
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: bad position {token!r}") from exc
-            catalog[object_id] = ObjectSpec(
-                object_id=object_id,
-                sigma=sigma,
-                candidate_positions=tuple(positions),
-            )
+            try:
+                catalog[object_id] = ObjectSpec(
+                    object_id=object_id,
+                    sigma=sigma,
+                    candidate_positions=tuple(positions),
+                )
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     return catalog
 
 
@@ -219,14 +227,13 @@ class MixtureSpec:
 
 
 def build_conditional_mixture(targets: tuple[str, ...] | list[str],
-                              q: float | dict[str, float],
+                              q: float,
                               catalog: dict[str, ObjectSpec],
                               s2: float = COMPONENT_STD**2) -> MixtureSpec:
     """Enumerate the conditional mixture for a target set.
 
-    ``q`` is either one faithfulness value shared by every target or a map
-    from object id to its value; each must lie in (0, 1].  Zero-weight
-    combinations (an absence under ``q_o = 1``) are dropped.
+    ``q`` is the faithfulness shared by every target, in (0, 1].
+    Zero-weight combinations (an absence under ``q = 1``) are dropped.
     """
     targets = tuple(targets)
     if not targets:
@@ -238,13 +245,9 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
         if t not in catalog:
             raise UsageError(f"object {t!r} not in catalog")
         specs.append(catalog[t])
-    if isinstance(q, dict):
-        q_vec = tuple(float(q[t]) for t in targets)
-    else:
-        q_vec = tuple(float(q) for _ in targets)
-    for t, q_o in zip(targets, q_vec):
-        if not (0.0 < q_o <= 1.0):
-            raise UsageError(f"faithfulness for {t!r} must be in (0, 1], got {q_o}")
+    q = float(q)
+    if not (0.0 < q <= 1.0):
+        raise UsageError(f"faithfulness must be in (0, 1], got {q}")
     if s2 <= 0:
         raise UsageError(f"component variance must be positive, got {s2}")
     grid_size = specs[0].grid_size
@@ -253,11 +256,11 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
 
     # Per object: None for absent, else an index into its candidate positions.
     per_object_choices = []
-    for spec, q_o in zip(specs, q_vec):
+    for spec in specs:
         choices: list[tuple[int | None, float]] = []
-        if q_o < 1.0:
-            choices.append((None, 1.0 - q_o))
-        share = q_o / len(spec.candidate_positions)
+        if q < 1.0:
+            choices.append((None, 1.0 - q))
+        share = q / len(spec.candidate_positions)
         choices.extend((j, share) for j in range(len(spec.candidate_positions)))
         per_object_choices.append(choices)
 

@@ -54,25 +54,20 @@ class AttemptDistribution:
                 raise UsageError("pattern length must match object count")
 
     @classmethod
-    def from_faithfulness(cls, objects, faithfulness) -> "AttemptDistribution":
-        """Independent per-object presence with probability ``faithfulness``.
-
-        ``faithfulness`` may be a scalar (shared by all objects) or a
-        per-object mapping.
-        """
+    def from_faithfulness(cls, objects,
+                          faithfulness: float) -> "AttemptDistribution":
+        """Independent presence of every object with the one probability
+        ``faithfulness``."""
         objects = tuple(objects)
-        if isinstance(faithfulness, dict):
-            q = [float(faithfulness[o]) for o in objects]
-        else:
-            q = [float(faithfulness)] * len(objects)
-        if any(not (0.0 < qi <= 1.0) for qi in q):
+        q = float(faithfulness)
+        if not (0.0 < q <= 1.0):
             raise UsageError("faithfulness values must be in (0, 1]")
         patterns, probs = [], []
         for mask in range(2 ** len(objects)):
             pat = tuple((mask >> i) & 1 for i in range(len(objects)))
             p = 1.0
-            for bit, qi in zip(pat, q):
-                p *= qi if bit else 1.0 - qi
+            for bit in pat:
+                p *= q if bit else 1.0 - q
             patterns.append(pat)
             probs.append(p)
         return cls(objects=objects, patterns=tuple(patterns),
@@ -309,15 +304,18 @@ class SweepRow:
 
 def sweep_tlast(dist: AttemptDistribution, points, num_steps: int,
                 n_runs: int = 2000, seed: int = 0) -> list[SweepRow]:
-    """Saving as a function of the decision step, one row per rate point."""
-    points = list(points)
+    """Saving as a function of the decision step, one row per rate point.
+
+    Every point's decision step is checked before any Monte Carlo runs."""
+    points = sorted(points, key=lambda p: p.t_last)
     if len({p.t_last for p in points}) < 2:
         raise UsageError("sweep needs rate points for at least two "
                          "distinct decision steps")
-    rows = []
-    for point in sorted(points, key=lambda p: p.t_last):
+    for point in points:
         if not (0 <= point.t_last < num_steps):
             raise UsageError(f"t_last={point.t_last} outside [0, {num_steps})")
+    rows = []
+    for point in points:
         policy = PolicyParams(recall=point.recall_by_object,
                               true_negative_rate=point.tn_by_object,
                               cost_fraction=point.t_last / num_steps)

@@ -73,13 +73,13 @@ def tiny_dataset(tmp_path_factory, catalog) -> BuiltDataset:
 def word_draws(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
     """Every draw of stream words, wherever the package binds
     ``stream_words``, as ``(seed shape, words per seed)`` in call order:
-    shape ``()`` for one seed, ``(B,)`` for a batch of B."""
+    shape ``(B,)`` for a batch of B seeds."""
     draws = []
     words = rng.stream_words
 
-    def counting(seed, start, n, out=None):
-        draws.append((np.shape(seed), n))
-        return words(seed, start, n, out)
+    def counting(seeds, start, n):
+        draws.append((np.shape(seeds), n))
+        return words(seeds, start, n)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "headlab"

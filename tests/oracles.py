@@ -26,7 +26,7 @@ from headlab.detector import expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
 from headlab.errors import RunFailure, UsageError
-from headlab.rng import SplitMix64, stream_words, to_uniforms
+from headlab.rng import SplitMix64, scaled_integers, stream_words, to_uniforms
 from headlab.scene import MixtureSpec
 from headlab.tensorio import tensor_header
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
@@ -165,7 +165,7 @@ def bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
     """Percentile CI of 1 - mean(treat)/mean(ref) over 200 paired resamples
     of one group, all resamples' indices drawn at once from ``seed``."""
     n = ref.size
-    idx = SplitMix64(seed).integers(200 * n, n).reshape(200, n)
+    idx = scaled_integers(SplitMix64(seed).uniforms(200 * n), n).reshape(200, n)
     stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
     return (float(np.percentile(stats, 2.5)),
             float(np.percentile(stats, 97.5)))
@@ -224,8 +224,6 @@ def monte_carlo_reference(dist: AttemptDistribution, policy: PolicyParams,
     step_cost = np.array([policy.cost_fraction, 1.0])
 
     block = min(MC_BLOCK, n_runs)
-    words = np.empty(block * n_obj, dtype=np.uint64)
-    u = np.empty(block * n_obj)
     costs = np.zeros(n_runs)
     active = np.arange(n_runs)
     counter = 0
@@ -242,13 +240,13 @@ def monte_carlo_reference(dist: AttemptDistribution, policy: PolicyParams,
             b = hi - lo
             # Pattern index: the count of cdf entries at or below the draw,
             # as searchsorted(cdf, u, side="right") on a cdf ending in 1.0.
-            draw = to_uniforms(stream_words(seed, counter + lo, b, words), u[:b])
+            draw = to_uniforms(stream_words([seed], counter + lo, b)[0])
             pat = np.zeros(b, dtype=np.intp)
             for edge in cdf[:-1]:
                 pat += draw >= edge
-            verdicts = to_uniforms(
-                stream_words(seed, counter + k + lo * n_obj, b * n_obj, words),
-                u[:b * n_obj]).reshape(b, n_obj)
+            verdicts = to_uniforms(stream_words(
+                [seed], counter + k + lo * n_obj, b * n_obj)[0]).reshape(
+                    b, n_obj)
             cont = verdicts[:, 0] < pass_by_object[0][pat]
             for j in range(1, n_obj):
                 cont &= verdicts[:, j] < pass_by_object[j][pat]

@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import typing
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -756,6 +756,45 @@ def test_malformed_catalog_flag_exits_1(tmp_path, capsys):
     assert err == f"error: {catalog}:1: bad sigma 'wide'\n"
 
 
+@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e-200", "inf"])
+def test_catalog_sigma_without_a_finite_square_exits_1(tmp_path, capsys,
+                                                       sigma):
+    """Through ``--catalog`` a blob width whose square is not a finite
+    positive float is refused before anything is written."""
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(f"cat {sigma} 3,4\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["make-dataset", "--catalog", str(catalog),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {catalog}:1: blob sigma must be positive with a finite "
+        f"positive square, got {float(sigma)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalog.txt"]
+
+
+@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e-200", "inf"])
+def test_dataset_catalog_sigma_without_a_finite_square_exits_2(
+        cli_dataset, tmp_path, capsys, sigma):
+    import shutil
+
+    root = tmp_path / "ds"
+    shutil.copytree(cli_dataset, root)
+    catalog = root / "catalog.txt"
+    lines = catalog.read_text(encoding="utf-8").splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if line.startswith("cat "))
+    parts = lines[line_no - 1].split(" ")
+    lines[line_no - 1] = " ".join([parts[0], sigma, *parts[2:]])
+    catalog.write_text("".join(lines), encoding="utf-8")
+    rc = main(["train", "--dataset", str(root), "--steps", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {catalog}:{line_no}: blob sigma must be positive with a "
+        f"finite positive square, got {float(sigma)}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("shape", [(1, 3, 16, 16), (48, 2, 16, 16),
                                    (48, 3, 8, 8), None])
 def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,
@@ -936,7 +975,7 @@ def test_report_over_a_malformed_csv_exits_1(tmp_path, capsys, content):
 
 def test_experiment_config_roundtrip():
     config = ExperimentConfig()
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(asdict(config)) == config
 
 
 def _instances(cls):
@@ -968,7 +1007,7 @@ def test_any_dataset_config_round_trips(config):
     name: _instances(section)
     for name, section in typing.get_type_hints(ExperimentConfig).items()}))
 def test_any_experiment_config_round_trips(config):
-    assert (ExperimentConfig.from_dict(_through_json(config.to_dict()))
+    assert (ExperimentConfig.from_dict(_through_json(asdict(config)))
             == config)
 
 

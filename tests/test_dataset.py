@@ -1,5 +1,7 @@
 """Dataset protocol: grid, labeling, persistence, splits, determinism."""
 
+import contextlib
+import io
 import json
 from dataclasses import replace
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from headlab import dataset, engine
+from headlab.cli import main
 from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
                              TENSOR_DIR, DatasetConfig, build_prompt_grid,
                              generate_dataset, label_image, load_manifest,
@@ -15,7 +18,7 @@ from headlab.engine import MixtureBank, make_schedule
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import mix64
 from headlab.scene import build_conditional_mixture
-from headlab.tensorio import read_tensor
+from headlab.tensorio import TensorWriter, read_tensor
 
 from conftest import TINY_CONFIG
 from oracles import sample_batch
@@ -228,14 +231,13 @@ def test_catalog_with_mixed_position_counts(tmp_path, monkeypatch, catalog):
 def test_generation_draws_each_chunks_noise_at_once(tmp_path, catalog,
                                                     monkeypatch, word_draws):
     """One draw of starting noise per lockstep chunk, for all its rows;
-    the only other draws are the split's shuffle, one word at a time."""
+    the only other draw is the split's shuffle, all its words at once."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 5)
     generate_dataset(TINY_CONFIG, catalog, tmp_path)
     prompts = len(TINY_CONFIG.subjects) * len(TINY_CONFIG.objects)
     rows = prompts * TINY_CONFIG.seeds_per_prompt
     chunks = [((min(5, rows - lo),), 256) for lo in range(0, rows, 5)]
-    assert [d for d in word_draws if d[0]] == chunks
-    assert [d for d in word_draws if not d[0]] == [((), 1)] * (prompts - 1)
+    assert word_draws == chunks + [((1,), prompts - 1)]
 
 
 def test_each_wave_is_released_before_the_next_is_built(tmp_path, catalog,
@@ -302,13 +304,22 @@ def test_generate_dataset_is_byte_deterministic(tmp_path, catalog):
     assert files == _files(b)
 
 
-def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, catalog,
-                                                      monkeypatch):
+def _make_dataset(tmp_path, config: DatasetConfig, out) -> int:
+    """``head make-dataset`` of ``config`` into ``out``: its exit code.  The
+    config file is ``tmp_path / "dataset.json"``."""
+    spec = tmp_path / "dataset.json"
+    spec.write_text(json.dumps({"dataset": config.to_dict()}), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["make-dataset", "--config", str(spec), "--out", str(out)])
+
+
+def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, monkeypatch):
     cfg = DatasetConfig(subjects=("cat",), objects=("bench",),
                         seeds_per_prompt=2, critical_steps=(0, 4),
                         split_fractions=(1.0, 0.0, 0.0))
-    generate_dataset(cfg, catalog, tmp_path)
-    before = (tmp_path / "manifest.jsonl").read_bytes()
+    out = tmp_path / "ds"
+    assert _make_dataset(tmp_path, cfg, out) == 0
+    before = _files(out)
     jsonl = dataset._jsonl
 
     def failing(obj):
@@ -318,21 +329,48 @@ def test_failed_manifest_write_leaves_the_old_manifest(tmp_path, catalog,
 
     monkeypatch.setattr(dataset, "_jsonl", failing)
     with pytest.raises(RuntimeError, match="serialisation failed"):
-        generate_dataset(replace(cfg, seeds_per_prompt=3), catalog, tmp_path)
-    assert (tmp_path / "manifest.jsonl").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "catalog.txt", "manifest.jsonl", TENSOR_DIR]
+        _make_dataset(tmp_path, replace(cfg, seeds_per_prompt=3), out)
+    assert _files(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.json", "ds"]
 
 
-def test_rebuild_with_fewer_steps_equals_a_fresh_build(tmp_path, catalog):
+def test_interrupted_rebuild_leaves_the_old_tree(tmp_path, monkeypatch,
+                                                 capsys):
+    """A rebuild interrupted at its 20th tensor append exits 2 and leaves
+    the old dataset byte for byte, with no staging directory beside it."""
+    out = tmp_path / "ds"
+    assert _make_dataset(tmp_path, replace(TINY_CONFIG, seeds_per_prompt=2),
+                         out) == 0
+    before = _files(out)
+    appends = []
+    append = TensorWriter.append
+
+    def interrupted(self, rows):
+        appends.append(len(rows))
+        if len(appends) == 20:
+            raise KeyboardInterrupt
+        append(self, rows)
+
+    monkeypatch.setattr(TensorWriter, "append", interrupted)
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 5)
+    assert _make_dataset(tmp_path, replace(TINY_CONFIG, seeds_per_prompt=3),
+                         out) == 2
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert len(appends) == 20
+    assert _files(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.json", "ds"]
+
+
+def test_rebuild_with_fewer_steps_equals_a_fresh_build(tmp_path):
     cfg = DatasetConfig(subjects=("cat", "dog"), objects=("bench",),
                         seeds_per_prompt=2, critical_steps=(0, 4, 16),
                         split_fractions=(0.5, 0.25, 0.25))
-    generate_dataset(cfg, catalog, tmp_path / "rebuilt")
+    assert _make_dataset(tmp_path, cfg, tmp_path / "rebuilt") == 0
     fewer = replace(cfg, critical_steps=(0, 4))
-    generate_dataset(fewer, catalog, tmp_path / "rebuilt")
-    generate_dataset(fewer, catalog, tmp_path / "fresh")
+    assert _make_dataset(tmp_path, fewer, tmp_path / "rebuilt") == 0
+    assert _make_dataset(tmp_path, fewer, tmp_path / "fresh") == 0
     assert _files(tmp_path / "rebuilt") == _files(tmp_path / "fresh")
+    assert not (tmp_path / "rebuilt" / TENSOR_DIR / "16.bin").exists()
 
 
 def test_chunk_size_changes_no_byte(tmp_path, catalog, monkeypatch):

@@ -16,7 +16,7 @@ from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _softmax, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
-from headlab.rng import SplitMix64, mix64
+from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
 
 from oracles import dense_trajectory, sample_batch
@@ -111,7 +111,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     stream = SplitMix64(17)
     h = 1e-5
     for _ in range(10):
-        t = 1 + int(stream.integers(1, schedule.T)[0])
+        t = 1 + int(scaled_integers(stream.uniforms(1), schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
         eps = _batch(mix, schedule, z[None]).posterior(t).eps[0]
         sigma = schedule.sigma[t]
@@ -155,7 +155,7 @@ def test_responsibilities_are_scipys_softmax():
         scale = (1e-3, 1.0, 30.0, 1e3)[i % 4]
         a = stream.normals(9) * scale
         if i % 3 == 0:  # tied maxima
-            a[stream.integers(3, 9)] = a.max()
+            a[scaled_integers(stream.uniforms(3), 9)] = a.max()
         if i % 5 == 0:  # many ties
             a = np.round(a)
         rows.append(a)
@@ -218,7 +218,7 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
     mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
     stream = SplitMix64(31)
     for _ in range(10):
-        t = 1 + int(stream.integers(1, schedule.T)[0])
+        t = 1 + int(scaled_integers(stream.uniforms(1), schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.8
         pfi = _batch(mix, schedule, z[None]).capture(t)[0, 0]
         ab = schedule.alphabar[t]

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module imports is used in that module,
 every private top-level name a module defines is read there, no module
-defines anything public that the package never reaches, nothing the
-package runs needs scipy, which only the tests use, and no name that the
-benchmark's traced run wraps goes missing."""
+defines anything public that the package never reaches or reads, nothing
+the package runs needs scipy, which only the tests use, and no name that
+the benchmark's traced run wraps goes missing."""
 
 import ast
+import collections
 import importlib.util
 import os
 import subprocess
@@ -129,14 +130,92 @@ def test_checker_flags_an_unreached_definition():
     assert _unreached(sources, {"lib.py"}) == ["Unused", "inner", "wrapper"]
 
 
-# Public names kept although the package never reaches them, each with the
-# reason the tests need it.  Test oracles live in ``tests/oracles.py``.
-KEPT_FOR_TESTS: dict[str, str] = {}
+def _reads(node) -> collections.Counter:
+    """How often ``node`` loads each identifier, as a name or as an
+    attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and isinstance(n.ctx, ast.Load))
+
+
+def _unread_members(sources: dict[str, str], skipped=()) -> list[str]:
+    """Public methods and properties (``Class.name``) and public module
+    constants that no package code reads outside their own definition.
+
+    Either counts as read wherever its name is loaded, as a name or as any
+    object's attribute: the check goes by name, not by type.  Dataclass
+    fields are not members.  The members of a class with a base class are
+    not checked, since they may override a hook that the base calls
+    (``argparse.ArgumentParser.error``), and neither are those of a class
+    in ``skipped``, which is checked as a whole.
+    """
+    trees = [ast.parse(source) for source in sources.values()]
+    total = sum(map(_reads, trees), collections.Counter())
+    unread = []
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                if top.bases or top.name in skipped:
+                    continue
+                members = [(f"{top.name}.{node.name}", node.name, node)
+                           for node in top.body
+                           if isinstance(node, ast.FunctionDef)]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = (top.targets if isinstance(top, ast.Assign)
+                           else [top.target])
+                members = [(n.id, n.id, top) for t in targets
+                           for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [qualified for qualified, name, node in members
+                       if not name.startswith("_")
+                       and total[name] == _reads(node)[name]]
+    return sorted(unread)
+
+
+def test_checker_flags_an_unread_member():
+    sources = {"lib.py": ("LIMIT, UNUSED = 3, 4\n_PRIVATE = 5\n"
+                          "class Box:\n"
+                          "    size: int = LIMIT\n"
+                          "    def used(self): return self.helper()\n"
+                          "    def helper(self): return 1\n"
+                          "    def orphan(self): return self.orphan()\n"
+                          "    @property\n"
+                          "    def shown(self): return 1\n"
+                          "    @property\n"
+                          "    def hidden(self): return 2\n"
+                          "    def _private(self): pass\n"
+                          "class Parser(Base):\n"
+                          "    def error(self): pass\n"
+                          "class Kept:\n"
+                          "    def alone(self): pass\n"),
+               "app.py": ("from lib import Box, UNUSED\n"
+                          "print(Box().used(), Box().shown)\n")}
+    assert _unread_members(sources, skipped={"Kept"}) == [
+        "Box.hidden", "Box.orphan", "UNUSED"]
+
+
+# Public names kept although the package never reaches or reads them, each
+# with the reason the tests need it: a top-level name, or ``Class.member``.
+# Test oracles live in ``tests/oracles.py``.
+KEPT_FOR_TESTS: dict[str, str] = {
+    "SplitMix64": (
+        "the sequential reference the tests pin the stream formulas "
+        "against; the benchmark's traced run also wraps its uniforms and "
+        "normals"),
+    "LockstepBatch.posterior": (
+        "the public view of a batch's kept posterior, its responsibilities "
+        "and eps, which the engine and gate tests check against finite "
+        "differences and the dense oracle"),
+}
 
 
 def test_every_module_defines_only_what_the_package_reaches():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert _unreached(sources, set(sources)) == sorted(KEPT_FOR_TESTS)
+    unreached = _unreached(sources, set(sources))
+    unread = _unread_members(sources, skipped=unreached)
+    assert sorted(unreached + unread) == sorted(KEPT_FOR_TESTS)
 
 
 def _imported_modules(source: str) -> set[str]:

@@ -8,7 +8,8 @@ import pytest
 
 from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64,
                          golden_steps, mantissa_bounds, mix64,
-                         stream_mantissas, stream_words, to_uniforms)
+                         scaled_integers, shuffled, stream_mantissas,
+                         stream_words, to_uniforms)
 
 # First outputs of the widely published 64-bit mix sequence for seed 0:
 # each output is finalize64 of the seed advanced i+1 times by the golden
@@ -31,9 +32,9 @@ def test_stream_is_deterministic_and_counter_advances():
     a, b = SplitMix64(99), SplitMix64(99)
     first = a.uniforms(10)
     assert np.array_equal(first, b.uniforms(10))
-    assert a.counter == b.counter == 10
+    assert a._counter == b._counter == 10
     second = a.uniforms(10)
-    assert a.counter == 20
+    assert a._counter == 20
     assert not np.array_equal(first, second)
 
 
@@ -63,15 +64,45 @@ def test_normals_odd_count():
 
 
 def test_integers_within_bound():
-    v = SplitMix64(5).integers(1000, 13)
+    v = scaled_integers(SplitMix64(5).uniforms(1000), 13)
     assert v.min() >= 0 and v.max() < 13
     assert len(np.unique(v)) == 13
 
 
 def test_shuffled_is_permutation():
-    perm = SplitMix64(11).shuffled(50)
+    perm = shuffled(11, 50)
     assert sorted(perm.tolist()) == list(range(50))
     assert not np.array_equal(perm, np.arange(50))
+
+
+def _sequential_shuffle(seed: int, n: int) -> list[int]:
+    """Fisher-Yates drawing one word at a time, in stream order."""
+    stream = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(scaled_integers(stream.uniforms(1), i + 1)[0])
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("seed", [0, 11, mix64(2, 0x53504C4954), 2 ** 64 - 1])
+def test_shuffled_equals_the_sequential_shuffle(seed):
+    """All ``n - 1`` words at once, word ``k`` scaled by ``n - k``, give
+    the permutation of drawing them one by one."""
+    for n in (*range(0, 70), 500):
+        assert shuffled(seed, n).tolist() == _sequential_shuffle(seed, n)
+
+
+def test_scaled_integers_take_a_bound_per_word():
+    u = SplitMix64(3).uniforms(1000)
+    bound = np.arange(1000, 0, -1)
+    v = scaled_integers(u, bound)
+    assert ((0 <= v) & (v < bound)).all()
+    assert v.tolist() == [int(scaled_integers(u[i:i + 1], int(b))[0])
+                          for i, b in enumerate(bound)]
+    for bad in (0, -3, [2, 0]):
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            scaled_integers(u[:2], bad)
 
 
 def test_mix64_is_order_sensitive():
@@ -97,26 +128,38 @@ def test_stream_words_at_an_offset_are_a_slice_of_one_draw():
     seed = 2 ** 63 + 12345
     whole = SplitMix64(seed)._raw(1000)
     for start, n in ((0, 0), (0, 1), (1, 7), (250, 500), (999, 1)):
-        assert np.array_equal(stream_words(seed, start, n),
-                              whole[start:start + n])
+        assert np.array_equal(stream_words([seed], start, n),
+                              whole[None, start:start + n])
 
 
 def test_stream_words_write_into_the_callers_buffer():
-    whole = stream_words(7, 0, 64)
+    """Only :func:`stream_mantissas` writes into a buffer of the caller's:
+    the mantissas of a stretch at an offset fill its first ``n`` entries."""
+    whole = stream_words([7], 0, 64)[0]
     buf = np.zeros(32, dtype=np.uint64)
-    out = stream_words(7, 10, 20, buf)
+    out = stream_mantissas(7, 10, golden_steps(20), buf,
+                           np.empty(20, dtype=np.uint64))
     assert np.shares_memory(out, buf) and out.shape == (20,)
-    assert np.array_equal(buf[:20], whole[10:30])
+    assert np.array_equal(buf[:20], whole[10:30] >> np.uint64(11))
     assert not buf[20:].any()
+
+
+def test_stream_words_give_one_row_per_seed():
+    seeds = [0, 5, 2 ** 64 - 1]
+    words = stream_words(seeds, 3, 40)
+    assert words.shape == (3, 40)
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, SplitMix64(seed)._raw(43)[3:])
+    assert stream_words([], 0, 4).shape == (0, 4)
 
 
 def test_stream_words_reject_bad_counts():
     with pytest.raises(ValueError):
-        stream_words(0, 0, -1)
+        stream_words([0], 0, -1)
 
 
 def test_to_uniforms_matches_the_stream():
-    u = to_uniforms(stream_words(99, 5, 10), np.empty(10))
+    u = to_uniforms(stream_words([99], 5, 10)[0])
     stream = SplitMix64(99)
     stream.uniforms(5)
     assert np.array_equal(u, stream.uniforms(10))
@@ -133,7 +176,7 @@ def test_stream_mantissas_are_the_words_top_53_bits(seed, start, n):
     out = np.zeros(n + 4, dtype=np.uint64)
     m = stream_mantissas(seed, start, steps, out, np.empty(n, dtype=np.uint64))
     assert np.shares_memory(m, out) and m.shape == (n,)
-    assert np.array_equal(m, stream_words(seed, start, n) >> np.uint64(11))
+    assert np.array_equal(m, stream_words([seed], start, n)[0] >> np.uint64(11))
     assert not out[n:].any()
 
 
@@ -171,10 +214,10 @@ def test_uniforms_normals_and_counter_are_pinned():
     stream = SplitMix64(2024)
     assert [x.hex() for x in stream.uniforms(3)] == [
         "0x1.3edb1fd9f11ddp-1", "0x1.8e430bb1511f0p-4", "0x1.31bdf2fd636e8p-2"]
-    assert stream.counter == 3
+    assert stream._counter == 3
     assert [x.hex() for x in stream.normals(3)] == [
         "0x1.0194b4d485348p+0", "-0x1.d088bf185859dp+0", "0x1.6c3e808ed1e54p-1"]
-    assert stream.counter == 7
+    assert stream._counter == 7
     assert [x.hex() for x in stream.uniforms(2)] == [
         "0x1.3154067d33894p-1", "0x1.59cf4702dd4f0p-3"]
-    assert stream.counter == 9
+    assert stream._counter == 9

@@ -8,7 +8,7 @@ from headlab.detector import (DetectorModel, build_design_matrix,
                               feature_names_for, fit_detector)
 from headlab.engine import LockstepBatch, MixtureBank
 from headlab.errors import RunFailure, UsageError
-from headlab.rng import SplitMix64, mix64
+from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
@@ -78,6 +78,11 @@ def _runs(mixture, schedule, policy, catalog, root_seed, n, prompt_id=""):
     return traces
 
 
+def _aborted(trace) -> int:
+    """The attempts of ``trace`` that a head arm aborted."""
+    return sum(a.outcome == OUTCOME_ABORTED for a in trace.attempts)
+
+
 def test_baseline_run_structure(mixture, schedule, catalog):
     policy = RunPolicy()
     (trace,) = _runs(mixture, schedule, policy, catalog, 11, 1,
@@ -87,9 +92,8 @@ def test_baseline_run_structure(mixture, schedule, catalog):
     for record in trace.attempts[:-1]:
         assert record.outcome == OUTCOME_INCOMPLETE
         assert record.verdicts is None
-    assert trace.total_steps == trace.n_attempts * schedule.T
-    assert trace.accepted_seed == trace.attempts[-1].seed
-    assert trace.n_aborted == 0
+    assert trace.total_steps == len(trace.attempts) * schedule.T
+    assert _aborted(trace) == 0
     for k, record in enumerate(trace.attempts):
         assert record.seed == mix64(11, 0, 0, k)
 
@@ -111,7 +115,7 @@ def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
                 assert all(v == 1 for v in record.verdicts.values())
         assert trace.total_steps == expected
         assert trace.attempts[-1].outcome == OUTCOME_COMPLETE
-        total_aborts += trace.n_aborted
+        total_aborts += _aborted(trace)
     assert total_aborts > 0
 
 
@@ -122,7 +126,7 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
     for a, b in zip(_runs(mixture, schedule, inert, catalog, 3, 4),
                     _runs(mixture, schedule, base, catalog, 3, 4), strict=True):
         assert a.total_steps == b.total_steps
-        assert a.accepted_seed == b.accepted_seed
+        assert a.attempts[-1].seed == b.attempts[-1].seed
         assert [r.seed for r in a.attempts] == [r.seed for r in b.attempts]
         assert [r.outcome for r in a.attempts] == [r.outcome for r in b.attempts]
 
@@ -130,14 +134,14 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
 def test_certain_mixture_accepts_first_attempt(catalog, schedule):
     sure = build_conditional_mixture(("cat", "bench"), 1.0, catalog)
     (trace,) = _runs(sure, schedule, RunPolicy(), catalog, 0, 1)
-    assert trace.n_attempts == 1
+    assert len(trace.attempts) == 1
     assert trace.total_steps == schedule.T
 
 
 def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
     policy = RunPolicy()
     n_runs = 250
-    counts = [trace.n_attempts for trace in
+    counts = [len(trace.attempts) for trace in
               _runs(mixture, schedule, policy, catalog, 21, n_runs)]
     p = 0.59
     sd = ((1 - p) / p**2) ** 0.5
@@ -226,7 +230,7 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
     for arm in (ref, treat):
         assert [t.prompt_id for t in arm] == (["a cat and a bench"] * 4
                                               + ["a owl and a drum"] * 4)
-    assert sum(t.n_aborted for t in treat) > 0
+    assert sum(_aborted(t) for t in treat) > 0
     # traces come in (prompt, run) order: run j of prompt i draws its seeds
     # from mix64(root_seed, i, j, attempt)
     for k, trace in enumerate(treat):
@@ -278,9 +282,9 @@ def test_joint_arms_equal_single_arms_with_aborts(catalog, schedule,
     _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     ref, treat = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
                                             policies, catalog, **kwargs)
-    assert sum(t.n_aborted for t in treat) > 0
+    assert sum(_aborted(t) for t in treat) > 0
     # an abort of a complete attempt sends the head past the baseline
-    assert any(h.n_attempts > b.n_attempts for b, h in zip(ref, treat))
+    assert any(len(h.attempts) > len(b.attempts) for b, h in zip(ref, treat))
 
 
 @pytest.mark.parametrize("arm", ["baseline", "head"])
@@ -298,7 +302,7 @@ def test_joint_arms_with_different_restart_limits(catalog, schedule,
     """Each arm's limit is the most attempts any of its runs needs, so both
     limits are reached, at different attempts, without a failure."""
     _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
-    limits = [max(t.n_attempts for t in _alone(monkeypatch, mixtures,
+    limits = [max(len(t.attempts) for t in _alone(monkeypatch, mixtures,
                                                schedule, policy, catalog,
                                                **kwargs))
               for policy in policies]
@@ -387,13 +391,13 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
         assert traces[1] == alone
     # With one slot the failing arm makes no attempt of a later run: beyond
     # the baseline's attempts of run 0 it adds its own aborts, 16 steps each.
-    extra = max(0, 4 - alone[0].n_attempts)
+    extra = max(0, 4 - len(alone[0].attempts))
     assert extra > 0
     assert (sum(rows for _, rows in steps)
             == sum(t.total_steps for t in alone) + 16 * extra)
     # A baseline allowed one attempt fails at run 0; the runs after it, each
     # accepted at its first attempt alone, are made by the other arm only.
-    assert [t.n_attempts for t in alone[1:]] == [1] * 5
+    assert [len(t.attempts) for t in alone[1:]] == [1] * 5
     traces, failed = runtime._pool(bank, runs, schedule,
                                    (RunPolicy(max_restarts=1), RunPolicy()),
                                    *rest)
@@ -421,7 +425,7 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
     (_, (trace,)), failed = runtime._pool(bank, runs, schedule,
                                           (late, RunPolicy()), *rest)
     assert failed == [0, None]
-    assert len(labelled) == trace.n_attempts
+    assert len(labelled) == len(trace.attempts)
 
 
 def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
@@ -433,7 +437,8 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
     ref, treat = run_arms(mixtures, schedule, policies, catalog, **kwargs)
-    beyond = [a for b, h in zip(ref, treat) for a in h.attempts[b.n_attempts:]]
+    beyond = [a for b, h in zip(ref, treat)
+              for a in h.attempts[len(b.attempts):]]
     assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
     rows = sum(rows for _, rows in steps)
     assert rows == 1130 == (sum(t.total_steps for t in ref)
@@ -576,7 +581,7 @@ def _bootstrap_ci_loop(ref, treat, seed):
     stream = SplitMix64(seed)
     stats = np.empty(200)
     for b in range(200):
-        idx = stream.integers(ref.size, ref.size)
+        idx = scaled_integers(stream.uniforms(ref.size), ref.size)
         stats[b] = 1.0 - treat[idx].mean() / ref[idx].mean()
     return (float(np.percentile(stats, 2.5)),
             float(np.percentile(stats, 97.5)))

@@ -1,5 +1,7 @@
 """Scene layer: prompts, object templates, conditional mixtures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,29 @@ def test_object_spec_validation():
                    candidate_positions=(), grid_size=16)
 
 
+# Widths whose square is not a finite positive float, or that are not one.
+BAD_SIGMAS = ("nan", "1e200", "1e-200", "inf", "0", "-1")
+
+
+def _bad_sigma(sigma: str) -> str:
+    return ("blob sigma must be positive with a finite positive square, "
+            f"got {float(sigma)}")
+
+
+@pytest.mark.parametrize("sigma", BAD_SIGMAS)
+def test_object_spec_needs_a_finite_positive_square_sigma(sigma):
+    with pytest.raises(UsageError, match=f"^{re.escape(_bad_sigma(sigma))}$"):
+        ObjectSpec(object_id="x", sigma=float(sigma),
+                   candidate_positions=((1, 1),))
+
+
+def test_object_spec_takes_the_widest_and_narrowest_sigma():
+    for sigma in (1e154, 1e-154):
+        spec = ObjectSpec(object_id="x", sigma=sigma,
+                          candidate_positions=((1, 1),))
+        assert np.isfinite(spec.placed_stack).all()
+
+
 def test_catalog_text_roundtrip(tmp_path, catalog):
     path = tmp_path / "catalog.txt"
     dump_catalog(catalog, path)
@@ -106,12 +131,6 @@ def test_completeness_is_product_of_faithfulness(catalog):
     assert completeness_probability(mix) == pytest.approx(0.59, abs=1e-12)
 
 
-def test_per_object_faithfulness_map(catalog):
-    mix = build_conditional_mixture(("cat", "bench"), {"cat": 1.0, "bench": 0.5},
-                                    catalog)
-    assert completeness_probability(mix) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_component_means_render_templates(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     assert mix.means_matrix.shape == (9, 256)
@@ -131,10 +150,10 @@ def test_mixture_validation_errors(catalog):
         build_conditional_mixture(("cat", "ghost"), 0.8, catalog)
     with pytest.raises(UsageError, match="^duplicate target in mixture "):
         build_conditional_mixture(("cat", "cat"), 0.8, catalog)
-    with pytest.raises(UsageError, match=r"^faithfulness for 'cat' .* got 0\.0$"):
-        build_conditional_mixture(("cat",), 0.0, catalog)
-    with pytest.raises(UsageError, match=r"^faithfulness for 'cat' .* got 1\.2$"):
-        build_conditional_mixture(("cat",), 1.2, catalog)
+    for q in (0.0, 1.2):
+        with pytest.raises(UsageError, match=rf"^faithfulness must be in "
+                           rf"\(0, 1\], got {q}$"):
+            build_conditional_mixture(("cat",), q, catalog)
     with pytest.raises(UsageError, match="^component variance must be "):
         build_conditional_mixture(("cat",), 0.8, catalog, s2=0.0)
 

@@ -103,7 +103,10 @@ def test_deterministic_second_object_reduces_to_single():
     single = AttemptDistribution.from_faithfulness(("a",), 0.6)
     pol1 = PolicyParams(recall={"a": 0.9}, true_negative_rate={"a": 0.7},
                         cost_fraction=0.2)
-    double = AttemptDistribution.from_faithfulness(("a", "b"), {"a": 0.6, "b": 1.0})
+    # "a" present with probability 0.6, "b" always
+    double = AttemptDistribution(objects=("a", "b"),
+                                 patterns=((0, 0), (1, 0), (0, 1), (1, 1)),
+                                 probabilities=(0.0, 0.0, 0.4, 0.6))
     pol2 = PolicyParams(recall={"a": 0.9, "b": 1.0},
                         true_negative_rate={"a": 0.7, "b": 0.45},
                         cost_fraction=0.2)
@@ -322,7 +325,7 @@ def test_a_draw_on_a_bound_falls_as_its_uniform_does():
     seed = 12345
     # One run: round one reads its pattern word, then its verdict word.
     u_pattern, u_verdict = (float(u) for u in
-                            to_uniforms(stream_words(seed, 0, 2)))
+                            to_uniforms(stream_words([seed], 0, 2)[0]))
     on_edge = AttemptDistribution(objects=("a",), patterns=((0,), (1,)),
                                   probabilities=(u_pattern, 1.0 - u_pattern))
     perfect = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.25)
@@ -387,6 +390,19 @@ def test_sweep_tlast_rejects_out_of_range():
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
     with pytest.raises(UsageError, match=r"^t_last=50 outside \[0, 50\)$"):
         sweep_tlast(dist, [_point(5, 1, 1), _point(50, 1, 1)], 50)
+
+
+def test_sweep_tlast_checks_every_point_before_simulating(monkeypatch):
+    """A decision step past ``num_steps`` is refused before the Monte Carlo
+    of any point, whatever its place in the sweep."""
+    calls = []
+    monkeypatch.setattr(timesaver, "monte_carlo_cost",
+                        lambda *args, **kwargs: calls.append(args))
+    dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
+    points = [_point(t, 1, 1) for t in (5, 8, 60)]
+    with pytest.raises(UsageError, match=r"^t_last=60 outside \[0, 50\)$"):
+        sweep_tlast(dist, points, 50, n_runs=2_000_000)
+    assert calls == []
 
 
 def test_sweep_probability_reference_point_always_present():
