@@ -13,7 +13,8 @@ sufficient to reproduce the outputs bit for bit (nothing here ever reads
 the clock or ambient entropy).  The snapshot is written last, so a command
 that stops part way leaves the previous snapshot beside the previous
 artifacts.  ``make-dataset`` builds its whole tree, snapshot included, in a
-staging directory and then puts it in place of the old one.
+staging directory and then puts it in place of the old one, so it refuses
+an ``--out`` that holds anything but a dataset.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from pathlib import Path
 
 from .atomic import replaced_directory, write_atomic
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
-                      generate_dataset, load_manifest, CATALOG_NAME)
+                      generate_dataset, load_header, load_manifest,
+                      CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
                        calibrate_threshold, check_target_recall,
                        evaluate_detector, fit_detector, merge_counts)
@@ -156,25 +158,30 @@ def _list_of(kind):
 
 
 def _load_dataset(dataset_dir):
-    """The dataset's root, manifest and catalog.
+    """The dataset's root, manifest and catalog (see :func:`_load_catalog`)."""
+    root = Path(dataset_dir)
+    manifest = load_manifest(root)
+    return root, manifest, _load_catalog(root, manifest.config)
+
+
+def _load_catalog(root: Path, config: DatasetConfig):
+    """The catalog of the dataset at ``root``, whose manifest holds
+    ``config``.
 
     The catalog is part of the dataset, so a damaged one is a runtime
     failure like a damaged manifest or tensor: a malformed line, or a
     catalog that lacks an object the manifest names, raises ``ValueError``
     naming the catalog file."""
-    root = Path(dataset_dir)
-    manifest = load_manifest(root)
     try:
         catalog = load_catalog(root / CATALOG_NAME)
     except UsageError as exc:
         raise ValueError(str(exc)) from None
-    config = manifest.config
     missing = [name for name in (*config.subjects, *config.objects)
                if name not in catalog]
     if missing:
         raise ValueError(f"{root / CATALOG_NAME}: lacks {missing}, which "
                          "the manifest names")
-    return root, manifest, catalog
+    return catalog
 
 
 def _with_flags(settings, args):
@@ -194,13 +201,37 @@ def _object_names(count: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------- dataset
 
 
+def _dataset_out(path: str) -> Path:
+    """``make-dataset``'s ``--out``, checked before any work.  A build
+    replaces the whole directory, so it must be new, empty or a headlab
+    dataset (one whose manifest header parses), and neither the working
+    directory nor one that holds it."""
+    out = Path(path)
+    here = Path.cwd().resolve()
+    if out.resolve() in (here, *here.parents):
+        raise UsageError(f"--out {path} is the working directory or holds "
+                         "it; a build replaces the whole directory")
+    if out.exists():
+        if not out.is_dir():
+            raise UsageError(f"--out {path} exists and is not a directory")
+        if any(out.iterdir()):
+            try:
+                load_header(out)
+            except (OSError, ValueError):
+                raise UsageError(
+                    f"--out {path} holds files but no headlab dataset; a "
+                    "build replaces the whole directory, so give a new or "
+                    "empty one, or a dataset to rebuild") from None
+    return out
+
+
 def _cmd_make_dataset(args) -> None:
+    out = _dataset_out(args.out)
     config = _with_flags(load_experiment_config(args.config).dataset, args)
     if args.catalog is not None:
         catalog = load_catalog(args.catalog)
     else:
         catalog = default_catalog()
-    out = Path(args.out)
     with replaced_directory(out) as staging:
         manifest = generate_dataset(config, catalog, staging)
         _write_snapshot(staging, "make-dataset", {"dataset": config.to_dict()})
@@ -374,12 +405,14 @@ def _cmd_sweep_p(args) -> None:
 
 def _cmd_run(args) -> None:
     settings = _with_flags(load_experiment_config(args.config).runtime, args)
-    root, manifest, catalog = _load_dataset(args.dataset)
+    # a campaign reads the manifest's config and splits, not its samples
+    root = Path(args.dataset)
+    config, splits = load_header(root)
+    catalog = _load_catalog(root, config)
     model = DetectorModel.load(args.model)
-    config = manifest.config
     prompts = build_prompt_grid(config.subjects, config.objects)
     if args.split != "all":
-        keep = set(manifest.splits.get(args.split, ()))
+        keep = set(splits.get(args.split, ()))
         if not keep:
             raise UsageError(f"split {args.split!r} selects no prompts")
         prompts = tuple(p for i, p in enumerate(prompts) if i in keep)

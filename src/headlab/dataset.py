@@ -25,6 +25,9 @@ Generation denoises the samples in manifest order by
 :func:`~headlab.engine.denoise`, each run of consecutive samples whose
 prompts share one ``MixtureBank`` in its own waves, and streams each wave's
 rows into those files, so no corpus-sized array is ever held in memory.
+A finished row's labels and nearest component come from its batch's Gram
+matrix (:attr:`~headlab.engine.LockstepBatch.responses`), not from its
+image.
 It writes into a directory of its own: ``head make-dataset`` builds there
 in a staging directory and publishes the whole tree at once (see
 :func:`~headlab.atomic.replaced_directory`).
@@ -268,18 +271,18 @@ def build_prompt_grid(subjects, objects) -> tuple[Prompt, ...]:
     return tuple(prompts)
 
 
-def label_image(image: np.ndarray, targets, catalog: dict[str, ObjectSpec],
-                threshold: float = 0.5) -> dict[str, int]:
-    """Matched-filter presence labels for each target object.
+def label_image(responses: np.ndarray, columns,
+                threshold: float = 0.5) -> np.ndarray:
+    """Matched-filter presence labels of finished images, shape
+    ``(B, n_targets)``: 1 where a target's best response over its own
+    columns ``[lo, hi)`` of ``columns`` reaches the threshold, else 0.
 
-    An object counts as present when its best per-position response
-    ``<image, g> / ||g||^2`` reaches the threshold.
+    ``responses`` (B, P) are each image's ``<image, g> / ||g||^2`` per
+    basis column, as :attr:`~headlab.engine.LockstepBatch.responses` gives
+    them at ``t = 0``.
     """
-    labels = {}
-    for t in targets:
-        responses = catalog[t].filter_responses(image)
-        labels[t] = int(float(np.max(responses)) >= threshold)
-    return labels
+    return np.stack([responses[:, lo:hi].max(-1) >= threshold
+                     for lo, hi in columns], axis=-1).astype(np.int64)
 
 
 def split_prompts(n_prompts: int, fractions, seed: int) -> dict[str, tuple[int, ...]]:
@@ -380,13 +383,13 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                     store[t].append(batch.capture(t))
                 if t:
                     continue
-                images = batch.z
+                labels = label_image(batch.responses, bank.target_columns,
+                                     config.label_threshold).tolist()
+                nearest = batch.nearest_component.tolist()
+                final.append(batch.z)
                 del batch  # its arrays go before the next wave's are made
-                final.append(images)
-                for (i, s, _, run_seed), image in zip(wave, images):
+                for (i, s, _, run_seed), bits, k in zip(wave, labels, nearest):
                     targets = prompts[i].targets
-                    labels = label_image(image, targets, catalog,
-                                         config.label_threshold)
                     samples.append(SampleRecord(
                         sample_id=f"p{i:03d}s{s:02d}",
                         prompt_index=i,
@@ -394,9 +397,9 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                         targets=targets,
                         seed_index=s,
                         run_seed=run_seed,
-                        labels=labels,
-                        complete=all(labels[o] == 1 for o in targets),
-                        nearest_component=mixtures[i].nearest_component(image),
+                        labels=dict(zip(targets, bits)),
+                        complete=all(bits),
+                        nearest_component=k,
                     ))
 
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
@@ -419,68 +422,96 @@ _LINE_KEYS = {
 }
 
 
+def _manifest_line(where: str, line: str) -> tuple[str, dict]:
+    """The kind and the fields of one manifest line; a line that is not a
+    JSON object of a known kind with all of that kind's keys raises
+    ``ValueError`` naming ``where``."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    kind = obj.pop("kind", None) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _LINE_KEYS:
+        raise ValueError(f"{where}: expected a JSON object whose "
+                         f"'kind' is one of {sorted(_LINE_KEYS)}")
+    missing = [k for k in _LINE_KEYS[kind] if k not in obj]
+    if missing:
+        raise ValueError(f"{where}: {kind} line lacks {missing}")
+    return kind, obj
+
+
+def _header(path: Path, line: str) -> tuple[DatasetConfig, dict]:
+    """The config and splits of the manifest ``path`` from its first line
+    ``line``, which must be its header; anything else raises
+    ``ValueError`` naming ``path:1``."""
+    if not line:
+        raise ValueError(f"{path}: manifest has no header line")
+    where = f"{path}:1"
+    kind, obj = _manifest_line(where, line)
+    if kind != "header":
+        raise ValueError(f"{where}: expected the header line, got a {kind} "
+                         "line")
+    try:
+        if obj["format_version"] != MANIFEST_VERSION:
+            raise ValueError("unsupported manifest version "
+                             f"{obj['format_version']}")
+        config = DatasetConfig.from_dict(obj["config"])
+        splits = {k: tuple(v) for k, v in obj["splits"].items()}
+    except (AttributeError, TypeError, ValueError, UsageError) as exc:
+        raise ValueError(f"{where}: malformed header line: {exc}") from exc
+    return config, splits
+
+
+def load_header(root) -> tuple[DatasetConfig, dict[str, tuple[int, ...]]]:
+    """The config and the splits of a dataset's manifest, from its header
+    line alone: no sample line is read or checked."""
+    path = Path(root) / MANIFEST_NAME
+    with open(path, "r", encoding="utf-8") as fh:
+        return _header(path, fh.readline())
+
+
 def load_manifest(root) -> DatasetManifest:
     """Parse ``manifest.jsonl``; a malformed line raises ``ValueError``
     naming ``path:line``.
 
-    Sample values must have their :class:`SampleRecord` types, and each
-    sample must name a prompt of the header's prompt grid with its targets:
-    a sample's line decides its row in the tensor store.
+    Line 1 must be the header.  Sample values must have their
+    :class:`SampleRecord` types, and each sample must name a prompt of the
+    header's prompt grid with its targets: a sample's line decides its row
+    in the tensor store.
     """
     path = Path(root) / MANIFEST_NAME
-    header = None
     samples: list[SampleRecord] = []
     stats: dict = {}
     sample_checkers = _field_checkers(SampleRecord)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        config, splits = _header(path, fh.readline())
+        grid = build_prompt_grid(config.subjects, config.objects)
+        for lineno, line in enumerate(fh, 2):
             where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            kind = obj.pop("kind", None) if isinstance(obj, dict) else None
-            if not isinstance(kind, str) or kind not in _LINE_KEYS:
-                raise ValueError(f"{where}: expected a JSON object whose "
-                                 f"'kind' is one of {sorted(_LINE_KEYS)}")
-            missing = [k for k in _LINE_KEYS[kind] if k not in obj]
-            if missing:
-                raise ValueError(f"{where}: {kind} line lacks {missing}")
+            kind, obj = _manifest_line(where, line)
             try:
                 if kind == "header":
-                    if obj["format_version"] != MANIFEST_VERSION:
-                        raise ValueError("unsupported manifest version "
-                                         f"{obj['format_version']}")
-                    config = DatasetConfig.from_dict(obj["config"])
-                    header = (config,
-                              {k: tuple(v) for k, v in obj["splits"].items()},
-                              build_prompt_grid(config.subjects, config.objects))
-                elif kind == "sample":
-                    if header is None:
-                        raise ValueError("sample line before the header")
-                    values = {}
-                    for key, check in sample_checkers.items():
-                        try:
-                            values[key] = check(obj[key])
-                        except TypeError as exc:
-                            raise TypeError(f"sample.{key}: {exc}") from None
-                    sample = SampleRecord(**values)
-                    grid = header[2]
-                    if (not 0 <= sample.prompt_index < len(grid)
-                            or grid[sample.prompt_index].targets != sample.targets):
-                        raise ValueError(
-                            f"targets {list(sample.targets)} are not those of "
-                            f"prompt {sample.prompt_index} of the prompt grid")
-                    samples.append(sample)
-                else:
+                    raise ValueError("a second header line")
+                if kind == "stats":
                     stats = obj
+                    continue
+                values = {}
+                for key, check in sample_checkers.items():
+                    try:
+                        values[key] = check(obj[key])
+                    except TypeError as exc:
+                        raise TypeError(f"sample.{key}: {exc}") from None
+                sample = SampleRecord(**values)
+                if (not 0 <= sample.prompt_index < len(grid)
+                        or grid[sample.prompt_index].targets != sample.targets):
+                    raise ValueError(
+                        f"targets {list(sample.targets)} are not those of "
+                        f"prompt {sample.prompt_index} of the prompt grid")
+                samples.append(sample)
             except (AttributeError, TypeError, ValueError, UsageError) as exc:
                 raise ValueError(f"{where}: malformed {kind} line: {exc}") from exc
-    if header is None:
-        raise ValueError(f"{path}: manifest has no header line")
     if not samples:
         raise ValueError(f"{path}: manifest has no sample lines")
-    config, splits, _ = header
     return DatasetManifest(config=config, splits=splits,
                            samples=tuple(samples), stats=stats)
 

@@ -40,12 +40,17 @@ difference or a (K, P, P) quadratic form.  Only the first row and column
 of ``G`` depend on a row's starting noise: the template block is its
 mixture's, computed once per bank as ``MixtureBank.template_gram``, and
 so are the energies, ``MixtureBank.component_energy``.
-Images are built only where they are read, by one ordered multiply-add
-over basis columns: a capture's predicted final images, its attention
-maps, each from the responsibility-weighted mean coefficients
-``sum_k r_k E_k`` over its target's own templates, and the finished
-latents.  They equal the per-pixel formulas' up to rounding, about 1e-13
-on the default prompts.
+No basis is held as pixels: a batch keeps its rows' ``z_T`` and reads
+the bank's templates by mixture index.  Images are built only where they
+are read, by one ordered multiply-add over basis columns: a capture's
+predicted final images, its attention maps, each from the
+responsibility-weighted mean coefficients ``sum_k r_k E_k`` over its
+target's own templates, and the finished latents the corpus stores.  They
+equal the per-pixel formulas' up to rounding, about 1e-13 on the default
+prompts.  A finished row needs no image to be labelled: its matched-filter
+response to template ``j`` is ``<z, g_j> / ||g_j||^2 = (G a)_j / G_jj``,
+and its nearest component the argmin of the distance expansion above at
+``alpha_0 = 1``.
 
 Every reduction of a step or a capture is an elementwise product summed
 over the row's own last axis, or an ordered sum over its columns, so a
@@ -254,15 +259,19 @@ class LockstepBatch:
     The batch owns its rows' latents, as coefficients over their bases.
     :meth:`posterior` and :meth:`capture` read them at ``t``, :meth:`step`
     takes them to ``t - 1``, and :attr:`z` builds their images, the
-    finished ones at ``t = 0``.  The posterior at ``t`` is evaluated once
+    finished ones at ``t = 0``.  :attr:`responses` and
+    :attr:`nearest_component` label and match the latents from the Gram
+    matrix alone, with no image.  The posterior at ``t`` is evaluated once
     and kept until :meth:`step` changes the latents: a capture and the step
     after it share it, and :meth:`keep` subsets it.
 
     Built once per wave of :func:`denoise`, it gathers what its
     rows read from the bank, with each row's Gram matrix and its marginal
     variance at every noise index and its double, as ``(T + 1, B, 1)``
-    tables.  Each row's values are those of the same formulas applied to
-    it alone, operation for operation.
+    tables.  It holds no pixel basis: a copy of its rows' ``z_T`` (B, D)
+    and a reference to the bank's (M, J, D) templates, taken when it is
+    built, stand for the bases' columns.  Each row's values are those of
+    the same formulas applied to it alone, operation for operation.
     """
 
     def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule,
@@ -274,16 +283,20 @@ class LockstepBatch:
         self._sigma = schedule.sigma.tolist()
         self._columns = bank.target_columns
         self._shape = np.shape(z)[1:]
-        # one allocation: z_T in column 0, the rows' templates gathered
-        # straight into the columns after it
-        self._basis = basis = np.empty(
-            (len(which), 1 + bank.templates.shape[1], bank.templates.shape[2]))
-        basis[:, 0] = np.reshape(z, (len(which), -1))
-        np.take(bank.templates, which, axis=0, out=basis[:, 1:])
+        # each row's basis [z_T, g_1..g_J] is held as its own copy of z_T
+        # and the bank's (M, J, D) templates, read by ``which``
+        self._z_start = z_start = np.reshape(z, (len(which), -1)).astype(
+            np.float64)
+        self._templates = templates = bank.templates
         # The Gram matrix of each row's basis, (B, P, P): the bank's
         # template block, bordered by the row's z_T products, which stand
         # for z_T's column too (a product commutes exactly).
-        z_row = (basis[:, :1] * basis).sum(-1)
+        z_row = np.empty((len(which), 1 + templates.shape[1]))
+        z_row[:, 0] = (z_start * z_start).sum(-1)
+        # one (B, J, D) gather and product, freed at once: a (B, D) column
+        # at a time measured about 38,000 minor page faults per default
+        # `make-dataset` against 3,000, and a slower build
+        z_row[:, 1:] = (z_start[:, None] * templates[which]).sum(-1)
         self._gram = gram = np.empty(z_row.shape + z_row.shape[1:])
         gram[:, 0] = z_row
         gram[:, 1:, 0] = z_row[:, 1:]
@@ -291,7 +304,7 @@ class LockstepBatch:
         self._energy = bank.component_energy[which]
         self._coef = bank.mean_coefficients[which]
         self._coef_t = self._coef.transpose(0, 2, 1).copy()
-        self._a = np.zeros(basis.shape[:2])
+        self._a = np.zeros(z_row.shape)
         self._a[:, 0] = 1.0
         self._log_weights = bank.log_weights[which]
         # the per-pixel variance of each row's time marginal, by t
@@ -307,12 +320,18 @@ class LockstepBatch:
         self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
             axis=(1, 2)).tolist()
 
+    def _column(self, p: int) -> np.ndarray:
+        """Column ``p`` of the rows' bases, (B, D): z_T, or a template."""
+        if p == 0:
+            return self._z_start
+        return self._templates[self.which, p - 1]
+
     def _images(self, c: np.ndarray, first: int = 0) -> np.ndarray:
         """The images (B, n, n) of coefficients ``c`` (B, p) over the
         basis columns from ``first`` on, added up in column order."""
-        out = c[:, :1] * self._basis[:, first]
+        out = c[:, :1] * self._column(first)
         for p in range(1, c.shape[1]):
-            out += c[:, p:p + 1] * self._basis[:, first + p]
+            out += c[:, p:p + 1] * self._column(first + p)
         return out.reshape((len(c),) + self._shape)
 
     @property
@@ -327,7 +346,7 @@ class LockstepBatch:
         """Go on with the rows at positions ``rows`` only, in that order, as
         when attempts leave a wave; the rows kept keep their values, and
         their share of the posterior already evaluated."""
-        for name in ("_basis", "_gram", "_energy", "_coef", "_coef_t", "_a",
+        for name in ("_z_start", "_gram", "_energy", "_coef", "_coef_t", "_a",
                      "_log_weights"):
             setattr(self, name, getattr(self, name)[rows])
         self._v = self._v[:, rows]
@@ -362,16 +381,37 @@ class LockstepBatch:
         alpha_t = self._alpha[t]
         # Homogeneous variance: the 2 pi and log-det terms cancel after
         # normalisation, so only weights and scaled distances survive.
-        # ||z - alpha_t mu_k||^2 = a.Ga - 2 alpha_t E_k.Ga + alpha_t^2 c_k
+        d2 = self._distances(alpha_t)
+        r = _softmax(self._log_weights - d2 / self._v2[t])
+        pull = (self._coef_t * r[:, None, :]).sum(-1)
+        e = self._sigma[t] * (self._a - alpha_t * pull) / self._v[t]
+        return r, pull, e
+
+    def _distances(self, alpha_t: float) -> np.ndarray:
+        """The rows' squared distances (B, K) to the scaled component
+        means, ``||z - alpha_t mu_k||^2 = a.Ga - 2 alpha_t E_k.Ga +
+        alpha_t^2 c_k``."""
         a = self._a
         ga = (self._gram * a[:, None, :]).sum(-1)
         h = (self._coef * ga[:, None, :]).sum(-1)
         q = (a * ga).sum(-1, keepdims=True)
-        d2 = q - (2.0 * alpha_t) * h + (alpha_t * alpha_t) * self._energy
-        r = _softmax(self._log_weights - d2 / self._v2[t])
-        pull = (self._coef_t * r[:, None, :]).sum(-1)
-        e = self._sigma[t] * (a - alpha_t * pull) / self._v[t]
-        return r, pull, e
+        return q - (2.0 * alpha_t) * h + (alpha_t * alpha_t) * self._energy
+
+    @property
+    def responses(self) -> np.ndarray:
+        """The matched-filter responses (B, P) of the rows' latents to
+        their basis columns, ``<z, b_p> / ||b_p||^2 = (G a)_p / G_pp``;
+        column ``j >= 1`` is the response to placed template ``j``, and at
+        ``t = 0`` these are the finished images' responses."""
+        ga = (self._gram * self._a[:, None, :]).sum(-1)
+        return ga / np.diagonal(self._gram, axis1=1, axis2=2)
+
+    @property
+    def nearest_component(self) -> np.ndarray:
+        """Each row's nearest component (B,), the one whose mean is closest
+        to its latent: the argmin of the posterior's distances at ``alpha =
+        1``, ``q - 2 h_k + c_k``, as ``alpha_0`` is at ``t = 0``."""
+        return self._distances(1.0).argmin(-1)
 
     def step(self, t: int) -> None:
         """One lockstep step: every row's latent goes from the noise index

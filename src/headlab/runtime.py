@@ -143,9 +143,10 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     At each noise index the wave captures, if it is a capture step of some
     head arm, and the head arms deciding there decide, each over all its
     rows at once.  A row whose arms have all aborted it, or left its run,
-    then leaves the wave, and at ``t = 0`` the image of every row left is
-    labelled once for the arms still on it.  An attempt that ends queues
-    its run's next attempt, made by the arms whose run goes on.  Returns,
+    then leaves the wave, and at ``t = 0`` every row left is labelled
+    once, from its batch's Gram-matrix responses with no image built, for
+    the arms still on it.  An attempt that ends queues its run's next
+    attempt, made by the arms whose run goes on.  Returns,
     by arm, the traces by position in ``runs`` and the position of the
     first run that exhausted the arm's ``max_restarts`` (None if none
     did); once one has, the arm drops later runs, since only an earlier
@@ -198,10 +199,9 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
                     live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
         if t == 0:
-            for at, image, m in zip(live, batch.z, batch.which):
-                targets = bank.mixtures[m].targets
-                labels = label_image(image, targets, catalog, label_threshold)
-                complete = all(labels[o] == 1 for o in targets)
+            labels = label_image(batch.responses, bank.target_columns,
+                                 label_threshold)
+            for at, complete in zip(live, labels.all(-1).tolist()):
                 for a in at.arms:
                     at.outcomes[a] = (OUTCOME_COMPLETE if complete
                                       else OUTCOME_INCOMPLETE, T)

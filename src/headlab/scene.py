@@ -45,11 +45,13 @@ class ObjectSpec:
     grid_size: int = GRID_SIZE
 
     def __post_init__(self):
-        # NaN fails every comparison here, and a square that overflows or
-        # underflows the last: the blob's width must be a positive float
-        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
-            raise UsageError(f"blob sigma must be positive with a finite "
-                             f"positive square, got {self.sigma}")
+        # NaN fails every comparison here, and a template's divisor
+        # 2 sigma^2 that overflows or underflows the last: it must be a
+        # positive float
+        if not (self.sigma > 0
+                and 0 < 2.0 * self.sigma * self.sigma < np.inf):
+            raise UsageError(f"blob sigma must be positive with 2 sigma^2 "
+                             f"a finite positive float, got {self.sigma}")
         if not self.candidate_positions:
             raise UsageError(f"object {self.object_id!r} needs at least one position")
         n = self.grid_size
@@ -207,23 +209,6 @@ class MixtureSpec:
     @cached_property
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
-
-    @cached_property
-    def means_matrix(self) -> np.ndarray:
-        """Component means flattened to shape ``(K, grid_size**2)``: each
-        the sum of its present objects' placed templates, in target order."""
-        means = np.zeros((len(self.components), self.grid_size ** 2))
-        for mean, comp in zip(means, self.components):
-            for spec, choice in zip(self.objects, comp.position_choice):
-                if choice is not None:
-                    mean += spec.placed_stack[choice].ravel()
-        return means
-
-    def nearest_component(self, image: np.ndarray) -> int:
-        """The index of the component whose mean is closest to ``image``
-        in Euclidean distance."""
-        return int(np.linalg.norm(self.means_matrix - image.reshape(1, -1),
-                                  axis=1).argmin())
 
 
 def build_conditional_mixture(targets: tuple[str, ...] | list[str],

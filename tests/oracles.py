@@ -2,7 +2,9 @@
 
 Nothing in ``headlab`` calls these.  Each states plainly something the
 package computes another way: the mixture posterior and whole trajectories
-by per-pixel formulas, where the engine steps coefficients; attention maps
+by per-pixel formulas, where the engine steps coefficients; a finished
+image's presence labels and nearest component from its pixels, where the
+engine takes both from its Gram matrix; attention maps
 from each component's placed template, where the engine weights each
 target's templates by the mean coefficients; whole generations with their
 captures, one lockstep batch per call; a tensor file as one bytes object;
@@ -27,11 +29,38 @@ from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, scaled_integers, stream_words, to_uniforms
-from headlab.scene import MixtureSpec
+from headlab.scene import MixtureSpec, ObjectSpec
 from headlab.tensorio import tensor_header
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
                                AttemptDistribution, PolicyParams, SimReport,
                                _check_policy_objects, acceptance_probability)
+
+
+def means_matrix(mixture: MixtureSpec) -> np.ndarray:
+    """Component means flattened to shape ``(K, grid_size**2)``: each the
+    sum of its present objects' placed templates, in target order."""
+    means = np.zeros((len(mixture.components), mixture.grid_size ** 2))
+    for mean, comp in zip(means, mixture.components):
+        for spec, choice in zip(mixture.objects, comp.position_choice):
+            if choice is not None:
+                mean += spec.placed_stack[choice].ravel()
+    return means
+
+
+def nearest_component(mixture: MixtureSpec, image: np.ndarray) -> int:
+    """The index of the component whose mean is closest to ``image`` in
+    Euclidean distance over its pixels."""
+    return int(np.linalg.norm(means_matrix(mixture) - image.reshape(1, -1),
+                              axis=1).argmin())
+
+
+def pixel_labels(image: np.ndarray, targets, catalog: dict[str, ObjectSpec],
+                 threshold: float = 0.5) -> dict[str, int]:
+    """Matched-filter presence labels of one image from its pixels: an
+    object is present when its best per-position response ``<image, g> /
+    ||g||^2`` reaches the threshold."""
+    return {t: int(float(np.max(catalog[t].filter_responses(image)))
+                   >= threshold) for t in targets}
 
 
 def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,
@@ -43,7 +72,7 @@ def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,
     ab = float(schedule.alphabar[t])
     v = ab * mixture.s2 + (1.0 - ab)
     alpha_t, sigma_t = float(schedule.alpha[t]), float(schedule.sigma[t])
-    means = mixture.means_matrix
+    means = means_matrix(mixture)
     z_flat = z.reshape(len(z), -1)
     diffs = z_flat[:, None, :] - alpha_t * means
     logits = (np.log(mixture.weights)
@@ -127,7 +156,7 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
         captures[0] = batch.capture(0)
     return GenerationRecord(
         captures=captures, final_image=batch.z,
-        nearest_component=np.array([mixture.nearest_component(image)
+        nearest_component=np.array([nearest_component(mixture, image)
                                     for image in batch.z]))
 
 

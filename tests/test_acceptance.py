@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from headlab.cli import main
-from headlab.dataset import build_prompt_grid, label_image
+from headlab.dataset import build_prompt_grid
 from headlab.detector import (DetectorModel, build_design_matrix,
                               evaluate_detector, fit_detector, merge_counts)
 from headlab.engine import LockstepBatch, MixtureBank
@@ -27,7 +27,7 @@ from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                expected_cost_closed_form, monte_carlo_cost,
                                relative_saving)
 
-from oracles import sample_batch
+from oracles import means_matrix, pixel_labels, sample_batch
 
 STEP_GRID = (5, 8, 10, 16, 20, 25, 40)
 
@@ -87,12 +87,13 @@ def _oracle_posterior_mean(mixture, schedule, z, t):
     ab = float(schedule.alphabar[t])
     a = ab ** 0.5
     v = ab * mixture.s2 + (1.0 - ab)
-    diffs = z.ravel()[None, :] - a * mixture.means_matrix
+    means = means_matrix(mixture)
+    diffs = z.ravel()[None, :] - a * means
     logits = np.log(mixture.weights) - (diffs * diffs).sum(axis=1) / (2.0 * v)
     logits -= logits.max()
     r = np.exp(logits)
     r /= r.sum()
-    conditional = mixture.means_matrix + (a * mixture.s2 / v) * diffs
+    conditional = means + (a * mixture.s2 / v) * diffs
     return (r[:, None] * conditional).sum(axis=0).reshape(z.shape)
 
 
@@ -101,7 +102,7 @@ def _oracle_log_marginal(mixture, schedule, z_batch, t):
     ab = float(schedule.alphabar[t])
     a = ab ** 0.5
     v = ab * mixture.s2 + (1.0 - ab)
-    diffs = z_batch[:, None, :] - a * mixture.means_matrix[None, :, :]
+    diffs = z_batch[:, None, :] - a * means_matrix(mixture)[None, :, :]
     quad = (diffs * diffs).sum(axis=2)
     logs = np.log(mixture.weights)[None, :] - quad / (2.0 * v)
     peak = logs.max(axis=1, keepdims=True)
@@ -113,8 +114,9 @@ def _marginal_draw(mixture, schedule, t, rng):
     ab = float(schedule.alphabar[t])
     k = int(rng.integers(len(mixture.weights)))
     v = ab * mixture.s2 + (1.0 - ab)
-    side = int(round(mixture.means_matrix.shape[1] ** 0.5))
-    mean = (ab ** 0.5) * mixture.means_matrix[k].reshape(side, side)
+    means = means_matrix(mixture)
+    side = int(round(means.shape[1] ** 0.5))
+    mean = (ab ** 0.5) * means[k].reshape(side, side)
     return mean + rng.normal(scale=v ** 0.5, size=(side, side))
 
 
@@ -200,7 +202,7 @@ def test_criterion_4_generations_follow_the_scene_distribution(
                           ())
     for image, k in zip(record.final_image, record.nearest_component):
         counts[k] += 1
-        labels = label_image(image, ("cat", "bench"), catalog, 0.5)
+        labels = pixel_labels(image, ("cat", "bench"), catalog, 0.5)
         complete += int(all(v == 1 for v in labels.values()))
     frac = complete / n
     sd = (0.64 * 0.36 / n) ** 0.5

@@ -424,6 +424,53 @@ def test_make_dataset_rejects_a_bad_config_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+def _tree(root):
+    """Every directory and file under ``root``, a file with its bytes."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("out", ["victim", "afile", "broken", ".", "..",
+                                 "work", "/"])
+def test_make_dataset_refuses_an_out_it_would_destroy(tmp_path, monkeypatch,
+                                                      capsys, config_path,
+                                                      out):
+    """A build replaces its whole ``--out``, so before any work it refuses
+    a directory holding files but no dataset (``victim``; ``broken``, whose
+    manifest header does not parse), a file, the working directory (``.``,
+    or ``work`` by its absolute path), one that holds it (``..``) and
+    ``/``: each exits 1 with one error line naming ``--out``, and every
+    file stays as it was."""
+    work = tmp_path / "work"
+    (work / "victim" / "notes").mkdir(parents=True)
+    (work / "victim" / "notes" / "keep.txt").write_text("mine")
+    (work / "broken").mkdir()
+    (work / "broken" / "manifest.jsonl").write_text('{"kind": "stats"}\n')
+    (work / "afile").write_text("mine")
+    (work / "f.txt").write_text("mine")
+    monkeypatch.chdir(work)
+    before = _tree(tmp_path)
+    path = str(work) if out == "work" else out
+    assert main(["make-dataset", "--config", str(config_path),
+                 "--out", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {path} ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+def test_make_dataset_builds_into_an_empty_out_and_over_a_dataset(
+        tmp_path, cli_dataset, config_path):
+    out = tmp_path / "ds"
+    out.mkdir()
+    assert _quiet(["make-dataset", "--config", str(config_path),
+                   "--out", str(out)]) == 0
+    assert _files(out) == _files(cli_dataset)
+    (out / "extra.txt").write_text("an old build's leftover")
+    assert _quiet(["make-dataset", "--config", str(config_path),
+                   "--out", str(out)]) == 0
+    assert _files(out) == _files(cli_dataset)
+
+
 # ------------------------------------------------------------- detector
 
 def test_train_artifacts(cli_models, workdir):
@@ -756,23 +803,24 @@ def test_malformed_catalog_flag_exits_1(tmp_path, capsys):
     assert err == f"error: {catalog}:1: bad sigma 'wide'\n"
 
 
-@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e-200", "inf"])
+@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e154", "1e-200", "inf"])
 def test_catalog_sigma_without_a_finite_square_exits_1(tmp_path, capsys,
                                                        sigma):
-    """Through ``--catalog`` a blob width whose square is not a finite
-    positive float is refused before anything is written."""
+    """Through ``--catalog`` a blob width for which a template's divisor
+    2 sigma^2 is not a finite positive float is refused before anything is
+    written."""
     catalog = tmp_path / "catalog.txt"
     catalog.write_text(f"cat {sigma} 3,4\n", encoding="utf-8")
     out = tmp_path / "o"
     assert main(["make-dataset", "--catalog", str(catalog),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {catalog}:1: blob sigma must be positive with a finite "
-        f"positive square, got {float(sigma)}\n")
+        f"error: {catalog}:1: blob sigma must be positive with 2 sigma^2 a "
+        f"finite positive float, got {float(sigma)}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["catalog.txt"]
 
 
-@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e-200", "inf"])
+@pytest.mark.parametrize("sigma", ["nan", "1e200", "1e154", "1e-200", "inf"])
 def test_dataset_catalog_sigma_without_a_finite_square_exits_2(
         cli_dataset, tmp_path, capsys, sigma):
     import shutil
@@ -790,8 +838,8 @@ def test_dataset_catalog_sigma_without_a_finite_square_exits_2(
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: {catalog}:{line_no}: blob sigma must be positive with a "
-        f"finite positive square, got {float(sigma)}\n")
+        f"error: {catalog}:{line_no}: blob sigma must be positive with 2 "
+        f"sigma^2 a finite positive float, got {float(sigma)}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -21,7 +21,7 @@ from headlab.scene import build_conditional_mixture
 from headlab.tensorio import TensorWriter, read_tensor
 
 from conftest import TINY_CONFIG
-from oracles import sample_batch
+from oracles import means_matrix, pixel_labels, sample_batch
 
 
 # ------------------------------------------------------------- config
@@ -84,21 +84,50 @@ def test_prompt_grid_is_subject_major():
 
 # ------------------------------------------------------------- labeling
 
+# Column layout of a two-target row's basis: z_T, then each target's two
+# placed templates.
+_PAIR_COLUMNS = [(1, 3), (3, 5)]
+
+
+def _pixel_responses(image, targets, catalog):
+    """One image's responses from its pixels in a batch's column layout,
+    (1, P): 0 for the starting noise's column, then each target's."""
+    return np.concatenate([[0.0], *(catalog[t].filter_responses(image)
+                                    for t in targets)])[None]
+
+
 def test_label_image_on_clean_render(catalog):
     cat, bench = catalog["cat"], catalog["bench"]
     image = (cat.placed_template(cat.candidate_positions[0])
              + bench.placed_template(bench.candidate_positions[1]))
-    labels = label_image(image, ("cat", "bench"), catalog)
-    assert labels == {"cat": 1, "bench": 1}
-    labels = label_image(np.zeros((16, 16)), ("cat", "bench"), catalog)
-    assert labels == {"cat": 0, "bench": 0}
+    assert pixel_labels(image, ("cat", "bench"), catalog) == {"cat": 1,
+                                                             "bench": 1}
+    responses = _pixel_responses(image, ("cat", "bench"), catalog)
+    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[1, 1]]
+    blank = np.zeros((16, 16))
+    assert pixel_labels(blank, ("cat", "bench"), catalog) == {"cat": 0,
+                                                             "bench": 0}
+    responses = _pixel_responses(blank, ("cat", "bench"), catalog)
+    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[0, 0]]
 
 
 def test_label_image_single_object(catalog):
     image = catalog["kite"].placed_template(
         catalog["kite"].candidate_positions[0])
-    labels = label_image(image, ("cat", "kite"), catalog)
-    assert labels == {"cat": 0, "kite": 1}
+    assert pixel_labels(image, ("cat", "kite"), catalog) == {"cat": 0,
+                                                            "kite": 1}
+    responses = _pixel_responses(image, ("cat", "kite"), catalog)
+    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[0, 1]]
+
+
+def test_label_image_reads_each_target_columns_at_the_threshold():
+    """A target is present when its best response over its own columns
+    reaches the threshold; column 0, the starting noise's, is never read."""
+    responses = np.array([[9.0, 0.5, 0.2, 0.49, -1.0],
+                          [0.0, 0.1, 0.2, 0.3, 0.7]])
+    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[1, 0], [0, 1]]
+    assert label_image(responses, _PAIR_COLUMNS, 0.05).tolist() == [[1, 1],
+                                                                    [1, 1]]
 
 
 # ------------------------------------------------------------- splits
@@ -160,7 +189,7 @@ def test_tensor_layout_and_loading(tiny_dataset):
                                         tiny_dataset.catalog,
                                         s2=mani.config.component_std ** 2)
     prior_blend = (np.asarray(mixture.weights)
-                   @ mixture.means_matrix).reshape(16, 16)
+                   @ means_matrix(mixture)).reshape(16, 16)
     assert np.allclose(caps[0][0], prior_blend, atol=0.05)
     # the finished image commits to one component: a full-height peak
     assert final.max() > 0.9 > caps[0][0].max()

@@ -12,14 +12,15 @@ from scipy.special import logsumexp, softmax
 
 from headlab import engine
 from headlab.dataset import (DEFAULT_FAITHFULNESS, DatasetConfig,
-                             build_prompt_grid, generate_dataset)
+                             build_prompt_grid, generate_dataset, label_image)
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _softmax, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
 
-from oracles import dense_trajectory, sample_batch
+from oracles import (dense_trajectory, means_matrix, nearest_component,
+                     pixel_labels, sample_batch)
 
 
 # ------------------------------------------------------------- schedule
@@ -102,7 +103,8 @@ def _mixture_logp(mix, schedule, z_flat, t):
     ab = schedule.alphabar[t]
     v = ab * mix.s2 + (1.0 - ab)
     logw = np.log(mix.weights)
-    d2 = np.sum((z_flat[None, :] - np.sqrt(ab) * mix.means_matrix) ** 2, axis=1)
+    d2 = np.sum((z_flat[None, :] - np.sqrt(ab) * means_matrix(mix)) ** 2,
+                axis=1)
     return logsumexp(logw - d2 / (2.0 * v))
 
 
@@ -139,7 +141,7 @@ def test_single_component_epsilon_closed_form(schedule):
     eps = _batch(mix1, schedule, z[None]).posterior(t).eps[0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
-    mu = mix1.means_matrix[0].reshape(16, 16)
+    mu = means_matrix(mix1)[0].reshape(16, 16)
     expected = schedule.sigma[t] * (z - np.sqrt(ab) * mu) / v
     assert np.allclose(eps, expected, atol=1e-12)
 
@@ -225,10 +227,11 @@ def test_predict_final_image_matches_posterior_mean(catalog, schedule):
         a = np.sqrt(ab)
         v = ab * mix.s2 + (1 - ab)
         zf = z.ravel()
+        means = means_matrix(mix)
         logits = (np.log(mix.weights)
-                  - np.sum((zf - a * mix.means_matrix) ** 2, axis=1) / (2 * v))
+                  - np.sum((zf - a * means) ** 2, axis=1) / (2 * v))
         r = np.exp(logits - logsumexp(logits))
-        post = mix.means_matrix + (a * mix.s2 / v) * (zf - a * mix.means_matrix)
+        post = means + (a * mix.s2 / v) * (zf - a * means)
         oracle = (r @ post).reshape(16, 16)
         assert np.max(np.abs(pfi - oracle)) < 1e-10
 
@@ -261,7 +264,7 @@ def test_attention_near_clean_state_locates_object(catalog, schedule):
              if None not in c.position_choice),
             key=lambda k: mix.components[k].weight)
     comp = mix.components[k]
-    z = mix.means_matrix[k].reshape(16, 16)
+    z = means_matrix(mix)[k].reshape(16, 16)
     amap = _batch(mix, schedule, z[None]).capture(1)[0, 1]  # cat
     pos = catalog["cat"].candidate_positions[comp.position_choice[0]]
     assert np.unravel_index(np.argmax(amap), amap.shape) == pos
@@ -434,8 +437,8 @@ def test_sampler_respects_seed_and_nearest_component(catalog, schedule):
     b = sample_batch(mix, schedule, (123,), critical_timesteps=())
     assert np.array_equal(a.final_image, b.final_image)
     assert np.array_equal(a.nearest_component, b.nearest_component)
-    dists = np.linalg.norm(mix.means_matrix - a.final_image[0].ravel()[None, :],
-                           axis=1)
+    dists = np.linalg.norm(
+        means_matrix(mix) - a.final_image[0].ravel()[None, :], axis=1)
     assert a.nearest_component[0] == int(np.argmin(dists))
     assert dists[a.nearest_component[0]] < 1.0
 
@@ -581,6 +584,52 @@ def test_coefficient_steps_track_the_dense_oracle(schedule, objects, q, std,
             batch.step(t)
 
 
+@given(objects=_small_catalogs(), q=st.floats(0.05, 1.0),
+       std=st.floats(0.01, 1.0), steps=st.integers(2, 50),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       threshold=st.floats(0.05, 0.95))
+@example(objects={o: ObjectSpec(object_id=o, sigma=1.5,
+                                candidate_positions=((3, c), (12, c)))
+                  for o, c in (("a", 4), ("b", 12))},
+         q=0.8, std=0.05, steps=50, seeds=[7, 8, 9], threshold=0.5)
+@example(objects={o: ObjectSpec(object_id=o, sigma=1.5,
+                                candidate_positions=((3, 4),))
+                  for o in ("a", "b")},
+         q=0.5, std=0.05, steps=50, seeds=[1, 2, 3, 4], threshold=0.5)
+def test_gram_labels_and_nearest_components_match_the_pixel_oracle(
+        objects, q, std, steps, seeds, threshold):
+    """A finished row's responses, labels and nearest component, taken
+    from its Gram matrix, are those of the pixel oracle over its finished
+    image: the responses within rounding, each label unless its best
+    response is within rounding of the threshold, and the nearest
+    component unless another mean is within rounding as close (two
+    targets with one template, as in the second example, tie)."""
+    mix = build_conditional_mixture(tuple(objects), q, objects, s2=std ** 2)
+    bank = MixtureBank((mix,))
+    schedule = make_schedule(steps)
+    batch = _batch(mix, schedule, engine.initial_latents(seeds, 16))
+    for t in range(steps, 0, -1):
+        batch.step(t)
+    responses = batch.responses
+    labels = label_image(responses, bank.target_columns, threshold)
+    nearest = batch.nearest_component
+    assert responses.shape == (len(seeds), 1 + bank.templates.shape[1])
+    assert labels.shape == (len(seeds), len(mix.targets))
+    means = means_matrix(mix)
+    for b, image in enumerate(batch.z):
+        want = pixel_labels(image, mix.targets, objects, threshold)
+        for j, (o, (lo, hi)) in enumerate(zip(mix.targets,
+                                              bank.target_columns)):
+            pixel = objects[o].filter_responses(image)
+            assert np.abs(responses[b, lo:hi] - pixel).max() < TOLERANCE
+            if abs(pixel.max() - threshold) > TOLERANCE:
+                assert labels[b, j] == want[o]
+        d2 = ((means - image.reshape(1, -1)) ** 2).sum(-1)
+        k = nearest_component(mix, image)
+        assert nearest[b] == k or d2[nearest[b]] - d2[k] < TOLERANCE * max(
+            1.0, d2[k])
+
+
 @pytest.fixture(scope="module")
 def corpus_rows(catalog, schedule):
     """The default corpus's 720 (mixture index, seed) rows, its 60 mixtures,
@@ -687,7 +736,7 @@ def test_mixture_bank_needs_one_component_count(catalog):
     assert bank.mean_coefficients.shape == (2, 9, 5)
     assert not bank.mean_coefficients[..., 0].any()
     assert np.array_equal(bank.mean_coefficients[0, :, 1:] @ bank.templates[0],
-                          two.means_matrix)
+                          means_matrix(two))
     for mixtures in ((), (two, three), (two, one), (two, six)):
         with pytest.raises(UsageError, match="^a mixture bank needs"):
             MixtureBank(mixtures)
@@ -784,6 +833,28 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_built_batch_holds_no_pixel_basis(catalog, schedule):
+    """A batch keeps its rows' starting noise (B, D) and only a reference
+    to the bank's (M, J, D) templates: no array of B * P * D elements,
+    once built, stepped, captured or subset."""
+    bank = _pair_bank(catalog)
+    rows = 40
+    batch = LockstepBatch(bank, np.arange(rows) % 2, schedule,
+                          engine.initial_latents(range(rows), 16))
+    basis_size = rows * (1 + bank.templates.shape[1]) * 256
+
+    def arrays():
+        for value in vars(batch).values():
+            yield from (value if isinstance(value, tuple) else (value,))
+
+    for act in (lambda: None, lambda: batch.capture(schedule.T),
+                lambda: batch.step(schedule.T), lambda: batch.keep([0, 3])):
+        act()
+        held = [a for a in arrays() if isinstance(a, np.ndarray)]
+        assert any(a is bank.templates for a in held)
+        assert all(a.size < basis_size for a in held)
+
+
 # Seeds at both ends of the range and from the derivations the package uses.
 _NOISE_SEEDS = [0, 1, 2**64 - 1] + [mix64(7, i, s) for i in range(6)
                                     for s in range(5)]
@@ -814,7 +885,7 @@ def test_component_energy_is_each_mean_squared_norm(catalog):
                                              (("owl", "drum"), 0.5))))
     assert bank.component_energy.shape == bank.mean_coefficients.shape[:2]
     for m, mixture in enumerate(bank.mixtures):
-        want = (mixture.means_matrix ** 2).sum(-1)
+        want = (means_matrix(mixture) ** 2).sum(-1)
         assert np.abs(bank.component_energy[m] - want).max() < 1e-12
 
 

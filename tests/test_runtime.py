@@ -446,6 +446,22 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     assert rows < sum(t.total_steps for t in ref + treat)
 
 
+def test_pool_labels_without_building_an_image(catalog, schedule, tiny_model,
+                                              monkeypatch):
+    """Finished attempts are labelled from each batch's Gram-matrix
+    responses: the pool never reads a batch's latents as images."""
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+
+    def no_images(batch):
+        raise AssertionError("the pool read LockstepBatch.z")
+
+    monkeypatch.setattr(LockstepBatch, "z", property(no_images))
+    arms = run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    assert {a.outcome for arm in arms for trace in arm
+            for a in trace.attempts} == {OUTCOME_ABORTED, OUTCOME_COMPLETE,
+                                         OUTCOME_INCOMPLETE}
+
+
 def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
         catalog, schedule, tiny_model, monkeypatch, word_draws):
     """Each wave's starting noise is one draw for all its rows, and the

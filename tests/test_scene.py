@@ -10,8 +10,8 @@ from headlab.errors import UsageError
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            dump_catalog, load_catalog, prompt_text)
 
-from oracles import (completeness_probability, pattern_distribution,
-                     template_stacks)
+from oracles import (completeness_probability, means_matrix,
+                     pattern_distribution, template_stacks)
 
 
 # ------------------------------------------------------------- prompts
@@ -62,13 +62,14 @@ def test_object_spec_validation():
                    candidate_positions=(), grid_size=16)
 
 
-# Widths whose square is not a finite positive float, or that are not one.
-BAD_SIGMAS = ("nan", "1e200", "1e-200", "inf", "0", "-1")
+# Widths for which a template's divisor 2 sigma^2 is not a finite positive
+# float, or that are not one.
+BAD_SIGMAS = ("nan", "1e200", "1e154", "1e-200", "inf", "0", "-1")
 
 
 def _bad_sigma(sigma: str) -> str:
-    return ("blob sigma must be positive with a finite positive square, "
-            f"got {float(sigma)}")
+    return ("blob sigma must be positive with 2 sigma^2 a finite positive "
+            f"float, got {float(sigma)}")
 
 
 @pytest.mark.parametrize("sigma", BAD_SIGMAS)
@@ -79,7 +80,7 @@ def test_object_spec_needs_a_finite_positive_square_sigma(sigma):
 
 
 def test_object_spec_takes_the_widest_and_narrowest_sigma():
-    for sigma in (1e154, 1e-154):
+    for sigma in (9.48e153, 1e-154):
         spec = ObjectSpec(object_id="x", sigma=sigma,
                           candidate_positions=((1, 1),))
         assert np.isfinite(spec.placed_stack).all()
@@ -133,8 +134,8 @@ def test_completeness_is_product_of_faithfulness(catalog):
 
 def test_component_means_render_templates(catalog):
     mix = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
-    assert mix.means_matrix.shape == (9, 256)
-    for mean, comp in zip(mix.means_matrix, mix.components):
+    assert means_matrix(mix).shape == (9, 256)
+    for mean, comp in zip(means_matrix(mix), mix.components):
         expected = np.zeros((16, 16))
         for t, choice in zip(mix.targets, comp.position_choice):
             if choice is not None:
