@@ -10,7 +10,8 @@ Exit codes: 0 on success, 1 when the invocation or its inputs are invalid,
 interrupted.  Every subcommand that takes ``--out`` writes its artifacts
 there together with ``config_snapshot.json``, a sorted-key JSON record
 sufficient to reproduce the outputs bit for bit (nothing here ever reads
-the clock or ambient entropy).  The snapshot is written last, so a command
+the clock or ambient entropy); an ``--out`` that is a file or lies under
+one is refused before any work.  The snapshot is written last, so a command
 that stops part way leaves the previous snapshot beside the previous
 artifacts.  ``make-dataset`` builds its whole tree, snapshot included, in a
 staging directory and then puts it in place of the old one, so it refuses
@@ -121,6 +122,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an ``--out`` that is a file or lies under
+    one: no command could write there."""
+    out = Path(path)
+    for place in (out, *out.parents):
+        if place.exists():
+            if not place.is_dir():
+                under = "" if place == out else f"lies under {place}, which "
+                raise UsageError(f"--out {path} {under}is not a directory")
+            return
+
+
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,17 +224,14 @@ def _dataset_out(path: str) -> Path:
     if out.resolve() in (here, *here.parents):
         raise UsageError(f"--out {path} is the working directory or holds "
                          "it; a build replaces the whole directory")
-    if out.exists():
-        if not out.is_dir():
-            raise UsageError(f"--out {path} exists and is not a directory")
-        if any(out.iterdir()):
-            try:
-                load_header(out)
-            except (OSError, ValueError):
-                raise UsageError(
-                    f"--out {path} holds files but no headlab dataset; a "
-                    "build replaces the whole directory, so give a new or "
-                    "empty one, or a dataset to rebuild") from None
+    if out.exists() and any(out.iterdir()):
+        try:
+            load_header(out)
+        except (OSError, ValueError):
+            raise UsageError(
+                f"--out {path} holds files but no headlab dataset; a build "
+                "replaces the whole directory, so give a new or empty one, "
+                "or a dataset to rebuild") from None
     return out
 
 
@@ -576,6 +586,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError(parser.format_usage().strip())
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         args.func(args)
         return 0
     except UsageError as exc:

@@ -24,8 +24,8 @@ from .errors import RunFailure, UsageError
 from .rng import golden_steps, mantissa_bounds, stream_mantissas
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
-# Ten times the economics runs: about 1.0-1.5 s and 0.2 GB of per-run
-# arrays for two objects at p = 0.59-0.3 on a 2-vCPU Xeon.
+# Ten times the economics runs: about 1.6 s and 147 MB peak RSS, 12 bytes
+# per run plus the interpreter, for two objects at p = 0.3 on a 2-vCPU Xeon.
 MAX_MC_RUNS = 10 ** 7
 # Runs per block of a Monte Carlo round: the block's arrays stay in cache.
 MC_BLOCK = 16384
@@ -194,12 +194,12 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     The round is worked through in blocks of at most ``MC_BLOCK`` runs so
     that its arrays stay in cache.  Each block reads its own words of the
     stream by offset and adds each run's attempt cost to that run's total,
-    one attempt per round.  The block's retirees then leave their totals
-    in the report's cost array at their run index, and its survivors move,
-    in run order, to the front of the active arrays, behind those of the
-    blocks before it.  So every round sees its runs in run order, each
-    run's cost is the same sequential sum, and the block size changes no
-    bit of the report.
+    kept at its run index, one attempt per round.  Its survivors' indices
+    then move, in run order, to the front of the active index array,
+    behind those of the blocks before it, in place.  So every round sees
+    its runs in run order, each run's cost is the same sequential sum, and
+    the block size changes no bit of the report.  The variance is taken in
+    place in the cost array, by the operations ``np.std(ddof=1)`` does.
     """
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:
@@ -226,11 +226,9 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     tmp = np.empty_like(words)
     pattern = np.empty(block, dtype=np.min_scalar_type(edges.size))
     hit = np.empty(block, dtype=bool)
-    costs = np.empty(n_runs)
-    # The active runs, in run order: their indices (int32 holds any count
-    # up to MAX_MC_RUNS) and their costs so far.
+    costs = np.zeros(n_runs)
+    # The active runs' indices, in run order; int32 holds MAX_MC_RUNS.
     runs = np.arange(n_runs, dtype=np.int32)
-    spent = np.zeros(n_runs)
     k = n_runs
     counter = 0
     rounds = 0
@@ -243,6 +241,9 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
         for lo in range(0, k, block):
             hi = min(lo + block, k)
             b = hi - lo
+            # Widened once: numpy would widen int32 indices on both the
+            # gather and the scatter of the cost add.
+            active = runs[lo:hi].astype(np.intp)
             draw = stream_mantissas(seed, counter + lo, steps[:b], words, tmp)
             # Counted in the narrowest dtype, then widened once for the
             # gathers below.
@@ -257,23 +258,21 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
             cont = passed[:, 0]
             for j in range(1, n_obj):
                 cont &= passed[:, j]
-            spent[lo:hi] += step_cost.take(cont.view(np.uint8))
-            # Retirees leave their cost at their run index; survivors move,
-            # in order, to the front of the active arrays.
+            costs[active] += step_cost.take(cont.view(np.uint8))
+            # Survivors move, in order, to the front of the active runs.
             done = cont & complete_mask.take(pat)
-            gone = np.flatnonzero(done)
-            costs[runs[lo:hi].take(gone)] = spent[lo:hi].take(gone)
             stay = np.flatnonzero(np.logical_not(done, out=done))
             n_kept = kept + stay.size
             runs[kept:n_kept] = runs[lo:hi].take(stay)
-            spent[kept:n_kept] = spent[lo:hi].take(stay)
             kept = n_kept
         counter += k * (1 + n_obj)
         k = kept
-    del runs, spent  # before std's temporary of one double per run
+    del runs
 
     mean = float(costs.mean())
-    std = float(costs.std(ddof=1)) if n_runs > 1 else 0.0
+    costs -= mean  # a single run's deviation is exactly 0.0
+    costs *= costs
+    std = float(np.sqrt(np.add.reduce(costs) / max(n_runs - 1, 1)))
     se = std / np.sqrt(n_runs)
     return SimReport(mean_cost=mean, stderr=se, ci_lo=mean - 1.96 * se,
                      ci_hi=mean + 1.96 * se)

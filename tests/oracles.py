@@ -229,9 +229,11 @@ def monte_carlo_reference(dist: AttemptDistribution, policy: PolicyParams,
                           max_attempts: int = MAX_SIMULATED_ATTEMPTS
                           ) -> SimReport:
     """``monte_carlo_cost`` as it was before its runs were compacted block
-    by block: float uniforms from ``to_uniforms``, a per-run cost array
-    added into by run index on every attempt, and a new active-run array
-    each round.  The block size is the one the module had when this was
+    by block.  Both add every attempt into a per-run cost array by run
+    index; this one differs in its float uniforms from ``to_uniforms``
+    (not mantissa compares), a new int64 active-run array each round (not
+    int32 indices compacted in place) and ``np.std`` (not a variance taken
+    in place).  The block size is the one the module had when this was
     imported, whatever a test patches in later."""
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:

@@ -458,6 +458,44 @@ def test_make_dataset_refuses_an_out_it_would_destroy(tmp_path, monkeypatch,
     assert _tree(tmp_path) == before
 
 
+# Every subcommand with ``--out``, with arguments that parse; the paths they
+# name need not exist, since ``--out`` is checked before any of them is read.
+OUT_COMMANDS = {
+    "make-dataset": [],
+    "train": ["--dataset", "nowhere"],
+    "eval": ["--dataset", "nowhere", "--model", "nowhere.json"],
+    "simulate": ["--p", "0.3", "--recall", "0.95", "--tn-rate", "0.85",
+                 "--f", "0.16", "--objects", "2", "--mc-runs", "1000000"],
+    "sweep-tlast": ["--dataset", "nowhere", "--models", "nowhere.json"],
+    "sweep-p": ["--recall", "0.95", "--tn-rate", "0.85", "--t-last", "8"],
+    "run": ["--dataset", "nowhere", "--model", "nowhere.json"],
+    "report": ["--dir", "nowhere"],
+}
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_an_out_that_is_or_lies_under_a_file_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, command, out):
+    """Every subcommand refuses an ``--out`` that is a file or lies under
+    one before any work: exit 1, one error line naming ``--out``, nothing
+    printed and the file as it was.  ``simulate`` never reaches its Monte
+    Carlo."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("monte_carlo_cost ran")
+
+    monkeypatch.setattr(cli, "monte_carlo_cost", unreachable)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("mine")
+    before = _tree(tmp_path)
+    assert main([command, *OUT_COMMANDS[command], "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out} ")
+    assert captured.err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
 def test_make_dataset_builds_into_an_empty_out_and_over_a_dataset(
         tmp_path, cli_dataset, config_path):
     out = tmp_path / "ds"
