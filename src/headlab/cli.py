@@ -244,7 +244,7 @@ def _cmd_make_dataset(args) -> None:
         catalog = default_catalog()
     with replaced_directory(out) as staging:
         manifest = generate_dataset(config, catalog, staging)
-        _write_snapshot(staging, "make-dataset", {"dataset": config.to_dict()})
+        _write_snapshot(staging, "make-dataset", {"dataset": asdict(config)})
     stats = manifest.stats
     print(f"dataset {out}: {len(manifest.samples)} samples, "
           f"complete fraction {stats['complete_fraction']:.4f}")

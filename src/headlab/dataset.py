@@ -117,12 +117,13 @@ class DatasetConfig:
             raise UsageError(f"critical_steps must lie in [0, {self.num_steps})")
         if not (0.0 < self.faithfulness <= 1.0):
             raise UsageError("faithfulness must be in (0, 1]")
-        # NaN fails every comparison here, and a square that overflows or
-        # underflows the last: the mixture's variance must be a positive float
-        if not (self.component_std > 0
-                and 0 < self.component_std * self.component_std < np.inf):
-            raise UsageError(f"component_std must be positive with a finite "
-                             f"positive square, got {self.component_std}")
+        # NaN fails every comparison here, and a variance whose double,
+        # the posterior's divisor, overflows or underflows the last
+        if not (self.component_std > 0 and 0 < 2.0 * self.component_std
+                * self.component_std < np.inf):
+            raise UsageError(f"component_std must be positive with 2 "
+                             f"component_std^2 a finite positive float, got "
+                             f"{self.component_std}")
         if not (0.0 < self.label_threshold < 1.0):
             raise UsageError("label_threshold must be in (0, 1)")
         if (len(self.split_fractions) != 3
@@ -139,12 +140,6 @@ class DatasetConfig:
         probability ``faithfulness``, each component with per-pixel
         variance ``component_std ** 2``."""
         return {"q": self.faithfulness, "s2": self.component_std**2}
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("subjects", "objects", "critical_steps", "split_fractions"):
-            d[key] = list(d[key])
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetConfig":
@@ -405,7 +400,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     splits = split_prompts(len(prompts), config.split_fractions, config.global_seed)
     stats = _prompt_stats(prompts, samples)
     lines = [_jsonl({"kind": "header", "format_version": MANIFEST_VERSION,
-                     "config": config.to_dict(),
+                     "config": asdict(config),
                      "splits": {k: list(v) for k, v in splits.items()}})]
     lines.extend(_jsonl({"kind": "sample", **vars(s)}) for s in samples)
     lines.append(_jsonl({"kind": "stats", **stats}))
@@ -456,6 +451,7 @@ def _header(path: Path, line: str) -> tuple[DatasetConfig, dict]:
             raise ValueError("unsupported manifest version "
                              f"{obj['format_version']}")
         config = DatasetConfig.from_dict(obj["config"])
+        config.validate()
         splits = {k: tuple(v) for k, v in obj["splits"].items()}
     except (AttributeError, TypeError, ValueError, UsageError) as exc:
         raise ValueError(f"{where}: malformed header line: {exc}") from exc

@@ -15,11 +15,14 @@ timestep stored on captures is this noise index.
 Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
-attention maps.  The engine evaluates it for a batch of latents at once.  A
-:class:`LockstepBatch` is built once for the rows of a wave of
-:func:`denoise`, the one denoising loop of the corpus and the campaign,
-each row under its own mixture of a :class:`MixtureBank` and from its own
-starting noise, and gathers what those rows read from the bank;
+attention maps.  The engine evaluates it for a batch of latents at once.
+The mixtures of a :class:`MixtureBank` share one structure, one set of
+component weights and one variance ``s2``, and differ only in their
+templates.  A :class:`LockstepBatch` is built once for the rows of a wave
+of :func:`denoise`, the one denoising loop of the corpus and the
+campaign, each row under its own mixture of one bank and from its own
+starting noise.  It gathers per row only what differs by row and shares
+the bank's log weights and one marginal-variance table by ``t``;
 :func:`initial_latents` draws the starting noise of all its rows in one
 pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
 their posterior at a noise index into predicted final images and
@@ -118,16 +121,20 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
     return NoiseSchedule(T=T, alphabar=alphabar)
 
 
-def _bank_key(m: MixtureSpec) -> tuple[int, tuple[int, ...], int]:
+def _bank_key(m: MixtureSpec) -> tuple:
+    # ints and floats only, so that keys sort
     return (len(m.components),
-            tuple(len(o.candidate_positions) for o in m.objects), m.grid_size)
+            tuple(len(o.candidate_positions) for o in m.objects), m.grid_size,
+            tuple(c.weight for c in m.components), m.s2)
 
 
 @dataclass(frozen=True)
 class MixtureBank:
-    """Mixtures stacked for lockstep evaluation; all share one component
-    count, one candidate-position count per target and one grid size.  A
-    batch names each row's mixture by its index here."""
+    """Mixtures stacked for lockstep evaluation.  They share one component
+    count, candidate-position count per target and grid size, one set of
+    component weights and one variance ``s2``, and differ only in their
+    placed templates.  A batch names each row's mixture by its index
+    here."""
 
     mixtures: tuple[MixtureSpec, ...]
 
@@ -135,13 +142,14 @@ class MixtureBank:
         if len({_bank_key(m) for m in self.mixtures}) != 1:
             raise UsageError("a mixture bank needs at least one mixture, all "
                              "with the same component count, candidate-"
-                             "position count per target and grid size")
+                             "position count per target, grid size, "
+                             "component weights and variance")
 
     @staticmethod
     def group(mixtures) -> list[tuple["MixtureBank", list[int]]]:
         """The fewest banks holding every mixture of ``mixtures``, each
         with the positions of its members there, in ascending order."""
-        members: dict[tuple[int, tuple[int, ...], int], list[int]] = {}
+        members: dict[tuple, list[int]] = {}
         for i, m in enumerate(mixtures):
             members.setdefault(_bank_key(m), []).append(i)
         return [(MixtureBank(tuple(mixtures[i] for i in idx)), idx)
@@ -197,21 +205,15 @@ class MixtureBank:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        return np.log(np.stack([m.weights for m in self.mixtures]))
+        """The component weights' logs (K,).  A weight that underflowed to
+        zero has the exact log ``-inf``, whose responsibility the softmax
+        makes zero, so numpy's divide-by-zero warning is not raised."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.mixtures[0].weights)
 
-    @cached_property
-    def s2(self) -> np.ndarray:
-        return np.array([m.s2 for m in self.mixtures])
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """The mixture posteriors of a batch of latent states, evaluated once
-    per step: component responsibilities ``r`` (B, K) and the exact noise
-    prediction ``eps`` (B, n, n), zero at ``t = 0``."""
-
-    r: np.ndarray
-    eps: np.ndarray
+    @property
+    def s2(self) -> float:
+        return self.mixtures[0].s2
 
 
 def _check_t(schedule: NoiseSchedule, t, lowest: int = 0) -> None:
@@ -257,27 +259,27 @@ class LockstepBatch:
     one int noise index ``t`` for all rows.
 
     The batch owns its rows' latents, as coefficients over their bases.
-    :meth:`posterior` and :meth:`capture` read them at ``t``, :meth:`step`
-    takes them to ``t - 1``, and :attr:`z` builds their images, the
-    finished ones at ``t = 0``.  :attr:`responses` and
-    :attr:`nearest_component` label and match the latents from the Gram
-    matrix alone, with no image.  The posterior at ``t`` is evaluated once
-    and kept until :meth:`step` changes the latents: a capture and the step
-    after it share it, and :meth:`keep` subsets it.
+    :meth:`capture` reads them at ``t``, :meth:`step` takes them to
+    ``t - 1``, and :attr:`z` builds their images, the finished ones at
+    ``t = 0``.  :attr:`responses` and :attr:`nearest_component` label and
+    match the latents from the Gram matrix alone, with no image.  The
+    posterior at ``t`` is evaluated once and kept until :meth:`step`
+    changes the latents: a capture and the step after it share it, and
+    :meth:`keep` subsets it.
 
-    Built once per wave of :func:`denoise`, it gathers what its
-    rows read from the bank, with each row's Gram matrix and its marginal
-    variance at every noise index and its double, as ``(T + 1, B, 1)``
-    tables.  It holds no pixel basis: a copy of its rows' ``z_T`` (B, D)
-    and a reference to the bank's (M, J, D) templates, taken when it is
-    built, stand for the bases' columns.  Each row's values are those of
-    the same formulas applied to it alone, operation for operation.
+    Built once per wave of :func:`denoise`, it holds per row only what
+    differs by row: its starting noise ``z_T`` (B, D), Gram matrix,
+    component energies, mean coefficients and latent coefficients, and its
+    mixture index ``which``.  The bank's log weights and (M, J, D)
+    templates are referenced, not copied, and the marginal variance, its
+    double and whether it is degenerate are one ``(T + 1,)`` table each,
+    the same for every row.  Each row's values are those of the same
+    formulas applied to it alone, operation for operation.
     """
 
     def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule,
                  z: np.ndarray):
-        which = np.asarray(which, dtype=np.intp)
-        s2 = bank.s2[which]  # an IndexError for a row past the bank
+        self.which = which = np.asarray(which, dtype=np.intp)
         self._schedule = schedule
         self._alpha = schedule.alpha.tolist()
         self._sigma = schedule.sigma.tolist()
@@ -295,7 +297,8 @@ class LockstepBatch:
         z_row[:, 0] = (z_start * z_start).sum(-1)
         # one (B, J, D) gather and product, freed at once: a (B, D) column
         # at a time measured about 38,000 minor page faults per default
-        # `make-dataset` against 3,000, and a slower build
+        # `make-dataset` against 3,000, and a slower build; an IndexError
+        # for a row past the bank
         z_row[:, 1:] = (z_start[:, None] * templates[which]).sum(-1)
         self._gram = gram = np.empty(z_row.shape + z_row.shape[1:])
         gram[:, 0] = z_row
@@ -306,19 +309,14 @@ class LockstepBatch:
         self._coef_t = self._coef.transpose(0, 2, 1).copy()
         self._a = np.zeros(z_row.shape)
         self._a[:, 0] = 1.0
-        self._log_weights = bank.log_weights[which]
-        # the per-pixel variance of each row's time marginal, by t
-        ab = schedule.alphabar[:, None, None]
-        self._v = ab * s2[:, None] + (1.0 - ab)
+        self._log_weights = bank.log_weights
+        # the per-pixel variance of every row's time marginal, by t
+        v = schedule.alphabar * bank.s2 + (1.0 - schedule.alphabar)
+        self._v = v.tolist()
+        self._v2 = (2.0 * v).tolist()
+        self._degenerate = (v < MIN_MARGINAL_VARIANCE).tolist()
         # (t, r, pull, eps coefficients) of the latents as they are
         self._post = None
-        self._set_rows(which)
-
-    def _set_rows(self, which: np.ndarray) -> None:
-        self.which = which
-        self._v2 = 2.0 * self._v
-        self._degenerate = (self._v < MIN_MARGINAL_VARIANCE).any(
-            axis=(1, 2)).tolist()
 
     def _column(self, p: int) -> np.ndarray:
         """Column ``p`` of the rows' bases, (B, D): z_T, or a template."""
@@ -347,27 +345,20 @@ class LockstepBatch:
         when attempts leave a wave; the rows kept keep their values, and
         their share of the posterior already evaluated."""
         for name in ("_z_start", "_gram", "_energy", "_coef", "_coef_t", "_a",
-                     "_log_weights"):
+                     "which"):
             setattr(self, name, getattr(self, name)[rows])
-        self._v = self._v[:, rows]
         if self._post is not None:
             t, *post = self._post
             self._post = (t, *(p[rows] for p in post))
-        self._set_rows(self.which[rows])
-
-    def posterior(self, t: int) -> Posterior:
-        """The rows' mixture posteriors at the noise index ``t``: the
-        component responsibilities ``r`` under the time marginal, and the
-        exact eps ``-sigma_t * grad log p_t``, the pull towards the scaled
-        component means ``sigma_t * (z - alpha_t * sum_k r_k mu_k) / v_t``
-        with ``v_t = alphabar_t s2 + 1 - alphabar_t``, zero at ``t = 0``.
-        """
-        r, _, e = self._evaluated(t)
-        return Posterior(r=r, eps=self._images(e))
 
     def _evaluated(self, t: int) -> tuple[np.ndarray, ...]:
-        """``r``, the responsibility-weighted mean coefficients ``pull``
-        and the eps coefficients at ``t``, evaluated once."""
+        """The rows' mixture posteriors at the noise index ``t``, evaluated
+        once: the component responsibilities ``r`` under the time marginal,
+        the responsibility-weighted mean coefficients ``pull`` and the
+        coefficients of the exact eps ``-sigma_t * grad log p_t``, the pull
+        towards the scaled component means ``sigma_t * (z - alpha_t *
+        sum_k r_k mu_k) / v_t`` with ``v_t = alphabar_t s2 + 1 -
+        alphabar_t``, zero at ``t = 0``."""
         _check_t(self._schedule, t)
         if self._post is None or self._post[0] != t:
             self._post = (t, *self._posterior(t))
@@ -376,7 +367,7 @@ class LockstepBatch:
     def _posterior(self, t: int) -> tuple[np.ndarray, ...]:
         if self._degenerate[t]:
             raise RunFailure(
-                f"marginal variance {np.min(self._v[t]):.3e} at t={t} below "
+                f"marginal variance {self._v[t]:.3e} at t={t} below "
                 f"{MIN_MARGINAL_VARIANCE:.0e}")
         alpha_t = self._alpha[t]
         # Homogeneous variance: the 2 pi and log-det terms cancel after

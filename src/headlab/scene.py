@@ -233,8 +233,11 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise UsageError(f"faithfulness must be in (0, 1], got {q}")
-    if s2 <= 0:
-        raise UsageError(f"component variance must be positive, got {s2}")
+    # NaN fails the comparison, as a bank's key must never hold it, and so
+    # does a variance whose double, the posterior's divisor, overflows
+    if not 0 < 2.0 * s2 < np.inf:
+        raise UsageError(f"component variance must be positive with a finite "
+                         f"double, got {s2}")
     grid_size = specs[0].grid_size
     if any(s.grid_size != grid_size for s in specs):
         raise UsageError("mixed grid sizes in one mixture")

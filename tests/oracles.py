@@ -1,19 +1,21 @@
 """Reference implementations that the tests check the package against.
 
 Nothing in ``headlab`` calls these.  Each states plainly something the
-package computes another way: the mixture posterior and whole trajectories
-by per-pixel formulas, where the engine steps coefficients; a finished
-image's presence labels and nearest component from its pixels, where the
-engine takes both from its Gram matrix; attention maps
-from each component's placed template, where the engine weights each
-target's templates by the mean coefficients; whole generations with their
-captures, one lockstep batch per call; a tensor file as one bytes object;
-a mixture's presence marginals; a campaign group's bootstrap interval
-from its own stream, where the package draws every group's at once; the
-logistic fit's epochs over ``expit`` and ``mean``, where the package
-inlines the logistic and divides the error sum; and the Monte Carlo of
-restart costs over float uniforms and per-run arrays, where the package
-compares word mantissas and compacts its runs block by block.
+package computes another way, or shows what it keeps inside: a batch's
+kept posterior as responsibilities and eps images; the mixture posterior
+and whole trajectories by per-pixel formulas, where the engine steps
+coefficients; a finished image's presence labels and nearest component
+from its pixels, where the engine takes both from its Gram matrix;
+attention maps from each component's placed template, where the engine
+weights each target's templates by the mean coefficients; whole
+generations with their captures, one lockstep batch per call; a tensor
+file as one bytes object; a mixture's presence marginals; a campaign
+group's bootstrap interval from its own stream, where the package draws
+every group's at once; the logistic fit's epochs over ``expit`` and
+``mean``, where the package inlines the logistic and divides the error
+sum; and the Monte Carlo of restart costs over float uniforms and
+per-run arrays, where the package compares word mantissas and compacts
+its runs block by block.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def pixel_labels(image: np.ndarray, targets, catalog: dict[str, ObjectSpec],
     ||g||^2`` reaches the threshold."""
     return {t: int(float(np.max(catalog[t].filter_responses(image)))
                    >= threshold) for t in targets}
+
+
+def posterior(batch: LockstepBatch, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The responsibilities ``r`` (B, K) and exact eps (B, n, n) of the
+    rows of ``batch`` at the noise index ``t``, eps zero at ``t = 0``: the
+    batch's kept posterior, its eps coefficients turned into images."""
+    r, _, e = batch._evaluated(t)
+    return r, batch._images(e)
 
 
 def dense_posterior(mixture: MixtureSpec, schedule: NoiseSchedule,

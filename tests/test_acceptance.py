@@ -27,7 +27,7 @@ from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                expected_cost_closed_form, monte_carlo_cost,
                                relative_saving)
 
-from oracles import means_matrix, pixel_labels, sample_batch
+from oracles import means_matrix, pixel_labels, posterior, sample_batch
 
 STEP_GRID = (5, 8, 10, 16, 20, 25, 40)
 
@@ -154,8 +154,9 @@ def test_criterion_2_noise_prediction_matches_numeric_gradient(
         lp = _oracle_log_marginal(mixture, schedule, batch, t)
         score = (lp[:z_flat.size] - lp[z_flat.size:]) / (2.0 * h)
         want = -float(schedule.sigma[t]) * score.reshape(z.shape)
-        got = LockstepBatch(MixtureBank((mixture,)), np.zeros(1, dtype=int),
-                            schedule, z[None]).posterior(t).eps[0]
+        got = posterior(LockstepBatch(MixtureBank((mixture,)),
+                                      np.zeros(1, dtype=int), schedule,
+                                      z[None]), t)[1][0]
         rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
         worst = max(worst, rel)
     _verdict(capfd, 2, worst < 1e-5,

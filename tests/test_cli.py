@@ -403,6 +403,7 @@ def test_make_dataset_over_a_catalog_of_mixed_position_counts(tmp_path):
 
 @pytest.mark.parametrize("values", [
     {"component_std": 1e308},
+    {"component_std": 1e154},
     {"component_std": 1e-200},
     {"component_std": float("nan")},
     {"component_std": float("inf")},
@@ -411,9 +412,9 @@ def test_make_dataset_over_a_catalog_of_mixed_position_counts(tmp_path):
 ])
 def test_make_dataset_rejects_a_bad_config_before_writing(tmp_path, capsys,
                                                           values):
-    """A component spread whose square overflows, underflows or is not a
-    number, and split fractions outside [0, 1], exit 1 before anything is
-    written."""
+    """A component spread whose square, or its double, overflows,
+    underflows or is not a number, and split fractions outside [0, 1], exit
+    1 before anything is written."""
     config = tmp_path / "dataset.json"
     config.write_text(json.dumps({"dataset": values}), encoding="utf-8")
     out = tmp_path / "ds"
@@ -775,6 +776,39 @@ def test_sample_value_of_wrong_type_exits_2(cli_dataset, tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("changes", [{"component_std": 1e200},
+                                     {"component_std": -0.05},
+                                     {"component_std": 1e154},
+                                     {"num_steps": 1}])
+def test_run_over_a_header_of_a_bad_config_exits_2(cli_dataset, cli_models,
+                                                   tmp_path, capsys, changes):
+    """The config a manifest header holds is checked as ``make-dataset``
+    checks it, before ``run`` builds a mixture from it."""
+    header = json.loads((cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines()[0])
+    root = _edited_copy(cli_dataset, tmp_path, 1,
+                        config={**header["config"], **changes})
+    rc = main(["run", "--dataset", str(root), "--model", str(cli_models[2]),
+               "--out", str(tmp_path / "camp")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / 'manifest.jsonl'}:1: malformed "
+                          "header line: ") and err.count("\n") == 1
+    assert not (tmp_path / "camp").exists()
+
+
+def test_make_dataset_over_weights_that_underflow(tmp_path, capsys):
+    """At a faithfulness this small a component with both targets present
+    has weight ``(q / 2)^2``, which rounds to zero; its log is ``-inf``,
+    with no warning, and the dataset is written."""
+    out = tmp_path / "d"
+    assert main(["make-dataset", "--faithfulness", "1e-170",
+                 "--seeds-per-prompt", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert (out / "manifest.jsonl").is_file()
+
+
 def test_version_1_manifest_exits_2(cli_dataset, tmp_path, capsys):
     root = _edited_copy(cli_dataset, tmp_path, 1, format_version=1)
     rc = main(["train", "--dataset", str(root), "--steps", "16",
@@ -1086,7 +1120,7 @@ def _through_json(payload: dict) -> dict:
 
 @given(config=_instances(DatasetConfig))
 def test_any_dataset_config_round_trips(config):
-    assert DatasetConfig.from_dict(_through_json(config.to_dict())) == config
+    assert DatasetConfig.from_dict(_through_json(asdict(config))) == config
 
 
 @given(config=st.builds(ExperimentConfig, **{

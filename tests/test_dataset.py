@@ -3,7 +3,7 @@
 import contextlib
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ def test_default_config_is_valid():
     {"label_threshold": 1.0},
     {"component_std": 0.0},
     {"component_std": 1e308},
+    {"component_std": 1e154},
     {"component_std": 1e-200},
     {"component_std": float("nan")},
     {"component_std": float("inf")},
@@ -68,7 +69,7 @@ def test_config_validation_takes_the_bounds():
 
 def test_config_dict_roundtrip():
     cfg = DatasetConfig()
-    assert DatasetConfig.from_dict(cfg.to_dict()) == cfg
+    assert DatasetConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(UsageError, match="^unknown keys in config section "):
         DatasetConfig.from_dict({"bogus_key": 1})
 
@@ -337,7 +338,7 @@ def _make_dataset(tmp_path, config: DatasetConfig, out) -> int:
     """``head make-dataset`` of ``config`` into ``out``: its exit code.  The
     config file is ``tmp_path / "dataset.json"``."""
     spec = tmp_path / "dataset.json"
-    spec.write_text(json.dumps({"dataset": config.to_dict()}), encoding="utf-8")
+    spec.write_text(json.dumps({"dataset": asdict(config)}), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         return main(["make-dataset", "--config", str(spec), "--out", str(out)])
 

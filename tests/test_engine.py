@@ -20,7 +20,7 @@ from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
 
 from oracles import (dense_trajectory, means_matrix, nearest_component,
-                     pixel_labels, sample_batch)
+                     pixel_labels, posterior, sample_batch)
 
 
 # ------------------------------------------------------------- schedule
@@ -115,7 +115,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
     for _ in range(10):
         t = 1 + int(scaled_integers(stream.uniforms(1), schedule.T)[0])
         z = stream.normals(256).reshape(16, 16) * 0.7
-        eps = _batch(mix, schedule, z[None]).posterior(t).eps[0]
+        eps = posterior(_batch(mix, schedule, z[None]), t)[1][0]
         sigma = schedule.sigma[t]
         zf = z.ravel()
         fd = np.empty_like(zf)
@@ -138,7 +138,7 @@ def test_single_component_epsilon_closed_form(schedule):
     assert len(mix1.components) == 1
     t = 20
     z = SplitMix64(4).normals(256).reshape(16, 16)
-    eps = _batch(mix1, schedule, z[None]).posterior(t).eps[0]
+    eps = posterior(_batch(mix1, schedule, z[None]), t)[1][0]
     ab = schedule.alphabar[t]
     v = ab * mix1.s2 + (1 - ab)
     mu = means_matrix(mix1)[0].reshape(16, 16)
@@ -174,7 +174,7 @@ def test_responsibilities_sum_to_one(catalog, schedule):
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
     for t in (1, 10, 30, 50):
-        r = _batch(mix, schedule, z[None]).posterior(t).r[0]
+        r = posterior(_batch(mix, schedule, z[None]), t)[0][0]
         assert r.shape == (len(mix.components),)
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
@@ -185,7 +185,7 @@ def test_posterior_rejects_out_of_range_t(catalog, schedule):
     batch = _batch(mix, schedule, np.zeros((1, 16, 16)))
     for t in (-1, schedule.T + 1):
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[0, 50\]$"):
-            batch.posterior(t)
+            posterior(batch, t)
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[1, 50\]$"):
             batch.step(t)
         with pytest.raises(UsageError, match=rf"^timestep {t} outside \[0, 50\]$"):
@@ -199,10 +199,10 @@ def test_posterior_at_zero_has_no_eps(catalog, schedule):
     """At t = 0 no denoising step follows: the noise prediction is zero."""
     mix = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
     z = SplitMix64(9).normals(256).reshape(16, 16)
-    post = _batch(mix, schedule, z[None]).posterior(0)
-    assert post.eps.shape == (1, 16, 16) and not post.eps.any()
-    assert post.r.shape == (1, len(mix.components))
-    assert post.r.sum() == pytest.approx(1.0, abs=1e-12)
+    r, eps = posterior(_batch(mix, schedule, z[None]), 0)
+    assert eps.shape == (1, 16, 16) and not eps.any()
+    assert r.shape == (1, len(mix.components))
+    assert r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_variance_raises(catalog):
@@ -285,9 +285,8 @@ def _single_latent_steps(mixture, schedule, seed):
                    engine.initial_latents([seed], mixture.grid_size))
     out = []
     for t in range(schedule.T, -1, -1):
-        post, cap = batch.posterior(t), batch.capture(t)
-        out.append((t, batch.z[0], post.r[0], post.eps[0], cap[0, 0],
-                    cap[0, 1:]))
+        (r, eps), cap = posterior(batch, t), batch.capture(t)
+        out.append((t, batch.z[0], r[0], eps[0], cap[0, 0], cap[0, 1:]))
         if t:
             batch.step(t)
     return out
@@ -348,7 +347,7 @@ def test_captures_equal_the_public_oracles_bit_for_bit(catalog, schedule):
 
 def test_trajectory_posterior_matches_public_api(catalog, schedule):
     """A step moves each latent by the public DDIM update with the eps of
-    the public posterior at its latents: bit for bit as the per-latent
+    the batch's posterior at its latents: bit for bit as the per-latent
     formulas step it, and within rounding of the update on its image."""
     mix = build_conditional_mixture(("owl", "kite"), 0.7, catalog)
     reference = {step[0]: step for step in
@@ -359,8 +358,8 @@ def test_trajectory_posterior_matches_public_api(catalog, schedule):
             continue
         batch = _batch(mix, schedule, z)
         batch.step(t)
-        fresh = _batch(mix, schedule, z).posterior(t)
-        assert np.abs(batch.z - ddim_step(z, fresh.eps, t, t - 1,
+        _, eps = posterior(_batch(mix, schedule, z), t)
+        assert np.abs(batch.z - ddim_step(z, eps, t, t - 1,
                                           schedule)).max() < TOLERANCE
 
 
@@ -406,19 +405,19 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     batch = _batch(mix, schedule, z)
     calls.clear()
     batch.capture(16)
-    batch.posterior(16)
+    posterior(batch, 16)
     batch.step(16)
     assert [kind for kind, *_ in calls] == ["capture", "posterior", "step"]
     # a keep keeps the kept rows' share of the posterior evaluated
     calls.clear()
-    post = batch.posterior(15)
+    r, _ = posterior(batch, 15)
     batch.keep([1])
     caps = batch.capture(15)
     batch.step(15)
     assert _kinds(calls, "posterior") == [("posterior", 15, 2)]
     alone = _batch(mix, schedule, z[1:])
     alone.step(16)
-    assert np.array_equal(post.r[1:], alone.posterior(15).r)
+    assert np.array_equal(r[1:], posterior(alone, 15)[0])
     assert np.array_equal(caps, alone.capture(15))
     alone.step(15)
     assert np.array_equal(batch.z, alone.z)
@@ -576,7 +575,7 @@ def test_coefficient_steps_track_the_dense_oracle(schedule, objects, q, std,
     batch = _batch(mix, schedule, z[None])
     for t, z_dense, r_dense, _, pfi, attention in dense_trajectory(
             mix, schedule, z):
-        assert np.abs(batch.posterior(t).r[0] - r_dense).max() < TOLERANCE
+        assert np.abs(posterior(batch, t)[0][0] - r_dense).max() < TOLERANCE
         assert np.abs(batch.z[0] - z_dense).max() < TOLERANCE
         channels = np.stack([pfi, *attention.values()])
         assert np.abs(batch.capture(t)[0] - channels).max() < TOLERANCE
@@ -671,14 +670,14 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
                 continue
             batch = batches[start]
             latents = batch.z
-            post, caps = batch.posterior(t), batch.capture(t)
+            (r, eps), caps = posterior(batch, t), batch.capture(t)
             for k, b in enumerate(live):
                 if reference[b] is None:
                     continue
                 _, z1, r1, eps1, pfi1, attention1 = reference[b][t]
                 assert np.array_equal(latents[k], z1)
-                assert np.array_equal(post.r[k], r1)
-                assert np.array_equal(post.eps[k], eps1)
+                assert np.array_equal(r[k], r1)
+                assert np.array_equal(eps[k], eps1)
                 assert np.array_equal(caps[k, 0], pfi1)
                 assert np.array_equal(caps[k, 1:], attention1)
                 compared += 1
@@ -747,6 +746,41 @@ def test_mixture_bank_needs_one_component_count(catalog):
         assert all(m is mixtures[i] for m, i in zip(bank.mixtures, members))
 
 
+def test_mixtures_of_other_weights_or_variance_share_no_bank(catalog):
+    """A bank's mixtures share their component weights and variance: the
+    same prompt at two faithfulness values, or at two variances, takes two
+    banks."""
+    pair = ("cat", "bench")
+    for a, b in ((build_conditional_mixture(pair, 0.7, catalog),
+                  build_conditional_mixture(pair, 0.9, catalog)),
+                 (build_conditional_mixture(pair, 0.7, catalog, s2=0.0025),
+                  build_conditional_mixture(pair, 0.7, catalog, s2=0.01))):
+        groups = MixtureBank.group([a, b])
+        assert sorted(members for _, members in groups) == [[0], [1]]
+        for bank, [m] in groups:
+            assert bank.s2 == (a, b)[m].s2
+            assert np.array_equal(bank.log_weights, np.log((a, b)[m].weights))
+        with pytest.raises(UsageError, match="^a mixture bank needs"):
+            MixtureBank((a, b))
+
+
+def test_components_of_underflowed_weight_take_no_responsibility(catalog,
+                                                                  schedule):
+    """At ``q = 1e-170`` a component with both targets present has weight
+    ``(q / 2)^2``, which rounds to zero: its log weight is ``-inf`` and its
+    responsibility zero at every step, with no warning."""
+    mix = build_conditional_mixture(("cat", "bench"), 1e-170, catalog)
+    zero = mix.weights == 0.0
+    assert zero.any() and not zero.all()
+    batch = _batch(mix, schedule, engine.initial_latents(range(3), 16))
+    for t in range(schedule.T, -1, -1):
+        r, eps = posterior(batch, t)
+        assert not r[:, zero].any() and np.isfinite(eps).all()
+        assert np.all(np.abs(r.sum(-1) - 1.0) < 1e-12)
+        if t:
+            batch.step(t)
+
+
 def test_lockstep_batch_rejects_out_of_range_rows(catalog, schedule):
     bank = MixtureBank((build_conditional_mixture(("cat",), 0.8, catalog),))
     z = np.zeros((3, 16, 16))
@@ -780,13 +814,13 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
     keeps = {31: [1, 2, 4], 7: [0, 2]}  # positions in the batch at that t
     rows = list(range(5))  # the row of ``which`` at each position
     for t in range(schedule.T, -1, -1):
-        post, caps = batch.posterior(t), batch.capture(t)
+        (r, eps), caps = posterior(batch, t), batch.capture(t)
         assert np.array_equal(batch.which, which[rows])
         for k, b in enumerate(rows):
             _, z1, r1, eps1, pfi1, attention1 = alone[b][t]
             assert np.array_equal(batch.z[k], z1)
-            assert np.array_equal(post.r[k], r1)
-            assert np.array_equal(post.eps[k], eps1)
+            assert np.array_equal(r[k], r1)
+            assert np.array_equal(eps[k], eps1)
             assert np.array_equal(caps[k, 0], pfi1)
             assert np.array_equal(caps[k, 1:], attention1)
         if t:
@@ -810,8 +844,7 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     def trajectory(batch):
         out = []
         for t in range(schedule.T, 0, -1):
-            post = batch.posterior(t)
-            out += [post.r, post.eps, batch.capture(t)]
+            out += [*posterior(batch, t), batch.capture(t)]
             batch.step(t)
             if t == 20:
                 batch.keep([0, 2])
@@ -836,23 +869,31 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
 def test_built_batch_holds_no_pixel_basis(catalog, schedule):
     """A batch keeps its rows' starting noise (B, D) and only a reference
     to the bank's (M, J, D) templates: no array of B * P * D elements,
-    once built, stepped, captured or subset."""
+    once built, stepped, captured or subset.  Every array it holds has one
+    row per batch row or is the bank's own, the templates or the log
+    weights: the marginal variance is one table by ``t`` for all rows."""
     bank = _pair_bank(catalog)
     rows = 40
+    assert rows != schedule.T + 1
     batch = LockstepBatch(bank, np.arange(rows) % 2, schedule,
                           engine.initial_latents(range(rows), 16))
     basis_size = rows * (1 + bank.templates.shape[1]) * 256
+    shared = (bank.templates, bank.log_weights)
 
     def arrays():
         for value in vars(batch).values():
             yield from (value if isinstance(value, tuple) else (value,))
 
-    for act in (lambda: None, lambda: batch.capture(schedule.T),
-                lambda: batch.step(schedule.T), lambda: batch.keep([0, 3])):
+    for act, n in ((lambda: None, rows),
+                   (lambda: batch.capture(schedule.T), rows),
+                   (lambda: batch.step(schedule.T), rows),
+                   (lambda: batch.capture(schedule.T - 1), rows),
+                   (lambda: batch.keep([0, 3]), 2)):
         act()
         held = [a for a in arrays() if isinstance(a, np.ndarray)]
         assert any(a is bank.templates for a in held)
         assert all(a.size < basis_size for a in held)
+        assert all(len(a) == n or any(a is s for s in shared) for a in held)
 
 
 # Seeds at both ends of the range and from the derivations the package uses.
@@ -878,15 +919,18 @@ def test_starting_noise_rows_equal_their_own_streams(grid):
 
 def test_component_energy_is_each_mean_squared_norm(catalog):
     """``component_energy`` holds ``||mu_k||^2`` for every component of
-    every mixture of a bank, from the template block alone."""
-    bank = MixtureBank(tuple(build_conditional_mixture(pair, q, catalog)
-                             for pair, q in ((("cat", "bench"), 0.7),
-                                             (("dog", "kite"), 0.9),
-                                             (("owl", "drum"), 0.5))))
-    assert bank.component_energy.shape == bank.mean_coefficients.shape[:2]
-    for m, mixture in enumerate(bank.mixtures):
-        want = (means_matrix(mixture) ** 2).sum(-1)
-        assert np.abs(bank.component_energy[m] - want).max() < 1e-12
+    every mixture of a bank, from the template block alone; each
+    faithfulness here has a bank of its own."""
+    groups = MixtureBank.group([build_conditional_mixture(pair, q, catalog)
+                                for pair, q in ((("cat", "bench"), 0.7),
+                                                (("dog", "kite"), 0.9),
+                                                (("owl", "drum"), 0.5))])
+    assert sorted(members for _, members in groups) == [[0], [1], [2]]
+    for bank, _ in groups:
+        assert bank.component_energy.shape == bank.mean_coefficients.shape[:2]
+        for m, mixture in enumerate(bank.mixtures):
+            want = (means_matrix(mixture) ** 2).sum(-1)
+            assert np.abs(bank.component_energy[m] - want).max() < 1e-12
 
 
 def test_assembled_gram_equals_the_per_row_formula(schedule):
@@ -897,7 +941,7 @@ def test_assembled_gram_equals_the_per_row_formula(schedule):
         return ObjectSpec(object_id=name, sigma=1.5, grid_size=16,
                           candidate_positions=cells)
 
-    bank = MixtureBank(tuple(
+    groups = MixtureBank.group([
         build_conditional_mixture(tuple(objects), q, objects)
         for q, objects in (
             (0.7, {"a": spec("a", ((3, 3),)),
@@ -905,17 +949,21 @@ def test_assembled_gram_equals_the_per_row_formula(schedule):
                    "c": spec("c", ((12, 2), (12, 8)))}),
             (0.9, {"d": spec("d", ((8, 8),)),
                    "e": spec("e", ((2, 2), (2, 8), (2, 14))),
-                   "f": spec("f", ((14, 4), (14, 12)))}))))
-    assert bank.template_gram.shape == (2, 6, 6)
+                   "f": spec("f", ((14, 4), (14, 12)))}))])
+    assert sorted(members for _, members in groups) == [[0], [1]]
     which = np.array([1, 0, 0, 1, 1])
     z = engine.initial_latents([mix64(3, b) for b in range(5)], 16)
-    batch = LockstepBatch(bank, which, schedule, z)
-    for b, m in enumerate(which):
-        basis = np.concatenate([z[b].reshape(1, -1), bank.templates[m]])
-        gram = np.stack([(basis[p] * basis).sum(-1)
-                         for p in range(len(basis))])
-        assert np.array_equal(batch._gram[b], gram)
-        assert np.array_equal(gram, gram.T)
+    for bank, [m] in groups:  # one mixture per faithfulness
+        assert bank.template_gram.shape == (1, 6, 6)
+        rows = np.flatnonzero(which == m)
+        batch = LockstepBatch(bank, np.zeros(len(rows), dtype=int), schedule,
+                              z[rows])
+        for k, b in enumerate(rows):
+            basis = np.concatenate([z[b].reshape(1, -1), bank.templates[0]])
+            gram = np.stack([(basis[p] * basis).sum(-1)
+                             for p in range(len(basis))])
+            assert np.array_equal(batch._gram[k], gram)
+            assert np.array_equal(gram, gram.T)
 
 
 _FAULT_PROBE = """

@@ -204,10 +204,6 @@ KEPT_FOR_TESTS: dict[str, str] = {
         "the sequential reference the tests pin the stream formulas "
         "against; the benchmark's traced run also wraps its uniforms and "
         "normals"),
-    "LockstepBatch.posterior": (
-        "the public view of a batch's kept posterior, its responsibilities "
-        "and eps, which the engine and gate tests check against finite "
-        "differences and the dense oracle"),
 }
 
 

@@ -551,6 +551,28 @@ def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
             == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
 
 
+def test_prompts_of_different_faithfulness_run_as_if_alone(catalog, schedule,
+                                                           monkeypatch):
+    """Prompts at two faithfulness values run in separate pools, each run
+    as if alone, and each prompt's traces are those it has when the other
+    prompt shares its faithfulness, and so its pool."""
+    pairs = [("cat", "bench"), ("owl", "drum")]
+    mixtures = [build_conditional_mixture(pair, q, catalog)
+                for pair, q in zip(pairs, (0.7, 0.9))]
+    assert len(MixtureBank.group(mixtures)) == 2
+    policies = (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0)))
+    kwargs = dict(root_seed=5, runs_per_prompt=3,
+                  prompt_ids=[prompt_text(pair) for pair in pairs])
+    arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
+                                      policies, catalog, **kwargs)
+    for i, q in enumerate((0.7, 0.9)):
+        _, shared = _grid(catalog, pairs, q)
+        assert len(MixtureBank.group(shared)) == 1
+        for arm, same in zip(arms, run_arms(shared, schedule, policies,
+                                            catalog, **kwargs)):
+            assert arm[3 * i:3 * i + 3] == same[3 * i:3 * i + 3]
+
+
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("fox", "kite")], 0.7)
     args = (prompts, mixtures, schedule, RunPolicy(),

@@ -155,8 +155,12 @@ def test_mixture_validation_errors(catalog):
         with pytest.raises(UsageError, match=rf"^faithfulness must be in "
                            rf"\(0, 1\], got {q}$"):
             build_conditional_mixture(("cat",), q, catalog)
-    with pytest.raises(UsageError, match="^component variance must be "):
-        build_conditional_mixture(("cat",), 0.8, catalog, s2=0.0)
+    # NaN, and a variance whose double overflows, are refused too
+    for s2 in (0.0, -1.0, float("nan"), float("inf"), 1e308):
+        with pytest.raises(UsageError, match="^" + re.escape(
+                f"component variance must be positive with a finite "
+                f"double, got {s2}")):
+            build_conditional_mixture(("cat",), 0.8, catalog, s2=s2)
 
 
 def test_template_stack_zeroes_absent_components(catalog):
