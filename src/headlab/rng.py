@@ -7,8 +7,9 @@ word ``i`` of the stream seeded with ``seed`` is ``finalize(seed + (i + 1)
 * GOLDEN)`` modulo 2**64, so any stretch of any stream is computed directly
 from its offset, with no mutable state.  :func:`stream_words` draws one
 stretch of many streams at once, a row per seed, and
-:func:`stream_mantissas` one stretch of one stream into the caller's
-buffers; both add ``seed + start * GOLDEN`` to :func:`golden_steps`.
+:func:`stream_mantissas` a few stretches of one stream, mixed together,
+into the caller's buffers; both add ``seed + start * GOLDEN`` to
+:func:`golden_steps`.
 
 Layout of derived quantities:
 
@@ -97,28 +98,33 @@ def stream_words(seeds, start: int, n: int) -> np.ndarray:
 def golden_steps(n: int) -> np.ndarray:
     """``(i + 1) * GOLDEN`` modulo 2**64 for ``i < n``: what word ``i`` of
     any stretch of any stream adds to its seed and offset.  A caller of
-    :func:`stream_mantissas` computes it once for all its calls of up to
-    ``n`` words."""
+    :func:`stream_mantissas` computes it once for all its stretches of up
+    to ``n`` words."""
     return np.arange(1, n + 1, dtype=np.uint64) * _U64_GOLDEN
 
 
-def stream_mantissas(seed: int, start: int, steps: np.ndarray,
+def stream_mantissas(seed: int, stretches, steps: np.ndarray,
                      out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The top 53 bits of ``n = len(steps)`` words from ``start`` of one
-    seed's stream, ``stream_words([seed], start, n)[0] >> 11``, written into
-    ``out[:n]`` and returned.
+    """The top 53 bits of the words of each ``(start, n)`` of the sequence
+    ``stretches`` of one seed's stream, one after another: the concatenated
+    ``stream_words([seed], start, n)[0] >> 11``, written into the front of
+    ``out`` and returned.
 
-    ``steps`` is ``golden_steps(n)`` or a prefix of a longer one, so each
-    word's counter costs one add of ``seed + start * GOLDEN``; ``tmp`` is
-    uint64 scratch of at least ``n`` entries.  Word ``m`` stands for the
-    uniform ``m * 2**-53`` of :func:`to_uniforms`, so ``u < p`` holds
+    ``steps`` is :func:`golden_steps` of at least the longest ``n``, so
+    each word's counter costs one add of ``seed + start * GOLDEN``; one
+    finalize then mixes every stretch at once.  ``tmp`` is uint64 scratch
+    of at least as many entries as the words drawn.  Word ``m`` stands for
+    the uniform ``m * 2**-53`` of :func:`to_uniforms`, so ``u < p`` holds
     exactly when ``m < ceil(p * 2**53)``, and ``u >= p`` when ``m`` is at
     least that bound (see :func:`mantissa_bounds`).
     """
-    n = steps.size
-    words = out[:n]
-    np.add(steps, np.uint64((int(seed) + start * GOLDEN) & MASK64), out=words)
-    _finalize(words, tmp[:n])
+    total = 0
+    for start, n in stretches:
+        np.add(steps[:n], np.uint64((int(seed) + start * GOLDEN) & MASK64),
+               out=out[total:total + n])
+        total += n
+    words = out[:total]
+    _finalize(words, tmp[:total])
     words >>= np.uint64(11)
     return words
 

@@ -24,8 +24,10 @@ from .errors import RunFailure, UsageError
 from .rng import golden_steps, mantissa_bounds, stream_mantissas
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
-# Ten times the economics runs: about 1.6 s and 147 MB peak RSS, 12 bytes
-# per run plus the interpreter, for two objects at p = 0.3 on a 2-vCPU Xeon.
+# Ten times the economics runs: `simulate` takes about 1.7 s and 139 MB peak
+# RSS for two objects at p = 0.3 on a 2-vCPU Xeon, at most 12 bytes per run
+# plus the interpreter (no run index is written for a run that round one
+# retires).
 MAX_MC_RUNS = 10 ** 7
 # Runs per block of a Monte Carlo round: the block's arrays stay in cache.
 MC_BLOCK = 16384
@@ -192,14 +194,19 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     (``rng.mantissa_bounds``), which decides exactly as its uniform would.
 
     The round is worked through in blocks of at most ``MC_BLOCK`` runs so
-    that its arrays stay in cache.  Each block reads its own words of the
-    stream by offset and adds each run's attempt cost to that run's total,
-    kept at its run index, one attempt per round.  Its survivors' indices
-    then move, in run order, to the front of the active index array,
-    behind those of the blocks before it, in place.  So every round sees
-    its runs in run order, each run's cost is the same sequential sum, and
-    the block size changes no bit of the report.  The variance is taken in
-    place in the cost array, by the operations ``np.std(ddof=1)`` does.
+    that its arrays stay in cache.  Each block reads its own pattern and
+    verdict words of the stream by offset, finalized in one pass, and adds
+    each run's attempt cost to that run's total, kept at its run index,
+    one attempt per round.  Its survivors' indices then move, in run order,
+    to the front of the active index array, behind those of the blocks
+    before it, in place.  Round one's active runs are all runs in order,
+    so it works by position: a block writes its runs' first costs straight
+    into their totals, and its survivors' indices are their positions, so
+    only the index entries of runs that survive round one are written.
+    Every round thus sees its runs in run order, each run's cost is the
+    same sequential sum, and the block size changes no bit of the report.
+    The variance is taken in place in the cost array, by the operations
+    ``np.std(ddof=1)`` does.
     """
     _check_policy_objects(dist, policy)
     if acceptance_probability(dist, policy) <= 0.0:
@@ -222,13 +229,16 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
 
     block = min(MC_BLOCK, n_runs)
     steps = golden_steps(block * n_obj)
-    words = np.empty(block * n_obj, dtype=np.uint64)
+    # A block's pattern words, then its verdict words, finalized together.
+    words = np.empty(block * (1 + n_obj), dtype=np.uint64)
     tmp = np.empty_like(words)
     pattern = np.empty(block, dtype=np.min_scalar_type(edges.size))
     hit = np.empty(block, dtype=bool)
-    costs = np.zeros(n_runs)
-    # The active runs' indices, in run order; int32 holds MAX_MC_RUNS.
-    runs = np.arange(n_runs, dtype=np.int32)
+    costs = np.empty(n_runs)
+    # The survivors' indices, in run order; int32 holds MAX_MC_RUNS.  Round
+    # one's runs are 0 .. n_runs - 1 by position, so only the entries of
+    # runs that survive it are ever written.
+    runs = np.empty(n_runs, dtype=np.int32)
     k = n_runs
     counter = 0
     rounds = 0
@@ -241,29 +251,38 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
         for lo in range(0, k, block):
             hi = min(lo + block, k)
             b = hi - lo
-            # Widened once: numpy would widen int32 indices on both the
-            # gather and the scatter of the cost add.
-            active = runs[lo:hi].astype(np.intp)
-            draw = stream_mantissas(seed, counter + lo, steps[:b], words, tmp)
-            # Counted in the narrowest dtype, then widened once for the
-            # gathers below.
+            verdicts_at = counter + k + lo * n_obj
+            drawn = stream_mantissas(
+                seed, ((counter + lo, b), (verdicts_at, b * n_obj)), steps,
+                words, tmp)
+            draw, verdicts = drawn[:b], drawn[b:]
+            # Counted in the narrowest dtype, each compare's bools added as
+            # their bytes with no cast, then widened once for the gathers
+            # below.
             count = pattern[:b]
             count.fill(0)
             for edge in edges:
-                count += np.greater_equal(draw, edge, out=hit[:b])
+                count += np.greater_equal(draw, edge,
+                                          out=hit[:b]).view(np.uint8)
             pat = count.astype(np.intp)
-            verdicts = stream_mantissas(seed, counter + k + lo * n_obj,
-                                        steps[:b * n_obj], words, tmp)
             passed = verdicts.reshape(b, n_obj) < pass_bounds.take(pat, axis=0)
             cont = passed[:, 0]
             for j in range(1, n_obj):
                 cont &= passed[:, j]
-            costs[active] += step_cost.take(cont.view(np.uint8))
             # Survivors move, in order, to the front of the active runs.
             done = cont & complete_mask.take(pat)
             stay = np.flatnonzero(np.logical_not(done, out=done))
             n_kept = kept + stay.size
-            runs[kept:n_kept] = runs[lo:hi].take(stay)
+            if rounds == 1:
+                # Run lo + i's first cost is its total: 0.0 + c == c.
+                step_cost.take(cont.view(np.uint8), out=costs[lo:hi])
+                np.add(stay, lo, out=runs[kept:n_kept])
+            else:
+                # Widened once: numpy would widen int32 indices on both
+                # the gather and the scatter of the cost add.
+                active = runs[lo:hi].astype(np.intp)
+                costs[active] += step_cost.take(cont.view(np.uint8))
+                runs[kept:n_kept] = runs[lo:hi].take(stay)
             kept = n_kept
         counter += k * (1 + n_obj)
         k = kept

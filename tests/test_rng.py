@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64,
                          golden_steps, mantissa_bounds, mix64,
@@ -134,13 +135,15 @@ def test_stream_words_at_an_offset_are_a_slice_of_one_draw():
 
 def test_stream_words_write_into_the_callers_buffer():
     """Only :func:`stream_mantissas` writes into a buffer of the caller's:
-    the mantissas of a stretch at an offset fill its first ``n`` entries."""
+    the mantissas of its stretches, one after another, fill its first
+    entries."""
     whole = stream_words([7], 0, 64)[0]
     buf = np.zeros(32, dtype=np.uint64)
-    out = stream_mantissas(7, 10, golden_steps(20), buf,
+    out = stream_mantissas(7, [(10, 12), (40, 8)], golden_steps(12), buf,
                            np.empty(20, dtype=np.uint64))
     assert np.shares_memory(out, buf) and out.shape == (20,)
-    assert np.array_equal(buf[:20], whole[10:30] >> np.uint64(11))
+    assert np.array_equal(buf[:12], whole[10:22] >> np.uint64(11))
+    assert np.array_equal(buf[12:20], whole[40:48] >> np.uint64(11))
     assert not buf[20:].any()
 
 
@@ -174,10 +177,37 @@ def test_to_uniforms_matches_the_stream():
 def test_stream_mantissas_are_the_words_top_53_bits(seed, start, n):
     steps = golden_steps(n + 9)[:n]
     out = np.zeros(n + 4, dtype=np.uint64)
-    m = stream_mantissas(seed, start, steps, out, np.empty(n, dtype=np.uint64))
+    m = stream_mantissas(seed, [(start, n)], steps, out,
+                         np.empty(n, dtype=np.uint64))
     assert np.shares_memory(m, out) and m.shape == (n,)
     assert np.array_equal(m, stream_words([seed], start, n)[0] >> np.uint64(11))
     assert not out[n:].any()
+
+
+# Starts near 0, or near the 2**64 wrap of the word counter, which a
+# stretch of up to 40 words may then cross.
+STARTS = st.one_of(st.integers(0, 2 ** 20), st.integers(2 ** 64 - 64,
+                                                        2 ** 64 - 1))
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       stretches=st.lists(st.tuples(STARTS, st.integers(0, 40)), max_size=4),
+       spare=st.integers(0, 5))
+def test_stretches_are_mixed_as_one_draw_each(seed, stretches, spare):
+    """Several stretches in one call give each stretch's mantissas drawn
+    alone, one after another, at the front of ``out``; a longer
+    ``golden_steps`` than the longest stretch needs changes nothing."""
+    total = sum(n for _, n in stretches)
+    longest = max((n for _, n in stretches), default=0)
+    out = np.zeros(total + 3, dtype=np.uint64)
+    m = stream_mantissas(seed, stretches, golden_steps(longest + spare), out,
+                         np.empty(total, dtype=np.uint64))
+    expected = [stream_words([seed], start, n)[0] >> np.uint64(11)
+                for start, n in stretches]
+    assert m.base is out and m.shape == (total,)
+    assert np.array_equal(m, np.concatenate(
+        [np.empty(0, dtype=np.uint64), *expected]))
+    assert not out[total:].any()
 
 
 def test_golden_steps_are_the_counters_times_golden():

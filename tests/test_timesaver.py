@@ -238,6 +238,63 @@ def test_monte_carlo_bits_are_frozen(objects, q, recall, tn, f, seed, mean,
     assert (report.mean_cost.hex(), report.stderr.hex()) == (mean, stderr)
 
 
+# The economics benchmark's operating points: completeness p and cost
+# fraction f for two objects at recall 0.95 and tn rate 0.85, seed 0, here
+# at 10^5 runs, frozen as float.hex: (p, f, mean, stderr).
+ECONOMICS_POINTS = [
+    (0.3, 0.08, "0x1.79136f488d379p+0", "0x1.2b1ac8ae6839ep-9"),
+    (0.3, 0.16, "0x1.aaa16bf5f2600p+0", "0x1.6fb83e9e5c2f5p-9"),
+    (0.3, 0.32, "0x1.06deb2a85e588p+1", "0x1.0911429b297dbp-8"),
+    (0.59, 0.08, "0x1.29534b00af527p+0", "0x1.2a1a1da9accfep-10"),
+    (0.59, 0.16, "0x1.39637e5499b55p+0", "0x1.540dac272108dp-10"),
+    (0.59, 0.32, "0x1.5983e4fc6e7b1p+0", "0x1.c605432ec0c44p-10"),
+    (0.9, 0.08, "0x1.08d93d1d97c08p+0", "0x1.d29bd65eec590p-12"),
+    (0.9, 0.16, "0x1.0d3f763794c1dp+0", "0x1.082c619cb16b1p-11"),
+    (0.9, 0.32, "0x1.160be86b8ec46p+0", "0x1.65ddb206f32d0p-11"),
+]
+
+
+@pytest.mark.parametrize("p,f,mean,stderr", ECONOMICS_POINTS)
+def test_the_economics_operating_points_are_frozen(p, f, mean, stderr):
+    objects = ("a", "b")
+    # The faithfulness that ``simulate --p`` gives two objects.
+    dist = AttemptDistribution.from_faithfulness(objects, p ** (1.0 / 2))
+    policy = PolicyParams.symmetric(objects, 0.95, 0.85, f)
+    report = monte_carlo_cost(dist, policy, 100_000, seed=0)
+    assert (report.mean_cost.hex(), report.stderr.hex()) == (mean, stderr)
+
+
+@pytest.mark.parametrize("block", [1, 7, timesaver.MC_BLOCK])
+def test_every_run_accepted_in_round_one(block):
+    """Every attempt is complete and passes, so every run ends in round
+    one at cost 1, over two full blocks and a partial one."""
+    objects = ("a", "b")
+    dist = AttemptDistribution.from_faithfulness(objects, 1.0)
+    policy = PolicyParams.symmetric(objects, 1.0, 0.85, 0.16)
+    n_runs = 2 * block + 5
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        report = monte_carlo_cost(dist, policy, n_runs, seed=0)
+    assert (report.mean_cost.hex(), report.stderr.hex()) == (
+        "0x1.0000000000000p+0", "0x0.0p+0")
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, timesaver.MC_BLOCK])
+def test_no_run_accepted_in_round_one(block):
+    """At seed 20 the first six pattern words all draw the absent pattern,
+    so every run survives round one and round two reads their indices."""
+    seed, n_runs = 20, 6
+    assert (to_uniforms(stream_words([seed], 0, n_runs)[0]) < 0.5).all()
+    dist = AttemptDistribution.from_faithfulness(("a",), 0.5)
+    policy = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.25)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        report = monte_carlo_cost(dist, policy, n_runs, seed)
+    assert report == monte_carlo_reference(dist, policy, n_runs, seed)
+    assert (report.mean_cost.hex(), report.stderr.hex()) == (
+        "0x1.6000000000000p+0", "0x1.c9f25c5bfedd9p-5")
+
+
 @given(n_obj=st.integers(1, 3),
        q=st.sampled_from([0.5, 0.8, 1.0]),
        recall=st.sampled_from([0.6, 1.0]),
