@@ -401,6 +401,9 @@ def _cmd_sweep_p(args) -> None:
     names = _object_names(args.objects)
     rows = sweep_probability(names, args.recall, args.tn_rate, args.t_last,
                              args.num_steps, grid)
+    for row in rows:
+        if not math.isfinite(row.saving_closed_form):
+            raise UsageError(f"non-finite saving_cf at p {row.completeness}")
     out = _out_dir(args.out)
     write_sweep_p_csv(rows, out / "sweep_p.csv")
     _write_snapshot(out, "sweep-p",

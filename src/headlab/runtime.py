@@ -19,11 +19,12 @@ Both arms run in one pool of attempts denoised by
 Attempt ``k`` of a run is one latent, denoised once for every arm still
 making that run: a head arm that aborts it leaves it, and the rest carry
 it on.  A latent's values do not depend on the wave it rides in, nor on
-the arms it serves, so each arm's traces equal those of the arm run alone,
-and the wave size changes none of them.
+the arms it serves, so each arm's records, each handed on as the arm
+leaves the attempt and none kept, equal those of the arm run alone, and
+the wave size changes none of them.
 
-A campaign draws its bootstrap resamples twice: every prompt's at once,
-each from its own seed, then the pooled group's.
+A campaign sums each run's steps by arm, then draws its bootstrap
+resamples in blocks, twice: every prompt's at once, then the pooled group's.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ OUTCOME_COMPLETE = "completed_complete"
 
 _BOOTSTRAP_TAG = 0xB007
 _BOOTSTRAP_RESAMPLES = 200
+_BOOTSTRAP_WORDS = 2 ** 16  # per block: about 2.5 MB however many runs
 
-# 60,000 runs per arm on the default grid, every trace held until the end.
+# 60,000 runs per arm on the default grid: 12 s, 38 MB RSS at u=8, 2 vCPUs.
 MAX_RUNS_PER_PROMPT = 1000
 # 100 times the default, so that a run no attempt completes still ends.
 MAX_RESTARTS = 100_000
@@ -83,41 +85,26 @@ class RunPolicy:
 
 @dataclass(frozen=True)
 class AttemptRecord:
+    """One arm's attempt.  ``outcome`` is ``OUTCOME_ABORTED`` when the
+    head's detector voted a target absent at its decision step, else
+    ``OUTCOME_COMPLETE`` if the finished image passed the presence check,
+    which accepts it and ends the run, or ``OUTCOME_INCOMPLETE`` if not.
+    ``steps`` counts the DDIM updates spent: ``u`` for an abort, else ``T``.
+    ``verdicts`` is the head's vote per target, ``None`` for the baseline."""
+
     seed: int
     outcome: str
     steps: int
     verdicts: dict[str, int] | None
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Everything one restart-until-accepted run did."""
-
-    prompt_id: str
-    attempts: tuple[AttemptRecord, ...]
-
-    @property
-    def total_steps(self) -> int:
-        return sum(a.steps for a in self.attempts)
-
-
-@dataclass(frozen=True)
-class _Run:
-    """One restart-until-accepted run: its mixture (an index into its
-    pool's bank) and the indices its attempt seeds derive from."""
-
-    mixture: int
-    prompt_index: int
-    run_index: int
-    prompt_id: str
-
-
 @dataclass
 class _Attempt:
-    """An attempt in flight: its run (a position in the pool's runs), its
-    index, its run's mixture and its seed, the arms (positions in the
-    pool's policies) still making it, what it has captured, and each arm's
-    verdicts and ``(outcome, steps)`` so far; captures are its rows of
+    """An attempt in flight: its run's (prompt, run) index, its index, its
+    run's mixture (an index into its pool's bank) and its seed, the arms
+    (positions in the pool's policies) still making it, what it has
+    captured, each head arm's verdicts, and the arms that left it
+    unaccepted; captures are its rows of
     :meth:`~headlab.engine.LockstepBatch.capture`, by capture label.  An
     arm leaves ``arms`` when it aborts the attempt or drops the run."""
 
@@ -128,14 +115,17 @@ class _Attempt:
     arms: list[int]
     captured: dict[int, np.ndarray] = field(default_factory=dict)
     verdicts: dict[int, dict[str, int]] = field(default_factory=dict)
-    outcomes: dict[int, tuple[str, int]] = field(default_factory=dict)
+    unaccepted: list[int] = field(default_factory=list)
 
 
-def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
-          policies, catalog: dict[str, ObjectSpec], root_seed: int,
-          label_threshold: float):
-    """Every run of ``runs`` over one bank under every policy, its attempts
-    denoised by :func:`~headlab.engine.denoise`.
+def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
+          schedule: NoiseSchedule, policies, catalog: dict[str, ObjectSpec],
+          root_seed: int, label_threshold: float,
+          record) -> list[int | None]:
+    """Runs ``0 .. runs_per_prompt - 1`` of every prompt of ``members``
+    under every policy, prompt ``members[k]`` under mixture ``k`` of
+    ``bank``, their attempts denoised by :func:`~headlab.engine.denoise`.
+    Run ``j`` of prompt ``i`` is run ``i * runs_per_prompt + j``.
 
     An attempt is one latent for all the arms that make it.  The queue
     holds the attempts waiting for a wave, then, once a wave has ended, the
@@ -145,37 +135,42 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
     rows at once.  A row whose arms have all aborted it, or left its run,
     then leaves the wave, and at ``t = 0`` every row left is labelled
     once, from its batch's Gram-matrix responses with no image built, for
-    the arms still on it.  An attempt that ends queues its run's next
-    attempt, made by the arms whose run goes on.  Returns,
-    by arm, the traces by position in ``runs`` and the position of the
-    first run that exhausted the arm's ``max_restarts`` (None if none
-    did); once one has, the arm drops later runs, since only an earlier
-    run can come first.
+    the arms still on it.  Each arm hands its :class:`AttemptRecord` to
+    ``record(arm, run, attempt)`` as it leaves an attempt, at its decision
+    or at ``t = 0``; so an arm's records of one run come in attempt order.
+    An attempt that ends queues its run's next attempt, made by the arms
+    whose run goes on.  Returns, by arm, the first run that exhausted the
+    arm's ``max_restarts`` (None if none did); once one has, the arm drops
+    later runs, since only an earlier run can come first.
     """
     T = schedule.T
     arms = range(len(policies))
     heads = [(a, p.model, max(p.model.steps))
              for a, p in enumerate(policies) if p.model is not None]
     capture_at = {T - u for _, model, _ in heads for u in model.steps}
-    history = [[[] for _ in runs] for _ in arms]
-    traces = [[None] * len(runs) for _ in arms]
     failed: list[int | None] = [None for _ in arms]
     next_run = 0
     waiting: list[_Attempt] = []
 
-    def attempt(run: int, index: int, by: list[int]) -> _Attempt:
-        spec = runs[run]
-        return _Attempt(run=run, index=index, mixture=spec.mixture,
-                        seed=mix64(root_seed, spec.prompt_index,
-                                   spec.run_index, index), arms=list(by))
+    def attempt(k: int, j: int, index: int, by: list[int]) -> _Attempt:
+        return _Attempt(run=members[k] * runs_per_prompt + j, index=index,
+                        mixture=k, seed=mix64(root_seed, members[k], j, index),
+                        arms=list(by))
 
     def admit() -> None:
         nonlocal next_run
         fresh = [a for a in arms if failed[a] is None]
-        while (fresh and next_run < len(runs)
+        while (fresh and next_run < len(members) * runs_per_prompt
                and len(waiting) < engine.LOCKSTEP_ROWS):
-            waiting.append(attempt(next_run, 0, fresh))
+            waiting.append(attempt(*divmod(next_run, runs_per_prompt), 0,
+                                   fresh))
             next_run += 1
+
+    def leave(at: _Attempt, a: int, outcome: str, steps: int) -> None:
+        record(a, at.run, AttemptRecord(at.seed, outcome, steps,
+                                        at.verdicts.get(a)))
+        if outcome != OUTCOME_COMPLETE:
+            at.unaccepted.append(a)
 
     admit()
     for t, batch, live in denoise(bank, schedule, waiting):
@@ -196,34 +191,28 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
             for row, names, row_votes in zip(deciding, targets, votes):
                 verdicts = live[row].verdicts[a] = dict(zip(names, row_votes))
                 if not all(verdicts.values()):
-                    live[row].outcomes[a] = (OUTCOME_ABORTED, decision)
+                    leave(live[row], a, OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
         if t == 0:
             labels = label_image(batch.responses, bank.target_columns,
                                  label_threshold)
             for at, complete in zip(live, labels.all(-1).tolist()):
                 for a in at.arms:
-                    at.outcomes[a] = (OUTCOME_COMPLETE if complete
-                                      else OUTCOME_INCOMPLETE, T)
+                    leave(at, a, OUTCOME_COMPLETE if complete
+                          else OUTCOME_INCOMPLETE, T)
         done = [at for at in live if t == 0 or not at.arms]
         if not done:
             continue
         for at in done:
             going_on = []
-            for a, (outcome, steps) in at.outcomes.items():
-                history[a][at.run].append(AttemptRecord(
-                    seed=at.seed, outcome=outcome, steps=steps,
-                    verdicts=at.verdicts.get(a)))
-                if outcome == OUTCOME_COMPLETE:
-                    traces[a][at.run] = RunTrace(
-                        prompt_id=runs[at.run].prompt_id,
-                        attempts=tuple(history[a][at.run]))
-                elif at.index + 1 < policies[a].max_restarts:
+            for a in at.unaccepted:
+                if at.index + 1 < policies[a].max_restarts:
                     going_on.append(a)
                 elif failed[a] is None or at.run < failed[a]:
                     failed[a] = at.run
             if going_on:
-                waiting.append(attempt(at.run, at.index + 1, going_on))
+                waiting.append(attempt(at.mixture, at.run % runs_per_prompt,
+                                       at.index + 1, going_on))
         for a, first in enumerate(failed):
             if first is not None:
                 for at in live + waiting:
@@ -235,13 +224,22 @@ def _pool(bank: MixtureBank, runs: list[_Run], schedule: NoiseSchedule,
         batch.keep(keep)
         if not live:  # the wave has ended
             admit()
-    return traces, failed
+    return failed
+
+
+def _check_runs_per_prompt(runs_per_prompt: int) -> None:
+    """Refuse a run count outside ``[1, MAX_RUNS_PER_PROMPT]``."""
+    if runs_per_prompt < 1:
+        raise UsageError("runs_per_prompt must be >= 1")
+    if runs_per_prompt > MAX_RUNS_PER_PROMPT:
+        raise UsageError(f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
+                         f"got {runs_per_prompt}")
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, policies,
              catalog: dict[str, ObjectSpec], root_seed: int,
-             runs_per_prompt: int, prompt_ids,
-             label_threshold: float = 0.5) -> tuple[tuple[RunTrace, ...], ...]:
+             runs_per_prompt: int, prompt_ids, record,
+             label_threshold: float = 0.5) -> None:
     """Run ``runs_per_prompt`` restart-until-accepted runs of every policy
     on every prompt, ``engine.LOCKSTEP_ROWS`` attempts at a time, each
     attempt denoised once for all the policies that make it.
@@ -250,18 +248,16 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     it draws its attempt seeds from ``(root_seed, i, j)`` under every
     policy.  Acceptance always requires the finished image to pass the
     matched-filter presence check for every target.  Mixtures that cannot
-    share a :class:`MixtureBank` run in separate pools.  Returns one tuple
-    of traces per policy, in (prompt, run) order; each equals the policy
+    share a :class:`MixtureBank` run in separate pools.  As policy ``arm``
+    leaves an attempt of run ``i * runs_per_prompt + j``, it calls
+    ``record(arm, run, attempt)`` with its :class:`AttemptRecord`, in
+    attempt order, the accepted one last; the records equal the policy
     run alone, and the wave size changes none of them.  Raises
-    ``RunFailure`` for the first run in that order that no
+    ``RunFailure`` for the first run in (prompt, run) order that no
     attempt within ``max_restarts`` completes, under the first policy that
     has one.
     """
-    if runs_per_prompt < 1:
-        raise UsageError("runs_per_prompt must be >= 1")
-    if runs_per_prompt > MAX_RUNS_PER_PROMPT:
-        raise UsageError(f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
-                         f"got {runs_per_prompt}")
+    _check_runs_per_prompt(runs_per_prompt)
     if not 0 <= root_seed <= MASK64:
         raise UsageError(f"root_seed must be in [0, 2**64), got {root_seed}")
     if len(prompt_ids) != len(mixtures):
@@ -270,28 +266,18 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
         raise UsageError("at least one policy is required")
     for policy in policies:
         policy.validate(schedule.T)
-    traces = [[None] * (len(mixtures) * runs_per_prompt) for _ in policies]
-    failures: list[list[_Run]] = [[] for _ in policies]
+    failures = []  # (arm, run) of each pool's first failing run by arm
     for bank, members in MixtureBank.group(mixtures):
-        runs = [_Run(mixture=k, prompt_index=i, run_index=j,
-                     prompt_id=prompt_ids[i])
-                for k, i in enumerate(members) for j in range(runs_per_prompt)]
-        pooled, failed = _pool(bank, runs, schedule, policies, catalog,
-                               root_seed, label_threshold)
-        for arm, arm_failures, arm_traces, first in zip(traces, failures,
-                                                        pooled, failed):
-            for run, trace in zip(runs, arm_traces):
-                arm[run.prompt_index * runs_per_prompt + run.run_index] = trace
-            if first is not None:
-                arm_failures.append(runs[first])
-    for policy, arm_failures in zip(policies, failures):
-        if arm_failures:
-            run = min(arm_failures, key=lambda r: (r.prompt_index, r.run_index))
-            raise RunFailure(
-                f"no accepted image within {policy.max_restarts} attempts "
-                f"(prompt {run.prompt_id or run.prompt_index}, "
-                f"run {run.run_index})")
-    return tuple(tuple(arm) for arm in traces)
+        failed = _pool(bank, members, runs_per_prompt, schedule, policies,
+                       catalog, root_seed, label_threshold, record)
+        failures += [(arm, run) for arm, run in enumerate(failed)
+                     if run is not None]
+    if failures:
+        arm, run = min(failures)
+        i, j = divmod(run, runs_per_prompt)
+        raise RunFailure(f"no accepted image within "
+                         f"{policies[arm].max_restarts} attempts "
+                         f"(prompt {prompt_ids[i] or i}, run {j})")
 
 
 @dataclass(frozen=True)
@@ -325,14 +311,19 @@ def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
     one ``(lo, hi)`` row per group: group ``g`` is row ``g`` of ``ref`` and
     ``treat`` (G, n), its resamples drawn from ``seeds[g]``.
 
-    The streams are counter-based, so one draw of every group's resamples
-    equals drawing each group's, or each resample's, on its own.
+    The streams are counter-based, so drawing every group's resamples in
+    blocks, block ``lo`` from word ``lo * n`` of each group's stream, equals
+    drawing each group's, or each resample's, on its own.
     """
     g, n = ref.shape
-    idx = scaled_integers(to_uniforms(
-        stream_words(seeds, 0, _BOOTSTRAP_RESAMPLES * n)), n)
-    stats = 1.0 - (np.take_along_axis(treat, idx, 1).reshape(g, -1, n).mean(2)
-                   / np.take_along_axis(ref, idx, 1).reshape(g, -1, n).mean(2))
+    block = max(1, _BOOTSTRAP_WORDS // (g * n))
+    stats = np.empty((g, _BOOTSTRAP_RESAMPLES))
+    for lo in range(0, _BOOTSTRAP_RESAMPLES, block):
+        idx = scaled_integers(to_uniforms(stream_words(
+            seeds, lo * n, n * min(block, _BOOTSTRAP_RESAMPLES - lo))), n)
+        stats[:, lo:lo + block] = 1.0 - (
+            np.take_along_axis(treat, idx, 1).reshape(g, -1, n).mean(2)
+            / np.take_along_axis(ref, idx, 1).reshape(g, -1, n).mean(2))
     return np.percentile(stats, [2.5, 97.5], axis=1).T
 
 
@@ -346,20 +337,25 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
     Relative saving is ``1 - steps_treatment / steps_reference``, reported
     per prompt and pooled, with paired-bootstrap confidence intervals.
     Both arms share one pool, so each ``(run, attempt)`` latent is denoised
-    once; because attempt seeds depend only on indices, neither arm's traces
-    differ from the arm run alone.
+    once; because attempt seeds depend only on indices, neither arm's
+    records differ from the arm run alone.  Of each record only its steps
+    are kept, summed into one int64 total per arm and run.
     """
     if not prompts:
         raise UsageError("a campaign needs at least one prompt")
-    # run_arms checks the other arguments.  One pool for both arms: the
-    # latents they share are denoised once, so the wall time of one arm
-    # alone is no longer measured.
-    ref_steps, treat_steps = (
-        np.array([trace.total_steps for trace in traces],
-                 dtype=np.float64).reshape(len(prompts), runs_per_prompt)
-        for traces in run_arms(mixtures, schedule, (reference, treatment),
-                               catalog, root_seed, runs_per_prompt,
-                               [p.text for p in prompts], label_threshold))
+    # Checked before the totals are allocated; run_arms checks the rest.
+    _check_runs_per_prompt(runs_per_prompt)
+    steps = np.zeros((2, len(prompts) * runs_per_prompt), dtype=np.int64)
+
+    def add(arm: int, run: int, attempt: AttemptRecord) -> None:
+        steps[arm, run] += attempt.steps
+
+    # One pool for both arms: the latents they share are denoised once, so
+    # the wall time of one arm alone is no longer measured.
+    run_arms(mixtures, schedule, (reference, treatment), catalog, root_seed,
+             runs_per_prompt, [p.text for p in prompts], add, label_threshold)
+    ref_steps, treat_steps = steps.astype(np.float64).reshape(
+        2, len(prompts), runs_per_prompt)
     groups = [(prompt.text, ref_steps[i], treat_steps[i])
               for i, prompt in enumerate(prompts)]
     groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel()))

@@ -13,9 +13,10 @@ file as one bytes object; a mixture's presence marginals; a campaign
 group's bootstrap interval from its own stream, where the package draws
 every group's at once; the logistic fit's epochs over ``expit`` and
 ``mean``, where the package inlines the logistic and divides the error
-sum; and the Monte Carlo of restart costs over float uniforms and
-per-run arrays, where the package compares word mantissas and compacts
-its runs block by block.
+sum; the Monte Carlo of restart costs over float uniforms and per-run
+arrays, where the package compares word mantissas and compacts its runs
+block by block; and each run's trace of attempts, rebuilt from the
+attempt records that the package hands on and never keeps.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from headlab import runtime
 from headlab.detector import expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, scaled_integers, stream_words, to_uniforms
+from headlab.runtime import OUTCOME_COMPLETE, AttemptRecord
 from headlab.scene import MixtureSpec, ObjectSpec
 from headlab.tensorio import tensor_header
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
@@ -301,3 +304,57 @@ def monte_carlo_reference(dist: AttemptDistribution, policy: PolicyParams,
     se = std / np.sqrt(n_runs)
     return SimReport(mean_cost=mean, stderr=se, ci_lo=mean - 1.96 * se,
                      ci_hi=mean + 1.96 * se)
+
+
+@dataclass(frozen=True)
+class RunTrace:
+    """Everything one restart-until-accepted run did: its prompt and its
+    attempts' records in order, the last the accepted one."""
+
+    prompt_id: str
+    attempts: tuple[AttemptRecord, ...]
+
+    @property
+    def total_steps(self) -> int:
+        return sum(a.steps for a in self.attempts)
+
+
+def _traces(history, prompt_ids) -> list[list[RunTrace | None]]:
+    """By arm, each run's trace from its records, named by
+    ``prompt_ids``; ``None`` for a run whose last record is not an
+    accepted attempt."""
+    return [[RunTrace(prompt_id, tuple(records))
+             if records and records[-1].outcome == OUTCOME_COMPLETE else None
+             for prompt_id, records in zip(prompt_ids, arm)]
+            for arm in history]
+
+
+def run_arms(mixtures, schedule: NoiseSchedule, policies, catalog,
+             root_seed: int, runs_per_prompt: int, prompt_ids,
+             label_threshold: float = 0.5) -> tuple[tuple[RunTrace, ...], ...]:
+    """``runtime.run_arms`` with its records collected into one tuple of
+    traces per policy, in (prompt, run) order."""
+    runs = range(len(mixtures) * runs_per_prompt)
+    history = [[[] for _ in runs] for _ in policies]
+    runtime.run_arms(mixtures, schedule, policies, catalog, root_seed,
+                     runs_per_prompt, prompt_ids,
+                     lambda arm, run, attempt: history[arm][run].append(attempt),
+                     label_threshold)
+    names = [prompt_ids[run // runs_per_prompt] for run in runs]
+    return tuple(tuple(arm) for arm in _traces(history, names))
+
+
+def pool(bank: MixtureBank, members, runs_per_prompt: int,
+         schedule: NoiseSchedule, policies, catalog, root_seed: int,
+         label_threshold: float):
+    """``runtime._pool`` with its records collected: by arm, the traces of
+    its runs in (prompt, run) order, each named ``""``, and ``_pool``'s
+    first failing run by arm."""
+    runs = [i * runs_per_prompt + j
+            for i in members for j in range(runs_per_prompt)]
+    history = [{run: [] for run in runs} for _ in policies]
+    failed = runtime._pool(
+        bank, members, runs_per_prompt, schedule, policies, catalog,
+        root_seed, label_threshold,
+        lambda arm, run, attempt: history[arm][run].append(attempt))
+    return _traces([arm.values() for arm in history], [""] * len(runs)), failed

@@ -140,6 +140,10 @@ def test_invalid_invocations_exit_1(argv, capsys):
     # 1/p overflows: the baseline cost is infinite
     ["simulate", "--p", "5e-324", "--recall", "1", "--tn-rate", "1",
      "--f", "0", "--objects", "3", "--out", "unused"],
+    ["sweep-p", "--recall", "1", "--tn-rate", "1", "--t-last", "8",
+     "--p-grid", "5e-324", "--out", "unused"],
+    ["sweep-p", "--recall", "1", "--tn-rate", "1", "--t-last", "8",
+     "--p-grid", "0.5,1e-310", "--objects", "3", "--out", "unused"],
 ])
 def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 """Live abort-and-reseed loop and measured step-saving campaigns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,12 @@ from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
                              CampaignReport, CampaignRow, RunPolicy,
-                             _bootstrap_cis, measure_campaign, run_arms,
+                             _bootstrap_cis, measure_campaign,
                              write_campaign_csv)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
 
-from oracles import bootstrap_ci
+from oracles import bootstrap_ci, pool, run_arms
 
 # Wave sizes a campaign must not notice: one row, sizes that split its
 # attempts across waves, and the shipped size.
@@ -287,6 +289,29 @@ def test_joint_arms_equal_single_arms_with_aborts(catalog, schedule,
     assert any(len(h.attempts) > len(b.attempts) for b, h in zip(ref, treat))
 
 
+def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
+                                                          tiny_model):
+    """Attempt k of a run has one seed in both arms, and the detector can
+    only turn away an image the presence check would accept: so in every
+    run the head accepts the baseline's accepted attempt or a later one,
+    and each arm's last record of a run is its only accepted attempt."""
+    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    records = {}
+    runtime.run_arms(mixtures, schedule, policies, catalog, **kwargs,
+                     record=lambda arm, run, attempt: records.setdefault(
+                         (run, arm), []).append(attempt))
+    runs = range(len(mixtures) * kwargs["runs_per_prompt"])
+    assert sorted(records) == [(run, arm) for run in runs for arm in (0, 1)]
+    for run in runs:
+        base, head = records[run, 0], records[run, 1]
+        for arm in (base, head):
+            assert ([r.outcome == OUTCOME_COMPLETE for r in arm]
+                    == [False] * (len(arm) - 1) + [True])
+        assert len(head) >= len(base)
+        assert [r.seed for r in head[:len(base)]] == [r.seed for r in base]
+    assert any(len(records[run, 1]) > len(records[run, 0]) for run in runs)
+
+
 @pytest.mark.parametrize("arm", ["baseline", "head"])
 def test_joint_identical_arms_equal_single_arms(catalog, schedule, tiny_model,
                                                  monkeypatch, arm):
@@ -374,19 +399,18 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     arm goes on making those runs as if alone."""
     _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
     ((bank, members),) = MixtureBank.group(mixtures)
-    runs = [runtime._Run(mixture=k, prompt_index=i, run_index=j, prompt_id="")
-            for k, i in enumerate(members) for j in range(3)]
+    runs = (members, 3)  # runs 0-2 of both prompts
     reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
                            max_restarts=4)
     rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
-    (alone,), _ = runtime._pool(bank, runs, schedule, (RunPolicy(),), *rest)
+    (alone,), _ = pool(bank, *runs, schedule, (RunPolicy(),), *rest)
     assert None not in alone
     for slots in (*SLOT_COUNTS[1:], 1):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
             steps, _ = _counting_calls(patch)
-            traces, failed = runtime._pool(bank, runs, schedule,
-                                           (reject_all, RunPolicy()), *rest)
+            traces, failed = pool(bank, *runs, schedule,
+                                  (reject_all, RunPolicy()), *rest)
         assert failed == [0, None]
         assert traces[1] == alone
     # With one slot the failing arm makes no attempt of a later run: beyond
@@ -398,9 +422,8 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     # A baseline allowed one attempt fails at run 0; the runs after it, each
     # accepted at its first attempt alone, are made by the other arm only.
     assert [len(t.attempts) for t in alone[1:]] == [1] * 5
-    traces, failed = runtime._pool(bank, runs, schedule,
-                                   (RunPolicy(max_restarts=1), RunPolicy()),
-                                   *rest)
+    traces, failed = pool(bank, *runs, schedule,
+                          (RunPolicy(max_restarts=1), RunPolicy()), *rest)
     assert failed == [0, None]
     assert traces == [[None] * 6, list(alone)]
 
@@ -411,7 +434,7 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
     its last step: only the arms left on it label its image."""
     _, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     ((bank, _),) = MixtureBank.group(mixtures)
-    runs = [runtime._Run(mixture=0, prompt_index=0, run_index=0, prompt_id="")]
+    runs = ([0], 1)  # run 0 of the one prompt
     late = RunPolicy(model=_flat_model((schedule.T - 1,), bias=-10.0),
                      max_restarts=3)
     labelled = []
@@ -419,11 +442,11 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
     monkeypatch.setattr(runtime, "label_image",
                         lambda *args: labelled.append(1) or label_image(*args))
     rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
-    _, failed = runtime._pool(bank, runs, schedule, (late, late), *rest)
+    _, failed = pool(bank, *runs, schedule, (late, late), *rest)
     assert failed == [0, 0]
     assert labelled == []
-    (_, (trace,)), failed = runtime._pool(bank, runs, schedule,
-                                          (late, RunPolicy()), *rest)
+    (_, (trace,)), failed = pool(bank, *runs, schedule, (late, RunPolicy()),
+                                 *rest)
     assert failed == [0, None]
     assert len(labelled) == len(trace.attempts)
 
@@ -641,6 +664,30 @@ def test_bootstrap_ci_equals_per_resample_loop(n):
         want = _bootstrap_ci_loop(ref[g], treat[g], seed)
         assert bootstrap_ci(ref[g], treat[g], seed) == want
         assert tuple(cis[g].tolist()) == want
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_bootstrap_in_blocks_equals_per_resample_loop(monkeypatch, per_block):
+    """A word budget of one resample per block, or of three, a block that
+    does not divide the 200 resamples, leaves every interval as it is."""
+    for n in (1, 7, 120):
+        monkeypatch.setattr(runtime, "_BOOTSTRAP_WORDS", per_block * 61 * n)
+        test_bootstrap_ci_equals_per_resample_loop(n)
+
+
+def test_bootstrap_memory_is_bounded_by_its_blocks():
+    """One group of 24,000 runs, the pooled group of 60 prompts x 400
+    runs: all 200 resamples drawn at once would peak near 110 MB."""
+    stream = SplitMix64(24000)
+    ref = np.floor(50.0 + 150.0 * stream.uniforms(24000)).reshape(1, -1)
+    treat = np.floor(16.0 + 150.0 * stream.uniforms(24000)).reshape(1, -1)
+    tracemalloc.start()
+    try:
+        _bootstrap_cis(ref, treat, [mix64(2024, 0xB007)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_pooled_saving_requires_pooled_row():
