@@ -133,11 +133,13 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     At each noise index the wave captures, if it is a capture step of some
     head arm, and the head arms deciding there decide, each over all its
     rows at once.  A row whose arms have all aborted it, or left its run,
-    then leaves the wave, and at ``t = 0`` every row left is labelled
-    once, from its batch's Gram-matrix responses with no image built, for
-    the arms still on it.  Each arm hands its :class:`AttemptRecord` to
-    ``record(arm, run, attempt)`` as it leaves an attempt, at its decision
-    or at ``t = 0``; so an arm's records of one run come in attempt order.
+    then leaves the wave; an arm leaves a row only at its decision or at
+    ``t = 0``, so no other noise index is looked over.  At ``t = 0``
+    every row left is labelled once, from its batch's Gram-matrix
+    responses with no image built, for the arms still on it.  Each arm
+    hands its :class:`AttemptRecord` to ``record(arm, run, attempt)`` as
+    it leaves an attempt, at its decision or at ``t = 0``; so an arm's
+    records of one run come in attempt order.
     An attempt that ends queues its run's next attempt, made by the arms
     whose run goes on.  Returns, by arm, the first run that exhausted the
     arm's ``max_restarts`` (None if none did); once one has, the arm drops
@@ -148,6 +150,8 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     heads = [(a, p.model, max(p.model.steps))
              for a, p in enumerate(policies) if p.model is not None]
     capture_at = {T - u for _, model, _ in heads for u in model.steps}
+    # An arm leaves a row only at its decision or at t = 0.
+    ends = {0} | {T - decision for _, _, decision in heads}
     failed: list[int | None] = [None for _ in arms]
     next_run = 0
     waiting: list[_Attempt] = []
@@ -200,6 +204,8 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
                 for a in at.arms:
                     leave(at, a, OUTCOME_COMPLETE if complete
                           else OUTCOME_INCOMPLETE, T)
+        if t not in ends:
+            continue
         done = [at for at in live if t == 0 or not at.arms]
         if not done:
             continue

@@ -24,7 +24,7 @@ from .errors import RunFailure, UsageError
 from .rng import golden_steps, mantissa_bounds, stream_mantissas
 
 MAX_SIMULATED_ATTEMPTS = 10 ** 6
-# Ten times the economics runs: `simulate` takes about 1.7 s and 139 MB peak
+# Ten times the economics runs: `simulate` takes about 1.6 s and 138 MB peak
 # RSS for two objects at p = 0.3 on a 2-vCPU Xeon, at most 12 bytes per run
 # plus the interpreter (no run index is written for a run that round one
 # retires).
@@ -77,11 +77,11 @@ class AttemptDistribution:
 
     @property
     def complete_probability(self) -> float:
+        """The chance of the all-present pattern, over every listing of
+        it."""
         full = tuple([1] * len(self.objects))
-        for pat, p in zip(self.patterns, self.probabilities):
-            if pat == full:
-                return p
-        return 0.0
+        return sum((p for pat, p in zip(self.patterns, self.probabilities)
+                    if pat == full), 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,39 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     with the mantissa bounds of the cdf edges and of the pass chances
     (``rng.mantissa_bounds``), which decides exactly as its uniform would.
 
-    The round is worked through in blocks of at most ``MC_BLOCK`` runs so
-    that its arrays stay in cache.  Each block reads its own pattern and
-    verdict words of the stream by offset, finalized in one pass, and adds
-    each run's attempt cost to that run's total, kept at its run index,
-    one attempt per round.  Its survivors' indices then move, in run order,
-    to the front of the active index array, behind those of the blocks
-    before it, in place.  Round one's active runs are all runs in order,
-    so it works by position: a block writes its runs' first costs straight
-    into their totals, and its survivors' indices are their positions, so
-    only the index entries of runs that survive round one are written.
-    Every round thus sees its runs in run order, each run's cost is the
-    same sequential sum, and the block size changes no bit of the report.
-    The variance is taken in place in the cost array, by the operations
-    ``np.std(ddof=1)`` does.
+    A draw reads the words of at most ``MC_BLOCK`` attempts, so that its
+    arrays stay in cache: a busy round is worked through in blocks of
+    that many runs.  Each block reads its own pattern and verdict words of
+    the stream by offset, finalized in one pass.  A run continues when
+    its row of pass bools, read as one integer, has every byte 1, and
+    retires when it continues with its one complete pattern (compared
+    with the pattern index, or looked up when the pattern is listed more
+    than once).  Each attempt's cost is written from the bits of ``f``
+    and ``1.0`` and added to its run's total, kept at its run index.  The
+    block's survivors' indices then move, in run order, to the front of
+    the active index array, behind those of the blocks before it, in
+    place.  Round one's active runs are all runs in order, so it works by
+    position: a block writes its runs' first costs straight into their
+    totals, and its survivors' indices are their positions, so only the
+    index entries of runs that survive round one are written.
+
+    While no run is expected to retire, the ``k`` runs left read the
+    next ``k * (1 + n_obj)`` words each round, so ``R`` rounds are one
+    stretch of the stream.  One draw then reads ``R`` rounds, ``R`` about
+    ``1 / (k * acceptance_probability)`` and no more than fits one draw
+    or than ``max_attempts`` allows; busy rounds have ``R = 1``.  It
+    decides every (round, run), keeps the rounds up to the first in which
+    a run retires, and sums each run's costs in order down a ``(rounds +
+    1, k)`` array whose first row is the totals so far.  Every round thus
+    sees its runs in run order, each run's cost is the same sequential
+    sum, and neither the block size nor ``R`` changes a bit of the
+    report, or the round at which ``RunFailure`` comes.  The variance is
+    taken in place in the cost array, by the operations ``np.std(ddof=1)``
+    does.
     """
     _check_policy_objects(dist, policy)
-    if acceptance_probability(dist, policy) <= 0.0:
+    accept = acceptance_probability(dist, policy)
+    if accept <= 0.0:
         raise RunFailure("policy accepts with probability zero")
     check_run_count(n_runs)
     n_obj = len(dist.objects)
@@ -225,15 +241,28 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     pass_bounds = mantissa_bounds(
         np.where(pattern_matrix, pass_present, pass_absent))
     complete_mask = pattern_matrix.all(axis=1)
-    step_cost = np.array([policy.cost_fraction, 1.0])
+    complete = np.flatnonzero(complete_mask)
+    # An attempt's cost is written as the bits of a double: those of f,
+    # plus the gap to those of 1.0 when it continued, taken modulo 2**64
+    # as the adds wrap, so that f = -0.0 works too.
+    f_bits, one_bits = np.array([policy.cost_fraction, 1.0]).view(
+        np.uint64).tolist()
+    lift = np.uint64((one_bits - f_bits) % 2 ** 64)
+    # A row of pass bools, padded with True to a power of two up to 8, or
+    # to a multiple of 8, is one unsigned word or a few uint64: every
+    # object passed when each word's bytes are all 1.
+    width = 1 << (n_obj - 1).bit_length() if n_obj <= 8 else -(-n_obj // 8) * 8
+    word = np.dtype(f"u{min(width, 8)}")
+    every = np.frombuffer(b"\x01" * word.itemsize, dtype=word)[0]
 
-    block = min(MC_BLOCK, n_runs)
+    block = MC_BLOCK
     steps = golden_steps(block * n_obj)
-    # A block's pattern words, then its verdict words, finalized together.
+    # A draw's pattern and verdict words, for at most ``block`` attempts.
     words = np.empty(block * (1 + n_obj), dtype=np.uint64)
     tmp = np.empty_like(words)
     pattern = np.empty(block, dtype=np.min_scalar_type(edges.size))
     hit = np.empty(block, dtype=bool)
+    passed = np.ones((block, width), dtype=bool)
     costs = np.empty(n_runs)
     # The survivors' indices, in run order; int32 holds MAX_MC_RUNS.  Round
     # one's runs are 0 .. n_runs - 1 by position, so only the entries of
@@ -243,48 +272,89 @@ def monte_carlo_cost(dist: AttemptDistribution, policy: PolicyParams,
     counter = 0
     rounds = 0
     while k:
-        rounds += 1
-        if rounds > max_attempts:
+        if rounds >= max_attempts:
             raise RunFailure(
                 f"no acceptance within {max_attempts} attempts per run")
+        # While no run is expected to retire, draw the rounds until one
+        # is, as one stretch: the same k runs read the next k * (1 +
+        # n_obj) words each round.  Round one works by position, alone.
+        R = 1
+        if rounds:
+            R = int(max(1, min(1.0 / (k * accept), block // k,
+                               max_attempts - rounds)))
         kept = 0
         for lo in range(0, k, block):
             hi = min(lo + block, k)
             b = hi - lo
-            verdicts_at = counter + k + lo * n_obj
-            drawn = stream_mantissas(
-                seed, ((counter + lo, b), (verdicts_at, b * n_obj)), steps,
-                words, tmp)
-            draw, verdicts = drawn[:b], drawn[b:]
+            cells = R * b
+            if b == k:
+                # The R rounds' words are one stretch, read in pieces no
+                # longer than steps.
+                n = cells * (1 + n_obj)
+                stretches = [(counter + i, min(steps.size, n - i))
+                             for i in range(0, n, steps.size)]
+            else:
+                stretches = ((counter + lo, b),
+                             (counter + k + lo * n_obj, b * n_obj))
+            drawn = stream_mantissas(seed, stretches, steps, words,
+                                     tmp).reshape(R, -1)
+            draw, verdicts = drawn[:, :b], drawn[:, b:].reshape(R, b, n_obj)
             # Counted in the narrowest dtype, each compare's bools added as
-            # their bytes with no cast, then widened once for the gathers
-            # below.
-            count = pattern[:b]
+            # their bytes with no cast.
+            count = pattern[:cells].reshape(R, b)
             count.fill(0)
+            flags = hit[:cells].reshape(R, b)
             for edge in edges:
-                count += np.greater_equal(draw, edge,
-                                          out=hit[:b]).view(np.uint8)
-            pat = count.astype(np.intp)
-            passed = verdicts.reshape(b, n_obj) < pass_bounds.take(pat, axis=0)
-            cont = passed[:, 0]
-            for j in range(1, n_obj):
-                cont &= passed[:, j]
+                count += np.greater_equal(draw, edge, out=flags).view(np.uint8)
+            # The finalize is done, so tmp holds the bounds, then the costs.
+            bounds = pass_bounds.take(count, axis=0, mode="clip",
+                                      out=tmp[:cells * n_obj].reshape(
+                                          R, b, n_obj))
+            np.less(verdicts, bounds,
+                    out=passed[:cells, :n_obj].reshape(R, b, n_obj))
+            each = passed[:cells].view(word) == every
+            cont = each[:, 0]
+            for j in range(1, each.shape[1]):
+                cont &= each[:, j]
+            if complete.size == 1:
+                done = np.equal(count, int(complete[0]), out=flags)
+            else:
+                done = complete_mask.take(count, mode="clip", out=flags)
+            done &= cont.reshape(R, b)
+            used = 1  # rounds kept: up to the first in which a run retires
+            if R > 1:
+                first = int(done.argmax())
+                used = first // b + 1 if done.flat[first] else R
             # Survivors move, in order, to the front of the active runs.
-            done = cont & complete_mask.take(pat)
-            stay = np.flatnonzero(np.logical_not(done, out=done))
+            last = done[used - 1]
+            stay = np.flatnonzero(np.logical_not(last, out=last))
             n_kept = kept + stay.size
-            if rounds == 1:
+            if rounds == 0:
                 # Run lo + i's first cost is its total: 0.0 + c == c.
-                step_cost.take(cont.view(np.uint8), out=costs[lo:hi])
+                cost = costs[lo:hi]
+            else:
+                # Row 0 is left for the totals so far.
+                cost = tmp[b:(used + 1) * b].view(np.float64)
+            bits = cost.view(np.uint64)
+            np.multiply(cont[:used * b], lift, out=bits)
+            bits += f_bits
+            if rounds == 0:
                 np.add(stay, lo, out=runs[kept:n_kept])
             else:
-                # Widened once: numpy would widen int32 indices on both
-                # the gather and the scatter of the cost add.
-                active = runs[lo:hi].astype(np.intp)
-                costs[active] += step_cost.take(cont.view(np.uint8))
-                runs[kept:n_kept] = runs[lo:hi].take(stay)
+                active = runs[lo:hi]
+                if used == 1:
+                    np.add.at(costs, active, cost)
+                else:
+                    # Each run's sequential sum, down its column.
+                    sums = tmp[:(used + 1) * b].view(np.float64).reshape(
+                        -1, b)
+                    costs.take(active, out=sums[0])
+                    np.add.accumulate(sums, axis=0, out=sums)
+                    costs[active] = sums[used]
+                runs[kept:n_kept] = active.take(stay)
             kept = n_kept
-        counter += k * (1 + n_obj)
+        rounds += used
+        counter += used * k * (1 + n_obj)
         k = kept
     del runs
 

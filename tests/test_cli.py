@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from headlab import cli
+from headlab import cli, timesaver
 from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
                          SimulationSettings, load_experiment_config, main)
 from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
                              DatasetConfig)
 from headlab.detector import MAX_EPOCHS, DetectorModel
 from headlab.errors import RunFailure, UsageError
+from headlab.rng import stream_mantissas
 from headlab.runtime import MAX_RESTARTS, MAX_RUNS_PER_PROMPT
 from headlab.scene import default_catalog, dump_catalog
-from headlab.timesaver import MAX_MC_RUNS
+from headlab.timesaver import MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
                              "objects": ["bench", "kite", "drum"],
@@ -339,6 +340,36 @@ def test_dead_detector_exits_2(capsys):
                "--tn-rate", "1.0", "--f", "0.16"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, rc", [("1e-9", 2), ("1e-5", 0)])
+def test_simulate_reaches_its_attempt_budget_in_few_draws(tmp_path, capsys,
+                                                          monkeypatch, p, rc):
+    """Ten runs at p = 1e-9 use up their 10^6 attempts each and fail with
+    one error line and no ``--out``; at p = 1e-5 they finish.  While no run
+    is expected to retire, a draw reads many rounds, so either ends in
+    about a thousand draws of the stream, not one draw per round."""
+    draws = []
+
+    def counted(*args):
+        draws.append(args[1])
+        return stream_mantissas(*args)
+
+    monkeypatch.setattr(timesaver, "stream_mantissas", counted)
+    out = tmp_path / "out"
+    assert main(["simulate", "--objects", "2", "--p", p, "--f", "0.16",
+                 "--recall", "0.95", "--tn-rate", "0.85", "--mc-runs", "10",
+                 "--out", str(out)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.out == ""
+        assert captured.err == (f"error: no acceptance within "
+                                f"{MAX_SIMULATED_ATTEMPTS} attempts per run\n")
+        assert not out.exists()
+    else:
+        assert captured.err == ""
+        assert (out / "simulate_result.json").exists()
+    assert 0 < len(draws) <= 1000
 
 
 def test_missing_dataset_exits_2(tmp_path, capsys):

@@ -325,27 +325,98 @@ def _outcome(simulate, *args, **kwargs):
 
 RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.3, 1.0))
 
+# Distributions that ``from_faithfulness`` never builds, for the fast paths
+# of a round: the pass rows of 4, 5 and 9 objects are one uint32, one
+# padded uint64 and two uint64 words, and a complete pattern listed twice
+# is looked up, not found by one compare.
+HAND_BUILT = {
+    "out of mask order": AttemptDistribution(
+        objects=("a", "b"), patterns=((1, 1), (0, 1), (0, 0), (1, 0)),
+        probabilities=(0.4, 0.3, 0.2, 0.1)),
+    "complete listed twice": AttemptDistribution(
+        objects=("a", "b"), patterns=((1, 1), (0, 0), (1, 1), (1, 0)),
+        probabilities=(0.25, 0.25, 0.3, 0.2)),
+    "complete at zero beside complete": AttemptDistribution(
+        objects=("a", "b"), patterns=((0, 1), (1, 1), (1, 1)),
+        probabilities=(0.4, 0.0, 0.6)),
+    "four objects": AttemptDistribution(
+        objects=tuple("abcd"),
+        patterns=((1, 0, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 0, 1)),
+        probabilities=(0.3, 0.4, 0.1, 0.2)),
+    "five objects": AttemptDistribution(
+        objects=tuple("abcde"),
+        patterns=((1, 1, 1, 1, 1), (0, 1, 1, 1, 1), (1, 1, 1, 1, 0)),
+        probabilities=(0.5, 0.25, 0.25)),
+    "nine objects": AttemptDistribution(
+        objects=tuple("abcdefghi"),
+        patterns=((1,) * 9, (1,) * 8 + (0,), (0,) + (1,) * 8, (0,) * 9),
+        probabilities=(0.5, 0.2, 0.2, 0.1)),
+}
 
-@given(n_obj=st.integers(1, 3),
-       q=st.floats(0.4, 1.0),
-       recall=st.lists(RATES, min_size=3, max_size=3),
-       tn=st.lists(RATES, min_size=3, max_size=3),
+DISTRIBUTIONS = st.one_of(
+    st.builds(lambda n_obj, q: AttemptDistribution.from_faithfulness(
+        tuple("abc"[:n_obj]), q), st.integers(1, 3), st.floats(0.4, 1.0)),
+    st.sampled_from(list(HAND_BUILT.values())))
+
+
+@given(dist=DISTRIBUTIONS,
+       recall=st.lists(RATES, min_size=9, max_size=9),
+       tn=st.lists(RATES, min_size=9, max_size=9),
        f=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
        n_runs=st.integers(1, 600),
        seed=st.integers(0, 2 ** 64 - 1),
        block=st.sampled_from([1, 7, 64, timesaver.MC_BLOCK]),
        max_attempts=st.integers(1, 12))
-def test_monte_carlo_equals_the_reference_bit_for_bit(n_obj, q, recall, tn, f,
+def test_monte_carlo_equals_the_reference_bit_for_bit(dist, recall, tn, f,
                                                       n_runs, seed, block,
                                                       max_attempts):
     """The same report as the float-uniform, per-run-array loop, whatever
     the block size, and the same failure when a run needs more attempts
     than allowed."""
-    objects = tuple("abc"[:n_obj])
-    dist = AttemptDistribution.from_faithfulness(objects, q)
-    policy = PolicyParams(recall=dict(zip(objects, recall)),
-                          true_negative_rate=dict(zip(objects, tn)),
+    policy = PolicyParams(recall=dict(zip(dist.objects, recall)),
+                          true_negative_rate=dict(zip(dist.objects, tn)),
                           cost_fraction=f)
+    expected = _outcome(monte_carlo_reference, dist, policy, n_runs, seed,
+                        max_attempts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        assert _outcome(monte_carlo_cost, dist, policy, n_runs, seed,
+                        max_attempts) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, timesaver.MC_BLOCK])
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_distributions_equal_the_reference(name, block):
+    dist = HAND_BUILT[name]
+    policy = PolicyParams.symmetric(dist.objects, 0.9, 0.6, 0.25)
+    expected = monte_carlo_reference(dist, policy, 500, seed=7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timesaver, "MC_BLOCK", block)
+        assert monte_carlo_cost(dist, policy, 500, seed=7) == expected
+
+
+def test_a_complete_pattern_listed_twice_counts_twice():
+    dist = HAND_BUILT["complete listed twice"]
+    assert dist.complete_probability == 0.25 + 0.3
+    assert HAND_BUILT["complete at zero beside complete"
+                      ].complete_probability == 0.6
+
+
+@given(n_obj=st.integers(1, 3),
+       p=st.floats(-4.0, -1.0).map(lambda e: 10.0 ** e),
+       f=st.sampled_from([0.0, 0.16]),
+       n_runs=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 64 - 1),
+       block=st.sampled_from([1, 7, 64, timesaver.MC_BLOCK]),
+       max_attempts=st.sampled_from([1, 2, 3, 17, 300, 2000]))
+def test_the_monte_carlo_tail_equals_the_reference(n_obj, p, f, n_runs, seed,
+                                                   block, max_attempts):
+    """At low acceptance, where rounds are drawn many at a time and cut at
+    the first in which a run retires, or at ``max_attempts``: the same
+    report, or failure, as the reference's one round at a time."""
+    objects = tuple("abc"[:n_obj])
+    dist = AttemptDistribution.from_faithfulness(objects, p ** (1 / n_obj))
+    policy = PolicyParams.symmetric(objects, 0.95, 0.85, f)
     expected = _outcome(monte_carlo_reference, dist, policy, n_runs, seed,
                         max_attempts)
     with pytest.MonkeyPatch.context() as patch:
@@ -405,6 +476,40 @@ def test_monte_carlo_memory_per_run():
     assert timesaver.MAX_MC_RUNS < 2 ** 31
     n_runs = 1_000_000
     dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.3 ** 0.5)
+    policy = PolicyParams.symmetric(("a", "b"), 0.95, 0.85, 0.16)
+    tracemalloc.start()
+    try:
+        monte_carlo_cost(dist, policy, n_runs, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n_runs + 2 * 2 ** 20
+
+
+def test_a_draw_of_many_rounds_stops_at_the_last_allowed_attempt():
+    """One run at p = 1e-3 under a perfect detector: every attempt before
+    the accepted one is aborted at cost 0.5, so the report gives the
+    attempt that accepts.  From round two a draw would read about 1,000
+    rounds, yet a budget one attempt short of it still fails."""
+    dist = AttemptDistribution.from_faithfulness(("a",), 1e-3)
+    policy = PolicyParams.symmetric(("a",), 1.0, 1.0, 0.5)
+    report = monte_carlo_cost(dist, policy, 1, seed=3)
+    accepted_at = int((report.mean_cost - 1.0) / 0.5) + 1
+    assert 2 < accepted_at < 1000
+    assert monte_carlo_cost(dist, policy, 1, seed=3,
+                            max_attempts=accepted_at) == report
+    with pytest.raises(RunFailure, match=f"^no acceptance within "
+                       f"{accepted_at - 1} attempts per run$"):
+        monte_carlo_cost(dist, policy, 1, seed=3,
+                         max_attempts=accepted_at - 1)
+
+
+def test_monte_carlo_memory_per_run_in_the_tail():
+    """At p = 1e-4 with 200 runs, where rounds are drawn about 10^4
+    attempts at a time, the traced peak keeps the same bound: a draw of
+    many rounds stays in one block's scratch."""
+    n_runs = 200
+    dist = AttemptDistribution.from_faithfulness(("a", "b"), 1e-4 ** 0.5)
     policy = PolicyParams.symmetric(("a", "b"), 0.95, 0.85, 0.16)
     tracemalloc.start()
     try:
