@@ -191,13 +191,11 @@ def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
 class DesignMatrix:
     """Feature matrix plus row bookkeeping for per-object evaluation.
 
-    ``sample_ids``, ``object_ids`` and ``splits`` name each row's sample,
-    object and split.
+    ``object_ids`` and ``splits`` name each row's object and split.
     """
 
     x: np.ndarray
     y: np.ndarray
-    sample_ids: tuple[str, ...]
     object_ids: tuple[str, ...]
     splits: tuple[str, ...]
     feature_names: tuple[str, ...]
@@ -215,12 +213,9 @@ class DesignMatrix:
     def of_split(self, split: str) -> "DesignMatrix":
         """The rows of one split, in order."""
         rows = [i for i, name in enumerate(self.splits) if name == split]
-        sample_ids, object_ids, splits = (
-            tuple(ids[i] for i in rows)
-            for ids in (self.sample_ids, self.object_ids, self.splits))
         return replace(self, x=self.x[rows], y=self.y[rows],
-                       sample_ids=sample_ids, object_ids=object_ids,
-                       splits=splits)
+                       object_ids=tuple(self.object_ids[i] for i in rows),
+                       splits=tuple(self.splits[i] for i in rows))
 
 
 def build_design_matrix(root, manifest: DatasetManifest,
@@ -255,7 +250,6 @@ def build_design_matrix(root, manifest: DatasetManifest,
                        index),
         y=np.array([s.labels[obj] for s in chosen for obj in s.targets],
                    dtype=np.int64),
-        sample_ids=tuple(s.sample_id for s in chosen for _ in s.targets),
         object_ids=tuple(obj for s in chosen for obj in s.targets),
         splits=tuple(split_of[i] for i, s in zip(index, chosen)
                      for _ in s.targets),

@@ -16,13 +16,13 @@ Every per-step quantity derives from one posterior over the components: the
 responsibilities ``r`` give the posterior mean, hence eps, the predicted
 final image (a one-jump DDIM projection, i.e. the Tweedie estimate) and the
 attention maps.  The engine evaluates it for a batch of latents at once.
-The mixtures of a :class:`MixtureBank` share one structure, one set of
-component weights and one variance ``s2``, and differ only in their
+The mixtures of a :class:`MixtureBank` share one structure, component
+map, set of weights and variance ``s2``, and differ only in their
 templates.  A :class:`LockstepBatch` is built once for the rows of a wave
 of :func:`denoise`, the one denoising loop of the corpus and the
 campaign, each row under its own mixture of one bank and from its own
 starting noise.  It gathers per row only what differs by row and shares
-the bank's log weights and one marginal-variance table by ``t``;
+the bank's log weights, component map and variance table by ``t``;
 :func:`initial_latents` draws the starting noise of all its rows in one
 pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
 their posterior at a noise index into predicted final images and
@@ -122,19 +122,21 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
 
 
 def _bank_key(m: MixtureSpec) -> tuple:
-    # ints and floats only, so that keys sort
+    # ints and floats only, so that keys sort: an absent target is -1
     return (len(m.components),
             tuple(len(o.candidate_positions) for o in m.objects), m.grid_size,
-            tuple(c.weight for c in m.components), m.s2)
+            tuple(c.weight for c in m.components), m.s2,
+            tuple(tuple(-1 if j is None else j for j in c.position_choice)
+                  for c in m.components))
 
 
 @dataclass(frozen=True)
 class MixtureBank:
     """Mixtures stacked for lockstep evaluation.  They share one component
     count, candidate-position count per target and grid size, one set of
-    component weights and one variance ``s2``, and differ only in their
-    placed templates.  A batch names each row's mixture by its index
-    here."""
+    component weights, one variance ``s2`` and one component map, and
+    differ only in their placed templates.  A batch names each row's
+    mixture by its index here."""
 
     mixtures: tuple[MixtureSpec, ...]
 
@@ -143,7 +145,8 @@ class MixtureBank:
             raise UsageError("a mixture bank needs at least one mixture, all "
                              "with the same component count, candidate-"
                              "position count per target, grid size, "
-                             "component weights and variance")
+                             "component weights, variance and position "
+                             "choices")
 
     @staticmethod
     def group(mixtures) -> list[tuple["MixtureBank", list[int]]]:
@@ -189,19 +192,20 @@ class MixtureBank:
         """Each component mean's squared norm ``c_k = ||mu_k||^2``, shape
         ``(M, K)``, from the template block of the Gram matrix: ``E_k . (G
         E_k)`` over the template columns of ``E``."""
-        e = self.mean_coefficients[..., 1:]
-        ge = (self.template_gram[:, None] * e[:, :, None, :]).sum(-1)
+        e = self.mean_coefficients[:, 1:]
+        ge = (self.template_gram[:, None] * e[None, :, None, :]).sum(-1)
         return (e * ge).sum(-1)
 
     @cached_property
     def mean_coefficients(self) -> np.ndarray:
-        """``E`` of shape ``(M, K, P = 1 + J)``: 1 where component k places
-        template j, so that ``mu_k = E[k, 1:] @ g``; column 0, for a row's
-        starting noise, is zero."""
-        return np.array([[[0.0] + [float(choice == j) for choice, o
-                                   in zip(c.position_choice, m.objects)
-                                   for j in range(len(o.candidate_positions))]
-                          for c in m.components] for m in self.mixtures])
+        """The bank's one component map ``E`` (K, P = 1 + J): 1 where
+        component k places template j, so that ``mu_k = E[k, 1:] @ g`` for
+        each mixture's templates ``g``; column 0, for ``z_T``, is zero."""
+        m = self.mixtures[0]
+        return np.array([[0.0] + [float(choice == j) for choice, o
+                                  in zip(c.position_choice, m.objects)
+                                  for j in range(len(o.candidate_positions))]
+                         for c in m.components])
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -269,12 +273,13 @@ class LockstepBatch:
 
     Built once per wave of :func:`denoise`, it holds per row only what
     differs by row: its starting noise ``z_T`` (B, D), Gram matrix,
-    component energies, mean coefficients and latent coefficients, and its
-    mixture index ``which``.  The bank's log weights and (M, J, D)
-    templates are referenced, not copied, and the marginal variance, its
-    double and whether it is degenerate are one ``(T + 1,)`` table each,
-    the same for every row.  Each row's values are those of the same
-    formulas applied to it alone, operation for operation.
+    component energies and latent coefficients, and its mixture index
+    ``which``.  The bank's log weights, (M, J, D) templates and (K, P)
+    component map are referenced, not copied, beside one (P, K) transpose
+    of the map, and the marginal variance, its double and whether it is
+    degenerate are one ``(T + 1,)`` table each, the same for every row.
+    Each row's values are those of the same formulas applied to it alone,
+    operation for operation.
     """
 
     def __init__(self, bank: MixtureBank, which, schedule: NoiseSchedule,
@@ -305,8 +310,9 @@ class LockstepBatch:
         gram[:, 1:, 0] = z_row[:, 1:]
         gram[:, 1:, 1:] = bank.template_gram[which]
         self._energy = bank.component_energy[which]
-        self._coef = bank.mean_coefficients[which]
-        self._coef_t = self._coef.transpose(0, 2, 1).copy()
+        # a contiguous transpose, so that the pull sums a contiguous axis
+        self._coef = bank.mean_coefficients
+        self._coef_t = np.ascontiguousarray(self._coef.T)
         self._a = np.zeros(z_row.shape)
         self._a[:, 0] = 1.0
         self._log_weights = bank.log_weights
@@ -344,8 +350,7 @@ class LockstepBatch:
         """Go on with the rows at positions ``rows`` only, in that order, as
         when attempts leave a wave; the rows kept keep their values, and
         their share of the posterior already evaluated."""
-        for name in ("_z_start", "_gram", "_energy", "_coef", "_coef_t", "_a",
-                     "which"):
+        for name in ("_z_start", "_gram", "_energy", "_a", "which"):
             setattr(self, name, getattr(self, name)[rows])
         if self._post is not None:
             t, *post = self._post

@@ -102,18 +102,16 @@ class AttemptRecord:
 class _Attempt:
     """An attempt in flight: its run's (prompt, run) index, its index, its
     run's mixture (an index into its pool's bank) and its seed, the arms
-    (positions in the pool's policies) still making it, what it has
-    captured, each head arm's verdicts, and the arms that left it
-    unaccepted; captures are its rows of
-    :meth:`~headlab.engine.LockstepBatch.capture`, by capture label.  An
-    arm leaves ``arms`` when it aborts the attempt or drops the run."""
+    (positions in the pool's policies) still making it, each head arm's
+    verdicts, and the arms that left it unaccepted.  Its captures are its
+    row of its wave's stacks.  An arm leaves ``arms`` when it aborts the
+    attempt or drops the run."""
 
     run: int
     index: int
     mixture: int
     seed: int
     arms: list[int]
-    captured: dict[int, np.ndarray] = field(default_factory=dict)
     verdicts: dict[int, dict[str, int]] = field(default_factory=dict)
     unaccepted: list[int] = field(default_factory=list)
 
@@ -131,10 +129,12 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     holds the attempts waiting for a wave, then, once a wave has ended, the
     first attempts of runs not yet started, in order, up to a wave's rows.
     At each noise index the wave captures, if it is a capture step of some
-    head arm, and the head arms deciding there decide, each over all its
-    rows at once.  A row whose arms have all aborted it, or left its run,
-    then leaves the wave; an arm leaves a row only at its decision or at
-    ``t = 0``, so no other noise index is looked over.  At ``t = 0``
+    head arm, into one stack per capture label, and the head arms deciding
+    there decide, each over all its rows at once, read from the stacks by
+    row index as stored tensors are.  A row whose arms have all aborted
+    it, or left its run, then leaves the wave and its stacks; an arm
+    leaves a row only at its decision or at ``t = 0``, so no other noise
+    index is looked over.  At ``t = 0``
     every row left is labelled once, from its batch's Gram-matrix
     responses with no image built, for the arms still on it.  Each arm
     hands its :class:`AttemptRecord` to ``record(arm, run, attempt)`` as
@@ -178,9 +178,10 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
 
     admit()
     for t, batch, live in denoise(bank, schedule, waiting):
+        if t == T:  # a wave starts: its capture stacks, by label
+            captured = {}
         if t in capture_at:
-            for at, channels in zip(live, batch.capture(t)):
-                at.captured[T - t] = channels
+            captured[T - t] = batch.capture(t)
         for a, model, decision in heads:
             deciding = ([row for row, at in enumerate(live) if a in at.arms]
                         if t == T - decision else [])
@@ -188,9 +189,8 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
                 continue
             targets = [bank.mixtures[m].targets
                        for m in batch.which[deciding]]
-            x = feature_rows(
-                lambda u: np.stack([live[row].captured[u] for row in deciding]),
-                targets, catalog, model.variant, model.steps)
+            x = feature_rows(captured.__getitem__, targets, catalog,
+                             model.variant, model.steps, deciding)
             votes = model.predict(x).reshape(len(deciding), -1).tolist()
             for row, names, row_votes in zip(deciding, targets, votes):
                 verdicts = live[row].verdicts[a] = dict(zip(names, row_votes))
@@ -228,6 +228,7 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
         keep = [row for row, at in enumerate(live) if t and at.arms]
         live[:] = [live[row] for row in keep]
         batch.keep(keep)
+        captured = {u: c[keep] for u, c in captured.items()}
         if not live:  # the wave has ended
             admit()
     return failed

@@ -284,7 +284,7 @@ def test_model_load_accepts_a_saturated_threshold(tmp_path, threshold):
 
 def test_training_rejects_a_threshold_outside_the_open_unit_interval():
     design = DesignMatrix(x=np.array([[1.0], [-1.0]]), y=np.array([1, 0]),
-                          sample_ids=("a", "b"), object_ids=("o", "o"),
+                          object_ids=("o", "o"),
                           splits=("train",) * 2,
                           feature_names=("f",), variant="combined",
                           steps=(8,))
@@ -346,7 +346,6 @@ def test_confusion_counts_and_rates():
     design = DesignMatrix(
         x=np.array([[9.0, 0], [9.0, 0], [-9.0, 0], [-9.0, 0], [9.0, 0]]),
         y=np.array([1, 0, 0, 1, 1]),
-        sample_ids=("a", "b", "c", "d", "e"),
         object_ids=("cat", "cat", "cat", "kite", "kite"),
         splits=("val",) * 5,
         feature_names=("f0", "f1"), variant="combined", steps=(8,))
@@ -405,8 +404,12 @@ def test_design_matrix_from_dataset(tiny_dataset):
     n_rows = 2 * len(mani.samples_for_split("train"))
     assert design.x.shape == (n_rows, 6)
     assert design.feature_names == FEATURE_NAMES
+    # rows come sample by sample in split order, then by target
     by_id = {s.sample_id: s for s in mani.samples}
-    for sid, obj, label in zip(design.sample_ids, design.object_ids, design.y):
+    sample_ids = [s.sample_id for s in mani.samples_for_split("train")
+                  for _ in s.targets]
+    for sid, obj, label in zip(sample_ids, design.object_ids, design.y,
+                               strict=True):
         assert by_id[sid].labels[obj] == label
 
 
@@ -469,7 +472,9 @@ def test_live_features_equal_disk_features(tiny_dataset):
         disk = build_design_matrix(tiny_dataset.root, mani,
                                    tiny_dataset.catalog, steps=steps,
                                    variant=variant, splits=(split,))
-        mine = [i for i, sid in enumerate(disk.sample_ids)
+        mine = [i for i, sid in enumerate(
+                    s.sample_id for s in mani.samples_for_split(split)
+                    for _ in s.targets)
                 if sid == sample.sample_id]
         assert len(mine) == len(sample.targets)
         assert np.array_equal(live, disk.x[mine]), variant

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _softmax, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64, scaled_integers
-from headlab.scene import MAX_TARGETS, ObjectSpec, build_conditional_mixture
+from headlab.scene import (MAX_TARGETS, ObjectSpec, SceneComponent,
+                           build_conditional_mixture)
 
 from oracles import (dense_trajectory, means_matrix, nearest_component,
                      pixel_labels, posterior, sample_batch)
@@ -730,12 +732,15 @@ def test_mixture_bank_needs_one_component_count(catalog):
             for o, c in (("left", 4), ("right", 12))}
     six = build_conditional_mixture(("left", "right"), 1.0, trio)
     assert len(six.components) == len(two.components)
-    bank = MixtureBank((two, two))
+    # the bank's one component map serves each of its mixtures
+    other = build_conditional_mixture(("dog", "kite"), 0.8, catalog)
+    bank = MixtureBank((two, other))
     assert bank.templates.shape == (2, 4, 256)
-    assert bank.mean_coefficients.shape == (2, 9, 5)
-    assert not bank.mean_coefficients[..., 0].any()
-    assert np.array_equal(bank.mean_coefficients[0, :, 1:] @ bank.templates[0],
-                          means_matrix(two))
+    assert bank.mean_coefficients.shape == (9, 5)
+    assert not bank.mean_coefficients[:, 0].any()
+    for m, mixture in enumerate(bank.mixtures):
+        assert np.array_equal(bank.mean_coefficients[:, 1:] @ bank.templates[m],
+                              means_matrix(mixture))
     for mixtures in ((), (two, three), (two, one), (two, six)):
         with pytest.raises(UsageError, match="^a mixture bank needs"):
             MixtureBank(mixtures)
@@ -762,6 +767,51 @@ def test_mixtures_of_other_weights_or_variance_share_no_bank(catalog):
             assert np.array_equal(bank.log_weights, np.log((a, b)[m].weights))
         with pytest.raises(UsageError, match="^a mixture bank needs"):
             MixtureBank((a, b))
+
+
+def test_mixtures_of_other_component_order_share_no_bank(catalog, schedule):
+    """A bank's mixtures share one component map: two mixtures of the same
+    candidate counts, weights and variance whose components are listed in
+    another order take two banks, and the batches built from their groups
+    give each row its own mixture's per-pixel trajectory."""
+    pair = build_conditional_mixture(("cat", "bench"), 0.7, catalog)
+    other = build_conditional_mixture(("dog", "kite"), 0.7, catalog)
+    # each target's candidates counted from the other end: the same
+    # components, with the same weights, listed in another order
+    flipped = replace(other, components=tuple(
+        SceneComponent(tuple(None if j is None
+                             else len(o.candidate_positions) - 1 - j
+                             for j, o in zip(c.position_choice, other.objects)),
+                       c.weight) for c in other.components))
+    assert set(flipped.components) == set(other.components)
+    assert flipped.components != other.components
+    assert np.array_equal(flipped.weights, pair.weights)
+    mixtures = [pair, flipped]
+    which = [0, 1, 1, 0]
+    seeds = [mix64(11, b) for b in range(len(which))]
+    groups = MixtureBank.group(mixtures)
+    for bank, members in groups:
+        rows = [b for b, m in enumerate(which) if m in members]
+        batch = LockstepBatch(bank, [members.index(which[b]) for b in rows],
+                              schedule,
+                              engine.initial_latents([seeds[b] for b in rows],
+                                                     16))
+        dense = [dense_trajectory(mixtures[which[b]], schedule, z)
+                 for b, z in zip(rows, batch.z)]
+        for steps in zip(*dense):
+            t = steps[0][0]
+            r, _ = posterior(batch, t)
+            caps = batch.capture(t)
+            for k, (_, z, r_dense, _, pfi, attention) in enumerate(steps):
+                assert np.abs(r[k] - r_dense).max() < TOLERANCE
+                assert np.abs(batch.z[k] - z).max() < TOLERANCE
+                assert np.abs(caps[k] - np.stack([pfi, *attention.values()])
+                              ).max() < TOLERANCE
+            if t:
+                batch.step(t)
+    assert sorted(members for _, members in groups) == [[0], [1]]
+    with pytest.raises(UsageError, match="^a mixture bank needs"):
+        MixtureBank((pair, flipped))
 
 
 def test_components_of_underflowed_weight_take_no_responsibility(catalog,
@@ -870,15 +920,19 @@ def test_built_batch_holds_no_pixel_basis(catalog, schedule):
     """A batch keeps its rows' starting noise (B, D) and only a reference
     to the bank's (M, J, D) templates: no array of B * P * D elements,
     once built, stepped, captured or subset.  Every array it holds has one
-    row per batch row or is the bank's own, the templates or the log
-    weights: the marginal variance is one table by ``t`` for all rows."""
+    row per batch row or is shared by all rows: the bank's templates, log
+    weights and (K, P) component map, and one contiguous (P, K) transpose
+    of the map.  No array holds a component map per row, B * K * P
+    elements; the marginal variance is one table by ``t`` for all rows."""
     bank = _pair_bank(catalog)
     rows = 40
     assert rows != schedule.T + 1
     batch = LockstepBatch(bank, np.arange(rows) % 2, schedule,
                           engine.initial_latents(range(rows), 16))
-    basis_size = rows * (1 + bank.templates.shape[1]) * 256
-    shared = (bank.templates, bank.log_weights)
+    k, p = bank.mean_coefficients.shape
+    assert rows not in (k, p)
+    basis_size = rows * p * 256
+    shared = (bank.templates, bank.log_weights, bank.mean_coefficients)
 
     def arrays():
         for value in vars(batch).values():
@@ -891,9 +945,13 @@ def test_built_batch_holds_no_pixel_basis(catalog, schedule):
                    (lambda: batch.keep([0, 3]), 2)):
         act()
         held = [a for a in arrays() if isinstance(a, np.ndarray)]
-        assert any(a is bank.templates for a in held)
-        assert all(a.size < basis_size for a in held)
-        assert all(len(a) == n or any(a is s for s in shared) for a in held)
+        assert all(any(a is s for a in held) for s in shared)
+        assert all(a.size < basis_size and a.size != n * k * p for a in held)
+        own = [a for a in held if not any(a is s for s in shared)]
+        [transpose] = [a for a in own if a.shape == (p, k)]
+        assert transpose.flags.c_contiguous
+        assert np.array_equal(transpose, bank.mean_coefficients.T)
+        assert all(len(a) == n for a in own if a is not transpose)
 
 
 # Seeds at both ends of the range and from the derivations the package uses.
@@ -927,7 +985,8 @@ def test_component_energy_is_each_mean_squared_norm(catalog):
                                                 (("owl", "drum"), 0.5))])
     assert sorted(members for _, members in groups) == [[0], [1], [2]]
     for bank, _ in groups:
-        assert bank.component_energy.shape == bank.mean_coefficients.shape[:2]
+        assert bank.component_energy.shape == (
+            len(bank.mixtures), len(bank.mean_coefficients))
         for m, mixture in enumerate(bank.mixtures):
             want = (means_matrix(mixture) ** 2).sum(-1)
             assert np.abs(bank.component_energy[m] - want).max() < 1e-12

@@ -1,6 +1,7 @@
 """Live abort-and-reseed loop and measured step-saving campaigns."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -706,3 +707,51 @@ def test_campaign_csv(tmp_path):
     assert lines[0] == "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi"
     assert lines[1] == "a cat; sitting,baseline,2,85.0000,,,"
     assert lines[2] == "pooled,head,2,61.5000,0.276500,0.100000,0.400000"
+
+
+def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
+        catalog, schedule, tiny_dataset, monkeypatch):
+    """Two head arms decide at steps 8 and 16, the later one on both
+    steps' captures.  Once the later arm has accepted a run, the earlier
+    arm makes its next attempts alone and drops them at step 8, in waves
+    where the later arm still decides at step 16 on the rows left: it
+    reads its step 8 captures without the rows that left, and each arm's
+    records equal the arm run alone."""
+    def fit(steps, variant):
+        return fit_detector(build_design_matrix(
+            tiny_dataset.root, tiny_dataset.manifest, catalog, steps=steps,
+            variant=variant, splits=("train",)))
+
+    early, late = 8, 16
+    # a strict early arm, so that it aborts attempts the later one accepts
+    policies = (RunPolicy(model=replace(fit((early,), "combined"),
+                                        threshold=0.9)),
+                RunPolicy(model=fit((early, late), "multi_timestep")))
+    _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
+                        0.59 ** 0.5)
+    kwargs = dict(root_seed=5, runs_per_prompt=6, prompt_ids=["", ""])
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
+                         **kwargs) for policy in policies)
+    # each wave's rows by the noise index they step from, and whether the
+    # later arm decided in it
+    waves = []
+    step, feature_rows = LockstepBatch.step, runtime.feature_rows
+
+    def stepping(batch, t):
+        if t == schedule.T:
+            waves.append({})
+        waves[-1][t] = len(batch.which)
+        return step(batch, t)
+
+    def deciding(*args):
+        if args[4] == (early, late):
+            waves[-1]["late"] = True
+        return feature_rows(*args)
+
+    monkeypatch.setattr(LockstepBatch, "step", stepping)
+    monkeypatch.setattr(runtime, "feature_rows", deciding)
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 4)
+    assert run_arms(mixtures, schedule, policies, catalog, **kwargs) == alone
+    t_early = schedule.T - early
+    assert any(wave.get("late") and wave[t_early] < wave[t_early + 1]
+               for wave in waves)
