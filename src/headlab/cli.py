@@ -452,8 +452,11 @@ def _cmd_run(args) -> None:
 
 
 def _render_table(path: Path) -> str:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path} is not a readable CSV: {exc}") from exc
     if not rows:
         raise UsageError(f"{path} is empty")
     if any(len(row) != len(rows[0]) for row in rows):

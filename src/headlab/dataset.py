@@ -342,8 +342,8 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     into ``out_dir``, which should be new or empty: files of an earlier
     build are overwritten, not removed.
 
-    Output bytes are a pure function of ``config`` and ``catalog``: every
-    row is bit-identical whatever wave it is denoised in.
+    Every seed is mixed in one call, and output bytes are a pure function
+    of ``config`` and ``catalog``: a row is bit-identical in any wave.
     """
     config.validate()
     for name in list(config.subjects) + list(config.objects):
@@ -361,8 +361,9 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
              for j, i in enumerate(members)}
     T, n = config.num_steps, mixtures[0].grid_size
     schedule = make_schedule(T)
-    rows = [_Sample(i, s, place[i][1], mix64(config.global_seed, i, s))
-            for i in range(len(prompts)) for s in range(config.seeds_per_prompt)]
+    grid = np.indices((len(prompts), config.seeds_per_prompt)).reshape(2, -1)
+    rows = [_Sample(i, s, place[i][1], seed) for i, s, seed in zip(
+        *grid.tolist(), mix64(config.global_seed, *grid).tolist())]
     channels = 1 + len(prompts[0].targets)
     samples: list[SampleRecord] = []
     with ExitStack() as files:
@@ -472,8 +473,8 @@ def load_manifest(root) -> DatasetManifest:
 
     Line 1 must be the header.  Sample values must have their
     :class:`SampleRecord` types, and each sample must name a prompt of the
-    header's prompt grid with its targets: a sample's line decides its row
-    in the tensor store.
+    header's prompt grid with its targets, each labelled 0 or 1 and
+    nothing else: a sample's line decides its row in the tensor store.
     """
     path = Path(root) / MANIFEST_NAME
     samples: list[SampleRecord] = []
@@ -503,6 +504,11 @@ def load_manifest(root) -> DatasetManifest:
                     raise ValueError(
                         f"targets {list(sample.targets)} are not those of "
                         f"prompt {sample.prompt_index} of the prompt grid")
+                if (set(sample.labels) != set(sample.targets)
+                        or not set(sample.labels.values()) <= {0, 1}):
+                    raise ValueError(
+                        f"labels {sample.labels} are not one 0 or 1 per "
+                        f"target of {list(sample.targets)}")
                 samples.append(sample)
             except (AttributeError, TypeError, ValueError, UsageError) as exc:
                 raise ValueError(f"{where}: malformed {kind} line: {exc}") from exc

@@ -478,23 +478,18 @@ def merge_counts(counts) -> ObjectCounts:
                         fn=sum(c.fn for c in counts))
 
 
-def _counts(y_true: np.ndarray, y_pred: np.ndarray) -> ObjectCounts:
-    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
-    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
-    tn = int(np.sum((y_pred == 0) & (y_true == 0)))
-    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
-    return ObjectCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
 def evaluate_detector(model: DetectorModel,
                       design: DesignMatrix) -> ConfusionReport:
-    pred = model.predict(design.x)
-    objects = np.array(design.object_ids)
-    per_object = {}
-    for obj in sorted(set(design.object_ids)):
-        mask = objects == obj
-        per_object[obj] = _counts(design.y[mask], pred[mask])
-    return ConfusionReport(pooled=_counts(design.y, pred),
+    """Per-object confusion, one ``np.bincount`` of every row's (object,
+    predicted, true) cell, and pooled, the per-object counts merged; labels
+    are 0 or 1, as :func:`~headlab.dataset.load_manifest` checks."""
+    objects, code = np.unique(design.object_ids, return_inverse=True)
+    cells = np.bincount(4 * code + 2 * model.predict(design.x) + design.y,
+                        minlength=4 * len(objects)).reshape(-1, 2, 2)
+    per_object = {obj: ObjectCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+                  for obj, ((tn, fn), (fp, tp))
+                  in zip(objects.tolist(), cells.tolist())}
+    return ConfusionReport(pooled=merge_counts(per_object.values()),
                            per_object=per_object)
 
 

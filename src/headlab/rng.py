@@ -9,7 +9,8 @@ from its offset, with no mutable state.  :func:`stream_words` draws one
 stretch of many streams at once, a row per seed, and
 :func:`stream_mantissas` a few stretches of one stream, mixed together,
 into the caller's buffers; both add ``seed + start * GOLDEN`` to
-:func:`golden_steps`.
+:func:`golden_steps`.  :func:`mix64` folds whole arrays of indices into
+seeds through the same finalizer, :func:`_finalize`.
 
 Layout of derived quantities:
 
@@ -36,39 +37,39 @@ import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 _U64_GOLDEN = np.uint64(GOLDEN)
-_U64_MIX1 = np.uint64(_MIX1)
-_U64_MIX2 = np.uint64(_MIX2)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def finalize64(x: int) -> int:
-    """SplitMix64 finalizer on a Python int, modulo 2**64."""
-    x &= MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & MASK64
-    return x ^ (x >> 31)
+def _as_words(values) -> np.ndarray:
+    """Ints, or an int array, as uint64, each reduced modulo 2**64."""
+    words = np.asarray(values)
+    if words.dtype.kind not in "iu":  # no ints, or some past int64's range
+        words = np.asarray(np.array(values, dtype=object) & MASK64)
+    return words.astype(np.uint64, copy=False)
 
 
-def mix64(*values: int) -> int:
-    """Fold any number of integers into one well-scrambled 64-bit seed.
+def mix64(*values):
+    """Fold ints, or int arrays broadcast together, into well-scrambled
+    64-bit seeds: a uint64 array, or an int when every value is an int.
 
-    The fold is ``h <- finalize64(h + GOLDEN + v)`` over the values in order,
-    starting from ``h = 0``.  Negative inputs are reduced modulo 2**64 first.
-    Order matters: ``mix64(a, b) != mix64(b, a)`` in general, which is what we
-    want when deriving per-(prompt, seed) streams from a global seed.
+    The fold is ``h <- _finalize(h + GOLDEN + v)`` over the values in
+    order, from ``h = 0``, each reduced modulo 2**64; order matters, so
+    ``mix64(i, j)`` and ``mix64(j, i)`` seed different streams.
     """
-    h = 0
-    for v in values:
-        h = finalize64((h + GOLDEN + (int(v) & MASK64)) & MASK64)
-    return h
+    words = [_as_words(v) + _U64_GOLDEN for v in values]
+    h = np.zeros(np.broadcast_shapes(*(w.shape for w in words)), np.uint64)
+    for w in words:
+        h += w
+        _finalize(h, np.empty_like(h))
+    return int(h) if all(isinstance(v, int) for v in values) else h
 
 
 def _finalize(words: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The bit dance of :func:`finalize64` on ``words`` in place (uint64
-    arithmetic wraps), with ``tmp`` (same shape) as scratch."""
+    """The SplitMix64 finalizer (Steele, Lea and Flood, 2014) on ``words``
+    in place (uint64 arithmetic wraps), ``tmp`` of its shape as scratch."""
     for shift, mix in ((30, _U64_MIX1), (27, _U64_MIX2)):
         np.right_shift(words, np.uint64(shift), out=tmp)
         words ^= tmp
@@ -79,9 +80,9 @@ def _finalize(words: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def stream_words(seeds, start: int, n: int) -> np.ndarray:
-    """Words ``start .. start + n - 1`` of the stream of each seed of the
-    sequence ``seeds``, as a ``(B, n)`` array, row ``b`` the stream of
-    ``seeds[b]``.
+    """Words ``start .. start + n - 1`` of the stream of each seed of
+    ``seeds``, ints or an int array, as a ``(B, n)`` array, row ``b`` the
+    stream of ``seeds[b]`` modulo 2**64.
 
     Word ``i`` of a row is ``golden_steps(n)[i] + (seed + start * GOLDEN)``
     finalized, so a stretch drawn at offset ``start`` equals that slice of
@@ -89,9 +90,8 @@ def stream_words(seeds, start: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("draw count must be non-negative")
-    words = golden_steps(n) + np.array(
-        [(int(s) + start * GOLDEN) & MASK64 for s in seeds],
-        dtype=np.uint64)[:, None]
+    words = golden_steps(n) + (_as_words(seeds) + np.uint64(
+        start * GOLDEN & MASK64))[:, None]
     return _finalize(words, np.empty_like(words))
 
 

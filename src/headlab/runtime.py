@@ -134,16 +134,16 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     row index as stored tensors are.  A row whose arms have all aborted
     it, or left its run, then leaves the wave and its stacks; an arm
     leaves a row only at its decision or at ``t = 0``, so no other noise
-    index is looked over.  At ``t = 0``
-    every row left is labelled once, from its batch's Gram-matrix
-    responses with no image built, for the arms still on it.  Each arm
-    hands its :class:`AttemptRecord` to ``record(arm, run, attempt)`` as
-    it leaves an attempt, at its decision or at ``t = 0``; so an arm's
-    records of one run come in attempt order.
+    index is looked over.  At ``t = 0`` every row left is labelled once,
+    from its batch's Gram-matrix responses with no image built, for the
+    arms still on it.  Each arm hands its :class:`AttemptRecord` to
+    ``record(arm, run, attempt)`` as it leaves an attempt, at its decision
+    or at ``t = 0``; so an arm's records of one run come in attempt order.
     An attempt that ends queues its run's next attempt, made by the arms
-    whose run goes on.  Returns, by arm, the first run that exhausted the
-    arm's ``max_restarts`` (None if none did); once one has, the arm drops
-    later runs, since only an earlier run can come first.
+    whose run goes on; the attempts queued at once get their seeds from
+    one :func:`mix64` call.  Returns, by arm, the first run that exhausted
+    the arm's ``max_restarts`` (None if none did); once one has, the arm
+    drops later runs, since only an earlier run can come first.
     """
     T = schedule.T
     arms = range(len(policies))
@@ -156,19 +156,22 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     next_run = 0
     waiting: list[_Attempt] = []
 
-    def attempt(k: int, j: int, index: int, by: list[int]) -> _Attempt:
-        return _Attempt(run=members[k] * runs_per_prompt + j, index=index,
-                        mixture=k, seed=mix64(root_seed, members[k], j, index),
-                        arms=list(by))
+    def queue(starts) -> None:
+        """Queue each attempt ``(k, j, index, by)``, seeds mixed at once."""
+        if starts:
+            k, j, index, _ = zip(*starts)
+            seeds = mix64(root_seed, np.take(members, k), j, index).tolist()
+            waiting.extend(_Attempt(members[k] * runs_per_prompt + j, index,
+                                    k, seed, list(by))
+                           for (k, j, index, by), seed in zip(starts, seeds))
 
     def admit() -> None:
         nonlocal next_run
         fresh = [a for a in arms if failed[a] is None]
-        while (fresh and next_run < len(members) * runs_per_prompt
-               and len(waiting) < engine.LOCKSTEP_ROWS):
-            waiting.append(attempt(*divmod(next_run, runs_per_prompt), 0,
-                                   fresh))
-            next_run += 1
+        room = max(0, engine.LOCKSTEP_ROWS - len(waiting)) if fresh else 0
+        runs = range(next_run, len(members) * runs_per_prompt)[:room]
+        queue([(*divmod(run, runs_per_prompt), 0, fresh) for run in runs])
+        next_run = runs.stop
 
     def leave(at: _Attempt, a: int, outcome: str, steps: int) -> None:
         record(a, at.run, AttemptRecord(at.seed, outcome, steps,
@@ -209,6 +212,7 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
         done = [at for at in live if t == 0 or not at.arms]
         if not done:
             continue
+        restarts = []
         for at in done:
             going_on = []
             for a in at.unaccepted:
@@ -217,8 +221,9 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
                 elif failed[a] is None or at.run < failed[a]:
                     failed[a] = at.run
             if going_on:
-                waiting.append(attempt(at.mixture, at.run % runs_per_prompt,
-                                       at.index + 1, going_on))
+                restarts.append((at.mixture, at.run % runs_per_prompt,
+                                 at.index + 1, going_on))
+        queue(restarts)
         for a, first in enumerate(failed):
             if first is not None:
                 for at in live + waiting:
@@ -368,8 +373,7 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
     groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel()))
     cis = np.concatenate([
         _bootstrap_cis(ref_steps, treat_steps,
-                       [mix64(root_seed, _BOOTSTRAP_TAG, i)
-                        for i in range(len(prompts))]),
+                       mix64(root_seed, _BOOTSTRAP_TAG, range(len(prompts)))),
         _bootstrap_cis(ref_steps.reshape(1, -1), treat_steps.reshape(1, -1),
                        [mix64(root_seed, _BOOTSTRAP_TAG)])]).tolist()
     rows: list[CampaignRow] = []

@@ -15,8 +15,11 @@ every group's at once; the logistic fit's epochs over ``expit`` and
 ``mean``, where the package inlines the logistic and divides the error
 sum; the Monte Carlo of restart costs over float uniforms and per-run
 arrays, where the package compares word mantissas and compacts its runs
-block by block; and each run's trace of attempts, rebuilt from the
-attempt records that the package hands on and never keeps.
+block by block; each run's trace of attempts, rebuilt from the attempt
+records that the package hands on and never keeps; the SplitMix64
+finalizer on one Python int, where the package finalizes whole arrays of
+words and seeds; and one object's confusion counts by masked sums, where
+the package counts every object's cells in one bincount.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from headlab import runtime
-from headlab.detector import expit
+from headlab.detector import ObjectCounts, expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
 from headlab.errors import RunFailure, UsageError
-from headlab.rng import SplitMix64, scaled_integers, stream_words, to_uniforms
+from headlab.rng import (MASK64, SplitMix64, scaled_integers, stream_words,
+                         to_uniforms)
 from headlab.runtime import OUTCOME_COMPLETE, AttemptRecord
 from headlab.scene import MixtureSpec, ObjectSpec
 from headlab.tensorio import tensor_header
@@ -211,6 +215,25 @@ def bootstrap_ci(ref: np.ndarray, treat: np.ndarray,
     stats = 1.0 - treat[idx].mean(axis=1) / ref[idx].mean(axis=1)
     return (float(np.percentile(stats, 2.5)),
             float(np.percentile(stats, 97.5)))
+
+
+def finalize64(x: int) -> int:
+    """The SplitMix64 finalizer on a Python int, modulo 2**64, with its
+    published shifts and multipliers."""
+    x &= MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> ObjectCounts:
+    """Confusion counts of 0/1 labels and verdicts by one masked sum per
+    cell."""
+    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
+    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
+    tn = int(np.sum((y_pred == 0) & (y_true == 0)))
+    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
+    return ObjectCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def logistic_fit(x: np.ndarray, y: np.ndarray, lr: float, epochs: int,

@@ -811,6 +811,32 @@ def test_sample_value_of_wrong_type_exits_2(cli_dataset, tmp_path, capsys,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit", ["missing", "seven"])
+def test_sample_labels_not_one_0_or_1_per_target_exit_2(
+        cli_dataset, cli_models, tmp_path, capsys, command, edit):
+    """A sample line whose labels miss a target, or label one 7, is refused
+    at load with one line naming it: no ``KeyError`` from the design
+    matrix, and no row silently left out of the counts."""
+    sample = json.loads((cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines()[1])
+    labels = dict(sample["labels"])
+    if edit == "missing":
+        del labels[sample["targets"][0]]
+    else:
+        labels[sample["targets"][0]] = 7
+    root = _edited_copy(cli_dataset, tmp_path, 2, labels=labels)
+    argv = {"train": ["train", "--dataset", str(root), "--steps", "16"],
+            "eval": ["eval", "--dataset", str(root), "--model",
+                     str(cli_models[16]), "--split", "train"]}[command]
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {root / 'manifest.jsonl'}:2: malformed "
+                          "sample line: labels ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("changes", [{"component_std": 1e200},
                                      {"component_std": -0.05},
                                      {"component_std": 1e154},
@@ -1123,6 +1149,24 @@ def test_report_over_a_malformed_csv_exits_1(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "campaign.csv" in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    (b"prompt_id\n" + b"x" * 200_000 + b"\n", "field larger than field limit"),
+    (b"prompt_id,runs\n\xff\xfe,1\n", "can't decode byte 0xff"),
+], ids=["field-past-the-limit", "not-utf-8"])
+def test_report_over_an_unreadable_csv_exits_1(tmp_path, capsys, content,
+                                              detail):
+    """A field past the csv module's limit, or bytes that are not UTF-8,
+    end in one line naming the file, as a ragged table does."""
+    (tmp_path / "campaign.csv").write_bytes(content)
+    rc = main(["report", "--dir", str(tmp_path), "--out",
+               str(tmp_path / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'campaign.csv'} ")
+    assert detail in err and err.count("\n") == 1
     assert not (tmp_path / "rep").exists()
 
 

@@ -270,6 +270,26 @@ def test_generation_draws_each_chunks_noise_at_once(tmp_path, catalog,
     assert word_draws == chunks + [((1,), prompts - 1)]
 
 
+def test_generation_mixes_every_samples_seed_in_one_call(tmp_path, catalog,
+                                                        monkeypatch):
+    """Every row's seed comes from one ``mix64`` call over the whole
+    (prompt, seed) grid; the split's shuffle makes the only other call.
+    Each seed is the fold of its own indices."""
+    calls = []
+    mix = dataset.mix64
+
+    def counting(*values):
+        calls.append(values)
+        return mix(*values)
+
+    monkeypatch.setattr(dataset, "mix64", counting)
+    manifest = generate_dataset(TINY_CONFIG, catalog, tmp_path)
+    assert len(manifest.samples) > 2 and len(calls) <= 2
+    assert [s.run_seed for s in manifest.samples] == [
+        mix(TINY_CONFIG.global_seed, s.prompt_index, s.seed_index)
+        for s in manifest.samples]
+
+
 def test_each_wave_is_released_before_the_next_is_built(tmp_path, catalog,
                                                        released_waves):
     generate_dataset(TINY_CONFIG, catalog, tmp_path)

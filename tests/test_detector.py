@@ -20,7 +20,8 @@ from headlab.rng import SplitMix64
 from headlab.scene import ObjectSpec
 from headlab.tensorio import read_tensor
 
-from oracles import logistic_fit, sample_batch, tensor_bytes
+from oracles import (confusion_counts, logistic_fit, sample_batch,
+                     tensor_bytes)
 
 
 def _solo_spec(positions=((8, 8),)) -> ObjectSpec:
@@ -358,6 +359,31 @@ def test_confusion_counts_and_rates():
     assert report.per_object["kite"].recall == pytest.approx(1 / 2)
     d = report.to_dict()
     assert d["pooled"]["tp"] == 2
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 200))
+def test_counts_equal_masked_sums_per_object(seed, rows):
+    """One count over every row gives each object's masked-sum counts, in
+    any row order, an object seen in one class included, and the pooled
+    counts are the per-object counts summed."""
+    rng = np.random.default_rng(seed)
+    names = ("bench", "cat", "drum", "kite", "owl")
+    objects = rng.choice(names, size=rows)
+    objects[rng.integers(rows)] = "owl"
+    y = rng.integers(0, 2, size=rows)
+    y[objects == "owl"] = 1  # present wherever it is seen
+    design = DesignMatrix(
+        x=np.stack([rng.normal(size=rows), np.zeros(rows)], axis=1), y=y,
+        object_ids=tuple(objects.tolist()), splits=("val",) * rows,
+        feature_names=("f0", "f1"), variant="combined", steps=(8,))
+    model = _toy_model()
+    report = evaluate_detector(model, design)
+    pred = model.predict(design.x)
+    assert report.per_object == {
+        obj: confusion_counts(y[objects == obj], pred[objects == obj])
+        for obj in sorted(set(design.object_ids))}
+    assert report.pooled == merge_counts(report.per_object.values())
+    assert report.pooled == confusion_counts(y, pred)
 
 
 def test_zero_denominator_rates_are_none():

@@ -381,15 +381,16 @@ def test_checker_finds_the_definitions_that_read_a_name():
 
 def test_the_splitmix64_finalizer_is_written_once():
     """Only ``rng.py`` names the finalizer's multipliers, and there only
-    the finalizer of one int and the one of arrays in place read them:
-    every stream, sequential or by offset, goes through that one."""
+    the finalizer of arrays in place reads them: every stream, sequential
+    or by offset, and every derived seed goes through that one.  The
+    finalizer of one int is the tests' reference."""
     for module in sorted(SRC.glob("*.py")):
         names = _defined_or_named(module.read_text(encoding="utf-8"))
         if module.name != "rng.py":
             assert not names & FINALIZER_MULTIPLIERS, module.name
+        assert "finalize64" not in names, module.name
     rng_source = (SRC / "rng.py").read_text(encoding="utf-8")
-    assert _readers(rng_source, FINALIZER_MULTIPLIERS) == ["_finalize",
-                                                           "finalize64"]
+    assert _readers(rng_source, FINALIZER_MULTIPLIERS) == ["_finalize"]
 
 
 # The names in ``perfbench/layers.py`` that the traced run looks for and no

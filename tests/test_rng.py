@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from headlab.rng import (GOLDEN, MASK64, SplitMix64, finalize64,
-                         golden_steps, mantissa_bounds, mix64,
-                         scaled_integers, shuffled, stream_mantissas,
-                         stream_words, to_uniforms)
+from headlab.rng import (GOLDEN, MASK64, SplitMix64, golden_steps,
+                         mantissa_bounds, mix64, scaled_integers, shuffled,
+                         stream_mantissas, stream_words, to_uniforms)
+from oracles import finalize64
 
 # First outputs of the widely published 64-bit mix sequence for seed 0:
 # each output is finalize64 of the seed advanced i+1 times by the golden
@@ -19,6 +20,7 @@ GOLDEN_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
 
 def test_finalize64_golden_sequence():
+    assert stream_words([0], 0, 3)[0].tolist() == list(GOLDEN_SEED0)
     for i, expected in enumerate(GOLDEN_SEED0):
         assert finalize64((i + 1) * GOLDEN & MASK64) == expected
 
@@ -116,6 +118,73 @@ def test_mix64_is_order_sensitive():
 def test_mix64_handles_wide_values():
     assert mix64(2 ** 70 + 3) == mix64(2 ** 70 + 3)
     assert mix64(-1 & MASK64) == mix64(MASK64)
+
+
+def _fold(*values: int) -> int:
+    """``mix64`` of ints by its definition, on the reference finalizer."""
+    h = 0
+    for v in values:
+        h = finalize64(h + GOLDEN + (v & MASK64))
+    return h
+
+
+# Ints of any size or sign, the ends of the uint64 range among them.
+WIDE_INTS = st.one_of(st.sampled_from([0, 1, MASK64, -1, 2 ** 64,
+                                       2 ** 64 + 1, -2 ** 64, 2 ** 70 + 3]),
+                      st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def _mixed_values(draw):
+    """1-4 values for ``mix64``: Python ints, and uint64 or int64 arrays
+    of 0 to 2 dimensions whose shapes broadcast together."""
+    count = draw(st.integers(1, 4))
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=count, max_dims=2, max_side=4)).input_shapes
+    values = []
+    for shape in shapes:
+        kind = draw(st.sampled_from(["int", "uint64", "int64"]))
+        if kind == "int":
+            values.append(draw(WIDE_INTS))
+        elif kind == "uint64":
+            values.append(draw(hnp.arrays(np.uint64, shape, elements=st.one_of(
+                st.sampled_from([0, MASK64]), st.integers(0, MASK64)))))
+        else:
+            values.append(draw(hnp.arrays(np.int64, shape, elements=st.one_of(
+                st.sampled_from([-1, -2 ** 63, 2 ** 63 - 1]),
+                st.integers(-2 ** 63, 2 ** 63 - 1)))))
+    return values
+
+
+@given(values=_mixed_values())
+def test_mix64_over_arrays_is_the_fold_of_each_element(values):
+    """Arrays broadcast together, and each element of the result is the
+    fold of that element's values, reduced modulo 2**64; only ints give
+    an int."""
+    mixed = mix64(*values)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    columns = [np.broadcast_to(np.asarray(v, dtype=object), shape).ravel()
+               for v in values]
+    expected = [_fold(*map(int, row)) for row in zip(*columns)]
+    if all(isinstance(v, int) for v in values):
+        assert type(mixed) is int and [mixed] == expected
+    else:
+        assert mixed.dtype == np.uint64 and mixed.shape == shape
+        assert mixed.ravel().tolist() == expected
+
+
+@given(seeds=st.lists(WIDE_INTS, max_size=6),
+       start=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 6))
+def test_stream_words_reduce_each_seed_modulo_2_64(seeds, start, n):
+    """A sequence of any ints draws the streams of the seeds modulo 2**64,
+    as a uint64 array of them does."""
+    words = stream_words(seeds, start, n)
+    reduced = np.array([s & MASK64 for s in seeds], dtype=np.uint64)
+    assert words.shape == (len(seeds), n)
+    assert np.array_equal(words, stream_words(reduced, start, n))
+    assert words.tolist() == [
+        [finalize64(s + start * GOLDEN + (i + 1) * GOLDEN) for i in range(n)]
+        for s in seeds]
 
 
 def test_stream_rejects_bad_counts():

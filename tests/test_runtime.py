@@ -504,6 +504,46 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
                              ((1,), resamples * len(prompts))])
 
 
+def test_campaign_mixes_the_seeds_queued_together_in_one_call(
+        catalog, schedule, tiny_model, monkeypatch):
+    """Each admission's attempts, and each step's restarts, get their seeds
+    from one ``mix64`` call, and the bootstrap from two: at any one step
+    the pool makes at most one call for fresh runs (attempt index 0) and
+    one for restarts, and those calls seed every attempt that rides a
+    wave.  The bootstrap's per-prompt call gives each prompt's own fold."""
+    monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 8)
+    prompts, mixtures, policies, _ = _head_campaign(catalog, tiny_model)
+    calls, waves = [], []
+    mix, denoise = runtime.mix64, runtime.denoise
+
+    def counting(*values):
+        calls.append((len(waves), values))
+        return mix(*values)
+
+    def yielding(bank, schedule, queue):
+        for t, batch, rows in denoise(bank, schedule, queue):
+            waves.append(len(rows) if t == schedule.T else 0)
+            yield t, batch, rows
+
+    monkeypatch.setattr(runtime, "mix64", counting)
+    monkeypatch.setattr(runtime, "denoise", yielding)
+    measure_campaign(prompts, mixtures, schedule, *policies, catalog,
+                     runs_per_prompt=8, root_seed=88)
+    # (root, tag[, prompts]) for the bootstrap, (root, prompts, j, index)
+    # for attempts
+    bootstrap = [values for _, values in calls if len(values) < 4]
+    queued = [(step, values) for step, values in calls if len(values) == 4]
+    assert [values[:2] for values in bootstrap] == [(88, 0xB007)] * 2
+    assert len(calls) == len(queued) + 2
+    assert mix(*bootstrap[0]).tolist() == [mix(88, 0xB007, i)
+                                           for i in range(len(prompts))]
+    kinds = [(step, bool(np.any(values[3]))) for step, values in queued]
+    assert len(kinds) == len(set(kinds))
+    assert any(restart for _, restart in kinds)
+    assert sum(np.size(values[1]) for _, values in queued) == sum(waves)
+    assert sum(w > 0 for w in waves) > 1 and len(queued) < sum(waves) / 2
+
+
 def test_each_wave_is_released_before_the_next_is_built(catalog, schedule,
                                                        tiny_model,
                                                        released_waves):
