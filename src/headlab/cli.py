@@ -10,12 +10,13 @@ Exit codes: 0 on success, 1 when the invocation or its inputs are invalid,
 interrupted.  Every subcommand that takes ``--out`` writes its artifacts
 there together with ``config_snapshot.json``, a sorted-key JSON record
 sufficient to reproduce the outputs bit for bit (nothing here ever reads
-the clock or ambient entropy); an ``--out`` that is a file or lies under
-one is refused before any work.  The snapshot is written last, so a command
-that stops part way leaves the previous snapshot beside the previous
-artifacts.  ``make-dataset`` builds its whole tree, snapshot included, in a
-staging directory and then puts it in place of the old one, so it refuses
-an ``--out`` that holds anything but a dataset.
+the clock or ambient entropy).  :func:`main` builds the whole tree,
+snapshot included, in a staging directory and then puts it in place of the
+old one (:func:`~headlab.atomic.replaced_directory`), so a command that
+stops part way leaves the previous tree as it was.  Since the old tree goes
+whole, :func:`_check_out` refuses, before any work, an ``--out`` that is
+not an earlier output of the same subcommand or that a replacement would
+damage.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import typing
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
-from .atomic import replaced_directory, write_atomic
+from .atomic import replaced_directory
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_header, load_manifest,
                       CATALOG_NAME)
@@ -122,32 +123,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _check_out(path: str) -> None:
-    """Refuse, before any work, an ``--out`` that is a file or lies under
-    one: no command could write there."""
-    out = Path(path)
+def _check_out(args) -> None:
+    """Refuse an ``--out`` that the command must not replace whole: a file
+    or a path under one, a symbolic link, the working directory or one that
+    holds it, one that is or holds an input of the command, and one that
+    holds files but is no earlier output of this subcommand."""
+    path, out = args.out, Path(args.out)
+    if out.is_symlink():
+        raise UsageError(f"--out {path} is a symbolic link")
     for place in (out, *out.parents):
         if place.exists():
             if not place.is_dir():
                 under = "" if place == out else f"lies under {place}, which "
                 raise UsageError(f"--out {path} {under}is not a directory")
-            return
-
-
-def _out_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_snapshot(out_dir: Path, command: str, payload: dict) -> None:
-    """Record the command's configuration; called after its last artifact."""
-    _write_json(out_dir / SNAPSHOT_NAME, {"command": command, **payload})
+            break
+    target, here = out.resolve(), Path.cwd().resolve()
+    if target in (here, *here.parents):
+        raise UsageError(f"--out {path} is the working directory or holds "
+                         "it; a command replaces its whole --out")
+    inputs = [getattr(args, flag, None)
+              for flag in ("dataset", "model", "dir", "config", "catalog")]
+    inputs += getattr(args, "models", "").split(",")
+    for name in filter(None, inputs):
+        source = Path(name).resolve()
+        if target == source or target in source.parents:
+            raise UsageError(f"--out {path} is or holds the input {name}; "
+                             "a command replaces its whole --out")
+    if out.is_dir() and any(out.iterdir()):
+        try:
+            snapshot = json.loads((out / SNAPSHOT_NAME).read_text("utf-8"))
+            command = snapshot["command"]
+        except (OSError, ValueError, TypeError, KeyError):
+            command = None
+        if command != args.subcommand:
+            raise UsageError(
+                f"--out {path} holds files but no {SNAPSHOT_NAME} of "
+                f"{args.subcommand}; a command replaces its whole --out, so "
+                "give a new or empty directory, or an earlier --out of "
+                f"{args.subcommand}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1,
-                                  allow_nan=False) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _seed(text: str) -> int:
@@ -214,46 +232,23 @@ def _object_names(count: int) -> tuple[str, ...]:
 # ---------------------------------------------------------------- dataset
 
 
-def _dataset_out(path: str) -> Path:
-    """``make-dataset``'s ``--out``, checked before any work.  A build
-    replaces the whole directory, so it must be new, empty or a headlab
-    dataset (one whose manifest header parses), and neither the working
-    directory nor one that holds it."""
-    out = Path(path)
-    here = Path.cwd().resolve()
-    if out.resolve() in (here, *here.parents):
-        raise UsageError(f"--out {path} is the working directory or holds "
-                         "it; a build replaces the whole directory")
-    if out.exists() and any(out.iterdir()):
-        try:
-            load_header(out)
-        except (OSError, ValueError):
-            raise UsageError(
-                f"--out {path} holds files but no headlab dataset; a build "
-                "replaces the whole directory, so give a new or empty one, "
-                "or a dataset to rebuild") from None
-    return out
-
-
-def _cmd_make_dataset(args) -> None:
-    out = _dataset_out(args.out)
+def _cmd_make_dataset(args, out: Path) -> dict:
     config = _with_flags(load_experiment_config(args.config).dataset, args)
     if args.catalog is not None:
         catalog = load_catalog(args.catalog)
     else:
         catalog = default_catalog()
-    with replaced_directory(out) as staging:
-        manifest = generate_dataset(config, catalog, staging)
-        _write_snapshot(staging, "make-dataset", {"dataset": asdict(config)})
+    manifest = generate_dataset(config, catalog, out)
     stats = manifest.stats
-    print(f"dataset {out}: {len(manifest.samples)} samples, "
+    print(f"dataset {Path(args.out)}: {len(manifest.samples)} samples, "
           f"complete fraction {stats['complete_fraction']:.4f}")
+    return {"dataset": asdict(config)}
 
 
 # ---------------------------------------------------------------- detector
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args, out: Path) -> dict:
     settings = _with_flags(load_experiment_config(args.config).detector, args)
     root, manifest, catalog = _load_dataset(args.dataset)
     reported = [split for split in ("train", "val")
@@ -273,42 +268,38 @@ def _cmd_train(args) -> None:
         cal = design.of_split(settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
                                               settings.target_recall)
-    out = _out_dir(args.out)
     model.save(out / "model.json")
     report = {split: evaluate_detector(model, design.of_split(split)).to_dict()
               for split in reported}
     _write_json(out / "train_report.json", report)
-    _write_snapshot(out, "train", {"dataset": str(args.dataset),
-                                   "detector": asdict(settings)})
     shown = "val" if "val" in report else "train"
     pooled = report[shown]["pooled"]
-    print(f"model {out / 'model.json'}: {shown} recall "
+    print(f"model {Path(args.out) / 'model.json'}: {shown} recall "
           f"{pooled['recall']:.4f}, tn_rate {pooled['true_negative_rate']:.4f}")
+    return {"dataset": str(args.dataset), "detector": asdict(settings)}
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args, out: Path) -> dict:
     root, manifest, catalog = _load_dataset(args.dataset)
     model = DetectorModel.load(args.model)
     design = build_design_matrix(root, manifest, catalog, model.steps,
                                  variant=model.variant, splits=(args.split,))
     report = evaluate_detector(model, design)
-    out = _out_dir(args.out)
     _write_json(out / "eval_report.json",
                 {"split": args.split, "variant": model.variant,
                  "steps": list(model.steps), **report.to_dict()})
-    _write_snapshot(out, "eval", {"dataset": str(args.dataset),
-                                  "model": str(args.model),
-                                  "split": args.split})
     pooled = report.pooled
     print(f"split {args.split}: recall {pooled.recall:.4f}, "
           f"tn_rate {pooled.true_negative_rate:.4f}, "
           f"accuracy {pooled.accuracy:.4f}")
+    return {"dataset": str(args.dataset), "model": str(args.model),
+            "split": args.split}
 
 
 # ---------------------------------------------------------------- economics
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args, out: Path | None) -> dict:
     if args.mc_runs < 0:
         raise UsageError(f"--mc-runs must be >= 0, got {args.mc_runs}")
     names = _object_names(args.objects)
@@ -340,12 +331,9 @@ def _cmd_simulate(args) -> None:
     if bad:
         raise UsageError(f"non-finite result {', '.join(bad)} at --p {args.p}")
     print("\n".join(lines))
-    if args.out is not None:
-        out = _out_dir(args.out)
+    if out is not None:
         _write_json(out / "simulate_result.json", result)
-        _write_snapshot(out, "simulate",
-                        {k: result[k] for k in
-                         ("p", "recall", "tn_rate", "f", "objects")})
+    return {k: result[k] for k in ("p", "recall", "tn_rate", "f", "objects")}
 
 
 def _rate_point(report, manifest, t_last: int) -> RatePoint:
@@ -367,7 +355,7 @@ def _rate_point(report, manifest, t_last: int) -> RatePoint:
                      pooled_tn=report.pooled.true_negative_rate)
 
 
-def _cmd_sweep_tlast(args) -> None:
+def _cmd_sweep_tlast(args, out: Path) -> dict:
     check_run_count(args.mc_runs)
     root, manifest, catalog = _load_dataset(args.dataset)
     model_paths = [p for p in args.models.split(",") if p.strip()]
@@ -384,18 +372,15 @@ def _cmd_sweep_tlast(args) -> None:
         ("subject", "thing"), manifest.config.faithfulness)
     rows = sweep_tlast(dist, points, num_steps, n_runs=args.mc_runs,
                        seed=args.seed)
-    out = _out_dir(args.out)
     write_sweep_tlast_csv(rows, out / "sweep_tlast.csv")
-    _write_snapshot(out, "sweep-tlast",
-                    {"dataset": str(args.dataset), "models": model_paths,
-                     "split": args.split, "mc_runs": args.mc_runs,
-                     "seed": args.seed})
     for row in rows:
         print(f"t_last {row.t_last:3d}  f {row.cost_fraction:.2f}  "
               f"saving_cf {row.saving_closed_form:+.4f}")
+    return {"dataset": str(args.dataset), "models": model_paths,
+            "split": args.split, "mc_runs": args.mc_runs, "seed": args.seed}
 
 
-def _cmd_sweep_p(args) -> None:
+def _cmd_sweep_p(args, out: Path) -> dict:
     grid = _with_flags(load_experiment_config(args.config).simulation,
                        args).p_grid
     names = _object_names(args.objects)
@@ -404,19 +389,17 @@ def _cmd_sweep_p(args) -> None:
     for row in rows:
         if not math.isfinite(row.saving_closed_form):
             raise UsageError(f"non-finite saving_cf at p {row.completeness}")
-    out = _out_dir(args.out)
     write_sweep_p_csv(rows, out / "sweep_p.csv")
-    _write_snapshot(out, "sweep-p",
-                    {"recall": args.recall, "tn_rate": args.tn_rate,
-                     "t_last": args.t_last, "num_steps": args.num_steps,
-                     "objects": args.objects, "p_grid": list(grid)})
-    print(f"wrote {len(rows)} rows to {out / 'sweep_p.csv'}")
+    print(f"wrote {len(rows)} rows to {Path(args.out) / 'sweep_p.csv'}")
+    return {"recall": args.recall, "tn_rate": args.tn_rate,
+            "t_last": args.t_last, "num_steps": args.num_steps,
+            "objects": args.objects, "p_grid": list(grid)}
 
 
 # ---------------------------------------------------------------- runtime
 
 
-def _cmd_run(args) -> None:
+def _cmd_run(args, out: Path) -> dict:
     settings = _with_flags(load_experiment_config(args.config).runtime, args)
     # a campaign reads the manifest's config and splits, not its samples
     root = Path(args.dataset)
@@ -439,13 +422,11 @@ def _cmd_run(args) -> None:
                               treatment, catalog, settings.runs_per_prompt,
                               settings.root_seed,
                               label_threshold=config.label_threshold)
-    out = _out_dir(args.out)
     write_campaign_csv(report, out / "campaign.csv")
-    _write_snapshot(out, "run",
-                    {"dataset": str(args.dataset), "model": str(args.model),
-                     "split": args.split, **asdict(settings)})
     print(f"pooled saving {report.pooled_saving:+.4f} "
           f"({settings.runs_per_prompt} runs x {len(prompts)} prompts)")
+    return {"dataset": str(args.dataset), "model": str(args.model),
+            "split": args.split, **asdict(settings)}
 
 
 # ---------------------------------------------------------------- report
@@ -470,7 +451,7 @@ def _render_table(path: Path) -> str:
     return "\n".join(lines)
 
 
-def _cmd_report(args) -> None:
+def _cmd_report(args, out: Path) -> dict:
     src = Path(args.dir)
     sections = []
     for name in ("sweep_tlast.csv", "sweep_p.csv", "campaign.csv"):
@@ -480,10 +461,9 @@ def _cmd_report(args) -> None:
     if not sections:
         raise UsageError(f"no known CSV artifacts found under {src}")
     text = "\n\n".join(sections) + "\n"
-    out = _out_dir(args.out)
-    write_atomic(out / "report.txt", text)
-    _write_snapshot(out, "report", {"dir": str(args.dir)})
+    (out / "report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
+    return {"dir": str(args.dir)}
 
 
 # ---------------------------------------------------------------- dispatch
@@ -592,9 +572,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError(parser.format_usage().strip())
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
-        args.func(args)
+        if getattr(args, "out", None) is None:  # only simulate's is optional
+            args.func(args, None)
+            return 0
+        _check_out(args)
+        with replaced_directory(args.out) as out:
+            snapshot = args.func(args, out)
+            _write_json(out / SNAPSHOT_NAME,
+                        {"command": args.subcommand, **snapshot})
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,9 +28,9 @@ rows into those files, so no corpus-sized array is ever held in memory.
 A finished row's labels and nearest component come from its batch's Gram
 matrix (:attr:`~headlab.engine.LockstepBatch.responses`), not from its
 image.
-It writes into a directory of its own: ``head make-dataset`` builds there
-in a staging directory and publishes the whole tree at once (see
-:func:`~headlab.atomic.replaced_directory`).
+It writes into a directory of its own: like every command, ``head
+make-dataset`` builds its ``--out`` in a staging directory and publishes
+the whole tree at once (see :func:`~headlab.atomic.replaced_directory`).
 """
 
 from __future__ import annotations

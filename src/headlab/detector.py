@@ -40,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
 from .dataset import DatasetManifest, load_step
 from .errors import RunFailure, UsageError
 from .scene import ObjectSpec
@@ -348,8 +347,9 @@ class DetectorModel:
             "threshold": self.threshold,
         }
         # ``load`` refuses NaN and infinities, so never write one
-        write_atomic(path, json.dumps(payload, sort_keys=True, indent=1,
-                                      allow_nan=False) + "\n")
+        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1,
+                                         allow_nan=False) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "DetectorModel":

@@ -30,11 +30,11 @@ resamples in blocks, twice: every prompt's at once, then the pooled group's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import engine
-from .atomic import write_atomic
 from .dataset import label_image
 from .detector import DetectorModel, feature_rows
 from .engine import MixtureBank, NoiseSchedule, denoise
@@ -398,4 +398,4 @@ def write_campaign_csv(report: CampaignReport, path) -> None:
         lines.append(",".join([r.prompt_id.replace(",", ";"), r.policy,
                                str(r.runs), f"{r.mean_steps:.4f}",
                                fmt(r.saving), fmt(r.ci_lo), fmt(r.ci_hi)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
 from .errors import UsageError
 
 GRID_SIZE = 16
@@ -162,7 +162,7 @@ def dump_catalog(catalog: dict[str, ObjectSpec], path: str) -> None:
     for spec in catalog.values():
         tokens = " ".join(f"{r},{c}" for (r, c) in spec.candidate_positions)
         lines.append(f"{spec.object_id} {spec.sigma} {tokens}\n")
-    write_atomic(path, "".join(lines))
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 @dataclass(frozen=True)

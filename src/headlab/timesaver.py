@@ -16,10 +16,10 @@ exactly when complete, for an expected cost of 1 / P(complete).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
 from .errors import RunFailure, UsageError
 from .rng import golden_steps, mantissa_bounds, stream_mantissas
 
@@ -470,7 +470,7 @@ def write_sweep_tlast_csv(rows, path) -> None:
                                _fmt(r.saving_closed_form),
                                _fmt(r.saving_monte_carlo),
                                _fmt(r.ci_lo), _fmt(r.ci_hi)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_sweep_p_csv(rows, path) -> None:
@@ -478,4 +478,4 @@ def write_sweep_p_csv(rows, path) -> None:
     for r in rows:
         lines.append(",".join([_fmt(r.completeness), str(r.t_last),
                                _fmt(r.saving_closed_form)]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,46 +1,18 @@
-"""Whole artifact writes: a failed write leaves the old file or directory
-tree intact."""
+"""Whole directory writes: a failed or killed command leaves the old tree
+of its ``--out`` intact, or the new one, never a mix."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
+import sys
+from dataclasses import asdict
 
 import pytest
 
-from headlab.atomic import replaced_directory, write_atomic
+from headlab.atomic import replaced_directory
 from headlab.cli import main
-
-
-def test_write_atomic_replaces_the_file(tmp_path):
-    path = tmp_path / "a.json"
-    write_atomic(path, "old\n")
-    write_atomic(path, "new\n")
-    assert path.read_bytes() == b"new\n"
-    assert os.listdir(tmp_path) == ["a.json"]
-
-
-def test_write_that_fails_half_way_keeps_the_old_file(tmp_path):
-    path = tmp_path / "a.json"
-    path.write_text("old\n", encoding="utf-8")
-    # The lone surrogate cannot be encoded, so the write fails after the
-    # temporary file was opened.
-    with pytest.raises(UnicodeEncodeError):
-        write_atomic(path, "new\n" * 1000 + "\udc80")
-    assert path.read_text(encoding="utf-8") == "old\n"
-    assert os.listdir(tmp_path) == ["a.json"]
-
-
-def test_interrupt_before_the_rename_keeps_the_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "a.json"
-    path.write_text("old\n", encoding="utf-8")
-
-    def interrupted(src, dst):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(os, "replace", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        write_atomic(path, "new\n")
-    assert path.read_text(encoding="utf-8") == "old\n"
-    assert os.listdir(tmp_path) == ["a.json"]
 
 
 def _simulate(out, f):
@@ -48,33 +20,32 @@ def _simulate(out, f):
                  "0.8", "--f", str(f), "--out", str(out)])
 
 
-def test_interrupted_command_keeps_the_artifact_it_was_writing(
-        tmp_path, capsys, monkeypatch):
-    out = tmp_path / "sim"
-    assert _simulate(out, 0.16) == 0
-    result = out / "simulate_result.json"
-    before = result.read_bytes()
-    real_replace = os.replace
-
-    def replace(src, dst):
-        if dst == result:
-            raise KeyboardInterrupt
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace)
-    assert _simulate(out, 0.32) == 2
-    assert capsys.readouterr().err == "error: interrupted\n"
-    assert result.read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == [
-        "config_snapshot.json", "simulate_result.json"]
-    # the snapshot is written after the result, so it still describes it
-    snapshot = json.loads((out / "config_snapshot.json").read_text("utf-8"))
-    assert snapshot["f"] == 0.16
-
-
 def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_interrupted_command_keeps_the_artifact_it_was_writing(
+        tmp_path, capsys, monkeypatch):
+    """Interrupted as it renames its staging directory into place, a
+    command leaves the old tree whole and no staging directory behind."""
+    out = tmp_path / "sim"
+    assert _simulate(out, 0.16) == 0
+    before = _tree(out)
+    rename = os.rename
+
+    def interrupted(src, dst):
+        if str(src).endswith(".staging"):
+            raise KeyboardInterrupt
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", interrupted)
+    assert _simulate(out, 0.32) == 2
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert _tree(out) == before
+    assert os.listdir(tmp_path) == ["sim"]
+    snapshot = json.loads((out / "config_snapshot.json").read_text("utf-8"))
+    assert snapshot["f"] == 0.16
 
 
 def test_replaced_directory_swaps_the_whole_tree(tmp_path):
@@ -120,3 +91,146 @@ def test_replaced_directory_refuses_a_file(tmp_path):
             pass
     assert out.read_text(encoding="utf-8") == "not a dataset\n"
     assert os.listdir(tmp_path) == ["ds"]
+
+
+# ------------------------------------------------------------- kill harness
+
+KILLED = 97
+
+
+def _writes(event: str, args) -> bool:
+    """Whether an audit event writes to the file system: an ``open`` for
+    writing, a rename or a removal."""
+    if event == "open":
+        mode, flags = args[1], args[2]
+        if isinstance(mode, str):
+            return any(c in mode for c in "wax+")
+        return bool(flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT))
+    return event in ("os.rename", "os.remove")
+
+
+def _killed_at(n: int, argv) -> tuple[int, int]:
+    """Run ``head argv`` in a child forked from this process, which has
+    imported everything the command needs, killed outright at its ``n``-th
+    write; returns the child's pid and exit code (``KILLED`` if the kill
+    came first)."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test runner
+        code = 3
+        try:
+            seen = 0
+
+            def kill(event, args):
+                nonlocal seen
+                if _writes(event, args):
+                    seen += 1
+                    if seen == n:
+                        os._exit(KILLED)
+
+            sys.addaudithook(kill)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return pid, os.waitstatus_to_exitcode(status)
+
+
+def _old_or_new(out, pid, old, new) -> str:
+    """Which whole tree a killed command left: ``"old"`` or ``"new"`` at
+    ``out``, or ``"aside"``, the old tree whole beside an absent ``out``
+    between the two renames.  Besides these only the killed process's
+    staging directory, and after the new tree is in, part of the old one
+    aside, may be left."""
+    staging = out.with_name(f".{out.name}.{pid}.staging")
+    aside = out.with_name(f".{out.name}.{pid}.old")
+    assert set(os.listdir(out.parent)) <= {out.name, staging.name, aside.name}
+    if not out.exists():
+        assert _tree(aside) == old
+        return "aside"
+    tree = _tree(out)
+    assert tree in (old, new)
+    if aside.exists():
+        assert tree == new
+    return "old" if tree == old else "new"
+
+
+@pytest.fixture(scope="module")
+def kill_inputs(tmp_path_factory, tiny_dataset):
+    """The suite's tiny dataset, two models trained on it, a config that
+    rebuilds it and two sweep-p tables for the report."""
+    root = tmp_path_factory.mktemp("kill")
+    config = root / "tiny.json"
+    config.write_text(json.dumps({"dataset": asdict(
+        tiny_dataset.manifest.config)}), encoding="utf-8")
+    paths = {"root": root, "config": config, "ds": tiny_dataset.root}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for u in (8, 16):
+            paths[f"m{u}"] = root / f"m{u}"
+            assert main(["train", "--dataset", str(tiny_dataset.root),
+                         "--steps", str(u), "--out", str(paths[f"m{u}"])]) == 0
+        for t in (4, 8):
+            paths[f"sp{t}"] = root / f"sp{t}"
+            assert main(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+                         "--t-last", str(t), "--out",
+                         str(paths[f"sp{t}"])]) == 0
+    return paths
+
+
+def _runs(p) -> dict[str, tuple[list[str], list[str]]]:
+    """For every subcommand with ``--out``, the arguments of an earlier
+    output and of the one that replaces it."""
+    ds, m8, m16 = str(p["ds"]), str(p["m8"] / "model.json"), str(
+        p["m16"] / "model.json")
+    sim = ["simulate", "--p", "0.3", "--recall", "0.9", "--tn-rate", "0.8",
+           "--mc-runs", "100"]
+    run = ["run", "--dataset", ds, "--model", m8, "--split", "val",
+           "--runs-per-prompt", "1"]
+    sweep = ["sweep-tlast", "--dataset", ds, "--models", f"{m8},{m16}",
+             "--mc-runs", "100"]
+    sweep_p = ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8"]
+    make = ["make-dataset", "--config", str(p["config"])]
+    return {
+        "make-dataset": ([*make, "--global-seed", "3"], make),
+        "train": (["train", "--dataset", ds, "--steps", "8"],
+                  ["train", "--dataset", ds, "--steps", "16"]),
+        "eval": (["eval", "--dataset", ds, "--model", m8],
+                 ["eval", "--dataset", ds, "--model", m16]),
+        "simulate": ([*sim, "--f", "0.16"], [*sim, "--f", "0.32"]),
+        "sweep-tlast": ([*sweep, "--seed", "1"], [*sweep, "--seed", "2"]),
+        "sweep-p": ([*sweep_p, "--t-last", "4"], [*sweep_p, "--t-last", "8"]),
+        "run": ([*run, "--root-seed", "1"], [*run, "--root-seed", "2"]),
+        "report": (["report", "--dir", str(p["sp4"])],
+                   ["report", "--dir", str(p["sp8"])]),
+    }
+
+
+COMMANDS = ("make-dataset", "train", "eval", "simulate", "sweep-tlast",
+            "sweep-p", "run", "report")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_kill_at_any_write_leaves_the_old_tree_or_the_new(kill_inputs,
+                                                            command):
+    """Killed outright at each of its writes, renames and removals in
+    turn, a command run over its own earlier output leaves that output or
+    its new one, each whole and byte for byte."""
+    old_argv, new_argv = _runs(kill_inputs)[command]
+    root = kill_inputs["root"] / command
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*old_argv, "--out", str(root / "old")]) == 0
+        assert main([*new_argv, "--out", str(root / "new")]) == 0
+    old, new = _tree(root / "old"), _tree(root / "new")
+    assert old != new
+    seen = set()
+    for n in range(1, 200):
+        out = root / str(n) / "out"
+        shutil.copytree(root / "old", out)
+        pid, code = _killed_at(n, [*new_argv, "--out", str(out)])
+        if code != KILLED:
+            break
+        seen.add(_old_or_new(out, pid, old, new))
+    assert code == 0
+    assert _tree(out) == new and os.listdir(out.parent) == ["out"]
+    assert seen == {"old", "aside", "new"}

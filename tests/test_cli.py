@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import shutil
 import typing
 from dataclasses import asdict, replace
 
@@ -151,7 +153,7 @@ def test_out_of_range_counts_exit_1(argv, capsys, tmp_path, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert not (tmp_path / "unused").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 _FLOATS = (st.sampled_from(["-0.5", "0", "-0.0", "nan", "inf", "-inf", "1e400",
@@ -472,8 +474,9 @@ def test_make_dataset_refuses_an_out_it_would_destroy(tmp_path, monkeypatch,
                                                       capsys, config_path,
                                                       out):
     """A build replaces its whole ``--out``, so before any work it refuses
-    a directory holding files but no dataset (``victim``; ``broken``, whose
-    manifest header does not parse), a file, the working directory (``.``,
+    a directory holding files but no snapshot of ``make-dataset``
+    (``victim``; ``broken``, a manifest alone), a file, the working
+    directory (``.``,
     or ``work`` by its absolute path), one that holds it (``..``) and
     ``/``: each exits 1 with one error line naming ``--out``, and every
     file stays as it was."""
@@ -530,6 +533,87 @@ def test_an_out_that_is_or_lies_under_a_file_exits_1_before_any_work(
     assert captured.err.startswith(f"error: --out {out} ")
     assert captured.err.count("\n") == 1
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_an_out_of_another_command_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, command):
+    """An ``--out`` holding files is replaced whole only when its snapshot
+    names the same subcommand: another command's output, or files without
+    a snapshot, stay as they were, so ``train`` cannot wipe a dataset."""
+    monkeypatch.chdir(tmp_path)
+    other = "train" if command == "make-dataset" else "make-dataset"
+    (tmp_path / "theirs").mkdir()
+    (tmp_path / "theirs" / SNAPSHOT_NAME).write_text(
+        json.dumps({"command": other}))
+    (tmp_path / "loose").mkdir()
+    (tmp_path / "loose" / "notes.txt").write_text("mine")
+    before = _tree(tmp_path)
+    for out in ("theirs", "loose"):
+        assert main([command, *OUT_COMMANDS[command], "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds files but no {SNAPSHOT_NAME} of "
+            f"{command}; a command replaces its whole --out, so give a new "
+            f"or empty directory, or an earlier --out of {command}\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("flag, argv, out", [
+    ("dataset", ["train", "--dataset", "ds"], "ds"),
+    ("model", ["eval", "--dataset", "ds", "--model", "m16/model.json"],
+     "m16"),
+    ("models", ["sweep-tlast", "--dataset", "ds",
+                "--models", "m2/model.json,m16/model.json"], "m16"),
+    ("dir", ["report", "--dir", "sp"], "sp"),
+    ("config", ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+                "--t-last", "8", "--config", "sp/grid.json"], "sp"),
+    ("catalog", ["make-dataset", "--catalog", "ds/catalog.txt"], "ds"),
+])
+def test_an_out_that_is_or_holds_an_input_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, cli_dataset, cli_models, flag, argv,
+        out):
+    """Replacing ``--out`` whole would delete an input that is or lies in
+    it, so every such ``--out`` is refused and every file stays."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(cli_dataset, "ds")
+    for steps, model in cli_models.items():
+        shutil.copytree(model.parent, f"m{steps}")
+    assert _quiet(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
+                   "--t-last", "8", "--out", "sp"]) == 0
+    (tmp_path / "sp" / "grid.json").write_text(
+        json.dumps({"simulation": {"p_grid": [0.5]}}))
+    before = _tree(tmp_path)
+    assert f"--{flag}" in argv
+    assert main([*argv, "--out", out]) == 1
+    name = argv[argv.index(f"--{flag}") + 1]
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is or holds the input {name.split(',')[-1]}; "
+        "a command replaces its whole --out\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("target", ["sim", "nowhere"])
+def test_a_symbolic_link_out_exits_1(tmp_path, monkeypatch, capsys, target):
+    """A link, to an earlier output or to nothing, is refused: replacing it
+    would turn the link into a directory."""
+    monkeypatch.chdir(tmp_path)
+    assert _quiet(["simulate", "--p", "0.3", "--recall", "0.9", "--tn-rate",
+                   "0.8", "--f", "0.16", "--out", "sim"]) == 0
+    (tmp_path / "link").symlink_to(target)
+    before = _tree(tmp_path / "sim")
+    assert _quiet(["simulate", "--p", "0.3", "--recall", "0.9", "--tn-rate",
+                   "0.8", "--f", "0.32", "--out", "link"]) == 1
+    assert capsys.readouterr().err == "error: --out link is a symbolic link\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "sim"]
+    assert os.readlink(tmp_path / "link") == target
+    assert _tree(tmp_path / "sim") == before
+
+
+def test_a_failed_command_creates_no_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--dataset", "nowhere", "--out", "a/b/c"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_make_dataset_builds_into_an_empty_out_and_over_a_dataset(
@@ -1010,13 +1094,14 @@ def test_step_tensor_must_match_the_manifest(cli_dataset, tmp_path, capsys,
                  id="MemoryError-out of memory"),
     pytest.param(UsageError, "bad input", 1, id="UsageError-bad input"),
     pytest.param(RunFailure, "failed run", 2, id="RunFailure-failed run")])
-def test_interrupt_and_memory_exhaustion_exit_2(monkeypatch, capsys, exc,
-                                               message, code):
+def test_interrupt_and_memory_exhaustion_exit_2(monkeypatch, tmp_path, capsys,
+                                               exc, message, code):
     """Each exception family ends in its own exit code and one line."""
-    def fail(args):
+    def fail(args, out):
         raise exc(message)
 
     monkeypatch.setattr(cli, "_cmd_sweep_p", fail)
+    monkeypatch.chdir(tmp_path)
     rc = main(["sweep-p", "--recall", "0.9", "--tn-rate", "0.8",
                "--t-last", "8", "--out", "unused"])
     assert rc == code

@@ -362,6 +362,23 @@ def test_one_denoising_loop():
             module.read_text(encoding="utf-8")), module.name
 
 
+def test_one_publish_path():
+    """Every ``--out`` is published by ``cli.main`` through the one staging
+    directory: ``replaced_directory`` is entered nowhere else, its renames
+    are the package's only ones, and nothing replaces a file by
+    ``os.replace``."""
+    calls = [(module.name, *call) for module in sorted(SRC.glob("*.py"))
+             for call in _calls(module.read_text(encoding="utf-8"),
+                                {"replaced_directory", "rename"})]
+    assert calls == [("atomic.py", "rename", "replaced_directory")] * 3 + [
+        ("cli.py", "replaced_directory", "main")]
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        assert "os.replace" not in {ast.unparse(node.func) for node in
+                                    ast.walk(tree)
+                                    if isinstance(node, ast.Call)}, module.name
+
+
 FINALIZER_MULTIPLIERS = {"_MIX1", "_MIX2", "_U64_MIX1", "_U64_MIX2"}
 
 
