@@ -15,8 +15,8 @@ snapshot included, in a staging directory and then puts it in place of the
 old one (:func:`~headlab.atomic.replaced_directory`), so a command that
 stops part way leaves the previous tree as it was.  Since the old tree goes
 whole, :func:`_check_out` refuses, before any work, an ``--out`` that is
-not an earlier output of the same subcommand or that a replacement would
-damage.
+not an earlier output of the same subcommand, that a replacement would
+damage, or beside which a killed or running command left part of a tree.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import typing
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, astuple, fields, replace
 from pathlib import Path
 
 from .atomic import replaced_directory
@@ -35,19 +36,19 @@ from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_header, load_manifest,
                       CATALOG_NAME)
 from .detector import (DetectorModel, VARIANTS, build_design_matrix,
-                       calibrate_threshold, check_target_recall,
-                       evaluate_detector, fit_detector, merge_counts)
+                       calibrate_threshold, check_fit_settings,
+                       check_target_recall, evaluate_detector, fit_detector,
+                       merge_counts)
 from .engine import make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64
-from .runtime import RunPolicy, measure_campaign, write_campaign_csv
+from .runtime import RunPolicy, measure_campaign
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
 from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
                         baseline_cost, check_run_count,
                         expected_cost_closed_form, monte_carlo_cost,
-                        relative_saving, sweep_probability, sweep_tlast,
-                        write_sweep_p_csv, write_sweep_tlast_csv)
+                        relative_saving, sweep_probability, sweep_tlast)
 
 SNAPSHOT_NAME = "config_snapshot.json"
 
@@ -126,8 +127,9 @@ class _Parser(argparse.ArgumentParser):
 def _check_out(args) -> None:
     """Refuse an ``--out`` that the command must not replace whole: a file
     or a path under one, a symbolic link, the working directory or one that
-    holds it, one that is or holds an input of the command, and one that
-    holds files but is no earlier output of this subcommand."""
+    holds it, one that is or holds an input of the command, one that
+    holds files but is no earlier output of this subcommand, and one beside
+    which a staging or swapped-out tree of another command lies."""
     path, out = args.out, Path(args.out)
     if out.is_symlink():
         raise UsageError(f"--out {path} is a symbolic link")
@@ -149,6 +151,12 @@ def _check_out(args) -> None:
         if target == source or target in source.parents:
             raise UsageError(f"--out {path} is or holds the input {name}; "
                              "a command replaces its whole --out")
+    left = out.parent.is_dir() and sorted(
+        place for place in out.parent.iterdir() if re.fullmatch(
+            rf"\.{re.escape(out.name)}\.\d+\.(staging|old)", place.name))
+    if left:
+        raise UsageError(f"--out {path} has {left[0]} beside it, left by a "
+                         "killed or running command; restore it or remove it")
     if out.is_dir() and any(out.iterdir()):
         try:
             snapshot = json.loads((out / SNAPSHOT_NAME).read_text("utf-8"))
@@ -166,6 +174,17 @@ def _check_out(args) -> None:
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1,
                                allow_nan=False) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``rows`` under ``header``: a float to 6 places, ``None`` as
+    an empty cell and a comma in text as ``;``."""
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return f"{value:.6f}"
+        return "" if value is None else str(value).replace(",", ";")
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _seed(text: str) -> int:
@@ -250,6 +269,8 @@ def _cmd_make_dataset(args, out: Path) -> dict:
 
 def _cmd_train(args, out: Path) -> dict:
     settings = _with_flags(load_experiment_config(args.config).detector, args)
+    check_fit_settings(settings.lr, settings.epochs, settings.l2,
+                       settings.threshold)
     root, manifest, catalog = _load_dataset(args.dataset)
     reported = [split for split in ("train", "val")
                 if manifest.samples_for_split(split)]
@@ -268,7 +289,7 @@ def _cmd_train(args, out: Path) -> dict:
         cal = design.of_split(settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
                                               settings.target_recall)
-    model.save(out / "model.json")
+    _write_json(out / "model.json", model.to_dict())
     report = {split: evaluate_detector(model, design.of_split(split)).to_dict()
               for split in reported}
     _write_json(out / "train_report.json", report)
@@ -372,7 +393,9 @@ def _cmd_sweep_tlast(args, out: Path) -> dict:
         ("subject", "thing"), manifest.config.faithfulness)
     rows = sweep_tlast(dist, points, num_steps, n_runs=args.mc_runs,
                        seed=args.seed)
-    write_sweep_tlast_csv(rows, out / "sweep_tlast.csv")
+    _write_csv(out / "sweep_tlast.csv",
+               "t_last,f,recall,tn_rate,saving_cf,saving_mc,ci_lo,ci_hi",
+               map(astuple, rows))
     for row in rows:
         print(f"t_last {row.t_last:3d}  f {row.cost_fraction:.2f}  "
               f"saving_cf {row.saving_closed_form:+.4f}")
@@ -389,7 +412,7 @@ def _cmd_sweep_p(args, out: Path) -> dict:
     for row in rows:
         if not math.isfinite(row.saving_closed_form):
             raise UsageError(f"non-finite saving_cf at p {row.completeness}")
-    write_sweep_p_csv(rows, out / "sweep_p.csv")
+    _write_csv(out / "sweep_p.csv", "p,t_last,saving_cf", map(astuple, rows))
     print(f"wrote {len(rows)} rows to {Path(args.out) / 'sweep_p.csv'}")
     return {"recall": args.recall, "tn_rate": args.tn_rate,
             "t_last": args.t_last, "num_steps": args.num_steps,
@@ -422,7 +445,10 @@ def _cmd_run(args, out: Path) -> dict:
                               treatment, catalog, settings.runs_per_prompt,
                               settings.root_seed,
                               label_threshold=config.label_threshold)
-    write_campaign_csv(report, out / "campaign.csv")
+    _write_csv(out / "campaign.csv",
+               "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi",
+               [(r.prompt_id, r.policy, r.runs, f"{r.mean_steps:.4f}",
+                 r.saving, r.ci_lo, r.ci_hi) for r in report.rows])
     print(f"pooled saving {report.pooled_saving:+.4f} "
           f"({settings.runs_per_prompt} runs x {len(prompts)} prompts)")
     return {"dataset": str(args.dataset), "model": str(args.model),

@@ -255,6 +255,25 @@ def build_design_matrix(root, manifest: DatasetManifest,
         feature_names=names, variant=variant, steps=steps)
 
 
+def check_fit_settings(lr: float, epochs: int, l2: float,
+                       threshold: float | None = None) -> None:
+    """Refuse the settings of :func:`fit_detector` or, with no
+    ``threshold``, of :func:`train_logistic` that they cannot fit with."""
+    if threshold is not None:
+        if not np.isfinite(threshold):
+            raise UsageError(f"threshold must be finite, got {threshold}")
+        if not 0.0 < threshold < 1.0:
+            raise UsageError(f"threshold must be in (0, 1), got {threshold}")
+    if epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
+    if epochs > MAX_EPOCHS:
+        raise UsageError(f"epochs must be <= {MAX_EPOCHS}, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise UsageError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(l2) and l2 >= 0):
+        raise UsageError(f"l2 must be finite and >= 0, got {l2}")
+
+
 @dataclass(frozen=True)
 class TrainResult:
     weights: np.ndarray
@@ -270,14 +289,7 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
     gradient is averaged over rows so the learning rate is insensitive to
     the dataset size.
     """
-    if epochs < 1:
-        raise UsageError(f"epochs must be >= 1, got {epochs}")
-    if epochs > MAX_EPOCHS:
-        raise UsageError(f"epochs must be <= {MAX_EPOCHS}, got {epochs}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise UsageError(f"lr must be finite and > 0, got {lr}")
-    if not (np.isfinite(l2) and l2 >= 0):
-        raise UsageError(f"l2 must be finite and >= 0, got {l2}")
+    check_fit_settings(lr, epochs, l2)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -332,10 +344,11 @@ class DetectorModel:
         """Presence verdicts; scores on the threshold count as present."""
         return (self.scores(x) >= self.threshold).astype(np.int64)
 
-    def save(self, path) -> None:
+    def to_dict(self) -> dict:
+        """The JSON payload of ``model.json``, which :meth:`load` reads."""
         if not 0.0 <= self.threshold <= 1.0:  # ``load`` would refuse it
             raise ValueError(f"threshold {self.threshold} outside [0, 1]")
-        payload = {
+        return {
             "format_version": MODEL_VERSION,
             "variant": self.variant,
             "steps": list(self.steps),
@@ -346,15 +359,11 @@ class DetectorModel:
             "bias": self.bias,
             "threshold": self.threshold,
         }
-        # ``load`` refuses NaN and infinities, so never write one
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1,
-                                         allow_nan=False) + "\n",
-                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "DetectorModel":
-        """Read a model that :meth:`save` could have written; anything else
-        raises ``ValueError`` naming the file."""
+        """Read a model whose :meth:`to_dict` was written as JSON; anything
+        else raises ``ValueError`` naming the file."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(payload, dict):
@@ -403,10 +412,7 @@ def _finite(values, what: str, width: int) -> np.ndarray:
 def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,
                  l2: float = 1e-4, threshold: float = 0.5) -> DetectorModel:
     """Standardize on the training split, then run gradient descent."""
-    if not np.isfinite(threshold):
-        raise UsageError(f"threshold must be finite, got {threshold}")
-    if not 0.0 < threshold < 1.0:
-        raise UsageError(f"threshold must be in (0, 1), got {threshold}")
+    check_fit_settings(lr, epochs, l2, threshold)
     mean = design.x.mean(axis=0)
     std = design.x.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)

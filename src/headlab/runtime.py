@@ -30,7 +30,6 @@ resamples in blocks, twice: every prompt's at once, then the pooled group's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -388,14 +387,3 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
                                 ci_lo=ci_lo, ci_hi=ci_hi))
     return CampaignReport(rows=tuple(rows))
 
-
-def write_campaign_csv(report: CampaignReport, path) -> None:
-    def fmt(v) -> str:
-        return "" if v is None else f"{v:.6f}"
-
-    lines = ["prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi"]
-    for r in report.rows:
-        lines.append(",".join([r.prompt_id.replace(",", ";"), r.policy,
-                               str(r.runs), f"{r.mean_steps:.4f}",
-                               fmt(r.saving), fmt(r.ci_lo), fmt(r.ci_hi)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -16,7 +16,6 @@ exactly when complete, for an expected cost of 1 / P(complete).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -457,25 +456,3 @@ def sweep_probability(objects, recall: float, true_negative_rate: float,
                                    saving_closed_form=relative_saving(dist, policy)))
     return rows
 
-
-def _fmt(value) -> str:
-    return f"{value:.6f}"
-
-
-def write_sweep_tlast_csv(rows, path) -> None:
-    lines = ["t_last,f,recall,tn_rate,saving_cf,saving_mc,ci_lo,ci_hi"]
-    for r in rows:
-        lines.append(",".join([str(r.t_last), _fmt(r.cost_fraction),
-                               _fmt(r.recall), _fmt(r.true_negative_rate),
-                               _fmt(r.saving_closed_form),
-                               _fmt(r.saving_monte_carlo),
-                               _fmt(r.ci_lo), _fmt(r.ci_hi)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_sweep_p_csv(rows, path) -> None:
-    lines = ["p,t_last,saving_cf"]
-    for r in rows:
-        lines.append(",".join([_fmt(r.completeness), str(r.t_last),
-                               _fmt(r.saving_closed_form)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -4,9 +4,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import typing
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from headlab.errors import RunFailure, UsageError
 from headlab.rng import stream_mantissas
 from headlab.runtime import MAX_RESTARTS, MAX_RUNS_PER_PROMPT
 from headlab.scene import default_catalog, dump_catalog
-from headlab.timesaver import MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS
+from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS,
+                               ProbabilityRow, SweepRow)
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
                              "objects": ["bench", "kite", "drum"],
@@ -65,6 +67,16 @@ def cli_models(workdir, cli_dataset):
                        "--out", str(out), "--steps", steps]) == 0
         paths[int(steps)] = out / "model.json"
     return paths
+
+
+@pytest.fixture(scope="module")
+def tensorless_dataset(workdir, cli_dataset):
+    """``cli_dataset`` without its capture tensors: a command that reads a
+    capture over it exits 2."""
+    root = workdir / "no_tensors"
+    shutil.copytree(cli_dataset, root,
+                    ignore=shutil.ignore_patterns("tensors"))
+    return root
 
 
 # ------------------------------------------------------------- exit codes
@@ -497,6 +509,29 @@ def test_make_dataset_refuses_an_out_it_would_destroy(tmp_path, monkeypatch,
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("present", [True, False])
+@pytest.mark.parametrize("kind", ["staging", "old"])
+def test_an_out_beside_a_leftover_tree_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, kind, present):
+    """A killed command can leave its staging tree, or the old tree it
+    swapped out, beside ``--out``, and a running one has its staging tree
+    there: a command on that ``--out`` exits 1 before any work, naming the
+    leftover, and every file stays as it was."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--p", "0.5", "--recall", "1", "--tn-rate", "1",
+            "--f", "0.1", "--out", "sim"]
+    if present:
+        assert _quiet(argv) == 0
+    (tmp_path / f".sim.99999.{kind}").mkdir()
+    (tmp_path / f".sim.99999.{kind}" / SNAPSHOT_NAME).write_text("{}")
+    before = _tree(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: --out sim has .sim.99999.{kind} beside it, left by a killed "
+        "or running command; restore it or remove it\n"))
+    assert _tree(tmp_path) == before
+
+
 # Every subcommand with ``--out``, with arguments that parse; the paths they
 # name need not exist, since ``--out`` is checked before any of them is read.
 OUT_COMMANDS = {
@@ -717,10 +752,10 @@ def test_train_refuses_its_calibration_before_reading(
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
-def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
-                                              threshold, source):
-    """A threshold ``load`` would refuse exits 1 before anything is
-    written."""
+def test_train_rejects_a_non_finite_threshold(tensorless_dataset, tmp_path,
+                                              capsys, threshold, source):
+    """A threshold ``load`` would refuse exits 1 before any capture is
+    read or anything is written."""
     config = tmp_path / "threshold.json"
     config.write_text(
         json.dumps({"detector": {"threshold": float(threshold)}}),
@@ -728,8 +763,8 @@ def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
     out = tmp_path / "model"
     extra = (["--threshold", threshold] if source == "flag"
              else ["--config", str(config)])
-    assert main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-                 *extra]) == 1
+    assert main(["train", "--dataset", str(tensorless_dataset),
+                 "--out", str(out), *extra]) == 1
     assert (capsys.readouterr().err
             == f"error: threshold must be finite, got {threshold}\n")
     assert not out.exists()
@@ -753,18 +788,19 @@ def test_train_rejects_a_non_finite_threshold(cli_dataset, tmp_path, capsys,
     ("threshold", 1.0, "threshold must be in (0, 1), got 1.0"),
     ("threshold", 2.0, "threshold must be in (0, 1), got 2.0"),
 ])
-def test_train_rejects_bad_hyperparameters(cli_dataset, tmp_path, capsys,
-                                           name, value, message, source):
+def test_train_rejects_bad_hyperparameters(tensorless_dataset, tmp_path,
+                                           capsys, name, value, message,
+                                           source):
     """A fit that could only go the wrong way, or not at all, exits 1
-    before anything is written."""
+    before any capture is read or anything is written."""
     config = tmp_path / "detector.json"
     config.write_text(json.dumps({"detector": {name: value}}),
                       encoding="utf-8")
     out = tmp_path / "model"
     extra = ([f"--{name}={value}"] if source == "flag"
              else ["--config", str(config)])
-    assert main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-                 *extra]) == 1
+    assert main(["train", "--dataset", str(tensorless_dataset),
+                 "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -780,8 +816,40 @@ def test_model_save_refuses_what_load_would_refuse(cli_models, tmp_path,
                                                    field):
     model = replace(DetectorModel.load(cli_models[16]), **{field: np.inf})
     with pytest.raises(ValueError):
-        model.save(tmp_path / "model.json")
+        cli._write_json(tmp_path / "model.json", model.to_dict())
     assert not list(tmp_path.iterdir())
+
+
+def test_csv_artifacts_write_each_cell_in_one_format(tmp_path):
+    """A float to 6 places, ``None`` as an empty cell, a comma in text as
+    ``;``, and an int or a string as it is."""
+    path = tmp_path / "campaign.csv"
+    cli._write_csv(path, "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi",
+                   [("a cat, sitting", "baseline", 2, "85.0000", None, None,
+                     None),
+                    ("pooled", "head", 2, "61.5000", 0.2765, 0.1, 0.4)])
+    assert path.read_text("utf-8") == (
+        "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi\n"
+        "a cat; sitting,baseline,2,85.0000,,,\n"
+        "pooled,head,2,61.5000,0.276500,0.100000,0.400000\n")
+
+
+def test_sweep_rows_write_as_their_fields_in_order(tmp_path):
+    """A sweep row's fields are its CSV columns, in order."""
+    rows = [SweepRow(t_last=8, cost_fraction=0.16, recall=0.9,
+                     true_negative_rate=0.8, saving_closed_form=0.2,
+                     saving_monte_carlo=0.19, ci_lo=0.18, ci_hi=0.22),
+            SweepRow(t_last=40, cost_fraction=0.8, recall=1.0,
+                     true_negative_rate=1.0, saving_closed_form=0.05,
+                     saving_monte_carlo=0.04, ci_lo=0.03, ci_hi=0.06),
+            ProbabilityRow(completeness=0.59, t_last=8,
+                           saving_closed_form=0.28)]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, "header", map(astuple, rows))
+    assert path.read_text("utf-8").splitlines()[1:] == [
+        "8,0.160000,0.900000,0.800000,0.200000,0.190000,0.180000,0.220000",
+        "40,0.800000,1.000000,1.000000,0.050000,0.040000,0.030000,0.060000",
+        "0.590000,8,0.280000"]
 
 
 def test_train_rejects_uncaptured_step(cli_dataset, tmp_path, capsys):
@@ -1156,6 +1224,8 @@ def test_sweep_tlast_csv(cli_dataset, cli_models, tmp_path, capsys):
     assert lines[0] == "t_last,f,recall,tn_rate,saving_cf,saving_mc,ci_lo,ci_hi"
     t_values = [int(line.split(",")[0]) for line in lines[1:]]
     assert t_values == [2, 16]
+    assert all(re.fullmatch(r"\d+(,-?\d+\.\d{6}){7}", line)
+               for line in lines[1:])
 
 
 def test_sweep_tlast_needs_two_models(cli_dataset, cli_models, tmp_path,
@@ -1176,6 +1246,8 @@ def test_sweep_p_grid(tmp_path, capsys):
     assert lines[0] == "p,t_last,saving_cf"
     ps = [float(line.split(",")[0]) for line in lines[1:]]
     assert ps == [0.3, 0.59, 0.6]
+    assert all(re.fullmatch(r"\d\.\d{6},8,-?\d\.\d{6}", line)
+               for line in lines[1:])
 
 
 # ------------------------------------------------------------- runtime
@@ -1192,6 +1264,11 @@ def test_run_campaign(cli_dataset, cli_models, tmp_path, capsys):
     # 3 val prompts, two rows each, plus the two pooled rows
     assert len(lines) == 1 + 3 * 2 + 2
     assert lines[-1].startswith("pooled,head,")
+    # a baseline row has no saving and no interval
+    assert all(re.fullmatch(r"[^,]+,baseline,\d+,\d+\.\d{4},,,", line)
+               for line in lines[1::2])
+    assert all(re.fullmatch(r"[^,]+,head,\d+,\d+\.\d{4}(,-?\d+\.\d{6}){3}",
+                            line) for line in lines[2::2])
 
 
 def test_run_unknown_split_exits_1(cli_dataset, cli_models, tmp_path,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.special import expit as scipy_expit
 
+from headlab import cli
 from headlab.dataset import load_step
 from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
                               MAX_EPOCHS, build_design_matrix,
@@ -235,10 +236,15 @@ def _real_model(variant="combined", steps=(8,), threshold=0.5):
                          threshold=threshold)
 
 
+def _save(model: DetectorModel, path) -> None:
+    """Write ``model`` as ``train`` writes ``model.json``."""
+    cli._write_json(path, model.to_dict())
+
+
 def test_model_json_roundtrip(tmp_path):
     model = _real_model(threshold=0.37)
     path = tmp_path / "m.json"
-    model.save(path)
+    _save(model, path)
     back = DetectorModel.load(path)
     assert back.variant == model.variant
     assert back.steps == model.steps
@@ -251,7 +257,7 @@ def test_model_json_roundtrip(tmp_path):
 def test_model_load_rejects_bad_version(tmp_path):
     model = _real_model()
     path = tmp_path / "m.json"
-    model.save(path)
+    _save(model, path)
     text = path.read_text("utf-8").replace('"format_version": 1',
                                            '"format_version": 9')
     path.write_text(text, encoding="utf-8")
@@ -262,12 +268,12 @@ def test_model_load_rejects_bad_version(tmp_path):
 @pytest.mark.parametrize("threshold", [-0.5, -1e-300, 1.0000000000000002, 2])
 def test_model_load_rejects_a_threshold_outside_the_unit_interval(
         tmp_path, threshold):
-    """``save`` refuses such a model too, so the file is edited."""
+    """``to_dict`` refuses such a model too, so the file is edited."""
     path = tmp_path / "m.json"
     with pytest.raises(ValueError, match="outside"):
-        _real_model(threshold=threshold).save(path)
+        _save(_real_model(threshold=threshold), path)
     assert not path.exists()
-    _real_model().save(path)
+    _save(_real_model(), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     path.write_text(json.dumps({**payload, "threshold": threshold}),
                     encoding="utf-8")
@@ -279,7 +285,7 @@ def test_model_load_rejects_a_threshold_outside_the_unit_interval(
 def test_model_load_accepts_a_saturated_threshold(tmp_path, threshold):
     """A threshold calibrated on saturated scores can be exactly 0 or 1."""
     path = tmp_path / "m.json"
-    _real_model(threshold=threshold).save(path)
+    _save(_real_model(threshold=threshold), path)
     assert DetectorModel.load(path).threshold == threshold
 
 
@@ -325,7 +331,7 @@ def test_model_load_accepts_a_working_model_or_raises_value_error(
     """A model file with one field replaced loads as a model that scores
     captures, or fails as ``ValueError``; nothing else escapes."""
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
-    _real_model(*variant).save(path)
+    _save(_real_model(*variant), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload[key] = value
     path.write_text(json.dumps(payload), encoding="utf-8")

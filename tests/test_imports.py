@@ -379,6 +379,50 @@ def test_one_publish_path():
                                     if isinstance(node, ast.Call)}, module.name
 
 
+def _opens_for_writing(source: str) -> list[str]:
+    """The top-level definition of each builtin ``open`` call in ``source``
+    whose literal mode writes, sorted."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "open"):
+                mode = [*node.args[1:2], *(k.value for k in node.keywords
+                                           if k.arg == "mode")]
+                if mode and set(ast.literal_eval(mode[0])) & set("wax+"):
+                    found.append(getattr(top, "name", ""))
+    return sorted(found)
+
+
+def test_checker_finds_opens_for_writing():
+    source = ("def a(p):\n    open(p)\n    open(p, 'rb')\n"
+              "class W:\n    def m(self, p): return open(p, mode='ab')\n"
+              "def b(p): return open(p, 'w'), p.open('w')\n")
+    assert _opens_for_writing(source) == ["W", "b"]
+
+
+def test_one_writer_per_artifact_format():
+    """Every JSON and CSV artifact is written by ``cli``: ``json.dumps`` is
+    called only in ``cli._write_json`` and in ``dataset._jsonl``, for the
+    manifest, and files are written only in ``cli``, ``dataset``,
+    ``scene.dump_catalog`` and ``tensorio``, each a format that it or
+    ``cli`` reads back."""
+    dumps, writes = [], []
+    for module in MODULES:
+        source = module.read_text(encoding="utf-8")
+        dumps += [(module.name, where)
+                  for _, where in _calls(source, {"dumps"})]
+        writes += [(module.name, where) for _, where in
+                   _calls(source, {"write_text", "write_bytes"})]
+        writes += [(module.name, where)
+                   for where in _opens_for_writing(source)]
+    assert dumps == [("cli.py", "_write_json"), ("dataset.py", "_jsonl")]
+    assert sorted(writes) == [
+        ("cli.py", "_cmd_report"), ("cli.py", "_write_csv"),
+        ("cli.py", "_write_json"), ("dataset.py", "generate_dataset"),
+        ("scene.py", "dump_catalog"), ("tensorio.py", "TensorWriter")]
+
+
 FINALIZER_MULTIPLIERS = {"_MIX1", "_MIX2", "_U64_MIX1", "_U64_MIX2"}
 
 

@@ -15,9 +15,8 @@ from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
-                             CampaignReport, CampaignRow, RunPolicy,
-                             _bootstrap_cis, measure_campaign,
-                             write_campaign_csv)
+                             CampaignReport, RunPolicy,
+                             _bootstrap_cis, measure_campaign)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
 
@@ -734,19 +733,6 @@ def test_bootstrap_memory_is_bounded_by_its_blocks():
 def test_pooled_saving_requires_pooled_row():
     with pytest.raises(UsageError, match="^campaign report has no pooled "):
         _ = CampaignReport(rows=()).pooled_saving
-
-
-def test_campaign_csv(tmp_path):
-    rows = (CampaignRow(prompt_id="a cat, sitting", policy=BASELINE, runs=2,
-                        mean_steps=85.0, saving=None, ci_lo=None, ci_hi=None),
-            CampaignRow(prompt_id="pooled", policy=HEAD, runs=2,
-                        mean_steps=61.5, saving=0.2765, ci_lo=0.1, ci_hi=0.4))
-    path = tmp_path / "campaign.csv"
-    write_campaign_csv(CampaignReport(rows=rows), path)
-    lines = path.read_text("utf-8").splitlines()
-    assert lines[0] == "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi"
-    assert lines[1] == "a cat; sitting,baseline,2,85.0000,,,"
-    assert lines[2] == "pooled,head,2,61.5000,0.276500,0.100000,0.400000"
 
 
 def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(

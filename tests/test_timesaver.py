@@ -9,12 +9,10 @@ from hypothesis import given, strategies as st
 from headlab import timesaver
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import stream_words, to_uniforms
-from headlab.timesaver import (AttemptDistribution, PolicyParams,
-                               ProbabilityRow, RatePoint, SweepRow,
+from headlab.timesaver import (AttemptDistribution, PolicyParams, RatePoint,
                                acceptance_probability, baseline_cost,
                                expected_cost_closed_form, monte_carlo_cost,
-                               relative_saving, sweep_probability, sweep_tlast,
-                               write_sweep_p_csv, write_sweep_tlast_csv)
+                               relative_saving, sweep_probability, sweep_tlast)
 from oracles import monte_carlo_reference
 
 
@@ -595,32 +593,6 @@ def test_sweep_probability_matches_pointwise_closed_form():
         policy = PolicyParams.symmetric(("a", "b"), 0.92, 0.75, 0.2)
         assert row.saving_closed_form == pytest.approx(
             relative_saving(dist, policy), abs=1e-12)
-
-
-# ------------------------------------------------------------- CSV
-
-def test_sweep_csv_headers_and_rows(tmp_path):
-    rows = [SweepRow(t_last=8, cost_fraction=0.16, recall=0.9,
-                     true_negative_rate=0.8, saving_closed_form=0.2,
-                     saving_monte_carlo=0.19, ci_lo=0.18, ci_hi=0.22),
-            SweepRow(t_last=40, cost_fraction=0.8, recall=1.0,
-                     true_negative_rate=1.0, saving_closed_form=0.05,
-                     saving_monte_carlo=0.04, ci_lo=0.03, ci_hi=0.06)]
-    path = tmp_path / "sweep_tlast.csv"
-    write_sweep_tlast_csv(rows, path)
-    lines = path.read_text("utf-8").splitlines()
-    assert lines[0] == "t_last,f,recall,tn_rate,saving_cf,saving_mc,ci_lo,ci_hi"
-    assert lines[1].startswith("8,0.160000,")
-    assert lines[2] == ("40,0.800000,1.000000,1.000000,0.050000,"
-                        "0.040000,0.030000,0.060000")
-
-    prows = [ProbabilityRow(completeness=0.59, t_last=8,
-                            saving_closed_form=0.28)]
-    ppath = tmp_path / "sweep_p.csv"
-    write_sweep_p_csv(prows, ppath)
-    plines = ppath.read_text("utf-8").splitlines()
-    assert plines[0] == "p,t_last,saving_cf"
-    assert plines[1] == "0.590000,8,0.280000"
 
 
 def test_acceptance_probability_helper():
