@@ -17,6 +17,12 @@ stops part way leaves the previous tree as it was.  Since the old tree goes
 whole, :func:`_check_out` refuses, before any work, an ``--out`` that is
 not an earlier output of the same subcommand, that a replacement would
 damage, or beside which a killed or running command left part of a tree.
+
+A command that takes ``--config`` builds its one settings object, of the
+type :data:`SECTIONS` names for its section, once: from the file's section
+and the flags given, a flag winning, before it reads any input.  Each type
+lives in the module it configures and checks its own values as it is built,
+so a bad setting exits 1 naming it, and no code downstream checks it again.
 """
 
 from __future__ import annotations
@@ -27,94 +33,65 @@ import json
 import math
 import re
 import sys
-import typing
-from dataclasses import dataclass, asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .atomic import replaced_directory
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_header, load_manifest,
                       CATALOG_NAME)
-from .detector import (DetectorModel, VARIANTS, build_design_matrix,
-                       calibrate_threshold, check_fit_settings,
-                       check_target_recall, evaluate_detector, fit_detector,
-                       merge_counts)
+from .detector import (DetectorModel, DetectorSettings, VARIANTS,
+                       build_design_matrix, calibrate_threshold,
+                       evaluate_detector, fit_detector, merge_counts)
 from .engine import make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64
-from .runtime import RunPolicy, measure_campaign
+from .runtime import RuntimeSettings, measure_campaign
 from .scene import (MAX_TARGETS, build_conditional_mixture, default_catalog,
                     load_catalog)
 from .timesaver import (AttemptDistribution, PolicyParams, RatePoint,
-                        baseline_cost, check_run_count,
+                        SimulationSettings, baseline_cost, check_run_count,
                         expected_cost_closed_form, monte_carlo_cost,
                         relative_saving, sweep_probability, sweep_tlast)
 
 SNAPSHOT_NAME = "config_snapshot.json"
 
 
-@dataclass(frozen=True)
-class DetectorSettings:
-    """Training hyperparameters and model variant selection."""
-
-    variant: str = "combined"
-    steps: tuple[int, ...] = (8,)
-    lr: float = 0.1
-    epochs: int = 500
-    l2: float = 1e-4
-    threshold: float = 0.5
-    target_recall: float | None = None
-    calibration_split: str = "val"
+# The settings type of each --config section, each in the module it sets up.
+SECTIONS = {"dataset": DatasetConfig, "detector": DetectorSettings,
+            "simulation": SimulationSettings, "runtime": RuntimeSettings}
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
-    """The completeness sweep grid."""
-
-    p_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-@dataclass(frozen=True)
-class RuntimeSettings:
-    """Live campaign sizing and seeding."""
-
-    runs_per_prompt: int = 20
-    root_seed: int = 2024
-    max_restarts: int = 1000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full experiment description: one section per pipeline stage."""
-
-    dataset: DatasetConfig = DatasetConfig()
-    detector: DetectorSettings = DetectorSettings()
-    simulation: SimulationSettings = SimulationSettings()
-    runtime: RuntimeSettings = RuntimeSettings()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        sections = typing.get_type_hints(cls)
-        unknown = set(d) - set(sections)
+def load_experiment_config(path) -> dict[str, dict]:
+    """The keyword arguments of each section of the config file ``path``,
+    every section's ``{}`` with no file.  Values are type-checked here and
+    range-checked only by the type a command builds (:func:`_settings`)."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+    try:
+        unknown = set(raw) - set(SECTIONS)
         if unknown:
             raise UsageError(f"unknown config sections: {sorted(unknown)}")
-        return cls(**{name: klass(**config_kwargs(klass, name, d.get(name, {})))
-                      for name, klass in sections.items()})
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    try:
-        return ExperimentConfig.from_dict(raw)
+        return {name: config_kwargs(cls, name, raw.get(name, {}))
+                for name, cls in SECTIONS.items()}
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _settings(args, section: str):
+    """The command's settings of config ``section``, built once from the
+    ``--config`` file's values and the flags given, a flag winning."""
+    cls = SECTIONS[section]
+    kwargs = load_experiment_config(args.config)[section]
+    kwargs.update((f.name, getattr(args, f.name)) for f in fields(cls)
+                  if getattr(args, f.name, None) is not None)
+    return cls(**kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,13 +211,6 @@ def _load_catalog(root: Path, config: DatasetConfig):
     return catalog
 
 
-def _with_flags(settings, args):
-    """Config ``settings`` with each field whose flag was given replaced."""
-    given = {f.name: getattr(args, f.name) for f in fields(settings)
-             if getattr(args, f.name, None) is not None}
-    return replace(settings, **given)
-
-
 def _object_names(count: int) -> tuple[str, ...]:
     """Placeholder names for ``--objects``, at most ``MAX_TARGETS``."""
     if not 1 <= count <= MAX_TARGETS:
@@ -252,7 +222,7 @@ def _object_names(count: int) -> tuple[str, ...]:
 
 
 def _cmd_make_dataset(args, out: Path) -> dict:
-    config = _with_flags(load_experiment_config(args.config).dataset, args)
+    config = _settings(args, "dataset")
     if args.catalog is not None:
         catalog = load_catalog(args.catalog)
     else:
@@ -268,9 +238,7 @@ def _cmd_make_dataset(args, out: Path) -> dict:
 
 
 def _cmd_train(args, out: Path) -> dict:
-    settings = _with_flags(load_experiment_config(args.config).detector, args)
-    check_fit_settings(settings.lr, settings.epochs, settings.l2,
-                       settings.threshold)
+    settings = _settings(args, "detector")
     root, manifest, catalog = _load_dataset(args.dataset)
     reported = [split for split in ("train", "val")
                 if manifest.samples_for_split(split)]
@@ -278,13 +246,10 @@ def _cmd_train(args, out: Path) -> dict:
     if settings.target_recall is not None:
         # checked before any capture is read or any epoch runs
         manifest.rows_for_split(settings.calibration_split)
-        check_target_recall(settings.target_recall)
         splits.append(settings.calibration_split)
     design = build_design_matrix(root, manifest, catalog, settings.steps,
                                  variant=settings.variant, splits=splits)
-    model = fit_detector(design.of_split("train"), lr=settings.lr,
-                         epochs=settings.epochs, l2=settings.l2,
-                         threshold=settings.threshold)
+    model = fit_detector(design.of_split("train"), settings)
     if settings.target_recall is not None:
         cal = design.of_split(settings.calibration_split)
         model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
@@ -404,8 +369,7 @@ def _cmd_sweep_tlast(args, out: Path) -> dict:
 
 
 def _cmd_sweep_p(args, out: Path) -> dict:
-    grid = _with_flags(load_experiment_config(args.config).simulation,
-                       args).p_grid
+    grid = _settings(args, "simulation").p_grid
     names = _object_names(args.objects)
     rows = sweep_probability(names, args.recall, args.tn_rate, args.t_last,
                              args.num_steps, grid)
@@ -423,7 +387,7 @@ def _cmd_sweep_p(args, out: Path) -> dict:
 
 
 def _cmd_run(args, out: Path) -> dict:
-    settings = _with_flags(load_experiment_config(args.config).runtime, args)
+    settings = _settings(args, "runtime")
     # a campaign reads the manifest's config and splits, not its samples
     root = Path(args.dataset)
     config, splits = load_header(root)
@@ -431,20 +395,18 @@ def _cmd_run(args, out: Path) -> dict:
     model = DetectorModel.load(args.model)
     prompts = build_prompt_grid(config.subjects, config.objects)
     if args.split != "all":
-        keep = set(splits.get(args.split, ()))
+        if args.split not in splits:
+            raise UsageError(f"unknown split {args.split!r}; have {sorted(splits)}")
+        keep = set(splits[args.split])
         if not keep:
             raise UsageError(f"split {args.split!r} selects no prompts")
         prompts = tuple(p for i, p in enumerate(prompts) if i in keep)
     mixtures = [build_conditional_mixture(p.targets, catalog=catalog,
                                           **config.mixture_kwargs)
                 for p in prompts]
-    schedule = make_schedule(config.num_steps)
-    reference = RunPolicy(max_restarts=settings.max_restarts)
-    treatment = RunPolicy(model=model, max_restarts=settings.max_restarts)
-    report = measure_campaign(prompts, mixtures, schedule, reference,
-                              treatment, catalog, settings.runs_per_prompt,
-                              settings.root_seed,
-                              label_threshold=config.label_threshold)
+    report = measure_campaign(prompts, mixtures,
+                              make_schedule(config.num_steps), model, catalog,
+                              settings, config.label_threshold)
     _write_csv(out / "campaign.csv",
                "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi",
                [(r.prompt_id, r.policy, r.runs, f"{r.mean_steps:.4f}",

@@ -85,7 +85,7 @@ class DatasetConfig:
     global_seed: int = 2
     split_fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.subjects or not self.objects:
             raise UsageError("subject and object lists must be non-empty")
         if set(self.subjects) & set(self.objects):
@@ -345,7 +345,6 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     Every seed is mixed in one call, and output bytes are a pure function
     of ``config`` and ``catalog``: a row is bit-identical in any wave.
     """
-    config.validate()
     for name in list(config.subjects) + list(config.objects):
         if name not in catalog:
             raise UsageError(f"config references {name!r} missing from catalog")
@@ -452,7 +451,6 @@ def _header(path: Path, line: str) -> tuple[DatasetConfig, dict]:
             raise ValueError("unsupported manifest version "
                              f"{obj['format_version']}")
         config = DatasetConfig.from_dict(obj["config"])
-        config.validate()
         splits = {k: tuple(v) for k, v in obj["splits"].items()}
     except (AttributeError, TypeError, ValueError, UsageError) as exc:
         raise ValueError(f"{where}: malformed header line: {exc}") from exc

@@ -166,6 +166,40 @@ def feature_names_for(variant: str, steps) -> tuple[str, ...]:
     return FEATURE_NAMES
 
 
+@dataclass(frozen=True)
+class DetectorSettings:
+    """Model variant and decision steps, fit and threshold settings; each
+    value is checked here, and nowhere downstream."""
+
+    variant: str = "combined"
+    steps: tuple[int, ...] = (8,)
+    lr: float = 0.1
+    epochs: int = 500
+    l2: float = 1e-4
+    threshold: float = 0.5
+    target_recall: float | None = None
+    calibration_split: str = "val"
+
+    def __post_init__(self):
+        if not np.isfinite(self.threshold):
+            raise UsageError(f"threshold must be finite, got {self.threshold}")
+        if not 0.0 < self.threshold < 1.0:
+            raise UsageError(f"threshold must be in (0, 1), got "
+                             f"{self.threshold}")
+        if self.epochs < 1:
+            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs > MAX_EPOCHS:
+            raise UsageError(f"epochs must be <= {MAX_EPOCHS}, got "
+                             f"{self.epochs}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise UsageError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise UsageError(f"l2 must be finite and >= 0, got {self.l2}")
+        if not (self.target_recall is None or 0.0 < self.target_recall <= 1.0):
+            raise UsageError("target recall must be in (0, 1]")
+        feature_names_for(self.variant, self.steps)
+
+
 def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
                  variant: str, steps, rows=None) -> np.ndarray:
     """Design rows of ``R`` captures, capture by capture and then by target.
@@ -255,25 +289,6 @@ def build_design_matrix(root, manifest: DatasetManifest,
         feature_names=names, variant=variant, steps=steps)
 
 
-def check_fit_settings(lr: float, epochs: int, l2: float,
-                       threshold: float | None = None) -> None:
-    """Refuse the settings of :func:`fit_detector` or, with no
-    ``threshold``, of :func:`train_logistic` that they cannot fit with."""
-    if threshold is not None:
-        if not np.isfinite(threshold):
-            raise UsageError(f"threshold must be finite, got {threshold}")
-        if not 0.0 < threshold < 1.0:
-            raise UsageError(f"threshold must be in (0, 1), got {threshold}")
-    if epochs < 1:
-        raise UsageError(f"epochs must be >= 1, got {epochs}")
-    if epochs > MAX_EPOCHS:
-        raise UsageError(f"epochs must be <= {MAX_EPOCHS}, got {epochs}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise UsageError(f"lr must be finite and > 0, got {lr}")
-    if not (np.isfinite(l2) and l2 >= 0):
-        raise UsageError(f"l2 must be finite and >= 0, got {l2}")
-
-
 @dataclass(frozen=True)
 class TrainResult:
     weights: np.ndarray
@@ -281,15 +296,14 @@ class TrainResult:
     final_loss: float
 
 
-def train_logistic(x: np.ndarray, y: np.ndarray, lr: float = 0.1,
-                   epochs: int = 500, l2: float = 1e-4) -> TrainResult:
+def train_logistic(x: np.ndarray, y: np.ndarray, lr: float, epochs: int,
+                   l2: float) -> TrainResult:
     """Full-batch gradient descent on mean cross-entropy.
 
     The l2 penalty applies to the weights only, never the bias, and the
     gradient is averaged over rows so the learning rate is insensitive to
     the dataset size.
     """
-    check_fit_settings(lr, epochs, l2)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -409,19 +423,18 @@ def _finite(values, what: str, width: int) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def fit_detector(design: DesignMatrix, lr: float = 0.1, epochs: int = 500,
-                 l2: float = 1e-4, threshold: float = 0.5) -> DetectorModel:
+def fit_detector(design: DesignMatrix,
+                 settings: DetectorSettings) -> DetectorModel:
     """Standardize on the training split, then run gradient descent."""
-    check_fit_settings(lr, epochs, l2, threshold)
     mean = design.x.mean(axis=0)
     std = design.x.std(axis=0)
     scale = np.where(std < 1e-12, 1.0, std)
     result = train_logistic((design.x - mean) / scale, design.y,
-                            lr=lr, epochs=epochs, l2=l2)
+                            settings.lr, settings.epochs, settings.l2)
     return DetectorModel(variant=design.variant, steps=design.steps,
                          feature_names=design.feature_names, mean=mean,
                          scale=scale, weights=result.weights,
-                         bias=result.bias, threshold=threshold)
+                         bias=result.bias, threshold=settings.threshold)
 
 
 @dataclass(frozen=True)
@@ -499,12 +512,6 @@ def evaluate_detector(model: DetectorModel,
                            per_object=per_object)
 
 
-def check_target_recall(target_recall: float) -> None:
-    """Refuse a recall target outside (0, 1], NaN included."""
-    if not (0.0 < target_recall <= 1.0):
-        raise UsageError("target recall must be in (0, 1]")
-
-
 def calibrate_threshold(scores: np.ndarray, y: np.ndarray,
                         target_recall: float) -> float:
     """Largest threshold whose recall still reaches the target.
@@ -513,7 +520,6 @@ def calibrate_threshold(scores: np.ndarray, y: np.ndarray,
     to the k-th largest positive score yields recall exactly k/n_pos, so
     the answer is that order statistic with ``k = ceil(target * n_pos)``.
     """
-    check_target_recall(target_recall)
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y)
     pos = np.sort(scores[y == 1])[::-1]

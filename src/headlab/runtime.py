@@ -58,6 +58,31 @@ MAX_RESTARTS = 100_000
 
 
 @dataclass(frozen=True)
+class RuntimeSettings:
+    """Live campaign sizing and seeding, each value checked here."""
+
+    runs_per_prompt: int = 20
+    root_seed: int = 2024
+    max_restarts: int = 1000
+
+    def __post_init__(self):
+        if self.runs_per_prompt < 1:
+            raise UsageError("runs_per_prompt must be >= 1")
+        if self.runs_per_prompt > MAX_RUNS_PER_PROMPT:
+            raise UsageError(f"runs_per_prompt must be <= "
+                             f"{MAX_RUNS_PER_PROMPT}, got "
+                             f"{self.runs_per_prompt}")
+        if not 0 <= self.root_seed <= MASK64:
+            raise UsageError(f"root_seed must be in [0, 2**64), got "
+                             f"{self.root_seed}")
+        if self.max_restarts < 1:
+            raise UsageError("max_restarts must be >= 1")
+        if self.max_restarts > MAX_RESTARTS:
+            raise UsageError(f"max_restarts must be <= {MAX_RESTARTS}, got "
+                             f"{self.max_restarts}")
+
+
+@dataclass(frozen=True)
 class RunPolicy:
     """How one arm of the experiment treats an in-flight attempt.
 
@@ -73,11 +98,6 @@ class RunPolicy:
         return BASELINE if self.model is None else HEAD
 
     def validate(self, num_steps: int) -> None:
-        if self.max_restarts < 1:
-            raise UsageError("max_restarts must be >= 1")
-        if self.max_restarts > MAX_RESTARTS:
-            raise UsageError(f"max_restarts must be <= {MAX_RESTARTS}, got "
-                             f"{self.max_restarts}")
         if self.model is not None and max(self.model.steps) >= num_steps:
             raise UsageError("decision step must precede the final step")
 
@@ -238,15 +258,6 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     return failed
 
 
-def _check_runs_per_prompt(runs_per_prompt: int) -> None:
-    """Refuse a run count outside ``[1, MAX_RUNS_PER_PROMPT]``."""
-    if runs_per_prompt < 1:
-        raise UsageError("runs_per_prompt must be >= 1")
-    if runs_per_prompt > MAX_RUNS_PER_PROMPT:
-        raise UsageError(f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
-                         f"got {runs_per_prompt}")
-
-
 def run_arms(mixtures, schedule: NoiseSchedule, policies,
              catalog: dict[str, ObjectSpec], root_seed: int,
              runs_per_prompt: int, prompt_ids, record,
@@ -266,11 +277,8 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies,
     run alone, and the wave size changes none of them.  Raises
     ``RunFailure`` for the first run in (prompt, run) order that no
     attempt within ``max_restarts`` completes, under the first policy that
-    has one.
+    has one.  :class:`RuntimeSettings` checks the sizes and the seed.
     """
-    _check_runs_per_prompt(runs_per_prompt)
-    if not 0 <= root_seed <= MASK64:
-        raise UsageError(f"root_seed must be in [0, 2**64), got {root_seed}")
     if len(prompt_ids) != len(mixtures):
         raise UsageError("prompt_ids and mixtures must align")
     if not policies:
@@ -339,11 +347,12 @@ def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
 
 
 def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
-                     reference: RunPolicy, treatment: RunPolicy,
-                     catalog: dict[str, ObjectSpec], runs_per_prompt: int,
-                     root_seed: int,
+                     model: DetectorModel | None,
+                     catalog: dict[str, ObjectSpec],
+                     settings: RuntimeSettings,
                      label_threshold: float = 0.5) -> CampaignReport:
-    """Run both policy arms on every prompt with matching attempt seeds.
+    """Run the baseline arm and the head arm of ``model`` on every prompt
+    with matching attempt seeds; with no model, both arms are baselines.
 
     Relative saving is ``1 - steps_treatment / steps_reference``, reported
     per prompt and pooled, with paired-bootstrap confidence intervals.
@@ -354,8 +363,9 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
     """
     if not prompts:
         raise UsageError("a campaign needs at least one prompt")
-    # Checked before the totals are allocated; run_arms checks the rest.
-    _check_runs_per_prompt(runs_per_prompt)
+    runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
+    reference, treatment = (RunPolicy(arm, settings.max_restarts)
+                            for arm in (None, model))
     steps = np.zeros((2, len(prompts) * runs_per_prompt), dtype=np.int64)
 
     def add(arm: int, run: int, attempt: AttemptRecord) -> None:

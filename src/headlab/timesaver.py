@@ -425,6 +425,17 @@ REFERENCE_COMPLETENESS = 0.59
 
 
 @dataclass(frozen=True)
+class SimulationSettings:
+    """The completeness sweep grid, each value checked here."""
+
+    p_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+    def __post_init__(self):
+        if any(not (0.0 < p <= 1.0) for p in self.p_grid):
+            raise UsageError("completeness values must be in (0, 1]")
+
+
+@dataclass(frozen=True)
 class ProbabilityRow:
     completeness: float
     t_last: int
@@ -437,15 +448,13 @@ def sweep_probability(objects, recall: float, true_negative_rate: float,
     """Closed-form saving versus attempt completeness probability.
 
     Each completeness value ``p`` maps to a symmetric per-object
-    faithfulness ``p ** (1/n)``.  The reference point p=0.59 is always
-    included so curves line up across configurations.
+    faithfulness ``p ** (1/n)``, ``p`` in (0, 1] (:class:`SimulationSettings`).
+    The reference point p=0.59 is always included so curves line up.
     """
     objects = tuple(objects)
     if not (0 <= t_last < num_steps):
         raise UsageError(f"t_last={t_last} outside [0, {num_steps})")
     values = sorted(set(float(p) for p in p_values) | {REFERENCE_COMPLETENESS})
-    if any(not (0.0 < p <= 1.0) for p in values):
-        raise UsageError("completeness values must be in (0, 1]")
     rows = []
     for p in values:
         q = p ** (1.0 / len(objects))

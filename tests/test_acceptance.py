@@ -17,11 +17,12 @@ from scipy import stats
 
 from headlab.cli import main
 from headlab.dataset import build_prompt_grid
-from headlab.detector import (DetectorModel, build_design_matrix,
-                              evaluate_detector, fit_detector, merge_counts)
+from headlab.detector import (DetectorModel, DetectorSettings,
+                              build_design_matrix, evaluate_detector,
+                              fit_detector, merge_counts)
 from headlab.engine import LockstepBatch, MixtureBank
 from headlab.rng import mix64
-from headlab.runtime import RunPolicy, measure_campaign
+from headlab.runtime import RuntimeSettings, measure_campaign
 from headlab.scene import build_conditional_mixture
 from headlab.timesaver import (AttemptDistribution, PolicyParams,
                                expected_cost_closed_form, monte_carlo_cost,
@@ -57,7 +58,7 @@ def trained(dataset) -> dict[int, TrainedStep]:
         design = build_design_matrix(dataset.root, dataset.manifest,
                                      dataset.catalog, (u,),
                                      variant="combined", splits=("train",))
-        model = fit_detector(design)
+        model = fit_detector(design, DetectorSettings(steps=(u,)))
         fit_seconds = perf_counter() - start
         val = evaluate_detector(
             model, build_design_matrix(dataset.root, dataset.manifest,
@@ -224,7 +225,8 @@ def test_criterion_5_detector_clears_quality_bar(dataset, trained, capfd):
                                      dataset.catalog, (16,),
                                      variant="attention_only",
                                      splits=("train",))
-    att_model = fit_detector(att_design)
+    att_model = fit_detector(att_design, DetectorSettings(
+        variant="attention_only", steps=(16,)))
     att_val = evaluate_detector(
         att_model, build_design_matrix(dataset.root, dataset.manifest,
                                        dataset.catalog, (16,),
@@ -312,8 +314,8 @@ def test_criterion_8_live_campaign_matches_closed_form(
                                           s2=config.component_std ** 2)
                 for p in prompts]
     campaign = measure_campaign(
-        prompts, mixtures, schedule, RunPolicy(), RunPolicy(model=model),
-        dataset.catalog, runs_per_prompt=17, root_seed=2024)
+        prompts, mixtures, schedule, model, dataset.catalog,
+        RuntimeSettings(runs_per_prompt=17, root_seed=2024))
     measured = campaign.pooled_saving
     gap = abs(measured - predicted)
     _verdict(capfd, 8, gap < 0.02,
@@ -380,10 +382,9 @@ def test_frozen_gate_campaign(dataset, trained, schedule):
                                           **config.mixture_kwargs)
                 for p in prompts]
     campaign = measure_campaign(
-        prompts, mixtures, schedule, RunPolicy(),
-        RunPolicy(model=trained[8].model), dataset.catalog,
-        runs_per_prompt=2, root_seed=2024,
-        label_threshold=config.label_threshold)
+        prompts, mixtures, schedule, trained[8].model, dataset.catalog,
+        RuntimeSettings(runs_per_prompt=2, root_seed=2024),
+        config.label_threshold)
     (head,) = [row for row in campaign.rows
                if row.prompt_id == "pooled" and row.policy == "head"]
     assert head.mean_steps == 64.6

@@ -1,5 +1,7 @@
 """Work budgets: the exact engine work of the default corpus and of a live
-campaign over it, counted through wrappers on ``engine.LockstepBatch``.
+campaign over it, counted through wrappers on ``engine.LockstepBatch``,
+and the detector's work in training and in that campaign, counted through
+wrappers on the functions that read, summarize and score captures.
 
 The counts are compared exactly.  A change that alters one changes the
 count here and says why."""
@@ -9,8 +11,9 @@ import io
 
 import pytest
 
-from headlab import engine
+from headlab import detector, engine
 from headlab.cli import main
+from headlab.scene import ObjectSpec
 
 
 @pytest.fixture
@@ -43,6 +46,43 @@ def engine_work(monkeypatch):
     return work
 
 
+@pytest.fixture
+def detector_work(monkeypatch):
+    """Every capture tensor read from the store, every feature extraction
+    with the captures it summarizes, every matched-filter pass with the
+    images it filters, and every verdict pass with the rows it scores."""
+    work = dict.fromkeys(("load_step", "extract_features", "captures",
+                          "filter_responses", "images", "predict",
+                          "rows"), 0)
+    load_step, extract = detector.load_step, detector.extract_features
+    respond, predict = ObjectSpec.filter_responses, detector.DetectorModel.predict
+
+    def loading(*args):
+        work["load_step"] += 1
+        return load_step(*args)
+
+    def extracting(channels, targets, catalog, rows=None):
+        work["extract_features"] += 1
+        work["captures"] += len(targets)
+        return extract(channels, targets, catalog, rows)
+
+    def responding(self, image):
+        work["filter_responses"] += 1
+        work["images"] += len(image)
+        return respond(self, image)
+
+    def predicting(self, x):
+        work["predict"] += 1
+        work["rows"] += len(x)
+        return predict(self, x)
+
+    monkeypatch.setattr(detector, "load_step", loading)
+    monkeypatch.setattr(detector, "extract_features", extracting)
+    monkeypatch.setattr(ObjectSpec, "filter_responses", responding)
+    monkeypatch.setattr(detector.DetectorModel, "predict", predicting)
+    return work
+
+
 def _run(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
@@ -68,3 +108,23 @@ def test_campaign_budget(dataset, tmp_path, engine_work):
           "--out", str(tmp_path / "camp")])
     assert engine_work == {"waves": 9, "steps": 450, "row_steps": 11_448,
                            "captures": 9, "capture_rows": 234}
+
+
+def test_detector_budget(dataset, tmp_path, detector_work):
+    """``train`` at u=8 reads the step's tensor once and summarizes the
+    train and val captures, 612 of 720, in one pass: one matched filter
+    per object over its pairs, and one verdict pass per reported split.
+    ``run --runs-per-prompt 2`` with that model summarizes each wave's
+    capture stack at the decision step once."""
+    model = tmp_path / "m8"
+    _run(["train", "--dataset", str(dataset.root), "--out", str(model)])
+    assert detector_work == {"load_step": 1, "extract_features": 1,
+                             "captures": 612, "filter_responses": 16,
+                             "images": 1_224, "predict": 2, "rows": 1_224}
+    detector_work.update(dict.fromkeys(detector_work, 0))
+    _run(["run", "--dataset", str(dataset.root),
+          "--model", str(model / "model.json"), "--runs-per-prompt", "2",
+          "--out", str(tmp_path / "camp")])
+    assert detector_work == {"load_step": 0, "extract_features": 9,
+                             "captures": 234, "filter_responses": 98,
+                             "images": 468, "predict": 9, "rows": 468}

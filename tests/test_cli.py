@@ -14,17 +14,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from headlab import cli, timesaver
-from headlab.cli import (ExperimentConfig, SNAPSHOT_NAME, DetectorSettings,
-                         SimulationSettings, load_experiment_config, main)
+from headlab.cli import SECTIONS, SNAPSHOT_NAME, load_experiment_config, main
 from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
-                             DatasetConfig)
-from headlab.detector import MAX_EPOCHS, DetectorModel
+                             DatasetConfig, config_kwargs)
+from headlab.detector import MAX_EPOCHS, DetectorModel, DetectorSettings
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import stream_mantissas
 from headlab.runtime import MAX_RESTARTS, MAX_RUNS_PER_PROMPT
 from headlab.scene import default_catalog, dump_catalog
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS,
-                               ProbabilityRow, SweepRow)
+                               ProbabilityRow, SimulationSettings, SweepRow)
 
 TINY_SECTIONS = {"dataset": {"subjects": ["cat", "dog", "fox", "owl"],
                              "objects": ["bench", "kite", "drum"],
@@ -1273,11 +1272,27 @@ def test_run_campaign(cli_dataset, cli_models, tmp_path, capsys):
 
 def test_run_unknown_split_exits_1(cli_dataset, cli_models, tmp_path,
                                    capsys):
+    """``run --split`` names the known splits, as ``eval`` does."""
     rc = main(["run", "--dataset", str(cli_dataset),
                "--model", str(cli_models[2]), "--split", "bogus",
                "--out", str(tmp_path / "x")])
     assert rc == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: unknown split 'bogus'; have ['test', 'train', 'val']\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_empty_split_exits_1(cli_dataset, cli_models, tmp_path, capsys):
+    """A known split that holds no prompt selects none."""
+    header = json.loads((cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines()[0])
+    root = _edited_copy(cli_dataset, tmp_path, 1,
+                        splits={**header["splits"], "val": []})
+    rc = main(["run", "--dataset", str(root), "--model", str(cli_models[2]),
+               "--split", "val", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: split 'val' selects no prompts\n"
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------- report
@@ -1334,14 +1349,24 @@ def test_report_over_an_unreadable_csv_exits_1(tmp_path, capsys, content,
 
 # ------------------------------------------------------------- config file
 
-def test_experiment_config_roundtrip():
-    config = ExperimentConfig()
-    assert ExperimentConfig.from_dict(asdict(config)) == config
+def _load(path, sections) -> dict:
+    """``sections`` written to the config file ``path``, then loaded."""
+    path.write_text(json.dumps(sections), encoding="utf-8")
+    return load_experiment_config(path)
 
 
-def _instances(cls):
-    """Any instance of the config dataclass ``cls``, each field drawn from
-    its type; floats may be infinite but not NaN, which equals nothing."""
+def test_experiment_config_roundtrip(tmp_path):
+    defaults = {name: cls() for name, cls in SECTIONS.items()}
+    loaded = _load(tmp_path / "experiment.json",
+                   {name: asdict(c) for name, c in defaults.items()})
+    assert {name: SECTIONS[name](**kwargs)
+            for name, kwargs in loaded.items()} == defaults
+
+
+def _kwargs(cls):
+    """Keyword arguments of the config dataclass ``cls``, any value of each
+    field's type, in range or not; floats may be infinite but not NaN,
+    which equals nothing."""
     def values(hint):
         args = typing.get_args(hint)
         if typing.get_origin(hint) is tuple:
@@ -1351,46 +1376,48 @@ def _instances(cls):
         if args:  # an optional value
             return st.one_of(*map(values, args))
         return st.floats(allow_nan=False) if hint is float else st.from_type(hint)
-    return st.builds(cls, **{name: values(hint) for name, hint
-                             in typing.get_type_hints(cls).items()})
+    return st.fixed_dictionaries({name: values(hint) for name, hint
+                                  in typing.get_type_hints(cls).items()})
 
 
 def _through_json(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 
 
-@given(config=_instances(DatasetConfig))
-def test_any_dataset_config_round_trips(config):
-    assert DatasetConfig.from_dict(_through_json(asdict(config))) == config
+@given(kwargs=_kwargs(DatasetConfig))
+def test_any_dataset_config_round_trips(kwargs):
+    assert config_kwargs(DatasetConfig, "dataset",
+                         _through_json(kwargs)) == kwargs
 
 
-@given(config=st.builds(ExperimentConfig, **{
-    name: _instances(section)
-    for name, section in typing.get_type_hints(ExperimentConfig).items()}))
-def test_any_experiment_config_round_trips(config):
-    assert (ExperimentConfig.from_dict(_through_json(asdict(config)))
-            == config)
+@given(sections=st.fixed_dictionaries({
+    name: _kwargs(cls) for name, cls in SECTIONS.items()}))
+def test_any_experiment_config_round_trips(workdir, sections):
+    assert _load(workdir / "any.json", sections) == sections
 
 
-def test_experiment_config_rejects_unknown_section():
+def test_experiment_config_rejects_unknown_section(tmp_path):
     with pytest.raises(UsageError):
-        ExperimentConfig.from_dict({"bogus": {}})
+        _load(tmp_path / "experiment.json", {"bogus": {}})
 
 
-def test_experiment_config_rejects_unknown_key():
+def test_experiment_config_rejects_unknown_key(tmp_path):
     with pytest.raises(UsageError):
-        ExperimentConfig.from_dict({"detector": {"nope": 1}})
+        _load(tmp_path / "experiment.json", {"detector": {"nope": 1}})
 
 
-def test_partial_sections_fill_defaults():
-    config = ExperimentConfig.from_dict({"detector": {"steps": [4, 8]}})
-    assert config.detector.steps == (4, 8)
-    assert config.detector.lr == DetectorSettings().lr
-    assert config.simulation == SimulationSettings()
+def test_partial_sections_fill_defaults(tmp_path):
+    config = _load(tmp_path / "experiment.json",
+                   {"detector": {"steps": [4, 8]}})
+    assert config["detector"] == {"steps": (4, 8)}
+    settings = DetectorSettings(**config["detector"],
+                                variant="multi_timestep")
+    assert settings.lr == DetectorSettings().lr
+    assert SimulationSettings(**config["simulation"]) == SimulationSettings()
 
 
 def test_load_experiment_config(tmp_path):
-    assert load_experiment_config(None) == ExperimentConfig()
+    assert load_experiment_config(None) == dict.fromkeys(SECTIONS, {})
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(UsageError):
@@ -1541,7 +1568,8 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, sections, argv,
     assert not (tmp_path / "out").exists()
 
 
-def test_config_value_types_are_checked():
+def test_config_value_types_are_checked(tmp_path):
+    path = tmp_path / "experiment.json"
     for payload in ({"dataset": {"split_fractions": [0.5, 0.5]}},
                     {"dataset": {"subjects": ["cat", 3]}},
                     {"dataset": {"num_steps": True}},
@@ -1549,16 +1577,16 @@ def test_config_value_types_are_checked():
                     {"detector": {"target_recall": "high"}},
                     {"simulation": {"p_grid": 0.5}}):
         with pytest.raises(UsageError):
-            ExperimentConfig.from_dict(payload)
-    config = ExperimentConfig.from_dict(
-        {"dataset": {"faithfulness": 1, "critical_steps": [4, 8]},
-         "detector": {"target_recall": None, "steps": [16]}})
-    assert config.dataset.faithfulness == 1.0
-    assert isinstance(config.dataset.faithfulness, float)
-    assert config.dataset.critical_steps == (4, 8)
-    assert config.detector.target_recall is None
-    assert ExperimentConfig.from_dict(
-        {"detector": {"target_recall": 0.9}}).detector.target_recall == 0.9
+            _load(path, payload)
+    config = _load(path,
+                   {"dataset": {"faithfulness": 1, "critical_steps": [4, 8]},
+                    "detector": {"target_recall": None, "steps": [16]}})
+    assert config["dataset"]["faithfulness"] == 1.0
+    assert isinstance(config["dataset"]["faithfulness"], float)
+    assert config["dataset"]["critical_steps"] == (4, 8)
+    assert config["detector"]["target_recall"] is None
+    assert _load(path, {"detector": {"target_recall": 0.9}})[
+        "detector"]["target_recall"] == 0.9
 
 
 def test_config_without_a_reader_is_rejected(tmp_path, capsys):
@@ -1612,6 +1640,58 @@ def test_sweep_p_merges_flags_over_config(tmp_path, flags, grid):
         ["sweep-p", "--recall", "0.9", "--tn-rate", "0.8", "--t-last", "8",
          *flags])
     assert snapshot["p_grid"] == grid
+
+
+@pytest.mark.parametrize("sections, flags, key, value", [
+    ({"detector": {"epochs": 0}}, ["--epochs", "3"], "epochs", 3),
+    ({"detector": {"steps": [4, 8]}}, ["--variant", "multi_timestep"],
+     "steps", [4, 8]),
+])
+def test_train_flag_wins_over_a_config_value_it_replaces(
+        cli_dataset, tmp_path, sections, flags, key, value):
+    """The settings are built once, from the file and the flags given
+    together: a file value that the settings would refuse alone, or that
+    only the flag makes valid, is no error."""
+    snapshot = _snapshot_with_config(
+        tmp_path, sections, ["train", "--dataset", str(cli_dataset), *flags])
+    assert snapshot["detector"][key] == value
+
+
+def test_make_dataset_flag_makes_the_config_valid(tmp_path):
+    """Critical step 60 lies past the default 50 steps, not past 100."""
+    snapshot = _snapshot_with_config(
+        tmp_path, {"dataset": {"subjects": ["cat"], "objects": ["bench"],
+                               "critical_steps": [0, 60]}},
+        ["make-dataset", "--num-steps", "100", "--seeds-per-prompt", "1"])
+    assert snapshot["dataset"]["num_steps"] == 100
+    assert snapshot["dataset"]["critical_steps"] == [0, 60]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--dataset", "nowhere", "--model", "nowhere.json",
+      "--runs-per-prompt", "0"], "runs_per_prompt must be >= 1"),
+    (["run", "--dataset", "DATASET", "--model", "nowhere.json",
+      "--max-restarts", "0"], "max_restarts must be >= 1"),
+    (["make-dataset", "--seeds-per-prompt", "0", "--catalog", "nowhere"],
+     "seeds_per_prompt must be >= 1"),
+    (["train", "--dataset", "nowhere", "--variant", "combined",
+      "--steps", "4,8"], "variant 'combined' takes exactly one decision step"),
+], ids=["run-runs", "run-restarts", "make-dataset", "train"])
+def test_settings_are_checked_before_any_input_is_read(
+        cli_dataset, tmp_path, monkeypatch, capsys, argv, message):
+    """A bad setting exits 1, naming it, although an input is missing or
+    was never read: a command builds its settings before it reads one."""
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_header", "load_manifest", "load_catalog"):
+        monkeypatch.setattr(cli, name, unread)
+    monkeypatch.setattr(cli.DetectorModel, "load", unread)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(cli_dataset) if arg == "DATASET" else arg for arg in argv]
+    assert main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_merges_flags_over_config(cli_dataset, cli_models, tmp_path):

@@ -27,7 +27,7 @@ from oracles import means_matrix, pixel_labels, sample_batch
 # ------------------------------------------------------------- config
 
 def test_default_config_is_valid():
-    DatasetConfig().validate()
+    DatasetConfig()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -59,12 +59,12 @@ def test_default_config_is_valid():
 ])
 def test_config_validation_rejects(overrides):
     with pytest.raises(UsageError):
-        DatasetConfig(**overrides).validate()
+        DatasetConfig(**overrides)
 
 
 def test_config_validation_takes_the_bounds():
     DatasetConfig(seeds_per_prompt=MAX_SEEDS_PER_PROMPT,
-                  num_steps=MAX_NUM_STEPS, global_seed=2**64 - 1).validate()
+                  num_steps=MAX_NUM_STEPS, global_seed=2**64 - 1)
 
 
 def test_config_dict_roundtrip():

@@ -10,8 +10,8 @@ from scipy.special import expit as scipy_expit
 
 from headlab import cli
 from headlab.dataset import load_step
-from headlab.detector import (DesignMatrix, DetectorModel, FEATURE_NAMES,
-                              MAX_EPOCHS, build_design_matrix,
+from headlab.detector import (DesignMatrix, DetectorModel, DetectorSettings,
+                              FEATURE_NAMES, MAX_EPOCHS, build_design_matrix,
                               calibrate_threshold, evaluate_detector, expit,
                               extract_features, feature_names_for,
                               feature_rows, fit_detector, merge_counts,
@@ -147,27 +147,27 @@ def test_expit_is_bit_identical_to_scipy_and_the_c_library():
 
 def test_training_rejects_single_class():
     with pytest.raises(RunFailure, match="^need both classes present"):
-        train_logistic(np.zeros((4, 2)), np.ones(4))
+        train_logistic(np.zeros((4, 2)), np.ones(4), 0.1, 500, 1e-4)
 
 
 def test_training_rejects_shape_mismatch():
     with pytest.raises(UsageError, match=r"^bad shapes x\(4, 2\) y\(3,\)$"):
-        train_logistic(np.zeros((4, 2)), np.zeros(3))
+        train_logistic(np.zeros((4, 2)), np.zeros(3), 0.1, 500, 1e-4)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_rejects_non_finite():
     x = np.array([[np.nan, 0.0], [1.0, 1.0]])
     with pytest.raises(RunFailure, match=r"^training diverged \(loss=nan\)$"):
-        train_logistic(x, np.array([0, 1]))
+        train_logistic(x, np.array([0, 1]), 0.1, 500, 1e-4)
 
 
 def test_training_is_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 3))
     y = (x[:, 0] + 0.2 * rng.normal(size=40) > 0).astype(int)
-    a = train_logistic(x, y)
-    b = train_logistic(x, y)
+    a = train_logistic(x, y, 0.1, 500, 1e-4)
+    b = train_logistic(x, y, 0.1, 500, 1e-4)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
@@ -199,7 +199,7 @@ def test_training_still_fails_on_a_diverging_fit():
     w, _, loss = logistic_fit(x, y, 1e10, 5, 1e-4)
     assert not np.isfinite(loss) and not np.isfinite(w).all()
     with pytest.raises(RunFailure, match=r"^training diverged \(loss="):
-        train_logistic(x, y, lr=1e10, epochs=5)
+        train_logistic(x, y, lr=1e10, epochs=5, l2=1e-4)
 
 
 # ------------------------------------------------------------- model
@@ -289,23 +289,19 @@ def test_model_load_accepts_a_saturated_threshold(tmp_path, threshold):
     assert DetectorModel.load(path).threshold == threshold
 
 
-def test_training_rejects_a_threshold_outside_the_open_unit_interval():
-    design = DesignMatrix(x=np.array([[1.0], [-1.0]]), y=np.array([1, 0]),
-                          object_ids=("o", "o"),
-                          splits=("train",) * 2,
-                          feature_names=("f",), variant="combined",
-                          steps=(8,))
+def test_settings_refuse_a_threshold_outside_the_open_unit_interval():
     for threshold in (-0.5, 0.0, 1.0, 2.0):
         with pytest.raises(UsageError, match=r"must be in \(0, 1\)"):
-            fit_detector(design, threshold=threshold)
+            DetectorSettings(threshold=threshold)
 
 
-def test_training_rejects_epochs_above_the_ceiling():
+def test_settings_refuse_epochs_above_the_ceiling():
     x = np.array([[1.0], [-1.0]])
     y = np.array([1.0, 0.0])
-    assert train_logistic(x, y, epochs=1).weights.shape == (1,)
+    DetectorSettings(epochs=1)
+    assert train_logistic(x, y, lr=0.1, epochs=1, l2=1e-4).weights.shape == (1,)
     with pytest.raises(UsageError, match=f"epochs must be <= {MAX_EPOCHS}"):
-        train_logistic(x, y, epochs=MAX_EPOCHS + 1)
+        DetectorSettings(epochs=MAX_EPOCHS + 1)
 
 
 _JSON = st.recursive(
@@ -421,7 +417,7 @@ def test_calibrate_threshold_order_statistics():
 
 def test_calibrate_threshold_errors():
     with pytest.raises(UsageError, match=r"^target recall must be in \(0, 1\]"):
-        calibrate_threshold(np.array([0.5]), np.array([1]), 0.0)
+        DetectorSettings(target_recall=0.0)
     with pytest.raises(RunFailure, match="^cannot calibrate recall with no "):
         calibrate_threshold(np.array([0.5]), np.array([0]), 0.9)
 
@@ -632,7 +628,7 @@ def test_fit_detector_learns_dataset(tiny_dataset):
     mani = tiny_dataset.manifest
     train = build_design_matrix(tiny_dataset.root, mani, tiny_dataset.catalog,
                                 steps=(16,), splits=("train",))
-    model = fit_detector(train)
+    model = fit_detector(train, DetectorSettings(steps=(16,)))
     report = evaluate_detector(model, train)
     assert report.pooled.accuracy > 0.8
     assert model.feature_names == FEATURE_NAMES

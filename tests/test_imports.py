@@ -488,3 +488,66 @@ def test_no_trace_target_goes_missing(monkeypatch):
             absent.add(target)
     assert "headlab.detector:extract_features" in targets
     assert absent <= ABSENT_TRACE_TARGETS
+
+
+# What the settings types replaced: a config object over them, the merge of
+# flags into it, and checks of single settings made apart from their type.
+REPLACED_BY_THE_SETTINGS = ("ExperimentConfig", "_with_flags",
+                            "check_fit_settings", "check_target_recall",
+                            "_check_runs_per_prompt")
+SETTING_MESSAGES = ("lr must", "epochs must", "l2 must", "threshold must",
+                    "target recall must", "runs_per_prompt must",
+                    "root_seed must", "max_restarts must")
+
+
+def _raisers(source: str, prefixes) -> list[str]:
+    """The function, or ``Class.method``, of every ``raise UsageError``
+    in ``source`` whose message starts with one of ``prefixes``, sorted."""
+    found = []
+    for top in ast.parse(source).body:
+        scopes = [(f"{top.name}.{node.name}", node) for node in top.body
+                  if isinstance(node, ast.FunctionDef)] if isinstance(
+            top, ast.ClassDef) else [(getattr(top, "name", ""), top)]
+        for where, scope in scopes:
+            for node in ast.walk(scope):
+                call = getattr(node, "exc", None) if isinstance(
+                    node, ast.Raise) else None
+                if not (isinstance(call, ast.Call) and call.args
+                        and getattr(call.func, "id", None) == "UsageError"):
+                    continue
+                message = call.args[0]
+                if isinstance(message, ast.JoinedStr):
+                    message = message.values[0]
+                if (isinstance(message, ast.Constant)
+                        and str(message.value).startswith(tuple(prefixes))):
+                    found.append(where)
+    return sorted(found)
+
+
+def test_checker_finds_the_raisers_of_a_message():
+    source = ("class S:\n    def __post_init__(self):\n"
+              "        raise UsageError(f'lr must be > 0, got {self.lr}')\n"
+              "def fit(lr):\n    if lr < 0:\n"
+              "        raise UsageError('lr must be > 0')\n"
+              "    raise ValueError('lr must be finite')\n"
+              "def other():\n    raise UsageError(f'{1} lr must')\n")
+    assert _raisers(source, {"lr must"}) == ["S.__post_init__", "fit"]
+
+
+def test_each_setting_is_checked_once_by_its_type():
+    """``DetectorSettings`` and ``RuntimeSettings`` check their values when
+    built, and no function downstream checks one again; ``DatasetConfig``
+    checks itself as it is built, with no ``validate`` to call."""
+    for module in sorted(SRC.glob("*.py")):
+        names = _defined_or_named(module.read_text(encoding="utf-8"))
+        assert not names & set(REPLACED_BY_THE_SETTINGS), module.name
+    raisers = {(module.name, where) for module in MODULES
+               for where in _raisers(module.read_text(encoding="utf-8"),
+                                     SETTING_MESSAGES)}
+    assert raisers == {("detector.py", "DetectorSettings.__post_init__"),
+                       ("runtime.py", "RuntimeSettings.__post_init__")}
+    (config,) = [node for node in ast.parse(
+        (SRC / "dataset.py").read_text(encoding="utf-8")).body
+        if getattr(node, "name", None) == "DatasetConfig"]
+    assert "validate" not in {node.name for node in config.body
+                              if isinstance(node, ast.FunctionDef)}

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from headlab import engine, runtime
-from headlab.detector import (DetectorModel, build_design_matrix,
-                              feature_names_for, fit_detector)
+from headlab.detector import (DetectorModel, DetectorSettings,
+                              build_design_matrix, feature_names_for,
+                              fit_detector)
 from headlab.engine import LockstepBatch, MixtureBank
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
-                             CampaignReport, RunPolicy,
+                             CampaignReport, RunPolicy, RuntimeSettings,
                              _bootstrap_cis, measure_campaign)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
@@ -42,7 +43,7 @@ def tiny_model(tiny_dataset):
     design = build_design_matrix(tiny_dataset.root, tiny_dataset.manifest,
                                  tiny_dataset.catalog, steps=(16,),
                                  variant="combined", splits=("train",))
-    return fit_detector(design)
+    return fit_detector(design, DetectorSettings(steps=(16,)))
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +55,12 @@ def mixture(catalog):
 
 def test_policy_validation(tiny_model):
     with pytest.raises(UsageError, match="^max_restarts must be >= 1$"):
-        RunPolicy(max_restarts=0).validate(50)
+        RuntimeSettings(max_restarts=0)
     with pytest.raises(UsageError, match=f"^max_restarts must be <= "
                                          f"{MAX_RESTARTS}, got "
                                          f"{MAX_RESTARTS + 1}$"):
-        RunPolicy(max_restarts=MAX_RESTARTS + 1).validate(50)
-    RunPolicy(max_restarts=MAX_RESTARTS).validate(50)
+        RuntimeSettings(max_restarts=MAX_RESTARTS + 1)
+    RuntimeSettings(max_restarts=MAX_RESTARTS)
     with pytest.raises(UsageError, match="^decision step must precede"):
         RunPolicy(model=tiny_model).validate(16)
     RunPolicy(model=tiny_model).validate(50)
@@ -168,10 +169,8 @@ def _grid(catalog, pairs, q):
 def test_identical_arms_save_nothing(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")],
                               0.8)
-    report = measure_campaign(prompts, mixtures, schedule,
-                              RunPolicy(),
-                              RunPolicy(), catalog,
-                              runs_per_prompt=3, root_seed=9)
+    report = measure_campaign(prompts, mixtures, schedule, None, catalog,
+                              RuntimeSettings(runs_per_prompt=3, root_seed=9))
     for row in report.rows:
         if row.saving is not None:
             assert row.saving == 0.0
@@ -182,10 +181,8 @@ def test_identical_arms_save_nothing(catalog, schedule):
 def test_campaign_structure(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                               0.59 ** 0.5)
-    report = measure_campaign(prompts, mixtures, schedule,
-                              RunPolicy(),
-                              RunPolicy(model=tiny_model),
-                              catalog, runs_per_prompt=4, root_seed=77)
+    report = measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
+                              RuntimeSettings(runs_per_prompt=4, root_seed=77))
     assert len(report.rows) == 6
     by_policy = {}
     for row in report.rows[:-2]:
@@ -221,8 +218,9 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
     results = []
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        report = measure_campaign(prompts, mixtures, schedule, *policies,
-                                  catalog, runs_per_prompt=4, root_seed=88)
+        report = measure_campaign(prompts, mixtures, schedule, tiny_model,
+                                  catalog, RuntimeSettings(runs_per_prompt=4,
+                                                           root_seed=88))
         results.append((report, run_arms(mixtures, schedule, policies,
                                          catalog, **kwargs)))
     for report, arms in results[1:]:
@@ -493,8 +491,8 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 3)
     prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
-    measure_campaign(prompts, mixtures, schedule, *policies, catalog,
-                     runs_per_prompt=4, root_seed=88)
+    measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
+                     RuntimeSettings(runs_per_prompt=4, root_seed=88))
     waves = [rows for t, rows in steps if t == schedule.T]
     assert len(waves) > 1
     resamples = 200 * kwargs["runs_per_prompt"]
@@ -511,7 +509,7 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
     one for restarts, and those calls seed every attempt that rides a
     wave.  The bootstrap's per-prompt call gives each prompt's own fold."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 8)
-    prompts, mixtures, policies, _ = _head_campaign(catalog, tiny_model)
+    prompts, mixtures, _, _ = _head_campaign(catalog, tiny_model)
     calls, waves = [], []
     mix, denoise = runtime.mix64, runtime.denoise
 
@@ -526,8 +524,8 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
 
     monkeypatch.setattr(runtime, "mix64", counting)
     monkeypatch.setattr(runtime, "denoise", yielding)
-    measure_campaign(prompts, mixtures, schedule, *policies, catalog,
-                     runs_per_prompt=8, root_seed=88)
+    measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
+                     RuntimeSettings(runs_per_prompt=8, root_seed=88))
     # (root, tag[, prompts]) for the bootstrap, (root, prompts, j, index)
     # for attempts
     bootstrap = [values for _, values in calls if len(values) < 4]
@@ -638,43 +636,37 @@ def test_prompts_of_different_faithfulness_run_as_if_alone(catalog, schedule,
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
     prompts, mixtures = _grid(catalog, [("fox", "kite")], 0.7)
-    args = (prompts, mixtures, schedule, RunPolicy(),
-            RunPolicy(model=tiny_model), catalog)
-    a = measure_campaign(*args, runs_per_prompt=3, root_seed=5)
-    b = measure_campaign(*args, runs_per_prompt=3, root_seed=5)
+    args = (prompts, mixtures, schedule, tiny_model, catalog,
+            RuntimeSettings(runs_per_prompt=3, root_seed=5))
+    a = measure_campaign(*args)
+    b = measure_campaign(*args)
     assert a == b
 
 
 def test_campaign_validation(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
-    with pytest.raises(UsageError, match="^runs_per_prompt must be >= 1$"):
-        measure_campaign(prompts, mixtures, schedule,
-                         RunPolicy(), RunPolicy(),
-                         catalog, runs_per_prompt=0, root_seed=0)
+    settings = RuntimeSettings(runs_per_prompt=1, root_seed=0)
     with pytest.raises(UsageError, match="^prompt_ids and mixtures must align$"):
-        measure_campaign(prompts, [], schedule, RunPolicy(),
-                         RunPolicy(), catalog,
-                         runs_per_prompt=1, root_seed=0)
+        measure_campaign(prompts, [], schedule, None, catalog, settings)
     with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
-        measure_campaign([], [], schedule, RunPolicy(), RunPolicy(),
-                         catalog, runs_per_prompt=1, root_seed=0)
+        measure_campaign([], [], schedule, None, catalog, settings)
     too_many = MAX_RUNS_PER_PROMPT + 1
-    for runs_per_prompt, root_seed, ids, policies, message in (
-            (0, 0, ["a"], (RunPolicy(),), "runs_per_prompt must be >= 1"),
-            (too_many, 0, ["a"], (RunPolicy(),),
+    for runs_per_prompt, root_seed, message in (
+            (0, 0, "runs_per_prompt must be >= 1"),
+            (too_many, 0,
              f"runs_per_prompt must be <= {MAX_RUNS_PER_PROMPT}, "
              f"got {too_many}"),
-            (1, -1, ["a"], (RunPolicy(),),
-             r"root_seed must be in \[0, 2\*\*64\), got -1"),
-            (1, 2**64, ["a"], (RunPolicy(),),
-             rf"root_seed must be in \[0, 2\*\*64\), got {2**64}"),
-            (1, 0, ["a", "b"], (RunPolicy(),),
-             "prompt_ids and mixtures must align"),
-            (1, 0, ["a"], (), "at least one policy is required")):
+            (1, -1, r"root_seed must be in \[0, 2\*\*64\), got -1"),
+            (1, 2**64, rf"root_seed must be in \[0, 2\*\*64\), got {2**64}")):
         with pytest.raises(UsageError, match=f"^{message}$"):
-            run_arms(mixtures, schedule, policies, catalog,
-                     root_seed=root_seed, runs_per_prompt=runs_per_prompt,
-                     prompt_ids=ids)
+            RuntimeSettings(runs_per_prompt=runs_per_prompt,
+                            root_seed=root_seed)
+    for ids, policies, message in (
+            (["a", "b"], (RunPolicy(),), "prompt_ids and mixtures must align"),
+            (["a"], (), "at least one policy is required")):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            run_arms(mixtures, schedule, policies, catalog, root_seed=0,
+                     runs_per_prompt=1, prompt_ids=ids)
 
 
 def _bootstrap_ci_loop(ref, treat, seed):
@@ -746,7 +738,8 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
     def fit(steps, variant):
         return fit_detector(build_design_matrix(
             tiny_dataset.root, tiny_dataset.manifest, catalog, steps=steps,
-            variant=variant, splits=("train",)))
+            variant=variant, splits=("train",)),
+            DetectorSettings(variant=variant, steps=steps))
 
     early, late = 8, 16
     # a strict early arm, so that it aborts attempts the later one accepts

@@ -10,7 +10,8 @@ from headlab import timesaver
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import stream_words, to_uniforms
 from headlab.timesaver import (AttemptDistribution, PolicyParams, RatePoint,
-                               acceptance_probability, baseline_cost,
+                               SimulationSettings, acceptance_probability,
+                               baseline_cost,
                                expected_cost_closed_form, monte_carlo_cost,
                                relative_saving, sweep_probability, sweep_tlast)
 from oracles import monte_carlo_reference
@@ -582,6 +583,15 @@ def test_sweep_probability_limits():
     rows = sweep_probability(("a",), 1.0, 1.0, 8, 50, (0.4,))
     at_04 = [r for r in rows if r.completeness == 0.4][0]
     assert at_04.saving_closed_form == pytest.approx(0.6 * 0.84, abs=1e-12)
+
+
+def test_simulation_settings_refuse_a_completeness_outside_the_unit_interval():
+    SimulationSettings(p_grid=(1.0, 5e-324))
+    SimulationSettings(p_grid=())
+    for grid in ((0.0,), (0.5, 1.5), (float("nan"),), (-0.2, 0.5)):
+        with pytest.raises(UsageError, match=r"^completeness values must be "
+                                             r"in \(0, 1\]$"):
+            SimulationSettings(p_grid=grid)
 
 
 def test_sweep_probability_matches_pointwise_closed_form():
