@@ -49,8 +49,9 @@ import numpy as np
 from .engine import MixtureBank, denoise, make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64, mix64, shuffled
-from .scene import (ObjectSpec, Prompt, SUBJECT_IDS, THING_IDS,
-                    build_conditional_mixture, dump_catalog, prompt_text)
+from .scene import (COMPONENT_STD, GRID_SIZE, ObjectSpec, Prompt,
+                    SUBJECT_IDS, THING_IDS, build_conditional_mixture,
+                    dump_catalog, prompt_text)
 from .tensorio import TensorWriter, read_tensor
 
 MANIFEST_VERSION = 2
@@ -80,7 +81,7 @@ class DatasetConfig:
     num_steps: int = 50
     critical_steps: tuple[int, ...] = DEFAULT_CRITICAL_STEPS
     faithfulness: float = DEFAULT_FAITHFULNESS
-    component_std: float = 0.05
+    component_std: float = COMPONENT_STD
     label_threshold: float = 0.5
     global_seed: int = 2
     split_fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
@@ -358,7 +359,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     # Each prompt's bank, and its mixture's index there.
     place = {i: (bank, j) for bank, members in MixtureBank.group(mixtures)
              for j, i in enumerate(members)}
-    T, n = config.num_steps, mixtures[0].grid_size
+    T, n = config.num_steps, GRID_SIZE
     schedule = make_schedule(T)
     grid = np.indices((len(prompts), config.seeds_per_prompt)).reshape(2, -1)
     rows = [_Sample(i, s, place[i][1], seed) for i, s, seed in zip(
@@ -435,6 +436,29 @@ def _manifest_line(where: str, line: str) -> tuple[str, dict]:
     return kind, obj
 
 
+def _splits(splits, n_prompts: int) -> dict[str, tuple[int, ...]]:
+    """A header's ``splits``: exactly the keys ``train``, ``val`` and
+    ``test``, each a list of prompt indices below ``n_prompts``, no index
+    in two places.  A prompt may be in no split."""
+    if not isinstance(splits, dict) or sorted(splits) != ["test", "train",
+                                                          "val"]:
+        raise ValueError("splits must have exactly the keys 'train', 'val' "
+                         "and 'test'")
+    seen: set[int] = set()
+    for name, indices in splits.items():
+        if not (isinstance(indices, list)
+                and all(type(i) is int for i in indices)):
+            raise ValueError(f"split {name!r} is not a list of ints")
+        for i in indices:
+            if not 0 <= i < n_prompts:
+                raise ValueError(f"split {name!r} has prompt {i}, outside "
+                                 f"the grid of {n_prompts} prompts")
+            if i in seen:
+                raise ValueError(f"prompt {i} appears twice in the splits")
+            seen.add(i)
+    return {name: tuple(indices) for name, indices in splits.items()}
+
+
 def _header(path: Path, line: str) -> tuple[DatasetConfig, dict]:
     """The config and splits of the manifest ``path`` from its first line
     ``line``, which must be its header; anything else raises
@@ -451,7 +475,8 @@ def _header(path: Path, line: str) -> tuple[DatasetConfig, dict]:
             raise ValueError("unsupported manifest version "
                              f"{obj['format_version']}")
         config = DatasetConfig.from_dict(obj["config"])
-        splits = {k: tuple(v) for k, v in obj["splits"].items()}
+        splits = _splits(obj["splits"],
+                         len(config.subjects) * len(config.objects))
     except (AttributeError, TypeError, ValueError, UsageError) as exc:
         raise ValueError(f"{where}: malformed header line: {exc}") from exc
     return config, splits
@@ -516,11 +541,10 @@ def load_manifest(root) -> DatasetManifest:
                            samples=tuple(samples), stats=stats)
 
 
-def load_step(root, manifest: DatasetManifest, u: int,
-              grid_size: int) -> np.ndarray:
+def load_step(root, manifest: DatasetManifest, u: int) -> np.ndarray:
     """Every stored capture at label ``u``, one row per manifest sample.
 
-    The tensor has shape ``(N, 1 + n_targets, grid_size, grid_size)`` in the
+    The tensor has shape ``(N, 1 + n_targets, GRID_SIZE, GRID_SIZE)`` in the
     layout of ``tensors/<u>.bin``.  A missing file raises
     ``RunFailure``; an unreadable one, or one whose shape does not
     match the manifest, raises ``ValueError`` naming the file.
@@ -533,7 +557,7 @@ def load_step(root, manifest: DatasetManifest, u: int,
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     expected = (len(manifest.samples), 1 + len(manifest.samples[0].targets),
-                grid_size, grid_size)
+                GRID_SIZE, GRID_SIZE)
     if tensor.shape != expected:
         raise ValueError(f"{path}: shape {tensor.shape} does not match the "
                          f"manifest's {expected}")

@@ -276,9 +276,8 @@ def build_design_matrix(root, manifest: DatasetManifest,
         split_of.update(dict.fromkeys(rows, split))
     index = sorted(split_of)
     chosen = [manifest.samples[i] for i in index]
-    grid_size = catalog[chosen[0].targets[0]].grid_size
     return DesignMatrix(
-        x=feature_rows(lambda u: load_step(root, manifest, u, grid_size),
+        x=feature_rows(lambda u: load_step(root, manifest, u),
                        [s.targets for s in chosen], catalog, variant, steps,
                        index),
         y=np.array([s.labels[obj] for s in chosen for obj in s.targets],

@@ -23,7 +23,8 @@ of :func:`denoise`, the one denoising loop of the corpus and the
 campaign, each row under its own mixture of one bank and from its own
 starting noise.  It gathers per row only what differs by row and shares
 the bank's log weights, component map and variance table by ``t``;
-:func:`initial_latents` draws the starting noise of all its rows in one
+:func:`initial_latents` draws the starting noise of all its rows, each
+on the one ``GRID_SIZE`` x ``GRID_SIZE`` grid of every scene, in one
 pass.  It owns its rows' latents: :meth:`~LockstepBatch.capture` turns
 their posterior at a noise index into predicted final images and
 attention maps, and :meth:`~LockstepBatch.step` advances them one step.
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import RunFailure, UsageError
 from .rng import stream_words, to_normals
-from .scene import MixtureSpec
+from .scene import GRID_SIZE, MixtureSpec
 
 COSINE_OFFSET = 0.008
 MIN_MARGINAL_VARIANCE = 1e-12
@@ -124,7 +125,7 @@ def make_schedule(T: int = 50) -> NoiseSchedule:
 def _bank_key(m: MixtureSpec) -> tuple:
     # ints and floats only, so that keys sort: an absent target is -1
     return (len(m.components),
-            tuple(len(o.candidate_positions) for o in m.objects), m.grid_size,
+            tuple(len(o.candidate_positions) for o in m.objects),
             tuple(c.weight for c in m.components), m.s2,
             tuple(tuple(-1 if j is None else j for j in c.position_choice)
                   for c in m.components))
@@ -159,10 +160,6 @@ class MixtureBank:
                 for _, idx in sorted(members.items())]
 
     @property
-    def grid_size(self) -> int:
-        return self.mixtures[0].grid_size
-
-    @property
     def target_columns(self) -> list[tuple[int, int]]:
         """Each target's columns ``[lo, hi)`` of a row's basis
         ``[z_T, g_1..g_J]``, in target order: its placed templates."""
@@ -176,7 +173,7 @@ class MixtureBank:
         position) in that order, flattened: shape ``(M, J, D)``."""
         return np.stack([np.concatenate([o.placed_stack for o in m.objects])
                          for m in self.mixtures]).reshape(
-                             len(self.mixtures), -1, self.grid_size ** 2)
+                             len(self.mixtures), -1, GRID_SIZE ** 2)
 
     @cached_property
     def template_gram(self) -> np.ndarray:
@@ -441,14 +438,13 @@ class LockstepBatch:
                                  for lo, hi in self._columns], axis=1)
 
 
-def initial_latents(seeds, grid_size: int) -> np.ndarray:
+def initial_latents(seeds) -> np.ndarray:
     """The pure-noise latents ``z_T`` (B, n, n) that generations with
     ``seeds`` start from, all drawn in one pass: row ``b`` is the first
     ``n * n`` Box-Muller normals of the stream of ``seeds[b]``, from its
-    first ``n * n`` words, rounded up to an even count."""
-    d = grid_size * grid_size
-    return to_normals(stream_words(seeds, 0, d + d % 2), d).reshape(
-        len(seeds), grid_size, grid_size)
+    first ``n * n`` words."""
+    return to_normals(stream_words(seeds, 0, GRID_SIZE ** 2),
+                      GRID_SIZE ** 2).reshape(len(seeds), GRID_SIZE, GRID_SIZE)
 
 
 def denoise(bank: MixtureBank, schedule: NoiseSchedule, queue: list):
@@ -476,7 +472,7 @@ def denoise(bank: MixtureBank, schedule: NoiseSchedule, queue: list):
         del queue[:LOCKSTEP_ROWS]
         batch = LockstepBatch(
             bank, [row.mixture for row in rows], schedule,
-            initial_latents([row.seed for row in rows], bank.grid_size))
+            initial_latents([row.seed for row in rows]))
         for t in range(schedule.T, -1, -1):
             yield t, batch, rows
             if not (t and rows):

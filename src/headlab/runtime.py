@@ -12,7 +12,9 @@ detector can only ever save time, never smuggle an incomplete image through.
 
 Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
-campaign see the same attempt sequence for matching indices.
+campaign see the same attempt sequence for matching indices, under one
+restart limit.  An arm is a head's detector model, or ``None`` for the
+baseline.
 
 Both arms run in one pool of attempts denoised by
 :func:`~headlab.engine.denoise`, each under its own prompt's mixture.
@@ -83,26 +85,6 @@ class RuntimeSettings:
 
 
 @dataclass(frozen=True)
-class RunPolicy:
-    """How one arm of the experiment treats an in-flight attempt.
-
-    With a detector model the arm is the head policy; without one it is the
-    baseline, which always runs every attempt to the end.
-    """
-
-    model: DetectorModel | None = None
-    max_restarts: int = 1000
-
-    @property
-    def mode(self) -> str:
-        return BASELINE if self.model is None else HEAD
-
-    def validate(self, num_steps: int) -> None:
-        if self.model is not None and max(self.model.steps) >= num_steps:
-            raise UsageError("decision step must precede the final step")
-
-
-@dataclass(frozen=True)
 class AttemptRecord:
     """One arm's attempt.  ``outcome`` is ``OUTCOME_ABORTED`` when the
     head's detector voted a target absent at its decision step, else
@@ -121,7 +103,7 @@ class AttemptRecord:
 class _Attempt:
     """An attempt in flight: its run's (prompt, run) index, its index, its
     run's mixture (an index into its pool's bank) and its seed, the arms
-    (positions in the pool's policies) still making it, each head arm's
+    (positions in the pool's models) still making it, each head arm's
     verdicts, and the arms that left it unaccepted.  Its captures are its
     row of its wave's stacks.  An arm leaves ``arms`` when it aborts the
     attempt or drops the run."""
@@ -135,14 +117,13 @@ class _Attempt:
     unaccepted: list[int] = field(default_factory=list)
 
 
-def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
-          schedule: NoiseSchedule, policies, catalog: dict[str, ObjectSpec],
-          root_seed: int, label_threshold: float,
-          record) -> list[int | None]:
+def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
+          models, catalog: dict[str, ObjectSpec], settings: RuntimeSettings,
+          label_threshold: float, record) -> list[int | None]:
     """Runs ``0 .. runs_per_prompt - 1`` of every prompt of ``members``
-    under every policy, prompt ``members[k]`` under mixture ``k`` of
-    ``bank``, their attempts denoised by :func:`~headlab.engine.denoise`.
-    Run ``j`` of prompt ``i`` is run ``i * runs_per_prompt + j``.
+    under every arm of ``models``, prompt ``members[k]`` under mixture
+    ``k`` of ``bank``, by :func:`~headlab.engine.denoise`.  Run ``j`` of
+    prompt ``i`` is run ``i * runs_per_prompt + j``.
 
     An attempt is one latent for all the arms that make it.  The queue
     holds the attempts waiting for a wave, then, once a wave has ended, the
@@ -161,13 +142,14 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     An attempt that ends queues its run's next attempt, made by the arms
     whose run goes on; the attempts queued at once get their seeds from
     one :func:`mix64` call.  Returns, by arm, the first run that exhausted
-    the arm's ``max_restarts`` (None if none did); once one has, the arm
+    ``settings.max_restarts`` (None if none did); once one has, the arm
     drops later runs, since only an earlier run can come first.
     """
     T = schedule.T
-    arms = range(len(policies))
-    heads = [(a, p.model, max(p.model.steps))
-             for a, p in enumerate(policies) if p.model is not None]
+    runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
+    arms = range(len(models))
+    heads = [(a, model, max(model.steps))
+             for a, model in enumerate(models) if model is not None]
     capture_at = {T - u for _, model, _ in heads for u in model.steps}
     # An arm leaves a row only at its decision or at t = 0.
     ends = {0} | {T - decision for _, _, decision in heads}
@@ -235,7 +217,7 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
         for at in done:
             going_on = []
             for a in at.unaccepted:
-                if at.index + 1 < policies[a].max_restarts:
+                if at.index + 1 < settings.max_restarts:
                     going_on.append(a)
                 elif failed[a] is None or at.run < failed[a]:
                     failed[a] = at.run
@@ -258,44 +240,44 @@ def _pool(bank: MixtureBank, members: list[int], runs_per_prompt: int,
     return failed
 
 
-def run_arms(mixtures, schedule: NoiseSchedule, policies,
-             catalog: dict[str, ObjectSpec], root_seed: int,
-             runs_per_prompt: int, prompt_ids, record,
-             label_threshold: float = 0.5) -> None:
-    """Run ``runs_per_prompt`` restart-until-accepted runs of every policy
-    on every prompt, ``engine.LOCKSTEP_ROWS`` attempts at a time, each
-    attempt denoised once for all the policies that make it.
+def run_arms(mixtures, schedule: NoiseSchedule, models,
+             catalog: dict[str, ObjectSpec], settings: RuntimeSettings,
+             prompt_ids, record, label_threshold: float = 0.5) -> None:
+    """Run ``settings.runs_per_prompt`` restart-until-accepted runs of
+    every arm of ``models`` on every prompt, ``engine.LOCKSTEP_ROWS``
+    attempts at a time, each attempt denoised once for all the arms that
+    make it.  An arm is a head's :class:`~headlab.detector.DetectorModel`,
+    or ``None`` for the baseline, which runs every attempt to the end.
 
     Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``; run ``j`` of
-    it draws its attempt seeds from ``(root_seed, i, j)`` under every
-    policy.  Acceptance always requires the finished image to pass the
+    it draws its attempt seeds from ``(settings.root_seed, i, j)`` under
+    every arm.  Acceptance always requires the finished image to pass the
     matched-filter presence check for every target.  Mixtures that cannot
-    share a :class:`MixtureBank` run in separate pools.  As policy ``arm``
+    share a :class:`MixtureBank` run in separate pools.  As arm ``arm``
     leaves an attempt of run ``i * runs_per_prompt + j``, it calls
     ``record(arm, run, attempt)`` with its :class:`AttemptRecord`, in
-    attempt order, the accepted one last; the records equal the policy
-    run alone, and the wave size changes none of them.  Raises
-    ``RunFailure`` for the first run in (prompt, run) order that no
-    attempt within ``max_restarts`` completes, under the first policy that
-    has one.  :class:`RuntimeSettings` checks the sizes and the seed.
+    attempt order, the accepted one last; the records equal the arm run
+    alone, and the wave size changes none of them.  Raises ``RunFailure``
+    for the first run in (prompt, run) order that no attempt within
+    ``settings.max_restarts`` completes, under the first arm that has one.
     """
     if len(prompt_ids) != len(mixtures):
         raise UsageError("prompt_ids and mixtures must align")
-    if not policies:
+    if not models:
         raise UsageError("at least one policy is required")
-    for policy in policies:
-        policy.validate(schedule.T)
+    if any(m is not None and max(m.steps) >= schedule.T for m in models):
+        raise UsageError("decision step must precede the final step")
     failures = []  # (arm, run) of each pool's first failing run by arm
     for bank, members in MixtureBank.group(mixtures):
-        failed = _pool(bank, members, runs_per_prompt, schedule, policies,
-                       catalog, root_seed, label_threshold, record)
+        failed = _pool(bank, members, schedule, models, catalog, settings,
+                       label_threshold, record)
         failures += [(arm, run) for arm, run in enumerate(failed)
                      if run is not None]
     if failures:
-        arm, run = min(failures)
-        i, j = divmod(run, runs_per_prompt)
+        _, run = min(failures)
+        i, j = divmod(run, settings.runs_per_prompt)
         raise RunFailure(f"no accepted image within "
-                         f"{policies[arm].max_restarts} attempts "
+                         f"{settings.max_restarts} attempts "
                          f"(prompt {prompt_ids[i] or i}, run {j})")
 
 
@@ -347,12 +329,11 @@ def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
 
 
 def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
-                     model: DetectorModel | None,
-                     catalog: dict[str, ObjectSpec],
+                     model: DetectorModel, catalog: dict[str, ObjectSpec],
                      settings: RuntimeSettings,
                      label_threshold: float = 0.5) -> CampaignReport:
     """Run the baseline arm and the head arm of ``model`` on every prompt
-    with matching attempt seeds; with no model, both arms are baselines.
+    with matching attempt seeds, under one restart limit.
 
     Relative saving is ``1 - steps_treatment / steps_reference``, reported
     per prompt and pooled, with paired-bootstrap confidence intervals.
@@ -364,8 +345,6 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
     if not prompts:
         raise UsageError("a campaign needs at least one prompt")
     runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
-    reference, treatment = (RunPolicy(arm, settings.max_restarts)
-                            for arm in (None, model))
     steps = np.zeros((2, len(prompts) * runs_per_prompt), dtype=np.int64)
 
     def add(arm: int, run: int, attempt: AttemptRecord) -> None:
@@ -373,8 +352,8 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
 
     # One pool for both arms: the latents they share are denoised once, so
     # the wall time of one arm alone is no longer measured.
-    run_arms(mixtures, schedule, (reference, treatment), catalog, root_seed,
-             runs_per_prompt, [p.text for p in prompts], add, label_threshold)
+    run_arms(mixtures, schedule, (None, model), catalog, settings,
+             [p.text for p in prompts], add, label_threshold)
     ref_steps, treat_steps = steps.astype(np.float64).reshape(
         2, len(prompts), runs_per_prompt)
     groups = [(prompt.text, ref_steps[i], treat_steps[i])
@@ -387,10 +366,10 @@ def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
                        [mix64(root_seed, _BOOTSTRAP_TAG)])]).tolist()
     rows: list[CampaignRow] = []
     for (prompt_id, ref, treat), (ci_lo, ci_hi) in zip(groups, cis):
-        rows.append(CampaignRow(prompt_id=prompt_id, policy=reference.mode,
+        rows.append(CampaignRow(prompt_id=prompt_id, policy=BASELINE,
                                 runs=ref.size, mean_steps=float(ref.mean()),
                                 saving=None, ci_lo=None, ci_hi=None))
-        rows.append(CampaignRow(prompt_id=prompt_id, policy=treatment.mode,
+        rows.append(CampaignRow(prompt_id=prompt_id, policy=HEAD,
                                 runs=treat.size,
                                 mean_steps=float(treat.mean()),
                                 saving=float(1.0 - treat.mean() / ref.mean()),

@@ -1,6 +1,7 @@
 """Analytic scene model: object catalog, prompts, conditional mixture.
 
-A "scene" is a small grayscale grid on which each requested object either
+A "scene" is the one ``GRID_SIZE`` x ``GRID_SIZE`` grayscale grid, shared
+by every object of every catalog, on which each requested object either
 appears (as a Gaussian blob at one of its candidate positions) or is dropped.
 Conditioning a prompt therefore yields a finite Gaussian mixture over images:
 one component per (presence pattern, position choice) combination, with
@@ -42,7 +43,6 @@ class ObjectSpec:
     object_id: str
     sigma: float
     candidate_positions: tuple[tuple[int, int], ...]
-    grid_size: int = GRID_SIZE
 
     def __post_init__(self):
         # NaN fails every comparison here, and a template's divisor
@@ -54,16 +54,16 @@ class ObjectSpec:
                              f"a finite positive float, got {self.sigma}")
         if not self.candidate_positions:
             raise UsageError(f"object {self.object_id!r} needs at least one position")
-        n = self.grid_size
         for (r, c) in self.candidate_positions:
-            if not (0 <= r < n and 0 <= c < n):
-                raise UsageError(f"position {(r, c)} outside {n}x{n} grid")
+            if not (0 <= r < GRID_SIZE and 0 <= c < GRID_SIZE):
+                raise UsageError(f"position {(r, c)} outside "
+                                 f"{GRID_SIZE}x{GRID_SIZE} grid")
 
     def placed_template(self, position: tuple[int, int]) -> np.ndarray:
         """Blob evaluated on the grid with its peak (value 1) at ``position``."""
         r0, c0 = position
-        rows = np.arange(self.grid_size, dtype=np.float64)[:, None]
-        cols = np.arange(self.grid_size, dtype=np.float64)[None, :]
+        rows = np.arange(GRID_SIZE, dtype=np.float64)[:, None]
+        cols = np.arange(GRID_SIZE, dtype=np.float64)[None, :]
         d2 = (rows - r0) ** 2 + (cols - c0) ** 2
         # a narrow blob's quotient may overflow: exp(-inf) is its exact 0
         with np.errstate(over="ignore"):
@@ -203,7 +203,6 @@ class MixtureSpec:
     targets: tuple[str, ...]
     objects: tuple[ObjectSpec, ...]
     s2: float
-    grid_size: int
     components: tuple[SceneComponent, ...]
 
     @cached_property
@@ -238,9 +237,6 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
     if not 0 < 2.0 * s2 < np.inf:
         raise UsageError(f"component variance must be positive with a finite "
                          f"double, got {s2}")
-    grid_size = specs[0].grid_size
-    if any(s.grid_size != grid_size for s in specs):
-        raise UsageError("mixed grid sizes in one mixture")
 
     # Per object: None for absent, else an index into its candidate positions.
     per_object_choices = []
@@ -266,6 +262,5 @@ def build_conditional_mixture(targets: tuple[str, ...] | list[str],
         targets=targets,
         objects=tuple(specs),
         s2=float(s2),
-        grid_size=grid_size,
         components=tuple(components),
     )

@@ -37,8 +37,8 @@ from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import (MASK64, SplitMix64, scaled_integers, stream_words,
                          to_uniforms)
-from headlab.runtime import OUTCOME_COMPLETE, AttemptRecord
-from headlab.scene import MixtureSpec, ObjectSpec
+from headlab.runtime import OUTCOME_COMPLETE, AttemptRecord, RuntimeSettings
+from headlab.scene import GRID_SIZE, MixtureSpec, ObjectSpec
 from headlab.tensorio import tensor_header
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
                                AttemptDistribution, PolicyParams, SimReport,
@@ -46,9 +46,9 @@ from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
 
 
 def means_matrix(mixture: MixtureSpec) -> np.ndarray:
-    """Component means flattened to shape ``(K, grid_size**2)``: each the
+    """Component means flattened to shape ``(K, GRID_SIZE**2)``: each the
     sum of its present objects' placed templates, in target order."""
-    means = np.zeros((len(mixture.components), mixture.grid_size ** 2))
+    means = np.zeros((len(mixture.components), GRID_SIZE ** 2))
     for mean, comp in zip(means, mixture.components):
         for spec, choice in zip(mixture.objects, comp.position_choice):
             if choice is not None:
@@ -103,7 +103,7 @@ def template_stacks(mixture: MixtureSpec) -> np.ndarray:
     """Per target, in target order, the (K, n, n) placed templates of the
     components, all-zero where the target is absent: shape
     ``(n_targets, K, n, n)``."""
-    n = mixture.grid_size
+    n = GRID_SIZE
     stacks = np.zeros((len(mixture.targets), len(mixture.components), n, n))
     for i, spec in enumerate(mixture.objects):
         for k, comp in enumerate(mixture.components):
@@ -163,7 +163,7 @@ def sample_batch(mixture: MixtureSpec, schedule: NoiseSchedule,
         _check_t(schedule, t)
     batch = LockstepBatch(
         MixtureBank((mixture,)), np.zeros(len(seeds), dtype=np.intp),
-        schedule, initial_latents(seeds, mixture.grid_size))
+        schedule, initial_latents(seeds))
     captures = {}
     for t in range(schedule.T, 0, -1):
         if t in wanted:
@@ -352,15 +352,19 @@ def _traces(history, prompt_ids) -> list[list[RunTrace | None]]:
             for arm in history]
 
 
-def run_arms(mixtures, schedule: NoiseSchedule, policies, catalog,
+def run_arms(mixtures, schedule: NoiseSchedule, models, catalog,
              root_seed: int, runs_per_prompt: int, prompt_ids,
-             label_threshold: float = 0.5) -> tuple[tuple[RunTrace, ...], ...]:
-    """``runtime.run_arms`` with its records collected into one tuple of
-    traces per policy, in (prompt, run) order."""
+             label_threshold: float = 0.5,
+             max_restarts: int = RuntimeSettings.max_restarts
+             ) -> tuple[tuple[RunTrace, ...], ...]:
+    """``runtime.run_arms`` under the settings of these three ints, with
+    its records collected into one tuple of traces per arm, in (prompt,
+    run) order."""
     runs = range(len(mixtures) * runs_per_prompt)
-    history = [[[] for _ in runs] for _ in policies]
-    runtime.run_arms(mixtures, schedule, policies, catalog, root_seed,
-                     runs_per_prompt, prompt_ids,
+    history = [[[] for _ in runs] for _ in models]
+    runtime.run_arms(mixtures, schedule, models, catalog,
+                     RuntimeSettings(runs_per_prompt, root_seed, max_restarts),
+                     prompt_ids,
                      lambda arm, run, attempt: history[arm][run].append(attempt),
                      label_threshold)
     names = [prompt_ids[run // runs_per_prompt] for run in runs]
@@ -368,16 +372,18 @@ def run_arms(mixtures, schedule: NoiseSchedule, policies, catalog,
 
 
 def pool(bank: MixtureBank, members, runs_per_prompt: int,
-         schedule: NoiseSchedule, policies, catalog, root_seed: int,
-         label_threshold: float):
-    """``runtime._pool`` with its records collected: by arm, the traces of
-    its runs in (prompt, run) order, each named ``""``, and ``_pool``'s
-    first failing run by arm."""
+         schedule: NoiseSchedule, models, catalog, root_seed: int,
+         label_threshold: float,
+         max_restarts: int = RuntimeSettings.max_restarts):
+    """``runtime._pool`` under the settings of these three ints, with its
+    records collected: by arm, the traces of its runs in (prompt, run)
+    order, each named ``""``, and ``_pool``'s first failing run by arm."""
     runs = [i * runs_per_prompt + j
             for i in members for j in range(runs_per_prompt)]
-    history = [{run: [] for run in runs} for _ in policies]
+    history = [{run: [] for run in runs} for _ in models]
     failed = runtime._pool(
-        bank, members, runs_per_prompt, schedule, policies, catalog,
-        root_seed, label_threshold,
+        bank, members, schedule, models, catalog,
+        RuntimeSettings(runs_per_prompt, root_seed, max_restarts),
+        label_threshold,
         lambda arm, run, attempt: history[arm][run].append(attempt))
     return _traces([arm.values() for arm in history], [""] * len(runs)), failed

@@ -1009,6 +1009,40 @@ def test_run_over_a_header_of_a_bad_config_exits_2(cli_dataset, cli_models,
     assert not (tmp_path / "camp").exists()
 
 
+# The prompt grid of TINY_SECTIONS: 4 subjects x 3 objects.
+_ALL_PROMPTS = list(range(12))
+
+
+@pytest.mark.parametrize("splits, detail", [
+    ({"train": "01"}, "split 'train' is not a list of ints"),
+    ({"val": [999]},
+     "split 'val' has prompt 999, outside the grid of 12 prompts"),
+    ({"val": None}, "splits must have exactly the keys 'train', 'val' and "
+                    "'test'"),
+    ({"train": _ALL_PROMPTS, "val": _ALL_PROMPTS, "test": []},
+     "prompt 0 appears twice in the splits"),
+], ids=["train_a_string", "val_off_the_grid", "no_val", "all_in_two"])
+def test_a_header_of_bad_splits_exits_2(cli_dataset, cli_models, tmp_path,
+                                        capsys, splits, detail):
+    """The splits a manifest header holds are checked as it is read: each
+    is a list of prompts of the grid, no prompt in two of them, under the
+    three keys ``train``, ``val`` and ``test`` (``None`` drops a key)."""
+    header = json.loads((cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines()[0])
+    edited = {k: v for k, v in {**header["splits"], **splits}.items()
+              if v is not None}
+    root = _edited_copy(cli_dataset, tmp_path, 1, splits=edited)
+    for argv in (["train", "--steps", "16"],
+                 ["run", "--model", str(cli_models[2]), "--split", "val"]):
+        rc = main([*argv, "--dataset", str(root),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'manifest.jsonl'}:1: malformed header line: "
+            f"{detail}\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_make_dataset_over_weights_that_underflow(tmp_path, capsys):
     """At a faithfulness this small a component with both targets present
     has weight ``(q / 2)^2``, which rounds to zero; its log is ``-inf``,

@@ -178,7 +178,7 @@ def test_tensor_layout_and_loading(tiny_dataset):
     assert names == sorted([f"{u}.bin" for u in steps] + ["final.bin"])
     i = 3
     s = mani.samples[i]
-    caps = {u: load_step(tiny_dataset.root, mani, u, 16)[i] for u in steps}
+    caps = {u: load_step(tiny_dataset.root, mani, u)[i] for u in steps}
     for u, cap in caps.items():
         assert cap.shape == (1 + len(s.targets), 16, 16)
     finals = read_tensor(tiny_dataset.root / TENSOR_DIR / "final.bin")
@@ -199,7 +199,7 @@ def test_tensor_layout_and_loading(tiny_dataset):
 def _assert_rows_equal_per_prompt_batches(root, mani, catalog):
     cfg = mani.config
     schedule = make_schedule(cfg.num_steps)
-    stored = {u: load_step(root, mani, u, 16) for u in cfg.critical_steps}
+    stored = {u: load_step(root, mani, u) for u in cfg.critical_steps}
     finals = read_tensor(root / TENSOR_DIR / "final.bin")
     wanted = [cfg.num_steps - u for u in cfg.critical_steps]
     for i, prompt in enumerate(build_prompt_grid(cfg.subjects, cfg.objects)):
@@ -318,7 +318,7 @@ def test_prompt_stats_count_each_prompt_in_any_sample_order(tiny_dataset):
 
 def test_missing_capture_error(tiny_dataset):
     with pytest.raises(RunFailure, match="^capture step 3: "):
-        load_step(tiny_dataset.root, tiny_dataset.manifest, 3, 16)
+        load_step(tiny_dataset.root, tiny_dataset.manifest, 3)
 
 
 def test_split_accessor(tiny_dataset):

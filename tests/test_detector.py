@@ -18,7 +18,7 @@ from headlab.detector import (DesignMatrix, DetectorModel, DetectorSettings,
                               train_logistic, ObjectCounts)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64
-from headlab.scene import ObjectSpec
+from headlab.scene import GRID_SIZE, ObjectSpec
 from headlab.tensorio import read_tensor
 
 from oracles import (confusion_counts, logistic_fit, sample_batch,
@@ -27,7 +27,7 @@ from oracles import (confusion_counts, logistic_fit, sample_batch,
 
 def _solo_spec(positions=((8, 8),)) -> ObjectSpec:
     return ObjectSpec(object_id="dot", sigma=1.5,
-                      candidate_positions=tuple(positions), grid_size=16)
+                      candidate_positions=tuple(positions))
 
 
 def _solo_features(pfi, attention, spec) -> np.ndarray:
@@ -534,7 +534,7 @@ def test_batched_features_equal_row_by_row_features(tiny_dataset):
     targets = [s.targets for s in mani.samples]
     compared = 0
     for u in mani.config.critical_steps:
-        store = load_step(tiny_dataset.root, mani, u, 16)
+        store = load_step(tiny_dataset.root, mani, u)
         got = extract_features(store, targets, catalog)
         for b, names in enumerate(targets):
             for j, obj in enumerate(names):
@@ -574,7 +574,7 @@ def test_feature_rows_equal_row_by_row_features_of_stored_captures(
     rows = None if every is None else list(range(len(mani.samples)))[::every]
     picked = mani.samples if rows is None else [mani.samples[b] for b in rows]
     _assert_rows_are_row_by_row(
-        {u: load_step(tiny_dataset.root, mani, u, 16)
+        {u: load_step(tiny_dataset.root, mani, u)
          for u in mani.config.critical_steps},
         [s.targets for s in picked], tiny_dataset.catalog, rows)
 
@@ -598,16 +598,16 @@ def test_feature_rows_equal_row_by_row_features_of_live_captures(
 
 
 def test_feature_rows_equal_row_by_row_features_at_the_grid_border():
-    """Objects of 1, 2 and 3 candidate positions on an 11x11 grid, placed
+    """Objects of 1, 2 and 3 candidate positions on the 16x16 grid, placed
     at its edges and corners so that the energy patches clip, in every
     target slot, with some all-zero attention maps."""
-    n = 11
+    n = GRID_SIZE
     catalog = {name: ObjectSpec(object_id=name, sigma=sigma,
-                                candidate_positions=positions, grid_size=n)
+                                candidate_positions=positions)
                for name, sigma, positions in (
                    ("one", 1.0, ((0, 0),)),
-                   ("two", 1.5, ((10, 5), (1, 9))),
-                   ("three", 2.0, ((0, 10), (10, 0), (5, 5))))}
+                   ("two", 1.5, ((15, 5), (1, 14))),
+                   ("three", 2.0, ((0, 15), (15, 0), (8, 8))))}
     names = sorted(catalog)
     rng = np.random.default_rng(22)
     targets = [tuple(rng.choice(names, size=2)) for _ in range(40)]

@@ -18,8 +18,8 @@ from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _softmax, ddim_step, make_schedule)
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64, scaled_integers
-from headlab.scene import (MAX_TARGETS, ObjectSpec, SceneComponent,
-                           build_conditional_mixture)
+from headlab.scene import (GRID_SIZE, MAX_TARGETS, ObjectSpec,
+                           SceneComponent, build_conditional_mixture)
 
 from oracles import (dense_trajectory, means_matrix, nearest_component,
                      pixel_labels, posterior, sample_batch)
@@ -135,7 +135,7 @@ def test_exact_epsilon_matches_finite_differences(catalog, schedule):
 def test_single_component_epsilon_closed_form(schedule):
     from headlab.scene import ObjectSpec
     solo = {"dot": ObjectSpec(object_id="dot", sigma=1.5,
-                              candidate_positions=((8, 8),), grid_size=16)}
+                              candidate_positions=((8, 8),))}
     mix1 = build_conditional_mixture(("dot",), 1.0, solo)
     assert len(mix1.components) == 1
     t = 20
@@ -283,8 +283,7 @@ TOLERANCE = 1e-9
 
 def _single_latent_steps(mixture, schedule, seed):
     """(t, z, r, eps, pfi, attention) per step from batch-of-one calls."""
-    batch = _batch(mixture, schedule,
-                   engine.initial_latents([seed], mixture.grid_size))
+    batch = _batch(mixture, schedule, engine.initial_latents([seed]))
     out = []
     for t in range(schedule.T, -1, -1):
         (r, eps), cap = posterior(batch, t), batch.capture(t)
@@ -403,7 +402,7 @@ def test_one_posterior_evaluation_per_step(catalog, schedule, monkeypatch):
     assert [t for _, t, _ in _kinds(calls, "capture")] == [16, 0]
     # a capture, then the step at its t, evaluate one posterior, which the
     # batch keeps until its latents change
-    z = engine.initial_latents((5, 6), 16)
+    z = engine.initial_latents((5, 6))
     batch = _batch(mix, schedule, z)
     calls.clear()
     batch.capture(16)
@@ -535,7 +534,7 @@ def test_single_latent_path_matches_per_latent_formulas(catalog, schedule):
         got = _single_latent_steps(mix, schedule, seed)
         want = _reference_trajectory(mix, schedule, seed)
         dense = dense_trajectory(mix, schedule,
-                                 engine.initial_latents([seed], 16)[0])
+                                 engine.initial_latents([seed])[0])
         assert len(got) == len(want) == len(dense) == schedule.T + 1
         for g, w, d in zip(got, want, dense):
             assert g[0] == w[0] == d[0]
@@ -573,7 +572,7 @@ def test_coefficient_steps_track_the_dense_oracle(schedule, objects, q, std,
     per-pixel formulas: every channel, the predicted final image and each
     target's attention map."""
     mix = build_conditional_mixture(tuple(objects), q, objects, s2=std ** 2)
-    z = engine.initial_latents([seed], 16)[0]
+    z = engine.initial_latents([seed])[0]
     batch = _batch(mix, schedule, z[None])
     for t, z_dense, r_dense, _, pfi, attention in dense_trajectory(
             mix, schedule, z):
@@ -608,7 +607,7 @@ def test_gram_labels_and_nearest_components_match_the_pixel_oracle(
     mix = build_conditional_mixture(tuple(objects), q, objects, s2=std ** 2)
     bank = MixtureBank((mix,))
     schedule = make_schedule(steps)
-    batch = _batch(mix, schedule, engine.initial_latents(seeds, 16))
+    batch = _batch(mix, schedule, engine.initial_latents(seeds))
     for t in range(steps, 0, -1):
         batch.step(t)
     responses = batch.responses
@@ -660,7 +659,7 @@ def test_batches_are_bit_identical_to_single_latents(corpus_rows, schedule,
     reference = [single.get(b) for b in picked]
     bank = MixtureBank(tuple(mixtures))
     which = np.array([rows[b][0] for b in picked])
-    z = engine.initial_latents([rows[b][1] for b in picked], 16)
+    z = engine.initial_latents([rows[b][1] for b in picked])
     cohorts = [np.arange(start, size, 5) for start in range(min(size, 5))]
     batches = [LockstepBatch(bank, which[live], schedule, z[live])
                for live in cohorts]
@@ -705,7 +704,7 @@ def test_sample_batch_equals_single_samples(catalog, schedule):
 def test_batch_owns_a_copy_of_its_latents(catalog, schedule):
     """The batch steps its own copy of the latents it was given, and hands
     them out read-only."""
-    z = engine.initial_latents((1, 2), 16)
+    z = engine.initial_latents((1, 2))
     given = z.copy()
     batch = _batch(build_conditional_mixture(("cat",), 0.8, catalog),
                    schedule, z)
@@ -721,13 +720,13 @@ def test_mixture_bank_needs_one_component_count(catalog):
     two = build_conditional_mixture(("cat", "bench"), 0.8, catalog)
     three = build_conditional_mixture(("cat", "bench", "kite"), 0.8, catalog)
     # one target at eight positions: nine components, as (cat, bench) has
-    wide = ObjectSpec(object_id="wide", sigma=1.5, grid_size=16,
+    wide = ObjectSpec(object_id="wide", sigma=1.5,
                       candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
     one = build_conditional_mixture(("wide",), 0.8, {"wide": wide})
     assert len(one.components) == len(two.components)
     # two targets with three positions each, always present: nine
     # components again, over six placed templates
-    trio = {o: ObjectSpec(object_id=o, sigma=1.5, grid_size=16,
+    trio = {o: ObjectSpec(object_id=o, sigma=1.5,
                           candidate_positions=((2, c), (8, c), (14, c)))
             for o, c in (("left", 4), ("right", 12))}
     six = build_conditional_mixture(("left", "right"), 1.0, trio)
@@ -794,8 +793,7 @@ def test_mixtures_of_other_component_order_share_no_bank(catalog, schedule):
         rows = [b for b, m in enumerate(which) if m in members]
         batch = LockstepBatch(bank, [members.index(which[b]) for b in rows],
                               schedule,
-                              engine.initial_latents([seeds[b] for b in rows],
-                                                     16))
+                              engine.initial_latents([seeds[b] for b in rows]))
         dense = [dense_trajectory(mixtures[which[b]], schedule, z)
                  for b, z in zip(rows, batch.z)]
         for steps in zip(*dense):
@@ -822,7 +820,7 @@ def test_components_of_underflowed_weight_take_no_responsibility(catalog,
     mix = build_conditional_mixture(("cat", "bench"), 1e-170, catalog)
     zero = mix.weights == 0.0
     assert zero.any() and not zero.all()
-    batch = _batch(mix, schedule, engine.initial_latents(range(3), 16))
+    batch = _batch(mix, schedule, engine.initial_latents(range(3)))
     for t in range(schedule.T, -1, -1):
         r, eps = posterior(batch, t)
         assert not r[:, zero].any() and np.isfinite(eps).all()
@@ -860,7 +858,7 @@ def test_posterior_rows_equal_rows_alone_after_a_larger_batch(catalog,
               _single_latent_steps(bank.mixtures[m], schedule, seed)}
              for m, seed in zip(which, seeds)]
     batch = LockstepBatch(bank, which, schedule,
-                          engine.initial_latents(seeds, 16))
+                          engine.initial_latents(seeds))
     keeps = {31: [1, 2, 4], 7: [0, 2]}  # positions in the batch at that t
     rows = list(range(5))  # the row of ``which`` at each position
     for t in range(schedule.T, -1, -1):
@@ -889,7 +887,7 @@ def test_built_batch_reads_nothing_more_from_its_bank(catalog, schedule,
     bank's arrays again, and give what an unguarded batch gives."""
     bank = _pair_bank(catalog)
     which = np.array([1, 0, 1])
-    z_start = engine.initial_latents(range(3), 16)
+    z_start = engine.initial_latents(range(3))
 
     def trajectory(batch):
         out = []
@@ -928,7 +926,7 @@ def test_built_batch_holds_no_pixel_basis(catalog, schedule):
     rows = 40
     assert rows != schedule.T + 1
     batch = LockstepBatch(bank, np.arange(rows) % 2, schedule,
-                          engine.initial_latents(range(rows), 16))
+                          engine.initial_latents(range(rows)))
     k, p = bank.mean_coefficients.shape
     assert rows not in (k, p)
     basis_size = rows * p * 256
@@ -959,18 +957,17 @@ _NOISE_SEEDS = [0, 1, 2**64 - 1] + [mix64(7, i, s) for i in range(6)
                                     for s in range(5)]
 
 
-@pytest.mark.parametrize("grid", [16, 15, 7])
-def test_starting_noise_rows_equal_their_own_streams(grid):
+def test_starting_noise_rows_equal_their_own_streams():
     """Row ``b`` of one batched draw is ``seeds[b]``'s stream alone, bit for
-    bit, for every batch size up to a wave and a bit over: the odd grids
-    take an odd count of normals, so rows start off the SIMD width."""
-    alone = {s: SplitMix64(s).normals(grid * grid).reshape(grid, grid)
+    bit, for every batch size up to a wave and a bit over."""
+    n = GRID_SIZE
+    alone = {s: SplitMix64(s).normals(n * n).reshape(n, n)
              for s in _NOISE_SEEDS}
     for size in range(1, engine.LOCKSTEP_ROWS + 2):
         seeds = [_NOISE_SEEDS[(size + b) % len(_NOISE_SEEDS)]
                  for b in range(size)]
-        z = engine.initial_latents(seeds, grid)
-        assert z.shape == (size, grid, grid)
+        z = engine.initial_latents(seeds)
+        assert z.shape == (size, n, n)
         for row, seed in zip(z, seeds):
             assert np.array_equal(row, alone[seed])
 
@@ -997,7 +994,7 @@ def test_assembled_gram_equals_the_per_row_formula(schedule):
     its bank's template block equals each row's whole basis multiplied out,
     bit for bit, on targets of one, three and two candidate positions."""
     def spec(name, cells):
-        return ObjectSpec(object_id=name, sigma=1.5, grid_size=16,
+        return ObjectSpec(object_id=name, sigma=1.5,
                           candidate_positions=cells)
 
     groups = MixtureBank.group([
@@ -1011,7 +1008,7 @@ def test_assembled_gram_equals_the_per_row_formula(schedule):
                    "f": spec("f", ((14, 4), (14, 12)))}))])
     assert sorted(members for _, members in groups) == [[0], [1]]
     which = np.array([1, 0, 0, 1, 1])
-    z = engine.initial_latents([mix64(3, b) for b in range(5)], 16)
+    z = engine.initial_latents([mix64(3, b) for b in range(5)])
     for bank, [m] in groups:  # one mixture per faithfulness
         assert bank.template_gram.shape == (1, 6, 6)
         rows = np.flatnonzero(which == m)
@@ -1041,7 +1038,7 @@ bank = MixtureBank(tuple(build_conditional_mixture(pair, 0.7, catalog)
                          for pair in (("cat", "bench"), ("dog", "kite"))))
 schedule = make_schedule(50)
 batch = LockstepBatch(bank, np.arange(LOCKSTEP_ROWS) % 2, schedule,
-                      initial_latents(range(LOCKSTEP_ROWS), bank.grid_size))
+                      initial_latents(range(LOCKSTEP_ROWS)))
 t = 30  # each step moves the batch's latents on from where the last left them
 for _ in range(5):
     batch.step(t)

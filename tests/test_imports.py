@@ -490,6 +490,34 @@ def test_no_trace_target_goes_missing(monkeypatch):
     assert absent <= ABSENT_TRACE_TARGETS
 
 
+# Values no command can set, made constants: the one grid of every object,
+# ``scene.GRID_SIZE``, and the one restart limit of a campaign's arms,
+# ``RuntimeSettings.max_restarts``.
+MADE_CONSTANT = ("RunPolicy", "grid_size")
+
+
+def _mentioned(source: str) -> set[str]:
+    """:func:`_defined_or_named` of ``source``, plus every parameter it
+    declares and every keyword argument it passes."""
+    return _defined_or_named(source) | {
+        node.arg for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg}
+
+
+def test_checker_finds_a_parameter_and_a_keyword():
+    source = ("def latents(seeds, *, grid_size=16): pass\n"
+              "latents([0], size=16)\n")
+    assert {"grid_size", "size"} <= _mentioned(source)
+    assert not {"grid_size", "size"} & _defined_or_named(source)
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_values_made_constant_stay_so(module):
+    assert not (_mentioned(module.read_text(encoding="utf-8"))
+                & set(MADE_CONSTANT))
+
+
 # What the settings types replaced: a config object over them, the merge of
 # flags into it, and checks of single settings made apart from their type.
 REPLACED_BY_THE_SETTINGS = ("ExperimentConfig", "_with_flags",

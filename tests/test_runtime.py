@@ -10,13 +10,13 @@ from headlab import engine, runtime
 from headlab.detector import (DetectorModel, DetectorSettings,
                               build_design_matrix, feature_names_for,
                               fit_detector)
-from headlab.engine import LockstepBatch, MixtureBank
+from headlab.engine import LockstepBatch, MixtureBank, make_schedule
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
-                             CampaignReport, RunPolicy, RuntimeSettings,
+                             CampaignReport, RuntimeSettings,
                              _bootstrap_cis, measure_campaign)
 from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
                            prompt_text)
@@ -53,7 +53,7 @@ def mixture(catalog):
 
 # ------------------------------------------------------------- policies
 
-def test_policy_validation(tiny_model):
+def test_policy_validation(mixture, catalog, tiny_model):
     with pytest.raises(UsageError, match="^max_restarts must be >= 1$"):
         RuntimeSettings(max_restarts=0)
     with pytest.raises(UsageError, match=f"^max_restarts must be <= "
@@ -61,23 +61,21 @@ def test_policy_validation(tiny_model):
                                          f"{MAX_RESTARTS + 1}$"):
         RuntimeSettings(max_restarts=MAX_RESTARTS + 1)
     RuntimeSettings(max_restarts=MAX_RESTARTS)
+    # tiny_model decides at step 16: it must precede the final step
     with pytest.raises(UsageError, match="^decision step must precede"):
-        RunPolicy(model=tiny_model).validate(16)
-    RunPolicy(model=tiny_model).validate(50)
-
-
-def test_mode_follows_model(tiny_model):
-    assert RunPolicy().mode == BASELINE
-    assert RunPolicy(model=tiny_model).mode == HEAD
+        _runs(mixture, make_schedule(16), tiny_model, catalog, 0, 1)
+    _runs(mixture, make_schedule(17), tiny_model, catalog, 0, 1)
 
 
 # ------------------------------------------------------------- single runs
 
-def _runs(mixture, schedule, policy, catalog, root_seed, n, prompt_id=""):
-    """Runs 0..n-1 of one prompt: attempt seeds ``mix64(root_seed, 0, j, k)``."""
-    (traces,) = run_arms([mixture], schedule, (policy,), catalog,
+def _runs(mixture, schedule, model, catalog, root_seed, n, prompt_id="",
+          **kwargs):
+    """Runs 0..n-1 of one prompt by one arm, ``model``: attempt seeds
+    ``mix64(root_seed, 0, j, k)``."""
+    (traces,) = run_arms([mixture], schedule, (model,), catalog,
                          root_seed=root_seed, runs_per_prompt=n,
-                         prompt_ids=[prompt_id])
+                         prompt_ids=[prompt_id], **kwargs)
     return traces
 
 
@@ -87,8 +85,7 @@ def _aborted(trace) -> int:
 
 
 def test_baseline_run_structure(mixture, schedule, catalog):
-    policy = RunPolicy()
-    (trace,) = _runs(mixture, schedule, policy, catalog, 11, 1,
+    (trace,) = _runs(mixture, schedule, None, catalog, 11, 1,
                      prompt_id="demo")
     assert trace.prompt_id == "demo"
     assert trace.attempts[-1].outcome == OUTCOME_COMPLETE
@@ -102,10 +99,9 @@ def test_baseline_run_structure(mixture, schedule, catalog):
 
 
 def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
-    policy = RunPolicy(model=tiny_model)
     decision = max(tiny_model.steps)
     total_aborts = 0
-    for trace in _runs(mixture, schedule, policy, catalog, 5, 12):
+    for trace in _runs(mixture, schedule, tiny_model, catalog, 5, 12):
         expected = 0
         for record in trace.attempts:
             if record.outcome == OUTCOME_ABORTED:
@@ -124,10 +120,9 @@ def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
 
 def test_inert_detector_matches_baseline(mixture, schedule, catalog):
     """A detector that always says present must replay the baseline."""
-    inert = RunPolicy(model=_flat_model((16,), bias=0.0))
-    base = RunPolicy()
+    inert = _flat_model((16,), bias=0.0)
     for a, b in zip(_runs(mixture, schedule, inert, catalog, 3, 4),
-                    _runs(mixture, schedule, base, catalog, 3, 4), strict=True):
+                    _runs(mixture, schedule, None, catalog, 3, 4), strict=True):
         assert a.total_steps == b.total_steps
         assert a.attempts[-1].seed == b.attempts[-1].seed
         assert [r.seed for r in a.attempts] == [r.seed for r in b.attempts]
@@ -136,26 +131,24 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
 
 def test_certain_mixture_accepts_first_attempt(catalog, schedule):
     sure = build_conditional_mixture(("cat", "bench"), 1.0, catalog)
-    (trace,) = _runs(sure, schedule, RunPolicy(), catalog, 0, 1)
+    (trace,) = _runs(sure, schedule, None, catalog, 0, 1)
     assert len(trace.attempts) == 1
     assert trace.total_steps == schedule.T
 
 
 def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
-    policy = RunPolicy()
     n_runs = 250
     counts = [len(trace.attempts) for trace in
-              _runs(mixture, schedule, policy, catalog, 21, n_runs)]
+              _runs(mixture, schedule, None, catalog, 21, n_runs)]
     p = 0.59
     sd = ((1 - p) / p**2) ** 0.5
     assert abs(np.mean(counts) - 1 / p) < 3 * sd / n_runs**0.5
 
 
 def test_restart_limit(mixture, schedule, catalog):
-    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
-                           max_restarts=4)
+    reject_all = _flat_model((16,), bias=-10.0)
     with pytest.raises(RunFailure, match="^no accepted image within 4 attempts"):
-        _runs(mixture, schedule, reject_all, catalog, 1, 1)
+        _runs(mixture, schedule, reject_all, catalog, 1, 1, max_restarts=4)
 
 
 # ------------------------------------------------------------- campaigns
@@ -169,7 +162,8 @@ def _grid(catalog, pairs, q):
 def test_identical_arms_save_nothing(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")],
                               0.8)
-    report = measure_campaign(prompts, mixtures, schedule, None, catalog,
+    inert = _flat_model((16,), bias=0.0)
+    report = measure_campaign(prompts, mixtures, schedule, inert, catalog,
                               RuntimeSettings(runs_per_prompt=3, root_seed=9))
     for row in report.rows:
         if row.saving is not None:
@@ -207,21 +201,20 @@ def _head_campaign(catalog, tiny_model):
     and so makes attempts the baseline never makes."""
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                               0.59 ** 0.5)
-    policies = (RunPolicy(), RunPolicy(model=tiny_model))
-    return prompts, mixtures, policies, dict(
+    return prompts, mixtures, (None, tiny_model), dict(
         root_seed=88, runs_per_prompt=4, prompt_ids=[p.text for p in prompts])
 
 
 def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
                                     monkeypatch):
-    prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    prompts, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     results = []
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         report = measure_campaign(prompts, mixtures, schedule, tiny_model,
                                   catalog, RuntimeSettings(runs_per_prompt=4,
                                                            root_seed=88))
-        results.append((report, run_arms(mixtures, schedule, policies,
+        results.append((report, run_arms(mixtures, schedule, models,
                                          catalog, **kwargs)))
     for report, arms in results[1:]:
         assert report == results[0][0]
@@ -244,44 +237,44 @@ def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                                                    monkeypatch):
     prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                               0.8)
-    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
-                           max_restarts=4)
+    reject_all = _flat_model((16,), bias=-10.0)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with pytest.raises(RunFailure) as info:
             run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
-                     runs_per_prompt=3, prompt_ids=[p.text for p in prompts])
+                     runs_per_prompt=3, prompt_ids=[p.text for p in prompts],
+                     max_restarts=4)
         assert str(info.value) == ("no accepted image within 4 attempts "
                                    "(prompt a cat and a bench, run 0)")
 
 
-def _alone(monkeypatch, mixtures, schedule, policy, catalog, **kwargs):
-    """One policy's traces with one slot: each run made alone, by one arm,
+def _alone(monkeypatch, mixtures, schedule, model, catalog, **kwargs):
+    """One arm's traces with one slot: each run made alone, by one arm,
     a batch of one."""
     with monkeypatch.context() as patch:
         patch.setattr(engine, "LOCKSTEP_ROWS", 1)
-        (traces,) = run_arms(mixtures, schedule, (policy,), catalog, **kwargs)
+        (traces,) = run_arms(mixtures, schedule, (model,), catalog, **kwargs)
     return traces
 
 
-def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, policies,
+def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, models,
                                catalog, **kwargs):
-    """Each arm of ``policies`` run in one pool equals the arm run alone,
+    """Each arm of ``models`` run in one pool equals the arm run alone,
     at every slot count; returns the joint traces."""
-    alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
-                         **kwargs) for policy in policies)
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, catalog,
+                         **kwargs) for model in models)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        assert run_arms(mixtures, schedule, policies, catalog,
+        assert run_arms(mixtures, schedule, models, catalog,
                         **kwargs) == alone
     return alone
 
 
 def test_joint_arms_equal_single_arms_with_aborts(catalog, schedule,
                                                    tiny_model, monkeypatch):
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     ref, treat = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                            policies, catalog, **kwargs)
+                                            models, catalog, **kwargs)
     assert sum(_aborted(t) for t in treat) > 0
     # an abort of a complete attempt sends the head past the baseline
     assert any(len(h.attempts) > len(b.attempts) for b, h in zip(ref, treat))
@@ -293,10 +286,13 @@ def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
     only turn away an image the presence check would accept: so in every
     run the head accepts the baseline's accepted attempt or a later one,
     and each arm's last record of a run is its only accepted attempt."""
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     records = {}
-    runtime.run_arms(mixtures, schedule, policies, catalog, **kwargs,
-                     record=lambda arm, run, attempt: records.setdefault(
+    runtime.run_arms(mixtures, schedule, models, catalog,
+                     RuntimeSettings(kwargs["runs_per_prompt"],
+                                     kwargs["root_seed"]),
+                     kwargs["prompt_ids"],
+                     lambda arm, run, attempt: records.setdefault(
                          (run, arm), []).append(attempt))
     runs = range(len(mixtures) * kwargs["runs_per_prompt"])
     assert sorted(records) == [(run, arm) for run in runs for arm in (0, 1)]
@@ -314,31 +310,31 @@ def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
 def test_joint_identical_arms_equal_single_arms(catalog, schedule, tiny_model,
                                                  monkeypatch, arm):
     _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
-    policy = RunPolicy(model=tiny_model if arm == "head" else None)
+    model = tiny_model if arm == "head" else None
     first, second = _assert_joint_equals_alone(
-        monkeypatch, mixtures, schedule, (policy, policy), catalog, **kwargs)
+        monkeypatch, mixtures, schedule, (model, model), catalog, **kwargs)
     assert first == second
 
 
-def test_joint_arms_with_different_restart_limits(catalog, schedule,
-                                                   tiny_model, monkeypatch):
-    """Each arm's limit is the most attempts any of its runs needs, so both
-    limits are reached, at different attempts, without a failure."""
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
-    limits = [max(len(t.attempts) for t in _alone(monkeypatch, mixtures,
-                                               schedule, policy, catalog,
-                                               **kwargs))
-              for policy in policies]
-    assert limits[0] != limits[1]
-    tight = tuple(RunPolicy(model=p.model, max_restarts=m)
-                  for p, m in zip(policies, limits))
-    _assert_joint_equals_alone(monkeypatch, mixtures, schedule, tight,
-                               catalog, **kwargs)
+def test_joint_arms_at_the_restart_limit_one_arm_reaches(catalog, schedule,
+                                                         tiny_model,
+                                                         monkeypatch):
+    """The one limit is the most attempts any run of either arm needs, so
+    one arm reaches it and the other stops short of it, without a
+    failure."""
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    needs = [max(len(t.attempts) for t in _alone(monkeypatch, mixtures,
+                                              schedule, model, catalog,
+                                              **kwargs))
+             for model in models]
+    assert needs[0] != needs[1]
+    _assert_joint_equals_alone(monkeypatch, mixtures, schedule, models,
+                               catalog, max_restarts=max(needs), **kwargs)
 
 
-def _restart_message(mixtures, schedule, policies, catalog, **kwargs) -> str:
+def _restart_message(mixtures, schedule, models, catalog, **kwargs) -> str:
     with pytest.raises(RunFailure, match="^no accepted image within ") as info:
-        run_arms(mixtures, schedule, policies, catalog, **kwargs)
+        run_arms(mixtures, schedule, models, catalog, **kwargs)
     return str(info.value)
 
 
@@ -347,23 +343,22 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
     """Arms run one after the other would stop at the reference's first
     failing run, and at the treatment's only when the reference has none."""
     _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
-    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
-                           max_restarts=4)
-    impatient = RunPolicy(max_restarts=2)
+    reject_all = _flat_model((16,), bias=-10.0)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        # both arms fail, the treatment at an earlier run
-        assert (_restart_message(mixtures, schedule, (impatient, reject_all),
-                                 catalog, **kwargs)
-                == _restart_message(mixtures, schedule, (impatient,),
-                                    catalog, **kwargs)
+        # both arms fail at two attempts, the treatment at an earlier run
+        assert (_restart_message(mixtures, schedule, (None, reject_all),
+                                 catalog, max_restarts=2, **kwargs)
+                == _restart_message(mixtures, schedule, (None,),
+                                    catalog, max_restarts=2, **kwargs)
                 == "no accepted image within 2 attempts "
                    "(prompt a cat and a bench, run 2)")
-        # only the treatment fails
-        assert (_restart_message(mixtures, schedule,
-                                 (RunPolicy(), reject_all), catalog, **kwargs)
+        # at four attempts, the most any baseline run needs, only the
+        # treatment fails
+        assert (_restart_message(mixtures, schedule, (None, reject_all),
+                                 catalog, max_restarts=4, **kwargs)
                 == _restart_message(mixtures, schedule, (reject_all,),
-                                    catalog, **kwargs)
+                                    catalog, max_restarts=4, **kwargs)
                 == "no accepted image within 4 attempts "
                    "(prompt a cat and a bench, run 0)")
 
@@ -392,23 +387,23 @@ def _counting_calls(monkeypatch):
 
 
 def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
-                                                      monkeypatch):
+                                                      tiny_model, monkeypatch):
     """Past its first failing run an arm drops out of the pool, and the other
-    arm goes on making those runs as if alone."""
+    arm goes on making those runs as if alone, under the same limit."""
     _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
     ((bank, members),) = MixtureBank.group(mixtures)
     runs = (members, 3)  # runs 0-2 of both prompts
-    reject_all = RunPolicy(model=_flat_model((16,), bias=-10.0),
-                           max_restarts=4)
-    rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
-    (alone,), _ = pool(bank, *runs, schedule, (RunPolicy(),), *rest)
+    reject_all = _flat_model((16,), bias=-10.0)
+    # root seed 1, label threshold 0.5, at most 4 attempts a run
+    rest = (catalog, 1, 0.5, 4)
+    (alone,), _ = pool(bank, *runs, schedule, (None,), *rest)
     assert None not in alone
     for slots in (*SLOT_COUNTS[1:], 1):
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with monkeypatch.context() as patch:
             steps, _ = _counting_calls(patch)
-            traces, failed = pool(bank, *runs, schedule,
-                                  (reject_all, RunPolicy()), *rest)
+            traces, failed = pool(bank, *runs, schedule, (reject_all, None),
+                                  *rest)
         assert failed == [0, None]
         assert traces[1] == alone
     # With one slot the failing arm makes no attempt of a later run: beyond
@@ -417,13 +412,25 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     assert extra > 0
     assert (sum(rows for _, rows in steps)
             == sum(t.total_steps for t in alone) + 16 * extra)
-    # A baseline allowed one attempt fails at run 0; the runs after it, each
-    # accepted at its first attempt alone, are made by the other arm only.
-    assert [len(t.attempts) for t in alone[1:]] == [1] * 5
-    traces, failed = pool(bank, *runs, schedule,
-                          (RunPolicy(max_restarts=1), RunPolicy()), *rest)
-    assert failed == [0, None]
-    assert traces == [[None] * 6, list(alone)]
+    # Still with one slot: a head that aborts complete attempts fails at
+    # the first run that needs more attempts than any baseline run; the
+    # runs after it, each accepted within the limit by the head alone, are
+    # made by the other arm only.
+    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    ((bank, members),) = MixtureBank.group(mixtures)
+    runs = (members, kwargs["runs_per_prompt"])
+    rest = (catalog, kwargs["root_seed"], 0.5)
+    (head, base), failed = pool(bank, *runs, schedule, (tiny_model, None),
+                                *rest)
+    assert failed == [None, None]
+    limit = max(len(t.attempts) for t in base)
+    first = min(run for run, t in enumerate(head) if len(t.attempts) > limit)
+    later = head[first + 1:]
+    assert later and max(len(t.attempts) for t in later) <= limit
+    traces, failed = pool(bank, *runs, schedule, (tiny_model, None), *rest,
+                          limit)
+    assert failed == [first, None]
+    assert traces == [head[:first] + [None] * (1 + len(later)), base]
 
 
 def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
@@ -433,18 +440,17 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
     _, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     ((bank, _),) = MixtureBank.group(mixtures)
     runs = ([0], 1)  # run 0 of the one prompt
-    late = RunPolicy(model=_flat_model((schedule.T - 1,), bias=-10.0),
-                     max_restarts=3)
+    late = _flat_model((schedule.T - 1,), bias=-10.0)
     labelled = []
     label_image = runtime.label_image
     monkeypatch.setattr(runtime, "label_image",
                         lambda *args: labelled.append(1) or label_image(*args))
-    rest = (catalog, 1, 0.5)  # root seed 1, label threshold 0.5
+    # root seed 1, label threshold 0.5, at most 3 attempts a run
+    rest = (catalog, 1, 0.5, 3)
     _, failed = pool(bank, *runs, schedule, (late, late), *rest)
     assert failed == [0, 0]
     assert labelled == []
-    (_, (trace,)), failed = pool(bank, *runs, schedule, (late, RunPolicy()),
-                                 *rest)
+    (_, (trace,)), failed = pool(bank, *runs, schedule, (late, None), *rest)
     assert failed == [0, None]
     assert len(labelled) == len(trace.attempts)
 
@@ -455,9 +461,9 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     attempts the baseline never makes: each (run, attempt) latent the arms
     share is denoised once, and an aborted attempt leaves before the step
     at its decision, so it takes exactly the steps it is charged."""
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
-    ref, treat = run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    ref, treat = run_arms(mixtures, schedule, models, catalog, **kwargs)
     beyond = [a for b, h in zip(ref, treat)
               for a in h.attempts[len(b.attempts):]]
     assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
@@ -471,13 +477,13 @@ def test_pool_labels_without_building_an_image(catalog, schedule, tiny_model,
                                               monkeypatch):
     """Finished attempts are labelled from each batch's Gram-matrix
     responses: the pool never reads a batch's latents as images."""
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
 
     def no_images(batch):
         raise AssertionError("the pool read LockstepBatch.z")
 
     monkeypatch.setattr(LockstepBatch, "z", property(no_images))
-    arms = run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    arms = run_arms(mixtures, schedule, models, catalog, **kwargs)
     assert {a.outcome for arm in arms for trace in arm
             for a in trace.attempts} == {OUTCOME_ABORTED, OUTCOME_COMPLETE,
                                          OUTCOME_INCOMPLETE}
@@ -489,7 +495,7 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
     campaign's intervals two more: every prompt's at once, then the
     pooled group's."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 3)
-    prompts, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    prompts, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
     measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
                      RuntimeSettings(runs_per_prompt=4, root_seed=88))
@@ -544,8 +550,8 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
 def test_each_wave_is_released_before_the_next_is_built(catalog, schedule,
                                                        tiny_model,
                                                        released_waves):
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
-    run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    run_arms(mixtures, schedule, models, catalog, **kwargs)
     assert len(released_waves) > 1
 
 
@@ -557,9 +563,9 @@ def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
     starts once the last has reached ``t = 1`` or emptied.  The head
     captures the whole wave at its one capture step."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-    _, mixtures, policies, kwargs = _head_campaign(catalog, tiny_model)
+    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, captures = _counting_calls(monkeypatch)
-    run_arms(mixtures, schedule, policies, catalog, **kwargs)
+    run_arms(mixtures, schedule, models, catalog, **kwargs)
     waves = []
     for t, rows in steps:
         if t == schedule.T:
@@ -583,10 +589,10 @@ def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
     prompts, mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)],
                               0.7)
     ids = [p.text for p in prompts]
-    policies = (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0)))
+    models = (None, _flat_model((4,), bias=0.0))
     kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
     arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                      policies, catalog, **kwargs)
+                                      models, catalog, **kwargs)
     runs = [(i, j) for i in range(3) for j in range(2)]
     for arm in arms:
         assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
@@ -597,16 +603,16 @@ def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
                                                          monkeypatch):
     """A one-target prompt can have as many components as a two-target
     one; the two still run in separate pools, each run as if alone."""
-    wide = ObjectSpec(object_id="wide", sigma=1.5, grid_size=16,
+    wide = ObjectSpec(object_id="wide", sigma=1.5,
                       candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
     catalog = {**catalog, "wide": wide}
     prompts, mixtures = _grid(catalog, [("wide",), ("owl", "drum")], 0.7)
     assert len(mixtures[0].components) == len(mixtures[1].components)
     ids = [p.text for p in prompts]
-    policy = RunPolicy(model=_flat_model((4,), bias=0.0))
     kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
     (arm,) = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                        (policy,), catalog, **kwargs)
+                                        (_flat_model((4,), bias=0.0),),
+                                        catalog, **kwargs)
     runs = [(i, j) for i in range(2) for j in range(2)]
     assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
             == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
@@ -621,15 +627,15 @@ def test_prompts_of_different_faithfulness_run_as_if_alone(catalog, schedule,
     mixtures = [build_conditional_mixture(pair, q, catalog)
                 for pair, q in zip(pairs, (0.7, 0.9))]
     assert len(MixtureBank.group(mixtures)) == 2
-    policies = (RunPolicy(), RunPolicy(model=_flat_model((4,), bias=0.0)))
+    models = (None, _flat_model((4,), bias=0.0))
     kwargs = dict(root_seed=5, runs_per_prompt=3,
                   prompt_ids=[prompt_text(pair) for pair in pairs])
     arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                      policies, catalog, **kwargs)
+                                      models, catalog, **kwargs)
     for i, q in enumerate((0.7, 0.9)):
         _, shared = _grid(catalog, pairs, q)
         assert len(MixtureBank.group(shared)) == 1
-        for arm, same in zip(arms, run_arms(shared, schedule, policies,
+        for arm, same in zip(arms, run_arms(shared, schedule, models,
                                             catalog, **kwargs)):
             assert arm[3 * i:3 * i + 3] == same[3 * i:3 * i + 3]
 
@@ -646,10 +652,11 @@ def test_campaign_is_deterministic(catalog, schedule, tiny_model):
 def test_campaign_validation(catalog, schedule):
     prompts, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     settings = RuntimeSettings(runs_per_prompt=1, root_seed=0)
+    inert = _flat_model((16,), bias=0.0)
     with pytest.raises(UsageError, match="^prompt_ids and mixtures must align$"):
-        measure_campaign(prompts, [], schedule, None, catalog, settings)
+        measure_campaign(prompts, [], schedule, inert, catalog, settings)
     with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
-        measure_campaign([], [], schedule, None, catalog, settings)
+        measure_campaign([], [], schedule, inert, catalog, settings)
     too_many = MAX_RUNS_PER_PROMPT + 1
     for runs_per_prompt, root_seed, message in (
             (0, 0, "runs_per_prompt must be >= 1"),
@@ -661,11 +668,11 @@ def test_campaign_validation(catalog, schedule):
         with pytest.raises(UsageError, match=f"^{message}$"):
             RuntimeSettings(runs_per_prompt=runs_per_prompt,
                             root_seed=root_seed)
-    for ids, policies, message in (
-            (["a", "b"], (RunPolicy(),), "prompt_ids and mixtures must align"),
+    for ids, models, message in (
+            (["a", "b"], (None,), "prompt_ids and mixtures must align"),
             (["a"], (), "at least one policy is required")):
         with pytest.raises(UsageError, match=f"^{message}$"):
-            run_arms(mixtures, schedule, policies, catalog, root_seed=0,
+            run_arms(mixtures, schedule, models, catalog, root_seed=0,
                      runs_per_prompt=1, prompt_ids=ids)
 
 
@@ -743,14 +750,13 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
 
     early, late = 8, 16
     # a strict early arm, so that it aborts attempts the later one accepts
-    policies = (RunPolicy(model=replace(fit((early,), "combined"),
-                                        threshold=0.9)),
-                RunPolicy(model=fit((early, late), "multi_timestep")))
+    models = (replace(fit((early,), "combined"), threshold=0.9),
+              fit((early, late), "multi_timestep"))
     _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
                         0.59 ** 0.5)
     kwargs = dict(root_seed=5, runs_per_prompt=6, prompt_ids=["", ""])
-    alone = tuple(_alone(monkeypatch, mixtures, schedule, policy, catalog,
-                         **kwargs) for policy in policies)
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, catalog,
+                         **kwargs) for model in models)
     # each wave's rows by the noise index they step from, and whether the
     # later arm decided in it
     waves = []
@@ -770,7 +776,7 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
     monkeypatch.setattr(LockstepBatch, "step", stepping)
     monkeypatch.setattr(runtime, "feature_rows", deciding)
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 4)
-    assert run_arms(mixtures, schedule, policies, catalog, **kwargs) == alone
+    assert run_arms(mixtures, schedule, models, catalog, **kwargs) == alone
     t_early = schedule.T - early
     assert any(wave.get("late") and wave[t_early] < wave[t_early + 1]
                for wave in waves)

@@ -53,13 +53,13 @@ def test_filter_response_identifies_own_template(catalog):
 def test_object_spec_validation():
     with pytest.raises(UsageError, match="^blob sigma must be positive"):
         ObjectSpec(object_id="x", sigma=-1.0,
-                   candidate_positions=((1, 1),), grid_size=16)
+                   candidate_positions=((1, 1),))
     with pytest.raises(UsageError, match=r"^position \(99, 1\) outside 16x16"):
         ObjectSpec(object_id="x", sigma=1.0,
-                   candidate_positions=((99, 1),), grid_size=16)
+                   candidate_positions=((99, 1),))
     with pytest.raises(UsageError, match="needs at least one position$"):
         ObjectSpec(object_id="x", sigma=1.0,
-                   candidate_positions=(), grid_size=16)
+                   candidate_positions=())
 
 
 # Widths for which a template's divisor 2 sigma^2 is not a finite positive
