@@ -11,9 +11,24 @@ failing process, not a power cut.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 from contextlib import contextmanager, suppress
 from pathlib import Path
+
+
+def _beside(name: str, pid: str, kind: str, dot: str = ".") -> str:
+    """``.<name>.<pid>.<kind>``, a staging or old tree's name; with patterns
+    for the parts and an escaped dot, the pattern of every one."""
+    return dot.join(("", name, pid, kind))
+
+
+def leftovers(path) -> list[Path]:
+    """The staging and old trees of any process beside ``path``, sorted."""
+    path = Path(path)
+    pattern = _beside(re.escape(path.name), r"\d+", "(staging|old)", r"\.")
+    return sorted(place for place in path.parent.glob(".*")
+                  if re.fullmatch(pattern, place.name))
 
 
 @contextmanager
@@ -37,8 +52,8 @@ def replaced_directory(path):
     path = Path(path)
     if path.exists() and not path.is_dir():
         raise NotADirectoryError(f"{path} exists and is not a directory")
-    staging = path.with_name(f".{path.name}.{os.getpid()}.staging")
-    aside = path.with_name(f".{path.name}.{os.getpid()}.old")
+    staging = path.with_name(_beside(path.name, str(os.getpid()), "staging"))
+    aside = path.with_name(_beside(path.name, str(os.getpid()), "old"))
     made = [parent for parent in staging.parents if not parent.exists()]
     staging.mkdir(parents=True)
     try:

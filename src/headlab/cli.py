@@ -31,12 +31,11 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-from .atomic import replaced_directory
+from .atomic import leftovers, replaced_directory
 from .dataset import (DatasetConfig, build_prompt_grid, config_kwargs,
                       generate_dataset, load_header, load_manifest,
                       CATALOG_NAME)
@@ -128,9 +127,7 @@ def _check_out(args) -> None:
         if target == source or target in source.parents:
             raise UsageError(f"--out {path} is or holds the input {name}; "
                              "a command replaces its whole --out")
-    left = out.parent.is_dir() and sorted(
-        place for place in out.parent.iterdir() if re.fullmatch(
-            rf"\.{re.escape(out.name)}\.\d+\.(staging|old)", place.name))
+    left = leftovers(out)
     if left:
         raise UsageError(f"--out {path} has {left[0]} beside it, left by a "
                          "killed or running command; restore it or remove it")
@@ -343,11 +340,14 @@ def _rate_point(report, manifest, t_last: int) -> RatePoint:
 
 def _cmd_sweep_tlast(args, out: Path) -> dict:
     check_run_count(args.mc_runs)
-    root, manifest, catalog = _load_dataset(args.dataset)
     model_paths = [p for p in args.models.split(",") if p.strip()]
+    models = [DetectorModel.load(path) for path in model_paths]
+    if len({max(model.steps) for model in models}) < 2:
+        raise UsageError("sweep needs rate points for at least two "
+                         "distinct decision steps")
+    root, manifest, catalog = _load_dataset(args.dataset)
     points = []
-    for path in model_paths:
-        model = DetectorModel.load(path)
+    for model in models:
         design = build_design_matrix(root, manifest, catalog, model.steps,
                                      variant=model.variant,
                                      splits=(args.split,))
@@ -401,17 +401,16 @@ def _cmd_run(args, out: Path) -> dict:
         if not keep:
             raise UsageError(f"split {args.split!r} selects no prompts")
         prompts = tuple(p for i, p in enumerate(prompts) if i in keep)
-    mixtures = [build_conditional_mixture(p.targets, catalog=catalog,
+    mixtures = [build_conditional_mixture(p, catalog=catalog,
                                           **config.mixture_kwargs)
                 for p in prompts]
-    report = measure_campaign(prompts, mixtures,
-                              make_schedule(config.num_steps), model, catalog,
-                              settings, config.label_threshold)
+    rows = measure_campaign(mixtures, make_schedule(config.num_steps), model,
+                            settings, config.label_threshold)
     _write_csv(out / "campaign.csv",
                "prompt_id,policy,runs,mean_steps,saving,ci_lo,ci_hi",
                [(r.prompt_id, r.policy, r.runs, f"{r.mean_steps:.4f}",
-                 r.saving, r.ci_lo, r.ci_hi) for r in report.rows])
-    print(f"pooled saving {report.pooled_saving:+.4f} "
+                 r.saving, r.ci_lo, r.ci_hi) for r in rows])
+    print(f"pooled saving {rows[-1].saving:+.4f} "
           f"({settings.runs_per_prompt} runs x {len(prompts)} prompts)")
     return {"dataset": str(args.dataset), "model": str(args.model),
             "split": args.split, **asdict(settings)}

@@ -49,9 +49,9 @@ import numpy as np
 from .engine import MixtureBank, denoise, make_schedule
 from .errors import RunFailure, UsageError
 from .rng import MASK64, mix64, shuffled
-from .scene import (COMPONENT_STD, GRID_SIZE, ObjectSpec, Prompt,
-                    SUBJECT_IDS, THING_IDS, build_conditional_mixture,
-                    dump_catalog, prompt_text)
+from .scene import (COMPONENT_STD, GRID_SIZE, ObjectSpec, SUBJECT_IDS,
+                    THING_IDS, build_conditional_mixture, dump_catalog,
+                    prompt_text)
 from .tensorio import TensorWriter, read_tensor
 
 MANIFEST_VERSION = 2
@@ -258,13 +258,9 @@ class DatasetManifest:
         return [self.samples[i] for i in self.rows_for_split(split)]
 
 
-def build_prompt_grid(subjects, objects) -> tuple[Prompt, ...]:
-    """Subject-major cross product of two-target prompts."""
-    prompts = []
-    for a in subjects:
-        for b in objects:
-            prompts.append(Prompt(text=prompt_text((a, b)), targets=(a, b)))
-    return tuple(prompts)
+def build_prompt_grid(subjects, objects) -> tuple[tuple[str, str], ...]:
+    """Subject-major cross product of two-target prompts, each its targets."""
+    return tuple((a, b) for a in subjects for b in objects)
 
 
 def label_image(responses: np.ndarray, columns,
@@ -352,7 +348,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     out = Path(out_dir)
     (out / TENSOR_DIR).mkdir(parents=True, exist_ok=True)
     prompts = build_prompt_grid(config.subjects, config.objects)
-    mixtures = [build_conditional_mixture(p.targets, catalog=catalog,
+    mixtures = [build_conditional_mixture(p, catalog=catalog,
                                           **config.mixture_kwargs)
                 for p in prompts]
 
@@ -364,7 +360,7 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
     grid = np.indices((len(prompts), config.seeds_per_prompt)).reshape(2, -1)
     rows = [_Sample(i, s, place[i][1], seed) for i, s, seed in zip(
         *grid.tolist(), mix64(config.global_seed, *grid).tolist())]
-    channels = 1 + len(prompts[0].targets)
+    channels = 1 + len(prompts[0])
     samples: list[SampleRecord] = []
     with ExitStack() as files:
         store = {T - u: files.enter_context(TensorWriter(
@@ -385,15 +381,14 @@ def generate_dataset(config: DatasetConfig, catalog: dict[str, ObjectSpec],
                 final.append(batch.z)
                 del batch  # its arrays go before the next wave's are made
                 for (i, s, _, run_seed), bits, k in zip(wave, labels, nearest):
-                    targets = prompts[i].targets
                     samples.append(SampleRecord(
                         sample_id=f"p{i:03d}s{s:02d}",
                         prompt_index=i,
-                        prompt=prompts[i].text,
-                        targets=targets,
+                        prompt=prompt_text(prompts[i]),
+                        targets=prompts[i],
                         seed_index=s,
                         run_seed=run_seed,
-                        labels=dict(zip(targets, bits)),
+                        labels=dict(zip(prompts[i], bits)),
                         complete=all(bits),
                         nearest_component=k,
                     ))
@@ -523,7 +518,7 @@ def load_manifest(root) -> DatasetManifest:
                         raise TypeError(f"sample.{key}: {exc}") from None
                 sample = SampleRecord(**values)
                 if (not 0 <= sample.prompt_index < len(grid)
-                        or grid[sample.prompt_index].targets != sample.targets):
+                        or grid[sample.prompt_index] != sample.targets):
                     raise ValueError(
                         f"targets {list(sample.targets)} are not those of "
                         f"prompt {sample.prompt_index} of the prompt grid")

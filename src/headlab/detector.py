@@ -272,7 +272,7 @@ def build_design_matrix(root, manifest: DatasetManifest,
     for split in dict.fromkeys(splits):
         rows = manifest.rows_for_split(split)
         if not rows:
-            raise RunFailure(f"split {split!r} produced no rows")
+            raise UsageError(f"split {split!r} produced no rows")
         split_of.update(dict.fromkeys(rows, split))
     index = sorted(split_of)
     chosen = [manifest.samples[i] for i in index]

@@ -14,7 +14,7 @@ Attempt seeds derive from ``mix64(root_seed, prompt_index, run_index,
 attempt_index)``; an aborted seed is never retried, and both arms of a
 campaign see the same attempt sequence for matching indices, under one
 restart limit.  An arm is a head's detector model, or ``None`` for the
-baseline.
+baseline.  A campaign is given only its mixtures, which name its prompts.
 
 Both arms run in one pool of attempts denoised by
 :func:`~headlab.engine.denoise`, each under its own prompt's mixture.
@@ -41,7 +41,7 @@ from .detector import DetectorModel, feature_rows
 from .engine import MixtureBank, NoiseSchedule, denoise
 from .errors import RunFailure, UsageError
 from .rng import MASK64, mix64, scaled_integers, stream_words, to_uniforms
-from .scene import ObjectSpec
+from .scene import prompt_text
 
 BASELINE = "baseline"
 HEAD = "head"
@@ -118,8 +118,8 @@ class _Attempt:
 
 
 def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
-          models, catalog: dict[str, ObjectSpec], settings: RuntimeSettings,
-          label_threshold: float, record) -> list[int | None]:
+          models, settings: RuntimeSettings, label_threshold: float,
+          record) -> list[int | None]:
     """Runs ``0 .. runs_per_prompt - 1`` of every prompt of ``members``
     under every arm of ``models``, prompt ``members[k]`` under mixture
     ``k`` of ``bank``, by :func:`~headlab.engine.denoise`.  Run ``j`` of
@@ -143,9 +143,11 @@ def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
     whose run goes on; the attempts queued at once get their seeds from
     one :func:`mix64` call.  Returns, by arm, the first run that exhausted
     ``settings.max_restarts`` (None if none did); once one has, the arm
-    drops later runs, since only an earlier run can come first.
+    drops later runs, since only an earlier run can come first.  Features
+    read one object map of the bank's mixtures, assuming one catalog.
     """
     T = schedule.T
+    catalog = {s.object_id: s for m in bank.mixtures for s in m.objects}
     runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
     arms = range(len(models))
     heads = [(a, model, max(model.steps))
@@ -241,19 +243,19 @@ def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, models,
-             catalog: dict[str, ObjectSpec], settings: RuntimeSettings,
-             prompt_ids, record, label_threshold: float = 0.5) -> None:
+             settings: RuntimeSettings, record,
+             label_threshold: float = 0.5) -> None:
     """Run ``settings.runs_per_prompt`` restart-until-accepted runs of
     every arm of ``models`` on every prompt, ``engine.LOCKSTEP_ROWS``
     attempts at a time, each attempt denoised once for all the arms that
     make it.  An arm is a head's :class:`~headlab.detector.DetectorModel`,
     or ``None`` for the baseline, which runs every attempt to the end.
 
-    Prompt ``i`` is ``mixtures[i]``, named ``prompt_ids[i]``; run ``j`` of
-    it draws its attempt seeds from ``(settings.root_seed, i, j)`` under
-    every arm.  Acceptance always requires the finished image to pass the
-    matched-filter presence check for every target.  Mixtures that cannot
-    share a :class:`MixtureBank` run in separate pools.  As arm ``arm``
+    Prompt ``i`` is ``mixtures[i]``, named by :func:`prompt_text` of its
+    targets; run ``j`` of it draws its attempt seeds from ``(root_seed, i,
+    j)`` under every arm.  Acceptance always requires the finished image
+    to pass the matched-filter presence check for every target.  Mixtures
+    that cannot share a :class:`MixtureBank` run in separate pools.  As arm ``arm``
     leaves an attempt of run ``i * runs_per_prompt + j``, it calls
     ``record(arm, run, attempt)`` with its :class:`AttemptRecord`, in
     attempt order, the accepted one last; the records equal the arm run
@@ -261,24 +263,22 @@ def run_arms(mixtures, schedule: NoiseSchedule, models,
     for the first run in (prompt, run) order that no attempt within
     ``settings.max_restarts`` completes, under the first arm that has one.
     """
-    if len(prompt_ids) != len(mixtures):
-        raise UsageError("prompt_ids and mixtures must align")
     if not models:
         raise UsageError("at least one policy is required")
     if any(m is not None and max(m.steps) >= schedule.T for m in models):
         raise UsageError("decision step must precede the final step")
     failures = []  # (arm, run) of each pool's first failing run by arm
     for bank, members in MixtureBank.group(mixtures):
-        failed = _pool(bank, members, schedule, models, catalog, settings,
+        failed = _pool(bank, members, schedule, models, settings,
                        label_threshold, record)
         failures += [(arm, run) for arm, run in enumerate(failed)
                      if run is not None]
     if failures:
         _, run = min(failures)
         i, j = divmod(run, settings.runs_per_prompt)
-        raise RunFailure(f"no accepted image within "
-                         f"{settings.max_restarts} attempts "
-                         f"(prompt {prompt_ids[i] or i}, run {j})")
+        raise RunFailure(f"no accepted image within {settings.max_restarts} "
+                         f"attempts (prompt {prompt_text(mixtures[i].targets)}"
+                         f", run {j})")
 
 
 @dataclass(frozen=True)
@@ -292,18 +292,6 @@ class CampaignRow:
     saving: float | None
     ci_lo: float | None
     ci_hi: float | None
-
-
-@dataclass(frozen=True)
-class CampaignReport:
-    rows: tuple[CampaignRow, ...]
-
-    @property
-    def pooled_saving(self) -> float:
-        for row in self.rows:
-            if row.prompt_id == "pooled" and row.saving is not None:
-                return row.saving
-        raise UsageError("campaign report has no pooled treatment row")
 
 
 def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
@@ -328,51 +316,48 @@ def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
     return np.percentile(stats, [2.5, 97.5], axis=1).T
 
 
-def measure_campaign(prompts, mixtures, schedule: NoiseSchedule,
-                     model: DetectorModel, catalog: dict[str, ObjectSpec],
+def measure_campaign(mixtures, schedule: NoiseSchedule, model: DetectorModel,
                      settings: RuntimeSettings,
-                     label_threshold: float = 0.5) -> CampaignReport:
-    """Run the baseline arm and the head arm of ``model`` on every prompt
-    with matching attempt seeds, under one restart limit.
+                     label_threshold: float = 0.5) -> list[CampaignRow]:
+    """Run the baseline arm and the head arm of ``model`` on the prompt of
+    every mixture with matching attempt seeds, under one restart limit.
 
     Relative saving is ``1 - steps_treatment / steps_reference``, reported
-    per prompt and pooled, with paired-bootstrap confidence intervals.
+    per prompt and pooled, with paired-bootstrap confidence intervals: a
+    baseline row and a head row per group, the pooled head row last.
     Both arms share one pool, so each ``(run, attempt)`` latent is denoised
     once; because attempt seeds depend only on indices, neither arm's
     records differ from the arm run alone.  Of each record only its steps
     are kept, summed into one int64 total per arm and run.
     """
-    if not prompts:
+    if not mixtures:
         raise UsageError("a campaign needs at least one prompt")
     runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
-    steps = np.zeros((2, len(prompts) * runs_per_prompt), dtype=np.int64)
+    steps = np.zeros((2, len(mixtures) * runs_per_prompt), dtype=np.int64)
 
     def add(arm: int, run: int, attempt: AttemptRecord) -> None:
         steps[arm, run] += attempt.steps
 
     # One pool for both arms: the latents they share are denoised once, so
     # the wall time of one arm alone is no longer measured.
-    run_arms(mixtures, schedule, (None, model), catalog, settings,
-             [p.text for p in prompts], add, label_threshold)
+    run_arms(mixtures, schedule, (None, model), settings, add,
+             label_threshold)
     ref_steps, treat_steps = steps.astype(np.float64).reshape(
-        2, len(prompts), runs_per_prompt)
-    groups = [(prompt.text, ref_steps[i], treat_steps[i])
-              for i, prompt in enumerate(prompts)]
+        2, len(mixtures), runs_per_prompt)
+    groups = [(prompt_text(mixture.targets), ref_steps[i], treat_steps[i])
+              for i, mixture in enumerate(mixtures)]
     groups.append(("pooled", ref_steps.ravel(), treat_steps.ravel()))
     cis = np.concatenate([
         _bootstrap_cis(ref_steps, treat_steps,
-                       mix64(root_seed, _BOOTSTRAP_TAG, range(len(prompts)))),
+                       mix64(root_seed, _BOOTSTRAP_TAG, range(len(mixtures)))),
         _bootstrap_cis(ref_steps.reshape(1, -1), treat_steps.reshape(1, -1),
                        [mix64(root_seed, _BOOTSTRAP_TAG)])]).tolist()
-    rows: list[CampaignRow] = []
+    rows = []
     for (prompt_id, ref, treat), (ci_lo, ci_hi) in zip(groups, cis):
-        rows.append(CampaignRow(prompt_id=prompt_id, policy=BASELINE,
-                                runs=ref.size, mean_steps=float(ref.mean()),
-                                saving=None, ci_lo=None, ci_hi=None))
-        rows.append(CampaignRow(prompt_id=prompt_id, policy=HEAD,
-                                runs=treat.size,
-                                mean_steps=float(treat.mean()),
-                                saving=float(1.0 - treat.mean() / ref.mean()),
-                                ci_lo=ci_lo, ci_hi=ci_hi))
-    return CampaignReport(rows=tuple(rows))
+        rows += [CampaignRow(prompt_id, BASELINE, ref.size, float(ref.mean()),
+                             None, None, None),
+                 CampaignRow(prompt_id, HEAD, treat.size, float(treat.mean()),
+                             float(1.0 - treat.mean() / ref.mean()),
+                             ci_lo, ci_hi)]
+    return rows
 

@@ -165,14 +165,6 @@ def dump_catalog(catalog: dict[str, ObjectSpec], path: str) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class Prompt:
-    """Prompt text plus its ordered target ids."""
-
-    text: str
-    targets: tuple[str, ...]
-
-
 def prompt_text(targets: tuple[str, ...] | list[str]) -> str:
     """Render a target list back into the canonical prompt wording."""
     return " and ".join(f"a {t}" for t in targets)

@@ -395,9 +395,6 @@ def sweep_tlast(dist: AttemptDistribution, points, num_steps: int,
 
     Every point's decision step is checked before any Monte Carlo runs."""
     points = sorted(points, key=lambda p: p.t_last)
-    if len({p.t_last for p in points}) < 2:
-        raise UsageError("sweep needs rate points for at least two "
-                         "distinct decision steps")
     for point in points:
         if not (0 <= point.t_last < num_steps):
             raise UsageError(f"t_last={point.t_last} outside [0, {num_steps})")

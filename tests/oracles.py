@@ -38,7 +38,7 @@ from headlab.errors import RunFailure, UsageError
 from headlab.rng import (MASK64, SplitMix64, scaled_integers, stream_words,
                          to_uniforms)
 from headlab.runtime import OUTCOME_COMPLETE, AttemptRecord, RuntimeSettings
-from headlab.scene import GRID_SIZE, MixtureSpec, ObjectSpec
+from headlab.scene import GRID_SIZE, MixtureSpec, ObjectSpec, prompt_text
 from headlab.tensorio import tensor_header
 from headlab.timesaver import (MAX_MC_RUNS, MAX_SIMULATED_ATTEMPTS, MC_BLOCK,
                                AttemptDistribution, PolicyParams, SimReport,
@@ -342,37 +342,35 @@ class RunTrace:
         return sum(a.steps for a in self.attempts)
 
 
-def _traces(history, prompt_ids) -> list[list[RunTrace | None]]:
-    """By arm, each run's trace from its records, named by
-    ``prompt_ids``; ``None`` for a run whose last record is not an
-    accepted attempt."""
-    return [[RunTrace(prompt_id, tuple(records))
+def _traces(history, names) -> list[list[RunTrace | None]]:
+    """By arm, each run's trace from its records, named by ``names``;
+    ``None`` for a run whose last record is not an accepted attempt."""
+    return [[RunTrace(name, tuple(records))
              if records and records[-1].outcome == OUTCOME_COMPLETE else None
-             for prompt_id, records in zip(prompt_ids, arm)]
+             for name, records in zip(names, arm)]
             for arm in history]
 
 
-def run_arms(mixtures, schedule: NoiseSchedule, models, catalog,
-             root_seed: int, runs_per_prompt: int, prompt_ids,
-             label_threshold: float = 0.5,
+def run_arms(mixtures, schedule: NoiseSchedule, models, root_seed: int,
+             runs_per_prompt: int, label_threshold: float = 0.5,
              max_restarts: int = RuntimeSettings.max_restarts
              ) -> tuple[tuple[RunTrace, ...], ...]:
     """``runtime.run_arms`` under the settings of these three ints, with
     its records collected into one tuple of traces per arm, in (prompt,
-    run) order."""
+    run) order, each named by its mixture's ``prompt_text``."""
     runs = range(len(mixtures) * runs_per_prompt)
     history = [[[] for _ in runs] for _ in models]
-    runtime.run_arms(mixtures, schedule, models, catalog,
+    runtime.run_arms(mixtures, schedule, models,
                      RuntimeSettings(runs_per_prompt, root_seed, max_restarts),
-                     prompt_ids,
                      lambda arm, run, attempt: history[arm][run].append(attempt),
                      label_threshold)
-    names = [prompt_ids[run // runs_per_prompt] for run in runs]
+    names = [prompt_text(mixtures[run // runs_per_prompt].targets)
+             for run in runs]
     return tuple(tuple(arm) for arm in _traces(history, names))
 
 
 def pool(bank: MixtureBank, members, runs_per_prompt: int,
-         schedule: NoiseSchedule, models, catalog, root_seed: int,
+         schedule: NoiseSchedule, models, root_seed: int,
          label_threshold: float,
          max_restarts: int = RuntimeSettings.max_restarts):
     """``runtime._pool`` under the settings of these three ints, with its
@@ -382,7 +380,7 @@ def pool(bank: MixtureBank, members, runs_per_prompt: int,
             for i in members for j in range(runs_per_prompt)]
     history = [{run: [] for run in runs} for _ in models]
     failed = runtime._pool(
-        bank, members, schedule, models, catalog,
+        bank, members, schedule, models,
         RuntimeSettings(runs_per_prompt, root_seed, max_restarts),
         label_threshold,
         lambda arm, run, attempt: history[arm][run].append(attempt))

@@ -308,18 +308,17 @@ def test_criterion_8_live_campaign_matches_closed_form(
                           cost_fraction=8 / config.num_steps)
     predicted = relative_saving(dist, policy)
 
-    prompts = build_prompt_grid(config.subjects, config.objects)
-    mixtures = [build_conditional_mixture(p.targets, config.faithfulness,
+    mixtures = [build_conditional_mixture(p, config.faithfulness,
                                           dataset.catalog,
                                           s2=config.component_std ** 2)
-                for p in prompts]
-    campaign = measure_campaign(
-        prompts, mixtures, schedule, model, dataset.catalog,
-        RuntimeSettings(runs_per_prompt=17, root_seed=2024))
-    measured = campaign.pooled_saving
+                for p in build_prompt_grid(config.subjects, config.objects)]
+    rows = measure_campaign(mixtures, schedule, model,
+                            RuntimeSettings(runs_per_prompt=17,
+                                            root_seed=2024))
+    measured = rows[-1].saving
     gap = abs(measured - predicted)
     _verdict(capfd, 8, gap < 0.02,
-             f"campaign of {len(prompts) * 17} runs saves {measured:+.4f} "
+             f"campaign of {len(mixtures) * 17} runs saves {measured:+.4f} "
              f"vs closed form {predicted:+.4f}, gap {gap * 100:.2f}pp < 2pp")
 
 
@@ -377,15 +376,14 @@ def test_frozen_gate_campaign(dataset, trained, schedule):
     """The head arm of a two-runs-per-prompt campaign over the default
     prompts at u=8, the benchmark's seed-0 campaign, must never drift."""
     config = dataset.manifest.config
-    prompts = build_prompt_grid(config.subjects, config.objects)
-    mixtures = [build_conditional_mixture(p.targets, catalog=dataset.catalog,
+    mixtures = [build_conditional_mixture(p, catalog=dataset.catalog,
                                           **config.mixture_kwargs)
-                for p in prompts]
-    campaign = measure_campaign(
-        prompts, mixtures, schedule, trained[8].model, dataset.catalog,
+                for p in build_prompt_grid(config.subjects, config.objects)]
+    rows = measure_campaign(
+        mixtures, schedule, trained[8].model,
         RuntimeSettings(runs_per_prompt=2, root_seed=2024),
         config.label_threshold)
-    (head,) = [row for row in campaign.rows
+    (head,) = [row for row in rows
                if row.prompt_id == "pooled" and row.policy == "head"]
     assert head.mean_steps == 64.6
-    assert campaign.pooled_saving == 0.2888073394495413
+    assert rows[-1].saving == 0.2888073394495413

@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from headlab import detector, engine
+from headlab import cli, detector, engine, timesaver
 from headlab.cli import main
 from headlab.scene import ObjectSpec
 
@@ -128,3 +128,35 @@ def test_detector_budget(dataset, tmp_path, detector_work):
     assert detector_work == {"load_step": 0, "extract_features": 9,
                              "captures": 234, "filter_responses": 98,
                              "images": 468, "predict": 9, "rows": 468}
+
+
+def test_sweep_tlast_budget(tiny_dataset, tmp_path, monkeypatch):
+    """``sweep-tlast`` over two models loads each model once and checks
+    their decision steps before it reads the manifest, once; then it reads
+    each model's one step tensor once and runs one Monte Carlo per model."""
+    models = []
+    for u in (8, 16):
+        _run(["train", "--dataset", str(tiny_dataset.root),
+              "--out", str(tmp_path / f"m{u}"), "--steps", str(u)])
+        models.append(str(tmp_path / f"m{u}" / "model.json"))
+    work = dict.fromkeys(("load_manifest", "load", "load_step",
+                          "monte_carlo_cost"), 0)
+    for owner, name in ((cli, "load_manifest"), (detector, "load_step"),
+                        (timesaver, "monte_carlo_cost")):
+        def counting(*args, _original=getattr(owner, name), _name=name,
+                     **kwargs):
+            work[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    load = detector.DetectorModel.load
+
+    def loading(path):
+        work["load"] += 1
+        return load(path)
+
+    monkeypatch.setattr(detector.DetectorModel, "load", staticmethod(loading))
+    _run(["sweep-tlast", "--dataset", str(tiny_dataset.root),
+          "--models", ",".join(models), "--mc-runs", "100",
+          "--out", str(tmp_path / "sweep")])
+    assert work == {"load_manifest": 1, "load": 2, "load_step": 2,
+                    "monte_carlo_cost": 2}

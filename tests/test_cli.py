@@ -725,7 +725,7 @@ def test_train_reads_each_step_once(cli_dataset, tmp_path, train_work,
     (["--target-recall", "nan"], 1, "target recall must be in (0, 1]"),
     (["--target-recall", "0.9", "--calibration-split", "nope"], 1,
      "unknown split 'nope'; have ['test', 'train', 'val']"),
-    (["--target-recall", "0.9", "--calibration-split", "test"], 2,
+    (["--target-recall", "0.9", "--calibration-split", "test"], 1,
      "split 'test' produced no rows"),
 ])
 def test_train_refuses_its_calibration_before_reading(
@@ -1269,6 +1269,26 @@ def test_sweep_tlast_needs_two_models(cli_dataset, cli_models, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("twice", [False, True])
+def test_sweep_tlast_needs_two_decision_steps_before_reading_the_dataset(
+        cli_dataset, cli_models, tmp_path, monkeypatch, capsys, twice):
+    """Models of fewer than two distinct decision steps exit 1 before the
+    dataset is read, be it missing or whole: one model, or one model
+    given twice."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("load_manifest ran")
+
+    monkeypatch.setattr(cli, "load_manifest", unreachable)
+    models = ",".join([str(cli_models[16])] * (2 if twice else 1))
+    rc = main(["sweep-tlast", "--models", models, "--out", str(tmp_path / "x"),
+               "--dataset", str(cli_dataset) if twice else "nowhere"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: sweep needs rate points for at least two distinct decision "
+        "steps\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_p_grid(tmp_path, capsys):
     out = tmp_path / "sp"
     rc = main(["sweep-p", "--recall", "0.95", "--tn-rate", "0.85",
@@ -1326,6 +1346,29 @@ def test_run_empty_split_exits_1(cli_dataset, cli_models, tmp_path, capsys):
                "--split", "val", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert capsys.readouterr().err == "error: split 'val' selects no prompts\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep-tlast", "train"])
+def test_an_empty_split_exits_1_before_reading(cli_dataset, cli_models,
+                                               tmp_path, train_work, capsys,
+                                               command):
+    """A known split that holds no prompt is a bad choice of input, as in
+    ``run``: ``eval``, ``sweep-tlast`` and ``train``'s calibration exit 1
+    on it before any capture is read."""
+    header = json.loads((cli_dataset / "manifest.jsonl").read_text(
+        encoding="utf-8").splitlines()[0])
+    root = _edited_copy(cli_dataset, tmp_path, 1,
+                        splits={**header["splits"], "val": []})
+    flags = {"eval": ["--model", str(cli_models[16]), "--split", "val"],
+             "sweep-tlast": ["--models", f"{cli_models[2]},{cli_models[16]}",
+                             "--split", "val"],
+             "train": ["--steps", "16", "--target-recall", "0.9"]}[command]
+    rc = main([command, "--dataset", str(root), *flags,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: split 'val' produced no rows\n"
+    assert train_work == {"reads": [], "extracts": [], "fits": []}
     assert not (tmp_path / "x").exists()
 
 

@@ -17,7 +17,7 @@ from headlab.dataset import (MAX_NUM_STEPS, MAX_SEEDS_PER_PROMPT,
 from headlab.engine import MixtureBank, make_schedule
 from headlab.errors import RunFailure, UsageError
 from headlab.rng import mix64
-from headlab.scene import build_conditional_mixture
+from headlab.scene import build_conditional_mixture, prompt_text
 from headlab.tensorio import TensorWriter, read_tensor
 
 from conftest import TINY_CONFIG
@@ -78,9 +78,9 @@ def test_config_dict_roundtrip():
 
 def test_prompt_grid_is_subject_major():
     grid = build_prompt_grid(("cat", "dog"), ("bench", "kite"))
-    assert [p.targets for p in grid] == [
-        ("cat", "bench"), ("cat", "kite"), ("dog", "bench"), ("dog", "kite")]
-    assert grid[0].text == "a cat and a bench"
+    assert grid == (
+        ("cat", "bench"), ("cat", "kite"), ("dog", "bench"), ("dog", "kite"))
+    assert prompt_text(grid[0]) == "a cat and a bench"
 
 
 # ------------------------------------------------------------- labeling
@@ -203,7 +203,7 @@ def _assert_rows_equal_per_prompt_batches(root, mani, catalog):
     finals = read_tensor(root / TENSOR_DIR / "final.bin")
     wanted = [cfg.num_steps - u for u in cfg.critical_steps]
     for i, prompt in enumerate(build_prompt_grid(cfg.subjects, cfg.objects)):
-        mixture = build_conditional_mixture(prompt.targets, cfg.faithfulness,
+        mixture = build_conditional_mixture(prompt, cfg.faithfulness,
                                             catalog, s2=cfg.component_std ** 2)
         rows = [b for b, s in enumerate(mani.samples) if s.prompt_index == i]
         record = sample_batch(mixture, schedule,

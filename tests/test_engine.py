@@ -636,7 +636,7 @@ def corpus_rows(catalog, schedule):
     and the single-latent steps, keyed by t, of every 7th row (103 rows,
     covering every mixture)."""
     config = DatasetConfig()
-    mixtures = [build_conditional_mixture(p.targets, DEFAULT_FAITHFULNESS,
+    mixtures = [build_conditional_mixture(p, DEFAULT_FAITHFULNESS,
                                           catalog, s2=config.component_std ** 2)
                 for p in build_prompt_grid(config.subjects, config.objects)]
     rows = [(i, mix64(config.global_seed, i, s))

@@ -579,3 +579,44 @@ def test_each_setting_is_checked_once_by_its_type():
         if getattr(node, "name", None) == "DatasetConfig"]
     assert "validate" not in {node.name for node in config.body
                               if isinstance(node, ast.FunctionDef)}
+
+
+# What a campaign derives from its mixtures, and so is no longer given: a
+# prompt's wording and targets, the list of prompt names, and the report
+# whose pooled saving is its last row.
+DERIVED_FROM_THE_MIXTURES = ("Prompt", "CampaignReport", "prompt_ids")
+CAMPAIGN_FUNCTIONS = ("measure_campaign", "run_arms", "_pool")
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_what_a_campaign_derives_stays_gone(module):
+    assert not (_mentioned(module.read_text(encoding="utf-8"))
+                & set(DERIVED_FROM_THE_MIXTURES))
+
+
+def _parameters(source: str, functions) -> dict[str, list[str]]:
+    """The parameter names of each top-level function of ``functions``
+    that ``source`` defines."""
+    return {node.name: [arg.arg for arg in (*node.args.posonlyargs,
+                                            *node.args.args,
+                                            *node.args.kwonlyargs)]
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in functions}
+
+
+def test_checker_finds_the_parameters_of_a_function():
+    source = ("def run_arms(mixtures, /, models, *, catalog=None): pass\n"
+              "class Pool:\n    def _pool(self, catalog): pass\n")
+    assert _parameters(source, CAMPAIGN_FUNCTIONS) == {
+        "run_arms": ["mixtures", "models", "catalog"]}
+
+
+def test_no_campaign_function_is_given_a_catalog():
+    """Each campaign function reads its objects' catalog entries from
+    the mixtures it is given."""
+    parameters = _parameters((SRC / "runtime.py").read_text(encoding="utf-8"),
+                             CAMPAIGN_FUNCTIONS)
+    assert sorted(parameters) == sorted(CAMPAIGN_FUNCTIONS)
+    assert not [name for name, args in parameters.items()
+                if "catalog" in args]

@@ -16,10 +16,9 @@ from headlab.rng import SplitMix64, mix64, scaled_integers
 from headlab.runtime import (BASELINE, HEAD, MAX_RESTARTS,
                              MAX_RUNS_PER_PROMPT, OUTCOME_ABORTED,
                              OUTCOME_COMPLETE, OUTCOME_INCOMPLETE,
-                             CampaignReport, RuntimeSettings,
-                             _bootstrap_cis, measure_campaign)
-from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
-                           prompt_text)
+                             RuntimeSettings, _bootstrap_cis,
+                             measure_campaign)
+from headlab.scene import ObjectSpec, build_conditional_mixture
 
 from oracles import bootstrap_ci, pool, run_arms
 
@@ -53,7 +52,7 @@ def mixture(catalog):
 
 # ------------------------------------------------------------- policies
 
-def test_policy_validation(mixture, catalog, tiny_model):
+def test_policy_validation(mixture, tiny_model):
     with pytest.raises(UsageError, match="^max_restarts must be >= 1$"):
         RuntimeSettings(max_restarts=0)
     with pytest.raises(UsageError, match=f"^max_restarts must be <= "
@@ -63,19 +62,17 @@ def test_policy_validation(mixture, catalog, tiny_model):
     RuntimeSettings(max_restarts=MAX_RESTARTS)
     # tiny_model decides at step 16: it must precede the final step
     with pytest.raises(UsageError, match="^decision step must precede"):
-        _runs(mixture, make_schedule(16), tiny_model, catalog, 0, 1)
-    _runs(mixture, make_schedule(17), tiny_model, catalog, 0, 1)
+        _runs(mixture, make_schedule(16), tiny_model, 0, 1)
+    _runs(mixture, make_schedule(17), tiny_model, 0, 1)
 
 
 # ------------------------------------------------------------- single runs
 
-def _runs(mixture, schedule, model, catalog, root_seed, n, prompt_id="",
-          **kwargs):
+def _runs(mixture, schedule, model, root_seed, n, **kwargs):
     """Runs 0..n-1 of one prompt by one arm, ``model``: attempt seeds
     ``mix64(root_seed, 0, j, k)``."""
-    (traces,) = run_arms([mixture], schedule, (model,), catalog,
-                         root_seed=root_seed, runs_per_prompt=n,
-                         prompt_ids=[prompt_id], **kwargs)
+    (traces,) = run_arms([mixture], schedule, (model,), root_seed=root_seed,
+                         runs_per_prompt=n, **kwargs)
     return traces
 
 
@@ -84,10 +81,9 @@ def _aborted(trace) -> int:
     return sum(a.outcome == OUTCOME_ABORTED for a in trace.attempts)
 
 
-def test_baseline_run_structure(mixture, schedule, catalog):
-    (trace,) = _runs(mixture, schedule, None, catalog, 11, 1,
-                     prompt_id="demo")
-    assert trace.prompt_id == "demo"
+def test_baseline_run_structure(mixture, schedule):
+    (trace,) = _runs(mixture, schedule, None, 11, 1)
+    assert trace.prompt_id == "a cat and a bench"
     assert trace.attempts[-1].outcome == OUTCOME_COMPLETE
     for record in trace.attempts[:-1]:
         assert record.outcome == OUTCOME_INCOMPLETE
@@ -98,10 +94,10 @@ def test_baseline_run_structure(mixture, schedule, catalog):
         assert record.seed == mix64(11, 0, 0, k)
 
 
-def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
+def test_head_accounting_identity(mixture, schedule, tiny_model):
     decision = max(tiny_model.steps)
     total_aborts = 0
-    for trace in _runs(mixture, schedule, tiny_model, catalog, 5, 12):
+    for trace in _runs(mixture, schedule, tiny_model, 5, 12):
         expected = 0
         for record in trace.attempts:
             if record.outcome == OUTCOME_ABORTED:
@@ -118,11 +114,11 @@ def test_head_accounting_identity(mixture, schedule, catalog, tiny_model):
     assert total_aborts > 0
 
 
-def test_inert_detector_matches_baseline(mixture, schedule, catalog):
+def test_inert_detector_matches_baseline(mixture, schedule):
     """A detector that always says present must replay the baseline."""
     inert = _flat_model((16,), bias=0.0)
-    for a, b in zip(_runs(mixture, schedule, inert, catalog, 3, 4),
-                    _runs(mixture, schedule, None, catalog, 3, 4), strict=True):
+    for a, b in zip(_runs(mixture, schedule, inert, 3, 4),
+                    _runs(mixture, schedule, None, 3, 4), strict=True):
         assert a.total_steps == b.total_steps
         assert a.attempts[-1].seed == b.attempts[-1].seed
         assert [r.seed for r in a.attempts] == [r.seed for r in b.attempts]
@@ -131,95 +127,89 @@ def test_inert_detector_matches_baseline(mixture, schedule, catalog):
 
 def test_certain_mixture_accepts_first_attempt(catalog, schedule):
     sure = build_conditional_mixture(("cat", "bench"), 1.0, catalog)
-    (trace,) = _runs(sure, schedule, None, catalog, 0, 1)
+    (trace,) = _runs(sure, schedule, None, 0, 1)
     assert len(trace.attempts) == 1
     assert trace.total_steps == schedule.T
 
 
-def test_baseline_attempts_follow_geometric_law(mixture, schedule, catalog):
+def test_baseline_attempts_follow_geometric_law(mixture, schedule):
     n_runs = 250
     counts = [len(trace.attempts) for trace in
-              _runs(mixture, schedule, None, catalog, 21, n_runs)]
+              _runs(mixture, schedule, None, 21, n_runs)]
     p = 0.59
     sd = ((1 - p) / p**2) ** 0.5
     assert abs(np.mean(counts) - 1 / p) < 3 * sd / n_runs**0.5
 
 
-def test_restart_limit(mixture, schedule, catalog):
+def test_restart_limit(mixture, schedule):
     reject_all = _flat_model((16,), bias=-10.0)
     with pytest.raises(RunFailure, match="^no accepted image within 4 attempts"):
-        _runs(mixture, schedule, reject_all, catalog, 1, 1, max_restarts=4)
+        _runs(mixture, schedule, reject_all, 1, 1, max_restarts=4)
 
 
 # ------------------------------------------------------------- campaigns
 
 def _grid(catalog, pairs, q):
-    prompts = [Prompt(text=prompt_text(pair), targets=pair) for pair in pairs]
-    mixtures = [build_conditional_mixture(pair, q, catalog) for pair in pairs]
-    return prompts, mixtures
+    return [build_conditional_mixture(pair, q, catalog) for pair in pairs]
 
 
 def test_identical_arms_save_nothing(catalog, schedule):
-    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")],
-                              0.8)
+    mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")], 0.8)
     inert = _flat_model((16,), bias=0.0)
-    report = measure_campaign(prompts, mixtures, schedule, inert, catalog,
-                              RuntimeSettings(runs_per_prompt=3, root_seed=9))
-    for row in report.rows:
+    rows = measure_campaign(mixtures, schedule, inert,
+                            RuntimeSettings(runs_per_prompt=3, root_seed=9))
+    for row in rows:
         if row.saving is not None:
             assert row.saving == 0.0
             assert row.ci_lo == 0.0 and row.ci_hi == 0.0
-    assert report.pooled_saving == 0.0
+    assert rows[-1].saving == 0.0
 
 
 def test_campaign_structure(catalog, schedule, tiny_model):
-    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
-                              0.59 ** 0.5)
-    report = measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
-                              RuntimeSettings(runs_per_prompt=4, root_seed=77))
-    assert len(report.rows) == 6
+    mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.59 ** 0.5)
+    rows = measure_campaign(mixtures, schedule, tiny_model,
+                            RuntimeSettings(runs_per_prompt=4, root_seed=77))
+    assert len(rows) == 6
     by_policy = {}
-    for row in report.rows[:-2]:
+    for row in rows[:-2]:
         assert row.prompt_id in ("a cat and a bench", "a owl and a drum")
         assert row.runs == 4
         by_policy.setdefault(row.policy, []).append(row)
-    assert {r.policy for r in report.rows} == {BASELINE, HEAD}
+    assert {r.policy for r in rows} == {BASELINE, HEAD}
     for row in by_policy[BASELINE]:
         assert row.saving is None and row.ci_lo is None
     for row in by_policy[HEAD]:
         assert row.saving is not None
         assert row.ci_lo <= row.saving <= row.ci_hi
-    pooled = report.rows[-2:]
+    pooled = rows[-2:]
     assert all(r.prompt_id == "pooled" for r in pooled)
     assert pooled[0].runs == pooled[1].runs == 8
-    assert report.pooled_saving == pooled[1].saving
+    # the pooled head row, which holds the pooled saving, comes last
+    assert [r.policy for r in pooled] == [BASELINE, HEAD]
 
 
 def _head_campaign(catalog, tiny_model):
     """test_campaign_structure's grid and arms, and arguments to
     ``run_arms`` under which the head aborts complete attempts of two runs
     and so makes attempts the baseline never makes."""
-    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
-                              0.59 ** 0.5)
-    return prompts, mixtures, (None, tiny_model), dict(
-        root_seed=88, runs_per_prompt=4, prompt_ids=[p.text for p in prompts])
+    mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.59 ** 0.5)
+    return mixtures, (None, tiny_model), dict(root_seed=88, runs_per_prompt=4)
 
 
 def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
                                     monkeypatch):
-    prompts, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     results = []
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        report = measure_campaign(prompts, mixtures, schedule, tiny_model,
-                                  catalog, RuntimeSettings(runs_per_prompt=4,
-                                                           root_seed=88))
-        results.append((report, run_arms(mixtures, schedule, models,
-                                         catalog, **kwargs)))
-    for report, arms in results[1:]:
-        assert report == results[0][0]
+        rows = measure_campaign(mixtures, schedule, tiny_model,
+                                RuntimeSettings(runs_per_prompt=4,
+                                                root_seed=88))
+        results.append((rows, run_arms(mixtures, schedule, models, **kwargs)))
+    for rows, arms in results[1:]:
+        assert rows == results[0][0]
         assert arms == results[0][1]
-    report, (ref, treat) = results[0]
+    rows, (ref, treat) = results[0]
     for arm in (ref, treat):
         assert [t.prompt_id for t in arm] == (["a cat and a bench"] * 4
                                               + ["a owl and a drum"] * 4)
@@ -229,52 +219,49 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
     for k, trace in enumerate(treat):
         assert trace.attempts[0].seed == mix64(88, k // 4, k % 4, 0)
     ref_steps = [t.total_steps for t in ref]
-    assert report.rows[0].mean_steps == np.mean(ref_steps[:4])
-    assert report.rows[-2].mean_steps == np.mean(ref_steps)
+    assert rows[0].mean_steps == np.mean(ref_steps[:4])
+    assert rows[-2].mean_steps == np.mean(ref_steps)
 
 
 def test_restart_limit_names_the_first_failing_run(catalog, schedule,
                                                    monkeypatch):
-    prompts, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
-                              0.8)
+    mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
     reject_all = _flat_model((16,), bias=-10.0)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         with pytest.raises(RunFailure) as info:
-            run_arms(mixtures, schedule, (reject_all,), catalog, root_seed=1,
-                     runs_per_prompt=3, prompt_ids=[p.text for p in prompts],
-                     max_restarts=4)
+            run_arms(mixtures, schedule, (reject_all,), root_seed=1,
+                     runs_per_prompt=3, max_restarts=4)
         assert str(info.value) == ("no accepted image within 4 attempts "
                                    "(prompt a cat and a bench, run 0)")
 
 
-def _alone(monkeypatch, mixtures, schedule, model, catalog, **kwargs):
+def _alone(monkeypatch, mixtures, schedule, model, **kwargs):
     """One arm's traces with one slot: each run made alone, by one arm,
     a batch of one."""
     with monkeypatch.context() as patch:
         patch.setattr(engine, "LOCKSTEP_ROWS", 1)
-        (traces,) = run_arms(mixtures, schedule, (model,), catalog, **kwargs)
+        (traces,) = run_arms(mixtures, schedule, (model,), **kwargs)
     return traces
 
 
 def _assert_joint_equals_alone(monkeypatch, mixtures, schedule, models,
-                               catalog, **kwargs):
+                               **kwargs):
     """Each arm of ``models`` run in one pool equals the arm run alone,
     at every slot count; returns the joint traces."""
-    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, catalog,
-                         **kwargs) for model in models)
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, **kwargs)
+                  for model in models)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-        assert run_arms(mixtures, schedule, models, catalog,
-                        **kwargs) == alone
+        assert run_arms(mixtures, schedule, models, **kwargs) == alone
     return alone
 
 
 def test_joint_arms_equal_single_arms_with_aborts(catalog, schedule,
                                                    tiny_model, monkeypatch):
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     ref, treat = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                            models, catalog, **kwargs)
+                                            models, **kwargs)
     assert sum(_aborted(t) for t in treat) > 0
     # an abort of a complete attempt sends the head past the baseline
     assert any(len(h.attempts) > len(b.attempts) for b, h in zip(ref, treat))
@@ -286,12 +273,11 @@ def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
     only turn away an image the presence check would accept: so in every
     run the head accepts the baseline's accepted attempt or a later one,
     and each arm's last record of a run is its only accepted attempt."""
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     records = {}
-    runtime.run_arms(mixtures, schedule, models, catalog,
+    runtime.run_arms(mixtures, schedule, models,
                      RuntimeSettings(kwargs["runs_per_prompt"],
                                      kwargs["root_seed"]),
-                     kwargs["prompt_ids"],
                      lambda arm, run, attempt: records.setdefault(
                          (run, arm), []).append(attempt))
     runs = range(len(mixtures) * kwargs["runs_per_prompt"])
@@ -309,10 +295,10 @@ def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
 @pytest.mark.parametrize("arm", ["baseline", "head"])
 def test_joint_identical_arms_equal_single_arms(catalog, schedule, tiny_model,
                                                  monkeypatch, arm):
-    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
     model = tiny_model if arm == "head" else None
     first, second = _assert_joint_equals_alone(
-        monkeypatch, mixtures, schedule, (model, model), catalog, **kwargs)
+        monkeypatch, mixtures, schedule, (model, model), **kwargs)
     assert first == second
 
 
@@ -322,19 +308,18 @@ def test_joint_arms_at_the_restart_limit_one_arm_reaches(catalog, schedule,
     """The one limit is the most attempts any run of either arm needs, so
     one arm reaches it and the other stops short of it, without a
     failure."""
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     needs = [max(len(t.attempts) for t in _alone(monkeypatch, mixtures,
-                                              schedule, model, catalog,
-                                              **kwargs))
+                                              schedule, model, **kwargs))
              for model in models]
     assert needs[0] != needs[1]
     _assert_joint_equals_alone(monkeypatch, mixtures, schedule, models,
-                               catalog, max_restarts=max(needs), **kwargs)
+                               max_restarts=max(needs), **kwargs)
 
 
-def _restart_message(mixtures, schedule, models, catalog, **kwargs) -> str:
+def _restart_message(mixtures, schedule, models, **kwargs) -> str:
     with pytest.raises(RunFailure, match="^no accepted image within ") as info:
-        run_arms(mixtures, schedule, models, catalog, **kwargs)
+        run_arms(mixtures, schedule, models, **kwargs)
     return str(info.value)
 
 
@@ -342,23 +327,23 @@ def test_restart_limit_names_the_same_run_as_arms_run_in_turn(
         catalog, schedule, tiny_model, monkeypatch):
     """Arms run one after the other would stop at the reference's first
     failing run, and at the treatment's only when the reference has none."""
-    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
     reject_all = _flat_model((16,), bias=-10.0)
     for slots in SLOT_COUNTS:
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         # both arms fail at two attempts, the treatment at an earlier run
         assert (_restart_message(mixtures, schedule, (None, reject_all),
-                                 catalog, max_restarts=2, **kwargs)
+                                 max_restarts=2, **kwargs)
                 == _restart_message(mixtures, schedule, (None,),
-                                    catalog, max_restarts=2, **kwargs)
+                                    max_restarts=2, **kwargs)
                 == "no accepted image within 2 attempts "
                    "(prompt a cat and a bench, run 2)")
         # at four attempts, the most any baseline run needs, only the
         # treatment fails
         assert (_restart_message(mixtures, schedule, (None, reject_all),
-                                 catalog, max_restarts=4, **kwargs)
+                                 max_restarts=4, **kwargs)
                 == _restart_message(mixtures, schedule, (reject_all,),
-                                    catalog, max_restarts=4, **kwargs)
+                                    max_restarts=4, **kwargs)
                 == "no accepted image within 4 attempts "
                    "(prompt a cat and a bench, run 0)")
 
@@ -390,12 +375,12 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
                                                       tiny_model, monkeypatch):
     """Past its first failing run an arm drops out of the pool, and the other
     arm goes on making those runs as if alone, under the same limit."""
-    _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
+    mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.8)
     ((bank, members),) = MixtureBank.group(mixtures)
     runs = (members, 3)  # runs 0-2 of both prompts
     reject_all = _flat_model((16,), bias=-10.0)
     # root seed 1, label threshold 0.5, at most 4 attempts a run
-    rest = (catalog, 1, 0.5, 4)
+    rest = (1, 0.5, 4)
     (alone,), _ = pool(bank, *runs, schedule, (None,), *rest)
     assert None not in alone
     for slots in (*SLOT_COUNTS[1:], 1):
@@ -416,10 +401,10 @@ def test_arm_that_fails_leaves_the_other_arm_its_runs(catalog, schedule,
     # the first run that needs more attempts than any baseline run; the
     # runs after it, each accepted within the limit by the head alone, are
     # made by the other arm only.
-    _, mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, _, kwargs = _head_campaign(catalog, tiny_model)
     ((bank, members),) = MixtureBank.group(mixtures)
     runs = (members, kwargs["runs_per_prompt"])
-    rest = (catalog, kwargs["root_seed"], 0.5)
+    rest = (kwargs["root_seed"], 0.5)
     (head, base), failed = pool(bank, *runs, schedule, (tiny_model, None),
                                 *rest)
     assert failed == [None, None]
@@ -437,7 +422,7 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
         catalog, schedule, monkeypatch):
     """Arms that decide at step T - 1 abort an attempt at t = 1, before
     its last step: only the arms left on it label its image."""
-    _, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
+    mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     ((bank, _),) = MixtureBank.group(mixtures)
     runs = ([0], 1)  # run 0 of the one prompt
     late = _flat_model((schedule.T - 1,), bias=-10.0)
@@ -446,7 +431,7 @@ def test_attempt_every_arm_leaves_at_the_last_step_is_not_labelled(
     monkeypatch.setattr(runtime, "label_image",
                         lambda *args: labelled.append(1) or label_image(*args))
     # root seed 1, label threshold 0.5, at most 3 attempts a run
-    rest = (catalog, 1, 0.5, 3)
+    rest = (1, 0.5, 3)
     _, failed = pool(bank, *runs, schedule, (late, late), *rest)
     assert failed == [0, 0]
     assert labelled == []
@@ -461,9 +446,9 @@ def test_shared_pool_denoises_each_attempt_once(catalog, schedule, tiny_model,
     attempts the baseline never makes: each (run, attempt) latent the arms
     share is denoised once, and an aborted attempt leaves before the step
     at its decision, so it takes exactly the steps it is charged."""
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
-    ref, treat = run_arms(mixtures, schedule, models, catalog, **kwargs)
+    ref, treat = run_arms(mixtures, schedule, models, **kwargs)
     beyond = [a for b, h in zip(ref, treat)
               for a in h.attempts[len(b.attempts):]]
     assert {a.outcome for a in beyond} >= {OUTCOME_ABORTED, OUTCOME_COMPLETE}
@@ -477,13 +462,13 @@ def test_pool_labels_without_building_an_image(catalog, schedule, tiny_model,
                                               monkeypatch):
     """Finished attempts are labelled from each batch's Gram-matrix
     responses: the pool never reads a batch's latents as images."""
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
 
     def no_images(batch):
         raise AssertionError("the pool read LockstepBatch.z")
 
     monkeypatch.setattr(LockstepBatch, "z", property(no_images))
-    arms = run_arms(mixtures, schedule, models, catalog, **kwargs)
+    arms = run_arms(mixtures, schedule, models, **kwargs)
     assert {a.outcome for arm in arms for trace in arm
             for a in trace.attempts} == {OUTCOME_ABORTED, OUTCOME_COMPLETE,
                                          OUTCOME_INCOMPLETE}
@@ -495,16 +480,16 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
     campaign's intervals two more: every prompt's at once, then the
     pooled group's."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 3)
-    prompts, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
-    measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
+    measure_campaign(mixtures, schedule, tiny_model,
                      RuntimeSettings(runs_per_prompt=4, root_seed=88))
     waves = [rows for t, rows in steps if t == schedule.T]
     assert len(waves) > 1
     resamples = 200 * kwargs["runs_per_prompt"]
     assert word_draws == ([((rows,), 256) for rows in waves]
-                          + [((len(prompts),), resamples),
-                             ((1,), resamples * len(prompts))])
+                          + [((len(mixtures),), resamples),
+                             ((1,), resamples * len(mixtures))])
 
 
 def test_campaign_mixes_the_seeds_queued_together_in_one_call(
@@ -515,7 +500,7 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
     one for restarts, and those calls seed every attempt that rides a
     wave.  The bootstrap's per-prompt call gives each prompt's own fold."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 8)
-    prompts, mixtures, _, _ = _head_campaign(catalog, tiny_model)
+    mixtures, _, _ = _head_campaign(catalog, tiny_model)
     calls, waves = [], []
     mix, denoise = runtime.mix64, runtime.denoise
 
@@ -530,7 +515,7 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
 
     monkeypatch.setattr(runtime, "mix64", counting)
     monkeypatch.setattr(runtime, "denoise", yielding)
-    measure_campaign(prompts, mixtures, schedule, tiny_model, catalog,
+    measure_campaign(mixtures, schedule, tiny_model,
                      RuntimeSettings(runs_per_prompt=8, root_seed=88))
     # (root, tag[, prompts]) for the bootstrap, (root, prompts, j, index)
     # for attempts
@@ -539,7 +524,7 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
     assert [values[:2] for values in bootstrap] == [(88, 0xB007)] * 2
     assert len(calls) == len(queued) + 2
     assert mix(*bootstrap[0]).tolist() == [mix(88, 0xB007, i)
-                                           for i in range(len(prompts))]
+                                           for i in range(len(mixtures))]
     kinds = [(step, bool(np.any(values[3]))) for step, values in queued]
     assert len(kinds) == len(set(kinds))
     assert any(restart for _, restart in kinds)
@@ -550,8 +535,8 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
 def test_each_wave_is_released_before_the_next_is_built(catalog, schedule,
                                                        tiny_model,
                                                        released_waves):
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
-    run_arms(mixtures, schedule, models, catalog, **kwargs)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    run_arms(mixtures, schedule, models, **kwargs)
     assert len(released_waves) > 1
 
 
@@ -563,9 +548,9 @@ def test_pool_steps_waves_at_one_int_t(catalog, schedule, tiny_model,
     starts once the last has reached ``t = 1`` or emptied.  The head
     captures the whole wave at its one capture step."""
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
-    _, mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
+    mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, captures = _counting_calls(monkeypatch)
-    run_arms(mixtures, schedule, models, catalog, **kwargs)
+    run_arms(mixtures, schedule, models, **kwargs)
     waves = []
     for t, rows in steps:
         if t == schedule.T:
@@ -586,13 +571,12 @@ def test_arm_mixing_target_counts_matches_single_runs(catalog, schedule,
                                                     monkeypatch):
     """Prompts with different numbers of targets cannot share a lockstep
     batch; each run of each arm still equals the same run made alone."""
-    prompts, mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)],
-                              0.7)
-    ids = [p.text for p in prompts]
+    mixtures = _grid(catalog, [("cat",), ("owl", "drum"), ("kite",)], 0.7)
+    ids = ["a cat", "a owl and a drum", "a kite"]
     models = (None, _flat_model((4,), bias=0.0))
-    kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
+    kwargs = dict(root_seed=3, runs_per_prompt=2)
     arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                      models, catalog, **kwargs)
+                                      models, **kwargs)
     runs = [(i, j) for i in range(3) for j in range(2)]
     for arm in arms:
         assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
@@ -606,13 +590,13 @@ def test_arm_mixing_target_counts_of_one_component_count(catalog, schedule,
     wide = ObjectSpec(object_id="wide", sigma=1.5,
                       candidate_positions=tuple((r, 8) for r in range(0, 16, 2)))
     catalog = {**catalog, "wide": wide}
-    prompts, mixtures = _grid(catalog, [("wide",), ("owl", "drum")], 0.7)
+    mixtures = _grid(catalog, [("wide",), ("owl", "drum")], 0.7)
     assert len(mixtures[0].components) == len(mixtures[1].components)
-    ids = [p.text for p in prompts]
-    kwargs = dict(root_seed=3, runs_per_prompt=2, prompt_ids=ids)
+    ids = ["a wide", "a owl and a drum"]
+    kwargs = dict(root_seed=3, runs_per_prompt=2)
     (arm,) = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
                                         (_flat_model((4,), bias=0.0),),
-                                        catalog, **kwargs)
+                                        **kwargs)
     runs = [(i, j) for i in range(2) for j in range(2)]
     assert ([(t.prompt_id, t.attempts[0].seed) for t in arm]
             == [(ids[i], mix64(3, i, j, 0)) for i, j in runs])
@@ -628,21 +612,20 @@ def test_prompts_of_different_faithfulness_run_as_if_alone(catalog, schedule,
                 for pair, q in zip(pairs, (0.7, 0.9))]
     assert len(MixtureBank.group(mixtures)) == 2
     models = (None, _flat_model((4,), bias=0.0))
-    kwargs = dict(root_seed=5, runs_per_prompt=3,
-                  prompt_ids=[prompt_text(pair) for pair in pairs])
+    kwargs = dict(root_seed=5, runs_per_prompt=3)
     arms = _assert_joint_equals_alone(monkeypatch, mixtures, schedule,
-                                      models, catalog, **kwargs)
+                                      models, **kwargs)
     for i, q in enumerate((0.7, 0.9)):
-        _, shared = _grid(catalog, pairs, q)
+        shared = _grid(catalog, pairs, q)
         assert len(MixtureBank.group(shared)) == 1
         for arm, same in zip(arms, run_arms(shared, schedule, models,
-                                            catalog, **kwargs)):
+                                            **kwargs)):
             assert arm[3 * i:3 * i + 3] == same[3 * i:3 * i + 3]
 
 
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
-    prompts, mixtures = _grid(catalog, [("fox", "kite")], 0.7)
-    args = (prompts, mixtures, schedule, tiny_model, catalog,
+    mixtures = _grid(catalog, [("fox", "kite")], 0.7)
+    args = (mixtures, schedule, tiny_model,
             RuntimeSettings(runs_per_prompt=3, root_seed=5))
     a = measure_campaign(*args)
     b = measure_campaign(*args)
@@ -650,13 +633,11 @@ def test_campaign_is_deterministic(catalog, schedule, tiny_model):
 
 
 def test_campaign_validation(catalog, schedule):
-    prompts, mixtures = _grid(catalog, [("cat", "bench")], 0.8)
+    mixtures = _grid(catalog, [("cat", "bench")], 0.8)
     settings = RuntimeSettings(runs_per_prompt=1, root_seed=0)
     inert = _flat_model((16,), bias=0.0)
-    with pytest.raises(UsageError, match="^prompt_ids and mixtures must align$"):
-        measure_campaign(prompts, [], schedule, inert, catalog, settings)
     with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
-        measure_campaign([], [], schedule, inert, catalog, settings)
+        measure_campaign([], schedule, inert, settings)
     too_many = MAX_RUNS_PER_PROMPT + 1
     for runs_per_prompt, root_seed, message in (
             (0, 0, "runs_per_prompt must be >= 1"),
@@ -668,12 +649,8 @@ def test_campaign_validation(catalog, schedule):
         with pytest.raises(UsageError, match=f"^{message}$"):
             RuntimeSettings(runs_per_prompt=runs_per_prompt,
                             root_seed=root_seed)
-    for ids, models, message in (
-            (["a", "b"], (None,), "prompt_ids and mixtures must align"),
-            (["a"], (), "at least one policy is required")):
-        with pytest.raises(UsageError, match=f"^{message}$"):
-            run_arms(mixtures, schedule, models, catalog, root_seed=0,
-                     runs_per_prompt=1, prompt_ids=ids)
+    with pytest.raises(UsageError, match="^at least one policy is required$"):
+        run_arms(mixtures, schedule, (), root_seed=0, runs_per_prompt=1)
 
 
 def _bootstrap_ci_loop(ref, treat, seed):
@@ -729,11 +706,6 @@ def test_bootstrap_memory_is_bounded_by_its_blocks():
     assert peak < 16 * 2**20
 
 
-def test_pooled_saving_requires_pooled_row():
-    with pytest.raises(UsageError, match="^campaign report has no pooled "):
-        _ = CampaignReport(rows=()).pooled_saving
-
-
 def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
         catalog, schedule, tiny_dataset, monkeypatch):
     """Two head arms decide at steps 8 and 16, the later one on both
@@ -752,11 +724,10 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
     # a strict early arm, so that it aborts attempts the later one accepts
     models = (replace(fit((early,), "combined"), threshold=0.9),
               fit((early, late), "multi_timestep"))
-    _, mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")],
-                        0.59 ** 0.5)
-    kwargs = dict(root_seed=5, runs_per_prompt=6, prompt_ids=["", ""])
-    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, catalog,
-                         **kwargs) for model in models)
+    mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.59 ** 0.5)
+    kwargs = dict(root_seed=5, runs_per_prompt=6)
+    alone = tuple(_alone(monkeypatch, mixtures, schedule, model, **kwargs)
+                  for model in models)
     # each wave's rows by the noise index they step from, and whether the
     # later arm decided in it
     waves = []
@@ -776,7 +747,7 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
     monkeypatch.setattr(LockstepBatch, "step", stepping)
     monkeypatch.setattr(runtime, "feature_rows", deciding)
     monkeypatch.setattr(engine, "LOCKSTEP_ROWS", 4)
-    assert run_arms(mixtures, schedule, models, catalog, **kwargs) == alone
+    assert run_arms(mixtures, schedule, models, **kwargs) == alone
     t_early = schedule.T - early
     assert any(wave.get("late") and wave[t_early] < wave[t_early + 1]
                for wave in waves)

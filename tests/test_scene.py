@@ -7,7 +7,7 @@ import pytest
 
 from headlab.dataset import build_prompt_grid
 from headlab.errors import UsageError
-from headlab.scene import (ObjectSpec, Prompt, build_conditional_mixture,
+from headlab.scene import (ObjectSpec, build_conditional_mixture,
                            dump_catalog, load_catalog, prompt_text)
 
 from oracles import (completeness_probability, means_matrix,
@@ -17,10 +17,10 @@ from oracles import (completeness_probability, means_matrix,
 # ------------------------------------------------------------- prompts
 
 def test_prompt_text_roundtrip():
-    text = prompt_text(("owl", "vase"))
-    assert text == "a owl and a vase"
-    assert build_prompt_grid(("owl",), ("vase",)) == (
-        Prompt(text=text, targets=("owl", "vase")),)
+    (targets,) = build_prompt_grid(("owl",), ("vase",))
+    assert targets == ("owl", "vase")
+    assert prompt_text(targets) == "a owl and a vase"
+    assert prompt_text(["owl", "vase"]) == "a owl and a vase"
 
 
 # ------------------------------------------------------------- templates

@@ -521,12 +521,6 @@ def test_monte_carlo_memory_per_run_in_the_tail():
 
 # ------------------------------------------------------------- sweeps
 
-def test_sweep_tlast_needs_two_points():
-    dist = AttemptDistribution.from_faithfulness(("a", "b"), 0.8)
-    with pytest.raises(UsageError, match="^sweep needs rate points for at "):
-        sweep_tlast(dist, [_point(8, 0.9, 0.8)], 50)
-
-
 def test_sweep_tlast_perfect_rows_decrease():
     q = 0.59 ** 0.5
     dist = AttemptDistribution.from_faithfulness(("a", "b"), q)
