@@ -40,7 +40,8 @@ def replaced_directory(path):
     ``path`` is renamed aside, the staging directory is renamed to
     ``path``, and the old tree is deleted.  If the block raises, even
     between the renames, the staging directory and the parents made for it
-    are deleted and ``path`` is left as it was.
+    are deleted and ``path`` is left as it was; if an exception comes once
+    the new tree is in, as a signal's may, the old tree is still deleted.
 
     Only a process killed outright leaves anything else behind: part of
     the staging directory as ``.<name>.<pid>.staging``, or part of the old
@@ -61,12 +62,13 @@ def replaced_directory(path):
         if path.exists():
             os.rename(path, aside)
         os.rename(staging, path)
+        shutil.rmtree(aside, ignore_errors=True)
     except BaseException:
         if aside.exists() and not path.exists():  # stopped between renames
             os.rename(aside, path)
         shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(aside, ignore_errors=True)  # the new tree is in
         for parent in made:  # deepest first; one that holds files stays
             with suppress(OSError):
                 parent.rmdir()
         raise
-    shutil.rmtree(aside, ignore_errors=True)

@@ -31,8 +31,9 @@ import argparse
 import csv
 import json
 import math
+import signal
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 from .atomic import leftovers, replaced_directory
@@ -241,16 +242,14 @@ def _cmd_train(args, out: Path) -> dict:
                 if manifest.samples_for_split(split)]
     splits = ["train", *reported]
     if settings.target_recall is not None:
-        # checked before any capture is read or any epoch runs
-        manifest.rows_for_split(settings.calibration_split)
         splits.append(settings.calibration_split)
     design = build_design_matrix(root, manifest, catalog, settings.steps,
                                  variant=settings.variant, splits=splits)
     model = fit_detector(design.of_split("train"), settings)
     if settings.target_recall is not None:
         cal = design.of_split(settings.calibration_split)
-        model.threshold = calibrate_threshold(model.scores(cal.x), cal.y,
-                                              settings.target_recall)
+        model = replace(model, threshold=calibrate_threshold(
+            model.scores(cal.x), cal.y, settings.target_recall))
     _write_json(out / "model.json", model.to_dict())
     report = {split: evaluate_detector(model, design.of_split(split)).to_dict()
               for split in reported}
@@ -553,8 +552,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _terminate(signum, frame):
+    """Stop a command on ``SIGTERM`` or ``SIGHUP`` as Ctrl-C does, so that
+    its ``--out`` is left as a Ctrl-C leaves it."""
+    raise KeyboardInterrupt("terminated")
+
+
 def main(argv=None) -> int:
+    """Run one command; ``SIGTERM`` and ``SIGHUP`` stop it as Ctrl-C does."""
     parser = build_parser()
+    stops = (signal.SIGTERM, signal.SIGHUP)
+    previous = [signal.signal(stop, _terminate) for stop in stops]
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -574,12 +582,15 @@ def main(argv=None) -> int:
     except (RunFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+    except KeyboardInterrupt as exc:
+        print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        for stop, handler in zip(stops, previous):
+            signal.signal(stop, handler)
 
 
 if __name__ == "__main__":

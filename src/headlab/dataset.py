@@ -203,8 +203,8 @@ def config_kwargs(cls, section: str, payload) -> dict:
     """Keyword arguments for the dataclass ``cls`` from the JSON object of
     config section (or manifest line kind) ``section``.
 
-    Unknown keys and values of the wrong type raise ``UsageError``; a bad
-    value is named as ``section.key``.
+    Unknown keys, values of the wrong type and ints too large for a float
+    raise ``UsageError``; a bad value is named as ``section.key``.
     """
     if not isinstance(payload, dict):
         raise UsageError(f"config section {section!r} must be a JSON object")
@@ -217,7 +217,7 @@ def config_kwargs(cls, section: str, payload) -> dict:
     for key, value in payload.items():
         try:
             kwargs[key] = checkers[key](value)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise UsageError(f"{section}.{key}: {exc}") from None
     return kwargs
 
@@ -264,7 +264,7 @@ def build_prompt_grid(subjects, objects) -> tuple[tuple[str, str], ...]:
 
 
 def label_image(responses: np.ndarray, columns,
-                threshold: float = 0.5) -> np.ndarray:
+                threshold: float) -> np.ndarray:
     """Matched-filter presence labels of finished images, shape
     ``(B, n_targets)``: 1 where a target's best response over its own
     columns ``[lo, hi)`` of ``columns`` reaches the threshold, else 0.

@@ -35,12 +35,12 @@ for its fit, its report and its calibration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetManifest, load_step
+from .dataset import DatasetManifest, config_kwargs, load_step
 from .errors import RunFailure, UsageError
 from .scene import ObjectSpec
 
@@ -75,37 +75,38 @@ def expit(x) -> np.ndarray:
     return np.where(nan, np.negative(x), p) if nan.any() else p
 
 
-def extract_features(channels: np.ndarray, targets,
-                     catalog: dict[str, ObjectSpec], rows=None) -> np.ndarray:
+def extract_features(channels: np.ndarray, objects, rows=None) -> np.ndarray:
     """Six-feature summaries of every (capture, target) pair at one step.
 
     ``channels`` has the stored layout ``(N, 1 + n_targets, n, n)``: row
     ``b`` is one capture's predicted final image, then one attention map per
     target.  ``rows`` picks the captures to summarize, all of them by
-    default, and ``targets[r]`` names the objects of capture ``rows[r]``.
-    Returns shape ``(R, n_targets, 6)``.
+    default, and ``objects[r]`` holds the :class:`ObjectSpec` of each target
+    of capture ``rows[r]``.  Returns shape ``(R, n_targets, 6)``.
 
     The attention statistics are taken target slot by target slot, the
     matched filter once per object over that object's pairs, and the local
-    energy once per distinct best position.  Each reduction stays within its
-    pair, so the features do not depend on the stack they ride in.  Rows are
-    gathered piece by piece from ``channels``, and only what a float64
-    reduction reads is widened from float32: a maximum and an order are the
-    same in either width.
+    energy once per distinct best position.  Pairs are grouped by the
+    identity of their spec, which one catalog gives once per name, so the
+    grouping costs no more than grouping by name.  Each reduction stays
+    within its pair, so the features do not depend on the stack they ride
+    in.  Rows are gathered piece by piece from ``channels``, and only what a
+    float64 reduction reads is widened from float32: a maximum and an order
+    are the same in either width.
     """
     channels = np.asarray(channels, dtype=np.float32)
     rows = (np.arange(len(channels)) if rows is None
             else np.asarray(rows, dtype=np.intp))
-    width = len(targets[0]) if len(targets) else 0
+    width = len(objects[0]) if len(objects) else 0
     if (channels.ndim != 4 or channels.shape[1] != 1 + width
-            or len(rows) != len(targets)
-            or any(len(names) != width for names in targets)):
+            or len(rows) != len(objects)
+            or any(len(specs) != width for specs in objects)):
         raise UsageError(
             f"channels shape {channels.shape} is not one predicted final "
-            f"image and {width} attention maps for each of {len(targets)} "
+            f"image and {width} attention maps for each of {len(objects)} "
             "captures")
 
-    out = np.empty((len(targets), width, len(FEATURE_NAMES)))
+    out = np.empty((len(objects), width, len(FEATURE_NAMES)))
     for j in range(width):
         attention = channels[rows, 1 + j].reshape(len(rows), -1)
         k = max(1, round(TOP_MASS_FRACTION * attention.shape[1]))
@@ -122,13 +123,14 @@ def extract_features(channels: np.ndarray, targets,
 
     # pair i is capture rows[i // width], target slot i % width
     capture = np.repeat(rows, width)
-    pairs: dict[str, list[int]] = {}
-    for i, obj in enumerate(obj for names in targets for obj in names):
-        pairs.setdefault(obj, []).append(i)
+    specs = [spec for row in objects for spec in row]
+    pairs: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        pairs.setdefault(id(spec), []).append(i)
     at_position: dict[tuple[int, int], list[np.ndarray]] = {}
     flat = out.reshape(-1, len(FEATURE_NAMES))
-    for obj, at in pairs.items():
-        spec = catalog[obj]
+    for at in pairs.values():
+        spec = specs[at[0]]
         at = np.array(at)
         responses = spec.filter_responses(
             channels[capture[at], 0].astype(np.float64))
@@ -200,17 +202,18 @@ class DetectorSettings:
         feature_names_for(self.variant, self.steps)
 
 
-def feature_rows(channels_at, targets, catalog: dict[str, ObjectSpec],
-                 variant: str, steps, rows=None) -> np.ndarray:
+def feature_rows(channels_at, objects, variant: str, steps,
+                 rows=None) -> np.ndarray:
     """Design rows of ``R`` captures, capture by capture and then by target.
 
     ``channels_at(u)`` gives the captures at label ``u`` in the stored
     layout, ``(N, 1 + n_targets, n, n)``; ``rows`` picks ``R`` of them, all
-    by default, and ``targets[r]`` names the targets of capture ``rows[r]``.
-    Each step is read once and takes one :func:`extract_features` call.
+    by default, and ``objects[r]`` holds the :class:`ObjectSpec` of each
+    target of capture ``rows[r]``.  Each step is read once and takes one
+    :func:`extract_features` call.
     """
     feature_names_for(variant, steps)
-    blocks = [extract_features(channels_at(u), targets, catalog, rows)
+    blocks = [extract_features(channels_at(u), objects, rows)
               .reshape(-1, len(FEATURE_NAMES))
               for u in sorted(int(u) for u in steps)]
     if variant == "multi_timestep":
@@ -231,7 +234,6 @@ class DesignMatrix:
     y: np.ndarray
     object_ids: tuple[str, ...]
     splits: tuple[str, ...]
-    feature_names: tuple[str, ...]
     variant: str
     steps: tuple[int, ...]
 
@@ -239,9 +241,6 @@ class DesignMatrix:
         if self.x.shape[0] != self.y.shape[0]:
             raise UsageError(
                 f"{self.x.shape[0]} feature rows vs {self.y.shape[0]} labels")
-        if self.x.shape[1] != len(self.feature_names):
-            raise UsageError(
-                f"{self.x.shape[1]} columns vs {len(self.feature_names)} names")
 
     def of_split(self, split: str) -> "DesignMatrix":
         """The rows of one split, in order."""
@@ -262,7 +261,7 @@ def build_design_matrix(root, manifest: DatasetManifest,
     one pass; rows come sample by sample in manifest order, then by target.
     :meth:`DesignMatrix.of_split` selects one split's rows.
     """
-    names = feature_names_for(variant, steps)
+    feature_names_for(variant, steps)
     steps = tuple(sorted(int(u) for u in steps))
     missing = set(steps) - set(manifest.config.critical_steps)
     if missing:
@@ -276,16 +275,16 @@ def build_design_matrix(root, manifest: DatasetManifest,
         split_of.update(dict.fromkeys(rows, split))
     index = sorted(split_of)
     chosen = [manifest.samples[i] for i in index]
+    objects = [tuple(catalog[obj] for obj in s.targets) for s in chosen]
     return DesignMatrix(
-        x=feature_rows(lambda u: load_step(root, manifest, u),
-                       [s.targets for s in chosen], catalog, variant, steps,
-                       index),
+        x=feature_rows(lambda u: load_step(root, manifest, u), objects,
+                       variant, steps, index),
         y=np.array([s.labels[obj] for s in chosen for obj in s.targets],
                    dtype=np.int64),
         object_ids=tuple(obj for s in chosen for obj in s.targets),
         splits=tuple(split_of[i] for i, s in zip(index, chosen)
                      for _ in s.targets),
-        feature_names=names, variant=variant, steps=steps)
+        variant=variant, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -332,26 +331,49 @@ def train_logistic(x: np.ndarray, y: np.ndarray, lr: float, epochs: int,
     return TrainResult(weights=w, bias=b, final_loss=loss)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorModel:
-    """Standardizing logistic scorer with a decision threshold."""
+    """Standardizing logistic scorer with a decision threshold: the values
+    of ``model.json``, each checked here as the model is built, whether by
+    a fit or by :meth:`load`."""
 
     variant: str
     steps: tuple[int, ...]
-    feature_names: tuple[str, ...]
-    mean: np.ndarray
-    scale: np.ndarray
-    weights: np.ndarray
+    mean: tuple[float, ...]
+    scale: tuple[float, ...]
+    weights: tuple[float, ...]
     bias: float
-    threshold: float = 0.5
+    threshold: float
+
+    def __post_init__(self):
+        if not (all(u >= 0 for u in self.steps)
+                and list(self.steps) == sorted(set(self.steps))):
+            raise ValueError("'steps' must be an ascending list of "
+                             "distinct non-negative integers")
+        width = len(self.feature_names)
+        for key in ("mean", "scale", "weights"):
+            values = getattr(self, key)
+            if len(values) != width or not np.isfinite(values).all():
+                raise ValueError(f"{key!r} must be {width} finite numbers")
+        if not all(s > 0.0 for s in self.scale):
+            raise ValueError("'scale' entries must be above 0")
+        if not np.isfinite([self.bias, self.threshold]).all():
+            raise ValueError("'bias' and 'threshold' must be 2 finite numbers")
+        # a calibrated threshold is a score, which can saturate at 0 or 1
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("'threshold' must be in [0, 1]")
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return feature_names_for(self.variant, self.steps)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.weights.shape[0]:
+        if x.shape[1] != len(self.weights):
             raise UsageError(
-                f"{x.shape[1]} features, model expects {self.weights.shape[0]}")
-        z = (x - self.mean) / self.scale
-        return expit(z @ self.weights + self.bias)
+                f"{x.shape[1]} features, model expects {len(self.weights)}")
+        z = (x - np.array(self.mean)) / np.array(self.scale)
+        return expit(z @ np.array(self.weights) + self.bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Presence verdicts; scores on the threshold count as present."""
@@ -359,67 +381,30 @@ class DetectorModel:
 
     def to_dict(self) -> dict:
         """The JSON payload of ``model.json``, which :meth:`load` reads."""
-        if not 0.0 <= self.threshold <= 1.0:  # ``load`` would refuse it
-            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
-        return {
-            "format_version": MODEL_VERSION,
-            "variant": self.variant,
-            "steps": list(self.steps),
-            "feature_names": list(self.feature_names),
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "threshold": self.threshold,
-        }
+        return {"format_version": MODEL_VERSION, **asdict(self),
+                "feature_names": list(self.feature_names)}
 
     @classmethod
     def load(cls, path) -> "DetectorModel":
         """Read a model whose :meth:`to_dict` was written as JSON; anything
-        else raises ``ValueError`` naming the file."""
+        else, a key it does not write included, raises ``ValueError``
+        naming the file."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("model must be a JSON object")
-            if payload.get("format_version") != MODEL_VERSION:
+            if payload.pop("format_version", None) != MODEL_VERSION:
                 raise ValueError("unsupported model version")
-            variant, steps = payload["variant"], payload["steps"]
-            if not (isinstance(steps, list)
-                    and all(type(u) is int and u >= 0 for u in steps)
-                    and steps == sorted(set(steps))):
-                raise ValueError("'steps' must be an ascending list of "
-                                 "distinct non-negative integers")
-            names = feature_names_for(variant, steps)
-            if payload["feature_names"] != list(names):
-                raise ValueError(f"'feature_names' must be {list(names)} for "
-                                 f"variant {variant!r} at steps {steps}")
-            mean, scale, weights = (_finite(payload[key], repr(key), len(names))
-                                    for key in ("mean", "scale", "weights"))
-            if not (scale > 0.0).all():
-                raise ValueError("'scale' entries must be above 0")
-            bias, threshold = _finite([payload["bias"], payload["threshold"]],
-                                      "'bias' and 'threshold'", 2)
-            # a calibrated threshold is a score, which can saturate at 0 or 1
-            if not 0.0 <= threshold <= 1.0:
-                raise ValueError("'threshold' must be in [0, 1]")
-            return cls(variant=variant, steps=tuple(steps),
-                       feature_names=names, mean=mean, scale=scale,
-                       weights=weights, bias=float(bias),
-                       threshold=float(threshold))
-        except KeyError as exc:
-            raise ValueError(f"{path}: model lacks key {exc.args[0]!r}") from exc
-        except (ValueError, OverflowError, UsageError) as exc:
+            names = payload.pop("feature_names", None)
+            model = cls(**config_kwargs(cls, "model", payload))
+            if names != list(model.feature_names):
+                raise ValueError(f"'feature_names' must be "
+                                 f"{list(model.feature_names)} for variant "
+                                 f"{model.variant!r} at steps "
+                                 f"{list(model.steps)}")
+            return model
+        except (ValueError, TypeError, UsageError) as exc:
             raise ValueError(f"{path}: malformed model: {exc}") from exc
-
-
-def _finite(values, what: str, width: int) -> np.ndarray:
-    """``values`` as floats, if it is a list of ``width`` finite JSON
-    numbers."""
-    if (not isinstance(values, list) or len(values) != width
-            or any(type(v) not in (int, float) for v in values)
-            or not np.isfinite(np.array(values, dtype=np.float64)).all()):
-        raise ValueError(f"{what} must be {width} finite numbers")
-    return np.array(values, dtype=np.float64)
 
 
 def fit_detector(design: DesignMatrix,
@@ -431,8 +416,8 @@ def fit_detector(design: DesignMatrix,
     result = train_logistic((design.x - mean) / scale, design.y,
                             settings.lr, settings.epochs, settings.l2)
     return DetectorModel(variant=design.variant, steps=design.steps,
-                         feature_names=design.feature_names, mean=mean,
-                         scale=scale, weights=result.weights,
+                         mean=tuple(mean.tolist()), scale=tuple(scale.tolist()),
+                         weights=tuple(result.weights.tolist()),
                          bias=result.bias, threshold=settings.threshold)
 
 

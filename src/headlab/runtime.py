@@ -143,11 +143,11 @@ def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
     whose run goes on; the attempts queued at once get their seeds from
     one :func:`mix64` call.  Returns, by arm, the first run that exhausted
     ``settings.max_restarts`` (None if none did); once one has, the arm
-    drops later runs, since only an earlier run can come first.  Features
-    read one object map of the bank's mixtures, assuming one catalog.
+    drops later runs, since only an earlier run can come first.  Each
+    deciding row's features read the objects of its own mixture, and its
+    verdicts are named by that mixture's targets.
     """
     T = schedule.T
-    catalog = {s.object_id: s for m in bank.mixtures for s in m.objects}
     runs_per_prompt, root_seed = settings.runs_per_prompt, settings.root_seed
     arms = range(len(models))
     heads = [(a, model, max(model.steps))
@@ -193,13 +193,14 @@ def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
                         if t == T - decision else [])
             if not deciding:
                 continue
-            targets = [bank.mixtures[m].targets
-                       for m in batch.which[deciding]]
-            x = feature_rows(captured.__getitem__, targets, catalog,
-                             model.variant, model.steps, deciding)
+            mixtures = [bank.mixtures[m] for m in batch.which[deciding]]
+            x = feature_rows(captured.__getitem__,
+                             [m.objects for m in mixtures], model.variant,
+                             model.steps, deciding)
             votes = model.predict(x).reshape(len(deciding), -1).tolist()
-            for row, names, row_votes in zip(deciding, targets, votes):
-                verdicts = live[row].verdicts[a] = dict(zip(names, row_votes))
+            for row, mixture, row_votes in zip(deciding, mixtures, votes):
+                verdicts = live[row].verdicts[a] = dict(zip(mixture.targets,
+                                                            row_votes))
                 if not all(verdicts.values()):
                     leave(live[row], a, OUTCOME_ABORTED, decision)
                     live[row].arms.remove(a)
@@ -244,7 +245,7 @@ def _pool(bank: MixtureBank, members: list[int], schedule: NoiseSchedule,
 
 def run_arms(mixtures, schedule: NoiseSchedule, models,
              settings: RuntimeSettings, record,
-             label_threshold: float = 0.5) -> None:
+             label_threshold: float) -> None:
     """Run ``settings.runs_per_prompt`` restart-until-accepted runs of
     every arm of ``models`` on every prompt, ``engine.LOCKSTEP_ROWS``
     attempts at a time, each attempt denoised once for all the arms that
@@ -318,7 +319,7 @@ def _bootstrap_cis(ref: np.ndarray, treat: np.ndarray,
 
 def measure_campaign(mixtures, schedule: NoiseSchedule, model: DetectorModel,
                      settings: RuntimeSettings,
-                     label_threshold: float = 0.5) -> list[CampaignRow]:
+                     label_threshold: float) -> list[CampaignRow]:
     """Run the baseline arm and the head arm of ``model`` on the prompt of
     every mixture with matching attempt seeds, under one restart limit.
 

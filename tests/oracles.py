@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from headlab import runtime
+from headlab.dataset import DatasetConfig
 from headlab.detector import ObjectCounts, expit
 from headlab.engine import (LockstepBatch, MixtureBank, NoiseSchedule,
                             _check_t, initial_latents)
@@ -352,7 +353,8 @@ def _traces(history, names) -> list[list[RunTrace | None]]:
 
 
 def run_arms(mixtures, schedule: NoiseSchedule, models, root_seed: int,
-             runs_per_prompt: int, label_threshold: float = 0.5,
+             runs_per_prompt: int,
+             label_threshold: float = DatasetConfig.label_threshold,
              max_restarts: int = RuntimeSettings.max_restarts
              ) -> tuple[tuple[RunTrace, ...], ...]:
     """``runtime.run_arms`` under the settings of these three ints, with

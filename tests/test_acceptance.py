@@ -314,7 +314,8 @@ def test_criterion_8_live_campaign_matches_closed_form(
                 for p in build_prompt_grid(config.subjects, config.objects)]
     rows = measure_campaign(mixtures, schedule, model,
                             RuntimeSettings(runs_per_prompt=17,
-                                            root_seed=2024))
+                                            root_seed=2024),
+                            config.label_threshold)
     measured = rows[-1].saving
     gap = abs(measured - predicted)
     _verdict(capfd, 8, gap < 0.02,

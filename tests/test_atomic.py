@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import sys
 from dataclasses import asdict
 
@@ -109,32 +110,44 @@ def _writes(event: str, args) -> bool:
     return event in ("os.rename", "os.remove")
 
 
-def _killed_at(n: int, argv) -> tuple[int, int]:
+def _kill() -> None:
+    os._exit(KILLED)
+
+
+def _stopped_at(n: int, argv, stop=_kill) -> tuple[int, int, str]:
     """Run ``head argv`` in a child forked from this process, which has
-    imported everything the command needs, killed outright at its ``n``-th
-    write; returns the child's pid and exit code (``KILLED`` if the kill
-    came first)."""
+    imported everything the command needs, calling ``stop`` at its
+    ``n``-th write: by default it is killed outright there.  Returns the
+    child's pid, its exit code (``KILLED`` if the kill came first) and
+    what it printed to stderr."""
+    read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into the test runner
         code = 3
         try:
+            os.close(read)
             seen = 0
 
-            def kill(event, args):
+            def hook(event, args):
                 nonlocal seen
                 if _writes(event, args):
                     seen += 1
                     if seen == n:
-                        os._exit(KILLED)
+                        stop()
 
-            sys.addaudithook(kill)
+            sys.addaudithook(hook)
+            err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+                    contextlib.redirect_stderr(err):
                 code = main(argv)
+            os.write(write, err.getvalue().encode())
         finally:
             os._exit(code)
+    os.close(write)
+    with open(read, encoding="utf-8") as pipe:
+        err = pipe.read()
     _, status = os.waitpid(pid, 0)
-    return pid, os.waitstatus_to_exitcode(status)
+    return pid, os.waitstatus_to_exitcode(status), err
 
 
 def _old_or_new(out, pid, old, new) -> str:
@@ -227,10 +240,56 @@ def test_a_kill_at_any_write_leaves_the_old_tree_or_the_new(kill_inputs,
     for n in range(1, 200):
         out = root / str(n) / "out"
         shutil.copytree(root / "old", out)
-        pid, code = _killed_at(n, [*new_argv, "--out", str(out)])
+        pid, code, _ = _stopped_at(n, [*new_argv, "--out", str(out)])
         if code != KILLED:
             break
         seen.add(_old_or_new(out, pid, old, new))
     assert code == 0
     assert _tree(out) == new and os.listdir(out.parent) == ["out"]
     assert seen == {"old", "aside", "new"}
+
+
+# Every subcommand is stopped by SIGTERM, and one by SIGHUP too.
+STOPS = ([(command, signal.SIGTERM) for command in COMMANDS]
+         + [("simulate", signal.SIGHUP)])
+
+
+@pytest.mark.parametrize("command, stop", STOPS,
+                         ids=[f"{c}-{s.name}" for c, s in STOPS])
+def test_a_polite_stop_at_any_write_leaves_the_old_tree_or_the_new(
+        kill_inputs, command, stop):
+    """Sent ``SIGTERM`` or ``SIGHUP`` at each of its writes, renames and
+    removals in turn, a command run over its own earlier output stops as
+    Ctrl-C stops it, with one error line, and leaves that output or its
+    new one, each whole and byte for byte, with nothing beside it."""
+    def send() -> None:  # called in the child, so it signals the child
+        os.kill(os.getpid(), stop)
+
+    old_argv, new_argv = _runs(kill_inputs)[command]
+    root = kill_inputs["root"] / f"{command}-{stop.name}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*old_argv, "--out", str(root / "old")]) == 0
+        assert main([*new_argv, "--out", str(root / "new")]) == 0
+    old, new = _tree(root / "old"), _tree(root / "new")
+    seen = set()
+    for n in range(1, 200):
+        out = root / str(n) / "out"
+        shutil.copytree(root / "old", out)
+        _, code, err = _stopped_at(n, [*new_argv, "--out", str(out)], send)
+        assert os.listdir(out.parent) == ["out"]
+        tree = _tree(out)
+        assert tree in (old, new)
+        if code == 0:
+            break
+        assert (code, err) == (2, "error: terminated\n")
+        seen.add("old" if tree == old else "new")
+    assert (code, err) == (0, "")
+    assert tree == new
+    assert seen == {"old", "new"}
+
+
+def test_main_restores_the_signal_handlers_it_replaced(tmp_path):
+    stops = (signal.SIGTERM, signal.SIGHUP)
+    before = [signal.getsignal(stop) for stop in stops]
+    assert _simulate(tmp_path / "sim", 0.16) == 0
+    assert [signal.getsignal(stop) for stop in stops] == before

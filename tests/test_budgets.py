@@ -61,10 +61,10 @@ def detector_work(monkeypatch):
         work["load_step"] += 1
         return load_step(*args)
 
-    def extracting(channels, targets, catalog, rows=None):
+    def extracting(channels, objects, rows=None):
         work["extract_features"] += 1
-        work["captures"] += len(targets)
-        return extract(channels, targets, catalog, rows)
+        work["captures"] += len(objects)
+        return extract(channels, objects, rows)
 
     def responding(self, image):
         work["filter_responses"] += 1
@@ -128,6 +128,18 @@ def test_detector_budget(dataset, tmp_path, detector_work):
     assert detector_work == {"load_step": 0, "extract_features": 9,
                              "captures": 234, "filter_responses": 98,
                              "images": 468, "predict": 9, "rows": 468}
+
+
+def test_multi_timestep_detector_budget(dataset, tmp_path, detector_work):
+    """``train`` of ``multi_timestep`` at 0,4,8,16 reads each step's
+    tensor once and summarizes its train and val captures in one pass per
+    step: one matched filter per object and step over its pairs."""
+    _run(["train", "--dataset", str(dataset.root), "--out",
+          str(tmp_path / "multi"), "--variant", "multi_timestep",
+          "--steps", "0,4,8,16"])
+    assert detector_work == {"load_step": 4, "extract_features": 4,
+                             "captures": 2_448, "filter_responses": 64,
+                             "images": 4_896, "predict": 2, "rows": 1_224}
 
 
 def test_sweep_tlast_budget(tiny_dataset, tmp_path, monkeypatch):

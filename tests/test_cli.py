@@ -811,12 +811,12 @@ def test_json_artifacts_refuse_non_finite_values(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["threshold", "bias"])
-def test_model_save_refuses_what_load_would_refuse(cli_models, tmp_path,
-                                                   field):
-    model = replace(DetectorModel.load(cli_models[16]), **{field: np.inf})
-    with pytest.raises(ValueError):
-        cli._write_json(tmp_path / "model.json", model.to_dict())
-    assert not list(tmp_path.iterdir())
+def test_model_save_refuses_what_load_would_refuse(cli_models, field):
+    """A model checks itself as it is built, so no model that ``load``
+    would refuse can be built to be saved."""
+    with pytest.raises(ValueError, match="^'bias' and 'threshold' must be 2 "
+                                         "finite numbers$"):
+        replace(DetectorModel.load(cli_models[16]), **{field: np.inf})
 
 
 def test_csv_artifacts_write_each_cell_in_one_format(tmp_path):
@@ -888,18 +888,22 @@ def test_eval_model_missing_keys_exits_2(cli_dataset, cli_models, tmp_path,
             ({"format_version": 1, "variant": "combined", "steps": 5},
              "malformed model"),
             (edit(steps=[-1]), "'steps'"),
-            (edit(steps=[16.0]), "'steps'"),
-            (edit(mean=["a"] * width), "'mean'"),
-            (edit(weights=[None] * width), "'weights'"),
+            (edit(steps=[16.0]), "model.steps: expected int, got 16.0"),
+            (edit(mean=["a"] * width), "model.mean: expected float, got 'a'"),
+            (edit(weights=[None] * width),
+             "model.weights: expected float, got None"),
             (edit(variant="bogus"), "'bogus'"),
             (edit(steps=[8, 16]), "exactly one decision step"),
-            (edit(scale=[[1.0]] * width), "'scale'"),
+            (edit(scale=[[1.0]] * width),
+             "model.scale: expected float, got [1.0]"),
             (edit(feature_names=valid["feature_names"][::-1]),
              "'feature_names'"),
             (edit(scale=[0.0] * width), "'scale'"),
             (edit(weights=valid["weights"][1:]), "'weights'"),
             (edit(bias=float("nan")), "'bias'"),
-            (edit(threshold=10 ** 400), "malformed model")):
+            (edit(threshold=10 ** 400), "malformed model"),
+            (edit(extra=1),
+             "unknown keys in config section 'model': ['extra']")):
         model.write_text(json.dumps(payload), encoding="utf-8")
         for argv in (["eval", "--dataset", str(cli_dataset)],
                      ["run", "--dataset", str(cli_dataset),
@@ -1633,6 +1637,8 @@ def test_seed_flags_take_64_bit_seeds(fuzz_paths, tmp_path, capsys, argv):
     ({"runtime": {"max_restarts": "a"}},
      ["run", "--dataset", "ds", "--model", "model.json"],
      "runtime.max_restarts"),
+    ({"detector": {"lr": 10 ** 400}}, ["train", "--dataset", "ds"],
+     "detector.lr"),
 ])
 def test_config_value_of_wrong_type_exits_1(tmp_path, capsys, sections, argv,
                                             key):

@@ -104,12 +104,12 @@ def test_label_image_on_clean_render(catalog):
     assert pixel_labels(image, ("cat", "bench"), catalog) == {"cat": 1,
                                                              "bench": 1}
     responses = _pixel_responses(image, ("cat", "bench"), catalog)
-    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[1, 1]]
+    assert label_image(responses, _PAIR_COLUMNS, 0.5).tolist() == [[1, 1]]
     blank = np.zeros((16, 16))
     assert pixel_labels(blank, ("cat", "bench"), catalog) == {"cat": 0,
                                                              "bench": 0}
     responses = _pixel_responses(blank, ("cat", "bench"), catalog)
-    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[0, 0]]
+    assert label_image(responses, _PAIR_COLUMNS, 0.5).tolist() == [[0, 0]]
 
 
 def test_label_image_single_object(catalog):
@@ -118,7 +118,7 @@ def test_label_image_single_object(catalog):
     assert pixel_labels(image, ("cat", "kite"), catalog) == {"cat": 0,
                                                             "kite": 1}
     responses = _pixel_responses(image, ("cat", "kite"), catalog)
-    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[0, 1]]
+    assert label_image(responses, _PAIR_COLUMNS, 0.5).tolist() == [[0, 1]]
 
 
 def test_label_image_reads_each_target_columns_at_the_threshold():
@@ -126,7 +126,8 @@ def test_label_image_reads_each_target_columns_at_the_threshold():
     reaches the threshold; column 0, the starting noise's, is never read."""
     responses = np.array([[9.0, 0.5, 0.2, 0.49, -1.0],
                           [0.0, 0.1, 0.2, 0.3, 0.7]])
-    assert label_image(responses, _PAIR_COLUMNS).tolist() == [[1, 0], [0, 1]]
+    assert label_image(responses, _PAIR_COLUMNS, 0.5).tolist() == [[1, 0],
+                                                                   [0, 1]]
     assert label_image(responses, _PAIR_COLUMNS, 0.05).tolist() == [[1, 1],
                                                                     [1, 1]]
 

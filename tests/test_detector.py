@@ -34,8 +34,7 @@ def _solo_features(pfi, attention, spec) -> np.ndarray:
     """:func:`extract_features` of R captures of one target, ``spec``, from
     their predicted final images and attention maps, each ``(R, n, n)``."""
     channels = np.stack([pfi, attention], axis=1)
-    return extract_features(channels, [(spec.object_id,)] * len(channels),
-                            {spec.object_id: spec})[:, 0]
+    return extract_features(channels, [(spec,)] * len(channels))[:, 0]
 
 
 # ------------------------------------------------------------- features
@@ -81,18 +80,17 @@ def test_features_match_after_disk_roundtrip(tmp_path):
 
 
 def test_feature_shape_mismatch():
-    catalog = {"dot": _solo_spec()}
+    dot = _solo_spec()
     with pytest.raises(UsageError, match=r"^channels shape \(1, 3, 16, 16\) is "
                        "not one predicted final image and 1 attention maps "
                        "for each of 1 captures$"):
-        extract_features(np.zeros((1, 3, 16, 16)), [("dot",)], catalog)
+        extract_features(np.zeros((1, 3, 16, 16)), [(dot,)])
     with pytest.raises(UsageError, match=r"^channels shape \(2, 16, 16\) "):
-        extract_features(np.zeros((2, 16, 16)), [("dot",)] * 2, catalog)
+        extract_features(np.zeros((2, 16, 16)), [(dot,)] * 2)
     with pytest.raises(UsageError, match="for each of 2 captures$"):
-        extract_features(np.zeros((1, 2, 16, 16)), [("dot",)] * 2, catalog)
+        extract_features(np.zeros((1, 2, 16, 16)), [(dot,)] * 2)
     with pytest.raises(UsageError, match="and 2 attention maps"):
-        extract_features(np.zeros((2, 3, 16, 16)), [("dot", "dot"), ("dot",)],
-                         catalog)
+        extract_features(np.zeros((2, 3, 16, 16)), [(dot, dot), (dot,)])
 
 
 def test_feature_names_for_variants():
@@ -205,35 +203,40 @@ def test_training_still_fails_on_a_diverging_fit():
 # ------------------------------------------------------------- model
 
 def _toy_model(threshold=0.5) -> DetectorModel:
-    return DetectorModel(variant="combined", steps=(8,),
-                         feature_names=("f0", "f1"),
-                         mean=np.zeros(2), scale=np.ones(2),
-                         weights=np.array([1.0, 0.0]), bias=0.0,
-                         threshold=threshold)
+    """A six-feature model that scores the first feature alone."""
+    return DetectorModel(variant="combined", steps=(8,), mean=(0.0,) * 6,
+                         scale=(1.0,) * 6, weights=(1.0,) + (0.0,) * 5,
+                         bias=0.0, threshold=threshold)
+
+
+def _toy_rows(x) -> np.ndarray:
+    """Six-feature rows whose first columns are ``x`` and the rest 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.pad(x, ((0, 0), (0, 6 - x.shape[1])))
 
 
 def test_model_scores_and_tie_goes_to_present():
     model = _toy_model()
-    x = np.array([[0.0, 5.0], [2.0, 0.0], [-2.0, 0.0]])
+    x = _toy_rows([[0.0, 5.0], [2.0, 0.0], [-2.0, 0.0]])
     scores = model.scores(x)
     assert scores[0] == pytest.approx(0.5)
     assert model.predict(x).tolist() == [1, 1, 0]  # exact 0.5 counts present
 
 
 def test_model_rejects_wrong_width():
-    with pytest.raises(UsageError, match="^3 features, model expects 2$"):
+    with pytest.raises(UsageError, match="^3 features, model expects 6$"):
         _toy_model().scores(np.zeros((1, 3)))
 
 
 def _real_model(variant="combined", steps=(8,), threshold=0.5):
     """A model of the shape :func:`fit_detector` writes."""
-    names = feature_names_for(variant, steps)
-    rng = np.random.default_rng(len(names))
-    return DetectorModel(variant=variant, steps=steps, feature_names=names,
-                         mean=rng.normal(size=len(names)),
-                         scale=rng.uniform(0.5, 2.0, size=len(names)),
-                         weights=rng.normal(size=len(names)), bias=-0.25,
-                         threshold=threshold)
+    width = len(feature_names_for(variant, steps))
+    rng = np.random.default_rng(width)
+    return DetectorModel(variant=variant, steps=steps,
+                         mean=tuple(rng.normal(size=width).tolist()),
+                         scale=tuple(rng.uniform(0.5, 2.0, size=width).tolist()),
+                         weights=tuple(rng.normal(size=width).tolist()),
+                         bias=-0.25, threshold=threshold)
 
 
 def _save(model: DetectorModel, path) -> None:
@@ -268,11 +271,10 @@ def test_model_load_rejects_bad_version(tmp_path):
 @pytest.mark.parametrize("threshold", [-0.5, -1e-300, 1.0000000000000002, 2])
 def test_model_load_rejects_a_threshold_outside_the_unit_interval(
         tmp_path, threshold):
-    """``to_dict`` refuses such a model too, so the file is edited."""
+    """No such model can be built, so the file is edited."""
+    with pytest.raises(ValueError, match=r"^'threshold' must be in \[0, 1\]$"):
+        _real_model(threshold=threshold)
     path = tmp_path / "m.json"
-    with pytest.raises(ValueError, match="outside"):
-        _save(_real_model(threshold=threshold), path)
-    assert not path.exists()
     _save(_real_model(), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     path.write_text(json.dumps({**payload, "threshold": threshold}),
@@ -338,8 +340,8 @@ def test_model_load_accepts_a_working_model_or_raises_value_error(
         return
     spec = _solo_spec()
     channels = np.random.default_rng(1).uniform(size=(3, 2, 16, 16))
-    x = feature_rows(lambda u: channels, [("dot",)] * 3, {"dot": spec},
-                     model.variant, model.steps)
+    x = feature_rows(lambda u: channels, [(spec,)] * 3, model.variant,
+                     model.steps)
     assert model.predict(x).shape == (3,)
 
 
@@ -347,11 +349,10 @@ def test_model_load_accepts_a_working_model_or_raises_value_error(
 
 def test_confusion_counts_and_rates():
     design = DesignMatrix(
-        x=np.array([[9.0, 0], [9.0, 0], [-9.0, 0], [-9.0, 0], [9.0, 0]]),
+        x=_toy_rows([[9.0], [9.0], [-9.0], [-9.0], [9.0]]),
         y=np.array([1, 0, 0, 1, 1]),
         object_ids=("cat", "cat", "cat", "kite", "kite"),
-        splits=("val",) * 5,
-        feature_names=("f0", "f1"), variant="combined", steps=(8,))
+        splits=("val",) * 5, variant="combined", steps=(8,))
     report = evaluate_detector(_toy_model(), design)
     assert report.pooled.tp == 2 and report.pooled.fp == 1
     assert report.pooled.tn == 1 and report.pooled.fn == 1
@@ -375,9 +376,9 @@ def test_counts_equal_masked_sums_per_object(seed, rows):
     y = rng.integers(0, 2, size=rows)
     y[objects == "owl"] = 1  # present wherever it is seen
     design = DesignMatrix(
-        x=np.stack([rng.normal(size=rows), np.zeros(rows)], axis=1), y=y,
+        x=_toy_rows(rng.normal(size=(rows, 1))), y=y,
         object_ids=tuple(objects.tolist()), splits=("val",) * rows,
-        feature_names=("f0", "f1"), variant="combined", steps=(8,))
+        variant="combined", steps=(8,))
     model = _toy_model()
     report = evaluate_detector(model, design)
     pred = model.predict(design.x)
@@ -431,7 +432,7 @@ def test_design_matrix_from_dataset(tiny_dataset):
                                  splits=("train",))
     n_rows = 2 * len(mani.samples_for_split("train"))
     assert design.x.shape == (n_rows, 6)
-    assert design.feature_names == FEATURE_NAMES
+    assert (design.variant, design.steps) == ("combined", (8,))
     # rows come sample by sample in split order, then by target
     by_id = {s.sample_id: s for s in mani.samples}
     sample_ids = [s.sample_id for s in mani.samples_for_split("train")
@@ -495,8 +496,8 @@ def test_live_features_equal_disk_features(tiny_dataset):
                  if sample.prompt_index in prompts)
     for variant, steps in (("combined", (8,)), ("attention_only", (16,)),
                            ("multi_timestep", (2, 8, 16))):
-        live = feature_rows(by_label.__getitem__, [sample.targets],
-                            tiny_dataset.catalog, variant, steps)
+        live = feature_rows(by_label.__getitem__, [mix.objects], variant,
+                            steps)
         disk = build_design_matrix(tiny_dataset.root, mani,
                                    tiny_dataset.catalog, steps=steps,
                                    variant=variant, splits=(split,))
@@ -530,38 +531,41 @@ def _row_features(pfi, attention, spec):
 
 def test_batched_features_equal_row_by_row_features(tiny_dataset):
     mani = tiny_dataset.manifest
-    catalog = tiny_dataset.catalog
-    targets = [s.targets for s in mani.samples]
+    objects = _objects(mani.samples, tiny_dataset.catalog)
     compared = 0
     for u in mani.config.critical_steps:
         store = load_step(tiny_dataset.root, mani, u)
-        got = extract_features(store, targets, catalog)
-        for b, names in enumerate(targets):
-            for j, obj in enumerate(names):
-                want = _row_features(store[b, 0], store[b, 1 + j],
-                                     catalog[obj])
-                assert np.array_equal(got[b, j], want), (u, b, obj)
+        got = extract_features(store, objects)
+        for b, specs in enumerate(objects):
+            for j, spec in enumerate(specs):
+                want = _row_features(store[b, 0], store[b, 1 + j], spec)
+                assert np.array_equal(got[b, j], want), (u, b, spec.object_id)
                 compared += 1
     assert compared == len(mani.config.critical_steps) * 2 * len(mani.samples)
 
 
-def _assert_rows_are_row_by_row(by_step, targets, catalog, rows=None):
+def _objects(samples, catalog) -> list[tuple[ObjectSpec, ...]]:
+    """Each sample's targets, as the catalog's specs."""
+    return [tuple(catalog[obj] for obj in s.targets) for s in samples]
+
+
+def _assert_rows_are_row_by_row(by_step, objects, rows=None):
     """``feature_rows`` over the captures ``by_step[u]``, or over their
     ``rows``, equals :func:`_row_features` bit for bit, for every step,
     capture and slot."""
     steps = sorted(by_step)
-    x = feature_rows(by_step.__getitem__, targets, catalog,
-                     "multi_timestep", steps, rows)
+    x = feature_rows(by_step.__getitem__, objects, "multi_timestep", steps,
+                     rows)
     width = len(FEATURE_NAMES)
     row = 0
-    for r, names in enumerate(targets):
+    for r, specs in enumerate(objects):
         b = r if rows is None else rows[r]
-        for j, obj in enumerate(names):
+        for j, spec in enumerate(specs):
             for i, u in enumerate(steps):
                 want = _row_features(by_step[u][b, 0], by_step[u][b, 1 + j],
-                                     catalog[obj])
+                                     spec)
                 got = x[row, i * width:(i + 1) * width]
-                assert np.array_equal(got, want), (u, b, j, obj)
+                assert np.array_equal(got, want), (u, b, j, spec.object_id)
             row += 1
     assert row == len(x)
 
@@ -576,7 +580,7 @@ def test_feature_rows_equal_row_by_row_features_of_stored_captures(
     _assert_rows_are_row_by_row(
         {u: load_step(tiny_dataset.root, mani, u)
          for u in mani.config.critical_steps},
-        [s.targets for s in picked], tiny_dataset.catalog, rows)
+        _objects(picked, tiny_dataset.catalog), rows)
 
 
 def test_feature_rows_equal_row_by_row_features_of_live_captures(
@@ -584,17 +588,16 @@ def test_feature_rows_equal_row_by_row_features_of_live_captures(
     """Fresh float64 captures, as the live pool hands them over."""
     from headlab.scene import build_conditional_mixture
 
-    by_step, targets = {}, []
+    by_step, objects = {}, []
     for pair in (("cat", "bench"), ("owl", "kite"), ("dog", "bench")):
         mix = build_conditional_mixture(pair, 0.6, catalog)
         record = sample_batch(mix, schedule, range(5), (50, 42, 34, 2, 0))
         for t, channels in record.captures.items():
             assert channels.dtype == np.float64
             by_step.setdefault(50 - t, []).append(channels)
-        targets += [pair] * 5
+        objects += [mix.objects] * 5
     _assert_rows_are_row_by_row(
-        {u: np.concatenate(parts) for u, parts in by_step.items()},
-        targets, catalog)
+        {u: np.concatenate(parts) for u, parts in by_step.items()}, objects)
 
 
 def test_feature_rows_equal_row_by_row_features_at_the_grid_border():
@@ -610,18 +613,19 @@ def test_feature_rows_equal_row_by_row_features_at_the_grid_border():
                    ("three", 2.0, ((0, 15), (15, 0), (8, 8))))}
     names = sorted(catalog)
     rng = np.random.default_rng(22)
-    targets = [tuple(rng.choice(names, size=2)) for _ in range(40)]
+    objects = [tuple(catalog[name] for name in rng.choice(names, size=2))
+               for _ in range(40)]
     by_step = {}
     for u in (3, 7):
         channels = rng.uniform(size=(40, 3, n, n))
-        for b, pair in enumerate(targets):
-            spec = catalog[pair[b % 2]]
+        for b, pair in enumerate(objects):
+            spec = pair[b % 2]
             position = spec.candidate_positions[b % len(spec.candidate_positions)]
             channels[b, 0] = (spec.placed_template(position)
                               + 0.3 * rng.normal(size=(n, n)))
         channels[::7, 1 + u % 2] = 0.0
         by_step[u] = channels
-    _assert_rows_are_row_by_row(by_step, targets, catalog)
+    _assert_rows_are_row_by_row(by_step, objects)
 
 
 def test_fit_detector_learns_dataset(tiny_dataset):

@@ -620,3 +620,24 @@ def test_no_campaign_function_is_given_a_catalog():
     assert sorted(parameters) == sorted(CAMPAIGN_FUNCTIONS)
     assert not [name for name, args in parameters.items()
                 if "catalog" in args]
+
+
+# What a detector derives, and so no longer stores or is given: the hand
+# check of a model's numbers, which its type now makes, each feature
+# name, which the variant and steps give, and the catalog beside each
+# capture's own objects.
+DERIVED_BY_THE_DETECTOR = ("_finite",)
+FEATURE_FUNCTIONS = ("extract_features", "feature_rows")
+
+
+def test_what_a_detector_derives_stays_gone():
+    from headlab.detector import DesignMatrix, DetectorModel
+
+    source = (SRC / "detector.py").read_text(encoding="utf-8")
+    assert not _mentioned(source) & set(DERIVED_BY_THE_DETECTOR)
+    for cls in (DesignMatrix, DetectorModel):
+        assert "feature_names" not in {f.name for f in fields(cls)}
+    parameters = _parameters(source, FEATURE_FUNCTIONS)
+    assert sorted(parameters) == sorted(FEATURE_FUNCTIONS)
+    assert not [name for name, args in parameters.items()
+                if "catalog" in args]

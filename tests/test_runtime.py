@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from headlab import engine, runtime
+from headlab.dataset import DatasetConfig
 from headlab.detector import (DetectorModel, DetectorSettings,
                               build_design_matrix, feature_names_for,
                               fit_detector)
@@ -25,16 +26,16 @@ from oracles import bootstrap_ci, pool, run_arms
 # Wave sizes a campaign must not notice: one row, sizes that split its
 # attempts across waves, and the shipped size.
 SLOT_COUNTS = (1, 3, 16, 32, engine.LOCKSTEP_ROWS)
+# The presence check's threshold, which a dataset's config sets.
+LABEL_THRESHOLD = DatasetConfig.label_threshold
 
 
 def _flat_model(steps, bias):
     """Detector that ignores its input and always emits expit(bias)."""
-    names = feature_names_for("combined", steps)
-    width = len(names)
-    return DetectorModel(variant="combined", steps=steps,
-                         feature_names=names,
-                         mean=np.zeros(width), scale=np.ones(width),
-                         weights=np.zeros(width), bias=bias, threshold=0.5)
+    width = len(feature_names_for("combined", steps))
+    return DetectorModel(variant="combined", steps=steps, mean=(0.0,) * width,
+                         scale=(1.0,) * width, weights=(0.0,) * width,
+                         bias=bias, threshold=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,8 @@ def test_identical_arms_save_nothing(catalog, schedule):
     mixtures = _grid(catalog, [("cat", "bench"), ("dog", "kite")], 0.8)
     inert = _flat_model((16,), bias=0.0)
     rows = measure_campaign(mixtures, schedule, inert,
-                            RuntimeSettings(runs_per_prompt=3, root_seed=9))
+                            RuntimeSettings(runs_per_prompt=3, root_seed=9),
+                            LABEL_THRESHOLD)
     for row in rows:
         if row.saving is not None:
             assert row.saving == 0.0
@@ -168,7 +170,8 @@ def test_identical_arms_save_nothing(catalog, schedule):
 def test_campaign_structure(catalog, schedule, tiny_model):
     mixtures = _grid(catalog, [("cat", "bench"), ("owl", "drum")], 0.59 ** 0.5)
     rows = measure_campaign(mixtures, schedule, tiny_model,
-                            RuntimeSettings(runs_per_prompt=4, root_seed=77))
+                            RuntimeSettings(runs_per_prompt=4, root_seed=77),
+                            LABEL_THRESHOLD)
     assert len(rows) == 6
     by_policy = {}
     for row in rows[:-2]:
@@ -204,7 +207,8 @@ def test_slot_count_changes_nothing(catalog, schedule, tiny_model,
         monkeypatch.setattr(engine, "LOCKSTEP_ROWS", slots)
         rows = measure_campaign(mixtures, schedule, tiny_model,
                                 RuntimeSettings(runs_per_prompt=4,
-                                                root_seed=88))
+                                                root_seed=88),
+                                LABEL_THRESHOLD)
         results.append((rows, run_arms(mixtures, schedule, models, **kwargs)))
     for rows, arms in results[1:]:
         assert rows == results[0][0]
@@ -279,7 +283,7 @@ def test_head_accepts_no_earlier_attempt_than_the_baseline(catalog, schedule,
                      RuntimeSettings(kwargs["runs_per_prompt"],
                                      kwargs["root_seed"]),
                      lambda arm, run, attempt: records.setdefault(
-                         (run, arm), []).append(attempt))
+                         (run, arm), []).append(attempt), LABEL_THRESHOLD)
     runs = range(len(mixtures) * kwargs["runs_per_prompt"])
     assert sorted(records) == [(run, arm) for run in runs for arm in (0, 1)]
     for run in runs:
@@ -483,7 +487,8 @@ def test_campaign_draws_noise_per_wave_and_bootstraps_twice(
     mixtures, models, kwargs = _head_campaign(catalog, tiny_model)
     steps, _ = _counting_calls(monkeypatch)
     measure_campaign(mixtures, schedule, tiny_model,
-                     RuntimeSettings(runs_per_prompt=4, root_seed=88))
+                     RuntimeSettings(runs_per_prompt=4, root_seed=88),
+                     LABEL_THRESHOLD)
     waves = [rows for t, rows in steps if t == schedule.T]
     assert len(waves) > 1
     resamples = 200 * kwargs["runs_per_prompt"]
@@ -516,7 +521,8 @@ def test_campaign_mixes_the_seeds_queued_together_in_one_call(
     monkeypatch.setattr(runtime, "mix64", counting)
     monkeypatch.setattr(runtime, "denoise", yielding)
     measure_campaign(mixtures, schedule, tiny_model,
-                     RuntimeSettings(runs_per_prompt=8, root_seed=88))
+                     RuntimeSettings(runs_per_prompt=8, root_seed=88),
+                     LABEL_THRESHOLD)
     # (root, tag[, prompts]) for the bootstrap, (root, prompts, j, index)
     # for attempts
     bootstrap = [values for _, values in calls if len(values) < 4]
@@ -623,10 +629,31 @@ def test_prompts_of_different_faithfulness_run_as_if_alone(catalog, schedule,
             assert arm[3 * i:3 * i + 3] == same[3 * i:3 * i + 3]
 
 
+def test_pooled_prompts_each_read_their_own_objects(tiny_dataset, catalog,
+                                                    schedule):
+    """Two prompts that share a pool, and a target name whose specs
+    differ, each decide on their own objects: the prompt whose ``cat`` is
+    the default catalog's runs as if alone beside one whose ``cat`` is
+    wider."""
+    model = fit_detector(build_design_matrix(
+        tiny_dataset.root, tiny_dataset.manifest, catalog, steps=(8,),
+        splits=("train",)), DetectorSettings(steps=(8,)))
+    wide = {**catalog, "cat": replace(catalog["cat"], sigma=2.0)}
+    mixtures = [build_conditional_mixture(("cat", "bench"), 0.59 ** 0.5,
+                                          catalog),
+                build_conditional_mixture(("cat", "kite"), 0.59 ** 0.5, wide)]
+    assert len(MixtureBank.group(mixtures)) == 1
+    kwargs = dict(root_seed=7, runs_per_prompt=20)
+    alone = run_arms(mixtures[:1], schedule, (None, model), **kwargs)
+    pooled = run_arms(mixtures, schedule, (None, model), **kwargs)
+    assert [arm[:20] for arm in pooled] == list(alone)
+    assert sum(_aborted(t) for t in alone[1]) > 0
+
+
 def test_campaign_is_deterministic(catalog, schedule, tiny_model):
     mixtures = _grid(catalog, [("fox", "kite")], 0.7)
     args = (mixtures, schedule, tiny_model,
-            RuntimeSettings(runs_per_prompt=3, root_seed=5))
+            RuntimeSettings(runs_per_prompt=3, root_seed=5), LABEL_THRESHOLD)
     a = measure_campaign(*args)
     b = measure_campaign(*args)
     assert a == b
@@ -637,7 +664,7 @@ def test_campaign_validation(catalog, schedule):
     settings = RuntimeSettings(runs_per_prompt=1, root_seed=0)
     inert = _flat_model((16,), bias=0.0)
     with pytest.raises(UsageError, match="^a campaign needs at least one prompt$"):
-        measure_campaign([], schedule, inert, settings)
+        measure_campaign([], schedule, inert, settings, LABEL_THRESHOLD)
     too_many = MAX_RUNS_PER_PROMPT + 1
     for runs_per_prompt, root_seed, message in (
             (0, 0, "runs_per_prompt must be >= 1"),
@@ -740,7 +767,7 @@ def test_a_later_decision_reads_the_stacks_after_rows_left_the_wave(
         return step(batch, t)
 
     def deciding(*args):
-        if args[4] == (early, late):
+        if args[3] == (early, late):
             waves[-1]["late"] = True
         return feature_rows(*args)
 
